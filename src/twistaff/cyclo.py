@@ -11,15 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-
-def euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
+from math import gcd, isqrt
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -459,13 +451,11 @@ def cyc_sqrt(x: Cyc):
 
 
 def _isqrt_exact(n: int):
+    """The integer square root of n when n is a perfect square, else None."""
     if n < 0:
         return None
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 def working_conductor(*orders: int, sqrt2: bool = False) -> int:

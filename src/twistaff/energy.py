@@ -1,18 +1,22 @@
 """Integral weights and the positive-energy decision with exact minimal level.
 
 The energy of a Weyl-orbit point is a quadratic polynomial in the translation
-part, so the infimum over the orbit reduces, for each finite Weyl element, to
-a closest-vector problem in the translation lattice.  All seven kinds have
-classical lattices (integer, checkerboard, sum-zero, and half-scalings), so
-the closed form is an exact per-family CVP; a brute-force orbit enumeration
-over a bounded box provides an independent oracle.
+part whose coefficients depend on the finite Weyl element w only through the
+image w.chi0_sharp of the character, so the infimum over the orbit reduces,
+for each distinct image, to a closest-vector problem in the translation
+lattice.  All seven kinds have classical lattices (integer, checkerboard,
+sum-zero, and half-scalings), so the closed form is an exact per-family CVP.
+An independent brute-force oracle evaluates the orbit value exactly, in
+integers, at every box point x every distinct orbit image, over a bounded
+coefficient box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import sub
 
 from .affine import (
     AffineRoot,
@@ -207,9 +211,8 @@ def lattice_cvp(kind: str, rank: int, target: CartanVector) -> CartanVector:
     return CartanVector({j + 1: scale * r[j] for j in range(rank)})
 
 
-def _orbit_value(lam: Weight, chi: Character, w: FiniteWeylElement, y: CartanVector) -> Fraction:
-    """lam((y, w).chi - chi) in closed form."""
-    u = w.apply(chi.chi0_sharp)
+def _orbit_value(lam: Weight, chi: Character, u: CartanVector, y: CartanVector) -> Fraction:
+    """lam((y, w).chi - chi) in closed form, for the image u = w.chi0_sharp."""
     l0s = lam.l0.sharp()
     return (
         lam.lc * chi.chi_d * pairing(y, y) / 2
@@ -219,7 +222,21 @@ def _orbit_value(lam: Weight, chi: Character, w: FiniteWeylElement, y: CartanVec
     )
 
 
-#: above this rank the finite Weyl search switches to the rearrangement heuristic
+def _distinct_images(
+    group, chi0_sharp: CartanVector
+) -> list[tuple[FiniteWeylElement, CartanVector]]:
+    """(w, w.chi0_sharp) for the first w of the group with each distinct image.
+
+    The orbit value depends on the finite element only through its image, so
+    one representative per image covers the whole finite Weyl group.
+    """
+    first = {}
+    for w in group:
+        first.setdefault(w.apply(chi0_sharp), w)
+    return [(w, u) for u, w in first.items()]
+
+
+#: the finite Weyl group is enumerated in full; min_energy refuses higher ranks
 EXHAUSTIVE_RANK = 5
 
 
@@ -234,12 +251,11 @@ def min_energy(
 ) -> EnergyReport:
     """Infimum of lam over the unslanted Weyl orbit displacement of the character.
 
-    Closed form: per finite Weyl element the translation part is a positive
-    definite quadratic, minimized exactly by a lattice CVP; the oracle
-    enumerates the orbit over a coefficient box and must agree.  Beyond
-    exhaustive_rank the signed permutations are searched by the rearrangement
-    reduction (sign-aligned sorting plus local moves) instead of full
-    enumeration; the report's bounds record which search ran.
+    Closed form: per distinct image of the character under the finite Weyl
+    group the translation part is a positive definite quadratic, minimized
+    exactly by a lattice CVP; the oracle enumerates the orbit over a
+    coefficient box and must agree.  The finite Weyl group is enumerated in
+    full, so ranks above exhaustive_rank raise ValueError.
     """
     if lam.lc == 0:
         raise ValueError("the central value of the weight must be nonzero")
@@ -247,27 +263,28 @@ def min_energy(
         raise ValueError("energy minimization runs on the standard (untwisted) side")
     rank = spec.base.rank
     kind = spec.lars
-    exhaustive = rank <= exhaustive_rank
-    bounds = {"lattice": oracle_bound, "finite_search": "exhaustive" if exhaustive else "rearrangement"}
-    group = finite_weyl_group(kind, rank) if exhaustive else _rearrangement_candidates(
-        kind, rank, lam, chi
-    )
+    if rank > exhaustive_rank:
+        raise ValueError(
+            f"rank {rank} is above exhaustive_rank = {exhaustive_rank}: "
+            "the exact minimum enumerates the finite Weyl group"
+        )
+    bounds = {"lattice": oracle_bound, "finite_search": "exhaustive"}
 
     coeff = lam.lc * chi.chi_d / 2
     if coeff < 0:
         agree = _oracle_detects_divergence(spec, lam, chi, oracle_bound) if with_oracle else None
         return EnergyReport(False, None, None, agree, bounds)
+    images = _distinct_images(finite_weyl_group(kind, rank), chi.chi0_sharp)
     if coeff == 0:
-        return _linear_case(spec, lam, chi, group, bounds, with_oracle, oracle_bound)
+        return _linear_case(spec, lam, chi, images, bounds, with_oracle, oracle_bound)
 
     l0s = lam.l0.sharp()
     best = None
-    for w in group:
-        u = w.apply(chi.chi0_sharp)
+    for w, u in images:
         grad = u.scale(lam.lc) + l0s.scale(chi.chi_d)
         target = grad.scale(Fraction(1, 2) / coeff)
         y = lattice_cvp(kind, rank, target)
-        val = _orbit_value(lam, chi, w, y)
+        val = _orbit_value(lam, chi, u, y)
         if best is None or val < best[0]:
             best = (val, AffWeylElement(Translation(y), w))
     minimum, witness = best
@@ -284,18 +301,17 @@ def min_energy(
     return EnergyReport(True, minimum, witness, agreement, bounds)
 
 
-def _linear_case(spec, lam, chi, group, bounds, with_oracle, oracle_bound):
+def _linear_case(spec, lam, chi, images, bounds, with_oracle, oracle_bound):
     # chi_d = 0: the orbit value is affine in the translation part
     basis = translation_lattice(spec)
     l0s = lam.l0.sharp()
     best = None
-    for w in group:
-        u = w.apply(chi.chi0_sharp)
+    for w, u in images:
         grad = u.scale(lam.lc) + l0s.scale(chi.chi_d)
         if any(pairing(grad, b) for b in basis):
             agree = _oracle_detects_divergence(spec, lam, chi, oracle_bound) if with_oracle else None
             return EnergyReport(False, None, None, agree, bounds)
-        val = _orbit_value(lam, chi, w, CartanVector(()))
+        val = _orbit_value(lam, chi, u, CartanVector(()))
         if best is None or val < best[0]:
             best = (val, AffWeylElement(Translation(CartanVector(())), w))
     minimum, witness = best
@@ -305,54 +321,44 @@ def _linear_case(spec, lam, chi, group, bounds, with_oracle, oracle_bound):
     return EnergyReport(True, minimum, witness, agreement, bounds)
 
 
-def _lattice_points(spec: AffinisationSpec, bound: int):
-    """All lattice vectors with basis coefficients in [-bound, bound]."""
-    basis = translation_lattice(spec)
-    rank = spec.base.rank
-    coords = [[Fraction(b[j]) for j in range(1, rank + 1)] for b in basis]
-    points = []
-
-    def rec(i, acc):
-        if i == len(basis):
-            points.append(tuple(acc))
-            return
-        for m in range(-bound, bound + 1):
-            rec(i + 1, [a + m * c for a, c in zip(acc, coords[i])])
-
-    rec(0, [Fraction(0)] * rank)
-    return points
+def _box_sums(weights, bound: int) -> list[int]:
+    """sum_i m_i * weights[i] for every m in [-bound, bound]^k, last index fastest."""
+    out = [0]
+    for wt in weights:
+        steps = [m * wt for m in range(-bound, bound + 1)]
+        out = [v + s for v in out for s in steps]
+    return out
 
 
 def _oracle_minimum(spec, lam, chi, bound, jobs=1) -> Fraction:
-    """Brute-force orbit enumeration over a coefficient box, exact via integers."""
-    rank = spec.base.rank
-    group = finite_weyl_group(spec.lars, rank)
-    points = _lattice_points(spec, bound)
-    den = 1
-    for b in translation_lattice(spec):
-        for _, x in b.coords:
-            den = den * x.denominator // gcd(den, x.denominator)
-    ipoints = [tuple(int(x * den) for x in p) for p in points]
-    l0s = lam.l0.sharp()
-    c2 = lam.lc * chi.chi_d  # twice the quadratic coefficient
-    best = None  # integer value of 2 * D * orbit_value
-    tasks = []
-    for w in group:
-        u = w.apply(chi.chi0_sharp)
-        gvec = [lam.lc * u[j] + chi.chi_d * l0s[j] for j in range(1, rank + 1)]
-        const2 = 2 * pairing(l0s, u - chi.chi0_sharp)
-        tasks.append((gvec, const2))
-    scale = 1  # common integerizing multiplier D
-    for gvec, const2 in tasks:
-        for q in (c2 * Fraction(1, den * den), const2, *[g * Fraction(2, den) for g in gvec]):
-            scale = scale * q.denominator // gcd(scale, q.denominator)
+    """Brute-force orbit minimum: every box point times every distinct orbit image.
 
-    int_tasks = []
-    for gvec, const2 in tasks:
-        a = int(c2 * Fraction(scale, den * den))
-        bs = tuple(int(g * Fraction(2 * scale, den)) for g in gvec)
-        cc = int(const2 * scale)
-        int_tasks.append((a, bs, cc))
+    The box holds the lattice vectors y = sum m_i b_i with |m_i| <= bound.
+    Twice the orbit value is lc chi_d |y|^2 - sum m_i beta_i + kappa, where
+    only beta and kappa depend on the image u = w.chi0_sharp; after one common
+    integer scaling it is evaluated exactly at every box point for each
+    distinct u.  No CVP and no pruning, so it checks the closed form.
+    """
+    rank = spec.base.rank
+    basis = translation_lattice(spec)
+    den = lcm(*(x.denominator for b in basis for _, x in b.coords))
+    l0s = lam.l0.sharp()
+    quad = lam.lc * chi.chi_d / (den * den)  # per unit of |den * y|^2
+    tasks = []
+    for _, u in _distinct_images(finite_weyl_group(spec.lars, rank), chi.chi0_sharp):
+        grad = u.scale(lam.lc) + l0s.scale(chi.chi_d)
+        tasks.append(([2 * pairing(grad, b) for b in basis], 2 * pairing(l0s, u - chi.chi0_sharp)))
+    scale = lcm(quad.denominator, *(q.denominator for betas, kappa in tasks for q in (*betas, kappa)))
+    a = int(quad * scale)
+    int_tasks = [([int(q * scale) for q in betas], int(kappa * scale)) for betas, kappa in tasks]
+
+    # |den * y|^2 over the box, built once; sliced by the last coefficient
+    width = 2 * bound + 1
+    norms = [0] * width ** len(basis)
+    for j in range(1, rank + 1):
+        col = _box_sums([int(b[j] * den) for b in basis], bound)
+        norms = [n + x * x for n, x in zip(norms, col)]
+    slices = [[a * n for n in norms[i::width]] for i in range(width)]
 
     if jobs > 1 and len(int_tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -360,23 +366,25 @@ def _oracle_minimum(spec, lam, chi, bound, jobs=1) -> Fraction:
         step = (len(int_tasks) + jobs - 1) // jobs
         chunks = [int_tasks[i : i + step] for i in range(0, len(int_tasks), step)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_oracle_chunk, chunks, [ipoints] * len(chunks)))
-        best = min(r for r in results if r is not None)
+            best = min(pool.map(_oracle_chunk, chunks, [slices] * len(chunks), [bound] * len(chunks)))
     else:
-        best = _oracle_chunk(int_tasks, ipoints)
+        best = _oracle_chunk(int_tasks, slices, bound)
     return Fraction(best, 2 * scale)
 
 
-def _oracle_chunk(int_tasks, ipoints):
-    local = None
-    for a, bs, cc in int_tasks:
-        for iy in ipoints:
-            s_yy = sum(v * v for v in iy)
-            s_gy = sum(g * v for g, v in zip(bs, iy))
-            val = a * s_yy - s_gy + cc
-            if local is None or val < local:
-                local = val
-    return local
+def _oracle_chunk(int_tasks, slices, bound):
+    """Least scaled value over the box for the given images.
+
+    slices[i] holds a * |den * y|^2 for last coefficient m = i - bound, in the
+    order of the other coefficients, so their linear part is shared.
+    """
+    values = []
+    for betas, kappa in int_tasks:
+        head = _box_sums(betas[:-1], bound)
+        last = betas[-1]
+        per_m = [min(map(sub, sl, head)) - m * last for m, sl in zip(range(-bound, bound + 1), slices)]
+        values.append(min(per_m) + kappa)
+    return min(values)
 
 
 def _oracle_detects_divergence(spec, lam, chi, bound) -> bool:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from twistaff.affine import standard_spec
 from twistaff.autnorm import OperatorSpec
 from twistaff.cli import main
 from twistaff.cyclo import Cyc, mat_from_rows
@@ -93,6 +94,16 @@ def test_min_energy_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     assert doc["report"]["minimum"] == "0" and doc["report"]["method_agreement"]
+
+
+def test_min_energy_above_exhaustive_rank_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "me6.json"
+    path.write_text(json.dumps({
+        "spec": standard_spec("B1", 6).to_json(),
+        "weight": {"lc": "1", "l0": {"coords": {"1": "1"}}, "ld": "0"},
+    }))
+    assert run(["min-energy", "--input", path]) == 1
+    assert "exhaustive_rank = 5" in capsys.readouterr().err
 
 
 def test_theorem_b_command(tmp_path):

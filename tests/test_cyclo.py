@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from twistaff import cyclo
 from twistaff.cyclo import (
     Cyc,
     cyc_sqrt,
@@ -64,6 +65,20 @@ def test_in_field_sqrt():
     assert r == a or r == -a
     assert cyc_sqrt(Cyc.one(L) + Cyc.zeta(L)) is None
     assert cyc_sqrt(Cyc.rational(L, Q(49, 121))) == Cyc.rational(L, Q(7, 11))
+
+
+def test_rational_sqrt_is_exact_beyond_float_precision(monkeypatch):
+    n = 10**30 + 7  # n * n is not a float square
+    assert cyclo._isqrt_exact(n * n) == n
+    assert cyclo._isqrt_exact(n * n + 1) is None
+    assert cyclo._isqrt_exact(10**400) == 10**200  # above the float range
+    assert cyclo._isqrt_exact(-4) is None
+
+    def no_sympy(L):
+        raise AssertionError("a rational square took the sympy path")
+
+    monkeypatch.setattr(cyclo, "_sympy_field", no_sympy)
+    assert cyc_sqrt(Cyc.rational(4, Q(n * n, 10**400))) == Cyc.rational(4, Q(n, 10**200))
 
 
 def test_conductor_lift_embeds_roots_of_unity():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -8,6 +9,7 @@ from twistaff.autnorm import OperatorSpec, mode_class, standardize
 from twistaff.cyclo import mat_from_rows
 from twistaff.energy import (
     Character,
+    _oracle_minimum,
     character_of,
     is_integral,
     lattice_cvp,
@@ -17,7 +19,14 @@ from twistaff.energy import (
 )
 from twistaff.rootdata import CartanVector, Functional, pairing
 from twistaff.sampling import random_functional
-from twistaff.weyl import act, act_slanted, translation_lattice
+from twistaff.weyl import (
+    AffWeylElement,
+    Translation,
+    act,
+    act_slanted,
+    finite_weyl_group,
+    translation_lattice,
+)
 
 BD_CHI = Character(0, CartanVector(()), 1)
 
@@ -75,6 +84,60 @@ def test_zero_charge_rejected():
     spec = standard_spec("A1", 2)
     with pytest.raises(ValueError):
         min_energy(spec, Weight(0, Functional({1: 1}), 0), BD_CHI)
+
+
+def test_min_energy_above_exhaustive_rank_names_the_bound():
+    spec = standard_spec("B1", 6)
+    with pytest.raises(ValueError, match="exhaustive_rank = 5"):
+        min_energy(spec, Weight(1, Functional({1: 1}), 0), BD_CHI)
+    with pytest.raises(ValueError, match="exhaustive_rank = 2"):
+        min_energy(standard_spec("C1", 3), Weight(1, Functional(()), 0), BD_CHI, exhaustive_rank=2)
+
+
+def _box_reference(spec, lam, chi, bound):
+    """Least orbit value over every finite Weyl element and every box point, via the action."""
+    chi_vec = chi.as_vector()
+    basis = translation_lattice(spec)
+    ys = []
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
+        y = CartanVector(())
+        for m, b in zip(coeffs, basis):
+            y = y + b.scale(m)
+        ys.append(y)
+    best = None
+    for w in finite_weyl_group(spec.lars, spec.base.rank):
+        for y in ys:
+            val = lam(act(spec, AffWeylElement(Translation(y), w), chi_vec) - chi_vec)
+            if best is None or val < best:
+                best = val
+    return best
+
+
+def test_oracle_matches_plain_box_enumeration():
+    # lc rotates with the kind and rank, so every character meets every lc
+    rng = random.Random(53)
+    for k, kind in enumerate(LARS_KINDS):
+        for rank, bound in ((2, 2), (3, 1)):
+            spec = standard_spec(kind, rank)
+            chis = [
+                Character(0, CartanVector(()), 1),
+                Character(0, CartanVector({1: 1}), 1),
+                Character(0, random_functional(rng, rank).sharp(), 1),
+                Character(0, random_functional(rng, rank).sharp(), 0),  # chi_d = 0: linear
+            ]
+            for i, chi in enumerate(chis):
+                lc = (1, 2, -1)[(i + k + rank) % 3]
+                lam = Weight(lc, random_functional(rng, rank, denoms=(1, 2)), 0)
+                got = _oracle_minimum(spec, lam, chi, bound)
+                assert got == _box_reference(spec, lam, chi, bound), (kind, rank, chi, lc)
+
+
+def test_oracle_jobs_do_not_change_the_minimum():
+    rng = random.Random(59)
+    spec = standard_spec("B1", 3)
+    lam = Weight(2, random_functional(rng, 3, denoms=(1, 2)), 0)
+    chi = Character(0, CartanVector({1: Q(1, 2), 2: Q(-1, 3), 3: 2}), 1)
+    assert _oracle_minimum(spec, lam, chi, 3, jobs=2) == _oracle_minimum(spec, lam, chi, 3, jobs=1)
 
 
 def test_cvp_families():
