@@ -6,12 +6,21 @@ lifts such an operator to finite order, splits it into exact eigenspaces,
 computes the antiunitary block normal form, and assembles a certificate:
 the standard twist it untwists to, the diagonal exponents, the slant, and
 the basis change realizing everything, all in exact cyclotomic arithmetic.
+
+A certificate also carries the twisted grading it induces: for each root,
+the residues m with a nonzero (a, m) root space and matching eigenvectors
+(``mode_class_vectors``, ``mode_class``), and the graded Cartan pieces
+(``cartan_mode_vectors``).  Each piece is computed on first use and kept on
+the certificate, so the sampler, the root map, the isomorphism check and the
+verification all read one grading.  Linear algebra uses the ``cyclo`` kernel;
+only the Hermitian projections of the block constructions are local.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from math import gcd
 
 from .affine import AffinisationSpec
@@ -19,19 +28,24 @@ from .cyclo import (
     Cyc,
     Matrix,
     cyc_sqrt,
+    mat_add,
     mat_conj,
     mat_conj_transpose,
     mat_eq,
     mat_identity,
     mat_inverse,
+    mat_is_zero,
     mat_lift,
     mat_mul,
     mat_pow,
     mat_scale,
+    nullspace,
+    solve,
     sqrt_rational,
     working_conductor,
 )
-from .models import StandardModel, standard_model
+from .jsonio import cyc_to_json, mat_from_json, mat_to_json
+from .models import StandardModel, span_basis, standard_model
 from .rootdata import Functional, Root, RootSystem
 
 FIELDS = ("R", "C", "H")
@@ -121,6 +135,8 @@ class OperatorSpec:
             raise StandardizeError("antiunitary operators only occur over C")
         if self.declared_order < 1:
             raise StandardizeError("declared order must be positive")
+        if self.dim < 1:
+            raise StandardizeError(f"dimension must be at least 1, got {self.dim}")
         if len(self.matrix) != self.dim or any(len(r) != self.dim for r in self.matrix):
             raise StandardizeError("matrix shape does not match dim")
 
@@ -134,30 +150,16 @@ class OperatorSpec:
             "antiunitary": self.antiunitary,
             "dim": self.dim,
             "order": self.declared_order,
-            "matrix": [
-                [{"conductor": c.L, "coeffs": [str(Fraction(n, c.den)) for n in c.num]} for c in row]
-                for row in self.matrix
-            ],
+            "matrix": mat_to_json(self.matrix),
         }
 
     @staticmethod
     def from_json(obj) -> "OperatorSpec":
-        rows = []
-        for row in obj["matrix"]:
-            r = []
-            for c in row:
-                L = int(c["conductor"])
-                fracs = [Fraction(x) for x in c["coeffs"]]
-                den = 1
-                for f in fracs:
-                    den = den * f.denominator // gcd(den, f.denominator)
-                r.append(Cyc(L, tuple(int(f * den) for f in fracs), den))
-            rows.append(tuple(r))
         return OperatorSpec(
             field=str(obj["field"]),
             antiunitary=bool(obj.get("antiunitary", False)),
             dim=int(obj["dim"]),
-            matrix=tuple(rows),
+            matrix=mat_from_json(obj["matrix"]),
             declared_order=int(obj["order"]),
         )
 
@@ -217,7 +219,7 @@ def _is_scalar(m: Matrix) -> Cyc | None:
 
 
 def projective_order(u: Matrix, bound: int = 512) -> tuple[int, Cyc]:
-    """Smallest k with u^k scalar, and the scalar."""
+    """Smallest k <= bound with u^k scalar, and the scalar."""
     d = len(u)
     L = u[0][0].L
     acc = mat_identity(L, d)
@@ -226,7 +228,7 @@ def projective_order(u: Matrix, bound: int = 512) -> tuple[int, Cyc]:
         s = _is_scalar(acc)
         if s is not None:
             return k, s
-    raise StandardizeError("no finite projective order within bound")
+    raise StandardizeError(f"no finite projective order within the projective_order bound {bound}")
 
 
 def matrix_order(u: Matrix, bound: int = 512) -> int:
@@ -238,7 +240,9 @@ def matrix_order(u: Matrix, bound: int = 512) -> int:
         if acc == Cyc.one(L):
             return k * m
         acc = acc * s
-    raise StandardizeError("scalar part is not a root of unity")
+    raise StandardizeError(
+        f"scalar part is not a root of unity of order within the matrix_order bound {bound}"
+    )
 
 
 def automorphism_order(spec: OperatorSpec) -> int:
@@ -598,7 +602,8 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
         if not found:
             raise StandardizeError(
                 "cannot complete the block normal form exactly: no reachable isotropic "
-                "vectors or fixed-vector pairings in the working cyclotomic field"
+                "vectors or fixed-vector pairings in the working cyclotomic field or an "
+                f"enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR}"
             )
         i, j = found
         plus, minus, L2 = _pair_conjugation_fixed(pool[i], pool_norms[i], pool[j], pool_norms[j], L)
@@ -649,7 +654,8 @@ def _pair_conjugation_fixed(g1, q1, g2, q2, L):
         return plus, minus, L
     raise StandardizeError(
         "cannot pair fixed vectors exactly: neither the ratio nor the product of "
-        "their squared norms has a reachable exact square root"
+        "their squared norms has an exact square root in the working field or an "
+        f"enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR}"
     )
 
 
@@ -838,6 +844,9 @@ class StandardizationCertificate:
     raised to exponents[j] * t, and mu[j] = -exponents[j] / exp_denominator.
     Columns of basis_change (the model basis in input coordinates) are exactly
     orthogonal with recorded squared norms; each plus/minus pair shares its norm.
+    The twisted grading derived from it is computed lazily, once per root,
+    into ``grading`` (see ``mode_class_vectors``); ``dataclasses.replace``
+    starts a fresh one.
     """
 
     family: str
@@ -859,6 +868,11 @@ class StandardizationCertificate:
     @property
     def model(self) -> StandardModel:
         return standard_model(self.lars, self.rank)
+
+    @cached_property
+    def grading(self) -> dict:
+        """Root (None for the Cartan) -> its (residue, eigenvector matrix) pairs, filled lazily."""
+        return {}
 
     @property
     def base(self) -> RootSystem:
@@ -882,13 +896,16 @@ class StandardizationCertificate:
             slant_nu=nu if nu is not None else Functional(()),
         )
 
-    def u_one_matrix(self, L: int) -> Matrix:
-        """U_1 of the one-parameter group, in model coordinates."""
+    def u_matrix(self, L: int, t: Fraction = Fraction(1)) -> Matrix:
+        """U_t of the one-parameter group, in model coordinates (U_1 by default)."""
+        step = Fraction(t * L, self.exp_denominator)
+        if step.denominator != 1:
+            raise StandardizeError(f"conductor {L} is too small for the time t = {t}")
+        step = int(step)
         model = self.model
         d = model.dim
         z = Cyc.zero(L)
         diag = [Cyc.one(L)] * d
-        step = L // self.exp_denominator
         for j in range(1, self.rank + 1):
             diag[model.plus_index(j)] = Cyc.zeta(L, (self.exponents[j - 1] * step) % L)
             if self.lars != "A1":
@@ -920,13 +937,9 @@ class StandardizationCertificate:
 
     def standard_linear_matrix(self, L: int) -> Matrix:
         """Linear part of the standardized operator (U_1 times the twist) in model coords."""
-        return mat_mul(self.u_one_matrix(L), self.psi_linear_matrix(L))
+        return mat_mul(self.u_matrix(L), self.psi_linear_matrix(L))
 
     def to_json(self):
-        def cyc_json(c):
-            return {"conductor": c.L, "coeffs": [str(Fraction(n, c.den)) for n in c.num]}
-
-        cols = _columns(self.basis_change)
         return {
             "schema": "v1",
             "family": self.family,
@@ -935,8 +948,8 @@ class StandardizationCertificate:
             "rank": self.rank,
             "exponents": list(self.exponents),
             "mu": self.mu.to_json(),
-            "basis_change_columns": [[cyc_json(c) for c in col] for col in cols],
-            "col_norms": [cyc_json(c) for c in self.col_norms],
+            "basis_change_columns": mat_to_json(_columns(self.basis_change)),
+            "col_norms": [cyc_to_json(c) for c in self.col_norms],
             "index_partition": [list(p) for p in self.index_partition],
             "orders": list(self.orders),
             "operator_order": self.operator_order,
@@ -1000,24 +1013,24 @@ def _collect_certificate(
         lifted_matrix=lifted,
         negated=negated,
     )
-    _check_reconstruction(cert)
+    _check_reconstruction(cert, mat_lift(lifted, L))
+    _check_columns(cert)
     return cert
 
 
-def _check_reconstruction(cert: StandardizationCertificate) -> None:
-    """The lifted operator equals the standardized one through the basis change."""
+def _check_reconstruction(cert: StandardizationCertificate, u: Matrix) -> None:
+    """u, the finite-order operator at the certificate's conductor, is the standard form
+    transported by the basis change."""
+    v = cert.basis_change
+    lhs = mat_mul(u, mat_conj(v)) if cert.family == "C_antiunitary" else mat_mul(u, v)
+    if not mat_eq(lhs, mat_mul(v, cert.standard_linear_matrix(cert.conductor))):
+        raise StandardizeError("reconstruction failed: operator != basis_change * standard form")
+
+
+def _check_columns(cert: StandardizationCertificate) -> None:
+    """The basis change has orthogonal columns with the recorded positive real squared norms."""
     L = cert.conductor
     v = cert.basis_change
-    std = cert.standard_linear_matrix(L)
-    u = mat_lift(cert.lifted_matrix, L) if cert.lifted_matrix[0][0].L != L else cert.lifted_matrix
-    if cert.family == "C_antiunitary":
-        lhs = mat_mul(u, mat_conj(v))
-    else:
-        lhs = mat_mul(u, v)
-    rhs = mat_mul(v, std)
-    if not mat_eq(lhs, rhs):
-        raise StandardizeError("reconstruction failed: operator != basis * standard form")
-    # orthogonality and recorded norms
     gram = mat_mul(mat_conj_transpose(v), v)
     d = len(v)
     for i in range(d):
@@ -1025,6 +1038,8 @@ def _check_reconstruction(cert: StandardizationCertificate) -> None:
             want = cert.col_norms[i] if i == j else Cyc.zero(L)
             if not (gram[i][j] == want):
                 raise StandardizeError("basis columns are not orthogonal with recorded norms")
+        if not cert.col_norms[i].is_real() or cert.col_norms[i].is_zero():
+            raise StandardizeError("column norm is not a positive real")
 
 
 def standardize(spec: OperatorSpec) -> StandardizationCertificate:
@@ -1222,108 +1237,112 @@ def _standardize_antiunitary(spec: OperatorSpec) -> StandardizationCertificate:
     )
 
 
-# -- mode classes and certificate verification --------------------------------------
-
-
-def _solve_in_basis(basis: list, target) -> list | None:
-    """Coordinates of target in the span of basis vectors (flattened), or None."""
-    if not basis:
-        return None
-    flat_basis = [[c for c in v] for v in basis]
-    n = len(target)
-    k = len(basis)
-    L = target[0].L
-    # solve sum_i x_i basis_i = target by Gaussian elimination on the transpose
-    rows = [[flat_basis[i][a] for i in range(k)] + [target[a]] for a in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    sol = [Cyc.zero(L)] * k
-    for i, c in enumerate(piv_cols):
-        sol[c] = rows[i][k]
-    for i in range(r, n):
-        if rows[i][k]:
-            return None
-    return sol
+# -- the twisted grading and certificate verification ---------------------------------
 
 
 def _phi_tilde_inverse(cert: StandardizationCertificate, x: Matrix) -> Matrix:
     """Inverse of the (complex-linear extension of the) automorphism, model coords."""
     L = x[0][0].L
     if cert.family == "C_antiunitary":
-        u1 = cert.u_one_matrix(L)
+        u1 = cert.u_matrix(L)
         inner_mat = mat_mul(mat_mul(mat_conj_transpose(u1), x), u1)
         return cert.model.psi_tilde(inner_mat)
     dhat = cert.standard_linear_matrix(L)
     return mat_mul(mat_mul(mat_conj_transpose(dhat), x), dhat)
 
 
-def mode_class(cert: StandardizationCertificate, a: Root) -> tuple:
-    """Residues m mod the automorphism order with a nonzero (a, m) component."""
+def _roots_of_unity(cert: StandardizationCertificate) -> list[Cyc]:
+    """zeta^m for each residue m mod the automorphism order, at the certificate's conductor."""
     n_phi = cert.orders[0]
     L = cert.conductor
     if L % n_phi != 0:
         raise StandardizeError("conductor does not contain the automorphism's roots of unity")
-    basis = cert.model.weight_space_basis(L, a)
+    return [Cyc.zeta(L, m * (L // n_phi)) for m in range(n_phi)]
+
+
+def _grade_weight_space(cert: StandardizationCertificate, a: Root) -> tuple:
+    """Eigenvectors of the automorphism on the weight-a space, one per dimension."""
+    lams = _roots_of_unity(cert)
+    basis = cert.model.weight_space_basis(cert.conductor, a)
     if not basis:
         raise StandardizeError(f"{a} is not a weight of the model algebra")
     flat = [tuple(c for row in b for c in row) for b in basis]
-    images = []
+    images = []  # images[j]: coordinates of phi~^-1(basis[j]) in the basis
     for b in basis:
-        img = _phi_tilde_inverse(cert, b)
-        coords = _solve_in_basis(flat, tuple(c for row in img for c in row))
+        coords = solve(flat, tuple(c for row in _phi_tilde_inverse(cert, b) for c in row))
         if coords is None:
             raise StandardizeError("automorphism does not preserve the weight space")
         images.append(coords)
-    k = len(basis)
+    phi_inv = list(zip(*images))
     out = []
-    for m in range(n_phi):
-        lam = Cyc.zeta(L, (m * (L // n_phi)) % L)
-        # det(images - lam I) over the field, k <= 2
-        if k == 1:
-            det = images[0][0] - lam
-        elif k == 2:
-            det = (images[0][0] - lam) * (images[1][1] - lam) - images[1][0] * images[0][1]
-        else:
-            det = _det_minus_lambda(images, lam, L)
-        if det.is_zero():
-            out.append(m)
-    if not out:
-        raise StandardizeError("no admissible residue found (invalid certificate)")
+    for m, lam in enumerate(lams):
+        shifted = [
+            [x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(phi_inv)
+        ]
+        eigen = nullspace(shifted)
+        if len(eigen) > 1:
+            # the twist is scalar on a two-dimensional eigenspace: the grading
+            # would have a repeated component, so the certificate is broken
+            raise StandardizeError(f"degenerate mode classes on the {a} weight space")
+        for x in eigen:
+            terms = (b if cf == 1 else mat_scale(cf, b) for cf, b in zip(x, basis) if cf)
+            out.append((m, reduce(mat_add, terms)))
+    if len(out) != len(basis):
+        raise StandardizeError(f"mode classes of the {a} weight space do not fill its dimension")
     return tuple(out)
 
 
-def _det_minus_lambda(cols, lam, L):
-    k = len(cols)
-    m = [[cols[j][i] - (lam if i == j else Cyc.zero(L)) for j in range(k)] for i in range(k)]
-    # small exact determinant by elimination
-    det = Cyc.one(L)
-    for c in range(k):
-        piv = next((r for r in range(c, k) if m[r][c]), None)
-        if piv is None:
-            return Cyc.zero(L)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c].inverse()
-        for r in range(c + 1, k):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+def mode_class_vectors(cert: StandardizationCertificate, a: Root) -> tuple:
+    """Eigenvector matrices of the weight-a space: (residue, matrix) pairs.
+
+    The matrix spans the (a, residue) component of the source-twist grading;
+    residues are taken mod the automorphism order.  Computed once per
+    certificate and root.
+    """
+    pieces = cert.grading.get(a)
+    if pieces is None:
+        pieces = cert.grading[a] = _grade_weight_space(cert, a)
+    return pieces
+
+
+def mode_class(cert: StandardizationCertificate, a: Root) -> tuple:
+    """Residues m mod the automorphism order with a nonzero (a, m) component."""
+    return tuple(m for m, _ in mode_class_vectors(cert, a))
+
+
+def cartan_mode_vectors(cert: StandardizationCertificate) -> tuple:
+    """Zero-weight analogue of mode_class_vectors: (residue, diagonal matrix) pairs.
+
+    Each Cartan basis element is projected onto every eigenvalue of the
+    automorphism; computed once per certificate.
+    """
+    pieces = cert.grading.get(None)
+    if pieces is not None:
+        return pieces
+    lams = _roots_of_unity(cert)
+    n_phi = len(lams)
+    L = cert.conductor
+    model = cert.model
+    diagonal = (model.algebra_project(model.basis_matrix(L, i, i)) for i in range(model.dim))
+    orbits = []  # b, phi~^-1(b), phi~^-2(b), ... for each Cartan basis element b
+    for b in span_basis(diagonal):
+        orbit = [b]
+        for _ in range(1, n_phi):
+            orbit.append(_phi_tilde_inverse(cert, orbit[-1]))
+        orbits.append(orbit)
+    scale = Cyc.rational(L, Fraction(1, n_phi))
+    out = []
+    for m in range(n_phi):
+        # project each basis element onto the eigenvalue-zeta^m component of phi~^-1
+        for orbit in orbits:
+            acc = orbit[0]
+            for j in range(1, n_phi):
+                acc = mat_add(acc, mat_scale(lams[m * j % n_phi], orbit[j]))
+            acc = mat_scale(scale, acc)
+            if not mat_is_zero(acc):
+                out.append((m, acc))
+    pieces = cert.grading[None] = tuple(out)
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -1357,58 +1376,26 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         lifted = finite_order_lift(spec)
         L = cert.conductor
         u = mat_lift(lifted.matrix, L) if lifted.conductor != L else lifted.matrix
-        v = cert.basis_change
         if cert.family == "R" and cert.negated:
             u = mat_scale(Cyc.rational(L, -1), u)
-        lhs = mat_mul(u, mat_conj(v)) if cert.family == "C_antiunitary" else mat_mul(u, v)
-        rhs = mat_mul(v, cert.standard_linear_matrix(L))
-        if not mat_eq(lhs, rhs):
-            raise StandardizeError("operator != basis_change * standard form")
+        _check_reconstruction(cert, u)
         return "exact"
 
     def check_columns():
-        L = cert.conductor
-        v = cert.basis_change
-        gram = mat_mul(mat_conj_transpose(v), v)
-        d = len(v)
-        for i in range(d):
-            for j in range(d):
-                want = cert.col_norms[i] if i == j else Cyc.zero(L)
-                if not (gram[i][j] == want):
-                    raise StandardizeError("columns not orthogonal with recorded norms")
-            if not cert.col_norms[i].is_real() or cert.col_norms[i].is_zero():
-                raise StandardizeError("column norm is not a positive real")
-        return f"{d} columns"
+        _check_columns(cert)
+        return f"{len(cert.basis_change)} columns"
 
     def check_one_parameter():
         # U_t at rational times commutes with the standard twist operator
         L2 = cert.conductor * (2 * cert.exp_denominator) // gcd(
             cert.conductor, 2 * cert.exp_denominator
         )
-        model = cert.model
-        d = model.dim
-        z = Cyc.zero(L2)
         psi_lin = mat_lift(cert.psi_linear_matrix(cert.conductor), L2)
-        for num, den in ((1, 2), (1, 1), (3, 2)):
-            step = Fraction(num * L2, den * cert.exp_denominator)
-            if step.denominator != 1:
-                raise StandardizeError("conductor too small for the sampled time")
-            diag = [Cyc.one(L2)] * d
-            for j in range(1, cert.rank + 1):
-                diag[model.plus_index(j)] = Cyc.zeta(L2, (cert.exponents[j - 1] * int(step)) % L2)
-                if cert.lars != "A1":
-                    diag[model.minus_index(j)] = Cyc.zeta(
-                        L2, (-cert.exponents[j - 1] * int(step)) % L2
-                    )
-            ut = tuple(tuple(diag[i] if i == k else z for k in range(d)) for i in range(d))
-            if cert.family == "C_antiunitary":
-                # commuting with an antilinear operator: Ut (T conj) = (T conj) Ut
-                lhs = mat_mul(ut, psi_lin)
-                rhs = mat_mul(psi_lin, mat_conj(ut))
-            else:
-                lhs = mat_mul(ut, psi_lin)
-                rhs = mat_mul(psi_lin, ut)
-            if not mat_eq(lhs, rhs):
+        for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+            ut = cert.u_matrix(L2, t)
+            # commuting with an antilinear operator: Ut (T conj) = (T conj) Ut
+            ut_right = mat_conj(ut) if cert.family == "C_antiunitary" else ut
+            if not mat_eq(mat_mul(ut, psi_lin), mat_mul(psi_lin, ut_right)):
                 raise StandardizeError("one-parameter group does not commute with the twist")
         return "t = 1/2, 1, 3/2"
 
@@ -1419,21 +1406,17 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         d = model.dim
 
         def centralizer_dim(fixed_by):
-            basis = []
+            fixed = []
             for i in range(d):
                 for j in range(d):
                     if model.entry_weight(i, j):
                         continue
                     unit = model.algebra_project(model.basis_matrix(L, i, j))
-                    cand = model.mode_project(unit, 0) if fixed_by == "psi" else unit
-                    if fixed_by == "phi":
-                        cand = _phi_tilde_fixed_project(cert, cand)
-                    if all(c.is_zero() for row in cand for c in row):
-                        continue
-                    flatc = tuple(c for row in cand for c in row)
-                    if not _in_span_vectors(basis, flatc):
-                        basis.append(flatc)
-            return len(basis)
+                    if fixed_by == "psi":
+                        fixed.append(model.mode_project(unit, 0))
+                    else:
+                        fixed.append(_phi_tilde_fixed_project(cert, unit))
+            return len(span_basis(fixed))
 
         for tag in ("psi", "phi"):
             dim = centralizer_dim(tag)
@@ -1496,93 +1479,3 @@ def _phi_tilde_fixed_project(cert: StandardizationCertificate, x: Matrix) -> Mat
         cur = _phi_tilde_inverse(cert, cur)
         acc = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(acc, cur))
     return mat_scale(Cyc.rational(L, Fraction(1, n_phi)), acc)
-
-
-def _in_span_vectors(basis: list, v: tuple) -> bool:
-    if not basis:
-        return False
-    sol = _solve_in_basis([tuple(b) for b in basis], v)
-    return sol is not None
-
-
-def mode_class_vectors(cert: StandardizationCertificate, a: Root) -> list:
-    """Eigenvector matrices of the weight-a space: (residue, matrix) pairs.
-
-    The matrix spans the (a, residue) component of the source-twist grading;
-    residues are taken mod the automorphism order.
-    """
-    n_phi = cert.orders[0]
-    L = cert.conductor
-    basis = cert.model.weight_space_basis(L, a)
-    flat = [tuple(c for row in b for c in row) for b in basis]
-    images = []
-    for b in basis:
-        img = _phi_tilde_inverse(cert, b)
-        coords = _solve_in_basis(flat, tuple(c for row in img for c in row))
-        if coords is None:
-            raise StandardizeError("automorphism does not preserve the weight space")
-        images.append(coords)
-    k = len(basis)
-    out = []
-    from .cyclo import mat_add
-
-    for m in range(n_phi):
-        lam = Cyc.zeta(L, (m * (L // n_phi)) % L)
-        # nullspace of (images - lam I): one eigenvector expected at admissible residues
-        if k == 1:
-            if (images[0][0] - lam).is_zero():
-                out.append((m, basis[0]))
-            continue
-        mat = [[images[j][i] - (lam if i == j else Cyc.zero(L)) for j in range(k)] for i in range(k)]
-        # k = 2: solve directly
-        if not _det_minus_lambda(images, lam, L).is_zero():
-            continue
-        if mat[0][0] or mat[0][1]:
-            coeffs = (mat[0][1], -mat[0][0])
-        elif mat[1][0] or mat[1][1]:
-            coeffs = (mat[1][1], -mat[1][0])
-        else:
-            # the twist is scalar on a two-dimensional weight space: the grading
-            # would have a repeated component, so the certificate is broken
-            raise StandardizeError(f"degenerate mode classes on the {a} weight space")
-        vec = None
-        for cf, b in zip(coeffs, basis):
-            term = mat_scale(cf, b)
-            vec = term if vec is None else mat_add(vec, term)
-        if not all(c.is_zero() for row in vec for c in row):
-            out.append((m, vec))
-    if len(out) != k:
-        raise StandardizeError(f"mode classes of the {a} weight space do not fill its dimension")
-    return out
-
-
-def cartan_mode_vectors(cert: StandardizationCertificate) -> list:
-    """Zero-weight analogue of mode_class_vectors: (residue, diagonal matrix) pairs."""
-    n_phi = cert.orders[0]
-    L = cert.conductor
-    model = cert.model
-    d = model.dim
-    basis = []
-    for i in range(d):
-        v = model.algebra_project(model.basis_matrix(L, i, i))
-        if all(c.is_zero() for row in v for c in row):
-            continue
-        flat_v = tuple(c for row in v for c in row)
-        if not _in_span_vectors([tuple(c for row in b for c in row) for b in basis], flat_v):
-            basis.append(v)
-    out = []
-    from .cyclo import mat_add
-
-    for m in range(n_phi):
-        lam = Cyc.zeta(L, (m * (L // n_phi)) % L)
-        # project each basis element onto the eigenvalue-lam component of phi-inverse
-        for b in basis:
-            acc = b
-            cur = b
-            for j in range(1, n_phi):
-                cur = _phi_tilde_inverse(cert, cur)
-                acc = mat_add(acc, mat_scale(Cyc.zeta(L, (m * j * (L // n_phi)) % L), cur))
-            acc = mat_scale(Cyc.rational(L, Fraction(1, n_phi)), acc)
-            if not all(c.is_zero() for row in acc for c in row):
-                out.append((m, acc))
-    return out

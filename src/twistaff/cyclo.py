@@ -5,6 +5,10 @@ primitive L-th root of unity z, with integer coefficient vectors over a
 common positive denominator.  All operations are exact; the conductor L is
 fixed per computation and must be divisible by 4 so that i = z^(L/4) is
 available.
+
+Matrices are tuples of row tuples of scalars.  All exact linear algebra goes
+through one Gauss-Jordan kernel, ``row_reduce``; ``solve``, ``in_span``,
+``nullspace``, ``det`` and ``mat_inverse`` are thin readings of its result.
 """
 
 from __future__ import annotations
@@ -581,20 +585,94 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return out
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse over the cyclotomic field."""
-    n = len(a)
-    L = a[0][0].L
-    work = [list(row) + list(idrow) for row, idrow in zip(a, mat_identity(L, n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
+def row_reduce(rows, ncols: int | None = None):
+    """Gauss-Jordan elimination over the cyclotomic field: the one exact kernel.
+
+    Brings the first ``ncols`` columns (all by default) of a copy of ``rows``
+    to reduced row echelon form and carries the remaining columns along.
+    Returns ``(reduced, pivots, det)``: the reduced rows (the first
+    ``len(pivots)`` are the nonzero ones), the pivot column of each, and the
+    product of the pivots with the sign of the row swaps, which is the
+    determinant when the matrix is square and the rank is full.
+    """
+    work = [list(r) for r in rows]
+    n = len(work)
+    ncols = len(work[0]) if ncols is None else ncols
+    one = Cyc.one(work[0][0].L)
+    det = one
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if work[i][col]), None)
         if piv is None:
-            raise ValueError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [inv * x for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            det = -det
+        p = work[r][col]
+        det = det * p
+        if any(work[r][col + 1 :]):
+            inv = p.inverse()
+            work[r] = [inv * x if x else x for x in work[r]]
+        else:  # a lone pivot needs no inverse (earlier entries of the row are zero)
+            work[r][col] = one
+        prow = work[r]
+        for i in range(n):
+            f = work[i][col]
+            if i != r and f:
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], prow)]
+        pivots.append(col)
+        if len(pivots) == n:
+            break
+    return work, pivots, det
+
+
+def solve(vectors, target):
+    """Coefficients x with sum_i x[i] * vectors[i] == target, or None outside their span."""
+    k = len(vectors)
+    rows = [[v[j] for v in vectors] + [t] for j, t in enumerate(target)]
+    red, pivots, _ = row_reduce(rows, k)
+    if any(row[k] for row in red[len(pivots):]):
+        return None
+    x = [Cyc.zero(target[0].L)] * k
+    for row, col in zip(red, pivots):
+        x[col] = row[k]
+    return x
+
+
+def in_span(vectors, v) -> bool:
+    """Exact linear-span membership of the vector v."""
+    return solve(vectors, v) is not None
+
+
+def nullspace(a: Matrix) -> list[tuple]:
+    """A basis of the solutions x of a x = 0, one vector per non-pivot column."""
+    ncols = len(a[0])
+    L = a[0][0].L
+    red, pivots, _ = row_reduce(a)
+    out = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [Cyc.zero(L)] * ncols
+        x[free] = Cyc.one(L)
+        for row, col in zip(red, pivots):
+            x[col] = -row[free]
+        out.append(tuple(x))
+    return out
+
+
+def det(a: Matrix) -> Cyc:
+    """Determinant of a square matrix."""
+    _, pivots, d = row_reduce(a)
+    return d if len(pivots) == len(a) else Cyc.zero(a[0][0].L)
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    """Inverse of a square matrix; raises ValueError when it is singular."""
+    n = len(a)
+    augmented = [[*row, *e] for row, e in zip(a, mat_identity(a[0][0].L, n))]
+    red, pivots, _ = row_reduce(augmented, n)
+    if len(pivots) != n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in red)

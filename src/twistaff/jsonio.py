@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import Cyc
+from .cyclo import Cyc, conductor_degree
 
 
 def frac_str(q) -> str:
@@ -23,8 +23,24 @@ def cyc_to_json(c: Cyc) -> dict:
 
 
 def cyc_from_json(obj) -> Cyc:
-    L = int(obj["conductor"])
-    fracs = [Fraction(x) for x in obj["coeffs"]]
+    """Parse a scalar; a malformed one raises IOError, which the CLI reports with exit 2."""
+    where = "malformed cyclotomic scalar"
+    if not isinstance(obj, dict):
+        raise IOError(f"{where}: expected an object, got {obj!r}")
+    L, coeffs = obj["conductor"], obj["coeffs"]
+    if type(L) is not int or L < 4 or L % 4:
+        raise IOError(f"{where}: conductor {L!r} is not a positive integer divisible by 4")
+    phi = conductor_degree(L)
+    if not isinstance(coeffs, list) or len(coeffs) != phi:
+        raise IOError(f"{where}: conductor {L} needs {phi} coefficients, got {coeffs!r}")
+    if any(type(x) not in (int, str) for x in coeffs):
+        raise IOError(f"{where}: coefficients must be integers or 'p/q' strings, got {coeffs!r}")
+    try:
+        fracs = [Fraction(x) for x in coeffs]
+    except ZeroDivisionError as exc:
+        raise IOError(f"{where}: zero denominator in {coeffs!r}") from exc
+    except ValueError as exc:
+        raise IOError(f"{where}: {exc}") from exc
     den = 1
     for f in fracs:
         den = den * f.denominator // gcd(den, f.denominator)

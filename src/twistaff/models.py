@@ -6,6 +6,8 @@ with weight -eps_j, and up to two weight-zero vectors.  The model knows the
 defining involution of its matrix algebra, the order-2 twist when there is
 one, the antilinear structure map for the quaternionic/antiunitary cases,
 and the scale of its trace form (fixed so that the E_j are orthonormal).
+Root-space, weight-space and Cartan bases are the independent projections of
+matrix units, picked by ``span_basis`` through the ``cyclo`` span test.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .affine import BASE_OF, admissible_mode_step, twist_order_of
-from .cyclo import Cyc, Matrix, mat_add, mat_scale, mat_sub
+from .cyclo import Cyc, Matrix, in_span, mat_add, mat_scale, mat_sub
 from .rootdata import Root, RootSystem
 
 
@@ -272,77 +274,43 @@ class StandardModel:
             out.append((Root(w) if w else None, tuple(tuple(row) for row in m)))
         return out
 
+    def _weight_units(self, L: int, a: Root):
+        """The off-diagonal matrix units of weight a."""
+        return (
+            self.basis_matrix(L, i, j)
+            for i in range(self.dim)
+            for j in range(self.dim)
+            if i != j and self.entry_weight(i, j) == a.coeffs
+        )
+
     def root_space_basis(self, L: int, a: Root, residue: int) -> list[Matrix]:
         """Basis of the weight-a, mode-residue component of the model algebra."""
-        units = []
-        d = self.dim
-        target = a.coeffs
-        for i in range(d):
-            for j in range(d):
-                if i != j and self.entry_weight(i, j) == target:
-                    units.append(self.basis_matrix(L, i, j))
-        seen: list[Matrix] = []
-        for u in units:
-            v = self.mode_project(self.algebra_project(u), residue)
-            if all(c.is_zero() for row in v for c in row):
-                continue
-            if not _in_span(seen, v):
-                seen.append(v)
-        return seen
+        return span_basis(
+            self.mode_project(self.algebra_project(u), residue) for u in self._weight_units(L, a)
+        )
 
     def weight_space_basis(self, L: int, a: Root) -> list[Matrix]:
         """Basis of the full weight-a space of the model algebra (no mode projection)."""
-        seen: list[Matrix] = []
-        target = a.coeffs
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if i != j and self.entry_weight(i, j) == target:
-                    v = self.algebra_project(self.basis_matrix(L, i, j))
-                    if all(c.is_zero() for row in v for c in row):
-                        continue
-                    if not _in_span(seen, v):
-                        seen.append(v)
-        return seen
+        return span_basis(self.algebra_project(u) for u in self._weight_units(L, a))
 
     def cartan_mode_basis(self, L: int, residue: int) -> list[Matrix]:
         """Basis of the weight-zero, mode-residue component (diagonal matrices)."""
-        seen: list[Matrix] = []
-        for i in range(self.dim):
-            v = self.mode_project(self.algebra_project(self.basis_matrix(L, i, i)), residue)
-            if all(c.is_zero() for row in v for c in row):
-                continue
-            if not _in_span(seen, v):
-                seen.append(v)
-        return seen
+        return span_basis(
+            self.mode_project(self.algebra_project(self.basis_matrix(L, i, i)), residue)
+            for i in range(self.dim)
+        )
 
 
-def _in_span(basis: list[Matrix], v: Matrix) -> bool:
-    """Exact linear-span membership over the cyclotomic field, by elimination."""
-    if not basis:
-        return False
-    rows = [[c for row in b for c in row] for b in basis]
-    target = [c for row in v for c in row]
-    n = len(target)
-    work = [r[:] for r in rows]
-    t = target[:]
-    col = 0
-    for r in range(len(work)):
-        piv = next((c for c in range(col, n) if any(w[c] for w in work[r:])), None)
-        if piv is None:
-            break
-        k = next(i for i in range(r, len(work)) if work[i][piv])
-        work[r], work[k] = work[k], work[r]
-        inv = work[r][piv].inverse()
-        work[r] = [inv * c for c in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][piv]:
-                f = work[i][piv]
-                work[i] = [c - f * d for c, d in zip(work[i], work[r])]
-        if t[piv]:
-            f = t[piv]
-            t = [c - f * d for c, d in zip(t, work[r])]
-        col = piv + 1
-    return not any(t)
+def span_basis(matrices) -> list[Matrix]:
+    """A basis of the span of the matrices: each one nonzero and outside the earlier ones' span."""
+    basis: list[Matrix] = []
+    flat: list[tuple] = []
+    for v in matrices:
+        f = tuple(c for row in v for c in row)
+        if any(f) and not in_span(flat, f):
+            basis.append(v)
+            flat.append(f)
+    return basis
 
 
 @lru_cache(maxsize=None)

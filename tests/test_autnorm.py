@@ -274,3 +274,94 @@ def test_eigensplit_rejects_antiunitary():
     spec = OperatorSpec("C", True, 2, mat_identity(L, 2), 2)
     with pytest.raises(StandardizeError):
         eigensplit(spec)
+
+
+def _family_certificates():
+    rng = random.Random(41)
+    cases = [("C_unitary", 4, 3), ("H", 4, 4), ("R", 5, 4), ("C_antiunitary", 5, 3)]
+    for fam, dim, order in cases:
+        spec = random_operator(rng, fam, dim, order_hint=order)
+        yield fam, spec, standardize(spec)
+
+
+def test_mode_class_is_the_residues_of_the_grading():
+    from twistaff.affine import lars_finite_parts
+
+    for fam, _, cert in _family_certificates():
+        roots = lars_finite_parts(cert.lars, cert.base)
+        classes = [mode_class(cert, a) for a in roots]
+        # a fresh copy grades from scratch, in the other order
+        fresh = dataclasses.replace(cert)
+        for a, residues in zip(roots, classes):
+            assert residues == tuple(m for m, _ in mode_class_vectors(fresh, a)), (fam, a)
+            assert len(residues) == len(cert.model.weight_space_basis(cert.conductor, a))
+
+
+def test_grading_is_computed_once_per_certificate_and_root(monkeypatch, tmp_path):
+    import json
+
+    from twistaff import autnorm
+    from twistaff.affine import lars_finite_parts
+    from twistaff.cli import main
+
+    computed = []
+    grade = autnorm._grade_weight_space
+
+    def counting(cert, a):
+        computed.append((cert.lars, cert.rank, a))
+        return grade(cert, a)
+
+    monkeypatch.setattr(autnorm, "_grade_weight_space", counting)
+    _, spec, cert = next(_family_certificates())
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps({"operator": spec.to_json()}))
+    # six sampled elements and the Weyl check all read one grading
+    out = tmp_path / "out.json"
+    assert main(["check-isom", "--input", str(path), "--count", "3", "--output", str(out)]) == 0
+    roots = lars_finite_parts(cert.lars, cert.base)
+    want = [(cert.lars, cert.rank, a) for a in roots]
+    assert sorted(computed, key=repr) == sorted(want, key=repr)
+    assert cartan_mode_vectors(cert) is cartan_mode_vectors(cert)
+
+
+def test_replaced_certificate_gets_its_own_grading():
+    from twistaff.affine import lars_finite_parts
+
+    rng = random.Random(42)
+    spec = random_operator(rng, "C_unitary", 3, order_hint=3)
+    cert = standardize(spec)
+    a = next(a for a in lars_finite_parts(cert.lars, cert.base) if mode_class(cert, a) != (0,))
+    before = mode_class(cert, a)
+    pieces = cartan_mode_vectors(cert)
+    # the identity exponents make the twist trivial: every root sits at residue 0
+    trivial = dataclasses.replace(cert, exponents=(0,) * cert.rank)
+    assert trivial.grading == {}
+    assert mode_class(trivial, a) == (0,)
+    assert mode_class(cert, a) == before
+    assert cartan_mode_vectors(trivial) is not pieces
+    assert all(m == 0 for m, _ in cartan_mode_vectors(trivial))
+    # a wrong automorphism order leaves eigenvalues that are not its roots of unity
+    wrong_order = dataclasses.replace(cert, orders=(1, cert.orders[1]))
+    with pytest.raises(StandardizeError, match="do not fill"):
+        mode_class(wrong_order, a)
+
+
+def test_dimension_and_order_bounds_are_named():
+    L = 8
+    with pytest.raises(StandardizeError, match="dimension must be at least 1"):
+        OperatorSpec("C", False, 0, (), 1)
+    # a rational rotation has infinite order
+    rot = mat_from_rows(L, [[Q(3, 5), Q(-4, 5)], [Q(4, 5), Q(3, 5)]])
+    with pytest.raises(StandardizeError, match="projective_order bound 512"):
+        standardize(OperatorSpec("R", False, 2, rot, 4))
+
+
+def test_conductor_enlargement_bound_is_named():
+    from twistaff.autnorm import MAX_CONDUCTOR, _pair_conjugation_fixed
+
+    L = 8
+    e1 = (Cyc.one(L), Cyc.zero(L))
+    e2 = (Cyc.zero(L), Cyc.one(L))
+    # sqrt(491) needs conductor 4 * 491, past the cap
+    with pytest.raises(StandardizeError, match=f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
+        _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 491), L)

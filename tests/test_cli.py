@@ -148,3 +148,34 @@ def test_reports_reparse(opfile, tmp_path):
     doc = json.loads(out.read_text())
     text = json.dumps(doc, sort_keys=True, indent=2)
     assert json.loads(text) == doc
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"conductor": 4, "coeffs": ["1/0", "0"]}, "zero denominator"),
+        ({"conductor": 4, "coeffs": ["one", "0"]}, "Invalid literal"),
+        ({"conductor": 4, "coeffs": ["1"]}, "needs 2 coefficients"),
+        ({"conductor": 4, "coeffs": [1.5, "0"]}, "integers or 'p/q' strings"),
+        ({"conductor": 6, "coeffs": ["1", "0"]}, "divisible by 4"),
+        ({"conductor": "4", "coeffs": ["1", "0"]}, "divisible by 4"),
+    ],
+)
+def test_malformed_scalars_are_parse_errors(tmp_path, capsys, bad, message):
+    one = {"conductor": 4, "coeffs": ["1", "0"]}
+    zero = {"conductor": 4, "coeffs": ["0", "0"]}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({
+        "field": "C", "antiunitary": False, "dim": 2, "order": 1,
+        "matrix": [[bad, zero], [zero, one]],
+    }))
+    assert run(["normalize", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert "malformed cyclotomic scalar" in err and message in err
+
+
+def test_empty_operator_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "op0.json"
+    path.write_text(json.dumps({"field": "C", "dim": 0, "order": 1, "matrix": []}))
+    assert run(["normalize", "--input", path]) == 1
+    assert "dimension must be at least 1" in capsys.readouterr().err

@@ -7,12 +7,17 @@ from twistaff.cyclo import (
     Cyc,
     cyc_sqrt,
     cyclotomic_polynomial,
+    det,
+    in_span,
     mat_conj_transpose,
     mat_eq,
     mat_from_rows,
     mat_identity,
     mat_inverse,
     mat_mul,
+    nullspace,
+    row_reduce,
+    solve,
     sqrt_rational,
     working_conductor,
 )
@@ -112,3 +117,72 @@ def test_galois_fixes_rationals():
         assert a.galois(k) == a
     z = Cyc.zeta(L)
     assert z.galois(5) == Cyc.zeta(L, 5)
+
+
+def _kernel_matrix(L):
+    """A nonsingular 3x3 matrix whose first pivot sits below the diagonal."""
+    z, i = Cyc.zeta(L), Cyc.i(L)
+    return mat_from_rows(L, [[0, z, 2], [i + 1, Q(1, 3), z * z], [1, 0, -i]])
+
+
+def _apply(m, x):
+    return tuple(sum((a * b for a, b in zip(row, x)), Cyc.zero(m[0][0].L)) for row in m)
+
+
+@pytest.mark.parametrize("L", [4, 12, 24])
+def test_elimination_kernel_inverse_and_solve(L):
+    a = _kernel_matrix(L)
+    assert mat_eq(mat_mul(mat_inverse(a), a), mat_identity(L, 3))
+    assert mat_eq(mat_mul(a, mat_inverse(a)), mat_identity(L, 3))
+    with pytest.raises(ValueError, match="singular"):
+        mat_inverse(mat_from_rows(L, [[1, 2], [2, 4]]))
+    # targets inside a span: the coefficients rebuild the target
+    u = (Cyc.one(L), Cyc.zeta(L), Cyc.zero(L), Cyc.i(L))
+    v = (Cyc.zero(L), Cyc.rational(L, 2), Cyc.zeta(L, 3), Cyc.zero(L))
+    w = tuple(Cyc.rational(L, Q(1, 2)) * p - Cyc.zeta(L) * q for p, q in zip(u, v))
+    x = solve([u, v], w)
+    assert x == [Cyc.rational(L, Q(1, 2)), -Cyc.zeta(L)]
+    assert in_span([u, v], w) and in_span([u, v, w], v)
+    # a dependent spanning set still gives some exact solution
+    y = solve([u, v, w], w)
+    assert _apply(tuple(zip(u, v, w)), y) == w
+    # targets outside a span
+    e4 = (Cyc.zero(L),) * 3 + (Cyc.one(L),)
+    assert solve([u, v], e4) is None and not in_span([u, v, w], e4)
+    assert not in_span([], u)
+    # square systems: solve(columns of a, b) inverts a
+    b = (Cyc.one(L), Cyc.zero(L), Cyc.zeta(L))
+    cols = list(zip(*a))
+    assert _apply(a, tuple(solve(cols, b))) == b
+
+
+@pytest.mark.parametrize("L", [4, 12, 24])
+def test_elimination_kernel_nullspace_and_det(L):
+    z, i = Cyc.zeta(L), Cyc.i(L)
+    # rank 1: the third row is a multiple of the first, the second is zero
+    sing = mat_from_rows(L, [[1, z, 2], [0, 0, 0], [i, i * z, 2 * i]])
+    null = nullspace(sing)
+    assert len(null) == 2
+    zero3 = (Cyc.zero(L),) * 3
+    assert all(_apply(sing, x) == zero3 for x in null)
+    assert solve(null, zero3) == [Cyc.zero(L)] * 2  # independent
+    rank2 = mat_from_rows(L, [[1, 0, z], [0, 1, 1], [1, 1, z + 1]])
+    (x,) = nullspace(rank2)
+    assert _apply(rank2, x) == zero3 and any(x)
+    assert nullspace(_kernel_matrix(L)) == []
+    # the kernel's own result is in reduced row echelon form
+    for m in (sing, rank2, _kernel_matrix(L)):
+        red, pivots, _ = row_reduce(m)
+        for r, col in enumerate(pivots):
+            unit = [Cyc.one(L) if i == r else Cyc.zero(L) for i in range(3)]
+            assert [row[col] for row in red] == unit
+        assert all(not any(row) for row in red[len(pivots):])
+    assert det(sing) == Cyc.zero(L) and det(rank2) == Cyc.zero(L)
+    # closed-form 2x2 reference, with and without a row swap
+    for a, b, c, d in ((z, 2, i, Q(1, 3)), (0, z + i, 3, 1), (1, z, z, z * z)):
+        m = mat_from_rows(L, [[a, b], [c, d]])
+        assert det(m) == m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    # the determinant is multiplicative and inverts with the matrix
+    a = _kernel_matrix(L)
+    assert det(mat_inverse(a)) * det(a) == Cyc.one(L)
+    assert det(mat_mul(a, a)) == det(a) * det(a)
