@@ -13,7 +13,8 @@ the residues m with a nonzero (a, m) root space and matching eigenvectors
 (``cartan_mode_vectors``).  Each piece is computed on first use and kept on
 the certificate, so the sampler, the root map, the isomorphism check and the
 verification all read one grading.  Linear algebra uses the ``cyclo`` kernel;
-only the Hermitian projections of the block constructions are local.
+the block constructions orthogonalize through one local Hermitian projection,
+``_orth_reduce``, and lay out their columns through ``_assemble_columns``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .cyclo import (
 )
 from .jsonio import cyc_to_json, mat_from_json, mat_to_json
 from .models import StandardModel, span_basis, standard_model
-from .rootdata import Functional, Root, RootSystem
+from .rootdata import Functional, Root, RootSystem, inner
 
 FIELDS = ("R", "C", "H")
 
@@ -93,21 +94,42 @@ def _columns(m: Matrix) -> list:
     return [tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0]))]
 
 
-def _gram_schmidt(vectors, onto=None):
-    """Exact orthogonalization without normalization; returns (basis, norms)."""
-    basis = list(onto[0]) if onto else []
-    norms = list(onto[1]) if onto else []
-    start = len(basis)
+def _lift(v: tuple, L: int) -> tuple:
+    """The vector at conductor L; v itself when it is already there."""
+    return v if v[0].L == L else tuple(c.lift(L) for c in v)
+
+
+def _orth_reduce(v: tuple, basis, norms) -> tuple:
+    """v minus its Hermitian projections <v, b> / <b, b> b onto orthogonal vectors b."""
+    for b, q in zip(basis, norms):
+        c = _hdot(v, b)
+        if c:
+            v = _vec_sub(v, _vec_scale(c * q.inverse(), b))
+    return v
+
+
+def _gram_schmidt(vectors, sigma=None):
+    """Exact orthogonalization without normalization; returns (basis, norms).
+
+    With an antiunitary sigma that maps each kept w to a vector orthogonal to
+    it, later vectors are also reduced against sigma(w): the kept vectors and
+    their sigma-images are then mutually orthogonal (greedy sigma-stable planes).
+    """
+    basis, norms = [], []
+    span, span_norms = [], []  # the kept vectors and their sigma-images
     for v in vectors:
-        w = v
-        for u, q in zip(basis, norms):
-            c = _hdot(w, u)
-            if c:
-                w = _vec_sub(w, _vec_scale(c * q.inverse(), u))
-        if not _vec_is_zero(w):
-            basis.append(w)
-            norms.append(_hdot(w, w))
-    return basis[start:] if onto else basis, norms[start:] if onto else norms
+        w = _orth_reduce(v, span, span_norms)
+        if _vec_is_zero(w):
+            continue
+        q = _hdot(w, w)
+        basis.append(w)
+        norms.append(q)
+        span.append(w)
+        span_norms.append(q)
+        if sigma is not None:
+            span.append(sigma(w))
+            span_norms.append(q)
+    return basis, norms
 
 
 # -- operator specs -------------------------------------------------------------
@@ -387,6 +409,11 @@ def _conductor_for_sqrt(r: Fraction) -> int:
 
 
 MAX_CONDUCTOR = 480  # adjoined square roots must keep the field desk-sized
+MAX_SQRT_FACTOR = 10**6  # adjoining sqrt(r) factors r: numerator and denominator stay below this
+_ENLARGEMENT = (
+    f"an enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR} (only for rationals with numerator "
+    f"and denominator below MAX_SQRT_FACTOR = {MAX_SQRT_FACTOR})"
+)
 
 
 def _sqrt_or_enlarge(q, L):
@@ -397,8 +424,7 @@ def _sqrt_or_enlarge(q, L):
         return s, L
     if q.is_rational():
         r = q.as_fraction()
-        # adjoining needs the squarefree part, hence a factorization: keep it small
-        if r > 0 and r.numerator < 10**6 and r.denominator < 10**6:
+        if r > 0 and r.numerator < MAX_SQRT_FACTOR and r.denominator < MAX_SQRT_FACTOR:
             need = _conductor_for_sqrt(r)
             L2 = L * need // gcd(L, need)
             if L2 <= MAX_CONDUCTOR:
@@ -422,25 +448,22 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
     def theta(v):
         return _mat_apply(u, _vec_conj(v)) if conjugate_by else _vec_conj(v)
 
-    blocks: list = []
+    spanned: list = []  # plus and minus of each block so far, with their norms
+    spanned_norms: list = []
+
+    def add_block(plus, minus):
+        spanned.extend((plus, minus))
+        spanned_norms.extend((_hdot(plus, plus), _hdot(minus, minus)))
 
     def lift_state(L2):
-        nonlocal blocks, u, L
-        blocks = [
-            (tuple(x.lift(L2) for x in p), tuple(x.lift(L2) for x in m)) for p, m in blocks
-        ]
+        nonlocal spanned, spanned_norms, u, L
+        spanned = [_lift(b, L2) for b in spanned]
+        spanned_norms = [q.lift(L2) for q in spanned_norms]
         u = mat_lift(u, L2)
         L = L2
 
     def hreduce(v):
-        if v[0].L != L:
-            v = tuple(x.lift(L) for x in v)
-        for bp, bm in blocks:
-            for b in (bp, bm):
-                c = _hdot(v, b)
-                if c:
-                    v = _vec_sub(v, _vec_scale(c * _hdot(b, b).inverse(), b))
-        return v
+        return _orth_reduce(_lift(v, L), spanned, spanned_norms)
 
     def bform(v, w):
         return _hdot(v, theta(w))
@@ -456,7 +479,7 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
                 s, L2 = got
                 if L2 != L:
                     lift_state(L2)
-                    v = tuple(x.lift(L2) for x in v)
+                    v = _lift(v, L2)
                     cv, q = cv.lift(L2), q.lift(L2)
                 tv = theta(v)
                 cbar_inv = cv.conj().inverse()
@@ -467,9 +490,7 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
                         return w
         return None
 
-    remaining = []
-    for v in _columns(proj):
-        remaining.append(v)
+    remaining = _columns(proj)
 
     stuck: list = []
     progress = True
@@ -482,14 +503,14 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
                 continue
             cv = bform(v, v)
             if cv.is_zero():
-                blocks.append((v, theta(v)))
+                add_block(v, theta(v))
                 progress = True
                 continue
             iso = try_isotropic(v, cv)
             if iso is not None:
                 iso = hreduce(iso)
                 if not _vec_is_zero(iso) and bform(iso, iso).is_zero():
-                    blocks.append((iso, theta(iso)))
+                    add_block(iso, theta(iso))
                     progress = True
                     continue
             next_round.append(v)
@@ -505,7 +526,7 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
             continue
         cv = bform(v, v)
         if cv.is_zero():
-            blocks.append((v, theta(v)))
+            add_block(v, theta(v))
             continue
         placed = False
         for idx in range(len(work)):
@@ -519,7 +540,7 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
             cw = bform(w2h, w2h)
             if cw.is_zero():
                 if not _vec_is_zero(w2h):
-                    blocks.append((hreduce(w2h), theta(hreduce(w2h))))
+                    add_block(hreduce(w2h), theta(hreduce(w2h)))
                     work.pop(idx)
                     work.insert(0, v)
                     placed = True
@@ -532,15 +553,15 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
                 s, L2 = got
                 if L2 != L:
                     lift_state(L2)
-                    v = tuple(x.lift(L2) for x in v)
-                    w2h = tuple(x.lift(L2) for x in w2h)
+                    v = _lift(v, L2)
+                    w2h = _lift(w2h, L2)
                     cv = bform(v, v)
                 mix = s if (bform(v, v) * s * s + bform(w2h, w2h)).is_zero() else s * Cyc.i(L)
                 cand = tuple(a * mix + b for a, b in zip(v, w2h))
                 cand = hreduce(cand)
                 if _vec_is_zero(cand) or not bform(cand, cand).is_zero():
                     continue
-                blocks.append((cand, theta(cand)))
+                add_block(cand, theta(cand))
                 work.pop(idx)
                 # the B-complement of the block inside span{v, w} resurfaces next round
                 leftover = hreduce(tuple(a * mix - b for a, b in zip(v, w2h)))
@@ -557,18 +578,9 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
     # last stage: split leftovers into theta-fixed vectors and pair those
     pool: list = []
     pool_norms: list = []
-
-    def pool_reduce(v):
-        v = hreduce(v)
-        for b, q in zip(pool, pool_norms):
-            c = _hdot(v, b)
-            if c:
-                v = _vec_sub(v, _vec_scale(c * q.inverse(), b))
-        return v
-
     ii = Cyc.i(L)
     for v in work:
-        v = pool_reduce(v)
+        v = _orth_reduce(hreduce(v), pool, pool_norms)
         if _vec_is_zero(v):
             continue
         tv = theta(v)
@@ -576,7 +588,7 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
             tuple(a + b for a, b in zip(v, tv)),
             tuple(ii * (a - b) for a, b in zip(v, tv)),
         ):
-            cand = pool_reduce(cand)
+            cand = _orth_reduce(hreduce(cand), pool, pool_norms)
             if _vec_is_zero(cand):
                 continue
             if not _vec_is_zero(_vec_sub(theta(cand), cand)):
@@ -601,9 +613,8 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
                 break
         if not found:
             raise StandardizeError(
-                "cannot complete the block normal form exactly: no reachable isotropic "
-                "vectors or fixed-vector pairings in the working cyclotomic field or an "
-                f"enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+                "cannot complete the block normal form exactly: no reachable isotropic vectors "
+                f"or fixed-vector pairings in the working cyclotomic field or {_ENLARGEMENT}"
             )
         i, j = found
         plus, minus, L2 = _pair_conjugation_fixed(pool[i], pool_norms[i], pool[j], pool_norms[j], L)
@@ -612,11 +623,11 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
             pool_norms.pop(k)
         if L2 != L:
             lift_state(L2)
-            pool = _lift_all(pool, L2)
+            pool = [_lift(v, L2) for v in pool]
             pool_norms = [x.lift(L2) for x in pool_norms]
-            plus = tuple(x.lift(L2) for x in plus) if plus[0].L != L2 else plus
-            minus = tuple(x.lift(L2) for x in minus) if minus[0].L != L2 else minus
-        blocks.append((plus, minus))
+            plus, minus = _lift(plus, L2), _lift(minus, L2)
+        add_block(plus, minus)
+    blocks = list(zip(spanned[::2], spanned[1::2]))
     fixed = pool[0] if pool else None
     fixed_norm = pool_norms[0] if pool else None
     return blocks, fixed, fixed_norm, L, u
@@ -634,8 +645,7 @@ def _pair_conjugation_fixed(g1, q1, g2, q2, L):
     if got is not None:
         scal, L2 = got
         if L2 != L:
-            g1, g2 = _lift_all([g1, g2], L2)
-            L = L2
+            g1, g2, L = _lift(g1, L2), _lift(g2, L2), L2
         g2 = tuple(c * scal for c in g2)
         ii = Cyc.i(L)
         plus = tuple(a + ii * b for a, b in zip(g1, g2))
@@ -645,22 +655,33 @@ def _pair_conjugation_fixed(g1, q1, g2, q2, L):
     if got is not None:
         s, L2 = got
         if L2 != L:
-            g1, g2 = _lift_all([g1, g2], L2)
-            q2 = q2.lift(L2)
-            L = L2
+            g1, g2, q2, L = _lift(g1, L2), _lift(g2, L2), q2.lift(L2), L2
         ii = Cyc.i(L)
         plus = tuple(q2 * a + ii * s * b for a, b in zip(g1, g2))
         minus = tuple(q2 * a - ii * s * b for a, b in zip(g1, g2))
         return plus, minus, L
     raise StandardizeError(
         "cannot pair fixed vectors exactly: neither the ratio nor the product of "
-        "their squared norms has an exact square root in the working field or an "
-        f"enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+        f"their squared norms has an exact square root in the working field or {_ENLARGEMENT}"
     )
 
 
-def _lift_all(items, L2):
-    return [tuple(c.lift(L2) for c in v) for v in items]
+def _assemble_columns(plus, minus, exponents, norms, middle, middle_norms, d):
+    """Sort the pairs by exponent and lay out the plus, middle and minus columns.
+
+    minus is empty when the layout has no mirrored block.  Returns the sorting
+    permutation, the basis change with those columns and the column norms.
+    """
+    order = sorted(range(len(exponents)), key=lambda i: (exponents[i], i))
+    cols = [plus[i] for i in order] + list(middle)
+    col_norms = [norms[i] for i in order] + list(middle_norms)
+    if minus:
+        cols += [minus[i] for i in order]
+        col_norms += [norms[i] for i in order]
+    if len(cols) != d:
+        raise StandardizeError(f"the block construction gave {len(cols)} columns in dimension {d}")
+    basis_change = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+    return order, basis_change, tuple(col_norms)
 
 
 # -- the antiunitary normal form ----------------------------------------------------
@@ -723,82 +744,55 @@ def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
     minus_cols: list = []
     exponents: list[int] = []
     norms_plus: list = []
-    fixed_vec = None
-    fixed_norm = None
+    middle, middle_norms = [], []
+
+    def push(basis, norms, n, z):
+        """Blocks (v, z A v) at exponent n for the orthogonal vectors v."""
+        for v, q in zip(basis, norms):
+            plus_cols.append(v)
+            minus_cols.append(_vec_scale(z, apply_a(v)))
+            exponents.append(n)
+            norms_plus.append(q)
 
     # eigenvalue 1 of A^2: A acts as a conjugation; extract blocks and fixed vectors
     if 0 in projs:
         blocks1, fixed_vec, fixed_norm, L, u = _conjugation_block_decomposition(
-            u, mat_lift(projs[0], L) if projs[0][0][0].L != L else projs[0], L, conjugate_by=True
+            u, mat_lift(projs[0], L), L, conjugate_by=True
         )
-        projs = {k: mat_lift(p, L) if p[0][0].L != L else p for k, p in projs.items()}
+        projs = {k: mat_lift(p, L) for k, p in projs.items()}
         for plus, minus in blocks1:
             plus_cols.append(plus)
             minus_cols.append(minus)
             exponents.append(0)
             norms_plus.append(_hdot(plus, plus))
+        if fixed_vec is not None:
+            middle, middle_norms = [fixed_vec], [fixed_norm]
 
     # eigenvalue -1 of A^2: pair v with i * A v
     if half % 2 == 0 and half // 2 in projs:
-        cols = _columns(projs[half // 2])
-        ii = Cyc.i(L)
-        chosen: list = []
-        chosen_norms: list = []
-        for v in cols:
-            w = v
-            for b, q in zip(chosen, chosen_norms):
-                for bb in (b, apply_a(b)):
-                    c = _hdot(w, bb)
-                    if c:
-                        w = _vec_sub(w, _vec_scale(c * _hdot(bb, bb).inverse(), bb))
-            if _vec_is_zero(w):
-                continue
-            chosen.append(w)
-            chosen_norms.append(_hdot(w, w))
-            plus_cols.append(w)
-            minus_cols.append(_vec_scale(ii, apply_a(w)))
-            exponents.append(half // 2)
-            norms_plus.append(_hdot(w, w))
+        basis, qs = _gram_schmidt(_columns(projs[half // 2]), sigma=apply_a)
+        push(basis, qs, half // 2, Cyc.i(L))
 
     # paired eigenvalues zeta^(2n), zeta^(-2n) for 0 < n < half/2
-    zstep = L // half
     for n in range(1, (half + 1) // 2):
         if n not in projs:
             continue
-        basis, qs = _gram_schmidt(_columns(projs[n]))
-        mirror = projs.get((half - n) % half)
-        if mirror is None:
+        if (half - n) % half not in projs:
             raise StandardizeError("unpaired eigenvalue: operator is not antiunitary-consistent")
-        z = Cyc.zeta(L, (n * (L // (2 * half))) % L)
-        for v in basis:
-            plus_cols.append(v)
-            minus_cols.append(_vec_scale(z, apply_a(v)))
-            exponents.append(n)
-            norms_plus.append(_hdot(v, v))
+        basis, qs = _gram_schmidt(_columns(projs[n]))
+        push(basis, qs, n, Cyc.zeta(L, (n * (L // (2 * half))) % L))
 
-    # assemble columns: plus block, optional fixed vector, minus block
-    order = sorted(range(len(exponents)), key=lambda i: (exponents[i], i))
-    cols = [plus_cols[i] for i in order]
-    col_norms = [norms_plus[i] for i in order]
-    if fixed_vec is not None:
-        cols.append(fixed_vec)
-        col_norms.append(fixed_norm)
-    cols += [minus_cols[i] for i in order]
-    col_norms += [norms_plus[i] for i in order]
-    if len(cols) != d:
-        raise StandardizeError("normal form did not produce a full basis")
-    basis_change = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    r = len(order)
-    blocks = tuple(
-        (exponents[i], pos, (r + 1 if fixed_vec is not None else r) + pos)
-        for pos, i in enumerate(order)
+    order, basis_change, col_norms = _assemble_columns(
+        plus_cols, minus_cols, exponents, norms_plus, middle, middle_norms, d
     )
+    r = len(order)
+    blocks = tuple((exponents[i], pos, r + len(middle) + pos) for pos, i in enumerate(order))
     form = AntiunitaryBlockForm(
         half_order=half,
         blocks=blocks,
-        fixed_col=r if fixed_vec is not None else None,
+        fixed_col=r if middle else None,
         basis_change=basis_change,
-        col_norms=tuple(col_norms),
+        col_norms=col_norms,
         conductor=L,
     )
     _check_antiunitary_form(u, form)
@@ -935,6 +929,12 @@ class StandardizationCertificate:
             )
         return model.structure_map_matrix(L)
 
+    def image_mode(self, a: Root | None, n: int) -> Fraction:
+        """Target mode N_psi (n / N_phi - mu(a)) of source mode n at root a (None: the Cartan)."""
+        n_phi, n_psi = self.orders
+        shift = inner(self.mu, a) if a is not None else 0
+        return n_psi * (Fraction(n, n_phi) - shift)
+
     def standard_linear_matrix(self, L: int) -> Matrix:
         """Linear part of the standardized operator (U_1 times the twist) in model coords."""
         return mat_mul(self.u_matrix(L), self.psi_linear_matrix(L))
@@ -980,18 +980,9 @@ def _collect_certificate(
     rank = len(plus_cols)
     if rank < 2:
         raise StandardizeError(f"truncation too small: standardized rank {rank} < 2")
-    order = sorted(range(rank), key=lambda i: (exponents[i], i))
-    d = spec.dim
-    cols = [plus_cols[i] for i in order]
-    col_norms = [norms[i] for i in order]
-    cols += list(zero_cols)
-    col_norms += list(zero_norms)
-    if lars != "A1":
-        cols += [minus_cols[i] for i in order]
-        col_norms += [norms[i] for i in order]
-    if len(cols) != d:
-        raise StandardizeError("standardization did not produce a full basis")
-    basis_change = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+    order, basis_change, col_norms = _assemble_columns(
+        plus_cols, minus_cols, exponents, norms, zero_cols, zero_norms, spec.dim
+    )
     exps = tuple(exponents[i] for i in order)
     mu = Functional({j + 1: Fraction(-exps[j], exp_denominator) for j in range(rank)})
     n_phi = automorphism_order(spec)
@@ -1004,7 +995,7 @@ def _collect_certificate(
         exponents=exps,
         mu=mu,
         basis_change=basis_change,
-        col_norms=tuple(col_norms),
+        col_norms=col_norms,
         index_partition=tuple(partition),
         orders=(n_phi, n_psi),
         operator_order=operator_order,
@@ -1055,18 +1046,23 @@ def standardize(spec: OperatorSpec) -> StandardizationCertificate:
     return _standardize_antiunitary(lifted)
 
 
-def _standardize_c_unitary(spec: OperatorSpec) -> StandardizationCertificate:
+def _working_form(spec: OperatorSpec):
+    """(m, L, a): the operator's order m, a conductor L holding the 2m-th roots of
+    unity and the input's entries, and the operator lifted to L."""
     m = matrix_order(spec.matrix)
     L = working_conductor(2 * m)
     L = L * spec.conductor // gcd(L, spec.conductor)
-    a = mat_lift(spec.matrix, L)
+    return m, L, mat_lift(spec.matrix, L)
+
+
+def _standardize_c_unitary(spec: OperatorSpec) -> StandardizationCertificate:
+    m, L, a = _working_form(spec)
     plus, exps, norms = [], [], []
     for k, p in eigenprojectors(a, m):
         basis, qs = _gram_schmidt(_columns(p))
-        for v, q in zip(basis, qs):
-            plus.append(v)
-            exps.append(k)
-            norms.append(q)
+        plus += basis
+        exps += [k] * len(basis)
+        norms += qs
     return _collect_certificate(
         spec, "C_unitary", "identity", "A1",
         plus, [], [], exps, norms, [], L, m, m, a,
@@ -1075,10 +1071,7 @@ def _standardize_c_unitary(spec: OperatorSpec) -> StandardizationCertificate:
 
 
 def _standardize_h(spec: OperatorSpec) -> StandardizationCertificate:
-    m = matrix_order(spec.matrix)
-    L = working_conductor(2 * m)
-    L = L * spec.conductor // gcd(L, spec.conductor)
-    a = mat_lift(spec.matrix, L)
+    m, L, a = _working_form(spec)
     t = quaternionic_structure(L, spec.dim)
 
     def sigma(v):
@@ -1089,31 +1082,13 @@ def _standardize_h(spec: OperatorSpec) -> StandardizationCertificate:
     for k in sorted(projs):
         if 2 * k > m:
             continue  # mirror of a smaller exponent
-        cols = _columns(projs[k])
-        if k == 0 or 2 * k == m:
-            # quaternionic eigenspace: greedily extract sigma-stable planes
-            chosen: list = []
-            for v in cols:
-                w = v
-                for b in chosen:
-                    for bb in (b, sigma(b)):
-                        c = _hdot(w, bb)
-                        if c:
-                            w = _vec_sub(w, _vec_scale(c * _hdot(bb, bb).inverse(), bb))
-                if _vec_is_zero(w):
-                    continue
-                chosen.append(w)
-                plus.append(w)
-                minus.append(sigma(w))
-                exps.append(k)
-                norms.append(_hdot(w, w))
-        else:
-            basis, qs = _gram_schmidt(cols)
-            for v, q in zip(basis, qs):
-                plus.append(v)
-                minus.append(sigma(v))
-                exps.append(k)
-                norms.append(q)
+        # a quaternionic eigenspace (k = 0 or m/2) splits into sigma-stable planes
+        quaternionic = k == 0 or 2 * k == m
+        basis, qs = _gram_schmidt(_columns(projs[k]), sigma if quaternionic else None)
+        plus += basis
+        minus += [sigma(v) for v in basis]
+        exps += [k] * len(basis)
+        norms += qs
     return _collect_certificate(
         spec, "H", "identity", "C1",
         plus, minus, [], exps, norms, [], L, m, m, a,
@@ -1122,10 +1097,7 @@ def _standardize_h(spec: OperatorSpec) -> StandardizationCertificate:
 
 
 def _standardize_r(spec: OperatorSpec, negated: bool = False) -> StandardizationCertificate:
-    m = matrix_order(spec.matrix)
-    L = working_conductor(2 * m)
-    L = L * spec.conductor // gcd(L, spec.conductor)
-    a = mat_lift(spec.matrix, L)
+    m, L, a = _working_form(spec)
     d = spec.dim
     projs = dict(eigenprojectors(a, m))
 
@@ -1134,9 +1106,8 @@ def _standardize_r(spec: OperatorSpec, negated: bool = False) -> Standardization
         nonlocal L, a, projs
         if k not in projs:
             return [], None
-        p = projs[k] if projs[k][0][0].L == L else mat_lift(projs[k], L)
         blocks, fixed, _, L2, _ = _conjugation_block_decomposition(
-            mat_identity(L, d), p, L, conjugate_by=False
+            mat_identity(L, d), mat_lift(projs[k], L), L, conjugate_by=False
         )
         if L2 != L:
             a = mat_lift(a, L2)
@@ -1155,48 +1126,34 @@ def _standardize_r(spec: OperatorSpec, negated: bool = False) -> Standardization
         )
 
     plus, minus, exps, norms = [], [], [], []
-
-    def push_blocks(pairs, k):
+    for k, pairs in ((0, plus_pairs), (m // 2, minus_pairs)):
         for vp, vm in pairs:
-            vp = tuple(c.lift(L) for c in vp) if vp[0].L != L else vp
-            vm = tuple(c.lift(L) for c in vm) if vm[0].L != L else vm
+            vp = _lift(vp, L)
             plus.append(vp)
-            minus.append(vm)
+            minus.append(_lift(vm, L))
             exps.append(k)
             norms.append(_hdot(vp, vp))
-
-    push_blocks(plus_pairs, 0)
-    if m % 2 == 0:
-        push_blocks(minus_pairs, m // 2)
     for k in sorted(projs):
         if 0 < 2 * k < m:
-            basis, qs = _gram_schmidt(_columns(mat_lift(projs[k], L) if projs[k][0][0].L != L else projs[k]))
-            for v, q in zip(basis, qs):
-                plus.append(v)
-                minus.append(_vec_conj(v))
-                exps.append(k)
-                norms.append(q)
+            basis, qs = _gram_schmidt(_columns(mat_lift(projs[k], L)))
+            plus += basis
+            minus += [_vec_conj(v) for v in basis]
+            exps += [k] * len(basis)
+            norms += qs
 
-    zero_cols, zero_norms = [], []
+    zero_cols = [_lift(v, L) for v in (s_plus, s_minus) if v is not None]
     partition = [("rotation_pairs", len(plus))]
     if s_plus is not None and s_minus is not None:
         psi_kind, lars = "standard_B", "B2"
-        sp = tuple(c.lift(L) for c in s_plus) if s_plus[0].L != L else s_plus
-        sm = tuple(c.lift(L) for c in s_minus) if s_minus[0].L != L else s_minus
-        zero_cols = [sp, sm]
-        zero_norms = [_hdot(sp, sp), _hdot(sm, sm)]
         partition += [("fixed_plus", 1), ("fixed_minus", 1)]
     elif s_plus is not None:
         psi_kind, lars = "identity", "B1"
-        sp = tuple(c.lift(L) for c in s_plus) if s_plus[0].L != L else s_plus
-        zero_cols = [sp]
-        zero_norms = [_hdot(sp, sp)]
         partition += [("fixed_plus", 1)]
     else:
         psi_kind, lars = "identity", "D1"
     return _collect_certificate(
         spec, "R", psi_kind, lars,
-        plus, minus, zero_cols, exps, norms, zero_norms, L, m, m, a,
+        plus, minus, zero_cols, exps, norms, [_hdot(v, v) for v in zero_cols], L, m, m, a,
         partition=partition, negated=negated,
     )
 
@@ -1229,7 +1186,7 @@ def _standardize_antiunitary(spec: OperatorSpec) -> StandardizationCertificate:
         psi_kind, lars = "standard_BC", "BC2"
     else:
         psi_kind, lars = "standard_C", "C2"
-    lifted = mat_lift(spec.matrix, L) if spec.conductor != L else spec.matrix
+    lifted = mat_lift(spec.matrix, L)
     return _collect_certificate(
         spec, "C_antiunitary", psi_kind, lars,
         plus, minus, zero_cols, exps, norms, zero_norms, L, 2 * m_op, m_op, lifted,
@@ -1373,9 +1330,8 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
             items.append((name, False, str(exc)))
 
     def check_reconstruction():
-        lifted = finite_order_lift(spec)
         L = cert.conductor
-        u = mat_lift(lifted.matrix, L) if lifted.conductor != L else lifted.matrix
+        u = mat_lift(finite_order_lift(spec).matrix, L)
         if cert.family == "R" and cert.negated:
             u = mat_scale(Cyc.rational(L, -1), u)
         _check_reconstruction(cert, u)
@@ -1445,14 +1401,10 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
     def check_mode_integrality():
         from .affine import lars_contains, lars_finite_parts, AffineRoot
 
-        n_phi, n_psi = cert.orders
         base = cert.base
         for a in lars_finite_parts(cert.lars, base):
             for m in mode_class(cert, a):
-                shift = Fraction(0)
-                for j, c in a.coeffs:
-                    shift += cert.mu[j] * c
-                target = n_psi * (Fraction(m, n_phi) - shift)
+                target = cert.image_mode(a, m)
                 if target.denominator != 1:
                     raise StandardizeError(f"non-integral relabeled mode for {a}")
                 if not lars_contains(cert.lars, AffineRoot(a, int(target)), base):

@@ -12,10 +12,17 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import jsonio
-from .affine import AffineRoot, AffinisationSpec, Weight, enumerate_affine_roots, lars_contains
+from .affine import (
+    AffineRoot,
+    AffinisationSpec,
+    Weight,
+    enumerate_affine_roots,
+    ext_cartan_basis,
+    lars_contains,
+    lars_finite_parts,
+)
 from .autnorm import (
     OperatorSpec,
     StandardizeError,
@@ -25,10 +32,9 @@ from .autnorm import (
 )
 from .energy import Character, character_of, min_energy, theorem_b_pipeline
 from .loopalg import apply_derivation, bracket, kappa_form, phi_hat, validate_element
-from .rootdata import CartanVector, Functional, inner
+from .rootdata import Functional
 from .sampling import random_loop_element, random_twisted_element
 from .weyl import reflect_affine
-from .affine import ExtCartanVector
 
 
 class DomainError(Exception):
@@ -85,18 +91,15 @@ def cmd_map_roots(args):
     obj = _load(args.input)
     spec = OperatorSpec.from_json(_require(obj, "operator", "map-roots input"))
     cert = standardize(spec)
-    n_phi, n_psi = cert.orders
+    n_phi = cert.orders[0]
     window = args.window if args.window else 4 * n_phi
-    from .affine import lars_finite_parts
-
     table = []
     for a in lars_finite_parts(cert.lars, cert.base):
         residues = mode_class(cert, a)
-        shift = inner(cert.mu, a.functional())
         for n in range(-window, window + 1):
             if n % n_phi not in residues:
                 continue
-            target = n_psi * (Fraction(n, n_phi) - shift)
+            target = cert.image_mode(a, n)
             entry = {
                 "root": a.to_json(),
                 "mode": n,
@@ -141,17 +144,13 @@ def cmd_check_isom(args):
         ok_all &= good
         checks.append({"pair": trial, "bracket_preserved": good})
     # Weyl coincidence on a window of matched reflections
-    from .affine import lars_finite_parts
-
     weyl_ok = True
-    basis = [ExtCartanVector(1, CartanVector(()), 0), ExtCartanVector(0, CartanVector(()), 1)]
-    basis += [ExtCartanVector(0, CartanVector({j: 1}), 0) for j in range(1, cert.rank + 1)]
-    n_phi, n_psi = cert.orders
+    basis = ext_cartan_basis(cert.rank)
+    n_phi = cert.orders[0]
     for a in lars_finite_parts(cert.lars, cert.base):
-        shift = inner(cert.mu, a.functional())
         for m in mode_class(cert, a):
             for n in (m, m + n_phi, m - n_phi):
-                t = n_psi * (Fraction(n, n_phi) - shift)
+                t = cert.image_mode(a, n)
                 if t.denominator != 1:
                     weyl_ok = False
                     continue

@@ -495,10 +495,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def mat_scale(c: Cyc, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
@@ -533,19 +529,8 @@ def mat_conj(a: Matrix) -> Matrix:
     return tuple(tuple(x.conj() for x in row) for row in a)
 
 
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def mat_conj_transpose(a: Matrix) -> Matrix:
     return tuple(tuple(x.conj() for x in col) for col in zip(*a))
-
-
-def mat_trace(a: Matrix) -> Cyc:
-    t = Cyc.zero(a[0][0].L)
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -557,6 +542,9 @@ def mat_is_zero(a: Matrix) -> bool:
 
 
 def mat_lift(a: Matrix, L2: int) -> Matrix:
+    """The matrix at conductor L2; a itself when it is already there."""
+    if a[0][0].L == L2:
+        return a
     return tuple(tuple(x.lift(L2) for x in row) for row in a)
 
 

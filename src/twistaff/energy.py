@@ -28,7 +28,7 @@ from .affine import (
     lars_finite_parts,
     standard_spec,
 )
-from .rootdata import CartanVector, Functional, Root, coroot, inner, pairing
+from .rootdata import CartanVector, Functional, inner, pairing
 from .weyl import (
     AffWeylElement,
     FiniteWeylElement,
@@ -57,11 +57,6 @@ class Character:
 
     def as_vector(self) -> ExtCartanVector:
         return ExtCartanVector(self.chi_c, self.chi0_sharp, self.chi_d)
-
-    def value_on(self, spec: AffinisationSpec, r: AffineRoot) -> Fraction:
-        f = r.root.functional() if r.root is not None else Functional(())
-        out = pairing(f.sharp(), self.chi0_sharp + spec.slant.sharp().scale(self.chi_d))
-        return out + self.chi_d * Fraction(r.mode, spec.twist_order)
 
     def to_json(self):
         return {

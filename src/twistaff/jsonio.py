@@ -14,10 +14,6 @@ from math import gcd
 from .cyclo import Cyc, conductor_degree
 
 
-def frac_str(q) -> str:
-    return str(Fraction(q))
-
-
 def cyc_to_json(c: Cyc) -> dict:
     return {"conductor": c.L, "coeffs": [str(Fraction(n, c.den)) for n in c.num]}
 

@@ -8,7 +8,7 @@ a loop term, and a derivation coordinate that acts but never grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import AffinisationSpec
@@ -22,7 +22,7 @@ from .cyclo import (
     mat_scale,
 )
 from .models import StandardModel, standard_model
-from .rootdata import Functional, inner
+from .rootdata import Functional
 
 
 def _model_of(spec: AffinisationSpec) -> StandardModel:
@@ -241,19 +241,15 @@ def weight_decompose(spec: AffinisationSpec, x: Matrix):
 def phi_hat(cert, spec_src: AffinisationSpec, spec_dst: AffinisationSpec, a: DoubleExtElement) -> DoubleExtElement:
     """The untwisting isomorphism: relabel each weight component's mode.
 
-    The certificate supplies the slant mu and the two twist orders; a weight-a
-    component at source mode n moves to mode N_psi * (n / N_phi - mu(a sharp)),
-    which is an integer exactly when the certificate is valid.  Central and
-    derivation coordinates are fixed.
+    A weight-a component at source mode n moves to the certificate's
+    ``image_mode(a, n)``, which is an integer exactly when the certificate is
+    valid.  Central and derivation coordinates are fixed.
     """
-    n_phi, n_psi = cert.orders
     model = _model_of(spec_dst)
-    L = a.z.L
     out: dict[int, Matrix] = {}
     for n, m in a.loop.terms:
         for root, comp in model.weight_components(m):
-            shift = inner(cert.mu, root.functional()) if root is not None else Fraction(0)
-            target = n_psi * (Fraction(n, n_phi) - shift)
+            target = cert.image_mode(root, n)
             if target.denominator != 1:
                 raise ValueError(
                     f"relabeled mode {target} is not an integer: invalid certificate or element"

@@ -6,8 +6,8 @@ with weight -eps_j, and up to two weight-zero vectors.  The model knows the
 defining involution of its matrix algebra, the order-2 twist when there is
 one, the antilinear structure map for the quaternionic/antiunitary cases,
 and the scale of its trace form (fixed so that the E_j are orthonormal).
-Root-space, weight-space and Cartan bases are the independent projections of
-matrix units, picked by ``span_basis`` through the ``cyclo`` span test.
+Root-space and weight-space bases are the independent projections of matrix
+units, picked by ``span_basis`` through the ``cyclo`` span test.
 """
 
 from __future__ import annotations
@@ -94,10 +94,6 @@ class StandardModel:
                 out[abs(idx)] = out.get(abs(idx), 0) + (s if idx > 0 else -s)
         return tuple(sorted((j, c) for j, c in out.items() if c))
 
-    def entry_root(self, a: int, b: int) -> Root | None:
-        w = self.entry_weight(a, b)
-        return Root(w) if w else None
-
     # -- matrices --------------------------------------------------------------
 
     def basis_matrix(self, L: int, a: int, b: int) -> Matrix:
@@ -128,28 +124,28 @@ class StandardModel:
             return self.plus_index(-w)
         return a
 
+    def _paired_transpose(self, x: Matrix, symplectic: bool) -> Matrix:
+        """-Q x^T Q^-1 for the pairing Q: the exchange e+ <-> e- fixing the zero
+        vectors, or with symplectic set the map Q e+ = e-, Q e- = -e+."""
+        d = self.dim
+        pair = [self._pair(a) for a in range(d)]
+        if not symplectic:
+            return tuple(tuple(-x[pair[j]][pair[i]] for j in range(d)) for i in range(d))
+        plus = [self.weight_of_basis(a) > 0 for a in range(d)]
+        return tuple(
+            tuple(
+                -x[pair[j]][pair[i]] if plus[i] == plus[j] else x[pair[j]][pair[i]]
+                for j in range(d)
+            )
+            for i in range(d)
+        )
+
     def _tau(self, x: Matrix) -> Matrix:
         """Defining involution of the matrix algebra; fixed points form the model algebra."""
-        d = self.dim
         if self.lars in ("A1", "C2", "BC2"):
             return x  # full gl, no constraint
-        if self.lars == "C1":
-            # sp type: tau(x)_ij = -sgn(i) sgn(j) x_(pair j, pair i)
-            def sgn(i):
-                return 1 if self.weight_of_basis(i) > 0 else -1
-
-            out = [[None] * d for _ in range(d)]
-            for i in range(d):
-                for j in range(d):
-                    v = x[self._pair(j)][self._pair(i)]
-                    out[i][j] = -v if sgn(i) * sgn(j) > 0 else v
-            return tuple(tuple(row) for row in out)
-        # o type (B1, D1, B2): tau(x) = -Q x^T Q
-        out = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                out[i][j] = -x[self._pair(j)][self._pair(i)]
-        return tuple(tuple(row) for row in out)
+        # sp type (C1) for the symplectic pairing, o type (B1, D1, B2) for the exchange
+        return self._paired_transpose(x, symplectic=self.lars == "C1")
 
     def in_algebra(self, x: Matrix) -> bool:
         t = self._tau(x)
@@ -174,23 +170,8 @@ class StandardModel:
                 for i in range(d)
             ]
             return tuple(tuple(row) for row in out)
-        if self.lars == "C2":
-            # x -> S x^T S for the symplectic S: S e+ = -e-, S e- = e+
-            def sgn(i):
-                return 1 if self.weight_of_basis(i) > 0 else -1
-
-            out = [[None] * d for _ in range(d)]
-            for i in range(d):
-                for j in range(d):
-                    v = x[self._pair(j)][self._pair(i)]
-                    out[i][j] = -v if sgn(i) * sgn(j) > 0 else v
-            return tuple(tuple(row) for row in out)
-        # BC2: x -> -S x^T S for the symmetric exchange S
-        out = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                out[i][j] = -x[self._pair(j)][self._pair(i)]
-        return tuple(tuple(row) for row in out)
+        # C2: x -> S x^T S for the symplectic S; BC2: x -> -S x^T S for the exchange S
+        return self._paired_transpose(x, symplectic=self.lars == "C2")
 
     def mode_project(self, x: Matrix, n: int) -> Matrix:
         """Projection onto the twist eigenspace of mode n (trivial twist: identity)."""
@@ -292,13 +273,6 @@ class StandardModel:
     def weight_space_basis(self, L: int, a: Root) -> list[Matrix]:
         """Basis of the full weight-a space of the model algebra (no mode projection)."""
         return span_basis(self.algebra_project(u) for u in self._weight_units(L, a))
-
-    def cartan_mode_basis(self, L: int, residue: int) -> list[Matrix]:
-        """Basis of the weight-zero, mode-residue component (diagonal matrices)."""
-        return span_basis(
-            self.mode_project(self.algebra_project(self.basis_matrix(L, i, i)), residue)
-            for i in range(self.dim)
-        )
 
 
 def span_basis(matrices) -> list[Matrix]:

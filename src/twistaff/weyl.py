@@ -20,6 +20,7 @@ from .affine import (
     admissible_mode_step,
     affine_coroot,
     eval_root,
+    ext_cartan_basis,
     lars_finite_parts,
 )
 from .rootdata import CartanVector, Functional, Root, coroot, inner, pairing, reflect_finite
@@ -206,9 +207,7 @@ def word_reduce(spec: AffinisationSpec, word: list[AffineRoot]) -> AffWeylElemen
     for letter in word:
         out = out * reflection_aff_element(spec, letter)
 
-    basis = [ExtCartanVector(1, CartanVector(()), 0), ExtCartanVector(0, CartanVector(()), 1)]
-    basis += [ExtCartanVector(0, CartanVector({j: 1}), 0) for j in range(1, spec.base.rank + 1)]
-    for v in basis:
+    for v in ext_cartan_basis(spec.base.rank):
         direct = v
         for letter in reversed(word):
             direct = reflect_affine(spec, letter, direct)

@@ -365,3 +365,40 @@ def test_conductor_enlargement_bound_is_named():
     # sqrt(491) needs conductor 4 * 491, past the cap
     with pytest.raises(StandardizeError, match=f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
         _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 491), L)
+
+
+def test_square_root_factor_bound_is_named():
+    from twistaff.autnorm import MAX_SQRT_FACTOR, _pair_conjugation_fixed
+
+    L = 4
+    e1 = (Cyc.one(L), Cyc.zero(L))
+    e2 = (Cyc.zero(L), Cyc.one(L))
+    # sqrt(2 * 10**4) = 100 sqrt(2) is adjoined at conductor 8
+    _, _, L2 = _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 2 * 10**4), L)
+    assert L2 == 8
+    # conductor 8 also holds sqrt(2 * 10**6) = 1000 sqrt(2), but the rational is not factored
+    with pytest.raises(StandardizeError, match=f"MAX_SQRT_FACTOR = {MAX_SQRT_FACTOR}"):
+        _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 2 * 10**6), L)
+
+
+def test_block_decomposition_enlarges_the_conductor():
+    import hashlib
+    import json
+
+    # two anisotropic vectors of the +1 eigenspace pair through a B-plane only
+    # after sqrt(5/4) is adjoined, which takes the working conductor 8 to 40
+    rows = [
+        [Q(3, 5), Q(-4, 5), 0, 0, 0],
+        [Q(-4, 5), Q(-3, 5), 0, 0, 0],
+        [0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1],
+        [0, 0, 0, 1, 0],
+    ]
+    spec = OperatorSpec("R", False, 5, mat_from_rows(4, rows), 2)
+    cert = standardize(spec)
+    assert (cert.lars, cert.rank, cert.conductor) == ("B1", 2, 40)
+    assert verify_certificate(spec, cert).all_passed
+    text = json.dumps(cert.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1b37c0a342975e2267770388acc271e6047374f69c1a7ed433471d6d9d36ca9e"
+    )

@@ -1,7 +1,16 @@
 import random
 
 from twistaff.affine import LARS_KINDS, lars_finite_parts
-from twistaff.cyclo import Cyc, mat_add, mat_commutator, mat_eq, mat_scale, mat_zero
+from twistaff.cyclo import (
+    Cyc,
+    mat_add,
+    mat_commutator,
+    mat_eq,
+    mat_inverse,
+    mat_mul,
+    mat_scale,
+    mat_zero,
+)
 from twistaff.models import model_mode_residues, standard_model
 
 L = 4
@@ -69,3 +78,34 @@ def test_weight_components_reassemble():
         for _, comp in m.weight_components(x):
             total = mat_add(total, comp)
         assert mat_eq(total, x)
+
+
+def _neg_transpose_conjugate(x, q):
+    """-Q x^T Q^-1."""
+    lhs = mat_mul(mat_mul(q, tuple(zip(*x))), mat_inverse(q))
+    return mat_scale(Cyc.rational(L, -1), lhs)
+
+
+def test_involutions_match_their_matrix_definitions():
+    rng = random.Random(11)
+    for rank in (2, 3):
+        for kind in ("C1", "C2", "BC2", "B1", "D1", "B2"):
+            m = standard_model(kind, rank)
+            d = m.dim
+            if kind in ("C1", "C2", "BC2"):
+                q = m.structure_map_matrix(L)
+            else:
+                q = tuple(
+                    tuple(Cyc.one(L) if m._pair(j) == i else Cyc.zero(L) for j in range(d))
+                    for i in range(d)
+                )
+            involution = m.psi_tilde if kind in ("C2", "BC2") else m._tau
+            for _ in range(3):
+                x = tuple(
+                    tuple(
+                        Cyc.rational(L, rng.randint(-3, 3)) + rng.randint(-2, 2) * Cyc.i(L)
+                        for _ in range(d)
+                    )
+                    for _ in range(d)
+                )
+                assert mat_eq(involution(x), _neg_transpose_conjugate(x, q)), (kind, rank)
