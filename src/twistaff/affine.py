@@ -258,15 +258,20 @@ def enumerate_affine_roots(kind: str, base: RootSystem, window: int) -> list[Aff
 # -- evaluation, coroots, reparametrization -----------------------------------
 
 
+def root_weight(spec: AffinisationSpec, r: AffineRoot) -> Weight:
+    """The affine root as a weight: its value is alpha(H) + T*(n/N + slant(alpha sharp))."""
+    shift = Fraction(r.mode, spec.twist_order)
+    if r.root is None:
+        return Weight(0, Functional(()), shift)
+    f = r.root.functional()
+    return Weight(0, f, shift + inner(spec.slant, f))
+
+
 def eval_root(spec: AffinisationSpec, r: AffineRoot, v: ExtCartanVector) -> Fraction:
     """alpha(H) + T*(n/N + slant(alpha sharp)), exactly."""
     if any(j > spec.base.rank for j in v.h.support()):
         raise ValueError("vector support exceeds the base rank")
-    shift = Fraction(r.mode, spec.twist_order)
-    if r.root is None:
-        return v.t * shift
-    f = r.root.functional()
-    return f(v.h) + v.t * (shift + inner(spec.slant, f))
+    return root_weight(spec, r)(v)
 
 
 def affine_coroot(spec: AffinisationSpec, r: AffineRoot) -> ExtCartanVector:

@@ -34,32 +34,54 @@ from .energy import Character, character_of, min_energy, theorem_b_pipeline
 from .loopalg import apply_derivation, bracket, kappa_form, phi_hat, validate_element
 from .rootdata import Functional
 from .sampling import random_loop_element, random_twisted_element
-from .weyl import reflect_affine
+from .weyl import AffineReflection
 
 
 class DomainError(Exception):
     pass
 
 
+#: the JSON of the zero functional, the default of optional functional fields
+NO_COORDS = {"coords": {}}
+
+
 def _load(path):
+    """The request object of an input file; anything but a JSON object is a parse error."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError as exc:
         raise IOError(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise IOError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise IOError(f"the input in {path} must be a JSON object, got {json.dumps(obj)}")
+    return obj
 
 
-def _require(obj, key, where):
-    if key not in obj:
+def _parse(parse, value, where):
+    """parse(value) for a JSON object; a value or a field of the wrong JSON type is a parse error."""
+    if not isinstance(value, dict):
+        raise IOError(f"{where} must be a JSON object, got {json.dumps(value)}")
+    try:
+        return parse(value)
+    except (TypeError, AttributeError) as exc:
+        raise IOError(f"malformed {where}: {exc}") from exc
+
+
+def _field(obj, key, parse, where, default=None):
+    """parse(obj[key]) for an object field, with an optional default for a missing one."""
+    if key in obj:
+        value = obj[key]
+    elif default is not None:
+        value = default
+    else:
         raise IOError(f"missing field {key!r} in {where}")
-    return obj[key]
+    return _parse(parse, value, f"field {key!r} of {where}")
 
 
 def cmd_normalize(args):
-    obj = _load(args.input)
-    spec = OperatorSpec.from_json(obj)
+    spec = _parse(OperatorSpec.from_json, _load(args.input), "normalize input")
     cert = standardize(spec)
     report = verify_certificate(spec, cert)
     out = {
@@ -74,8 +96,7 @@ def cmd_normalize(args):
 
 
 def cmd_roots(args):
-    obj = _load(args.input)
-    spec = AffinisationSpec.from_json(obj)
+    spec = _parse(AffinisationSpec.from_json, _load(args.input), "roots input")
     roots = enumerate_affine_roots(spec.lars, spec.base, args.window)
     out = {
         "schema": "v1",
@@ -88,8 +109,7 @@ def cmd_roots(args):
 
 
 def cmd_map_roots(args):
-    obj = _load(args.input)
-    spec = OperatorSpec.from_json(_require(obj, "operator", "map-roots input"))
+    spec = _field(_load(args.input), "operator", OperatorSpec.from_json, "map-roots input")
     cert = standardize(spec)
     n_phi = cert.orders[0]
     window = args.window if args.window else 4 * n_phi
@@ -124,9 +144,9 @@ def cmd_map_roots(args):
 
 def cmd_check_isom(args):
     obj = _load(args.input)
-    spec = OperatorSpec.from_json(_require(obj, "operator", "check-isom input"))
+    spec = _field(obj, "operator", OperatorSpec.from_json, "check-isom input")
     cert = standardize(spec)
-    nu = Functional.from_json(obj["nu"]) if "nu" in obj else Functional(())
+    nu = _field(obj, "nu", Functional.from_json, "check-isom input", NO_COORDS)
     src = cert.source_spec(nu)
     dst = cert.target_spec(nu)
     rng = random.Random(args.seed)
@@ -154,10 +174,10 @@ def cmd_check_isom(args):
                 if t.denominator != 1:
                     weyl_ok = False
                     continue
+                reflect_src = AffineReflection(src, AffineRoot(a, n))
+                reflect_dst = AffineReflection(dst, AffineRoot(a, int(t)))
                 for v in basis:
-                    if reflect_affine(src, AffineRoot(a, n), v) != reflect_affine(
-                        dst, AffineRoot(a, int(t)), v
-                    ):
+                    if reflect_src(v) != reflect_dst(v):
                         weyl_ok = False
     ok_all &= weyl_ok
     out = {
@@ -177,8 +197,7 @@ def cmd_check_isom(args):
 
 
 def cmd_bracket_check(args):
-    obj = _load(args.input)
-    spec = AffinisationSpec.from_json(obj)
+    spec = _parse(AffinisationSpec.from_json, _load(args.input), "bracket-check input")
     if not spec.is_standard():
         raise DomainError("bracket-check expects a standard spec; use check-isom for twists")
     rng = random.Random(args.seed)
@@ -223,12 +242,13 @@ def cmd_bracket_check(args):
 
 def cmd_min_energy(args):
     obj = _load(args.input)
-    spec = AffinisationSpec.from_json(_require(obj, "spec", "min-energy input"))
-    lam = Weight.from_json(_require(obj, "weight", "min-energy input"))
+    where = "min-energy input"
+    spec = _field(obj, "spec", AffinisationSpec.from_json, where)
+    lam = _field(obj, "weight", Weight.from_json, where)
     if "chi" in obj:
-        chi = Character.from_json(obj["chi"])
+        chi = _field(obj, "chi", Character.from_json, where)
     else:
-        nu_prime = Functional.from_json(obj.get("nu_prime", {"coords": {}}))
+        nu_prime = _field(obj, "nu_prime", Functional.from_json, where, NO_COORDS)
         chi = character_of(spec, spec.slant_nu, nu_prime)
     report = min_energy(spec, lam, chi, oracle_bound=args.bound, jobs=args.jobs)
     out = {
@@ -244,10 +264,11 @@ def cmd_min_energy(args):
 
 def cmd_theorem_b(args):
     obj = _load(args.input)
-    spec = OperatorSpec.from_json(_require(obj, "operator", "theorem-b input"))
-    lam = Weight.from_json(_require(obj, "weight", "theorem-b input"))
-    nu = Functional.from_json(obj.get("nu", {"coords": {}}))
-    nu_prime = Functional.from_json(obj.get("nu_prime", {"coords": {}}))
+    where = "theorem-b input"
+    spec = _field(obj, "operator", OperatorSpec.from_json, where)
+    lam = _field(obj, "weight", Weight.from_json, where)
+    nu = _field(obj, "nu", Functional.from_json, where, NO_COORDS)
+    nu_prime = _field(obj, "nu_prime", Functional.from_json, where, NO_COORDS)
     report, cert = theorem_b_pipeline(
         spec, lam, nu, nu_prime, oracle_bound=args.bound,
         require_integral=not args.allow_nonintegral,
@@ -308,7 +329,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing or malformed field {exc} in the input", file=sys.stderr)
         return 2
-    except (DomainError, StandardizeError, ValueError, TypeError) as exc:
+    except (DomainError, StandardizeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = jsonio.dump_report(out, args.output)

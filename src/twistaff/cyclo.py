@@ -6,9 +6,17 @@ common positive denominator.  All operations are exact; the conductor L is
 fixed per computation and must be divisible by 4 so that i = z^(L/4) is
 available.
 
-Matrices are tuples of row tuples of scalars.  All exact linear algebra goes
-through one Gauss-Jordan kernel, ``row_reduce``; ``solve``, ``in_span``,
-``nullspace``, ``det`` and ``mat_inverse`` are thin readings of its result.
+Matrices are tuples of row tuples of scalars.  All matrix products go through
+one integer kernel, ``mat_product_sum``: each operand is read once into an
+``IntMatrix`` (a common denominator and, per row, the nonzero entries as
+sparse (power, coefficient) integer terms), each output entry accumulates its
+unreduced convolution in Python ints over the lcm of the operand
+denominators, is reduced modulo Phi_L once and becomes one ``Cyc``; empty
+entries share one zero.  ``mat_mul`` and ``mat_commutator`` are its one- and
+two-product cases, and the loop bracket sums all commutators of an output
+mode in one call.  All exact linear algebra goes through one Gauss-Jordan
+kernel, ``row_reduce``; ``solve``, ``in_span``, ``nullspace``, ``det`` and
+``mat_inverse`` are thin readings of its result.
 """
 
 from __future__ import annotations
@@ -489,40 +497,129 @@ def mat_identity(L: int, n: int) -> Matrix:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    # a zero entry adds nothing: keep the other one
+    return tuple(
+        tuple((x + y if any(y.num) else x) if any(x.num) else y for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b)
+    )
+
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(c: Cyc, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+    return tuple(tuple(c * x if any(x.num) else x for x in row) for row in a)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise ValueError("matrix dimension mismatch")
-    L = a[0][0].L if n and len(a[0]) else 4
+class IntMatrix:
+    """A cyclotomic matrix read once for the product kernel: ``rows / den``.
+
+    ``den`` is the least common denominator of the entries, and ``rows[i]``
+    lists the nonzero entries of row i as ``(column, terms)``, where ``terms``
+    holds the nonzero ``(power, coefficient)`` pairs of the entry times ``den``.
+    """
+
+    __slots__ = ("L", "ncols", "den", "rows")
+
+    def __init__(self, a: Matrix):
+        self.L = a[0][0].L
+        self.ncols = len(a[0])
+        den = 1
+        for row in a:
+            for x in row:
+                d = x.den
+                if d != 1 and den % d:
+                    den = den * d // gcd(den, d)
+        zero = (0,) * len(a[0][0].num)
+        rows = []
+        for row in a:
+            entries = []
+            for j, x in enumerate(row):
+                num = x.num
+                if num != zero:
+                    f = den // x.den
+                    if f == 1:
+                        entries.append((j, [(p, c) for p, c in enumerate(num) if c]))
+                    else:
+                        entries.append((j, [(p, c * f) for p, c in enumerate(num) if c]))
+            rows.append(entries)
+        self.den = den
+        self.rows = rows
+
+
+@lru_cache(maxsize=None)
+def _reduction(L: int) -> tuple:
+    """The nonzero (index, coefficient) pairs of z^k mod Phi_L for phi(L) <= k < 2 phi(L) - 1."""
+    phi = conductor_degree(L)
+    table = _power_table(L)
+    return tuple(tuple((j, c) for j, c in enumerate(table[k]) if c) for k in range(phi, 2 * phi - 1))
+
+
+def mat_product_sum(products) -> Matrix:
+    """The sum of sign * A B over the triples (sign, A, B) of IntMatrix operands.
+
+    All products share one integer accumulator over the lcm D of the operand
+    denominator products: each output entry gathers its unreduced power-basis
+    convolution, is reduced modulo Phi_L once and becomes one ``Cyc`` over D.
+    """
+    products = list(products)
+    first = products[0][1]
+    L, n, m = first.L, len(first.rows), products[0][2].ncols
+    phi = conductor_degree(L)
+    width = 2 * phi - 1
+    den = 1
+    for _, a, b in products:
+        if a.L != L or b.L != L:
+            raise ValueError(f"conductor mismatch: {a.L} vs {b.L}")
+        d = a.den * b.den
+        den = den * d // gcd(den, d)
+    acc = [{} for _ in range(n)]  # per row: column -> unreduced convolution
+    for sign, a, b in products:
+        s = sign * (den // (a.den * b.den))
+        brows = b.rows
+        for arow, acc_row in zip(a.rows, acc):
+            for j, ta in arow:
+                brow = brows[j]
+                if not brow:
+                    continue
+                if s != 1:
+                    ta = [(p, c * s) for p, c in ta]
+                for k, tb in brow:
+                    conv = acc_row.get(k)
+                    if conv is None:
+                        conv = acc_row[k] = [0] * width
+                    for pa, ca in ta:
+                        for pb, cb in tb:
+                            conv[pa + pb] += ca * cb
+    reduction = _reduction(L)
     zero = Cyc.zero(L)
-    bt = list(zip(*b))
     out = []
-    for row in a:
-        nz = [(j, c) for j, c in enumerate(row) if c]
-        out_row = []
-        for col in bt:
-            acc = zero
-            for j, c in nz:
-                e = col[j]
-                if e:
-                    acc = acc + c * e
-            out_row.append(acc)
-        out.append(tuple(out_row))
+    for acc_row in acc:
+        row = [zero] * m
+        for k, conv in acc_row.items():
+            num = conv[:phi]
+            high = conv[phi:]
+            if any(high):
+                for c, terms in zip(high, reduction):
+                    if c:
+                        for j, r in terms:
+                            num[j] += c * r
+            if any(num):
+                row[k] = Cyc(L, tuple(num), den)
+        out.append(tuple(row))
     return tuple(out)
 
 
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if len(a[0]) != len(b):
+        raise ValueError("matrix dimension mismatch")
+    return mat_product_sum(((1, IntMatrix(a), IntMatrix(b)),))
+
+
 def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    ia, ib = IntMatrix(a), IntMatrix(b)
+    return mat_product_sum(((1, ia, ib), (-1, ib, ia)))
 
 
 def mat_conj(a: Matrix) -> Matrix:
@@ -538,7 +635,7 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def mat_is_zero(a: Matrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
+    return not any(any(x.num) for row in a for x in row)
 
 
 def mat_lift(a: Matrix, L2: int) -> Matrix:

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .affine import AffinisationSpec
 from .cyclo import (
     Cyc,
+    IntMatrix,
     Matrix,
     mat_add,
-    mat_commutator,
     mat_eq,
     mat_is_zero,
+    mat_product_sum,
     mat_scale,
 )
 from .models import StandardModel, standard_model
@@ -176,55 +178,77 @@ def _slant_values(model: StandardModel, nu: Functional) -> tuple:
     return tuple(vals)
 
 
+def _derivation(spec: AffinisationSpec, nu: Functional, L: int, scale: Cyc | None = None):
+    """The map (n, m) -> scale * D(m) of the nu-diagonal derivation D on mode n.
+
+    D multiplies the entry (r, c) of a mode-n matrix by i (n/N + w_r - w_c),
+    where w are the slant values of the basis vectors.  Over one common
+    denominator Q that factor is i k / Q with the integer k = nQ/N + Qw_r - Qw_c,
+    and each distinct factor (times ``scale``) is built once.
+    """
+    vals = _slant_values(_model_of(spec), nu)
+    N = spec.twist_order
+    Q = lcm(N, *(v.denominator for v in vals))
+    w = [int(v * Q) for v in vals]
+    unit = Cyc.i(L) if scale is None else Cyc.i(L) * scale
+    factors: dict[int, Cyc] = {}
+
+    def derive(n: int, m: Matrix) -> Matrix:
+        shift = n * Q // N
+        rows = []
+        for wr, row in zip(w, m):
+            out = []
+            for wc, v in zip(w, row):
+                if any(v.num):
+                    k = shift + wr - wc
+                    f = factors.get(k)
+                    if f is None:
+                        f = factors[k] = unit * Cyc.rational(L, Fraction(k, Q))
+                    v = v * f
+                out.append(v)
+            rows.append(tuple(out))
+        return tuple(rows)
+
+    return derive
+
+
 def apply_derivation(spec: AffinisationSpec, nu: Functional, a: DoubleExtElement) -> DoubleExtElement:
     """The diagonal derivation: i(n/N + nu(weight sharp)) on each weight component."""
-    model = _model_of(spec)
     L = a.z.L
-    ii = Cyc.i(L)
-    wv = _slant_values(model, nu)
-    scalar_cache: dict[Fraction, Cyc] = {}
-    out_terms = []
-    for n, m in a.loop.terms:
-        d = len(m)
-        shift = Fraction(n, spec.twist_order)
-        rows = []
-        for r in range(d):
-            row = []
-            for c in range(d):
-                v = m[r][c]
-                if v:
-                    scal = shift + wv[r] - wv[c]
-                    factor = scalar_cache.get(scal)
-                    if factor is None:
-                        factor = ii * Cyc.rational(L, scal)
-                        scalar_cache[scal] = factor
-                    v = v * factor
-                row.append(v)
-            rows.append(tuple(row))
-        out_terms.append((n, tuple(rows)))
-    return DoubleExtElement(Cyc.zero(L), LoopElement(tuple(out_terms)), Cyc.zero(L))
+    derive = _derivation(spec, nu, L)
+    loop = LoopElement(tuple((n, derive(n, m)) for n, m in a.loop.terms))
+    return DoubleExtElement(Cyc.zero(L), loop, Cyc.zero(L))
 
 
 def bracket(spec: AffinisationSpec, a: DoubleExtElement, b: DoubleExtElement) -> DoubleExtElement:
-    """Exact Lie bracket of the double extension."""
+    """Exact Lie bracket of the double extension.
+
+    [a, b] = (kappa(D a, b), sum of [a_n, b_m] at mode n + m + a.t D b - b.t D a, 0)
+    for the slant derivation D.
+    """
     L = a.z.L
     if b.z.L != L:
         raise ValueError("conductor mismatch between elements")
-    slant = spec.slant
-    da = apply_derivation(spec, slant, a)
-    z = loop_pairing(spec, da.loop, b.loop, L)
-    loop_terms: dict[int, Matrix] = {}
+    derive = _derivation(spec, spec.slant, L)
+    # the cocycle pairs D(a_n) with b_-n, so D(a) is needed on those modes only
+    paired = set(b.loop.modes())
+    da = LoopElement(tuple((n, derive(n, m)) for n, m in a.loop.terms if -n in paired))
+    z = loop_pairing(spec, da, b.loop, L)
+    # every mode pair (n, n2) adds [a_n, b_n2] to mode n + n2; each output
+    # mode sums all of its commutators in one integer product kernel call
+    b_modes = [(n2, IntMatrix(m2)) for n2, m2 in b.loop.terms]
+    by_mode: dict[int, list] = {}
     for n, m in a.loop.terms:
-        for n2, m2 in b.loop.terms:
-            comm = mat_commutator(m, m2)
-            k = n + n2
-            loop_terms[k] = mat_add(loop_terms[k], comm) if k in loop_terms else comm
-    lp = LoopElement(tuple(loop_terms.items()))
+        x = IntMatrix(m)
+        for n2, y in b_modes:
+            by_mode.setdefault(n + n2, []).extend(((1, x, y), (-1, y, x)))
+    lp = LoopElement(tuple((k, mat_product_sum(prods)) for k, prods in by_mode.items()))
     if a.t:
-        db = apply_derivation(spec, slant, b)
-        lp = lp + db.loop.scale(a.t)
+        derive_b = _derivation(spec, spec.slant, L, a.t)
+        lp = lp + LoopElement(tuple((n, derive_b(n, m)) for n, m in b.loop.terms))
     if b.t:
-        lp = lp - da.loop.scale(b.t)
+        derive_a = _derivation(spec, spec.slant, L, -b.t)
+        lp = lp + LoopElement(tuple((n, derive_a(n, m)) for n, m in a.loop.terms))
     return DoubleExtElement(z, lp, Cyc.zero(L))
 
 

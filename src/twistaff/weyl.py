@@ -19,9 +19,9 @@ from .affine import (
     Weight,
     admissible_mode_step,
     affine_coroot,
-    eval_root,
     ext_cartan_basis,
     lars_finite_parts,
+    root_weight,
 )
 from .rootdata import CartanVector, Functional, Root, coroot, inner, pairing, reflect_finite
 
@@ -180,12 +180,30 @@ def act_slanted(spec: AffinisationSpec, nu: Functional, w: AffWeylElement, v: Ex
     return translate(spec, ns, moved)
 
 
+class AffineReflection:
+    """The reflection v -> v - r(v) r-check in a compact affine root r, with the spec's slant.
+
+    r as a weight and its coroot are built once per (spec, r).
+    """
+
+    __slots__ = ("root", "coroot", "rank")
+
+    def __init__(self, spec: AffinisationSpec, r: AffineRoot):
+        if not r.is_compact():
+            raise ValueError("cannot reflect in a non-compact root")
+        self.root = root_weight(spec, r)
+        self.coroot = affine_coroot(spec, r)
+        self.rank = spec.base.rank
+
+    def __call__(self, v: ExtCartanVector) -> ExtCartanVector:
+        if any(j > self.rank for j in v.h.support()):
+            raise ValueError("vector support exceeds the base rank")
+        return v - self.coroot.scale(self.root(v))
+
+
 def reflect_affine(spec: AffinisationSpec, r: AffineRoot, v: ExtCartanVector) -> ExtCartanVector:
     """Reflection in a compact affine root, with the spec's slant."""
-    if not r.is_compact():
-        raise ValueError("cannot reflect in a non-compact root")
-    val = eval_root(spec, r, v)
-    return v - affine_coroot(spec, r).scale(val)
+    return AffineReflection(spec, r)(v)
 
 
 def reflection_aff_element(spec: AffinisationSpec, r: AffineRoot) -> AffWeylElement:
@@ -207,10 +225,11 @@ def word_reduce(spec: AffinisationSpec, word: list[AffineRoot]) -> AffWeylElemen
     for letter in word:
         out = out * reflection_aff_element(spec, letter)
 
+    reflections = [AffineReflection(spec, letter) for letter in reversed(word)]
     for v in ext_cartan_basis(spec.base.rank):
         direct = v
-        for letter in reversed(word):
-            direct = reflect_affine(spec, letter, direct)
+        for reflect in reflections:
+            direct = reflect(direct)
         if act_slanted(spec, spec.slant, out, v) != direct:
             raise AssertionError("word reduction does not match the composed reflections")
     return out

@@ -179,3 +179,27 @@ def test_empty_operator_is_a_domain_error(tmp_path, capsys):
     path.write_text(json.dumps({"field": "C", "dim": 0, "order": 1, "matrix": []}))
     assert run(["normalize", "--input", path]) == 1
     assert "dimension must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, request_json, message",
+    [
+        ("normalize", 5, "must be a JSON object, got 5"),
+        ("normalize", [], "must be a JSON object, got []"),
+        ("bracket-check", 5, "must be a JSON object, got 5"),
+        ("min-energy", {"spec": 5}, "field 'spec' of min-energy input must be a JSON object, got 5"),
+    ],
+    ids=["normalize-number", "normalize-list", "bracket-check-number", "min-energy-spec-number"],
+)
+def test_non_object_input_is_a_parse_error(tmp_path, capsys, command, request_json, message):
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(request_json))
+    assert run([command, "--input", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_wrongly_typed_nested_field_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"base": 5, "lars": "A1"}))
+    assert run(["bracket-check", "--input", path]) == 2
+    assert "malformed bracket-check input" in capsys.readouterr().err

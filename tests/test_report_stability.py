@@ -1,9 +1,10 @@
-"""Pinned SHA-256 digests of `normalize` reports on seeded operators.
+"""Pinned SHA-256 digests of seeded `normalize`, `bracket-check` and `check-isom` reports.
 
 Each operator comes from `random_operator(Random("stable:<family>:<dim>:<hint>"), ...)`
-and covers all four families at dimensions 4-6.  The report of the CLI is
-byte-stable for a fixed request, so any change to a certificate, its column
-order, its norms or a verification detail shows up here.
+and covers all four families; the bracket checks cover the seven standard
+kinds at ranks 2-4.  The report of the CLI is byte-stable for a fixed request
+and seed, so any change to a certificate, its column order, its norms, a
+verification detail or a bracket check's outcome shows up here.
 """
 
 import hashlib
@@ -12,8 +13,9 @@ from random import Random
 
 import pytest
 
+from twistaff.affine import standard_spec
 from twistaff.cli import main
-from twistaff.sampling import random_operator
+from twistaff.sampling import random_functional, random_operator
 
 DIGESTS = {
     ("C_unitary", 4, 3): "ec01b6a52bdb2c7d281811f87b74c9356149a6f9101cf5bc2d18de52cb417e35",
@@ -48,3 +50,74 @@ def test_normalize_report_is_byte_stable(family, dim, hint, tmp_path, monkeypatc
     assert main(["normalize", "--input", "req.json", "--output", "out.json"]) == 0
     digest = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
     assert digest == DIGESTS[(family, dim, hint)]
+
+
+def _report_digest(tmp_path, monkeypatch, request, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "req.json").write_text(json.dumps(request))
+    assert main([*argv, "--input", "req.json", "--output", "out.json"]) == 0
+    return hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+
+
+#: `bracket-check --seed 1 --count 2` on every standard kind at ranks 2-4, with
+#: the slant drawn from Random("stable:<kind>:<rank>")
+BRACKET_DIGESTS = {
+    ("A1", 2): "20a27764003a2324f27265105b6633740e38f9281f7231d1cfca20e92f4e1588",
+    ("A1", 3): "daacd685ca15485b8734425001459ca88b5ff103ce7caacdec81229e99eebbf9",
+    ("A1", 4): "794f3ae0ff7af6855b9585a9eee1d70cd05a6e0d3a3ffe97a324fc7cce3edfea",
+    ("B1", 2): "34b2bfe26e6737f59722cb57051f56418bcaca7daec4c4c2c58a8167bceb1a73",
+    ("B1", 3): "2e5810ec04cab3a8a0d1007cc8977769b23022f2bc37cb7eabd5fad28b692656",
+    ("B1", 4): "f2203ae4fa4a937d65855a410e419e847a8ec68354e300c4412401a2c078af15",
+    ("C1", 2): "e2d7047e8f0db53d3b605fe1ecd474fa3a6ec847ba36765d2a21e1bccfe27b30",
+    ("C1", 3): "a24d649910a38a9e433fd85b15cf77edc739c3561fa8e11aa0246958e8ed1d24",
+    ("C1", 4): "ea314105cb3ad00455e01b2419217cd5c14443956d8744cdfbaa20d16d09a349",
+    ("D1", 2): "731f7324116076b9ff797e8d7ffeac0f91209b003c11b3278c02e5cec0c14032",
+    ("D1", 3): "95b97affcdbd0e210888b400cb6ef40e83a15ef0e929dbd372c3c39e90b416e4",
+    ("D1", 4): "6f20481ad35d068644b45176ee17e9494037497e9c2280f3d66203efdcb17281",
+    ("B2", 2): "787a538a56379156713b0ee94e5d7de11e249b585f62b618f7fdc43d0aa6c586",
+    ("B2", 3): "d9307018cbd12477310fdb11fea4d9d8410d0fc25c586773e50ca89e5c703185",
+    ("B2", 4): "d40e7d2e8403263a3b862f389fd97c04fd059885226790b674b5beb72a113d4d",
+    ("C2", 2): "b7d130b612cb3568330b02ce1059a48a89ed9764fa1adb9eef3e40dfb1fe74a2",
+    ("C2", 3): "7bf7c50148c2e8efdff12343e6969ecdff4f36f3b5380beeafa1493c9cda6280",
+    ("C2", 4): "ed32b4b0a26791aba0ba9f503315f49424420444a1fda47d183725e33afb7565",
+    ("BC2", 2): "8f78c5e028d2a08d4da2972b4697f2ba423ab055aec5a662c4ddda22e2368b76",
+    ("BC2", 3): "eb4dd0a74291b33756fcbfaa8abaf42a556a3419f435c8aafb0a610150fcb3d7",
+    ("BC2", 4): "35758568a1b43b536675ff1ece9bc5d48e2d7155556506aac2551784e9868435",
+}
+
+
+def bracket_request(kind, rank):
+    nu = random_functional(Random(f"stable:{kind}:{rank}"), rank)
+    return standard_spec(kind, rank, nu=nu).to_json()
+
+
+@pytest.mark.parametrize("kind,rank", sorted(BRACKET_DIGESTS))
+def test_bracket_check_report_is_byte_stable(kind, rank, tmp_path, monkeypatch):
+    argv = ["bracket-check", "--seed", "1", "--count", "2"]
+    digest = _report_digest(tmp_path, monkeypatch, bracket_request(kind, rank), argv)
+    assert digest == BRACKET_DIGESTS[(kind, rank)]
+
+
+#: `check-isom --seed 3 --count 2` on seeded operators of all four families
+ISOM_DIGESTS = {
+    ("C_unitary", 3, 3): "5c3726ea793d5a0f6508dfd4146df14061eea20481f6e3c5762a910df1935e01",
+    ("C_unitary", 4, 4): "e667f0fb9f310fc73719f8f777ddf0aed31e161cb56754b66a9045de7a6c7fdc",
+    ("H", 4, 2): "c36de37b8bf625b87060316877fc537d1e2fee2a4a537968779ac4c3029d0375",
+    ("H", 4, 3): "18288198ac2b824c641e2ec958c8a6701347d20decb1a497f251b343b541cfba",
+    ("R", 4, 4): "9a3b4006550d032a825dfac12b6815b9eb126675e08597977603a2a49fe1554c",
+    ("R", 5, 3): "2b71ecae665a9d4f3571ecc8439ca85fe6889daf318dd61e972449eab5be2299",
+    ("C_antiunitary", 4, 2): "65ae85abfa12ba2a701962144f84502bb141f33ff3046b4c8b0415207dfdcb5f",
+    ("C_antiunitary", 5, 3): "04ae6dc2eb969415a0b856d5f41849ae24f01f635f3f50ed64b1a938d72a0c5b",
+}
+
+
+def isom_request(family, dim, hint):
+    spec = random_operator(Random(f"stable:{family}:{dim}:{hint}"), family, dim, order_hint=hint)
+    return {"operator": spec.to_json()}
+
+
+@pytest.mark.parametrize("family,dim,hint", sorted(ISOM_DIGESTS))
+def test_check_isom_report_is_byte_stable(family, dim, hint, tmp_path, monkeypatch):
+    argv = ["check-isom", "--seed", "3", "--count", "2"]
+    digest = _report_digest(tmp_path, monkeypatch, isom_request(family, dim, hint), argv)
+    assert digest == ISOM_DIGESTS[(family, dim, hint)]
