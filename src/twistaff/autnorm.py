@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import gcd
+from math import gcd, isqrt, lcm, prod
 
 from .affine import AffinisationSpec
 from .cyclo import (
@@ -42,6 +42,7 @@ from .cyclo import (
     mat_scale,
     nullspace,
     solve,
+    split_square,
     sqrt_rational,
     working_conductor,
 )
@@ -380,53 +381,27 @@ def eigensplit(spec: OperatorSpec) -> list[tuple[int, Matrix]]:
     return eigenprojectors(spec.matrix, matrix_order(spec.matrix))
 
 
-def _conductor_for_sqrt(r: Fraction) -> int:
-    """Conductor containing sqrt(r) for positive rational r (via Gauss sums)."""
-    m = r.numerator * r.denominator
-    sqfree = 1
-    k = 2
-    while k * k <= m:
-        e = 0
-        while m % k == 0:
-            m //= k
-            e += 1
-        if e % 2:
-            sqfree *= k
-        k += 1
-    sqfree *= m
-    need = 4
-    if sqfree % 2 == 0:
-        need = 8
-        sqfree //= 2
-    p = 3
-    while sqfree > 1:
-        if sqfree % p == 0:
-            need = need * p // gcd(need, p)
-            while sqfree % p == 0:
-                sqfree //= p
-        p += 2
-    return need
-
-
 MAX_CONDUCTOR = 480  # adjoined square roots must keep the field desk-sized
-MAX_SQRT_FACTOR = 10**6  # adjoining sqrt(r) factors r: numerator and denominator stay below this
-_ENLARGEMENT = (
-    f"an enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR} (only for rationals with numerator "
-    f"and denominator below MAX_SQRT_FACTOR = {MAX_SQRT_FACTOR})"
+# an odd prime p adjoins sqrt(p) only through 4p | L2 <= MAX_CONDUCTOR
+_ENLARGEMENT_PRIMES = tuple(
+    p for p in range(2, MAX_CONDUCTOR // 4 + 1) if all(p % d for d in range(2, isqrt(p) + 1))
 )
+_ENLARGEMENT = f"an enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR} (only for positive rationals)"
 
 
 def _sqrt_or_enlarge(q, L):
     """An exact square root of a totally positive scalar: in-field if possible,
-    else by a bounded conductor enlargement for rationals.  Returns (sqrt, L2) or None."""
+    else by a bounded conductor enlargement for positive rationals, whose
+    squarefree part must then have only primes in _ENLARGEMENT_PRIMES.
+    Returns (sqrt, L2) or None."""
     s = cyc_sqrt(q)
     if s is not None:
         return s, L
-    if q.is_rational():
+    if q.is_rational() and q.as_fraction() > 0:
         r = q.as_fraction()
-        if r > 0 and r.numerator < MAX_SQRT_FACTOR and r.denominator < MAX_SQRT_FACTOR:
-            need = _conductor_for_sqrt(r)
-            L2 = L * need // gcd(L, need)
+        split = split_square(r.numerator * r.denominator, _ENLARGEMENT_PRIMES)
+        if split is not None:
+            L2 = lcm(L, 4 * prod(split[1]))  # Gauss sums put sqrt(p) in Q(zeta_4p)
             if L2 <= MAX_CONDUCTOR:
                 return sqrt_rational(L2, r), L2
     return None

@@ -16,7 +16,9 @@ entries share one zero.  ``mat_mul`` and ``mat_commutator`` are its one- and
 two-product cases, and the loop bracket sums all commutators of an output
 mode in one call.  All exact linear algebra goes through one Gauss-Jordan
 kernel, ``row_reduce``; ``solve``, ``in_span``, ``nullspace``, ``det`` and
-``mat_inverse`` are thin readings of its result.
+``mat_inverse`` are thin readings of its result.  ``cyc_sqrt`` builds the
+square root of a rational from the primes of the conductor and cached Gauss
+sums; only square roots of non-rational elements reach sympy.
 """
 
 from __future__ import annotations
@@ -364,8 +366,61 @@ class Cyc:
         return " + ".join(terms) if terms else "0"
 
 
+def split_square(m: int, primes) -> tuple[int, tuple[int, ...]] | None:
+    """Write a positive integer m as s**2 * (product of some of primes), or None.
+
+    Each prime is stripped from m and only the parity of its exponent is kept;
+    what is left must be a perfect square.  There is no trial division beyond
+    the given primes, so the cost is independent of the other factors of m.
+    Returns (s, the primes of odd exponent).
+    """
+    s, odd = 1, []
+    for p in primes:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        s *= p ** (e // 2)
+        if e % 2:
+            odd.append(p)
+    r = _isqrt_exact(m)
+    return None if r is None else (s * r, tuple(odd))
+
+
+@lru_cache(maxsize=None)
+def _sqrt_primes(L: int) -> tuple[int, ...]:
+    """The primes p with sqrt(p) in Q(zeta_L): the odd primes of L, and 2 when 8 | L."""
+    out = [2] if L % 8 == 0 else []
+    m, p = L, 3
+    while m % 2 == 0:
+        m //= 2
+    while m > 1:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 2
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _sqrt_prime(L: int, p: int) -> Cyc:
+    """The positive square root of a prime p of _sqrt_primes(L), in Q(zeta_L).
+
+    For odd p the quadratic Gauss sum over the p-th roots of unity is sqrt(p)
+    when p = 1 mod 4 and i*sqrt(p) when p = 3 mod 4 (Gauss's sign theorem).
+    """
+    if p == 2:
+        return Cyc.sqrt2(L)
+    step = L // p
+    g = Cyc.zero(L)
+    for k in range(1, p):
+        g = g + (1 if pow(k, (p - 1) // 2, p) == 1 else -1) * Cyc.zeta(L, step * k)
+    return g if p % 4 == 1 else g * -Cyc.i(L)
+
+
 def sqrt_rational(L: int, q) -> Cyc:
-    """An exact square root of a positive rational, as a cyclotomic scalar.
+    """The positive square root of a positive rational, as a cyclotomic scalar.
 
     Requires the conductor to contain Q(sqrt(r)) for the squarefree part r of q,
     i.e. 4r | L (Gauss sums realise sqrt(p) inside Q(zeta_4p)).
@@ -373,46 +428,9 @@ def sqrt_rational(L: int, q) -> Cyc:
     q = Fraction(q)
     if q <= 0:
         raise ValueError("need a positive rational")
-    n = q.numerator * q.denominator
-    # peel off the square part of n
-    square = 1
-    r = 1
-    k = 2
-    m = n
-    while k * k <= m:
-        e = 0
-        while m % k == 0:
-            m //= k
-            e += 1
-        square *= k ** (e // 2)
-        if e % 2:
-            r *= k
-        k += 1
-    if m > 1:
-        r *= m
-    out = Cyc.rational(L, Fraction(square, q.denominator))
-    if r % 2 == 0:
-        out = out * Cyc.sqrt2(L)
-        r //= 2
-    # r is now odd squarefree; build sqrt(p) per prime factor via Gauss sums
-    p = 3
-    while r > 1:
-        if r % p == 0:
-            r //= p
-            if L % p != 0:
-                raise ValueError(f"conductor {L} lacks sqrt({p}); need 4*{p} | L")
-            g = Cyc.zero(L)
-            for k2 in range(1, p):
-                legendre = pow(k2, (p - 1) // 2, p)
-                sign = 1 if legendre == 1 else -1
-                g = g + sign * Cyc.zeta(L, (L // p) * k2)
-            if p % 4 == 3:
-                g = g * Cyc.i(L).inverse()  # g = i*sqrt(p) when p = 3 mod 4
-            out = out * g
-        p += 2
-    if not (out * out == Cyc.rational(L, q)):
-        out = -out
-    assert out * out == Cyc.rational(L, q)
+    out = cyc_sqrt(Cyc.rational(L, q))
+    if out is None:
+        raise ValueError(f"conductor {L} lacks sqrt({q}); need 4r | L for its squarefree part r")
     return out
 
 
@@ -430,15 +448,30 @@ def _sympy_field(L: int):
 
 
 def cyc_sqrt(x: Cyc):
-    """An exact square root of x inside its own field, or None if there is none."""
+    """An exact square root of x inside its own field, or None if there is none.
+
+    A rational x never reaches sympy: its root is decided and built from the
+    primes of the conductor (see ``split_square``) and cached Gauss sums, and
+    it is the positive real root for x > 0 and i times it for x < 0.  Other
+    elements are factored as y**2 - x over the field by sympy, whose root
+    sign follows its factor order.
+    """
     if x.is_zero():
         return Cyc.zero(x.L)
-    if x.is_rational():
-        f = x.as_fraction()
-        if f > 0:
-            ns, ds = _isqrt_exact(f.numerator), _isqrt_exact(f.denominator)
-            if ns is not None and ds is not None:
-                return Cyc.rational(x.L, Fraction(ns, ds))
+    if not x.is_rational():
+        return _sympy_sqrt(x)
+    split = split_square(abs(x.num[0]) * x.den, _sqrt_primes(x.L))
+    if split is None:
+        return None
+    s, odd = split
+    out = Cyc.rational(x.L, Fraction(s, x.den))
+    for p in odd:
+        out = out * _sqrt_prime(x.L, p)
+    return out * Cyc.i(x.L) if x.num[0] < 0 else out
+
+
+def _sympy_sqrt(x: Cyc):
+    """A square root of x from sympy's factorisation of y**2 - x over Q(zeta_L), or None."""
     import sympy
 
     field = _sympy_field(x.L)

@@ -107,11 +107,8 @@ class _SparseQVector:
     def __init__(self, coords):
         if isinstance(coords, dict):
             coords = coords.items()
-        object.__setattr__(
-            self,
-            "coords",
-            tuple(sorted((int(j), Fraction(v)) for j, v in coords if Fraction(v))),
-        )
+        converted = ((int(j), Fraction(v)) for j, v in coords)
+        object.__setattr__(self, "coords", tuple(sorted(jv for jv in converted if jv[1])))
         for j, _ in self.coords:
             if j < 1:
                 raise ValueError("indices are 1-based")

@@ -367,8 +367,8 @@ def test_conductor_enlargement_bound_is_named():
         _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 491), L)
 
 
-def test_square_root_factor_bound_is_named():
-    from twistaff.autnorm import MAX_SQRT_FACTOR, _pair_conjugation_fixed
+def test_square_root_factor_bound_is_named(time_limit):
+    from twistaff.autnorm import MAX_CONDUCTOR, _pair_conjugation_fixed
 
     L = 4
     e1 = (Cyc.one(L), Cyc.zero(L))
@@ -376,9 +376,24 @@ def test_square_root_factor_bound_is_named():
     # sqrt(2 * 10**4) = 100 sqrt(2) is adjoined at conductor 8
     _, _, L2 = _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 2 * 10**4), L)
     assert L2 == 8
-    # conductor 8 also holds sqrt(2 * 10**6) = 1000 sqrt(2), but the rational is not factored
-    with pytest.raises(StandardizeError, match=f"MAX_SQRT_FACTOR = {MAX_SQRT_FACTOR}"):
-        _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 2 * 10**6), L)
+    # so is sqrt(2 * 10**6) = 1000 sqrt(2): the square factor 10**6 is no bound
+    plus, _, L2 = _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 2 * 10**6), L)
+    assert L2 == 8
+    assert plus[1] * plus[1] == Cyc.rational(8, Q(-1, 2 * 10**6))  # i / (1000 sqrt(2)), squared
+    # the squarefree part of p * q has primes far past MAX_CONDUCTOR // 4: no
+    # trial division reaches them, and the refusal names the conductor bound
+    p, q = 10000000000000000051, 20000000000000000011
+    with time_limit(5), pytest.raises(StandardizeError, match=f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
+        _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, p * q), L)
+
+
+def test_rational_square_root_stall_reproducer_standardizes(time_limit):
+    # R, dim 6, hint 2, seed 5 once sat in sympy's factoring of y**2 - q for
+    # rationals q such as -41/16 at conductor 328
+    spec = random_operator(random.Random(5), "R", 6, order_hint=2)
+    with time_limit(10):
+        cert = standardize(spec)
+    assert verify_certificate(spec, cert).all_passed
 
 
 def test_block_decomposition_enlarges_the_conductor():

@@ -1,10 +1,16 @@
+import cmath
 from fractions import Fraction as Q
+from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistaff import cyclo
 from twistaff.cyclo import (
     Cyc,
+    conductor_degree,
     cyc_sqrt,
     cyclotomic_polynomial,
     det,
@@ -186,3 +192,117 @@ def test_elimination_kernel_nullspace_and_det(L):
     a = _kernel_matrix(L)
     assert det(mat_inverse(a)) * det(a) == Cyc.one(L)
     assert det(mat_mul(a, a)) == det(a) * det(a)
+
+
+# -- properties of rational square roots ------------------------------------
+
+SQRT_CONDUCTORS = (4, 8, 12, 24, 40)
+
+
+def embed(x):
+    """x as a complex number, with zeta_L = exp(2 pi i / L)."""
+    return sum(c * cmath.exp(2j * cmath.pi * k / x.L) for k, c in enumerate(x.num)) / x.den
+
+
+@st.composite
+def rationals(draw):
+    """Nonzero rationals whose numerators and denominators mix the primes 2, 3, 5, 7, 11."""
+    num = draw(st.sampled_from((1, 2, 3, 5, 6, 7, 10, 11, 15, 30))) * draw(st.integers(1, 6)) ** 2
+    den = draw(st.sampled_from((1, 2, 3, 5, 7, 8, 9, 12)))
+    return draw(st.sampled_from((1, -1))) * Q(num, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SQRT_CONDUCTORS), rationals())
+def test_rational_sqrt_exists_exactly_when_sympy_finds_one(L, q):
+    x = Cyc.rational(L, q)
+    with mock.patch.object(cyclo, "_sympy_field", side_effect=AssertionError("sympy on a rational")):
+        root = cyc_sqrt(x)
+    assert (root is None) == (cyclo._sympy_sqrt(x) is None)
+    if root is not None:
+        assert root * root == x
+        # the positive real root for q > 0, and i times it for q < 0
+        value = embed(root) / (1 if q > 0 else 1j)
+        assert abs(value.imag) < 1e-9 and value.real > 0
+        assert (root if q > 0 else root * Cyc.i(L).conj()).is_real()
+
+
+@pytest.mark.parametrize("L", SQRT_CONDUCTORS)
+def test_huge_nonsquare_rational_is_refused_at_once(L, time_limit):
+    # 7 is prime to every conductor here, so no Gauss sum supplies sqrt(7)
+    with time_limit(2):
+        assert cyc_sqrt(Cyc.rational(L, 7 * 10**400 + 7)) is None
+        assert cyc_sqrt(Cyc.rational(L, Q(-7 * 10**400, 3**401))) is None
+        root = cyc_sqrt(Cyc.rational(L, Q(10**400, 4**401)))
+    assert root == Cyc.rational(L, Q(10**200, 2**401))
+
+
+# -- field properties of Cyc ---------------------------------------------------
+
+FIELD_CONDUCTORS = (4, 8, 12, 24)
+
+
+@st.composite
+def field_elements(draw, L, count):
+    """count scalars of Q(zeta_L) with small coefficients over small denominators."""
+    phi = conductor_degree(L)
+    return [
+        Cyc(L, tuple(draw(st.integers(-4, 4)) for _ in range(phi)), draw(st.integers(1, 6)))
+        for _ in range(count)
+    ]
+
+
+@st.composite
+def triples(draw):
+    L = draw(st.sampled_from(FIELD_CONDUCTORS))
+    return L, draw(field_elements(L, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples())
+def test_field_axioms(data):
+    L, (a, b, c) = data
+    zero, one = Cyc.zero(L), Cyc.one(L)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a - a).is_zero()
+    if not a.is_zero():
+        assert a * a.inverse() == one
+        assert (b / a) * a == b
+        assert a.inverse().inverse() == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples(), st.integers(1, 200))
+def test_galois_and_conj_are_automorphisms(data, k):
+    L, (a, b, _) = data
+    units = [u for u in range(1, L) if gcd(u, L) == 1]
+    g, h = units[k % len(units)], units[(3 * k) % len(units)]
+    for sigma in (lambda x: x.galois(g), Cyc.conj):
+        assert sigma(a + b) == sigma(a) + sigma(b)
+        assert sigma(a * b) == sigma(a) * sigma(b)
+        assert sigma(Cyc.one(L)) == Cyc.one(L)
+        if not a.is_zero():
+            assert sigma(a.inverse()) == sigma(a).inverse()
+    assert a.galois(g).galois(h) == a.galois(g * h % L)
+    assert a.conj() == a.galois(L - 1) and a.conj().conj() == a
+    assert (a * a.conj()).is_real()
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples(), st.sampled_from((2, 3, 5)))
+def test_lift_is_a_homomorphism(data, factor):
+    L, (a, b, _) = data
+    L2 = L * factor
+
+    def up(x):
+        return x.lift(L2)
+
+    assert up(a + b) == up(a) + up(b)
+    assert up(a * b) == up(a) * up(b)
+    assert up(Cyc.one(L)) == Cyc.one(L2)
+    assert up(Cyc.zeta(L)) == Cyc.zeta(L2, factor)
+    if not a.is_zero():
+        assert up(a.inverse()) == up(a).inverse()
+    assert up(a.conj()) == up(a).conj()

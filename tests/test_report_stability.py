@@ -1,4 +1,5 @@
-"""Pinned SHA-256 digests of seeded `normalize`, `bracket-check` and `check-isom` reports.
+"""Pinned SHA-256 digests of seeded `normalize`, `bracket-check`, `check-isom` and
+`map-roots` reports.
 
 Each operator comes from `random_operator(Random("stable:<family>:<dim>:<hint>"), ...)`
 and covers all four families; the bracket checks cover the seven standard
@@ -121,3 +122,28 @@ def test_check_isom_report_is_byte_stable(family, dim, hint, tmp_path, monkeypat
     argv = ["check-isom", "--seed", "3", "--count", "2"]
     digest = _report_digest(tmp_path, monkeypatch, isom_request(family, dim, hint), argv)
     assert digest == ISOM_DIGESTS[(family, dim, hint)]
+
+
+#: `map-roots` at its default window on seeded operators of all four families,
+#: among them R and antiunitary operators whose normal form takes rational
+#: square roots at conductors 8-24
+MAP_ROOTS_DIGESTS = {
+    ("C_unitary", 4, 3): "e0ae4659bee868d34e2f75048d415884a532bf2b73f131a58a95c5336e647a5c",
+    ("C_unitary", 6, 6): "c3154f42a5ce2ac5788c6418ea9bf85f26d45e55790612fccb0653e50323dd75",
+    ("H", 4, 2): "8365bb74372a5155787f03271ebbf168daa071520574f8ddac086d1370078a57",
+    ("H", 6, 3): "435de00c697423ffa50be657d334723fb9205b171b177ee173dd91bd41a24d94",
+    ("R", 4, 2): "24f78bbfa118b4c4b7cb3fe9387ea141d70abb18f029e046c2620cae9cbbac2b",
+    ("R", 4, 3): "5f7b1d40fa201d9bdf7066c2cb14609bea90f4ae250d125eafa1188064f9cef1",
+    ("R", 5, 6): "af8617afa031f2fa3292056398a204d0c866f8712fbad76385a84c48abf45235",
+    ("R", 6, 2): "0cac39e3a2f12bf67285f4ceec1ff8896f263f6af04b781500d99171c681cacc",
+    ("R", 6, 4): "2068da2e2df901f46575523ddd2be536e2c2ff72da036af81c00144dd3dade87",
+    ("C_antiunitary", 5, 2): "724a6ff618df17e5b8a3822d204c0d88d67713bb245ed9f67e75ab47b7b8b46c",
+    ("C_antiunitary", 5, 4): "80ecf77a0e9f00e99eb1a633f923d36d6d463e07265d9589e1e66b113c491d5a",
+    ("C_antiunitary", 6, 4): "1682d947ecddd79b6214be3ded978c70495773766bf7a0dd7d26e4a96225ddd9",
+}
+
+
+@pytest.mark.parametrize("family,dim,hint", sorted(MAP_ROOTS_DIGESTS))
+def test_map_roots_report_is_byte_stable(family, dim, hint, tmp_path, monkeypatch):
+    digest = _report_digest(tmp_path, monkeypatch, isom_request(family, dim, hint), ["map-roots"])
+    assert digest == MAP_ROOTS_DIGESTS[(family, dim, hint)]

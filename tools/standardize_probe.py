@@ -1,0 +1,77 @@
+"""Standardize and verify a grid of seeded operators and count the outcomes.
+
+    PYTHONPATH=src python3 tools/standardize_probe.py
+
+Every operator is `random_operator(random.Random(seed), family, dim, hint)` for
+seeds 0-47, the four families, dims 2-7 and order hints 2, 3, 4 and 6 (4608
+operators).  `standardize` and `verify_certificate` run under a per-operator
+SIGALRM of ALARM_S seconds; an operator that outlives it, or whose certificate
+fails verification, is listed as it happens.  The last lines print one count
+per outcome: "ok", each distinct error message, "past the alarm" and
+"certificate fails verification".  Exit status 1 when any operator is past the
+alarm or fails verification.  Not part of the test suite: it takes a minute
+or two.
+"""
+
+from __future__ import annotations
+
+import random
+import signal
+import sys
+import time
+from collections import Counter
+
+from twistaff.autnorm import standardize, verify_certificate
+from twistaff.sampling import random_operator
+
+SEEDS = range(48)
+FAMILIES = ("C_unitary", "H", "R", "C_antiunitary")
+DIMS = range(2, 8)
+HINTS = (2, 3, 4, 6)
+ALARM_S = 5
+FAULTS = ("past the alarm", "certificate fails verification")
+
+
+class Alarm(Exception):
+    pass
+
+
+def _expire(signum, frame):
+    raise Alarm
+
+
+def probe_one(seed, family, dim, hint):
+    """The outcome of one operator: "ok", one of FAULTS, or "<ErrorType>: <message>"."""
+    signal.alarm(ALARM_S)
+    try:
+        spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
+        cert = standardize(spec)
+        return "ok" if verify_certificate(spec, cert).all_passed else FAULTS[1]
+    except Alarm:
+        return FAULTS[0]
+    except Exception as exc:  # the probe counts every error by its message
+        return f"{type(exc).__name__}: {exc}"
+    finally:
+        signal.alarm(0)
+
+
+def main():
+    signal.signal(signal.SIGALRM, _expire)
+    counts: Counter = Counter()
+    start = time.perf_counter()
+    for seed in SEEDS:
+        for family in FAMILIES:
+            for dim in DIMS:
+                for hint in HINTS:
+                    outcome = probe_one(seed, family, dim, hint)
+                    counts[outcome] += 1
+                    if outcome in FAULTS:
+                        print(f"{outcome}: seed {seed} {family} dim {dim} hint {hint}", flush=True)
+    print(f"{sum(counts.values())} operators in {time.perf_counter() - start:.1f} s")
+    for outcome, n in counts.most_common():
+        print(f"{n:6d}  {outcome}")
+    return 1 if any(counts[f] for f in FAULTS) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
