@@ -1,5 +1,5 @@
-"""Pinned SHA-256 digests of seeded `normalize`, `bracket-check`, `check-isom` and
-`map-roots` reports.
+"""Pinned SHA-256 digests of seeded `normalize`, `bracket-check`, `check-isom`,
+`map-roots`, `min-energy` and `theorem-b` reports.
 
 Each operator comes from `random_operator(Random("stable:<family>:<dim>:<hint>"), ...)`
 and covers all four families; the bracket checks cover the seven standard
@@ -10,12 +10,14 @@ verification detail or a bracket check's outcome shows up here.
 
 import hashlib
 import json
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from twistaff.affine import standard_spec
+from twistaff.affine import Weight, standard_spec
 from twistaff.cli import main
+from twistaff.rootdata import Functional
 from twistaff.sampling import random_functional, random_operator
 
 DIGESTS = {
@@ -147,3 +149,190 @@ MAP_ROOTS_DIGESTS = {
 def test_map_roots_report_is_byte_stable(family, dim, hint, tmp_path, monkeypatch):
     digest = _report_digest(tmp_path, monkeypatch, isom_request(family, dim, hint), ["map-roots"])
     assert digest == MAP_ROOTS_DIGESTS[(family, dim, hint)]
+
+
+def energy_request(kind, rank, lc, chi0):
+    """A min-energy request drawn from Random("energy:<kind>:<rank>"); chi0 = nu_prime - nu."""
+    rng = Random(f"energy:{kind}:{rank}")
+    nu = random_functional(rng, rank)
+    l0 = random_functional(rng, rank, denoms=(1, 2))
+    ld = Fraction(rng.randint(-2, 2), 3)
+    nu_prime = random_functional(rng, rank) if chi0 else nu
+    return {
+        "spec": standard_spec(kind, rank, nu=nu).to_json(),
+        "weight": Weight(lc, l0, ld).to_json(),
+        "nu_prime": nu_prime.to_json(),
+    }
+
+
+#: `min-energy --bound 3` on every standard kind at ranks 2-4, for the central
+#: values 1, 2 and -1 (the divergence path) and a zero or nonzero chi0
+ENERGY_DIGESTS = {
+    ('A1', 2, 1, False): "d5385963910e3febd42456711e18fcec2c9cffaa3fde23aaeee5472f51d14f6b",
+    ('A1', 2, 1, True): "ad54ae564e7a4e4fed5131d879c4970c14036b8622f3a671a1fc19782898ca94",
+    ('A1', 2, 2, False): "550cc0232357fb2fb2f6ad1900ea71fdcf50f11ac3257e6ba0e74aca152927df",
+    ('A1', 2, 2, True): "4558a4737438f19cab8ff1ffd025ff8e0c85eda404402741b7429f32422c55b6",
+    ('A1', 2, -1, False): "552b395343fff47ea770c301a28ff4fbe7ff1408ad8e2d5e0ac9d816dbc2b1e9",
+    ('A1', 2, -1, True): "8c730902f6a1ea319a47b09a952b0968517a5905fbc0f45918eafd3ecee2b932",
+    ('A1', 3, 1, False): "9fcadf0b51b5121ca75ee926808207024c429d772cb667d9ef87fa84646289ca",
+    ('A1', 3, 1, True): "db4342a811e57b26dabefea03240caa632446e98589582e101cbdd417d290f5b",
+    ('A1', 3, 2, False): "6c1a7b0cb34eff9950c64406e96a1ef831bb9d44d6ed6816422ec51119614df0",
+    ('A1', 3, 2, True): "0db4b438236bb79961c7ea208fde79de2fa6bd9ab32274773fd0b39119636e85",
+    ('A1', 3, -1, False): "49ca83e75543774fd10b468dbe24ca804150669633d019675e15855a7ed7a3b9",
+    ('A1', 3, -1, True): "68c822bdeaaff76268d01a3bee47562ba37361efcc0d5c9922f745411b985912",
+    ('A1', 4, 1, False): "5f7d9cfb9f08c15ef0eaaa0434cfdcb30d8e20295922995bbf3105e9c3d82666",
+    ('A1', 4, 1, True): "fdf01202f0a936cb189cef606bdc5d18990d6c7c7664154d269e0a7bc7a92705",
+    ('A1', 4, 2, False): "031fad59c6f58de841ee99ed4eec48002251d966be7d3f47722202f1111d30ff",
+    ('A1', 4, 2, True): "e1253aae1ae1dd72050d597ee7ad2d537b2a30327b27d0e48403134b70664c40",
+    ('A1', 4, -1, False): "807110a65599bd0a71f31548d2fcb78ce722c4c2b17c69666b6d4f906307ad67",
+    ('A1', 4, -1, True): "bf6b6bf0ff408d3c531b83f9520f14d39353d87e10dcca5eadbe98e2edf84fac",
+    ('B1', 2, 1, False): "cfc243a9a86f0bdfb96f00b737a9b6f00fd373bf3ddc3f5271354c294df56a1d",
+    ('B1', 2, 1, True): "968fbd4a93a8247129e7873d527f77e59f36aca060304e1700ba9f2ef8431fb5",
+    ('B1', 2, 2, False): "e926b70a244da298ebbd404bc0fcc2c562e7c50aeb86bb1687c8139e3f7b620f",
+    ('B1', 2, 2, True): "7a04849b7c757b3b824a27ada368a6c9224002be71e53941ed67ab3385e2cf70",
+    ('B1', 2, -1, False): "012401196730d67ad197baad9d703874dc880c14df4d8c47ee7611be0389d676",
+    ('B1', 2, -1, True): "8375f54e42827b56a4f1c5f229dd3d1473d5676fd34cbff6b9e31662d465bff8",
+    ('B1', 3, 1, False): "c89c3b021961db12ba9ab9eb2692a2875666231ad199cf869909d90bcf269dab",
+    ('B1', 3, 1, True): "454fd13f593826d058f555e95c6b22d5393d214f6b22af8ac6c0de1021273ea2",
+    ('B1', 3, 2, False): "c79a219fc5ed0fb9db15175056a4b3146799fd8f724a2985640e12ec8371c21b",
+    ('B1', 3, 2, True): "601213712800aab4941992c133a919081e6a71ac972ba993b17c249f624ade29",
+    ('B1', 3, -1, False): "3257a561309ba65c038285267d858b63cd342d967d71ff58e16b0dc22fbc67b9",
+    ('B1', 3, -1, True): "abd50a274aacaefd8c54282fdcfd03c0b2d6fe28ac5fad2830638eb54f7148f4",
+    ('B1', 4, 1, False): "f743e1eaea0e9e55c4b980b8a183df42315eb9cea78577d76b327b6487059abd",
+    ('B1', 4, 1, True): "c2cf66e4aa954c2b94fcfd2b2e72066a4e8da106960417082225b771b3535bc4",
+    ('B1', 4, 2, False): "e6acfce8ff6555af968b289c358f74fa9262dbaec7cdb28d7f574c284e77a939",
+    ('B1', 4, 2, True): "3aac0ccc6fb13b8b37f3c0b413423e4871605aecd6203c9e84013590dc11ea4b",
+    ('B1', 4, -1, False): "050ebb804d25fbc3e1b9da41837c8047a42b3e8eec99bab3f24a8b2b5051974c",
+    ('B1', 4, -1, True): "66564b30e5f3d2eb9ef9aff358f7eddb901d611eb06e9d21d8899c136bc4b95c",
+    ('C1', 2, 1, False): "dd1fd7b98aaf067e3a030ce77f9b92a0d56984000b5dfe71074e76713cb4e2e0",
+    ('C1', 2, 1, True): "2ff981ccee14a82a3681d1183f8bebda7d50131eb0e3c85969104cce3beecb3d",
+    ('C1', 2, 2, False): "8d8248b9de7d6fce5f48146737a927e3375f58ec8f3756b42d822cfb630a23ca",
+    ('C1', 2, 2, True): "cdca7f8c99f2323602fba77b65ac36cd55cfe342de7e44faf43e4834a34ca904",
+    ('C1', 2, -1, False): "de83eb7f94bcd474c4b772da3f6c8715c3ef2fc6ade19910a1fa279f2cbf71ea",
+    ('C1', 2, -1, True): "8a01a55e8f44d3cf7cdf601ff52cc1eb2ccc3e76dd91cda9783811cdbca875b3",
+    ('C1', 3, 1, False): "069c41fe891ba460a613310aa775664d7aaa588b8b7a078753129a73ca667d9b",
+    ('C1', 3, 1, True): "3c78f36a167b0928b2cddb235008f7d44546c59a6ef98fca3df43b98fd851ffc",
+    ('C1', 3, 2, False): "90dfcefacf17531f164df9108dac34e95c9b83c96576d38bb59a7712b78c65f1",
+    ('C1', 3, 2, True): "85df61486f9812e14dc3ee4a642168df712381c9ee3c258c50931f9916facb17",
+    ('C1', 3, -1, False): "6cc0b7cd06ae91ea2ab4c4d4a2827554bd68dfb9f4bf93b8ae5d97991f1f3f79",
+    ('C1', 3, -1, True): "a2d538261bc3b58865ea7a6b04f7468cf46e033e6417cb30e88cfe207ba1ddd0",
+    ('C1', 4, 1, False): "81223921acb613df698614804d6c787ebe2727f668d5db91c7fc215f4f070d2c",
+    ('C1', 4, 1, True): "84e7f8029c1354a6ef85609eabf413113ae0021cdaffbb651f9055f698912784",
+    ('C1', 4, 2, False): "c42bdf8a243501aca245f56f887752d7baff5462b378b8f3940fd48801284db5",
+    ('C1', 4, 2, True): "68d66412c1e7a2ecae6808b5dc8a9ea79b3e46f9875c88b4de22317e18803ad8",
+    ('C1', 4, -1, False): "571cb663e78d226fcf4f9badf9ae7b56368251e2fe0dbc2ea49f026ed5d5b212",
+    ('C1', 4, -1, True): "59e2a56658fb6bd3f5a51c86f107c31f09b6103858b894ffdbbee0f3c025637d",
+    ('D1', 2, 1, False): "eaa3a840f22969881df09410667e1a8ec08a2b6f838f6209ee260ceed0be7f03",
+    ('D1', 2, 1, True): "ad38096c528d19ddfcdefe63ddd16bb6a6f717daad98129de8f8a1648f43f87d",
+    ('D1', 2, 2, False): "c23a004affabe1624f261819dbc1e3c25330f61ce946657dabf0a5052064a82b",
+    ('D1', 2, 2, True): "1d9ccf57a2e81c814acaf81feea07826e15236454be9517e448606f68724e6c2",
+    ('D1', 2, -1, False): "b2bd5adca80f01999b50df09d5505aedb24e4a92f8842d34955fb0054f9734ba",
+    ('D1', 2, -1, True): "de6e919ceef0ead7215c487f084095dce3749086480497845efecd0d13630e8b",
+    ('D1', 3, 1, False): "7afc85e31b35a34c07f6493ee6832b1fd5413b1160fbb4550492563aaff6fc27",
+    ('D1', 3, 1, True): "67e986050f783b37b81e77f419976eff0c731382be468e1097b66071c79f9a73",
+    ('D1', 3, 2, False): "33a69c8f44189804e9b08de45614909724af64aad20b81a736b6f5c27847aba2",
+    ('D1', 3, 2, True): "574ac24c92592daff65821af26582ef6231fcfe3678fb3aa849c5977779ed591",
+    ('D1', 3, -1, False): "740ab8cbcaa8ecb158140b023941f5b4354582631434079ac5d733ca42832fb0",
+    ('D1', 3, -1, True): "9ba419126b35da54a6712de568f0765e42d82697ffc1865fd6008dcdfac4cc3f",
+    ('D1', 4, 1, False): "859bda6d5733bc776ab7167141428958531b34e306bce694e73974b4d93a1d69",
+    ('D1', 4, 1, True): "1e12fd0ba243b32fea916a8297228333880b89ef57eff7a5850c2ac2ade49659",
+    ('D1', 4, 2, False): "55863f65f4167f2a6ec3b62b143d14afaac8aa9a03c0267a20fc6a12d2415ffd",
+    ('D1', 4, 2, True): "b029f3a4eca148645f280eddf217882e82b228c37b74307d47483b337ef6d346",
+    ('D1', 4, -1, False): "244ea139b656b8fc0e77c81081a758abfd824ef34902403a9dfff99f27322844",
+    ('D1', 4, -1, True): "4f82270fcce8c0d6e4353561fd184f5484d98d9afd132fc51b97a48d447cb4fc",
+    ('B2', 2, 1, False): "895fb19df206362b7a423e85101d5d824165dde3d2bd2420f5ef0e1ce0daef39",
+    ('B2', 2, 1, True): "0b6fb8b5994a8cc429253eefb1edff50b6ecb76cf0b906bd278577f2a157e2ab",
+    ('B2', 2, 2, False): "26849b373570e224150436367889659d803aa97173d4ce7e96de5f72745617c4",
+    ('B2', 2, 2, True): "8abf84b7e14d1fb9ce9bfb841a3f28a695bb51f453fc4122fb32a408a295e5ed",
+    ('B2', 2, -1, False): "37e84cc60f8c85339912a1b84f29909adff523a8c7510aa406c99742c12982a4",
+    ('B2', 2, -1, True): "ac9f44277c9071583c7d885e6ed181afe71fbd79346f1d9dc03b831e6c68fe30",
+    ('B2', 3, 1, False): "4e7851b7037df1f87749f62fb13bcebe4aace25f19435351aeab58ba3eb87304",
+    ('B2', 3, 1, True): "76a55686482317874c6e2d4ce545d40226f8147a8d4f727885371516f56c6293",
+    ('B2', 3, 2, False): "a8958f2a6ae1521c5894747b8e2890b42c5e9c6f29cafbd86bbcc929ff84b193",
+    ('B2', 3, 2, True): "b3b3a3abe6bb873a881db8235e1efe4ac3912173a427c98c787991639fc8dd91",
+    ('B2', 3, -1, False): "d9d780da8664cce3ec4c04844f5aa84706d9c17f0ba7d091ad417b29058c5941",
+    ('B2', 3, -1, True): "5a604ac58562f6a9780fa54417ba31ae879fe6b230051cdde779705f54304d3a",
+    ('B2', 4, 1, False): "dcc22f85d0eb0f516a32219f112dbfea0fc0015df950ebce82c60ef5d22828ec",
+    ('B2', 4, 1, True): "003e7572f6810c51f37e03f6fa08ac20b1ad33369515b5a4ee763e615694cf2f",
+    ('B2', 4, 2, False): "892a38d01cf79e7da80a2734c45b222b03447874776a7409581b67b7394d4964",
+    ('B2', 4, 2, True): "d61187ddfc6543caf1a256aa91fe3329628b84150a80d3082ca9ce7bcb1ec8e4",
+    ('B2', 4, -1, False): "43b93b93b4659d13ca81a3bb2cec55431dbd9bb9f3964411ebbd7aa214878bb3",
+    ('B2', 4, -1, True): "63d382b2dad75b9c16c5d3acefa8b51525a0f1cbdacc594ef453ca66163945f4",
+    ('C2', 2, 1, False): "c027230af34273984eea938f461ad075858cc73c1627342cc2b0532b827e6e0b",
+    ('C2', 2, 1, True): "a553fd971a7a8aa54d64e694ee1b6f820ce3cd18fb809eafacfe8db782364822",
+    ('C2', 2, 2, False): "f46b0817d66cd6a3a1c44843fba0cdf49250fb30ecbb88e51a2fda2a760190b3",
+    ('C2', 2, 2, True): "449a5e557a272b4be974ac82076652a81914c6a57a0ecf7896675a52da82367d",
+    ('C2', 2, -1, False): "37fb0c530b4263767031d85326ae905154428c8cd03ffc8a5b4590c644e5fd63",
+    ('C2', 2, -1, True): "9184f2c750bf1d83cbb50d119b55880336e21629b9e0cc81f8c2488cd93afad8",
+    ('C2', 3, 1, False): "861c729cc1bd0c5d2043110d309dcfd6fe3695d7899cf8258351babbc7cefad5",
+    ('C2', 3, 1, True): "e11e29148dd4920d73fa15d9dfe8fbc1cde2a70b0bbdce01daac9cd18d805e96",
+    ('C2', 3, 2, False): "eb83266c4bdb5d1defbf5a292aa70d63cad283cdd00062543d5f1ea58eedc6da",
+    ('C2', 3, 2, True): "7474460b4a872517c420266654022ab35864e27001de0f6c7e3ef52d6f90df90",
+    ('C2', 3, -1, False): "a64db8c3a1ca767c0c2f2b1105e6033d9aa5326ebab3959518d9d9a7fad1cba1",
+    ('C2', 3, -1, True): "043192804044099e4cc73a6ae364ecb713521f6df89ca1fcd9936b6b4cddc6d1",
+    ('C2', 4, 1, False): "a0248f9a706cf51317018e987569650b8e7589a65534ed4a8856ee4e53ae1c23",
+    ('C2', 4, 1, True): "753a20cc91dbeec31e05262c2bf16e76642eeb6734fbd6d52ff5fffb595eaef8",
+    ('C2', 4, 2, False): "f35062ae3a27c9d0564c8277c7763c7301a41be58f08ed42412921e80d93d82e",
+    ('C2', 4, 2, True): "7ca62b687e733d34f97cd96025f2b2d3de4f46eda6c458e8cd52c263cbd50ff5",
+    ('C2', 4, -1, False): "1cfae9bcf6191ce3f8418b66089d6b03395fbd2b31fcbff4640fadd3bf6f4e87",
+    ('C2', 4, -1, True): "d6ee5b505bba3d9ed7881dffa184cad455d64677ef2d0f3db6c08e4a093ea079",
+    ('BC2', 2, 1, False): "998a78ec8560962a8238ffddad8626c07082ebe8cd4a0a7ec6c3f69d70f2536f",
+    ('BC2', 2, 1, True): "07a0ad1ea0a8b2e8976f5be53a2c167be7c402aedc9f4426f9ceb3d3cdb5c01e",
+    ('BC2', 2, 2, False): "253696971cfddfe107c54047841c01c179052579db8a585befb640f83e354897",
+    ('BC2', 2, 2, True): "c55248f061d9eee6b936f98e074cbd8629def08f6d72d4ec3a3453c746926d0b",
+    ('BC2', 2, -1, False): "1660edf8586f138ef268bee7a80b1dfbafd1864d5e5c735528f45f14e1eb2092",
+    ('BC2', 2, -1, True): "14bd303eaf553880fe5430b846284e82588a4f65b9f5e0f436022b01bc3901f2",
+    ('BC2', 3, 1, False): "b288b9ac1698518b3e7b3aad68c4ec9fcaa21a6df301425a86a08d9b525253d3",
+    ('BC2', 3, 1, True): "4848138497b2c878d1bb633fcc485a4a8b4f86f1d958c4f84799e6b119ad9a6b",
+    ('BC2', 3, 2, False): "1a8b603c68a9c03a55dde81388c3dd771c01c1fced0a4718ef661b3643b2bb16",
+    ('BC2', 3, 2, True): "6fccc1727c586e6da532403765b2b79d204aa9febe5ee72028ebfc03a2fa308d",
+    ('BC2', 3, -1, False): "c844102f4e8e6c4900e45d3c0dd210bc2f0c3b2fe896a4d0c1af6c215da3b5f5",
+    ('BC2', 3, -1, True): "2f995b04191c78b4001ddd9d99649817a817ae80dc931d24f6203ab988254a0d",
+    ('BC2', 4, 1, False): "1cc3fc35074d36b5ad22d025e171953cd151fbdd6038dd5ebd02e33147545d5c",
+    ('BC2', 4, 1, True): "b28b3875974c11011d9c00de7bb10dfd523afaa33f10494ff218be0fb6f7d8ed",
+    ('BC2', 4, 2, False): "53d0548eff86c5cc8c2e11f61f6808c5c67b55bdc46cb5bc8528b05f73cade79",
+    ('BC2', 4, 2, True): "7f44d0a3a9c8a86c3a335a1b66c04bc610f6598b7ecaad8d86e02001b01959dc",
+    ('BC2', 4, -1, False): "23835c2a8863a39436e927da1ee5c8517b426ac7dfe4b73ebc393871c98131c3",
+    ('BC2', 4, -1, True): "21bdde9830a57f6ef600c0f0ae644ef2bef866d860c4cd1404394961ed26cb92",
+}
+
+
+@pytest.mark.parametrize("kind,rank,lc,chi0", sorted(ENERGY_DIGESTS))
+def test_min_energy_report_is_byte_stable(kind, rank, lc, chi0, tmp_path, monkeypatch):
+    request = energy_request(kind, rank, lc, chi0)
+    digest = _report_digest(tmp_path, monkeypatch, request, ["min-energy", "--bound", "3"])
+    assert digest == ENERGY_DIGESTS[(kind, rank, lc, chi0)]
+
+
+def theorem_b_request(family, dim, hint, negative):
+    """A theorem-b request whose weight is integral: lc is twice the operator order."""
+    rng = Random(f"stable:{family}:{dim}:{hint}")
+    spec = random_operator(rng, family, dim, order_hint=hint)
+    lc = 2 * spec.declared_order * (-1 if negative else 1)
+    return {
+        "operator": spec.to_json(),
+        "weight": Weight(lc, Functional({1: rng.randint(-1, 1)}), 0).to_json(),
+        "nu": random_functional(rng, 2, denoms=(1,)).to_json(),
+        "nu_prime": Functional({1: Fraction(rng.randint(-2, 2), 2)}).to_json(),
+    }
+
+
+#: `theorem-b` at the default oracle bound on seeded operators of all four families; the negative
+#: central values take the divergence path
+THEOREM_B_DIGESTS = {
+    ('H', 6, 2, False): "9fc7dd2160b01196403155714414f8a41dfef3eec2307f4390e0ab28eb6bac64",
+    ('H', 6, 3, True): "b65f25ebb865e866a7e723c3c1c017b00828c969fe72149d915f1b6e3ba69805",
+    ('R', 4, 4, False): "252fc315f37d2a9cbddb475f38f6cdb93cecc97d3fad1ca146500e2dfc05c502",
+    ('R', 6, 2, True): "287e0aa7b6dfdde74f5e72477003408c7782892cf2083d9f11f8fa9ca4ee8f2d",
+    ('C_unitary', 4, 3, False): "83c6284a54a79b2f04f80864152a890c56a6cf1bb56c2ddae059cf91ef2a9365",
+    ('C_unitary', 4, 4, True): "d70fe8f70615eadd2949125ecc53faba4492c0073440b3b676526c999d0ddf8c",
+    ('C_antiunitary', 5, 2, False): "0837216d235049270a1b05c7228fb12a3a61568d4a3caa7e5759f2afd62786b2",
+    ('C_antiunitary', 6, 3, True): "ab49874681dc20172f5fa2f3ef60e8bbf72740224f49671227a39966ecc221ca",
+}
+
+
+@pytest.mark.parametrize("family,dim,hint,negative", sorted(THEOREM_B_DIGESTS))
+def test_theorem_b_report_is_byte_stable(family, dim, hint, negative, tmp_path, monkeypatch):
+    request = theorem_b_request(family, dim, hint, negative)
+    digest = _report_digest(tmp_path, monkeypatch, request, ["theorem-b"])
+    assert digest == THEOREM_B_DIGESTS[(family, dim, hint, negative)]
