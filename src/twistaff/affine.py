@@ -2,16 +2,21 @@
 
 An affinisation context couples a finite base system with a twist order and
 two slant functionals.  Cartan-side data is stored in the i-picture: a triple
-(Z, H, T) of exact rationals/vectors standing for the complex triple
-(iZ, H, -iT), under which root evaluation, coroots, translations and the
-Weyl action all become real rational formulas.
+(Z, H, T) standing for the complex triple (iZ, H, -iT), under which root
+evaluation, coroots, translations and the Weyl action all become real
+rational formulas.  Z and T (and the central and scaling values of a weight)
+are `Fraction`s; H and every slant or finite weight part is the integer
+vector `rootdata.CartanVector`.  The finite parts of each realization are
+enumerated once per (kind, base).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
+from .jsonio import rational_from_json
 from .rootdata import CartanVector, Functional, Root, RootSystem, coroot, enumerate_roots, inner
 
 LARS_KINDS = ("A1", "B1", "C1", "D1", "B2", "C2", "BC2")
@@ -39,8 +44,8 @@ class AffinisationSpec:
     base: RootSystem
     lars: str
     twist_order: int = 0  # 0 means: the standard order of the kind
-    slant_mu: Functional = field(default_factory=lambda: Functional(()))
-    slant_nu: Functional = field(default_factory=lambda: Functional(()))
+    slant_mu: Functional = field(default_factory=Functional)
+    slant_nu: Functional = field(default_factory=Functional)
 
     def __post_init__(self):
         if self.lars not in LARS_KINDS:
@@ -52,7 +57,7 @@ class AffinisationSpec:
         if self.twist_order < 1:
             raise ValueError("twist order must be positive")
 
-    @property
+    @cached_property
     def slant(self) -> Functional:
         """Total slant entering root evaluation."""
         return self.slant_mu + self.slant_nu
@@ -84,8 +89,8 @@ def standard_spec(kind: str, rank: int, mu=None, nu=None) -> AffinisationSpec:
     return AffinisationSpec(
         base=RootSystem(BASE_OF[kind], rank),
         lars=kind,
-        slant_mu=mu if mu is not None else Functional(()),
-        slant_nu=nu if nu is not None else Functional(()),
+        slant_mu=mu if mu is not None else Functional(),
+        slant_nu=nu if nu is not None else Functional(),
     )
 
 
@@ -124,8 +129,8 @@ class ExtCartanVector:
     t: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "z", Fraction(self.z))
-        object.__setattr__(self, "t", Fraction(self.t))
+        object.__setattr__(self, "z", _rational(self.z))
+        object.__setattr__(self, "t", _rational(self.t))
 
     def __add__(self, other: "ExtCartanVector") -> "ExtCartanVector":
         return ExtCartanVector(self.z + other.z, self.h + other.h, self.t + other.t)
@@ -145,11 +150,17 @@ class ExtCartanVector:
 
     @staticmethod
     def from_json(obj) -> "ExtCartanVector":
-        return ExtCartanVector(Fraction(obj["z"]), CartanVector.from_json(obj["h"]), Fraction(obj["t"]))
+        where = "malformed extended Cartan vector"
+        z, t = rational_from_json(obj["z"], where), rational_from_json(obj["t"], where)
+        return ExtCartanVector(z, CartanVector.from_json(obj["h"]), t)
 
 
-CENTRAL = ExtCartanVector(1, CartanVector(()), 0)  # image of the central generator bc
-SCALING = ExtCartanVector(0, CartanVector(()), 1)  # image of the scaling generator bd
+def _rational(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+CENTRAL = ExtCartanVector(1, CartanVector(), 0)  # image of the central generator bc
+SCALING = ExtCartanVector(0, CartanVector(), 1)  # image of the scaling generator bd
 
 
 def ext_cartan_basis(rank: int) -> list:
@@ -167,8 +178,8 @@ class Weight:
     ld: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lc", Fraction(self.lc))
-        object.__setattr__(self, "ld", Fraction(self.ld))
+        object.__setattr__(self, "lc", _rational(self.lc))
+        object.__setattr__(self, "ld", _rational(self.ld))
 
     def __call__(self, v: ExtCartanVector) -> Fraction:
         return self.lc * v.z + self.l0(v.h) + self.ld * v.t
@@ -181,64 +192,64 @@ class Weight:
 
     @staticmethod
     def from_json(obj) -> "Weight":
-        return Weight(Fraction(obj["lc"]), Functional.from_json(obj["l0"]), Fraction(obj["ld"]))
+        where = "malformed weight"
+        lc, ld = rational_from_json(obj["lc"], where), rational_from_json(obj["ld"], where)
+        return Weight(lc, Functional.from_json(obj["l0"]), ld)
+
+
+def slant_shift(lam: Weight, chi: ExtCartanVector, nu: Functional):
+    """The unslanting substitution: the weight minus lc nu, the vector (or character) plus T nu.
+
+    The nu-slanted orbit values of (lam, chi) are the unslanted ones of the
+    shifted pair; chi keeps its type, so an `energy.Character` stays one.
+    """
+    lam_nu = Weight(lam.lc, lam.l0 - nu.scale(lam.lc), lam.ld)
+    return lam_nu, type(chi)(chi.z, chi.h + nu.scale(chi.t), chi.t)
 
 
 # -- membership in the seven realizations ------------------------------------
 
 
-def lars_finite_parts(kind: str, base: RootSystem) -> list[Root]:
+@lru_cache(maxsize=None)
+def lars_finite_parts(kind: str, base: RootSystem) -> tuple[Root, ...]:
     """All finite parts occurring in the realization (the non-reduced union for BC2)."""
     roots = enumerate_roots(base)
     if kind == "BC2":
-        roots = roots + [Root(((j, s),)) for j in range(1, base.rank + 1) for s in (2, -2)]
-    return sorted(roots, key=lambda r: r.coeffs)
+        roots += [Root(((j, s),)) for j in range(1, base.rank + 1) for s in (2, -2)]
+    return tuple(sorted(roots, key=lambda r: r.coeffs))
 
 
-def _pattern(a: Root) -> str:
-    pat = tuple(abs(c) for _, c in a.coeffs)
-    if pat == (1,):
-        return "short"
-    if pat == (2,):
-        return "long"
-    if pat == (1, 1):
-        return "pair"
-    raise ValueError(f"unexpected root pattern {a.coeffs}")
+@lru_cache(maxsize=None)
+def _finite_part_set(kind: str, base: RootSystem) -> frozenset:
+    return frozenset(lars_finite_parts(kind, base))
+
+
+#: the admissible modes (r, s), n = r mod s, per kind and per finite-part
+#: pattern (the absolute coefficients: short, long or pair)
+_MODE_STEPS = {
+    "A1": {(1, 1): (0, 1)},
+    "B1": {(1,): (0, 1), (1, 1): (0, 1)},
+    "C1": {(2,): (0, 1), (1, 1): (0, 1)},
+    "D1": {(1, 1): (0, 1)},
+    "B2": {(1,): (0, 1), (1, 1): (0, 2)},
+    "C2": {(2,): (0, 2), (1, 1): (0, 1)},
+    "BC2": {(1,): (0, 1), (1, 1): (0, 1), (2,): (1, 2)},
+}
 
 
 def admissible_mode_step(kind: str, a: Root) -> tuple[int, int]:
     """The modes admissible for a finite part, as a residue class (r, s): n = r mod s."""
-    pat = _pattern(a)
-    if kind in ("A1", "B1", "C1", "D1"):
-        ok = {"A1": ("pair",), "B1": ("short", "pair"), "C1": ("long", "pair"), "D1": ("pair",)}
-        if pat not in ok[kind]:
-            raise ValueError(f"{a} is not a root of the {kind} base system")
-        return (0, 1)
-    if kind == "B2":
-        if pat == "short":
-            return (0, 1)
-        if pat == "pair":
-            return (0, 2)
-    if kind == "C2":
-        if pat == "long":
-            return (0, 2)
-        if pat == "pair":
-            return (0, 1)
-    if kind == "BC2":
-        if pat == "short":
-            return (0, 1)
-        if pat == "pair":
-            return (0, 1)
-        if pat == "long":
-            return (1, 2)
-    raise ValueError(f"{a} has no admissible modes in kind {kind}")
+    step = _MODE_STEPS.get(kind, {}).get(tuple(abs(c) for _, c in a.coeffs))
+    if step is None:
+        raise ValueError(f"{a} has no admissible modes in kind {kind}")
+    return step
 
 
 def lars_contains(kind: str, r: AffineRoot, base: RootSystem) -> bool:
     """Membership of (finite part, mode) in the realization of the given kind."""
     if r.root is None:
         return r.mode != 0
-    if not any(r.root.coeffs == b.coeffs for b in lars_finite_parts(kind, base)):
+    if r.root not in _finite_part_set(kind, base):
         return False
     res, step = admissible_mode_step(kind, r.root)
     return r.mode % step == res % step
@@ -262,14 +273,14 @@ def root_weight(spec: AffinisationSpec, r: AffineRoot) -> Weight:
     """The affine root as a weight: its value is alpha(H) + T*(n/N + slant(alpha sharp))."""
     shift = Fraction(r.mode, spec.twist_order)
     if r.root is None:
-        return Weight(0, Functional(()), shift)
+        return Weight(0, Functional(), shift)
     f = r.root.functional()
     return Weight(0, f, shift + inner(spec.slant, f))
 
 
 def eval_root(spec: AffinisationSpec, r: AffineRoot, v: ExtCartanVector) -> Fraction:
     """alpha(H) + T*(n/N + slant(alpha sharp)), exactly."""
-    if any(j > spec.base.rank for j in v.h.support()):
+    if len(v.h.num) > spec.base.rank:
         raise ValueError("vector support exceeds the base rank")
     return root_weight(spec, r)(v)
 

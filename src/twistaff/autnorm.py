@@ -160,6 +160,8 @@ class OperatorSpec:
             raise StandardizeError("declared order must be positive")
         if self.dim < 1:
             raise StandardizeError(f"dimension must be at least 1, got {self.dim}")
+        if self.field == "H" and self.dim % 2:
+            raise StandardizeError("quaternionic model needs even complex dimension")
         if len(self.matrix) != self.dim or any(len(r) != self.dim for r in self.matrix):
             raise StandardizeError("matrix shape does not match dim")
 
@@ -196,9 +198,7 @@ def family_of(spec: OperatorSpec) -> str:
 
 
 def quaternionic_structure(L: int, dim: int) -> Matrix:
-    """Linear part of the doubled-model structure map (v, w) -> (-conj w, conj v)."""
-    if dim % 2:
-        raise StandardizeError("quaternionic model needs even complex dimension")
+    """Linear part of the doubled-model structure map (v, w) -> (-conj w, conj v); dim is even."""
     r = dim // 2
     z = Cyc.zero(L)
     one = Cyc.one(L)

@@ -26,9 +26,11 @@ from .affine import (
     admissible_mode_step,
     affine_coroot,
     lars_finite_parts,
+    slant_shift,
     standard_spec,
 )
-from .rootdata import CartanVector, Functional, inner, pairing
+from .jsonio import rational_from_json
+from .rootdata import CartanVector, Functional, common_rows, inner, int_vector, pairing
 from .weyl import (
     AffWeylElement,
     FiniteWeylElement,
@@ -39,51 +41,34 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class Character:
-    """A linear functional on affine roots, stored as an extended Cartan vector.
+class Character(ExtCartanVector):
+    """A linear functional on affine roots: the extended Cartan vector (chi_c, chi0_sharp, chi_d).
 
     chi evaluates on (a, n) as p(a sharp, chi0_sharp + chi_d * slant sharp)
     + chi_d * n / N; for the characters of the energy condition chi_d = 1.
+    `slant_shift` (from `affine`) shifts a weight and a character.
     """
 
-    chi_c: Fraction
-    chi0_sharp: CartanVector
-    chi_d: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "chi_c", Fraction(self.chi_c))
-        object.__setattr__(self, "chi_d", Fraction(self.chi_d))
+    chi_c = property(lambda self: self.z)
+    chi0_sharp = property(lambda self: self.h)
+    chi_d = property(lambda self: self.t)
 
     def as_vector(self) -> ExtCartanVector:
-        return ExtCartanVector(self.chi_c, self.chi0_sharp, self.chi_d)
+        return ExtCartanVector(self.z, self.h, self.t)
 
     def to_json(self):
-        return {
-            "chi_c": str(self.chi_c),
-            "chi0_sharp": self.chi0_sharp.to_json(),
-            "chi_d": str(self.chi_d),
-        }
+        return {"chi_c": str(self.z), "chi0_sharp": self.h.to_json(), "chi_d": str(self.t)}
 
     @staticmethod
     def from_json(obj) -> "Character":
-        return Character(
-            Fraction(obj["chi_c"]),
-            CartanVector.from_json(obj["chi0_sharp"]),
-            Fraction(obj["chi_d"]),
-        )
+        where = "malformed character"
+        chi_c, chi_d = (rational_from_json(obj[key], where) for key in ("chi_c", "chi_d"))
+        return Character(chi_c, CartanVector.from_json(obj["chi0_sharp"]), chi_d)
 
 
 def character_of(spec: AffinisationSpec, nu: Functional, nu_prime: Functional, chi_c=0) -> Character:
     """The character with value (nu')(a sharp) + n/N on the nu-slanted algebra."""
-    return Character(Fraction(chi_c), (nu_prime - nu).sharp(), Fraction(1))
-
-
-def slant_shift(lam: Weight, chi: Character, nu: Functional) -> tuple[Weight, Character]:
-    """The unslanting substitution: shift the weight by nu, the character by nu sharp."""
-    lam_nu = Weight(lam.lc, lam.l0 - nu.scale(lam.lc), lam.ld)
-    chi_nu = Character(chi.chi_c, chi.chi0_sharp + nu.sharp().scale(chi.chi_d), chi.chi_d)
-    return lam_nu, chi_nu
+    return Character(chi_c, nu_prime - nu, 1)
 
 
 def is_integral(spec: AffinisationSpec, lam: Weight, residues=None) -> bool:
@@ -197,23 +182,17 @@ def lattice_cvp(kind: str, rank: int, target: CartanVector) -> CartanVector:
     """An exact nearest lattice vector to the target, deterministic under ties."""
     shape, scale = lattice_family(kind)
     t = [target[j] / scale for j in range(1, rank + 1)]
-    if shape == "Z":
-        r = _cvp_integer(t)
-    elif shape == "D":
-        r = _cvp_checkerboard(t)
-    else:
-        r = _cvp_sum_zero(t)
-    return CartanVector({j + 1: scale * r[j] for j in range(rank)})
+    r = {"Z": _cvp_integer, "D": _cvp_checkerboard, "A": _cvp_sum_zero}[shape](t)
+    return int_vector(r).scale(scale)
 
 
 def _orbit_value(lam: Weight, chi: Character, u: CartanVector, y: CartanVector) -> Fraction:
     """lam((y, w).chi - chi) in closed form, for the image u = w.chi0_sharp."""
-    l0s = lam.l0.sharp()
     return (
         lam.lc * chi.chi_d * pairing(y, y) / 2
         - lam.lc * pairing(u, y)
-        + pairing(l0s, u - chi.chi0_sharp)
-        - chi.chi_d * pairing(l0s, y)
+        + pairing(lam.l0, u - chi.chi0_sharp)
+        - chi.chi_d * pairing(lam.l0, y)
     )
 
 
@@ -273,10 +252,9 @@ def min_energy(
     if coeff == 0:
         return _linear_case(spec, lam, chi, images, bounds, with_oracle, oracle_bound)
 
-    l0s = lam.l0.sharp()
     best = None
     for w, u in images:
-        grad = u.scale(lam.lc) + l0s.scale(chi.chi_d)
+        grad = u.scale(lam.lc) + lam.l0.scale(chi.chi_d)
         target = grad.scale(Fraction(1, 2) / coeff)
         y = lattice_cvp(kind, rank, target)
         val = _orbit_value(lam, chi, u, y)
@@ -285,8 +263,7 @@ def min_energy(
     minimum, witness = best
 
     # the witness reproduces the minimum through the actual action
-    chi_vec = chi.as_vector()
-    if lam(act(spec, witness, chi_vec) - chi_vec) != minimum:
+    if lam(act(spec, witness, chi) - chi) != minimum:
         raise AssertionError("witness does not reproduce the reported minimum")
 
     agreement = None
@@ -299,16 +276,15 @@ def min_energy(
 def _linear_case(spec, lam, chi, images, bounds, with_oracle, oracle_bound):
     # chi_d = 0: the orbit value is affine in the translation part
     basis = translation_lattice(spec)
-    l0s = lam.l0.sharp()
     best = None
     for w, u in images:
-        grad = u.scale(lam.lc) + l0s.scale(chi.chi_d)
+        grad = u.scale(lam.lc) + lam.l0.scale(chi.chi_d)
         if any(pairing(grad, b) for b in basis):
             agree = _oracle_detects_divergence(spec, lam, chi, oracle_bound) if with_oracle else None
             return EnergyReport(False, None, None, agree, bounds)
-        val = _orbit_value(lam, chi, u, CartanVector(()))
+        val = _orbit_value(lam, chi, u, CartanVector())
         if best is None or val < best[0]:
-            best = (val, AffWeylElement(Translation(CartanVector(())), w))
+            best = (val, AffWeylElement(Translation(CartanVector()), w))
     minimum, witness = best
     agreement = None
     if with_oracle:
@@ -336,13 +312,13 @@ def _oracle_minimum(spec, lam, chi, bound, jobs=1) -> Fraction:
     """
     rank = spec.base.rank
     basis = translation_lattice(spec)
-    den = lcm(*(x.denominator for b in basis for _, x in b.coords))
-    l0s = lam.l0.sharp()
+    rows, den = common_rows(basis, rank)  # y = sum m_i rows_i / den
     quad = lam.lc * chi.chi_d / (den * den)  # per unit of |den * y|^2
     tasks = []
     for _, u in _distinct_images(finite_weyl_group(spec.lars, rank), chi.chi0_sharp):
-        grad = u.scale(lam.lc) + l0s.scale(chi.chi_d)
-        tasks.append(([2 * pairing(grad, b) for b in basis], 2 * pairing(l0s, u - chi.chi0_sharp)))
+        grad = u.scale(lam.lc) + lam.l0.scale(chi.chi_d)
+        kappa = 2 * pairing(lam.l0, u - chi.chi0_sharp)
+        tasks.append(([2 * pairing(grad, b) for b in basis], kappa))
     scale = lcm(quad.denominator, *(q.denominator for betas, kappa in tasks for q in (*betas, kappa)))
     a = int(quad * scale)
     int_tasks = [([int(q * scale) for q in betas], int(kappa * scale)) for betas, kappa in tasks]
@@ -350,8 +326,8 @@ def _oracle_minimum(spec, lam, chi, bound, jobs=1) -> Fraction:
     # |den * y|^2 over the box, built once; sliced by the last coefficient
     width = 2 * bound + 1
     norms = [0] * width ** len(basis)
-    for j in range(1, rank + 1):
-        col = _box_sums([int(b[j] * den) for b in basis], bound)
+    for column in zip(*rows):
+        col = _box_sums(column, bound)
         norms = [n + x * x for n, x in zip(norms, col)]
     slices = [[a * n for n in norms[i::width]] for i in range(width)]
 
@@ -413,9 +389,7 @@ def theorem_b_pipeline(
         raise ValueError("the central value of the weight must be nonzero")
     if require_integral and not is_integral(src, lam, residues=lambda a: mode_class(cert, a)):
         raise ValueError("the weight is not integral on the twisted side")
-    total = cert.mu + nu
-    lam_shifted = Weight(lam.lc, lam.l0 - total.scale(lam.lc), lam.ld)
-    chi = Character(Fraction(0), (nu_prime + cert.mu).sharp(), Fraction(1))
     dst = standard_spec(cert.lars, cert.rank)
+    lam_shifted, chi = slant_shift(lam, character_of(dst, nu, nu_prime), cert.mu + nu)
     report = min_energy(dst, lam_shifted, chi, oracle_bound=oracle_bound, with_oracle=with_oracle)
     return report, cert

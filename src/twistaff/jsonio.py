@@ -1,6 +1,7 @@
 """JSON encoding shared by the CLI and the serialization round-trip tests.
 
-Rationals travel as strings "p/q" in lowest terms; cyclotomic scalars as
+Rationals travel as strings "p/q" in lowest terms (integers are accepted on
+input, everything else is refused by `rational_from_json`); cyclotomic scalars as
 {"conductor": L, "coeffs": [...]} in the power basis; matrices as nested
 row lists.  Every report carries a "schema": "v1" marker.
 """
@@ -9,13 +10,27 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .cyclo import Cyc, conductor_degree
 
 
 def cyc_to_json(c: Cyc) -> dict:
     return {"conductor": c.L, "coeffs": [str(Fraction(n, c.den)) for n in c.num]}
+
+
+def rational_from_json(value, where: str) -> Fraction:
+    """A JSON integer or "p/q" string as a Fraction; anything else raises IOError naming it."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is not str:
+        raise IOError(f"{where}: rationals are integers or 'p/q' strings, got {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise IOError(f"{where}: zero denominator in {value!r}") from None
+    except ValueError as exc:
+        raise IOError(f"{where}: {exc}") from None
 
 
 def cyc_from_json(obj) -> Cyc:
@@ -29,18 +44,9 @@ def cyc_from_json(obj) -> Cyc:
     phi = conductor_degree(L)
     if not isinstance(coeffs, list) or len(coeffs) != phi:
         raise IOError(f"{where}: conductor {L} needs {phi} coefficients, got {coeffs!r}")
-    if any(type(x) not in (int, str) for x in coeffs):
-        raise IOError(f"{where}: coefficients must be integers or 'p/q' strings, got {coeffs!r}")
-    try:
-        fracs = [Fraction(x) for x in coeffs]
-    except ZeroDivisionError as exc:
-        raise IOError(f"{where}: zero denominator in {coeffs!r}") from exc
-    except ValueError as exc:
-        raise IOError(f"{where}: {exc}") from exc
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return Cyc(L, tuple(int(f * den) for f in fracs), den)
+    fracs = [rational_from_json(x, where) for x in coeffs]
+    den = lcm(*(f.denominator for f in fracs))
+    return Cyc(L, tuple(f.numerator * (den // f.denominator) for f in fracs), den)
 
 
 def mat_to_json(m) -> list:

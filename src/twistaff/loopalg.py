@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .affine import AffinisationSpec
 from .cyclo import (
@@ -40,13 +39,6 @@ class LoopElement:
     def __post_init__(self):
         pruned = tuple(sorted((int(n), m) for n, m in self.terms if not mat_is_zero(m)))
         object.__setattr__(self, "terms", pruned)
-
-    @staticmethod
-    def from_dict(d: dict) -> "LoopElement":
-        return LoopElement(tuple(d.items()))
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
 
     def modes(self) -> tuple:
         return tuple(n for n, _ in self.terms)
@@ -164,37 +156,25 @@ def _conductor_of(*items) -> int:
     raise ValueError("cannot infer a conductor from zero loop elements")
 
 
-def _slant_values(model: StandardModel, nu: Functional) -> tuple:
-    """nu evaluated on the weight of each basis vector; entry weights difference these."""
-    vals = []
-    for a in range(model.dim):
-        w = model.weight_of_basis(a)
-        if w > 0:
-            vals.append(nu[w])
-        elif w < 0:
-            vals.append(-nu[-w])
-        else:
-            vals.append(Fraction(0))
-    return tuple(vals)
-
-
 def _derivation(spec: AffinisationSpec, nu: Functional, L: int, scale: Cyc | None = None):
     """The map (n, m) -> scale * D(m) of the nu-diagonal derivation D on mode n.
 
     D multiplies the entry (r, c) of a mode-n matrix by i (n/N + w_r - w_c),
-    where w are the slant values of the basis vectors.  Over one common
-    denominator Q that factor is i k / Q with the integer k = nQ/N + Qw_r - Qw_c,
-    and each distinct factor (times ``scale``) is built once.
+    where w are the slant values of the basis vectors.  With the integer
+    numerators W = nu.den * w that factor is i k / Q for Q = N nu.den and the
+    integer k = n nu.den + N W_r - N W_c, and each distinct factor (times
+    ``scale``) is built once.
     """
-    vals = _slant_values(_model_of(spec), nu)
-    N = spec.twist_order
-    Q = lcm(N, *(v.denominator for v in vals))
-    w = [int(v * Q) for v in vals]
+    model, N = _model_of(spec), spec.twist_order
+    Q = N * nu.den
+    padded = (0, *nu.num, *(0,) * model.dim)  # padded[j] = nu.den * nu_j for j >= 1
+    weights = map(model.weight_of_basis, range(model.dim))
+    w = [N * padded[x] if x >= 0 else -N * padded[-x] for x in weights]
     unit = Cyc.i(L) if scale is None else Cyc.i(L) * scale
     factors: dict[int, Cyc] = {}
 
     def derive(n: int, m: Matrix) -> Matrix:
-        shift = n * Q // N
+        shift = n * nu.den
         rows = []
         for wr, row in zip(w, m):
             out = []

@@ -1,15 +1,25 @@
 """Finite-rank locally finite root systems of types A, B, C, D.
 
-Everything lives in exact rational coordinates: roots in the epsilon-basis
-of the dual, Cartan vectors in the orthonormal E-basis, with the transport
-map eps_j -> E_j realising the duality.  All values are immutable.
+Roots are sparse integer vectors in the epsilon-basis of the dual.  Cartan
+vectors, functionals and the finite parts of weights share one exact vector
+type, `CartanVector`, stored like `cyclo.Cyc`: a dense integer tuple (index j
+at position j - 1, trailing zeros dropped) over one positive denominator in
+lowest terms.  The E-basis is orthonormal, so the transport eps_j -> E_j is
+the identity on coordinates and `Functional` names the same class.  Sums,
+scalings, pairings and signed permutations compute in integers; all values
+are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import gcd, lcm
+from operator import mul
+
+from .jsonio import rational_from_json
 
 KINDS = ("A", "B", "C", "D")
 
@@ -56,13 +66,6 @@ class Root:
         if len(self.coeffs) == 2 and any(abs(c) == 2 for _, c in self.coeffs):
             raise ValueError(f"not a type A-D root pattern: {self.coeffs}")
 
-    @staticmethod
-    def from_dict(d) -> "Root":
-        return Root(tuple((int(j), int(c)) for j, c in d.items()))
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def __neg__(self) -> "Root":
         return Root(tuple((j, -c) for j, c in self.coeffs))
 
@@ -70,7 +73,12 @@ class Root:
         return tuple(j for j, _ in self.coeffs)
 
     def functional(self) -> "Functional":
-        return Functional(tuple((j, Fraction(c)) for j, c in self.coeffs))
+        """The root as a functional; built once per root."""
+        return self._functional
+
+    @cached_property
+    def _functional(self) -> "Functional":
+        return Functional(self.coeffs)
 
     def belongs_to(self, system: RootSystem) -> bool:
         if any(j > system.rank for j, _ in self.coeffs):
@@ -92,122 +100,153 @@ class Root:
         return Root(tuple((int(j), int(c)) for j, c in obj["coeffs"].items()))
 
 
-def _sparse_add(a: tuple, b: tuple) -> tuple:
-    out = dict(a)
-    for j, v in b:
-        out[j] = out.get(j, 0) + v
-    return tuple(sorted((j, v) for j, v in out.items() if v))
+class CartanVector:
+    """An exact rational vector indexed by 1..rank: coordinate j is num[j - 1] / den.
 
+    The form is canonical (trailing zeros dropped, den > 0 and coprime to the
+    entries), so equal vectors have equal num, den and hash, and zero is
+    ((), 1).  Arithmetic and pairings run in integers.
+    """
 
-class _SparseQVector:
-    """Shared behaviour of exact sparse rational vectors indexed by 1..rank."""
+    __slots__ = ("num", "den")
 
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        if isinstance(coords, dict):
-            coords = coords.items()
-        converted = ((int(j), Fraction(v)) for j, v in coords)
-        object.__setattr__(self, "coords", tuple(sorted(jv for jv in converted if jv[1])))
-        for j, _ in self.coords:
-            if j < 1:
-                raise ValueError("indices are 1-based")
+    def __new__(cls, coords=()):
+        """From a dict or (index, value) pairs of rationals."""
+        coords = {int(j): Fraction(v) for j, v in dict(coords).items()}
+        if any(j < 1 for j in coords):
+            raise ValueError("indices are 1-based")
+        den = lcm(*(v.denominator for v in coords.values()))
+        num = [0] * max(coords, default=0)
+        for j, v in coords.items():
+            num[j - 1] = v.numerator * (den // v.denominator)
+        return int_vector(num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
+
+    @property
+    def coords(self) -> tuple:
+        """The nonzero coordinates as sorted (index, Fraction) pairs."""
+        return tuple((j, Fraction(x, self.den)) for j, x in enumerate(self.num, 1) if x)
 
     def as_dict(self) -> dict:
         return dict(self.coords)
 
     def __getitem__(self, j: int) -> Fraction:
-        for k, v in self.coords:
-            if k == j:
-                return v
-        return Fraction(0)
+        return Fraction(self.num[j - 1], self.den) if 0 < j <= len(self.num) else Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.coords
+        return not self.num
 
     def support(self) -> tuple:
-        return tuple(j for j, _ in self.coords)
+        return tuple(j for j, x in enumerate(self.num, 1) if x)
 
     def __eq__(self, other):
-        return type(self) is type(other) and self.coords == other.coords
+        return type(other) is CartanVector and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((type(self).__name__, self.coords))
+        return hash((self.num, self.den))
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self)(_sparse_add(self.coords, other.coords))
+        return combine(self, 1, other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return combine(self, 1, other, -1)
 
     def __neg__(self):
-        return type(self)(tuple((j, -v) for j, v in self.coords))
+        return int_vector([-x for x in self.num], self.den)
 
     def scale(self, c):
-        c = Fraction(c)
-        return type(self)(tuple((j, c * v) for j, v in self.coords))
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return int_vector([c.numerator * x for x in self.num], self.den * c.denominator)
+
+    def sharp(self) -> "CartanVector":
+        """The transport eps_j -> E_j: the E-basis is orthonormal, so the vector itself."""
+        return self
+
+    def __call__(self, h: "CartanVector") -> Fraction:
+        return pairing(self, h)
 
     def __repr__(self):
-        if not self.coords:
-            return f"{type(self).__name__}(0)"
-        body = " + ".join(f"{v}*[{j}]" for j, v in self.coords)
-        return f"{type(self).__name__}({body})"
+        return "CartanVector(" + (" + ".join(f"{v}*[{j}]" for j, v in self.coords) or "0") + ")"
 
     def to_json(self):
         return {"coords": {str(j): str(v) for j, v in self.coords}}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple((int(j), Fraction(v)) for j, v in obj["coords"].items()))
+    @staticmethod
+    def from_json(obj) -> "CartanVector":
+        """Parse {"coords": {"j": rational}}; a malformed index or value raises IOError (exit 2)."""
+        where = "malformed vector coordinate"
+        coords = {}
+        for j, v in obj["coords"].items():
+            index = rational_from_json(j, where)
+            if index.denominator != 1 or index < 1:
+                raise IOError(f"{where}: index {j!r} is not a positive integer")
+            coords[index.numerator] = rational_from_json(v, where)
+        return CartanVector(coords)
 
 
-class CartanVector(_SparseQVector):
-    """An element of the real Cartan model, in the orthonormal E-basis."""
+#: functionals in the epsilon-basis are Cartan vectors under the orthonormal transport
+Functional = CartanVector
 
 
-class Functional(_SparseQVector):
-    """A linear functional on the Cartan model, in the epsilon-basis."""
+def int_vector(num, den: int = 1) -> CartanVector:
+    """The vector with coordinates num[j - 1] / den, for integers num and den > 0."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    g = gcd(den, *num[:n])
+    v = object.__new__(CartanVector)
+    object.__setattr__(v, "num", tuple(x // g for x in num[:n]) if g > 1 else tuple(num[:n]))
+    object.__setattr__(v, "den", den // g)
+    return v
 
-    def sharp(self) -> CartanVector:
-        return CartanVector(self.coords)
 
-    def __call__(self, h: CartanVector) -> Fraction:
-        return pairing(self.sharp(), h)
+def combine(u: CartanVector, a: int, v: CartanVector, b: int, d: int = 1) -> CartanVector:
+    """(a u + b v) / d for integers a, b and d > 0."""
+    a, b, den = a * v.den, b * u.den, u.den * v.den * d
+    x, y = u.num, v.num
+    if len(x) < len(y):
+        x, y, a, b = y, x, b, a
+    num = [a * s + b * t for s, t in zip(x, y)]
+    num.extend(a * s for s in x[len(y):])
+    return int_vector(num, den)
+
+
+def common_rows(vectors, rank: int) -> tuple[list, int]:
+    """Integer rows of length rank and one denominator d with vectors[i] = rows[i] / d."""
+    den = lcm(*(v.den for v in vectors))
+    rows = [[x * (den // v.den) for x in v.num] + [0] * (rank - len(v.num)) for v in vectors]
+    return rows, den
 
 
 def pairing(u: CartanVector, v: CartanVector) -> Fraction:
     """The positive-definite form with p(E_j, E_k) = delta_jk."""
-    dv = dict(v.coords)
-    return sum((c * dv[j] for j, c in u.coords if j in dv), Fraction(0))
+    return Fraction(sum(map(mul, u.num, v.num)), u.den * v.den)
 
 
 def sharp(f: Functional) -> CartanVector:
-    """Transport eps_j -> E_j from functionals to Cartan vectors."""
-    return f.sharp()
+    """Transport eps_j -> E_j from functionals to Cartan vectors: the identity."""
+    return f
 
 
 def inner(a, b) -> Fraction:
     """Euclidean product of epsilon-coordinates, for roots or functionals."""
     fa = a.functional() if isinstance(a, Root) else a
     fb = b.functional() if isinstance(b, Root) else b
-    return pairing(fa.sharp(), fb.sharp())
+    return pairing(fa, fb)
 
 
 def coroot(a: Root) -> CartanVector:
     """(2 / (a,a)) times the sharp of a; the root takes value 2 on it."""
-    n = inner(a, a)
-    return a.functional().sharp().scale(Fraction(2, 1) / n)
+    f = a.functional()
+    return int_vector([2 * x for x in f.num], sum(x * x for x in f.num))
 
 
 def reflect_finite(a: Root, h: CartanVector) -> CartanVector:
     """Reflection of a Cartan vector in the hyperplane where the root vanishes."""
-    val = a.functional()(h)
-    return h - coroot(a).scale(val)
+    return h - coroot(a).scale(a.functional()(h))
 
 
 def enumerate_roots(system: RootSystem) -> list[Root]:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .affine import (
     AffineRoot,
@@ -22,8 +24,22 @@ from .affine import (
     ext_cartan_basis,
     lars_finite_parts,
     root_weight,
+    slant_shift,
+    twist_order_of,
 )
-from .rootdata import CartanVector, Functional, Root, coroot, inner, pairing, reflect_finite
+from .rootdata import (
+    CartanVector,
+    Functional,
+    Root,
+    RootSystem,
+    combine,
+    common_rows,
+    coroot,
+    inner,
+    int_vector,
+    pairing,
+    reflect_finite,
+)
 
 
 @dataclass(frozen=True)
@@ -49,9 +65,10 @@ class FiniteWeylElement:
         return len(self.perm)
 
     def apply(self, h: CartanVector) -> CartanVector:
-        return CartanVector(
-            tuple((self.perm[j - 1], self.signs[j - 1] * c) for j, c in h.coords)
-        )
+        num = [0] * self.rank
+        for j, x in enumerate(h.num):
+            num[self.perm[j] - 1] = self.signs[j] * x
+        return int_vector(num, h.den)
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
         # composition: (self * other) acts as self after other
@@ -113,9 +130,6 @@ class Translation:
 
     y: CartanVector
 
-    def __add__(self, other: "Translation") -> "Translation":
-        return Translation(self.y + other.y)
-
 
 @dataclass(frozen=True)
 class AffWeylElement:
@@ -124,7 +138,7 @@ class AffWeylElement:
 
     @staticmethod
     def identity(rank: int) -> "AffWeylElement":
-        return AffWeylElement(Translation(CartanVector(())), FiniteWeylElement.identity(rank))
+        return AffWeylElement(Translation(CartanVector()), FiniteWeylElement.identity(rank))
 
     def __mul__(self, other: "AffWeylElement") -> "AffWeylElement":
         # semidirect product: (y, w)(y', w') = (y + w.y', ww')
@@ -144,13 +158,6 @@ class AffWeylElement:
             "signs": list(self.fin.signs),
         }
 
-    @staticmethod
-    def from_json(obj) -> "AffWeylElement":
-        return AffWeylElement(
-            Translation(CartanVector.from_json(obj["translation"])),
-            FiniteWeylElement(tuple(obj["perm"]), tuple(obj["signs"])),
-        )
-
 
 # -- actions -------------------------------------------------------------
 
@@ -159,46 +166,51 @@ def translate(spec: AffinisationSpec, y, v: ExtCartanVector) -> ExtCartanVector:
     """i-picture transport of the Weyl translation along y (a vector or Translation)."""
     if isinstance(y, Translation):
         y = y.y
-    return ExtCartanVector(
-        v.z - pairing(v.h, y) + v.t * pairing(y, y) / 2,
-        v.h - y.scale(v.t),
-        v.t,
-    )
+    z = v.z - pairing(v.h, y) + v.t * pairing(y, y) / 2
+    return ExtCartanVector(z, v.h - y.scale(v.t), v.t)
 
 
 def act(spec: AffinisationSpec, w: AffWeylElement, v: ExtCartanVector) -> ExtCartanVector:
     """Unslanted action: signed permutation on H, then the translation."""
-    moved = ExtCartanVector(v.z, w.fin.apply(v.h), v.t)
-    return translate(spec, w.trans.y, moved)
+    return translate(spec, w.trans.y, ExtCartanVector(v.z, w.fin.apply(v.h), v.t))
 
 
 def act_slanted(spec: AffinisationSpec, nu: Functional, w: AffWeylElement, v: ExtCartanVector) -> ExtCartanVector:
     """nu-slanted action: the unslanted action conjugated by the shear along nu sharp."""
-    ns = nu.sharp()
-    shifted = translate(spec, -ns, v)
-    moved = act(spec, w, shifted)
-    return translate(spec, ns, moved)
+    return translate(spec, nu, act(spec, w, translate(spec, -nu, v)))
 
 
 class AffineReflection:
     """The reflection v -> v - r(v) r-check in a compact affine root r, with the spec's slant.
 
-    r as a weight and its coroot are built once per (spec, r).
+    r as a weight, r(v) = alpha(H) + shift T, and its coroot are built once
+    per (spec, r).  A reflection computes in integers and builds one
+    Fraction, the new Z.
     """
 
-    __slots__ = ("root", "coroot", "rank")
+    __slots__ = ("alpha", "shift", "coroot", "rank")
 
     def __init__(self, spec: AffinisationSpec, r: AffineRoot):
         if not r.is_compact():
             raise ValueError("cannot reflect in a non-compact root")
-        self.root = root_weight(spec, r)
+        weight = root_weight(spec, r)
+        self.alpha, self.shift = weight.l0, weight.ld
         self.coroot = affine_coroot(spec, r)
         self.rank = spec.base.rank
 
     def __call__(self, v: ExtCartanVector) -> ExtCartanVector:
-        if any(j > self.rank for j in v.h.support()):
+        h, t, s, zc = v.h, v.t, self.shift, self.coroot.z
+        if len(h.num) > self.rank:
             raise ValueError("vector support exceeds the base rank")
-        return v - self.coroot.scale(self.root(v))
+        # r(v) = p / q over the denominators of alpha(H) and shift T
+        hq, sq = self.alpha.den * h.den, s.denominator * t.denominator
+        p = sum(map(mul, self.alpha.num, h.num)) * sq + s.numerator * t.numerator * hq
+        if not p:
+            return v
+        q = hq * sq
+        zq = v.z.denominator * q * zc.denominator
+        z = Fraction(v.z.numerator * q * zc.denominator - p * zc.numerator * v.z.denominator, zq)
+        return ExtCartanVector(z, combine(h, q, self.coroot.h, -p, q), t)
 
 
 def reflect_affine(spec: AffinisationSpec, r: AffineRoot, v: ExtCartanVector) -> ExtCartanVector:
@@ -241,7 +253,7 @@ def f_word(spec: AffinisationSpec, nu: Functional, letters: list[Root], v: ExtCa
     Composing the slanted mode-0 reflections of the letters (first letter
     acting first) moves v by exactly (nu(f), -f, 0) for the returned f.
     """
-    out = CartanVector(())
+    out = CartanVector()
     nletters = len(letters)
     for s in range(nletters):
         a = letters[s]
@@ -253,66 +265,40 @@ def f_word(spec: AffinisationSpec, nu: Functional, letters: list[Root], v: ExtCa
     return out
 
 
-def translation_lattice(spec: AffinisationSpec) -> list[CartanVector]:
+def translation_lattice(spec: AffinisationSpec) -> tuple[CartanVector, ...]:
     """A Z-basis of the lattice of Weyl translation vectors for a standard spec."""
     if not spec.is_standard():
         raise ValueError("translation lattice is defined for standard specs")
+    return _translation_lattice(spec.lars, spec.base)
+
+
+@lru_cache(maxsize=None)
+def _translation_lattice(kind: str, base: RootSystem) -> tuple[CartanVector, ...]:
     gens = []
-    for a in lars_finite_parts(spec.lars, spec.base):
-        res, step = admissible_mode_step(spec.lars, a)
-        d = gcd(res, step)
-        gens.append(coroot(a).scale(Fraction(d, spec.twist_order)))
-    return _lattice_reduce(gens, spec.base.rank)
+    for a in lars_finite_parts(kind, base):
+        res, step = admissible_mode_step(kind, a)
+        gens.append(coroot(a).scale(Fraction(gcd(res, step), twist_order_of(kind))))
+    return _lattice_reduce(gens, base.rank)
 
 
-def _lattice_reduce(gens: list[CartanVector], rank: int) -> list[CartanVector]:
+def _lattice_reduce(gens: list[CartanVector], rank: int) -> tuple[CartanVector, ...]:
     """Hermite-style Z-basis of the group generated by the given vectors."""
-    # scale to integers
-    denom = 1
-    for g in gens:
-        for _, c in g.coords:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    rows = []
-    for g in gens:
-        rows.append([int(Fraction(g[j]) * denom) for j in range(1, rank + 1)])
-    # integer row reduction (Hermite normal form, no pivoting surprises needed)
+    rows, den = common_rows(gens, rank)
+    # integer row reduction: Euclid on each column, pivots made positive
     mat = [r for r in rows if any(r)]
-    basis: list[list[int]] = []
+    basis = []
     for col in range(rank):
-        pool = [r for r in mat if r[col] != 0]
-        rest = [r for r in mat if r[col] == 0]
+        pool = [r for r in mat if r[col]]
+        mat = [r for r in mat if not r[col]]
         while len(pool) > 1:
             pool.sort(key=lambda r: abs(r[col]))
-            small = pool[0]
-            new_pool = [small]
-            for r in pool[1:]:
-                q = r[col] // small[col]
-                reduced = [x - q * y for x, y in zip(r, small)]
-                if reduced[col] != 0:
-                    new_pool.append(reduced)
-                elif any(reduced):
-                    rest.append(reduced)
-            if len(new_pool) == len(pool) and all(r[col] % new_pool[0][col] == 0 for r in pool[1:]):
-                # fully reduced
-                for r in pool[1:]:
-                    q = r[col] // new_pool[0][col]
-                    reduced = [x - q * y for x, y in zip(r, new_pool[0])]
-                    if any(reduced):
-                        rest.append(reduced)
-                new_pool = [new_pool[0]]
-            pool = new_pool
-        if pool:
             piv = pool[0]
-            if piv[col] < 0:
-                piv = [-x for x in piv]
-            basis.append(piv)
-            mat = rest
-        else:
-            mat = rest
-    return [
-        CartanVector({j + 1: Fraction(row[j], denom) for j in range(rank)})
-        for row in basis
-    ]
+            reduced = [[x - r[col] // piv[col] * y for x, y in zip(r, piv)] for r in pool[1:]]
+            mat += [r for r in reduced if not r[col] and any(r)]
+            pool = [piv] + [r for r in reduced if r[col]]
+        if pool:
+            basis.append(pool[0] if pool[0][col] > 0 else [-x for x in pool[0]])
+    return tuple(int_vector(row, den) for row in basis)
 
 
 def lattice_contains(basis: list[CartanVector], y: CartanVector, rank: int) -> bool:
@@ -342,7 +328,6 @@ def unslanted_action_check(
     the nu-shifted weight on the unslanted displacement of the nu-shifted vector.
     """
     lhs = lam(act_slanted(spec, nu, w, chi) - chi)
-    lam_nu = Weight(lam.lc, lam.l0 - nu.scale(lam.lc), lam.ld)
-    chi_nu = ExtCartanVector(chi.z, chi.h + nu.sharp().scale(chi.t), chi.t)
+    lam_nu, chi_nu = slant_shift(lam, chi, nu)
     rhs = lam_nu(act(spec, w, chi_nu) - chi_nu)
     return lhs, rhs

@@ -1,14 +1,16 @@
 import json
+from random import Random
 
 import pytest
 
 from twistaff.affine import standard_spec
-from twistaff.autnorm import OperatorSpec
+from twistaff.autnorm import OperatorSpec, StandardizeError
 from twistaff.cli import main
 from twistaff.cyclo import Cyc, mat_from_rows
-from twistaff.jsonio import element_from_json, element_to_json
+from twistaff.jsonio import element_from_json, element_to_json, mat_to_json
 from twistaff.loopalg import DoubleExtElement
 from twistaff.models import standard_model
+from twistaff.sampling import random_operator
 
 
 @pytest.fixture
@@ -203,3 +205,37 @@ def test_wrongly_typed_nested_field_is_a_parse_error(tmp_path, capsys):
     path.write_text(json.dumps({"base": 5, "lars": "A1"}))
     assert run(["bracket-check", "--input", path]) == 2
     assert "malformed bracket-check input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lc, l0, message",
+    [
+        ("1", {"1": "1/0"}, "zero denominator in '1/0'"),
+        ("1/0", {}, "zero denominator in '1/0'"),
+        ("1", {"1": 0.1}, "rationals are integers or 'p/q' strings, got 0.1"),
+        ("1", {"0": "1"}, "index '0' is not a positive integer"),
+        ("1", {"x": "1"}, "Invalid literal for Fraction: 'x'"),
+        ("1", {"1": "abc"}, "Invalid literal for Fraction: 'abc'"),
+    ],
+    ids=["zero-denominator", "lc-zero-denominator", "float", "index-zero", "index-letter", "letters"],
+)
+def test_malformed_rationals_are_parse_errors(tmp_path, capsys, lc, l0, message):
+    path = tmp_path / "req.json"
+    weight = {"lc": lc, "l0": {"coords": l0}, "ld": "0"}
+    path.write_text(json.dumps({"spec": standard_spec("A1", 2).to_json(), "weight": weight}))
+    assert run(["min-energy", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_odd_quaternionic_dimension_is_refused_up_front(tmp_path, capsys):
+    L, dim = 4, 3
+    identity = tuple(tuple(Cyc.one(L) if i == k else Cyc.zero(L) for k in range(dim)) for i in range(dim))
+    with pytest.raises(StandardizeError, match="quaternionic model needs even complex dimension"):
+        OperatorSpec("H", False, dim, identity, 1)
+    with pytest.raises(StandardizeError, match="quaternionic model needs even complex dimension"):
+        random_operator(Random(0), "H", dim)
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"field": "H", "dim": dim, "order": 1, "matrix": mat_to_json(identity)}))
+    assert run(["normalize", "--input", path]) == 1
+    assert "quaternionic model needs even complex dimension" in capsys.readouterr().err

@@ -1,7 +1,11 @@
+import json
 from fractions import Fraction as Q
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistaff.rootdata import (
     CartanVector,
@@ -15,6 +19,7 @@ from twistaff.rootdata import (
     reflect_finite,
     sharp,
 )
+from twistaff.weyl import FiniteWeylElement
 
 
 def brute_force_roots(kind, n):
@@ -138,3 +143,68 @@ def test_json_round_trip():
     assert RootSystem.from_json(s.to_json()) == s
     f = Functional({1: Q(1, 2)})
     assert Functional.from_json(f.to_json()) == f
+
+
+RANK = 6
+
+
+def ref_vectors():
+    """A vector as a dict of Fractions over indices 1..RANK, zero values included."""
+    values = st.builds(Q, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 9, 12)))
+    return st.dictionaries(st.integers(1, RANK), values, max_size=RANK)
+
+
+def nonzero(ref):
+    return {j: v for j, v in ref.items() if v}
+
+
+def ref_combine(a, b, sign):
+    return nonzero({j: a.get(j, 0) + sign * b.get(j, 0) for j in set(a) | set(b)})
+
+
+def assert_canonical(v):
+    assert v.den > 0 and gcd(v.den, *v.num) == 1
+    assert not v.num or v.num[-1] != 0
+    assert v.is_zero() == (v.num == () and v.den == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ref_vectors(),
+    ref_vectors(),
+    st.builds(Q, st.integers(-6, 6), st.integers(1, 6)),
+    st.permutations(range(1, RANK + 1)),
+    st.lists(st.sampled_from((1, -1)), min_size=RANK, max_size=RANK),
+)
+def test_vector_matches_fraction_reference(a, b, c, perm, signs):
+    u, v = CartanVector(a), CartanVector(b)
+    for w in (u, v, u + v, u - v, -u, u.scale(c), u.scale(int(c))):
+        assert_canonical(w)
+    assert u.as_dict() == nonzero(a) and dict(u.coords) == nonzero(a)
+    assert all(u[j] == a.get(j, 0) for j in range(0, RANK + 2))
+    assert u.support() == tuple(sorted(nonzero(a)))
+    assert (u + v).as_dict() == ref_combine(a, b, 1)
+    assert (u - v).as_dict() == ref_combine(a, b, -1)
+    assert (-u).as_dict() == nonzero({j: -x for j, x in a.items()})
+    assert u.scale(c).as_dict() == nonzero({j: c * x for j, x in a.items()})
+    assert pairing(u, v) == sum((x * b.get(j, 0) for j, x in a.items()), Q(0))
+    w = FiniteWeylElement(tuple(perm), tuple(signs))
+    assert w.apply(u).as_dict() == nonzero({perm[j - 1]: signs[j - 1] * x for j, x in a.items()})
+    # canonical form: equal <=> same num and den <=> same reference, and equal => same hash
+    same = (u.num, u.den) == (v.num, v.den)
+    assert (u == v) == same == (nonzero(a) == nonzero(b))
+    back = (u + v) - v
+    assert back == u and hash(back) == hash(u) and (back.num, back.den) == (u.num, u.den)
+    assert (u - u).num == () and (u - u).den == 1
+    # JSON: the {"coords": {"j": "p/q"}} form, byte for byte, and back
+    text = json.dumps(u.to_json(), sort_keys=True)
+    assert text == json.dumps({"coords": {str(j): str(x) for j, x in nonzero(a).items()}}, sort_keys=True)
+    assert CartanVector.from_json(json.loads(text)) == u
+
+
+def test_vector_json_form():
+    assert CartanVector({1: Q(1, 2)}).to_json() == {"coords": {"1": "1/2"}}
+    assert CartanVector({3: Q(-4, 6), 1: 2}).to_json() == {"coords": {"1": "2", "3": "-2/3"}}
+    assert CartanVector().to_json() == {"coords": {}}
+    f = Functional({1: 1})
+    assert Functional is CartanVector and sharp(f) is f and f.sharp() is f

@@ -76,10 +76,10 @@ def test_translation_lattices():
     assert len(lat) == 1 and lat[0] in (CartanVector({1: 1, 2: -1}), CartanVector({1: -1, 2: 1}))
     # short roots in B2 contribute E_j, the doubled-period long roots a full coroot
     latB2 = translation_lattice(standard_spec("B2", 3))
-    assert latB2 == [CartanVector({1: 1}), CartanVector({2: 1}), CartanVector({3: 1})]
+    assert latB2 == (CartanVector({1: 1}), CartanVector({2: 1}), CartanVector({3: 1}))
     # odd modes of the doubled roots in BC2 contribute half a coroot
     latBC2 = translation_lattice(standard_spec("BC2", 3))
-    assert latBC2 == [CartanVector({1: Q(1, 2)}), CartanVector({2: Q(1, 2)}), CartanVector({3: Q(1, 2)})]
+    assert latBC2 == (CartanVector({1: Q(1, 2)}), CartanVector({2: Q(1, 2)}), CartanVector({3: Q(1, 2)}))
     for kind in LARS_KINDS:
         spec = standard_spec(kind, 3)
         basis = translation_lattice(spec)
