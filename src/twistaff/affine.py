@@ -76,12 +76,13 @@ class AffinisationSpec:
 
     @staticmethod
     def from_json(obj) -> "AffinisationSpec":
+        base = RootSystem.from_json(obj["base"])
         return AffinisationSpec(
-            base=RootSystem.from_json(obj["base"]),
+            base=base,
             lars=str(obj["lars"]),
             twist_order=int(obj.get("twist_order", 0)),
-            slant_mu=Functional.from_json(obj.get("slant_mu", {"coords": {}})),
-            slant_nu=Functional.from_json(obj.get("slant_nu", {"coords": {}})),
+            slant_mu=Functional.from_json(obj.get("slant_mu", {"coords": {}}), base.rank),
+            slant_nu=Functional.from_json(obj.get("slant_nu", {"coords": {}}), base.rank),
         )
 
 
@@ -149,10 +150,10 @@ class ExtCartanVector:
         return {"z": str(self.z), "h": self.h.to_json(), "t": str(self.t)}
 
     @staticmethod
-    def from_json(obj) -> "ExtCartanVector":
+    def from_json(obj, rank: int | None = None) -> "ExtCartanVector":
         where = "malformed extended Cartan vector"
         z, t = rational_from_json(obj["z"], where), rational_from_json(obj["t"], where)
-        return ExtCartanVector(z, CartanVector.from_json(obj["h"]), t)
+        return ExtCartanVector(z, CartanVector.from_json(obj["h"], rank), t)
 
 
 def _rational(x) -> Fraction:
@@ -191,10 +192,10 @@ class Weight:
         return {"lc": str(self.lc), "l0": self.l0.to_json(), "ld": str(self.ld)}
 
     @staticmethod
-    def from_json(obj) -> "Weight":
+    def from_json(obj, rank: int | None = None) -> "Weight":
         where = "malformed weight"
         lc, ld = rational_from_json(obj["lc"], where), rational_from_json(obj["ld"], where)
-        return Weight(lc, Functional.from_json(obj["l0"]), ld)
+        return Weight(lc, Functional.from_json(obj["l0"], rank), ld)
 
 
 def slant_shift(lam: Weight, chi: ExtCartanVector, nu: Functional):
@@ -224,25 +225,43 @@ def _finite_part_set(kind: str, base: RootSystem) -> frozenset:
     return frozenset(lars_finite_parts(kind, base))
 
 
-#: the admissible modes (r, s), n = r mod s, per kind and per finite-part
-#: pattern (the absolute coefficients: short, long or pair)
-_MODE_STEPS = {
-    "A1": {(1, 1): (0, 1)},
-    "B1": {(1,): (0, 1), (1, 1): (0, 1)},
-    "C1": {(2,): (0, 1), (1, 1): (0, 1)},
-    "D1": {(1, 1): (0, 1)},
-    "B2": {(1,): (0, 1), (1, 1): (0, 2)},
-    "C2": {(2,): (0, 2), (1, 1): (0, 1)},
-    "BC2": {(1,): (0, 1), (1, 1): (0, 1), (2,): (1, 2)},
-}
+def _pattern(a: Root) -> str:
+    pat = tuple(abs(c) for _, c in a.coeffs)
+    if pat == (1,):
+        return "short"
+    if pat == (2,):
+        return "long"
+    if pat == (1, 1):
+        return "pair"
+    raise ValueError(f"unexpected root pattern {a.coeffs}")
 
 
 def admissible_mode_step(kind: str, a: Root) -> tuple[int, int]:
     """The modes admissible for a finite part, as a residue class (r, s): n = r mod s."""
-    step = _MODE_STEPS.get(kind, {}).get(tuple(abs(c) for _, c in a.coeffs))
-    if step is None:
-        raise ValueError(f"{a} has no admissible modes in kind {kind}")
-    return step
+    pat = _pattern(a)
+    if kind in ("A1", "B1", "C1", "D1"):
+        ok = {"A1": ("pair",), "B1": ("short", "pair"), "C1": ("long", "pair"), "D1": ("pair",)}
+        if pat not in ok[kind]:
+            raise ValueError(f"{a} is not a root of the {kind} base system")
+        return (0, 1)
+    if kind == "B2":
+        if pat == "short":
+            return (0, 1)
+        if pat == "pair":
+            return (0, 2)
+    if kind == "C2":
+        if pat == "long":
+            return (0, 2)
+        if pat == "pair":
+            return (0, 1)
+    if kind == "BC2":
+        if pat == "short":
+            return (0, 1)
+        if pat == "pair":
+            return (0, 1)
+        if pat == "long":
+            return (1, 2)
+    raise ValueError(f"{a} has no admissible modes in kind {kind}")
 
 
 def lars_contains(kind: str, r: AffineRoot, base: RootSystem) -> bool:

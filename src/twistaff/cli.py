@@ -69,6 +69,11 @@ def _parse(parse, value, where):
         raise IOError(f"malformed {where}: {exc}") from exc
 
 
+def _vector(cls, rank):
+    """The parser of a vector-valued field whose indices must not exceed rank."""
+    return lambda value: cls.from_json(value, rank)
+
+
 def _field(obj, key, parse, where, default=None):
     """parse(obj[key]) for an object field, with an optional default for a missing one."""
     if key in obj:
@@ -146,7 +151,7 @@ def cmd_check_isom(args):
     obj = _load(args.input)
     spec = _field(obj, "operator", OperatorSpec.from_json, "check-isom input")
     cert = standardize(spec)
-    nu = _field(obj, "nu", Functional.from_json, "check-isom input", NO_COORDS)
+    nu = _field(obj, "nu", _vector(Functional, cert.rank), "check-isom input", NO_COORDS)
     src = cert.source_spec(nu)
     dst = cert.target_spec(nu)
     rng = random.Random(args.seed)
@@ -244,11 +249,12 @@ def cmd_min_energy(args):
     obj = _load(args.input)
     where = "min-energy input"
     spec = _field(obj, "spec", AffinisationSpec.from_json, where)
-    lam = _field(obj, "weight", Weight.from_json, where)
+    rank = spec.base.rank
+    lam = _field(obj, "weight", _vector(Weight, rank), where)
     if "chi" in obj:
-        chi = _field(obj, "chi", Character.from_json, where)
+        chi = _field(obj, "chi", _vector(Character, rank), where)
     else:
-        nu_prime = _field(obj, "nu_prime", Functional.from_json, where, NO_COORDS)
+        nu_prime = _field(obj, "nu_prime", _vector(Functional, rank), where, NO_COORDS)
         chi = character_of(spec, spec.slant_nu, nu_prime)
     report = min_energy(spec, lam, chi, oracle_bound=args.bound, jobs=args.jobs)
     out = {
@@ -266,9 +272,10 @@ def cmd_theorem_b(args):
     obj = _load(args.input)
     where = "theorem-b input"
     spec = _field(obj, "operator", OperatorSpec.from_json, where)
-    lam = _field(obj, "weight", Weight.from_json, where)
-    nu = _field(obj, "nu", Functional.from_json, where, NO_COORDS)
-    nu_prime = _field(obj, "nu_prime", Functional.from_json, where, NO_COORDS)
+    # the standardized rank is at most the operator's dimension
+    lam = _field(obj, "weight", _vector(Weight, spec.dim), where)
+    nu = _field(obj, "nu", _vector(Functional, spec.dim), where, NO_COORDS)
+    nu_prime = _field(obj, "nu_prime", _vector(Functional, spec.dim), where, NO_COORDS)
     report, cert = theorem_b_pipeline(
         spec, lam, nu, nu_prime, oracle_bound=args.bound,
         require_integral=not args.allow_nonintegral,

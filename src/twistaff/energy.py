@@ -53,17 +53,14 @@ class Character(ExtCartanVector):
     chi0_sharp = property(lambda self: self.h)
     chi_d = property(lambda self: self.t)
 
-    def as_vector(self) -> ExtCartanVector:
-        return ExtCartanVector(self.z, self.h, self.t)
-
     def to_json(self):
         return {"chi_c": str(self.z), "chi0_sharp": self.h.to_json(), "chi_d": str(self.t)}
 
     @staticmethod
-    def from_json(obj) -> "Character":
+    def from_json(obj, rank: int | None = None) -> "Character":
         where = "malformed character"
         chi_c, chi_d = (rational_from_json(obj[key], where) for key in ("chi_c", "chi_d"))
-        return Character(chi_c, CartanVector.from_json(obj["chi0_sharp"]), chi_d)
+        return Character(chi_c, CartanVector.from_json(obj["chi0_sharp"], rank), chi_d)
 
 
 def character_of(spec: AffinisationSpec, nu: Functional, nu_prime: Functional, chi_c=0) -> Character:
@@ -182,7 +179,12 @@ def lattice_cvp(kind: str, rank: int, target: CartanVector) -> CartanVector:
     """An exact nearest lattice vector to the target, deterministic under ties."""
     shape, scale = lattice_family(kind)
     t = [target[j] / scale for j in range(1, rank + 1)]
-    r = {"Z": _cvp_integer, "D": _cvp_checkerboard, "A": _cvp_sum_zero}[shape](t)
+    if shape == "Z":
+        r = _cvp_integer(t)
+    elif shape == "D":
+        r = _cvp_checkerboard(t)
+    else:
+        r = _cvp_sum_zero(t)
     return int_vector(r).scale(scale)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .cyclo import Cyc, conductor_degree
 
@@ -45,8 +45,10 @@ def cyc_from_json(obj) -> Cyc:
     if not isinstance(coeffs, list) or len(coeffs) != phi:
         raise IOError(f"{where}: conductor {L} needs {phi} coefficients, got {coeffs!r}")
     fracs = [rational_from_json(x, where) for x in coeffs]
-    den = lcm(*(f.denominator for f in fracs))
-    return Cyc(L, tuple(f.numerator * (den // f.denominator) for f in fracs), den)
+    den = 1
+    for f in fracs:
+        den = den * f.denominator // gcd(den, f.denominator)
+    return Cyc(L, tuple(int(f * den) for f in fracs), den)
 
 
 def mat_to_json(m) -> list:

@@ -175,15 +175,21 @@ class CartanVector:
         return {"coords": {str(j): str(v) for j, v in self.coords}}
 
     @staticmethod
-    def from_json(obj) -> "CartanVector":
-        """Parse {"coords": {"j": rational}}; a malformed index or value raises IOError (exit 2)."""
+    def from_json(obj, rank: int | None = None) -> "CartanVector":
+        """Parse {"coords": {"j": rational}} with decimal indices j, at most rank when given.
+
+        A malformed or out-of-range index or value raises IOError (exit 2);
+        input from outside passes a rank, so no index sizes an allocation.
+        """
         where = "malformed vector coordinate"
         coords = {}
-        for j, v in obj["coords"].items():
-            index = rational_from_json(j, where)
-            if index.denominator != 1 or index < 1:
+        for key, v in obj["coords"].items():
+            j = str(key)
+            if not (j.isascii() and j.isdigit()) or int(j) < 1:
                 raise IOError(f"{where}: index {j!r} is not a positive integer")
-            coords[index.numerator] = rational_from_json(v, where)
+            if rank is not None and int(j) > rank:
+                raise IOError(f"{where}: index {j!r} is above the rank {rank}")
+            coords[int(j)] = rational_from_json(v, where)
         return CartanVector(coords)
 
 

@@ -166,18 +166,24 @@ def translate(spec: AffinisationSpec, y, v: ExtCartanVector) -> ExtCartanVector:
     """i-picture transport of the Weyl translation along y (a vector or Translation)."""
     if isinstance(y, Translation):
         y = y.y
-    z = v.z - pairing(v.h, y) + v.t * pairing(y, y) / 2
-    return ExtCartanVector(z, v.h - y.scale(v.t), v.t)
+    return ExtCartanVector(
+        v.z - pairing(v.h, y) + v.t * pairing(y, y) / 2,
+        v.h - y.scale(v.t),
+        v.t,
+    )
 
 
 def act(spec: AffinisationSpec, w: AffWeylElement, v: ExtCartanVector) -> ExtCartanVector:
     """Unslanted action: signed permutation on H, then the translation."""
-    return translate(spec, w.trans.y, ExtCartanVector(v.z, w.fin.apply(v.h), v.t))
+    moved = ExtCartanVector(v.z, w.fin.apply(v.h), v.t)
+    return translate(spec, w.trans.y, moved)
 
 
 def act_slanted(spec: AffinisationSpec, nu: Functional, w: AffWeylElement, v: ExtCartanVector) -> ExtCartanVector:
     """nu-slanted action: the unslanted action conjugated by the shear along nu sharp."""
-    return translate(spec, nu, act(spec, w, translate(spec, -nu, v)))
+    shifted = translate(spec, -nu, v)
+    moved = act(spec, w, shifted)
+    return translate(spec, nu, moved)
 
 
 class AffineReflection:

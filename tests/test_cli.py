@@ -214,10 +214,15 @@ def test_wrongly_typed_nested_field_is_a_parse_error(tmp_path, capsys):
         ("1/0", {}, "zero denominator in '1/0'"),
         ("1", {"1": 0.1}, "rationals are integers or 'p/q' strings, got 0.1"),
         ("1", {"0": "1"}, "index '0' is not a positive integer"),
-        ("1", {"x": "1"}, "Invalid literal for Fraction: 'x'"),
+        ("1", {"x": "1"}, "index 'x' is not a positive integer"),
         ("1", {"1": "abc"}, "Invalid literal for Fraction: 'abc'"),
+        ("1", {"1e18": "1"}, "index '1e18' is not a positive integer"),
+        ("1", {"1000000000": "1"}, "index '1000000000' is above the rank 2"),
     ],
-    ids=["zero-denominator", "lc-zero-denominator", "float", "index-zero", "index-letter", "letters"],
+    ids=[
+        "zero-denominator", "lc-zero-denominator", "float", "index-zero", "index-letter", "letters",
+        "index-exponent", "index-above-rank",
+    ],
 )
 def test_malformed_rationals_are_parse_errors(tmp_path, capsys, lc, l0, message):
     path = tmp_path / "req.json"
@@ -226,6 +231,26 @@ def test_malformed_rationals_are_parse_errors(tmp_path, capsys, lc, l0, message)
     assert run(["min-energy", "--input", path]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_vector_indices_above_the_rank_are_parse_errors(opfile, tmp_path, capsys):
+    far = {"coords": {"1000000000": "1"}}
+    spec = standard_spec("A1", 2).to_json()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(spec, slant_mu=far)))
+    assert run(["bracket-check", "--input", path]) == 2
+    assert "index '1000000000' is above the rank 2" in capsys.readouterr().err
+    weight = {"lc": "1", "l0": {"coords": {}}, "ld": "0"}
+    chi = {"chi_c": "0", "chi0_sharp": far, "chi_d": "1"}
+    path.write_text(json.dumps({"spec": spec, "weight": weight, "chi": chi}))
+    assert run(["min-energy", "--input", path]) == 2
+    assert "is above the rank 2" in capsys.readouterr().err
+    operator = json.loads(opfile.read_text())
+    for command, key in (("theorem-b", "nu_prime"), ("check-isom", "nu")):
+        path.write_text(json.dumps({"operator": operator, "weight": weight, key: far}))
+        assert run([command, "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert "index '1000000000' is above the rank" in err and "Traceback" not in err
 
 
 def test_odd_quaternionic_dimension_is_refused_up_front(tmp_path, capsys):

@@ -96,7 +96,6 @@ def test_min_energy_above_exhaustive_rank_names_the_bound():
 
 def _box_reference(spec, lam, chi, bound):
     """Least orbit value over every finite Weyl element and every box point, via the action."""
-    chi_vec = chi.as_vector()
     basis = translation_lattice(spec)
     ys = []
     for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
@@ -107,7 +106,7 @@ def _box_reference(spec, lam, chi, bound):
     best = None
     for w in finite_weyl_group(spec.lars, spec.base.rank):
         for y in ys:
-            val = lam(act(spec, AffWeylElement(Translation(y), w), chi_vec) - chi_vec)
+            val = lam(act(spec, AffWeylElement(Translation(y), w), chi) - chi)
             if best is None or val < best:
                 best = val
     return best
@@ -195,7 +194,6 @@ def test_unslanting_preserves_the_minimum():
         # enumerate the slanted orbit over a box and compare
         from twistaff.weyl import AffWeylElement, Translation, finite_weyl_group
 
-        chi_vec = chi.as_vector()
         best = None
         basis = translation_lattice(spec)
         coeff_boxes = [range(-6, 7)] * len(basis)
@@ -207,7 +205,7 @@ def test_unslanting_preserves_the_minimum():
                 for m, b in zip(coeffs, basis):
                     y = y + b.scale(m)
                 el = AffWeylElement(Translation(y), w)
-                val = lam(act_slanted(spec, nu, el, chi_vec) - chi_vec)
+                val = lam(act_slanted(spec, nu, el, chi) - chi)
                 if best is None or val < best:
                     best = val
         assert best == rep.minimum, kind
@@ -218,7 +216,6 @@ def test_orbit_convex_combinations_dominate_minimum():
     lam = Weight(1, Functional({1: 1}), 0)
     chi = Character(0, CartanVector({2: Q(1, 2)}), 1)
     rep = min_energy(spec, lam, chi, with_oracle=False)
-    chi_vec = chi.as_vector()
     rng = random.Random(29)
     from twistaff.weyl import AffWeylElement, Translation, finite_weyl_group
 
@@ -231,8 +228,8 @@ def test_orbit_convex_combinations_dominate_minimum():
             for b in basis:
                 y = y + b.scale(rng.randint(-3, 3))
             el = AffWeylElement(Translation(y), group[rng.randrange(len(group))])
-            pts.append(act(spec, el, chi_vec))
-        mid_value = sum(lam(p - chi_vec) for p in pts) / 2
+            pts.append(act(spec, el, chi))
+        mid_value = sum(lam(p - chi) for p in pts) / 2
         assert mid_value >= rep.minimum
 
 
