@@ -55,6 +55,28 @@ def test_normalize_report_is_byte_stable(family, dim, hint, tmp_path, monkeypatc
     assert digest == DIGESTS[(family, dim, hint)]
 
 
+#: `normalize` on `random_operator(Random(seed), "C_antiunitary", dim, hint)` for the
+#: rare branches of the conjugation block decomposition
+RARE_BRANCH_DIGESTS = {
+    # isotropic search with a conductor enlargement to 272
+    (10, 5, 4): "63d7a5af7c0b272c34e3133070a7a8380a1854726430168d9642b9919b98ba50",
+    # B-plane stage with an isotropic B-orthogonalized partner (cw == 0)
+    (4, 5, 2): "b166459797664f69aad7c55ddc43f2bc820d4d8b1b8dd286259745ca4ec2817d",
+    # stage 3: pairing of conjugation-fixed vectors
+    (28, 5, 2): "8df03bde47c38d90a26dc4b6742cbe67be955747c1b69c036a5560de66d57e52",
+    # a non-rational square root found by sympy
+    (14, 5, 3): "765a127d4eabf0acfae6d861d3eb007fc871004dbd84748adb2c2d0a2ab07118",
+    (15, 4, 2): "bedf30ae97220577f8de5d9539c728583fa00ae2d9ec7378bf13304f470e4b05",
+}
+
+
+@pytest.mark.parametrize("seed,dim,hint", sorted(RARE_BRANCH_DIGESTS))
+def test_normalize_rare_branch_report_is_byte_stable(seed, dim, hint, tmp_path, monkeypatch):
+    spec = random_operator(Random(seed), "C_antiunitary", dim, order_hint=hint)
+    digest = _report_digest(tmp_path, monkeypatch, spec.to_json(), ["normalize"])
+    assert digest == RARE_BRANCH_DIGESTS[(seed, dim, hint)]
+
+
 def _report_digest(tmp_path, monkeypatch, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "req.json").write_text(json.dumps(request))
