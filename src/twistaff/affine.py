@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .jsonio import rational_from_json
+from .jsonio import int_from_json, rational_from_json
 from .rootdata import CartanVector, Functional, Root, RootSystem, coroot, enumerate_roots, inner
 
 LARS_KINDS = ("A1", "B1", "C1", "D1", "B2", "C2", "BC2")
@@ -80,7 +80,7 @@ class AffinisationSpec:
         return AffinisationSpec(
             base=base,
             lars=str(obj["lars"]),
-            twist_order=int(obj.get("twist_order", 0)),
+            twist_order=int_from_json(obj.get("twist_order", 0), "twist_order"),
             slant_mu=Functional.from_json(obj.get("slant_mu", {"coords": {}}), base.rank),
             slant_nu=Functional.from_json(obj.get("slant_nu", {"coords": {}}), base.rank),
         )

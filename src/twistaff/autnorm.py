@@ -7,6 +7,14 @@ computes the antiunitary block normal form, and assembles a certificate:
 the standard twist it untwists to, the diagonal exponents, the slant, and
 the basis change realizing everything, all in exact cyclotomic arithmetic.
 
+The R, H and antiunitary families share one normal-form walk,
+``_antilinear_blocks``: an antilinear J = u o conj (``_antilinear(u)``: the
+identity's for R, the quaternionic structure for H, the operator itself for
+the antiunitary form) pairs the eigenspaces of a finite-order linear map,
+and each self-paired eigenspace splits by the sign of J^2 into conjugation
+blocks or J-stable planes.  Every spectral sum (1/n) sum_j zeta^(-jk) x_j,
+for the eigenprojectors and for the twisted grading, is ``_spectral_part``.
+
 A certificate also carries the twisted grading it induces: for each root,
 the residues m with a nonzero (a, m) root space and matching eigenvectors
 (``mode_class_vectors``, ``mode_class``), and the graded Cartan pieces
@@ -46,7 +54,7 @@ from .cyclo import (
     sqrt_rational,
     working_conductor,
 )
-from .jsonio import cyc_to_json, mat_from_json, mat_to_json
+from .jsonio import cyc_to_json, int_from_json, mat_from_json, mat_to_json
 from .models import StandardModel, span_basis, standard_model
 from .rootdata import Functional, Root, RootSystem, inner
 
@@ -80,15 +88,16 @@ def _vec_is_zero(u):
     return all(a.is_zero() for a in u)
 
 
-def _vec_conj(u):
-    return tuple(a.conj() for a in u)
-
-
 def _mat_apply(m: Matrix, v: tuple) -> tuple:
     return tuple(
         sum((row[j] * v[j] for j in range(len(v)) if row[j] and v[j]), Cyc.zero(v[0].L))
         for row in m
     )
+
+
+def _antilinear(u: Matrix):
+    """The antilinear map v -> u conj(v)."""
+    return lambda v: _mat_apply(u, tuple(a.conj() for a in v))
 
 
 def _columns(m: Matrix) -> list:
@@ -180,12 +189,15 @@ class OperatorSpec:
 
     @staticmethod
     def from_json(obj) -> "OperatorSpec":
+        antiunitary = obj.get("antiunitary", False)
+        if type(antiunitary) is not bool:
+            raise IOError(f"operator antiunitary: expected a boolean, got {antiunitary!r}")
         return OperatorSpec(
             field=str(obj["field"]),
-            antiunitary=bool(obj.get("antiunitary", False)),
-            dim=int(obj["dim"]),
+            antiunitary=antiunitary,
+            dim=int_from_json(obj["dim"], "operator dim"),
             matrix=mat_from_json(obj["matrix"]),
-            declared_order=int(obj["order"]),
+            declared_order=int_from_json(obj["order"], "operator order"),
         )
 
 
@@ -348,30 +360,31 @@ def operator_order(spec: OperatorSpec) -> int:
 # -- eigenspace machinery ---------------------------------------------------------
 
 
+def _spectral_part(orbit, k: int) -> Matrix:
+    """(1/n) sum_j zeta^(-jk) x_j over the orbit x_j = T^j x_0 of a map T with T^n = 1:
+    the component of x_0 on which T acts by zeta^k, zeta the primitive n-th root."""
+    n = len(orbit)
+    L = orbit[0][0][0].L
+    if L % n != 0:
+        raise StandardizeError(f"conductor {L} does not contain the {n}-th roots of unity")
+    acc = orbit[0]
+    for j in range(1, n):
+        e = -j * k % n
+        acc = mat_add(acc, mat_scale(Cyc.zeta(L, e * (L // n)), orbit[j]) if e else orbit[j])
+    return mat_scale(Cyc.rational(L, Fraction(1, n)), acc)
+
+
 def eigenprojectors(a: Matrix, m: int) -> list[tuple[int, Matrix]]:
     """Exact spectral projectors of a matrix with a^m = 1; list of (exponent, projector)."""
     L = a[0][0].L
-    if L % m != 0:
-        raise StandardizeError(f"conductor {L} does not contain the {m}-th roots of unity")
     d = len(a)
     if not mat_eq(mat_pow(a, m), mat_identity(L, d)):
         raise StandardizeError("matrix does not have the stated finite order")
     powers = [mat_identity(L, d)]
     for _ in range(m - 1):
         powers.append(mat_mul(powers[-1], a))
-    inv_m = Cyc.rational(L, Fraction(1, m))
-    out = []
-    for k in range(m):
-        acc = None
-        for j in range(m):
-            term = mat_scale(Cyc.zeta(L, (-k * j * (L // m)) % L), powers[j])
-            acc = term if acc is None else tuple(
-                tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(acc, term)
-            )
-        p = mat_scale(inv_m, acc)
-        if not all(c.is_zero() for row in p for c in row):
-            out.append((k, p))
-    return out
+    projs = ((k, _spectral_part(powers, k)) for k in range(m))
+    return [(k, p) for k, p in projs if not mat_is_zero(p)]
 
 
 def eigensplit(spec: OperatorSpec) -> list[tuple[int, Matrix]]:
@@ -407,22 +420,19 @@ def _sqrt_or_enlarge(q, L):
     return None
 
 
-def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_by: bool):
-    """Exact block structure of an antilinear involution on the range of a projector.
+def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int):
+    """Exact block structure of the antilinear involution theta: v -> u conj(v) on
+    the range of a projector.
 
-    The involution theta is v -> u conj(v) when conjugate_by is set, else plain
-    entrywise conjugation.  Emits pairs (plus, minus = theta(plus)) that are
-    orthogonal with equal norms, all blocks mutually orthogonal, plus at most
-    one leftover theta-fixed vector.  A pair is valid exactly when plus is
-    isotropic for the symmetric bilinear form B(v, w) = <v, theta w>; valid
-    blocks keep later hermitian reductions B-orthogonal, so the search is a
-    sequence of in-field square-root problems.  The conductor (and u) may come
-    back enlarged when a rational square root is adjoined.
+    Emits pairs (plus, minus = theta(plus)) that are orthogonal with equal
+    norms, all blocks mutually orthogonal, plus at most one leftover
+    theta-fixed vector.  A pair is valid exactly when plus is isotropic for the
+    symmetric bilinear form B(v, w) = <v, theta w>; valid blocks keep later
+    hermitian reductions B-orthogonal, so the search is a sequence of in-field
+    square-root problems.  The conductor (and u) may come back enlarged when a
+    rational square root is adjoined.
     """
-
-    def theta(v):
-        return _mat_apply(u, _vec_conj(v)) if conjugate_by else _vec_conj(v)
-
+    theta = _antilinear(u)
     spanned: list = []  # plus and minus of each block so far, with their norms
     spanned_norms: list = []
 
@@ -431,10 +441,11 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
         spanned_norms.extend((_hdot(plus, plus), _hdot(minus, minus)))
 
     def lift_state(L2):
-        nonlocal spanned, spanned_norms, u, L
+        nonlocal spanned, spanned_norms, u, theta, L
         spanned = [_lift(b, L2) for b in spanned]
         spanned_norms = [q.lift(L2) for q in spanned_norms]
         u = mat_lift(u, L2)
+        theta = _antilinear(u)
         L = L2
 
     def hreduce(v):
@@ -603,9 +614,7 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int, conjugate_
             plus, minus = _lift(plus, L2), _lift(minus, L2)
         add_block(plus, minus)
     blocks = list(zip(spanned[::2], spanned[1::2]))
-    fixed = pool[0] if pool else None
-    fixed_norm = pool_norms[0] if pool else None
-    return blocks, fixed, fixed_norm, L, u
+    return blocks, pool[0] if pool else None, L, u
 
 
 def _pair_conjugation_fixed(g1, q1, g2, q2, L):
@@ -639,6 +648,52 @@ def _pair_conjugation_fixed(g1, q1, g2, q2, L):
         "cannot pair fixed vectors exactly: neither the ratio nor the product of "
         f"their squared norms has an exact square root in the working field or {_ENLARGEMENT}"
     )
+
+
+def _antilinear_blocks(a: Matrix, m: int, u: Matrix, L: int, minus_scale):
+    """Orthogonal column pairs (plus, minus) for J = u o conj commuting with a, a^m = 1.
+
+    J maps the zeta^k-eigenspace of a onto the zeta^-k one.  A paired eigenspace
+    (0 < 2k < m) gets an orthogonal basis with minus = c J(plus), c =
+    minus_scale(k, L).  On a self-paired one (k = 0 or 2k = m) J^2 = +-1, read
+    off one vector: J^2 = 1 gives conjugation blocks (minus = J(plus)) and at most
+    one J-fixed vector, J^2 = -1 gives J-stable planes (minus = c J(plus)).  The
+    walk takes k = 0 and m/2 first; when a conjugation block decomposition
+    enlarges the conductor, everything emitted so far is lifted with it.
+    Returns (plus, minus, exponents, norms, fixed, L), fixed mapping exponents
+    to their J-fixed vectors.
+    """
+    projs = dict(eigenprojectors(a, m))
+    plus, minus, exps, norms, fixed = [], [], [], [], {}
+    for k in sorted(projs, key=lambda k: (0 < 2 * k < m, k)):
+        if 2 * k > m:
+            continue  # the mirror of exponent m - k
+        J = _antilinear(u)
+        p = mat_lift(projs[k], L)
+        cols = _columns(p)
+        sign = 0  # J^2 on a self-paired eigenspace, read off one nonzero column
+        if 2 * k in (0, m):
+            v = next(c for c in cols if not _vec_is_zero(c))
+            sign = 1 if J(J(v)) == v else -1
+        if sign == 1:
+            blocks, fixed_vec, L2, u = _conjugation_block_decomposition(u, p, L)
+            if L2 != L:
+                plus, minus = [_lift(w, L2) for w in plus], [_lift(w, L2) for w in minus]
+                norms = [q.lift(L2) for q in norms]
+                fixed, L = {j: _lift(w, L2) for j, w in fixed.items()}, L2
+            if fixed_vec is not None:
+                fixed[k] = fixed_vec
+            basis, images = [b[0] for b in blocks], [b[1] for b in blocks]
+            qs = [_hdot(w, w) for w in basis]
+        else:
+            basis, qs = _gram_schmidt(cols, J if sign else None)
+            c = minus_scale(k, L)
+            images = [_vec_scale(c, J(w)) for w in basis]
+        plus += basis
+        minus += images
+        exps += [k] * len(basis)
+        norms += qs
+    return plus, minus, exps, norms, fixed, L
 
 
 def _assemble_columns(plus, minus, exponents, norms, middle, middle_norms, d):
@@ -680,11 +735,10 @@ class AntiunitaryBlockForm:
     col_norms: tuple
     conductor: int
 
-    def reconstruct_linear_part(self) -> Matrix:
-        """U with A = U o conj in the block basis, transported to input coordinates."""
+    def block_matrix(self) -> Matrix:
+        """Std with A(V w) = V Std conj(w): the block phases, and 1 at the fixed column."""
         L = self.conductor
         d = len(self.basis_change)
-        cols = _columns(self.basis_change)
         std = [[Cyc.zero(L)] * d for _ in range(d)]
         zeta = L // (2 * self.half_order)
         for n, pc, mc in self.blocks:
@@ -692,9 +746,13 @@ class AntiunitaryBlockForm:
             std[pc][mc] = Cyc.zeta(L, (n * zeta) % L)
         if self.fixed_col is not None:
             std[self.fixed_col][self.fixed_col] = Cyc.one(L)
+        return tuple(tuple(r) for r in std)
+
+    def reconstruct_linear_part(self) -> Matrix:
+        """U with A = U o conj in the block basis, transported to input coordinates."""
         v = self.basis_change
         # A(V w) = V Std conj(w)  =>  U = V Std conj(V)^-1
-        return mat_mul(mat_mul(v, tuple(tuple(r) for r in std)), mat_inverse(mat_conj(v)))
+        return mat_mul(mat_mul(v, self.block_matrix()), mat_inverse(mat_conj(v)))
 
 
 def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
@@ -707,58 +765,17 @@ def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
     L = working_conductor(m_op, sqrt2=True)
     L = L * spec.conductor // gcd(L, spec.conductor)
     u = mat_lift(spec.matrix, L)
-    d = spec.dim
 
-    def apply_a(v):
-        return _mat_apply(u, _vec_conj(v))
+    def minus_scale(n, L):
+        # i on the J^2 = -1 eigenspace, zeta^n, zeta the primitive 2N-th root, on a pair
+        return Cyc.i(L) if 2 * n == half else Cyc.zeta(L, n * (L // (2 * half)) % L)
 
-    asq = mat_mul(u, mat_conj(u))
-    projs = dict(eigenprojectors(asq, half))
-
-    plus_cols: list = []
-    minus_cols: list = []
-    exponents: list[int] = []
-    norms_plus: list = []
-    middle, middle_norms = [], []
-
-    def push(basis, norms, n, z):
-        """Blocks (v, z A v) at exponent n for the orthogonal vectors v."""
-        for v, q in zip(basis, norms):
-            plus_cols.append(v)
-            minus_cols.append(_vec_scale(z, apply_a(v)))
-            exponents.append(n)
-            norms_plus.append(q)
-
-    # eigenvalue 1 of A^2: A acts as a conjugation; extract blocks and fixed vectors
-    if 0 in projs:
-        blocks1, fixed_vec, fixed_norm, L, u = _conjugation_block_decomposition(
-            u, mat_lift(projs[0], L), L, conjugate_by=True
-        )
-        projs = {k: mat_lift(p, L) for k, p in projs.items()}
-        for plus, minus in blocks1:
-            plus_cols.append(plus)
-            minus_cols.append(minus)
-            exponents.append(0)
-            norms_plus.append(_hdot(plus, plus))
-        if fixed_vec is not None:
-            middle, middle_norms = [fixed_vec], [fixed_norm]
-
-    # eigenvalue -1 of A^2: pair v with i * A v
-    if half % 2 == 0 and half // 2 in projs:
-        basis, qs = _gram_schmidt(_columns(projs[half // 2]), sigma=apply_a)
-        push(basis, qs, half // 2, Cyc.i(L))
-
-    # paired eigenvalues zeta^(2n), zeta^(-2n) for 0 < n < half/2
-    for n in range(1, (half + 1) // 2):
-        if n not in projs:
-            continue
-        if (half - n) % half not in projs:
-            raise StandardizeError("unpaired eigenvalue: operator is not antiunitary-consistent")
-        basis, qs = _gram_schmidt(_columns(projs[n]))
-        push(basis, qs, n, Cyc.zeta(L, (n * (L // (2 * half))) % L))
-
+    plus_cols, minus_cols, exponents, norms_plus, fixed, L = _antilinear_blocks(
+        mat_mul(u, mat_conj(u)), half, u, L, minus_scale
+    )
+    middle = [fixed[0]] if fixed else []
     order, basis_change, col_norms = _assemble_columns(
-        plus_cols, minus_cols, exponents, norms_plus, middle, middle_norms, d
+        plus_cols, minus_cols, exponents, norms_plus, middle, [_hdot(v, v) for v in middle], spec.dim
     )
     r = len(order)
     blocks = tuple((exponents[i], pos, r + len(middle) + pos) for pos, i in enumerate(order))
@@ -770,35 +787,17 @@ def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
         col_norms=col_norms,
         conductor=L,
     )
-    _check_antiunitary_form(u, form)
+    _check_antiunitary_form(mat_lift(u, L), form)
     return form
 
 
 def _check_antiunitary_form(u: Matrix, form: AntiunitaryBlockForm) -> None:
-    """Round-trip: the operator acts on the emitted columns exactly as the blocks state."""
-    L = form.conductor
-    cols = _columns(form.basis_change)
-    zeta = L // (2 * form.half_order)
-
-    def apply_a(v):
-        return _mat_apply(u, _vec_conj(v))
-
-    for n, pc, mc in form.blocks:
-        want_m = _vec_scale(Cyc.zeta(L, (-n * zeta) % L), cols[mc])
-        if not _vec_is_zero(_vec_sub(apply_a(cols[pc]), want_m)):
-            raise StandardizeError("block reconstruction mismatch (plus column)")
-        want_p = _vec_scale(Cyc.zeta(L, (n * zeta) % L), cols[pc])
-        if not _vec_is_zero(_vec_sub(apply_a(cols[mc]), want_p)):
-            raise StandardizeError("block reconstruction mismatch (minus column)")
-    if form.fixed_col is not None:
-        v = cols[form.fixed_col]
-        if not _vec_is_zero(_vec_sub(apply_a(v), v)):
-            raise StandardizeError("fixed vector is not fixed")
-    # orthogonality of all columns
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            if _hdot(cols[i], cols[j]):
-                raise StandardizeError("basis columns are not orthogonal")
+    """Round trip: u conj(V) = V Std for the block matrix Std, and V has orthogonal
+    columns with the recorded norms."""
+    v = form.basis_change
+    if not mat_eq(mat_mul(u, mat_conj(v)), mat_mul(v, form.block_matrix())):
+        raise StandardizeError("block reconstruction mismatch: u conj(V) != V Std")
+    _check_columns(v, form.col_norms)
 
 
 # -- the standardization certificate -----------------------------------------------
@@ -831,7 +830,6 @@ class StandardizationCertificate:
     operator_order: int
     exp_denominator: int
     conductor: int
-    lifted_matrix: Matrix  # the finite-order operator actually standardized (input coords)
     negated: bool = False
 
     @property
@@ -976,11 +974,10 @@ def _collect_certificate(
         operator_order=operator_order,
         exp_denominator=exp_denominator,
         conductor=L,
-        lifted_matrix=lifted,
         negated=negated,
     )
     _check_reconstruction(cert, mat_lift(lifted, L))
-    _check_columns(cert)
+    _check_columns(basis_change, col_norms)
     return cert
 
 
@@ -993,18 +990,16 @@ def _check_reconstruction(cert: StandardizationCertificate, u: Matrix) -> None:
         raise StandardizeError("reconstruction failed: operator != basis_change * standard form")
 
 
-def _check_columns(cert: StandardizationCertificate) -> None:
-    """The basis change has orthogonal columns with the recorded positive real squared norms."""
-    L = cert.conductor
-    v = cert.basis_change
+def _check_columns(v: Matrix, col_norms: tuple) -> None:
+    """The basis change v has orthogonal columns with the recorded positive real squared norms."""
     gram = mat_mul(mat_conj_transpose(v), v)
     d = len(v)
     for i in range(d):
         for j in range(d):
-            want = cert.col_norms[i] if i == j else Cyc.zero(L)
+            want = col_norms[i] if i == j else Cyc.zero(v[0][0].L)
             if not (gram[i][j] == want):
                 raise StandardizeError("basis columns are not orthogonal with recorded norms")
-        if not cert.col_norms[i].is_real() or cert.col_norms[i].is_zero():
+        if not col_norms[i].is_real() or col_norms[i].is_zero():
             raise StandardizeError("column norm is not a positive real")
 
 
@@ -1045,25 +1040,14 @@ def _standardize_c_unitary(spec: OperatorSpec) -> StandardizationCertificate:
     )
 
 
+def _unit_scale(k: int, L: int) -> Cyc:
+    return Cyc.one(L)
+
+
 def _standardize_h(spec: OperatorSpec) -> StandardizationCertificate:
     m, L, a = _working_form(spec)
     t = quaternionic_structure(L, spec.dim)
-
-    def sigma(v):
-        return _mat_apply(t, _vec_conj(v))
-
-    plus, minus, exps, norms = [], [], [], []
-    projs = dict(eigenprojectors(a, m))
-    for k in sorted(projs):
-        if 2 * k > m:
-            continue  # mirror of a smaller exponent
-        # a quaternionic eigenspace (k = 0 or m/2) splits into sigma-stable planes
-        quaternionic = k == 0 or 2 * k == m
-        basis, qs = _gram_schmidt(_columns(projs[k]), sigma if quaternionic else None)
-        plus += basis
-        minus += [sigma(v) for v in basis]
-        exps += [k] * len(basis)
-        norms += qs
+    plus, minus, exps, norms, _, L = _antilinear_blocks(a, m, t, L, _unit_scale)
     return _collect_certificate(
         spec, "H", "identity", "C1",
         plus, minus, [], exps, norms, [], L, m, m, a,
@@ -1073,25 +1057,11 @@ def _standardize_h(spec: OperatorSpec) -> StandardizationCertificate:
 
 def _standardize_r(spec: OperatorSpec, negated: bool = False) -> StandardizationCertificate:
     m, L, a = _working_form(spec)
-    d = spec.dim
-    projs = dict(eigenprojectors(a, m))
-
-    def real_blocks(k):
-        """Conjugate column pairs and the real leftover within a real eigenspace."""
-        nonlocal L, a, projs
-        if k not in projs:
-            return [], None
-        blocks, fixed, _, L2, _ = _conjugation_block_decomposition(
-            mat_identity(L, d), mat_lift(projs[k], L), L, conjugate_by=False
-        )
-        if L2 != L:
-            a = mat_lift(a, L2)
-            projs = {kk: mat_lift(pp, L2) for kk, pp in projs.items()}
-            L = L2
-        return blocks, fixed
-
-    plus_pairs, s_plus = real_blocks(0)
-    minus_pairs, s_minus = (real_blocks(m // 2) if m % 2 == 0 else ([], None))
+    plus, minus, exps, norms, fixed, L = _antilinear_blocks(
+        a, m, mat_identity(L, spec.dim), L, _unit_scale
+    )
+    s_plus = fixed.get(0)
+    s_minus = fixed.get(m // 2) if m % 2 == 0 else None
     if s_plus is None and s_minus is not None:
         if negated:
             raise StandardizeError("sign normalization did not converge")
@@ -1100,23 +1070,7 @@ def _standardize_r(spec: OperatorSpec, negated: bool = False) -> Standardization
             OperatorSpec(spec.field, False, spec.dim, neg, spec.declared_order), negated=True
         )
 
-    plus, minus, exps, norms = [], [], [], []
-    for k, pairs in ((0, plus_pairs), (m // 2, minus_pairs)):
-        for vp, vm in pairs:
-            vp = _lift(vp, L)
-            plus.append(vp)
-            minus.append(_lift(vm, L))
-            exps.append(k)
-            norms.append(_hdot(vp, vp))
-    for k in sorted(projs):
-        if 0 < 2 * k < m:
-            basis, qs = _gram_schmidt(_columns(mat_lift(projs[k], L)))
-            plus += basis
-            minus += [_vec_conj(v) for v in basis]
-            exps += [k] * len(basis)
-            norms += qs
-
-    zero_cols = [_lift(v, L) for v in (s_plus, s_minus) if v is not None]
+    zero_cols = [v for v in (s_plus, s_minus) if v is not None]
     partition = [("rotation_pairs", len(plus))]
     if s_plus is not None and s_minus is not None:
         psi_kind, lars = "standard_B", "B2"
@@ -1181,6 +1135,14 @@ def _phi_tilde_inverse(cert: StandardizationCertificate, x: Matrix) -> Matrix:
         return cert.model.psi_tilde(inner_mat)
     dhat = cert.standard_linear_matrix(L)
     return mat_mul(mat_mul(mat_conj_transpose(dhat), x), dhat)
+
+
+def _phi_tilde_orbit(cert: StandardizationCertificate, x: Matrix) -> list:
+    """x, phi~^-1(x), phi~^-2(x), ... up to the automorphism order."""
+    orbit = [x]
+    for _ in range(1, cert.orders[0]):
+        orbit.append(_phi_tilde_inverse(cert, orbit[-1]))
+    return orbit
 
 
 def _roots_of_unity(cert: StandardizationCertificate) -> list[Cyc]:
@@ -1251,26 +1213,15 @@ def cartan_mode_vectors(cert: StandardizationCertificate) -> tuple:
     pieces = cert.grading.get(None)
     if pieces is not None:
         return pieces
-    lams = _roots_of_unity(cert)
-    n_phi = len(lams)
     L = cert.conductor
     model = cert.model
     diagonal = (model.algebra_project(model.basis_matrix(L, i, i)) for i in range(model.dim))
-    orbits = []  # b, phi~^-1(b), phi~^-2(b), ... for each Cartan basis element b
-    for b in span_basis(diagonal):
-        orbit = [b]
-        for _ in range(1, n_phi):
-            orbit.append(_phi_tilde_inverse(cert, orbit[-1]))
-        orbits.append(orbit)
-    scale = Cyc.rational(L, Fraction(1, n_phi))
+    orbits = [_phi_tilde_orbit(cert, b) for b in span_basis(diagonal)]
     out = []
-    for m in range(n_phi):
+    for m in range(cert.orders[0]):
         # project each basis element onto the eigenvalue-zeta^m component of phi~^-1
         for orbit in orbits:
-            acc = orbit[0]
-            for j in range(1, n_phi):
-                acc = mat_add(acc, mat_scale(lams[m * j % n_phi], orbit[j]))
-            acc = mat_scale(scale, acc)
+            acc = _spectral_part(orbit, -m)
             if not mat_is_zero(acc):
                 out.append((m, acc))
     pieces = cert.grading[None] = tuple(out)
@@ -1313,7 +1264,7 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         return "exact"
 
     def check_columns():
-        _check_columns(cert)
+        _check_columns(cert.basis_change, cert.col_norms)
         return f"{len(cert.basis_change)} columns"
 
     def check_one_parameter():
@@ -1346,7 +1297,7 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
                     if fixed_by == "psi":
                         fixed.append(model.mode_project(unit, 0))
                     else:
-                        fixed.append(_phi_tilde_fixed_project(cert, unit))
+                        fixed.append(_spectral_part(_phi_tilde_orbit(cert, unit), 0))
             return len(span_basis(fixed))
 
         for tag in ("psi", "phi"):
@@ -1394,15 +1345,3 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
     record("declared_order", check_declared)
     record("mode_integrality", check_mode_integrality)
     return VerificationReport(tuple(items))
-
-
-def _phi_tilde_fixed_project(cert: StandardizationCertificate, x: Matrix) -> Matrix:
-    """Average of x over the automorphism's powers (projection onto the fixed algebra)."""
-    n_phi = cert.orders[0]
-    L = x[0][0].L
-    acc = x
-    cur = x
-    for _ in range(n_phi - 1):
-        cur = _phi_tilde_inverse(cert, cur)
-        acc = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(acc, cur))
-    return mat_scale(Cyc.rational(L, Fraction(1, n_phi)), acc)

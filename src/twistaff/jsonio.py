@@ -19,6 +19,13 @@ def cyc_to_json(c: Cyc) -> dict:
     return {"conductor": c.L, "coeffs": [str(Fraction(n, c.den)) for n in c.num]}
 
 
+def int_from_json(value, where: str) -> int:
+    """A JSON integer (not a boolean); anything else raises IOError naming it."""
+    if type(value) is not int:
+        raise IOError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def rational_from_json(value, where: str) -> Fraction:
     """A JSON integer or "p/q" string as a Fraction; anything else raises IOError naming it."""
     if type(value) is int:

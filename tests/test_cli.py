@@ -264,3 +264,37 @@ def test_odd_quaternionic_dimension_is_refused_up_front(tmp_path, capsys):
     path.write_text(json.dumps({"field": "H", "dim": dim, "order": 1, "matrix": mat_to_json(identity)}))
     assert run(["normalize", "--input", path]) == 1
     assert "quaternionic model needs even complex dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("antiunitary", "false", "operator antiunitary: expected a boolean, got 'false'"),
+        ("dim", "x", "operator dim: expected an integer, got 'x'"),
+        ("dim", 3.9, "operator dim: expected an integer, got 3.9"),
+        ("order", 2.5, "operator order: expected an integer, got 2.5"),
+        ("order", True, "operator order: expected an integer, got True"),
+    ],
+    ids=["antiunitary-string", "dim-string", "dim-float", "order-float", "order-bool"],
+)
+def test_wrongly_typed_operator_fields_are_parse_errors(opfile, capsys, field, value, message):
+    opfile.write_text(json.dumps(dict(json.loads(opfile.read_text()), **{field: value})))
+    assert run(["normalize", "--input", opfile]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"base": {"kind": "A", "rank": 2.0}}, "root system rank: expected an integer, got 2.0"),
+        ({"twist_order": "1"}, "twist_order: expected an integer, got '1'"),
+    ],
+    ids=["rank-float", "twist-order-string"],
+)
+def test_wrongly_typed_spec_fields_are_parse_errors(tmp_path, capsys, change, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(standard_spec("A1", 2).to_json(), **change)))
+    assert run(["bracket-check", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

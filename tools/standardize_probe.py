@@ -3,14 +3,15 @@
     PYTHONPATH=src python3 tools/standardize_probe.py
 
 Every operator is `random_operator(random.Random(seed), family, dim, hint)` for
-seeds 0-47, the four families, dims 2-7 and order hints 2, 3, 4 and 6 (4608
-operators).  `standardize` and `verify_certificate` run under a per-operator
+seeds 0-47, the four families, dims 2-7 (only the even ones for H, whose
+doubled complex model needs an even dimension) and order hints 2, 3, 4 and 6
+(4032 operators).  `standardize` and `verify_certificate` run under a per-operator
 SIGALRM of ALARM_S seconds; an operator that outlives it, or whose certificate
 fails verification, is listed as it happens.  The last lines print one count
 per outcome: "ok", each distinct error message, "past the alarm" and
 "certificate fails verification".  Exit status 1 when any operator is past the
-alarm or fails verification.  Not part of the test suite: it takes a minute
-or two.
+alarm or fails verification.  Not part of the test suite: it takes a few
+minutes.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ def main():
     for seed in SEEDS:
         for family in FAMILIES:
             for dim in DIMS:
+                if family == "H" and dim % 2:
+                    continue
                 for hint in HINTS:
                     outcome = probe_one(seed, family, dim, hint)
                     counts[outcome] += 1
