@@ -1115,10 +1115,9 @@ def _standardize_antiunitary(spec: OperatorSpec) -> StandardizationCertificate:
         psi_kind, lars = "standard_BC", "BC2"
     else:
         psi_kind, lars = "standard_C", "C2"
-    lifted = mat_lift(spec.matrix, L)
     return _collect_certificate(
         spec, "C_antiunitary", psi_kind, lars,
-        plus, minus, zero_cols, exps, norms, zero_norms, L, 2 * m_op, m_op, lifted,
+        plus, minus, zero_cols, exps, norms, zero_norms, L, 2 * m_op, m_op, spec.matrix,
         partition=partition,
     )
 
