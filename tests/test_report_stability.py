@@ -35,6 +35,8 @@ DIGESTS = {
     ("R", 5, 6): "a60493350932c1126c40fb895b348e951f91a1925eb810098e67a876b6acb49f",  # B1
     ("R", 6, 2): "6a1b06e150a7364fce9a6a720c374f2f69baa0820f9be349bfca95dbf5684adf",  # D1
     ("R", 6, 4): "fb932f6bef48bc0e2fb15af4544095a224f930d6256f369e8c792d6455342039",  # D1
+    ("R", 6, 6): "5c038f284235c59945ba7834613c0efaa16908623929493b7c6f1893e03c53fb",  # B2
+    ("R", 8, 4): "d368e69d2d47143e9985e7fe0972c94f680940ec9996c3d5052f2827203c8672",  # B2
     ("C_antiunitary", 4, 2): "8e96aac2a6a0be20983b668c6cab709b156f1d1d2b3da9964b5b9f47e1999830",
     ("C_antiunitary", 4, 4): "ab40143bdb954842581a9ef3b6537044e3a2fc2b124114e7c066bfb7b7bec512",
     ("C_antiunitary", 5, 2): "46d5eb6c6916119c9f3d140ad00b66e56ae6ddd0480bae4e78cc0cfa92d24958",
@@ -131,6 +133,7 @@ ISOM_DIGESTS = {
     ("H", 4, 3): "18288198ac2b824c641e2ec958c8a6701347d20decb1a497f251b343b541cfba",
     ("R", 4, 4): "9a3b4006550d032a825dfac12b6815b9eb126675e08597977603a2a49fe1554c",
     ("R", 5, 3): "2b71ecae665a9d4f3571ecc8439ca85fe6889daf318dd61e972449eab5be2299",
+    ("R", 6, 6): "a43d4ec6a7153b47b9039e04309dc6cda0f6fb8126e731893fef0f6e385667c6",  # B2
     ("C_antiunitary", 4, 2): "65ae85abfa12ba2a701962144f84502bb141f33ff3046b4c8b0415207dfdcb5f",
     ("C_antiunitary", 5, 3): "04ae6dc2eb969415a0b856d5f41849ae24f01f635f3f50ed64b1a938d72a0c5b",
 }
