@@ -1,5 +1,11 @@
 """Affine roots over the seven locally affine root system kinds.
 
+``KINDS`` holds one ``LarsKind`` row per kind: the finite base, the admissible
+modes of each root pattern, the matrix model layout, the pairings of the
+defining involution, the standard twist and the antilinear structure map, the
+sign-flip rule of the finite Weyl group and the translation lattice.  Every
+other module reads a kind's facts from its row.
+
 An affinisation context couples a finite base system with a twist order and
 two slant functionals.  Cartan-side data is stored in the i-picture: a triple
 (Z, H, T) standing for the complex triple (iZ, H, -iT), under which root
@@ -16,25 +22,80 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .jsonio import int_from_json, rational_from_json
+from .jsonio import int_from_json, rational_from_json, str_from_json
 from .rootdata import CartanVector, Functional, Root, RootSystem, coroot, enumerate_roots, inner
 
-LARS_KINDS = ("A1", "B1", "C1", "D1", "B2", "C2", "BC2")
 
-#: finite base kind compatible with each affine kind
-BASE_OF = {
-    "A1": "A",
-    "B1": "B",
-    "C1": "C",
-    "D1": "D",
-    "B2": "B",
-    "C2": "C",
-    "BC2": "B",
+@dataclass(frozen=True)
+class LarsKind:
+    """The facts that fix one standard affinisation; everything else derives from them.
+
+    ``short``, ``long`` and ``pair`` are the admissible modes (residue, step),
+    n = residue mod step, at a root +-eps_j, +-2 eps_j and +-eps_j +- eps_k, or None
+    where the kind has no such roots.  The matrix model lays out a plus block of
+    weights eps_1..eps_r, ``zeros`` weight-zero vectors and, when ``mirrored``, a
+    minus block of weights -eps_1..-eps_r.  Its pairing Q maps each plus vector to
+    its mirror and fixes the zero vectors: "exchange" maps each minus vector back,
+    "symplectic" to minus the plus vector.  ``involution`` names the pairing of the
+    defining involution x -> -Q x^T Q^-1 (None: the full matrix algebra),
+    ``twist`` the standard twist ("flip": conjugation by the reflection negating
+    the second zero vector, a pairing: x -> -Q x^T Q^-1), ``structure`` the
+    pairing whose Q is the linear part of the antilinear structure map, and
+    ``psi_kind`` the certificates' name of the standard twist.  The finite Weyl
+    group takes the signed permutations whose number of sign flips
+    ``sign_flips`` allows ("none", "even" or "any"); the translation lattice is
+    scale * (Z^n | D_n | A_(n-1)) for ``lattice`` = (shape, scale).
+    """
+
+    name: str
+    base: str
+    lattice: tuple
+    short: tuple | None = None
+    long: tuple | None = None
+    pair: tuple | None = None
+    zeros: int = 0
+    mirrored: bool = True
+    involution: str | None = None
+    twist: str | None = None
+    structure: str | None = None
+    psi_kind: str = "identity"
+    sign_flips: str = "any"
+
+    @property
+    def twist_order(self) -> int:
+        return 1 if self.twist is None else 2
+
+
+_ALL, _EVEN, _ODD = (0, 1), (0, 2), (1, 2)  # admissible modes: all, even, odd
+
+#: the seven standard affinisations, by name
+KINDS = {
+    kind.name: kind
+    for kind in (
+        LarsKind("A1", "A", pair=_ALL, mirrored=False, sign_flips="none", lattice=("A", 1)),
+        LarsKind(
+            "B1", "B", short=_ALL, pair=_ALL, zeros=1, involution="exchange", lattice=("D", 1)
+        ),
+        LarsKind(
+            "C1", "C", long=_ALL, pair=_ALL, involution="symplectic", structure="symplectic",
+            lattice=("Z", 1),
+        ),
+        LarsKind("D1", "D", pair=_ALL, involution="exchange", sign_flips="even", lattice=("D", 1)),
+        LarsKind(
+            "B2", "B", short=_ALL, pair=_EVEN, zeros=2, involution="exchange", twist="flip",
+            psi_kind="standard_B", lattice=("Z", 1),
+        ),
+        LarsKind(
+            "C2", "C", long=_EVEN, pair=_ALL, twist="symplectic", structure="symplectic",
+            psi_kind="standard_C", lattice=("D", Fraction(1, 2)),
+        ),
+        LarsKind(
+            "BC2", "B", short=_ALL, long=_ODD, pair=_ALL, zeros=1, twist="exchange",
+            structure="exchange", psi_kind="standard_BC", lattice=("Z", Fraction(1, 2)),
+        ),
+    )
 }
-
-
-def twist_order_of(kind: str) -> int:
-    return 1 if kind.endswith("1") else 2
+LARS_KINDS = tuple(KINDS)
 
 
 @dataclass(frozen=True)
@@ -48,12 +109,13 @@ class AffinisationSpec:
     slant_nu: Functional = field(default_factory=Functional)
 
     def __post_init__(self):
-        if self.lars not in LARS_KINDS:
+        kind = KINDS.get(self.lars)
+        if kind is None:
             raise ValueError(f"unknown affine kind {self.lars!r}")
-        if BASE_OF[self.lars] != self.base.kind:
-            raise ValueError(f"kind {self.lars} needs a base of type {BASE_OF[self.lars]}")
+        if kind.base != self.base.kind:
+            raise ValueError(f"kind {self.lars} needs a base of type {kind.base}")
         if self.twist_order == 0:
-            object.__setattr__(self, "twist_order", twist_order_of(self.lars))
+            object.__setattr__(self, "twist_order", kind.twist_order)
         if self.twist_order < 1:
             raise ValueError("twist order must be positive")
 
@@ -63,7 +125,7 @@ class AffinisationSpec:
         return self.slant_mu + self.slant_nu
 
     def is_standard(self) -> bool:
-        return self.twist_order == twist_order_of(self.lars)
+        return self.twist_order == KINDS[self.lars].twist_order
 
     def to_json(self):
         return {
@@ -79,7 +141,7 @@ class AffinisationSpec:
         base = RootSystem.from_json(obj["base"])
         return AffinisationSpec(
             base=base,
-            lars=str(obj["lars"]),
+            lars=str_from_json(obj["lars"], "lars"),
             twist_order=int_from_json(obj.get("twist_order", 0), "twist_order"),
             slant_mu=Functional.from_json(obj.get("slant_mu", {"coords": {}}), base.rank),
             slant_nu=Functional.from_json(obj.get("slant_nu", {"coords": {}}), base.rank),
@@ -88,7 +150,7 @@ class AffinisationSpec:
 
 def standard_spec(kind: str, rank: int, mu=None, nu=None) -> AffinisationSpec:
     return AffinisationSpec(
-        base=RootSystem(BASE_OF[kind], rank),
+        base=RootSystem(KINDS[kind].base, rank),
         lars=kind,
         slant_mu=mu if mu is not None else Functional(),
         slant_nu=nu if nu is not None else Functional(),
@@ -215,7 +277,8 @@ def slant_shift(lam: Weight, chi: ExtCartanVector, nu: Functional):
 def lars_finite_parts(kind: str, base: RootSystem) -> tuple[Root, ...]:
     """All finite parts occurring in the realization (the non-reduced union for BC2)."""
     roots = enumerate_roots(base)
-    if kind == "BC2":
+    row = KINDS[kind]
+    if row.long and row.short:  # non-reduced: the long roots join the B roots
         roots += [Root(((j, s),)) for j in range(1, base.rank + 1) for s in (2, -2)]
     return tuple(sorted(roots, key=lambda r: r.coeffs))
 
@@ -225,43 +288,16 @@ def _finite_part_set(kind: str, base: RootSystem) -> frozenset:
     return frozenset(lars_finite_parts(kind, base))
 
 
-def _pattern(a: Root) -> str:
-    pat = tuple(abs(c) for _, c in a.coeffs)
-    if pat == (1,):
-        return "short"
-    if pat == (2,):
-        return "long"
-    if pat == (1, 1):
-        return "pair"
-    raise ValueError(f"unexpected root pattern {a.coeffs}")
+_PATTERNS = {(1,): "short", (2,): "long", (1, 1): "pair"}
 
 
 def admissible_mode_step(kind: str, a: Root) -> tuple[int, int]:
     """The modes admissible for a finite part, as a residue class (r, s): n = r mod s."""
-    pat = _pattern(a)
-    if kind in ("A1", "B1", "C1", "D1"):
-        ok = {"A1": ("pair",), "B1": ("short", "pair"), "C1": ("long", "pair"), "D1": ("pair",)}
-        if pat not in ok[kind]:
-            raise ValueError(f"{a} is not a root of the {kind} base system")
-        return (0, 1)
-    if kind == "B2":
-        if pat == "short":
-            return (0, 1)
-        if pat == "pair":
-            return (0, 2)
-    if kind == "C2":
-        if pat == "long":
-            return (0, 2)
-        if pat == "pair":
-            return (0, 1)
-    if kind == "BC2":
-        if pat == "short":
-            return (0, 1)
-        if pat == "pair":
-            return (0, 1)
-        if pat == "long":
-            return (1, 2)
-    raise ValueError(f"{a} has no admissible modes in kind {kind}")
+    pattern = _PATTERNS.get(tuple(abs(c) for _, c in a.coeffs))
+    step = getattr(KINDS[kind], pattern) if pattern else None
+    if step is None:
+        raise ValueError(f"{a} has no admissible modes in kind {kind}")
+    return step
 
 
 def lars_contains(kind: str, r: AffineRoot, base: RootSystem) -> bool:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, isqrt, lcm, prod
 
-from .affine import AffinisationSpec
+from .affine import KINDS, AffinisationSpec
 from .cyclo import (
     Cyc,
     Matrix,
@@ -40,6 +40,7 @@ from .cyclo import (
     mat_add,
     mat_conj,
     mat_conj_transpose,
+    mat_diagonal,
     mat_eq,
     mat_identity,
     mat_inverse,
@@ -54,7 +55,7 @@ from .cyclo import (
     sqrt_rational,
     working_conductor,
 )
-from .jsonio import cyc_to_json, int_from_json, mat_from_json, mat_to_json
+from .jsonio import cyc_to_json, int_from_json, mat_from_json, mat_to_json, str_from_json
 from .models import StandardModel, span_basis, standard_model
 from .rootdata import Functional, Root, RootSystem, inner
 
@@ -193,7 +194,7 @@ class OperatorSpec:
         if type(antiunitary) is not bool:
             raise IOError(f"operator antiunitary: expected a boolean, got {antiunitary!r}")
         return OperatorSpec(
-            field=str(obj["field"]),
+            field=str_from_json(obj["field"], "operator field"),
             antiunitary=antiunitary,
             dim=int_from_json(obj["dim"], "operator dim"),
             matrix=mat_from_json(obj["matrix"]),
@@ -818,7 +819,6 @@ class StandardizationCertificate:
     """
 
     family: str
-    psi_kind: str
     lars: str
     rank: int
     exponents: tuple
@@ -835,6 +835,10 @@ class StandardizationCertificate:
     @property
     def model(self) -> StandardModel:
         return standard_model(self.lars, self.rank)
+
+    @property
+    def psi_kind(self) -> str:
+        return KINDS[self.lars].psi_kind
 
     @cached_property
     def grading(self) -> dict:
@@ -869,38 +873,11 @@ class StandardizationCertificate:
         if step.denominator != 1:
             raise StandardizeError(f"conductor {L} is too small for the time t = {t}")
         step = int(step)
-        model = self.model
-        d = model.dim
-        z = Cyc.zero(L)
-        diag = [Cyc.one(L)] * d
-        for j in range(1, self.rank + 1):
-            diag[model.plus_index(j)] = Cyc.zeta(L, (self.exponents[j - 1] * step) % L)
-            if self.lars != "A1":
-                diag[model.minus_index(j)] = Cyc.zeta(L, (-self.exponents[j - 1] * step) % L)
-        return tuple(tuple(diag[i] if i == k else z for k in range(d)) for i in range(d))
-
-    def psi_linear_matrix(self, L: int) -> Matrix:
-        """Linear part of the standard twist operator in model coordinates.
-
-        Identity twists: the identity.  B2: the reflection negating the second
-        zero vector.  Antiunitary standard twists: the structure map's linear
-        part (the operator is that matrix composed with plain conjugation).
-        """
-        model = self.model
-        d = model.dim
-        if self.psi_kind == "identity":
-            return mat_identity(L, d)
-        if self.psi_kind == "standard_B":
-            z = Cyc.zero(L)
-            flip = model.zero_indices()[1]
-            return tuple(
-                tuple(
-                    (Cyc.rational(L, -1) if i == flip else Cyc.one(L)) if i == k else z
-                    for k in range(d)
-                )
-                for i in range(d)
-            )
-        return model.structure_map_matrix(L)
+        exps = self.exponents
+        return mat_diagonal(L, [
+            Cyc.zeta(L, (exps[w - 1] if w > 0 else -exps[-w - 1]) * step % L) if w else Cyc.one(L)
+            for w in self.model.weights
+        ])
 
     def image_mode(self, a: Root | None, n: int) -> Fraction:
         """Target mode N_psi (n / N_phi - mu(a)) of source mode n at root a (None: the Cartan)."""
@@ -910,7 +887,7 @@ class StandardizationCertificate:
 
     def standard_linear_matrix(self, L: int) -> Matrix:
         """Linear part of the standardized operator (U_1 times the twist) in model coords."""
-        return mat_mul(self.u_matrix(L), self.psi_linear_matrix(L))
+        return mat_mul(self.u_matrix(L), self.model.twist_matrix(L))
 
     def to_json(self):
         return {
@@ -935,7 +912,6 @@ class StandardizationCertificate:
 def _collect_certificate(
     spec,
     family,
-    psi_kind,
     lars,
     plus_cols,
     minus_cols,
@@ -958,11 +934,8 @@ def _collect_certificate(
     )
     exps = tuple(exponents[i] for i in order)
     mu = Functional({j + 1: Fraction(-exps[j], exp_denominator) for j in range(rank)})
-    n_phi = automorphism_order(spec)
-    n_psi = 1 if psi_kind == "identity" else 2
     cert = StandardizationCertificate(
         family=family,
-        psi_kind=psi_kind,
         lars=lars,
         rank=rank,
         exponents=exps,
@@ -970,7 +943,7 @@ def _collect_certificate(
         basis_change=basis_change,
         col_norms=col_norms,
         index_partition=tuple(partition),
-        orders=(n_phi, n_psi),
+        orders=(automorphism_order(spec), KINDS[lars].twist_order),
         operator_order=operator_order,
         exp_denominator=exp_denominator,
         conductor=L,
@@ -1034,7 +1007,7 @@ def _standardize_c_unitary(spec: OperatorSpec) -> StandardizationCertificate:
         exps += [k] * len(basis)
         norms += qs
     return _collect_certificate(
-        spec, "C_unitary", "identity", "A1",
+        spec, "C_unitary", "A1",
         plus, [], [], exps, norms, [], L, m, m, a,
         partition=(("eigenvectors", len(plus)),),
     )
@@ -1049,7 +1022,7 @@ def _standardize_h(spec: OperatorSpec) -> StandardizationCertificate:
     t = quaternionic_structure(L, spec.dim)
     plus, minus, exps, norms, _, L = _antilinear_blocks(a, m, t, L, _unit_scale)
     return _collect_certificate(
-        spec, "H", "identity", "C1",
+        spec, "H", "C1",
         plus, minus, [], exps, norms, [], L, m, m, a,
         partition=(("quaternionic_pairs", len(plus)),),
     )
@@ -1073,15 +1046,15 @@ def _standardize_r(spec: OperatorSpec, negated: bool = False) -> Standardization
     zero_cols = [v for v in (s_plus, s_minus) if v is not None]
     partition = [("rotation_pairs", len(plus))]
     if s_plus is not None and s_minus is not None:
-        psi_kind, lars = "standard_B", "B2"
+        lars = "B2"
         partition += [("fixed_plus", 1), ("fixed_minus", 1)]
     elif s_plus is not None:
-        psi_kind, lars = "identity", "B1"
+        lars = "B1"
         partition += [("fixed_plus", 1)]
     else:
-        psi_kind, lars = "identity", "D1"
+        lars = "D1"
     return _collect_certificate(
-        spec, "R", psi_kind, lars,
+        spec, "R", lars,
         plus, minus, zero_cols, exps, norms, [_hdot(v, v) for v in zero_cols], L, m, m, a,
         partition=partition, negated=negated,
     )
@@ -1112,11 +1085,11 @@ def _standardize_antiunitary(spec: OperatorSpec) -> StandardizationCertificate:
         zero_cols = [cols[form.fixed_col]]
         zero_norms = [form.col_norms[form.fixed_col]]
         partition += [("fixed", 1)]
-        psi_kind, lars = "standard_BC", "BC2"
+        lars = "BC2"
     else:
-        psi_kind, lars = "standard_C", "C2"
+        lars = "C2"
     return _collect_certificate(
-        spec, "C_antiunitary", psi_kind, lars,
+        spec, "C_antiunitary", lars,
         plus, minus, zero_cols, exps, norms, zero_norms, L, 2 * m_op, m_op, spec.matrix,
         partition=partition,
     )
@@ -1271,7 +1244,7 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         L2 = cert.conductor * (2 * cert.exp_denominator) // gcd(
             cert.conductor, 2 * cert.exp_denominator
         )
-        psi_lin = mat_lift(cert.psi_linear_matrix(cert.conductor), L2)
+        psi_lin = cert.model.twist_matrix(L2)
         for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
             ut = cert.u_matrix(L2, t)
             # commuting with an antilinear operator: Ut (T conj) = (T conj) Ut

@@ -529,6 +529,12 @@ def mat_identity(L: int, n: int) -> Matrix:
     return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
 
 
+def mat_diagonal(L: int, diag: list) -> Matrix:
+    z = Cyc.zero(L)
+    n = len(diag)
+    return tuple(tuple(diag[i] if i == j else z for j in range(n)) for i in range(n))
+
+
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     # a zero entry adds nothing: keep the other one
     return tuple(

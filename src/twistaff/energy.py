@@ -19,6 +19,7 @@ from math import lcm
 from operator import sub
 
 from .affine import (
+    KINDS,
     AffineRoot,
     AffinisationSpec,
     ExtCartanVector,
@@ -116,19 +117,6 @@ class EnergyReport:
 # -- closest vector problems for the seven translation lattices -----------------
 
 
-def lattice_family(kind: str) -> tuple[str, Fraction]:
-    """Shape and scale of the translation lattice: s * (Z^n | D_n | A_(n-1))."""
-    if kind == "A1":
-        return "A", Fraction(1)
-    if kind in ("C1", "B2"):
-        return "Z", Fraction(1)
-    if kind in ("B1", "D1"):
-        return "D", Fraction(1)
-    if kind == "C2":
-        return "D", Fraction(1, 2)
-    return "Z", Fraction(1, 2)  # BC2
-
-
 def _round_nearest(x: Fraction) -> int:
     # nearest integer, ties toward minus infinity for determinism
     floor = x.numerator // x.denominator
@@ -177,7 +165,7 @@ def _cvp_sum_zero(target: list[Fraction]) -> list[int]:
 
 def lattice_cvp(kind: str, rank: int, target: CartanVector) -> CartanVector:
     """An exact nearest lattice vector to the target, deterministic under ties."""
-    shape, scale = lattice_family(kind)
+    shape, scale = KINDS[kind].lattice
     t = [target[j] / scale for j in range(1, rank + 1)]
     if shape == "Z":
         r = _cvp_integer(t)

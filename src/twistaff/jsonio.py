@@ -26,6 +26,13 @@ def int_from_json(value, where: str) -> int:
     return value
 
 
+def str_from_json(value, where: str) -> str:
+    """A JSON string; anything else raises IOError naming it."""
+    if type(value) is not str:
+        raise IOError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 def rational_from_json(value, where: str) -> Fraction:
     """A JSON integer or "p/q" string as a Fraction; anything else raises IOError naming it."""
     if type(value) is int:

@@ -168,8 +168,7 @@ def _derivation(spec: AffinisationSpec, nu: Functional, L: int, scale: Cyc | Non
     model, N = _model_of(spec), spec.twist_order
     Q = N * nu.den
     padded = (0, *nu.num, *(0,) * model.dim)  # padded[j] = nu.den * nu_j for j >= 1
-    weights = map(model.weight_of_basis, range(model.dim))
-    w = [N * padded[x] if x >= 0 else -N * padded[-x] for x in weights]
+    w = [N * padded[x] if x >= 0 else -N * padded[-x] for x in model.weights]
     unit = Cyc.i(L) if scale is None else Cyc.i(L) * scale
     factors: dict[int, Cyc] = {}
 

@@ -1,23 +1,26 @@
 """Finite matrix models of the seven standard twisted algebras.
 
-Each model fixes a basis layout for the underlying Hilbert space truncation:
-a block of "plus" vectors carrying weight +eps_j, a mirrored "minus" block
-with weight -eps_j, and up to two weight-zero vectors.  The model knows the
-defining involution of its matrix algebra, the order-2 twist when there is
-one, the antilinear structure map for the quaternionic/antiunitary cases,
-and the scale of its trace form (fixed so that the E_j are orthonormal).
-Root-space and weight-space bases are the independent projections of matrix
-units, picked by ``span_basis`` through the ``cyclo`` span test.
+Each model reads its row of ``affine.KINDS`` and fixes a basis layout for the
+underlying Hilbert space truncation: a block of "plus" vectors carrying weight
++eps_j, up to two weight-zero vectors and, except for A1, a mirrored "minus"
+block with weight -eps_j.  The layout is one weight tuple, and one pairing Q
+(plus vector <-> mirror, exchange or symplectic) serves the defining
+involution of the matrix algebra, the order-2 twist when it is paired, and
+the antilinear structure map for the quaternionic/antiunitary cases.  The
+weight tuple and the pairing are computed once per (kind, rank).  The trace
+form is scaled so that the E_j are orthonormal.  Root-space and weight-space bases are the independent
+projections of matrix units, picked by ``span_basis`` through the ``cyclo``
+span test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .affine import BASE_OF, admissible_mode_step, twist_order_of
-from .cyclo import Cyc, Matrix, in_span, mat_add, mat_scale, mat_sub
+from .affine import KINDS, LarsKind, admissible_mode_step
+from .cyclo import Cyc, Matrix, in_span, mat_add, mat_diagonal, mat_identity, mat_scale, mat_sub
 from .rootdata import Root, RootSystem
 
 
@@ -32,64 +35,52 @@ class StandardModel:
 
     # -- layout --------------------------------------------------------------
 
+    @cached_property
+    def kind(self) -> LarsKind:
+        return KINDS[self.lars]
+
+    @cached_property
+    def weights(self) -> tuple:
+        """Signed index of each basis vector: +j / -j for weight +-eps_j, 0 for weight zero."""
+        plus = tuple(range(1, self.rank + 1))
+        minus = tuple(-j for j in plus) if self.kind.mirrored else ()
+        return plus + (0,) * self.kind.zeros + minus
+
+    @cached_property
+    def pairing(self) -> tuple:
+        """(pair, sign) with Q e_a = sign[a] e_pair[a] for the pairing Q of the kind.
+
+        Each plus vector pairs with its mirror and each zero vector with itself;
+        the symplectic pairing sends the minus vectors to minus their mirrors.
+        """
+        index = {w: a for a, w in enumerate(self.weights) if w}
+        pair = tuple(index.get(-w, a) for a, w in enumerate(self.weights))
+        k = self.kind
+        symplectic = "symplectic" in (k.involution, k.twist, k.structure)
+        sign = tuple(-1 if symplectic and w < 0 else 1 for w in self.weights)
+        return pair, sign
+
     @property
     def dim(self) -> int:
-        r = self.rank
-        return {
-            "A1": r,
-            "B1": 2 * r + 1,
-            "C1": 2 * r,
-            "D1": 2 * r,
-            "B2": 2 * r + 2,
-            "C2": 2 * r,
-            "BC2": 2 * r + 1,
-        }[self.lars]
+        return len(self.weights)
 
     @property
     def n_psi(self) -> int:
-        return twist_order_of(self.lars)
+        return self.kind.twist_order
 
     @property
     def base(self) -> RootSystem:
-        return RootSystem(BASE_OF[self.lars], self.rank)
+        return RootSystem(self.kind.base, self.rank)
 
     @property
     def form_scale(self) -> Fraction:
         # fixed so that <E_j, E_k> = delta_jk
-        return Fraction(1) if self.lars == "A1" else Fraction(1, 2)
-
-    def plus_index(self, j: int) -> int:
-        return j - 1
-
-    def minus_index(self, j: int) -> int:
-        r = self.rank
-        off = {"B1": r + 1, "C1": r, "D1": r, "B2": r + 2, "C2": r, "BC2": r + 1}[self.lars]
-        return off + j - 1
-
-    def zero_indices(self) -> tuple:
-        r = self.rank
-        if self.lars in ("B1", "BC2"):
-            return (r,)
-        if self.lars == "B2":
-            return (r, r + 1)
-        return ()
-
-    def weight_of_basis(self, a: int) -> int:
-        """Signed index: +j / -j for weight +-eps_j, 0 for weight zero."""
-        r = self.rank
-        if self.lars == "A1":
-            return a + 1
-        if a < r:
-            return a + 1
-        zeros = self.zero_indices()
-        if a in zeros:
-            return 0
-        return -(a - self.minus_index(1) + 1)
+        return Fraction(1, 2) if self.kind.mirrored else Fraction(1)
 
     def entry_weight(self, a: int, b: int) -> tuple:
         """Sparse eps-coordinates of the weight of the matrix unit E_ab."""
         out: dict[int, int] = {}
-        for idx, s in ((self.weight_of_basis(a), 1), (self.weight_of_basis(b), -1)):
+        for idx, s in ((self.weights[a], 1), (self.weights[b], -1)):
             if idx:
                 out[abs(idx)] = out.get(abs(idx), 0) + (s if idx > 0 else -s)
         return tuple(sorted((j, c) for j, c in out.items() if c))
@@ -106,72 +97,71 @@ class StandardModel:
 
     def cartan_matrix(self, j: int, L: int) -> Matrix:
         """The operator E_j: +1 on the j-th plus vector, -1 on its mirror."""
-        z = Cyc.zero(L)
         one = Cyc.one(L)
-        d = self.dim
-        diag = [z] * d
-        diag[self.plus_index(j)] = one
-        if self.lars != "A1":
-            diag[self.minus_index(j)] = -one
-        return tuple(tuple(diag[i] if i == k else z for k in range(d)) for i in range(d))
+        return mat_diagonal(
+            L, [one if w == j else -one if w == -j else Cyc.zero(L) for w in self.weights]
+        )
 
-    def _pair(self, a: int) -> int:
-        """Pairing index a <-> mirror(a) for the bilinear structure; zeros are self-paired."""
-        w = self.weight_of_basis(a)
-        if w > 0:
-            return self.minus_index(w)
-        if w < 0:
-            return self.plus_index(-w)
-        return a
+    def _paired_transpose(self, x: Matrix) -> Matrix:
+        """-Q x^T Q^-1 for the pairing Q.
 
-    def _paired_transpose(self, x: Matrix, symplectic: bool) -> Matrix:
-        """-Q x^T Q^-1 for the pairing Q: the exchange e+ <-> e- fixing the zero
-        vectors, or with symplectic set the map Q e+ = e-, Q e- = -e+."""
-        d = self.dim
-        pair = [self._pair(a) for a in range(d)]
-        if not symplectic:
-            return tuple(tuple(-x[pair[j]][pair[i]] for j in range(d)) for i in range(d))
-        plus = [self.weight_of_basis(a) > 0 for a in range(d)]
+        sign[a] * sign[pair[a]] is the same for every a, so entry (i, j) is
+        -sign[i] * sign[j] * x[pair[j]][pair[i]].
+        """
+        pair, sign = self.pairing
+        d = range(self.dim)
         return tuple(
             tuple(
-                -x[pair[j]][pair[i]] if plus[i] == plus[j] else x[pair[j]][pair[i]]
-                for j in range(d)
+                -x[pair[j]][pair[i]] if sign[i] == sign[j] else x[pair[j]][pair[i]] for j in d
             )
-            for i in range(d)
+            for i in d
         )
 
     def _tau(self, x: Matrix) -> Matrix:
         """Defining involution of the matrix algebra; fixed points form the model algebra."""
-        if self.lars in ("A1", "C2", "BC2"):
+        if self.kind.involution is None:
             return x  # full gl, no constraint
-        # sp type (C1) for the symplectic pairing, o type (B1, D1, B2) for the exchange
-        return self._paired_transpose(x, symplectic=self.lars == "C1")
+        return self._paired_transpose(x)
 
     def in_algebra(self, x: Matrix) -> bool:
         t = self._tau(x)
         return all(t[i][j] == x[i][j] for i in range(self.dim) for j in range(self.dim))
 
     def algebra_project(self, x: Matrix) -> Matrix:
-        if self.lars in ("A1", "C2", "BC2"):
+        if self.kind.involution is None:
             return x
         half = Cyc.rational(x[0][0].L, Fraction(1, 2))
         return mat_scale(half, mat_add(x, self._tau(x)))
 
     def psi_tilde(self, x: Matrix) -> Matrix:
         """The complex-linear extension of the standard order-2 twist."""
-        d = self.dim
-        if self.n_psi == 1:
+        twist = self.kind.twist
+        if twist is None:
             return x
-        if self.lars == "B2":
-            # conjugation by the reflection that negates the second zero vector
-            flip = self.zero_indices()[1]
-            out = [
-                [(-x[i][j] if (i == flip) != (j == flip) else x[i][j]) for j in range(d)]
-                for i in range(d)
-            ]
-            return tuple(tuple(row) for row in out)
-        # C2: x -> S x^T S for the symplectic S; BC2: x -> -S x^T S for the exchange S
-        return self._paired_transpose(x, symplectic=self.lars == "C2")
+        if twist == "flip":
+            # conjugation by the reflection F that negates the second zero vector
+            flip = self.weights.index(0) + 1
+            return tuple(
+                tuple(-v if (i == flip) != (j == flip) else v for j, v in enumerate(row))
+                for i, row in enumerate(x)
+            )
+        return self._paired_transpose(x)
+
+    def twist_matrix(self, L: int) -> Matrix:
+        """Linear part of the standard twist operator.
+
+        No twist: the identity.  The flip: the reflection F, so psi_tilde(x) = F x F.
+        The paired twists are antiunitary: the structure map's linear part Q,
+        composed with plain conjugation.
+        """
+        twist = self.kind.twist
+        if twist is None:
+            return mat_identity(L, self.dim)
+        if twist == "flip":
+            flip = self.weights.index(0) + 1
+            signs = [-1 if a == flip else 1 for a in range(self.dim)]
+            return mat_diagonal(L, [Cyc.rational(L, s) for s in signs])
+        return self.structure_map_matrix(L)
 
     def mode_project(self, x: Matrix, n: int) -> Matrix:
         """Projection onto the twist eigenspace of mode n (trivial twist: identity)."""
@@ -195,24 +185,15 @@ class StandardModel:
     def structure_map_matrix(self, L: int) -> Matrix:
         """Linear part T of the standard antilinear structure map (v -> T conj(v)).
 
-        C1/C2: the quaternionic map with T e+ = e-, T e- = -e+; BC2: the
-        symmetric exchange fixing the zero vector.  Other kinds have none.
+        The pairing Q: C1/C2 the quaternionic map with T e+ = e-, T e- = -e+;
+        BC2 the symmetric exchange fixing the zero vector.  Other kinds have none.
         """
-        if self.lars not in ("C1", "C2", "BC2"):
+        if self.kind.structure is None:
             raise ValueError(f"kind {self.lars} carries no antilinear structure map")
-        d = self.dim
+        pair, sign = self.pairing
+        cols = [(pair[a], Cyc.rational(L, sign[a])) for a in range(self.dim)]
         z = Cyc.zero(L)
-        one = Cyc.one(L)
-        out = [[z] * d for _ in range(d)]
-        for a in range(d):
-            w = self.weight_of_basis(a)
-            if w > 0:
-                out[self.minus_index(w)][a] = one
-            elif w < 0:
-                out[self.plus_index(-w)][a] = -one if self.lars in ("C1", "C2") else one
-            else:
-                out[a][a] = one
-        return tuple(tuple(row) for row in out)
+        return tuple(tuple(v if row == i else z for row, v in cols) for i in range(self.dim))
 
     # -- forms and decompositions ------------------------------------------------
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from .jsonio import int_from_json, rational_from_json
+from .jsonio import int_from_json, rational_from_json, str_from_json
 
 KINDS = ("A", "B", "C", "D")
 
@@ -40,7 +40,8 @@ class RootSystem:
 
     @staticmethod
     def from_json(obj) -> "RootSystem":
-        return RootSystem(str(obj["kind"]), int_from_json(obj["rank"], "root system rank"))
+        kind = str_from_json(obj["kind"], "root system kind")
+        return RootSystem(kind, int_from_json(obj["rank"], "root system rank"))
 
 
 def _canon(items) -> tuple:

@@ -15,6 +15,7 @@ from math import gcd
 from operator import mul
 
 from .affine import (
+    KINDS,
     AffineRoot,
     AffinisationSpec,
     ExtCartanVector,
@@ -25,7 +26,6 @@ from .affine import (
     lars_finite_parts,
     root_weight,
     slant_shift,
-    twist_order_of,
 )
 from .rootdata import (
     CartanVector,
@@ -88,11 +88,11 @@ class FiniteWeylElement:
         return sum(1 for s in self.signs if s == -1)
 
     def allowed_in(self, kind: str) -> bool:
-        if kind == "A1":
-            return self.num_sign_flips() == 0
-        if kind == "D1":
-            return self.num_sign_flips() % 2 == 0
-        return True
+        rule = KINDS[kind].sign_flips
+        if rule == "any":
+            return True
+        flips = self.num_sign_flips()
+        return flips == 0 if rule == "none" else flips % 2 == 0
 
 
 def reflection_element(a: Root, rank: int) -> FiniteWeylElement:
@@ -283,7 +283,7 @@ def _translation_lattice(kind: str, base: RootSystem) -> tuple[CartanVector, ...
     gens = []
     for a in lars_finite_parts(kind, base):
         res, step = admissible_mode_step(kind, a)
-        gens.append(coroot(a).scale(Fraction(gcd(res, step), twist_order_of(kind))))
+        gens.append(coroot(a).scale(Fraction(gcd(res, step), KINDS[kind].twist_order)))
     return _lattice_reduce(gens, base.rank)
 
 

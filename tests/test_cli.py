@@ -274,8 +274,9 @@ def test_odd_quaternionic_dimension_is_refused_up_front(tmp_path, capsys):
         ("dim", 3.9, "operator dim: expected an integer, got 3.9"),
         ("order", 2.5, "operator order: expected an integer, got 2.5"),
         ("order", True, "operator order: expected an integer, got True"),
+        ("field", 5, "operator field: expected a string, got 5"),
     ],
-    ids=["antiunitary-string", "dim-string", "dim-float", "order-float", "order-bool"],
+    ids=["antiunitary-string", "dim-string", "dim-float", "order-float", "order-bool", "field-int"],
 )
 def test_wrongly_typed_operator_fields_are_parse_errors(opfile, capsys, field, value, message):
     opfile.write_text(json.dumps(dict(json.loads(opfile.read_text()), **{field: value})))
@@ -289,8 +290,10 @@ def test_wrongly_typed_operator_fields_are_parse_errors(opfile, capsys, field, v
     [
         ({"base": {"kind": "A", "rank": 2.0}}, "root system rank: expected an integer, got 2.0"),
         ({"twist_order": "1"}, "twist_order: expected an integer, got '1'"),
+        ({"lars": ["A1"]}, "lars: expected a string, got ['A1']"),
+        ({"base": {"kind": 7, "rank": 2}}, "root system kind: expected a string, got 7"),
     ],
-    ids=["rank-float", "twist-order-string"],
+    ids=["rank-float", "twist-order-string", "lars-list", "kind-int"],
 )
 def test_wrongly_typed_spec_fields_are_parse_errors(tmp_path, capsys, change, message):
     path = tmp_path / "spec.json"

@@ -5,6 +5,7 @@ from twistaff.cyclo import (
     Cyc,
     mat_add,
     mat_commutator,
+    mat_diagonal,
     mat_eq,
     mat_inverse,
     mat_mul,
@@ -91,12 +92,14 @@ def test_involutions_match_their_matrix_definitions():
     for rank in (2, 3):
         for kind in ("C1", "C2", "BC2", "B1", "D1", "B2"):
             m = standard_model(kind, rank)
-            d = m.dim
+            d, w = m.dim, m.weights
             if kind in ("C1", "C2", "BC2"):
                 q = m.structure_map_matrix(L)
             else:
+                # the exchange e+ <-> e- fixing the zero vectors
+                mirror = [w.index(-w[j]) if w[j] else j for j in range(d)]
                 q = tuple(
-                    tuple(Cyc.one(L) if m._pair(j) == i else Cyc.zero(L) for j in range(d))
+                    tuple(Cyc.one(L) if mirror[j] == i else Cyc.zero(L) for j in range(d))
                     for i in range(d)
                 )
             involution = m.psi_tilde if kind in ("C2", "BC2") else m._tau
@@ -109,3 +112,11 @@ def test_involutions_match_their_matrix_definitions():
                     for _ in range(d)
                 )
                 assert mat_eq(involution(x), _neg_transpose_conjugate(x, q)), (kind, rank)
+                if kind == "B2":
+                    # the twist is conjugation by the flip F of one zero vector
+                    f = m.twist_matrix(L)
+                    flips = [a for a in range(d) if f[a][a] == Cyc.rational(L, -1)]
+                    assert len(flips) == 1 and w[flips[0]] == 0
+                    signs = [-1 if a in flips else 1 for a in range(d)]
+                    assert mat_eq(f, mat_diagonal(L, [Cyc.rational(L, s) for s in signs]))
+                    assert mat_eq(m.psi_tilde(x), mat_mul(mat_mul(f, x), f)), rank

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import factorial
 
 from twistaff.affine import (
     LARS_KINDS,
@@ -169,10 +170,11 @@ def test_word_reduce_is_a_homomorphism():
 
 
 def test_group_element_algebra():
-    g = finite_weyl_group("B2", 2)
-    assert len(g) == 8
-    assert len(finite_weyl_group("A1", 3)) == 6
-    assert len(finite_weyl_group("D1", 2)) == 4
+    for kind in LARS_KINDS:
+        for rank in (2, 3, 4):
+            # r! 2^r signed permutations; D1 keeps the even sign flips, A1 none
+            flips = {"A1": 0, "D1": rank - 1}.get(kind, rank)
+            assert len(finite_weyl_group(kind, rank)) == factorial(rank) * 2**flips, (kind, rank)
     rng = random.Random(5)
     spec = standard_spec("C1", 3)
     for _ in range(20):

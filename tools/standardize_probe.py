@@ -7,11 +7,12 @@ seeds 0-47, the four families, dims 2-7 (only the even ones for H, whose
 doubled complex model needs an even dimension) and order hints 2, 3, 4 and 6
 (4032 operators).  `standardize` and `verify_certificate` run under a per-operator
 SIGALRM of ALARM_S seconds; an operator that outlives it, or whose certificate
-fails verification, is listed as it happens.  The last lines print one count
-per outcome: "ok", each distinct error message, "past the alarm" and
-"certificate fails verification".  Exit status 1 when any operator is past the
-alarm or fails verification.  Not part of the test suite: it takes a few
-minutes.
+fails verification, is listed as it happens.  The last lines print the number
+of certificates of each affine kind, which shows that every row of
+`affine.KINDS` is reached, and one count per outcome: "ok", each distinct
+error message, "past the alarm" and "certificate fails verification".  Exit
+status 1 when any operator is past the alarm or fails verification.  Not part
+of the test suite: it takes a few minutes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 import time
 from collections import Counter
 
+from twistaff.affine import LARS_KINDS
 from twistaff.autnorm import standardize, verify_certificate
 from twistaff.sampling import random_operator
 
@@ -42,16 +44,17 @@ def _expire(signum, frame):
 
 
 def probe_one(seed, family, dim, hint):
-    """The outcome of one operator: "ok", one of FAULTS, or "<ErrorType>: <message>"."""
+    """The outcome of one operator ("ok", one of FAULTS, or "<ErrorType>: <message>")
+    and the affine kind of its certificate (None without one)."""
     signal.alarm(ALARM_S)
     try:
         spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
         cert = standardize(spec)
-        return "ok" if verify_certificate(spec, cert).all_passed else FAULTS[1]
+        return ("ok" if verify_certificate(spec, cert).all_passed else FAULTS[1]), cert.lars
     except Alarm:
-        return FAULTS[0]
+        return FAULTS[0], None
     except Exception as exc:  # the probe counts every error by its message
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}", None
     finally:
         signal.alarm(0)
 
@@ -59,6 +62,7 @@ def probe_one(seed, family, dim, hint):
 def main():
     signal.signal(signal.SIGALRM, _expire)
     counts: Counter = Counter()
+    kinds: Counter = Counter()
     start = time.perf_counter()
     for seed in SEEDS:
         for family in FAMILIES:
@@ -66,11 +70,13 @@ def main():
                 if family == "H" and dim % 2:
                     continue
                 for hint in HINTS:
-                    outcome = probe_one(seed, family, dim, hint)
+                    outcome, kind = probe_one(seed, family, dim, hint)
                     counts[outcome] += 1
+                    kinds[kind] += 1
                     if outcome in FAULTS:
                         print(f"{outcome}: seed {seed} {family} dim {dim} hint {hint}", flush=True)
     print(f"{sum(counts.values())} operators in {time.perf_counter() - start:.1f} s")
+    print("certificates per kind: " + ", ".join(f"{k} {kinds[k]}" for k in LARS_KINDS))
     for outcome, n in counts.most_common():
         print(f"{n:6d}  {outcome}")
     return 1 if any(counts[f] for f in FAULTS) else 0
