@@ -6,6 +6,8 @@ lifts such an operator to finite order, splits it into exact eigenspaces,
 computes the antiunitary block normal form, and assembles a certificate:
 the standard twist it untwists to, the diagonal exponents, the slant, and
 the basis change realizing everything, all in exact cyclotomic arithmetic.
+``standardize`` validates the operator and takes its projective order once
+(``_lift_with_orders``); the automorphism and operator orders follow from it.
 
 The R, H and antiunitary families share one normal-form walk,
 ``_antilinear_blocks``: an antilinear J = u o conj (``_antilinear(u)``: the
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
 from .affine import KINDS, AffinisationSpec
@@ -193,13 +196,15 @@ class OperatorSpec:
         antiunitary = obj.get("antiunitary", False)
         if type(antiunitary) is not bool:
             raise IOError(f"operator antiunitary: expected a boolean, got {antiunitary!r}")
-        return OperatorSpec(
-            field=str_from_json(obj["field"], "operator field"),
-            antiunitary=antiunitary,
-            dim=int_from_json(obj["dim"], "operator dim"),
-            matrix=mat_from_json(obj["matrix"]),
-            declared_order=int_from_json(obj["order"], "operator order"),
-        )
+        field = str_from_json(obj["field"], "operator field")
+        dim = int_from_json(obj["dim"], "operator dim")
+        matrix = mat_from_json(obj["matrix"])
+        order = int_from_json(obj["order"], "operator order")
+        # one conductor per request: the exact arithmetic never mixes fields
+        conductors = sorted({c.L for row in matrix for c in row})
+        if len(conductors) > 1:
+            raise IOError(f"operator matrix: entries at more than one conductor: {conductors}")
+        return OperatorSpec(field, antiunitary, dim, matrix, order)
 
 
 def family_of(spec: OperatorSpec) -> str:
@@ -281,14 +286,16 @@ def matrix_order(u: Matrix, bound: int = 512) -> int:
     )
 
 
+def _order_matrix(spec: OperatorSpec) -> Matrix:
+    """The linear map the automorphism's order is read from: u, or u conj(u) if antiunitary."""
+    u = spec.matrix
+    return mat_mul(u, mat_conj(u)) if spec.antiunitary else u
+
+
 def automorphism_order(spec: OperatorSpec) -> int:
     """Exact order of the conjugation automorphism defined by the operator."""
-    if not spec.antiunitary:
-        k, _ = projective_order(spec.matrix)
-        return k
-    usq = mat_mul(spec.matrix, mat_conj(spec.matrix))
-    k, _ = projective_order(usq)
-    return 2 * k
+    k, _ = projective_order(_order_matrix(spec))
+    return 2 * k if spec.antiunitary else k
 
 
 def _root_of_unity_log(c: Cyc) -> int:
@@ -308,54 +315,53 @@ def finite_order_lift(spec: OperatorSpec) -> OperatorSpec:
     obstruction is +-1 and the operator already has order dividing twice the
     declared order.
     """
+    return _lift_with_orders(spec)[0]
+
+
+def _lift_with_orders(spec: OperatorSpec) -> tuple[OperatorSpec, int, int]:
+    """The finite-order lift, the automorphism order n and the lift's operator order m.
+
+    One projective order k with scalar lam0 (u^k, or (u conj u)^k, is lam0) gives
+    everything: n is k (2k if antiunitary) and must be the declared order; the
+    rephased unitary has m = n, and otherwise lam0 = +-1 and m = n or 2n.  That
+    the lift's m-th power is 1 is checked where its eigenprojectors are built.
+    """
     validate_operator(spec)
     n = spec.declared_order
-    true_order = automorphism_order(spec)
+    k, lam0 = projective_order(_order_matrix(spec))
+    true_order = 2 * k if spec.antiunitary else k
     if true_order != n:
         raise StandardizeError(
             f"declared order {n} but the automorphism has exact order {true_order}"
         )
-    fam = family_of(spec)
-    if fam == "C_unitary":
-        k, lam0 = projective_order(spec.matrix)
+    L = spec.conductor
+    if family_of(spec) == "C_unitary":
         # solve nu^n = lam0^-1 among roots of unity, enlarging the conductor if needed
-        L = spec.conductor
         j = _root_of_unity_log(lam0)
         sol = next((m for m in range(L) if (m * n) % L == (-j) % L), None)
         if sol is None:
             # an n-th root of any L-th root of unity lives at conductor lcm(4, n L)
             L2 = 4 * n * L // gcd(4, n * L)
-            mat = mat_lift(spec.matrix, L2)
             jj = j * (L2 // L)
             sol = next(m for m in range(L2) if (m * n) % L2 == (-jj) % L2)
-            nu = Cyc.zeta(L2, sol)
-            lifted = mat_scale(nu, mat)
+            lifted = mat_scale(Cyc.zeta(L2, sol), mat_lift(spec.matrix, L2))
         else:
-            nu = Cyc.zeta(L, sol)
-            lifted = mat_scale(nu, spec.matrix)
-        out = OperatorSpec(spec.field, False, spec.dim, lifted, n)
-        if matrix_order(out.matrix) != n:
-            raise StandardizeError("lift failed to reach the declared order")
-        return out
-    if fam == "C_antiunitary":
-        usq = mat_mul(spec.matrix, mat_conj(spec.matrix))
-        _, lam0 = projective_order(usq)
-        if not (lam0 == Cyc.one(spec.conductor) or lam0 == Cyc.rational(spec.conductor, -1)):
-            raise StandardizeError("antiunitary scalar obstruction must be +-1")
-        return spec
+            lifted = mat_scale(Cyc.zeta(L, sol), spec.matrix)
+        return OperatorSpec(spec.field, False, spec.dim, lifted, n), n, n
+    if lam0 == Cyc.one(L):
+        return spec, n, n
+    if lam0 == Cyc.rational(L, -1):
+        return spec, n, 2 * n
+    if spec.antiunitary:
+        raise StandardizeError("antiunitary scalar obstruction must be +-1")
     # R and H: B^N central means B^N = +-1 exactly
-    k, lam0 = projective_order(spec.matrix)
-    if not (lam0 == Cyc.one(spec.conductor) or lam0 == Cyc.rational(spec.conductor, -1)):
-        raise StandardizeError("scalar obstruction over R/H must be +-1")
-    return spec
+    raise StandardizeError("scalar obstruction over R/H must be +-1")
 
 
 def operator_order(spec: OperatorSpec) -> int:
     """Exact order of the operator itself (for antiunitary: as an antilinear map)."""
-    if not spec.antiunitary:
-        return matrix_order(spec.matrix)
-    usq = mat_mul(spec.matrix, mat_conj(spec.matrix))
-    return 2 * matrix_order(usq)
+    m = matrix_order(_order_matrix(spec))
+    return 2 * m if spec.antiunitary else m
 
 
 # -- eigenspace machinery ---------------------------------------------------------
@@ -584,28 +590,17 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int):
             pool_norms.append(_hdot(cand, cand))
 
     while len(pool) > 1:
-        found = None
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                if pool_norms[i] == pool_norms[j]:
-                    found = (i, j)
-                    break
-                if _sqrt_or_enlarge(pool_norms[i] * pool_norms[j].inverse(), L) is not None:
-                    found = (i, j)
-                    break
-                if _sqrt_or_enlarge(pool_norms[i] * pool_norms[j], L) is not None:
-                    found = (i, j)
-                    break
-            if found:
+        for i, j in combinations(range(len(pool)), 2):
+            paired = _pair_conjugation_fixed(pool[i], pool_norms[i], pool[j], pool_norms[j], L)
+            if paired is not None:
                 break
-        if not found:
+        else:
             raise StandardizeError(
                 "cannot complete the block normal form exactly: no reachable isotropic vectors "
                 f"or fixed-vector pairings in the working cyclotomic field or {_ENLARGEMENT}"
             )
-        i, j = found
-        plus, minus, L2 = _pair_conjugation_fixed(pool[i], pool_norms[i], pool[j], pool_norms[j], L)
-        for k in sorted((i, j), reverse=True):
+        plus, minus, L2 = paired
+        for k in (j, i):  # the later index first
             pool.pop(k)
             pool_norms.pop(k)
         if L2 != L:
@@ -623,8 +618,9 @@ def _pair_conjugation_fixed(g1, q1, g2, q2, L):
 
     Returns (plus, minus, L): plus = g1' + i g2' and minus = g1' - i g2' for a
     remix g1', g2' of equal norm, so the involution swaps plus and minus and
-    the two are orthogonal.  May enlarge the conductor; raises when neither
-    the norm ratio nor the norm product is rational.
+    the two are orthogonal.  Tries a square root of the norm ratio, then of the
+    norm product, and may enlarge the conductor for either; None when neither
+    has one.
     """
     got = _sqrt_or_enlarge(q1 * q2.inverse(), L)
     if got is not None:
@@ -645,10 +641,7 @@ def _pair_conjugation_fixed(g1, q1, g2, q2, L):
         plus = tuple(q2 * a + ii * s * b for a, b in zip(g1, g2))
         minus = tuple(q2 * a - ii * s * b for a, b in zip(g1, g2))
         return plus, minus, L
-    raise StandardizeError(
-        "cannot pair fixed vectors exactly: neither the ratio nor the product of "
-        f"their squared norms has an exact square root in the working field or {_ENLARGEMENT}"
-    )
+    return None
 
 
 def _antilinear_blocks(a: Matrix, m: int, u: Matrix, L: int, minus_scale):
@@ -756,12 +749,13 @@ class AntiunitaryBlockForm:
         return mat_mul(mat_mul(v, self.block_matrix()), mat_inverse(mat_conj(v)))
 
 
-def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
-    """Exact block normal form of a finite-order antiunitary operator."""
-    if not spec.antiunitary:
-        raise StandardizeError("operator is not antiunitary")
-    validate_operator(spec)
-    m_op = operator_order(spec)
+def _antiunitary_blocks(spec: OperatorSpec, m_op: int):
+    """The block walk of an antiunitary operator A = u o conj of order m_op: J = A pairs
+    the eigenspaces of A^2 = u conj(u), whose order is N = m_op / 2.
+
+    Returns the ``_antilinear_blocks`` output with the J-fixed vector of
+    exponent 0 (or None) in place of the fixed map.
+    """
     half = m_op // 2
     L = working_conductor(m_op, sqrt2=True)
     L = L * spec.conductor // gcd(L, spec.conductor)
@@ -771,24 +765,34 @@ def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
         # i on the J^2 = -1 eigenspace, zeta^n, zeta the primitive 2N-th root, on a pair
         return Cyc.i(L) if 2 * n == half else Cyc.zeta(L, n * (L // (2 * half)) % L)
 
-    plus_cols, minus_cols, exponents, norms_plus, fixed, L = _antilinear_blocks(
+    plus, minus, exps, norms, fixed, L = _antilinear_blocks(
         mat_mul(u, mat_conj(u)), half, u, L, minus_scale
     )
-    middle = [fixed[0]] if fixed else []
+    return plus, minus, exps, norms, fixed.get(0), L
+
+
+def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
+    """Exact block normal form of a finite-order antiunitary operator."""
+    if not spec.antiunitary:
+        raise StandardizeError("operator is not antiunitary")
+    validate_operator(spec)
+    m_op = operator_order(spec)
+    plus_cols, minus_cols, exponents, norms_plus, fixed, L = _antiunitary_blocks(spec, m_op)
+    middle = [fixed] if fixed is not None else []
     order, basis_change, col_norms = _assemble_columns(
         plus_cols, minus_cols, exponents, norms_plus, middle, [_hdot(v, v) for v in middle], spec.dim
     )
     r = len(order)
     blocks = tuple((exponents[i], pos, r + len(middle) + pos) for pos, i in enumerate(order))
     form = AntiunitaryBlockForm(
-        half_order=half,
+        half_order=m_op // 2,
         blocks=blocks,
         fixed_col=r if middle else None,
         basis_change=basis_change,
         col_norms=col_norms,
         conductor=L,
     )
-    _check_antiunitary_form(mat_lift(u, L), form)
+    _check_antiunitary_form(mat_lift(spec.matrix, L), form)
     return form
 
 
@@ -910,27 +914,16 @@ class StandardizationCertificate:
 
 
 def _collect_certificate(
-    spec,
-    family,
-    lars,
-    plus_cols,
-    minus_cols,
-    zero_cols,
-    exponents,
-    norms,
-    zero_norms,
-    L,
-    exp_denominator,
-    operator_order,
-    lifted,
-    partition,
-    negated=False,
+    spec, family, lars, plus_cols, minus_cols, zero_cols, exponents, norms, L, exp_denominator, orders,
+    partition, negated=False,
 ):
+    """The certificate of the lifted operator spec from its block columns; orders is
+    (automorphism order, operator order)."""
     rank = len(plus_cols)
     if rank < 2:
         raise StandardizeError(f"truncation too small: standardized rank {rank} < 2")
     order, basis_change, col_norms = _assemble_columns(
-        plus_cols, minus_cols, exponents, norms, zero_cols, zero_norms, spec.dim
+        plus_cols, minus_cols, exponents, norms, zero_cols, [_hdot(v, v) for v in zero_cols], spec.dim
     )
     exps = tuple(exponents[i] for i in order)
     mu = Functional({j + 1: Fraction(-exps[j], exp_denominator) for j in range(rank)})
@@ -943,13 +936,13 @@ def _collect_certificate(
         basis_change=basis_change,
         col_norms=col_norms,
         index_partition=tuple(partition),
-        orders=(automorphism_order(spec), KINDS[lars].twist_order),
-        operator_order=operator_order,
+        orders=(orders[0], KINDS[lars].twist_order),
+        operator_order=orders[1],
         exp_denominator=exp_denominator,
         conductor=L,
         negated=negated,
     )
-    _check_reconstruction(cert, mat_lift(lifted, L))
+    _check_reconstruction(cert, mat_lift(spec.matrix, L))
     _check_columns(basis_change, col_norms)
     return cert
 
@@ -978,37 +971,35 @@ def _check_columns(v: Matrix, col_norms: tuple) -> None:
 
 def standardize(spec: OperatorSpec) -> StandardizationCertificate:
     """Produce the standardization certificate for a finite-order operator."""
-    lifted = finite_order_lift(spec)
+    lifted, n, m = _lift_with_orders(spec)
     fam = family_of(spec)
     if fam == "C_unitary":
-        return _standardize_c_unitary(lifted)
+        return _standardize_c_unitary(lifted, n)
     if fam == "H":
-        return _standardize_h(lifted)
+        return _standardize_h(lifted, n, m)
     if fam == "R":
-        return _standardize_r(lifted)
-    return _standardize_antiunitary(lifted)
+        return _standardize_r(lifted, n, m)
+    return _standardize_antiunitary(lifted, n, m)
 
 
-def _working_form(spec: OperatorSpec):
-    """(m, L, a): the operator's order m, a conductor L holding the 2m-th roots of
-    unity and the input's entries, and the operator lifted to L."""
-    m = matrix_order(spec.matrix)
+def _working_form(spec: OperatorSpec, m: int):
+    """(L, a): a conductor L holding the 2m-th roots of unity and the input's entries,
+    and the operator, of order m, lifted to L."""
     L = working_conductor(2 * m)
     L = L * spec.conductor // gcd(L, spec.conductor)
-    return m, L, mat_lift(spec.matrix, L)
+    return L, mat_lift(spec.matrix, L)
 
 
-def _standardize_c_unitary(spec: OperatorSpec) -> StandardizationCertificate:
-    m, L, a = _working_form(spec)
+def _standardize_c_unitary(spec: OperatorSpec, n: int) -> StandardizationCertificate:
+    L, a = _working_form(spec, n)
     plus, exps, norms = [], [], []
-    for k, p in eigenprojectors(a, m):
+    for k, p in eigenprojectors(a, n):
         basis, qs = _gram_schmidt(_columns(p))
         plus += basis
         exps += [k] * len(basis)
         norms += qs
     return _collect_certificate(
-        spec, "C_unitary", "A1",
-        plus, [], [], exps, norms, [], L, m, m, a,
+        spec, "C_unitary", "A1", plus, [], [], exps, norms, L, n, (n, n),
         partition=(("eigenvectors", len(plus)),),
     )
 
@@ -1017,19 +1008,18 @@ def _unit_scale(k: int, L: int) -> Cyc:
     return Cyc.one(L)
 
 
-def _standardize_h(spec: OperatorSpec) -> StandardizationCertificate:
-    m, L, a = _working_form(spec)
+def _standardize_h(spec: OperatorSpec, n: int, m: int) -> StandardizationCertificate:
+    L, a = _working_form(spec, m)
     t = quaternionic_structure(L, spec.dim)
     plus, minus, exps, norms, _, L = _antilinear_blocks(a, m, t, L, _unit_scale)
     return _collect_certificate(
-        spec, "H", "C1",
-        plus, minus, [], exps, norms, [], L, m, m, a,
+        spec, "H", "C1", plus, minus, [], exps, norms, L, m, (n, m),
         partition=(("quaternionic_pairs", len(plus)),),
     )
 
 
-def _standardize_r(spec: OperatorSpec, negated: bool = False) -> StandardizationCertificate:
-    m, L, a = _working_form(spec)
+def _standardize_r(spec: OperatorSpec, n: int, m: int, negated=False) -> StandardizationCertificate:
+    L, a = _working_form(spec, m)
     plus, minus, exps, norms, fixed, L = _antilinear_blocks(
         a, m, mat_identity(L, spec.dim), L, _unit_scale
     )
@@ -1039,9 +1029,10 @@ def _standardize_r(spec: OperatorSpec, negated: bool = False) -> Standardization
         if negated:
             raise StandardizeError("sign normalization did not converge")
         neg = mat_scale(Cyc.rational(spec.conductor, -1), spec.matrix)
-        return _standardize_r(
-            OperatorSpec(spec.field, False, spec.dim, neg, spec.declared_order), negated=True
-        )
+        # (-u)^n = (-1)^n u^n: an odd n flips the scalar +-1 and with it the order
+        m_neg = m if n % 2 == 0 else (2 * n if m == n else n)
+        neg_spec = OperatorSpec(spec.field, False, spec.dim, neg, spec.declared_order)
+        return _standardize_r(neg_spec, n, m_neg, negated=True)
 
     zero_cols = [v for v in (s_plus, s_minus) if v is not None]
     partition = [("rotation_pairs", len(plus))]
@@ -1054,43 +1045,25 @@ def _standardize_r(spec: OperatorSpec, negated: bool = False) -> Standardization
     else:
         lars = "D1"
     return _collect_certificate(
-        spec, "R", lars,
-        plus, minus, zero_cols, exps, norms, [_hdot(v, v) for v in zero_cols], L, m, m, a,
+        spec, "R", lars, plus, minus, zero_cols, exps, norms, L, m, (n, m),
         partition=partition, negated=negated,
     )
 
 
-def _standardize_antiunitary(spec: OperatorSpec) -> StandardizationCertificate:
-    form = antiunitary_normal_form(spec)
-    m_op = 2 * form.half_order
-    L = form.conductor
-    cols = _columns(form.basis_change)
-    r = len(form.blocks)
-    has_fixed = form.fixed_col is not None
-    ii = Cyc.i(L)
-    plus, minus, exps, norms = [], [], [], []
-    for pos, (n, pc, mc) in enumerate(form.blocks):
-        plus.append(cols[pc])
-        if has_fixed:
-            # conjugation-type standard twist: blocks transfer as-is
-            minus.append(cols[mc])
-            exps.append(2 * n)
-        else:
-            # quaternionic standard twist: rotate the minus column and shift the exponent
-            minus.append(_vec_scale(ii, cols[mc]))
-            exps.append(2 * n + form.half_order)
-        norms.append(form.col_norms[pc])
-    zero_cols, zero_norms, partition = [], [], [("blocks", r)]
-    if has_fixed:
-        zero_cols = [cols[form.fixed_col]]
-        zero_norms = [form.col_norms[form.fixed_col]]
-        partition += [("fixed", 1)]
-        lars = "BC2"
+def _standardize_antiunitary(spec: OperatorSpec, n: int, m: int) -> StandardizationCertificate:
+    plus, minus, exps, norms, fixed, L = _antiunitary_blocks(spec, m)
+    if fixed is None:
+        # quaternionic standard twist: rotate the minus columns and shift the exponents
+        ii = Cyc.i(L)
+        minus = [_vec_scale(ii, w) for w in minus]
+        exps = [2 * k + m // 2 for k in exps]
+        zero_cols, lars, partition = [], "C2", [("blocks", len(plus))]
     else:
-        lars = "C2"
+        # conjugation-type standard twist: the blocks transfer as they are
+        exps = [2 * k for k in exps]
+        zero_cols, lars, partition = [fixed], "BC2", [("blocks", len(plus)), ("fixed", 1)]
     return _collect_certificate(
-        spec, "C_antiunitary", lars,
-        plus, minus, zero_cols, exps, norms, zero_norms, L, 2 * m_op, m_op, spec.matrix,
+        spec, "C_antiunitary", lars, plus, minus, zero_cols, exps, norms, L, 2 * m, (n, m),
         partition=partition,
     )
 

@@ -295,41 +295,46 @@ def cmd_theorem_b(args):
     return 0, out
 
 
+#: the options a subcommand may read besides --input and --output
+OPTIONS = {
+    "--bound": dict(type=int, default=10, help="lattice box bound for the oracle"),
+    "--window": dict(type=int, default=0, help="mode window for root listings"),
+    "--seed": dict(type=int, default=0, help="seed for pseudorandom checks"),
+    "--count": dict(type=int, default=20, help="number of pseudorandom trials"),
+    "--jobs": dict(type=int, default=1, help="parallel workers for orbit search"),
+    "--allow-nonintegral": dict(
+        action="store_true", help="compute the orbit infimum even for non-integral weights"
+    ),
+}
+
+#: subcommand -> (handler, the OPTIONS it reads)
 COMMANDS = {
-    "normalize": cmd_normalize,
-    "roots": cmd_roots,
-    "map-roots": cmd_map_roots,
-    "check-isom": cmd_check_isom,
-    "bracket-check": cmd_bracket_check,
-    "min-energy": cmd_min_energy,
-    "theorem-b": cmd_theorem_b,
+    "normalize": (cmd_normalize, ()),
+    "roots": (cmd_roots, ("--window",)),
+    "map-roots": (cmd_map_roots, ("--window",)),
+    "check-isom": (cmd_check_isom, ("--seed", "--count")),
+    "bracket-check": (cmd_bracket_check, ("--seed", "--count")),
+    "min-energy": (cmd_min_energy, ("--bound", "--jobs")),
+    "theorem-b": (cmd_theorem_b, ("--bound", "--allow-nonintegral")),
 }
 
 
 def build_parser():
     p = argparse.ArgumentParser(prog="twistaff", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, options) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--input", required=True, help="path to the JSON request")
         sp.add_argument("--output", help="path for the JSON report (default: stdout)")
-        sp.add_argument("--bound", type=int, default=10, help="lattice box bound for the oracle")
-        sp.add_argument("--window", type=int, default=0, help="mode window for root listings")
-        sp.add_argument("--seed", type=int, default=0, help="seed for pseudorandom checks")
-        sp.add_argument("--count", type=int, default=20, help="number of pseudorandom trials")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers for orbit search")
-        sp.add_argument(
-            "--allow-nonintegral",
-            action="store_true",
-            help="compute the orbit infimum even for non-integral weights",
-        )
+        for flag in options:
+            sp.add_argument(flag, **OPTIONS[flag])
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, out = COMMANDS[args.command](args)
+        code, out = COMMANDS[args.command][0](args)
     except (IOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

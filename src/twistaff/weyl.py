@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 from math import gcd
 from operator import mul
 
@@ -111,17 +112,17 @@ def reflection_element(a: Root, rank: int) -> FiniteWeylElement:
     return FiniteWeylElement(tuple(perm), tuple(signs))
 
 
-def finite_weyl_group(kind: str, rank: int):
-    """All finite Weyl elements of the kind, deterministic order."""
-    from itertools import permutations, product
+def finite_weyl_group(kind: str, rank: int) -> tuple[FiniteWeylElement, ...]:
+    """All finite Weyl elements of the kind, deterministic order; built once per (kind, rank)."""
+    return _finite_weyl_group(kind, rank)
 
-    out = []
-    for perm in permutations(range(1, rank + 1)):
-        for signs in product((1, -1), repeat=rank):
-            w = FiniteWeylElement(perm, signs)
-            if w.allowed_in(kind):
-                out.append(w)
-    return out
+
+@lru_cache(maxsize=None)
+def _finite_weyl_group(kind: str, rank: int) -> tuple[FiniteWeylElement, ...]:
+    # the sign vectors the kind admits, in product order, under each permutation
+    ident = tuple(range(1, rank + 1))
+    signs = [s for s in product((1, -1), repeat=rank) if FiniteWeylElement(ident, s).allowed_in(kind)]
+    return tuple(FiniteWeylElement(perm, s) for perm in permutations(range(1, rank + 1)) for s in signs)
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,45 @@ def test_grading_is_computed_once_per_certificate_and_root(monkeypatch, tmp_path
     assert cartan_mode_vectors(cert) is cartan_mode_vectors(cert)
 
 
+@pytest.mark.parametrize(
+    "family, seed, dim, hint",
+    [
+        ("C_unitary", 1, 4, 3),
+        ("H", 1, 4, 4),
+        ("R", 1, 5, 3),
+        ("R", 0, 5, 2),  # B1 after the sign retry
+        ("C_antiunitary", 1, 5, 4),  # BC2
+        ("C_antiunitary", 2, 4, 6),  # C2
+    ],
+)
+def test_standardize_validates_once_and_reads_the_order_once(monkeypatch, family, seed, dim, hint):
+    from collections import Counter
+
+    from twistaff import autnorm
+
+    spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
+    calls = Counter()
+    for name in ("validate_operator", "projective_order"):
+
+        def counting(*args, _real=getattr(autnorm, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(autnorm, name, counting)
+    cert = standardize(spec)
+    assert cert.negated == ((family, seed) == ("R", 0))
+    assert calls["validate_operator"] == 1
+    assert calls["projective_order"] <= 2
+    # the orders recorded on the certificate are the ones the independent check finds
+    monkeypatch.undo()
+    assert verify_certificate(spec, cert).all_passed
+    lifted = finite_order_lift(spec)
+    if cert.negated:
+        lifted = dataclasses.replace(lifted, matrix=mat_scale(Cyc.rational(lifted.conductor, -1), lifted.matrix))
+    assert cert.operator_order == operator_order(lifted)
+    assert cert.orders[0] == automorphism_order(spec)
+
+
 def test_replaced_certificate_gets_its_own_grading():
     from twistaff.affine import lars_finite_parts
 
@@ -357,18 +396,27 @@ def test_dimension_and_order_bounds_are_named():
 
 
 def test_conductor_enlargement_bound_is_named():
-    from twistaff.autnorm import MAX_CONDUCTOR, _pair_conjugation_fixed
+    from twistaff.autnorm import MAX_CONDUCTOR, _conjugation_block_decomposition, _pair_conjugation_fixed
 
     L = 8
     e1 = (Cyc.one(L), Cyc.zero(L))
     e2 = (Cyc.zero(L), Cyc.one(L))
-    # sqrt(491) needs conductor 4 * 491, past the cap
+    # sqrt(491) needs conductor 4 * 491, past the cap: no pairing
+    assert _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 491), L) is None
+    # real vectors of squared norms 1 and 491 = 21^2 + 7^2 + 1^2 under complex
+    # conjugation: neither a B-plane nor a fixed-vector pairing exists, and
+    # the refusal names the conductor bound
+    rows = [[1, 0, 0, 0], [0, 21, 0, 0], [0, 7, 0, 0], [0, 1, 0, 0]]
     with pytest.raises(StandardizeError, match=f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
-        _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 491), L)
+        _conjugation_block_decomposition(mat_identity(L, 4), mat_from_rows(L, rows), L)
+    # squared norms 1 and 5 = 2^2 + 1^2 pair once sqrt(5) is adjoined at conductor 40
+    rows = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
+    blocks, fixed, L2, _ = _conjugation_block_decomposition(mat_identity(L, 4), mat_from_rows(L, rows), L)
+    assert (len(blocks), fixed, L2) == (1, None, 40)
 
 
 def test_square_root_factor_bound_is_named(time_limit):
-    from twistaff.autnorm import MAX_CONDUCTOR, _pair_conjugation_fixed
+    from twistaff.autnorm import _pair_conjugation_fixed
 
     L = 4
     e1 = (Cyc.one(L), Cyc.zero(L))
@@ -381,10 +429,11 @@ def test_square_root_factor_bound_is_named(time_limit):
     assert L2 == 8
     assert plus[1] * plus[1] == Cyc.rational(8, Q(-1, 2 * 10**6))  # i / (1000 sqrt(2)), squared
     # the squarefree part of p * q has primes far past MAX_CONDUCTOR // 4: no
-    # trial division reaches them, and the refusal names the conductor bound
+    # trial division reaches them, and the pairing is refused at once (the
+    # refusal's text, which names the bound, is pinned in the test above)
     p, q = 10000000000000000051, 20000000000000000011
-    with time_limit(5), pytest.raises(StandardizeError, match=f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
-        _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, p * q), L)
+    with time_limit(5):
+        assert _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, p * q), L) is None
 
 
 def test_rational_square_root_stall_reproducer_standardizes(time_limit):

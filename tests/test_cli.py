@@ -301,3 +301,55 @@ def test_wrongly_typed_spec_fields_are_parse_errors(tmp_path, capsys, change, me
     assert run(["bracket-check", "--input", path]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("conductors", [[[4, 8], [8, 4]], [[4, 4], [4, 8]]], ids=["diagonal-4", "corner-8"])
+def test_operator_entries_at_two_conductors_are_parse_errors(tmp_path, capsys, conductors):
+    # one conductor per request, wherever in the matrix the other one sits
+    def entry(L, value):
+        return {"conductor": L, "coeffs": [str(value)] + ["0"] * (L // 2 - 1)}
+
+    matrix = [[entry(L, int(i == j)) for j, L in enumerate(row)] for i, row in enumerate(conductors)]
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"field": "C", "dim": 2, "order": 1, "matrix": matrix}))
+    assert run(["normalize", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert "entries at more than one conductor: [4, 8]" in err and "Traceback" not in err
+
+
+#: the options each subcommand reads, with a value to pass (None: a switch)
+READS = {
+    "normalize": {},
+    "roots": {"--window": 3},
+    "map-roots": {"--window": 8},
+    "check-isom": {"--seed": 7, "--count": 25},
+    "bracket-check": {"--seed": 7, "--count": 50},
+    "min-energy": {"--bound": 10, "--jobs": 2},
+    "theorem-b": {"--bound": 10, "--allow-nonintegral": None},
+}
+VALUES = {"--bound": 2, "--window": 3, "--seed": 7, "--count": 3, "--jobs": 3, "--allow-nonintegral": None}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_subcommand_takes_only_the_flags_it_reads(command, capsys):
+    from twistaff.cli import build_parser
+
+    parser = build_parser()
+
+    def argv(flags):
+        out = [command, "--input", "req.json", "--output", "out.json"]
+        for flag, value in flags.items():
+            out += [flag] if value is None else [flag, str(value)]
+        return out
+
+    # every flag the benchmark workloads, its --jobs audit and the tests pass still parses
+    args = parser.parse_args(argv(READS[command]))
+    for flag, value in READS[command].items():
+        assert getattr(args, flag[2:].replace("-", "_")) == (True if value is None else value)
+    for flag, value in VALUES.items():
+        if flag in READS[command]:
+            continue
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv({flag: value}))
+        assert exc.value.code == 2, (command, flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
