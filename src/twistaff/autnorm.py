@@ -14,16 +14,19 @@ The R, H and antiunitary families share one normal-form walk,
 identity's for R, the quaternionic structure for H, the operator itself for
 the antiunitary form) pairs the eigenspaces of a finite-order linear map,
 and each self-paired eigenspace splits by the sign of J^2 into conjugation
-blocks or J-stable planes.  Every spectral sum (1/n) sum_j zeta^(-jk) x_j,
-for the eigenprojectors and for the twisted grading, is ``_spectral_part``.
+blocks or J-stable planes.  The eigenprojectors are spectral sums
+(1/n) sum_j zeta^(-jk) a^j (``_spectral_part``).
 
 A certificate also carries the twisted grading it induces: for each root,
 the residues m with a nonzero (a, m) root space and matching eigenvectors
 (``mode_class_vectors``, ``mode_class``), and the graded Cartan pieces
-(``cartan_mode_vectors``).  Each piece is computed on first use and kept on
-the certificate, so the sampler, the root map, the isomorphism check and the
-verification all read one grading.  Linear algebra uses the ``cyclo`` kernel;
-the block constructions orthogonalize through one local Hermitian projection,
+(``cartan_mode_vectors``).  For every family phi~^-1(x) = psi~(U_1* x U_1),
+an entry rephasing since U_1 is diagonal, and one routine, ``_grade``, grades
+the weight spaces, the Cartan and the phi side of the centralizer check.
+Each piece is computed on first use and kept on the certificate, so the
+sampler, the root map, the isomorphism check and the verification all read
+one grading.  Linear algebra uses the ``cyclo`` kernel; the block
+constructions orthogonalize through one local Hermitian projection,
 ``_orth_reduce``, and lay out their columns through ``_assemble_columns``.
 """
 
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 
-from .affine import KINDS, AffinisationSpec
+from .affine import KINDS, AffineRoot, AffinisationSpec, lars_contains, lars_finite_parts
 from .cyclo import (
     Cyc,
     Matrix,
@@ -319,16 +322,20 @@ def finite_order_lift(spec: OperatorSpec) -> OperatorSpec:
 
 
 def _lift_with_orders(spec: OperatorSpec) -> tuple[OperatorSpec, int, int]:
-    """The finite-order lift, the automorphism order n and the lift's operator order m.
-
-    One projective order k with scalar lam0 (u^k, or (u conj u)^k, is lam0) gives
-    everything: n is k (2k if antiunitary) and must be the declared order; the
-    rephased unitary has m = n, and otherwise lam0 = +-1 and m = n or 2n.  That
-    the lift's m-th power is 1 is checked where its eigenprojectors are built.
-    """
+    """The finite-order lift, the automorphism order n and the lift's operator order m."""
     validate_operator(spec)
+    return _lift_from_order(spec, *projective_order(_order_matrix(spec)))
+
+
+def _lift_from_order(spec: OperatorSpec, k: int, lam0: Cyc) -> tuple[OperatorSpec, int, int]:
+    """The lift and its orders from one projective order k with scalar lam0.
+
+    u^k, or (u conj u)^k, is lam0.  n is k (2k if antiunitary) and must be the
+    declared order; the rephased unitary has m = n, and otherwise lam0 = +-1
+    and m = n or 2n.  That the lift's m-th power is 1 is checked where its
+    eigenprojectors are built.
+    """
     n = spec.declared_order
-    k, lam0 = projective_order(_order_matrix(spec))
     true_order = 2 * k if spec.antiunitary else k
     if true_order != n:
         raise StandardizeError(
@@ -341,7 +348,7 @@ def _lift_with_orders(spec: OperatorSpec) -> tuple[OperatorSpec, int, int]:
         sol = next((m for m in range(L) if (m * n) % L == (-j) % L), None)
         if sol is None:
             # an n-th root of any L-th root of unity lives at conductor lcm(4, n L)
-            L2 = 4 * n * L // gcd(4, n * L)
+            L2 = lcm(4, n * L)
             jj = j * (L2 // L)
             sol = next(m for m in range(L2) if (m * n) % L2 == (-jj) % L2)
             lifted = mat_scale(Cyc.zeta(L2, sol), mat_lift(spec.matrix, L2))
@@ -528,8 +535,7 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int):
                 continue
             # B-orthogonalize w against v, then search the binary form diag(cv, cw)
             coeff = bform(v, w) * cv.inverse()
-            w2 = _vec_sub(w, _vec_scale(coeff, v))
-            w2h = w2
+            w2h = _vec_sub(w, _vec_scale(coeff, v))
             cw = bform(w2h, w2h)
             if cw.is_zero():
                 if not _vec_is_zero(w2h):
@@ -757,8 +763,7 @@ def _antiunitary_blocks(spec: OperatorSpec, m_op: int):
     exponent 0 (or None) in place of the fixed map.
     """
     half = m_op // 2
-    L = working_conductor(m_op, sqrt2=True)
-    L = L * spec.conductor // gcd(L, spec.conductor)
+    L = lcm(working_conductor(m_op, sqrt2=True), spec.conductor)
     u = mat_lift(spec.matrix, L)
 
     def minus_scale(n, L):
@@ -871,17 +876,18 @@ class StandardizationCertificate:
             slant_nu=nu if nu is not None else Functional(()),
         )
 
-    def u_matrix(self, L: int, t: Fraction = Fraction(1)) -> Matrix:
-        """U_t of the one-parameter group, in model coordinates (U_1 by default)."""
+    def _u_phases(self, L: int, t: Fraction = Fraction(1)) -> list:
+        """k_a mod L with U_t = diag(zeta_L^k_a) in model coordinates."""
         step = Fraction(t * L, self.exp_denominator)
         if step.denominator != 1:
             raise StandardizeError(f"conductor {L} is too small for the time t = {t}")
-        step = int(step)
         exps = self.exponents
-        return mat_diagonal(L, [
-            Cyc.zeta(L, (exps[w - 1] if w > 0 else -exps[-w - 1]) * step % L) if w else Cyc.one(L)
-            for w in self.model.weights
-        ])
+        signed = (exps[w - 1] if w > 0 else -exps[-w - 1] if w else 0 for w in self.model.weights)
+        return [e * int(step) % L for e in signed]
+
+    def u_matrix(self, L: int, t: Fraction = Fraction(1)) -> Matrix:
+        """U_t of the one-parameter group, in model coordinates (U_1 by default)."""
+        return mat_diagonal(L, [Cyc.zeta(L, k) for k in self._u_phases(L, t)])
 
     def image_mode(self, a: Root | None, n: int) -> Fraction:
         """Target mode N_psi (n / N_phi - mu(a)) of source mode n at root a (None: the Cartan)."""
@@ -985,8 +991,7 @@ def standardize(spec: OperatorSpec) -> StandardizationCertificate:
 def _working_form(spec: OperatorSpec, m: int):
     """(L, a): a conductor L holding the 2m-th roots of unity and the input's entries,
     and the operator, of order m, lifted to L."""
-    L = working_conductor(2 * m)
-    L = L * spec.conductor // gcd(L, spec.conductor)
+    L = lcm(working_conductor(2 * m), spec.conductor)
     return L, mat_lift(spec.matrix, L)
 
 
@@ -1072,39 +1077,26 @@ def _standardize_antiunitary(spec: OperatorSpec, n: int, m: int) -> Standardizat
 
 
 def _phi_tilde_inverse(cert: StandardizationCertificate, x: Matrix) -> Matrix:
-    """Inverse of the (complex-linear extension of the) automorphism, model coords."""
+    """Inverse of the (complex-linear extension of the) automorphism, model coords.
+
+    It is psi~(U_1* x U_1) for every family: the linear standard forms are
+    U_1 T with T the identity or the diagonal flip F, and T* y T = psi~(y).
+    With U_1 = diag(u_i), entry (i, j) of x is rephased by conj(u_i) u_j.
+    """
     L = x[0][0].L
-    if cert.family == "C_antiunitary":
-        u1 = cert.u_matrix(L)
-        inner_mat = mat_mul(mat_mul(mat_conj_transpose(u1), x), u1)
-        return cert.model.psi_tilde(inner_mat)
-    dhat = cert.standard_linear_matrix(L)
-    return mat_mul(mat_mul(mat_conj_transpose(dhat), x), dhat)
+    k = cert._u_phases(L)
+    return cert.model.psi_tilde(tuple(
+        tuple(c * Cyc.zeta(L, k[j] - k[i]) if c and k[i] != k[j] else c for j, c in enumerate(row))
+        for i, row in enumerate(x)
+    ))
 
 
-def _phi_tilde_orbit(cert: StandardizationCertificate, x: Matrix) -> list:
-    """x, phi~^-1(x), phi~^-2(x), ... up to the automorphism order."""
-    orbit = [x]
-    for _ in range(1, cert.orders[0]):
-        orbit.append(_phi_tilde_inverse(cert, orbit[-1]))
-    return orbit
-
-
-def _roots_of_unity(cert: StandardizationCertificate) -> list[Cyc]:
-    """zeta^m for each residue m mod the automorphism order, at the certificate's conductor."""
-    n_phi = cert.orders[0]
-    L = cert.conductor
+def _grade(cert: StandardizationCertificate, basis) -> list:
+    """(m, eigenvector) pairs of phi~^-1, eigenvalue zeta^m (zeta of the automorphism
+    order), on the phi~-stable span of basis: coordinates by solve, one nullspace per m."""
+    n_phi, L = cert.orders[0], cert.conductor
     if L % n_phi != 0:
         raise StandardizeError("conductor does not contain the automorphism's roots of unity")
-    return [Cyc.zeta(L, m * (L // n_phi)) for m in range(n_phi)]
-
-
-def _grade_weight_space(cert: StandardizationCertificate, a: Root) -> tuple:
-    """Eigenvectors of the automorphism on the weight-a space, one per dimension."""
-    lams = _roots_of_unity(cert)
-    basis = cert.model.weight_space_basis(cert.conductor, a)
-    if not basis:
-        raise StandardizeError(f"{a} is not a weight of the model algebra")
     flat = [tuple(c for row in b for c in row) for b in basis]
     images = []  # images[j]: coordinates of phi~^-1(basis[j]) in the basis
     for b in basis:
@@ -1114,18 +1106,27 @@ def _grade_weight_space(cert: StandardizationCertificate, a: Root) -> tuple:
         images.append(coords)
     phi_inv = list(zip(*images))
     out = []
-    for m, lam in enumerate(lams):
+    for m in range(n_phi):
+        lam = Cyc.zeta(L, m * (L // n_phi))
         shifted = [
             [x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(phi_inv)
         ]
-        eigen = nullspace(shifted)
-        if len(eigen) > 1:
-            # the twist is scalar on a two-dimensional eigenspace: the grading
-            # would have a repeated component, so the certificate is broken
-            raise StandardizeError(f"degenerate mode classes on the {a} weight space")
-        for x in eigen:
+        for x in nullspace(shifted):
             terms = (b if cf == 1 else mat_scale(cf, b) for cf, b in zip(x, basis) if cf)
             out.append((m, reduce(mat_add, terms)))
+    return out
+
+
+def _grade_weight_space(cert: StandardizationCertificate, a: Root) -> tuple:
+    """Eigenvectors of the automorphism on the weight-a space, one per dimension."""
+    basis = cert.model.weight_space_basis(cert.conductor, a)
+    if not basis:
+        raise StandardizeError(f"{a} is not a weight of the model algebra")
+    out = _grade(cert, basis)
+    if len({m for m, _ in out}) < len(out):
+        # the twist is scalar on a two-dimensional eigenspace: the grading
+        # would have a repeated component, so the certificate is broken
+        raise StandardizeError(f"degenerate mode classes on the {a} weight space")
     if len(out) != len(basis):
         raise StandardizeError(f"mode classes of the {a} weight space do not fill its dimension")
     return tuple(out)
@@ -1152,24 +1153,16 @@ def mode_class(cert: StandardizationCertificate, a: Root) -> tuple:
 def cartan_mode_vectors(cert: StandardizationCertificate) -> tuple:
     """Zero-weight analogue of mode_class_vectors: (residue, diagonal matrix) pairs.
 
-    Each Cartan basis element is projected onto every eigenvalue of the
-    automorphism; computed once per certificate.
+    The pieces are an eigenbasis of the automorphism on the Cartan, one per
+    dimension; computed once per certificate.
     """
     pieces = cert.grading.get(None)
-    if pieces is not None:
-        return pieces
-    L = cert.conductor
-    model = cert.model
-    diagonal = (model.algebra_project(model.basis_matrix(L, i, i)) for i in range(model.dim))
-    orbits = [_phi_tilde_orbit(cert, b) for b in span_basis(diagonal)]
-    out = []
-    for m in range(cert.orders[0]):
-        # project each basis element onto the eigenvalue-zeta^m component of phi~^-1
-        for orbit in orbits:
-            acc = _spectral_part(orbit, -m)
-            if not mat_is_zero(acc):
-                out.append((m, acc))
-    pieces = cert.grading[None] = tuple(out)
+    if pieces is None:
+        model = cert.model
+        diagonal = (
+            model.algebra_project(model.basis_matrix(cert.conductor, i, i)) for i in range(model.dim)
+        )
+        pieces = cert.grading[None] = tuple(_grade(cert, span_basis(diagonal)))
     return pieces
 
 
@@ -1200,9 +1193,20 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         except Exception as exc:  # noqa: BLE001 - each failed check is itemized
             items.append((name, False, str(exc)))
 
+    try:  # one projective order (k, lam0) for the reconstruction and the declared order
+        projective = projective_order(_order_matrix(spec))
+    except Exception as exc:  # noqa: BLE001 - each check that reads it reports it
+        projective = exc
+
+    def read_projective():
+        if isinstance(projective, Exception):
+            raise projective
+        return projective
+
     def check_reconstruction():
         L = cert.conductor
-        u = mat_lift(finite_order_lift(spec).matrix, L)
+        validate_operator(spec)
+        u = mat_lift(_lift_from_order(spec, *read_projective())[0].matrix, L)
         if cert.family == "R" and cert.negated:
             u = mat_scale(Cyc.rational(L, -1), u)
         _check_reconstruction(cert, u)
@@ -1214,9 +1218,7 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
 
     def check_one_parameter():
         # U_t at rational times commutes with the standard twist operator
-        L2 = cert.conductor * (2 * cert.exp_denominator) // gcd(
-            cert.conductor, 2 * cert.exp_denominator
-        )
+        L2 = lcm(cert.conductor, 2 * cert.exp_denominator)
         psi_lin = cert.model.twist_matrix(L2)
         for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
             ut = cert.u_matrix(L2, t)
@@ -1228,30 +1230,23 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
 
     def check_maximal_abelian():
         # centralizer of the Cartan inside both fixed algebras equals the Cartan
-        L = cert.conductor
         model = cert.model
-        d = model.dim
+        d = range(model.dim)
+        units = [
+            model.algebra_project(model.basis_matrix(cert.conductor, i, j))
+            for i in d for j in d if not model.entry_weight(i, j)
+        ]
 
-        def centralizer_dim(fixed_by):
-            fixed = []
-            for i in range(d):
-                for j in range(d):
-                    if model.entry_weight(i, j):
-                        continue
-                    unit = model.algebra_project(model.basis_matrix(L, i, j))
-                    if fixed_by == "psi":
-                        fixed.append(model.mode_project(unit, 0))
-                    else:
-                        fixed.append(_spectral_part(_phi_tilde_orbit(cert, unit), 0))
-            return len(span_basis(fixed))
-
-        for tag in ("psi", "phi"):
-            dim = centralizer_dim(tag)
+        def expect_rank(tag, dim):
             if dim != cert.rank:
                 raise StandardizeError(
                     f"centralizer of the Cartan in the {tag}-fixed algebra has dim {dim}, "
                     f"expected {cert.rank}"
                 )
+
+        # the psi side first: the phi side grades only when it passed
+        expect_rank("psi", len(span_basis(model.mode_project(x, 0) for x in units)))
+        expect_rank("phi", sum(m == 0 for m, _ in _grade(cert, span_basis(units))))
         return "centralizers equal the Cartan"
 
     def check_mu():
@@ -1262,7 +1257,9 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         return "mu matches exponents"
 
     def check_declared():
-        true_order = automorphism_order(spec)
+        # independent of validate_operator: a non-unitary operator still has its order checked
+        k, _ = read_projective()
+        true_order = 2 * k if spec.antiunitary else k
         if true_order != spec.declared_order:
             raise StandardizeError("declared order mismatch")
         if cert.orders[0] != true_order:
@@ -1270,8 +1267,6 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         return f"order {true_order}"
 
     def check_mode_integrality():
-        from .affine import lars_contains, lars_finite_parts, AffineRoot
-
         base = cert.base
         for a in lars_finite_parts(cert.lars, base):
             for m in mode_class(cert, a):

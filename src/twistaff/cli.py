@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from functools import lru_cache
 
 from . import jsonio
 from .affine import (
@@ -319,6 +320,7 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser():
     p = argparse.ArgumentParser(prog="twistaff", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -7,10 +7,11 @@ block with weight -eps_j.  The layout is one weight tuple, and one pairing Q
 (plus vector <-> mirror, exchange or symplectic) serves the defining
 involution of the matrix algebra, the order-2 twist when it is paired, and
 the antilinear structure map for the quaternionic/antiunitary cases.  The
-weight tuple and the pairing are computed once per (kind, rank).  The trace
-form is scaled so that the E_j are orthonormal.  Root-space and weight-space bases are the independent
-projections of matrix units, picked by ``span_basis`` through the ``cyclo``
-span test.
+weight tuple and the pairing are computed once per (kind, rank), each
+weight-space basis once per conductor and root.  The trace form is scaled so
+that the E_j are orthonormal.  Root-space and weight-space bases are the
+independent projections of matrix units, picked by ``span_basis`` through
+the ``cyclo`` span test.
 """
 
 from __future__ import annotations
@@ -251,9 +252,10 @@ class StandardModel:
             self.mode_project(self.algebra_project(u), residue) for u in self._weight_units(L, a)
         )
 
-    def weight_space_basis(self, L: int, a: Root) -> list[Matrix]:
-        """Basis of the full weight-a space of the model algebra (no mode projection)."""
-        return span_basis(self.algebra_project(u) for u in self._weight_units(L, a))
+    @lru_cache(maxsize=None)
+    def weight_space_basis(self, L: int, a: Root) -> tuple[Matrix, ...]:
+        """Basis of the full weight-a space (no mode projection), built once per L and a."""
+        return tuple(span_basis(self.algebra_project(u) for u in self._weight_units(L, a)))
 
 
 def span_basis(matrices) -> list[Matrix]:

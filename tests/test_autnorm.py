@@ -466,3 +466,129 @@ def test_block_decomposition_enlarges_the_conductor():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1b37c0a342975e2267770388acc271e6047374f69c1a7ed433471d6d9d36ca9e"
     )
+
+
+#: one seeded operator per affine kind: (family, seed, dim, order hint)
+KIND_OPERATORS = {
+    "A1": ("C_unitary", 0, 4, 3),
+    "B1": ("R", 0, 5, 3),
+    "C1": ("H", 0, 4, 4),
+    "D1": ("R", 0, 6, 2),
+    "B2": ("R", 2, 6, 2),
+    "C2": ("C_antiunitary", 0, 6, 4),
+    "BC2": ("C_antiunitary", 0, 5, 3),
+}
+
+
+def _kind_certificate(kind):
+    family, seed, dim, hint = KIND_OPERATORS[kind]
+    cert = standardize(random_operator(random.Random(seed), family, dim, order_hint=hint))
+    assert cert.lars == kind
+    return cert
+
+
+def _dense_phi_tilde_inverse(cert, x):
+    """The reference: D* x D for the linear standard form D = U_1 T, psi~(U_1* x U_1) otherwise."""
+    from twistaff.cyclo import mat_conj_transpose
+
+    L = x[0][0].L
+    if cert.family == "C_antiunitary":
+        u1 = cert.u_matrix(L)
+        return cert.model.psi_tilde(mat_mul(mat_mul(mat_conj_transpose(u1), x), u1))
+    dhat = cert.standard_linear_matrix(L)
+    return mat_mul(mat_mul(mat_conj_transpose(dhat), x), dhat)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_OPERATORS))
+def test_phi_tilde_inverse_is_the_dense_conjugation(kind):
+    from twistaff.autnorm import _phi_tilde_inverse
+
+    cert = _kind_certificate(kind)
+    L = cert.conductor
+    d = cert.model.dim
+    rng = random.Random(kind)
+    for _ in range(4):
+        x = tuple(
+            tuple(
+                Cyc.rational(L, Q(rng.randint(-5, 5), rng.randint(1, 3))) * Cyc.zeta(L, rng.randrange(L))
+                for _ in range(d)
+            )
+            for _ in range(d)
+        )
+        assert mat_eq(_phi_tilde_inverse(cert, x), _dense_phi_tilde_inverse(cert, x))
+
+
+@pytest.mark.parametrize(
+    "seed, dim, hint", [(0, 4, 2), (0, 6, 4), (0, 5, 3), (1, 5, 3)]  # C2, C2, BC2, BC2
+)
+def test_cartan_pieces_are_an_eigenbasis_of_the_cartan(seed, dim, hint):
+    from twistaff.models import span_basis
+
+    cert = standardize(random_operator(random.Random(seed), "C_antiunitary", dim, order_hint=hint))
+    model = cert.model
+    L = cert.conductor
+    cartan = span_basis(model.algebra_project(model.basis_matrix(L, i, i)) for i in range(model.dim))
+    pieces = [v for _, v in cartan_mode_vectors(cert)]
+    assert len(pieces) == len(cartan)
+    assert len(span_basis(pieces)) == len(pieces)
+
+
+@pytest.mark.parametrize(
+    "family, seed, dim, hint",
+    [("C_unitary", 1, 4, 3), ("H", 1, 4, 4), ("R", 1, 5, 3), ("R", 0, 5, 2), ("C_antiunitary", 1, 5, 4)],
+)
+def test_verification_takes_the_projective_order_once(monkeypatch, family, seed, dim, hint):
+    from twistaff import autnorm
+
+    spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
+    cert = standardize(spec)
+    calls = []
+    real = autnorm.projective_order
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(autnorm, "projective_order", counting)
+    assert verify_certificate(spec, cert).all_passed
+    assert len(calls) == 1
+
+
+def test_verification_details_for_a_wrong_order_and_a_non_unitary_operator():
+    spec = random_operator(random.Random(3), "C_unitary", 3, order_hint=3)
+    cert = standardize(spec)
+    n = spec.declared_order
+    wrong = dataclasses.replace(spec, declared_order=n + 1)
+    checks = {name: (ok, detail) for name, ok, detail in verify_certificate(wrong, cert).items}
+    assert checks["reconstruction"] == (
+        False, f"declared order {n + 1} but the automorphism has exact order {n}"
+    )
+    assert checks["declared_order"] == (False, "declared order mismatch")
+    # the declared-order check does not depend on unitarity
+    scaled = dataclasses.replace(spec, matrix=mat_scale(Cyc.rational(spec.conductor, 2), spec.matrix))
+    checks = {name: (ok, detail) for name, ok, detail in verify_certificate(scaled, cert).items}
+    assert checks["reconstruction"] == (False, "matrix is not unitary")
+    assert checks["declared_order"] == (True, f"order {n}")
+
+
+def test_certificates_of_one_kind_share_the_weight_space_bases(monkeypatch):
+    from twistaff import autnorm
+    from twistaff.affine import lars_finite_parts
+
+    read = {}  # id of the certificate -> the bases it graded, in order
+    real = autnorm._grade
+
+    def recording(cert, basis):
+        read.setdefault(id(cert), []).append(basis)
+        return real(cert, basis)
+
+    monkeypatch.setattr(autnorm, "_grade", recording)
+    certs = [standardize(random_operator(random.Random(s), "C_unitary", 4, order_hint=3)) for s in (0, 1)]
+    assert len({(c.lars, c.rank, c.conductor) for c in certs}) == 1
+    for cert in certs:
+        for a in lars_finite_parts(cert.lars, cert.base):
+            mode_class_vectors(cert, a)
+    first, second = (read[id(c)] for c in certs)
+    assert len(first) == len(second) > 0
+    for b1, b2 in zip(first, second):
+        assert isinstance(b1, tuple) and b1 is b2

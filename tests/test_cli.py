@@ -353,3 +353,23 @@ def test_each_subcommand_takes_only_the_flags_it_reads(command, capsys):
             parser.parse_args(argv({flag: value}))
         assert exc.value.code == 2, (command, flag)
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_at_most_once(monkeypatch, opfile, tmp_path):
+    import argparse
+    from types import SimpleNamespace
+
+    from twistaff import cli
+
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "twistaff":
+                built.append(self)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counting))
+    for _ in range(2):
+        assert run(["normalize", "--input", opfile, "--output", tmp_path / "out.json"]) == 0
+    assert len(built) <= 1

@@ -10,13 +10,19 @@ SIGALRM of ALARM_S seconds; an operator that outlives it, or whose certificate
 fails verification, is listed as it happens.  The last lines print the number
 of certificates of each affine kind, which shows that every row of
 `affine.KINDS` is reached, and one count per outcome: "ok", each distinct
-error message, "past the alarm" and "certificate fails verification".  Exit
-status 1 when any operator is past the alarm or fails verification.  Not part
-of the test suite: it takes a few minutes.
+error message, "past the alarm" and "certificate fails verification".  The
+last line is one SHA-256, in grid order, over each operator's certificate and
+verification report JSON, or over its outcome text when it has no
+certificate; it pins the whole grid's output, but an operator past the alarm
+makes it depend on the host's speed.  Exit status 1 when any operator is past
+the alarm or fails verification.  Not part of the test suite: it takes a few
+minutes.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import signal
 import sys
@@ -44,17 +50,21 @@ def _expire(signum, frame):
 
 
 def probe_one(seed, family, dim, hint):
-    """The outcome of one operator ("ok", one of FAULTS, or "<ErrorType>: <message>")
-    and the affine kind of its certificate (None without one)."""
+    """The outcome of one operator ("ok", one of FAULTS, or "<ErrorType>: <message>"),
+    the affine kind of its certificate (None without one) and the text it adds to
+    the digest: the certificate and report JSON, else the outcome."""
     signal.alarm(ALARM_S)
     try:
         spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
         cert = standardize(spec)
-        return ("ok" if verify_certificate(spec, cert).all_passed else FAULTS[1]), cert.lars
+        report = verify_certificate(spec, cert)
+        text = json.dumps(cert.to_json(), sort_keys=True) + json.dumps(report.to_json(), sort_keys=True)
+        return ("ok" if report.all_passed else FAULTS[1]), cert.lars, text
     except Alarm:
-        return FAULTS[0], None
+        return FAULTS[0], None, FAULTS[0]
     except Exception as exc:  # the probe counts every error by its message
-        return f"{type(exc).__name__}: {exc}", None
+        outcome = f"{type(exc).__name__}: {exc}"
+        return outcome, None, outcome
     finally:
         signal.alarm(0)
 
@@ -63,6 +73,7 @@ def main():
     signal.signal(signal.SIGALRM, _expire)
     counts: Counter = Counter()
     kinds: Counter = Counter()
+    digest = hashlib.sha256()
     start = time.perf_counter()
     for seed in SEEDS:
         for family in FAMILIES:
@@ -70,7 +81,8 @@ def main():
                 if family == "H" and dim % 2:
                     continue
                 for hint in HINTS:
-                    outcome, kind = probe_one(seed, family, dim, hint)
+                    outcome, kind, text = probe_one(seed, family, dim, hint)
+                    digest.update(text.encode() + b"\n")
                     counts[outcome] += 1
                     kinds[kind] += 1
                     if outcome in FAULTS:
@@ -79,6 +91,7 @@ def main():
     print("certificates per kind: " + ", ".join(f"{k} {kinds[k]}" for k in LARS_KINDS))
     for outcome, n in counts.most_common():
         print(f"{n:6d}  {outcome}")
+    print(f"sha256 of every certificate and report: {digest.hexdigest()}")
     return 1 if any(counts[f] for f in FAULTS) else 0
 
 
