@@ -296,13 +296,26 @@ def cmd_theorem_b(args):
     return 0, out
 
 
+def _int_at_least(low):
+    """An argparse type: an integer of at least low, else a usage error (exit 2)."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 #: the options a subcommand may read besides --input and --output
 OPTIONS = {
-    "--bound": dict(type=int, default=10, help="lattice box bound for the oracle"),
-    "--window": dict(type=int, default=0, help="mode window for root listings"),
+    "--bound": dict(type=_int_at_least(0), default=10, help="lattice box bound for the oracle"),
+    "--window": dict(type=_int_at_least(0), default=0, help="mode window for root listings"),
     "--seed": dict(type=int, default=0, help="seed for pseudorandom checks"),
-    "--count": dict(type=int, default=20, help="number of pseudorandom trials"),
-    "--jobs": dict(type=int, default=1, help="parallel workers for orbit search"),
+    "--count": dict(type=_int_at_least(0), default=20, help="number of pseudorandom trials"),
+    "--jobs": dict(type=_int_at_least(1), default=1, help="parallel workers for orbit search"),
     "--allow-nonintegral": dict(
         action="store_true", help="compute the orbit infimum even for non-integral weights"
     ),

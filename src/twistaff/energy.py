@@ -6,17 +6,21 @@ image w.chi0_sharp of the character, so the infimum over the orbit reduces,
 for each distinct image, to a closest-vector problem in the translation
 lattice.  All seven kinds have classical lattices (integer, checkerboard,
 sum-zero, and half-scalings), so the closed form is an exact per-family CVP.
-An independent brute-force oracle evaluates the orbit value exactly, in
-integers, at every box point x every distinct orbit image, over a bounded
-coefficient box.
+An independent oracle computes the exact least orbit value over a bounded
+coefficient box and every distinct orbit image, in integers and without CVP.
+It evaluates only the box points that can still be the minimum: the vertices
+when the quadratic is concave or affine, and otherwise, per image, the points
+inside the bounding box of the ellipsoid below the least value found so far,
+skipping every image whose real minimum already lies above that value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from operator import sub
+from itertools import repeat
+from math import isqrt
+from operator import mul, sub
 
 from .affine import (
     KINDS,
@@ -217,9 +221,9 @@ def min_energy(
 
     Closed form: per distinct image of the character under the finite Weyl
     group the translation part is a positive definite quadratic, minimized
-    exactly by a lattice CVP; the oracle enumerates the orbit over a
-    coefficient box and must agree.  The finite Weyl group is enumerated in
-    full, so ranks above exhaustive_rank raise ValueError.
+    exactly by a lattice CVP; the oracle's exact minimum over a coefficient
+    box must agree.  The finite Weyl group is enumerated in full, so ranks
+    above exhaustive_rank raise ValueError.
     """
     if lam.lc == 0:
         raise ValueError("the central value of the weight must be nonzero")
@@ -258,7 +262,7 @@ def min_energy(
 
     agreement = None
     if with_oracle:
-        oracle_min = _oracle_minimum(spec, lam, chi, oracle_bound, jobs)
+        oracle_min = _oracle_minimum(spec, lam, chi, oracle_bound, jobs, images)
         agreement = oracle_min == minimum
     return EnergyReport(True, minimum, witness, agreement, bounds)
 
@@ -270,7 +274,7 @@ def _linear_case(spec, lam, chi, images, bounds, with_oracle, oracle_bound):
     for w, u in images:
         grad = u.scale(lam.lc) + lam.l0.scale(chi.chi_d)
         if any(pairing(grad, b) for b in basis):
-            agree = _oracle_detects_divergence(spec, lam, chi, oracle_bound) if with_oracle else None
+            agree = _oracle_detects_divergence(spec, lam, chi, oracle_bound, images) if with_oracle else None
             return EnergyReport(False, None, None, agree, bounds)
         val = _orbit_value(lam, chi, u, CartanVector())
         if best is None or val < best[0]:
@@ -278,80 +282,154 @@ def _linear_case(spec, lam, chi, images, bounds, with_oracle, oracle_bound):
     minimum, witness = best
     agreement = None
     if with_oracle:
-        agreement = _oracle_minimum(spec, lam, chi, oracle_bound, 1) == minimum
+        agreement = _oracle_minimum(spec, lam, chi, oracle_bound, 1, images) == minimum
     return EnergyReport(True, minimum, witness, agreement, bounds)
 
 
-def _box_sums(weights, bound: int) -> list[int]:
-    """sum_i m_i * weights[i] for every m in [-bound, bound]^k, last index fastest."""
+def _oracle_minimum(spec, lam, chi, bound, jobs=1, images=None) -> Fraction:
+    """Exact least orbit value over the coefficient box and every distinct orbit image.
+
+    The box holds the lattice vectors y = sum m_i b_i with |m_i| <= bound.
+    After one common integer scaling, twice the orbit value at the image
+    u = w.chi0_sharp is F_u(m) = a m.G.m - beta_u.m + kappa_u, with G the
+    Gram matrix of the integer lattice rows; only beta and kappa depend on u.
+    Pass the (w, u) pairs of `_distinct_images` as images when they are at
+    hand.  No CVP: a point is skipped only when its value provably cannot be
+    below one already evaluated (see `_least_value`), so the result is the
+    exact box minimum and checks the closed form.
+    """
+    rank = spec.base.rank
+    rows, den = common_rows(translation_lattice(spec), rank)  # y = sum m_i rows_i / den
+    if images is None:
+        images = _distinct_images(finite_weyl_group(spec.lars, rank), chi.chi0_sharp)
+    # F_u = 2 * scale * orbit value: with y = rows.m / den, the terms lc chi_d |y|^2,
+    # -2 <lc u + chi_d l0, y> and 2 <l0, u - chi0_sharp> scale to a m.G.m, -beta_u.m
+    # and kappa_u in integers; every image shares the denominator of chi0_sharp
+    lc, chi_d, l0, chi0 = lam.lc, chi.chi_d, lam.l0, chi.chi0_sharp
+    scale = den * den * lc.denominator * chi_d.denominator * chi0.den * l0.den
+    a = lc.numerator * chi_d.numerator * chi0.den * l0.den
+    grad_u = 2 * lc.numerator * chi_d.denominator * den * l0.den
+    grad_l0 = 2 * chi_d.numerator * lc.denominator * den * chi0.den
+    const = 2 * den * den * lc.denominator * chi_d.denominator
+    beta_l0 = [grad_l0 * _dot(l0.num, r) for r in rows]
+    kappa_chi0 = _dot(l0.num, chi0.num)
+    tasks = [
+        ([grad_u * _dot(u.num, r) + b for r, b in zip(rows, beta_l0)], const * (_dot(l0.num, u.num) - kappa_chi0))
+        for _, u in images
+    ]
+    if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        step = (len(tasks) + jobs - 1) // jobs
+        chunks = [tasks[i : i + step] for i in range(0, len(tasks), step)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            best = min(pool.map(_least_value, chunks, repeat(a), repeat(rows), repeat(bound)))
+    else:
+        best = _least_value(tasks, a, rows, bound)
+    return Fraction(best, 2 * scale)
+
+
+def _least_value(tasks, a, rows, bound) -> int:
+    """Least F(m) = a m.G.m - beta.m + kappa over the box |m_i| <= bound and the (beta, kappa) tasks.
+
+    G is the Gram matrix of the integer lattice rows.  Only points that can
+    still be the minimum are evaluated:
+
+    - a <= 0: F is concave or affine, so its box minimum lies at a vertex.
+    - a > 0: F(m) = a (m - c).G.(m - c) + F(c) with c = G^-1 beta / 2a, so
+      F(c) bounds F from below.  The box point nearest c for the task with
+      the least F(c) gives a first value U.  Tasks are scanned by increasing
+      F(c), and the scan stops at the first with F(c) >= U.  Each scanned
+      task evaluates only the box points in the bounding box of its ellipsoid
+      F(m) <= U, whose half-width in coordinate i is
+      sqrt((U - F(c)) adj(G)_ii / (a det G)).  Every skipped point has
+      F(m) >= U, so the result is the box minimum.  (On the standard kinds
+      F(c) is the same for every image, because the finite Weyl group keeps
+      the form and the sum of coordinates in type A; the scan then stops
+      only once U reaches it.  The order keeps the argument free of that.)
+    """
+    if a <= 0:
+        corners = [(-bound, bound)] * len(rows)
+        quad = _quadratic(a, rows, corners)
+        return min(min(map(sub, quad, _point_sums(corners, beta))) + kappa for beta, kappa in tasks)
+    adj, det = _adjugate([[_dot(r, s) for s in rows] for r in rows])
+    q = 2 * a * det  # c = adj.beta / q and 4 a det F(c) = 2 q kappa - beta.adj.beta
+    scanned = []
+    for beta, kappa in tasks:
+        hb = [_dot(row, beta) for row in adj]
+        scanned.append((2 * q * kappa - _dot(beta, hb), hb, beta, kappa))
+    scanned.sort()
+    _, hb, beta, kappa = scanned[0]
+    best = _least_at(a, rows, [[min(bound, max(-bound, (2 * x + q) // (2 * q)))] for x in hb], beta, kappa)
+    for phi, hb, beta, kappa in scanned:
+        room = 2 * q * best - phi  # 4 a det (U - F(c)) = (q * half-width_i)^2 / adj_ii
+        if room <= 0:
+            break
+        box = []
+        for i, x in enumerate(hb):
+            s = isqrt(room * adj[i][i])  # floor(q * half-width_i), so lo and hi are exact
+            lo, hi = max(-bound, -((s - x) // q)), min(bound, (x + s) // q)
+            if lo > hi:
+                break
+            box.append(range(lo, hi + 1))
+        else:
+            best = min(best, _least_at(a, rows, box, beta, kappa))
+    return best
+
+
+def _least_at(a, rows, box, beta, kappa) -> int:
+    """Least F(m) over the product of the coordinate ranges in box."""
+    return min(map(sub, _quadratic(a, rows, box), _point_sums(box, beta))) + kappa
+
+
+def _point_sums(ranges, weights) -> list[int]:
+    """sum_i m_i * weights[i] for every m in the product of the ranges, last index fastest."""
     out = [0]
-    for wt in weights:
-        steps = [m * wt for m in range(-bound, bound + 1)]
+    for r, wt in zip(ranges, weights):
+        steps = [m * wt for m in r]
         out = [v + s for v in out for s in steps]
     return out
 
 
-def _oracle_minimum(spec, lam, chi, bound, jobs=1) -> Fraction:
-    """Brute-force orbit minimum: every box point times every distinct orbit image.
+def _quadratic(a, rows, ranges) -> list[int]:
+    """a |sum_i m_i rows_i|^2 for every m in the product of the ranges, in `_point_sums` order."""
+    norms = None
+    for col in zip(*rows):
+        x = _point_sums(ranges, col)
+        norms = [v * v for v in x] if norms is None else [n + v * v for n, v in zip(norms, x)]
+    return [a * n for n in norms]
 
-    The box holds the lattice vectors y = sum m_i b_i with |m_i| <= bound.
-    Twice the orbit value is lc chi_d |y|^2 - sum m_i beta_i + kappa, where
-    only beta and kappa depend on the image u = w.chi0_sharp; after one common
-    integer scaling it is evaluated exactly at every box point for each
-    distinct u.  No CVP and no pruning, so it checks the closed form.
+
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
+
+
+def _adjugate(gram) -> tuple[list, int]:
+    """adj(G) and det(G) of a positive definite integer matrix, by fraction-free Gauss-Jordan.
+
+    Bareiss elimination on [G | I] without pivoting (the leading minors of a
+    positive definite matrix are positive); every division is exact, and it
+    ends at [det I | adj].
     """
-    rank = spec.base.rank
-    basis = translation_lattice(spec)
-    rows, den = common_rows(basis, rank)  # y = sum m_i rows_i / den
-    quad = lam.lc * chi.chi_d / (den * den)  # per unit of |den * y|^2
-    tasks = []
-    for _, u in _distinct_images(finite_weyl_group(spec.lars, rank), chi.chi0_sharp):
-        grad = u.scale(lam.lc) + lam.l0.scale(chi.chi_d)
-        kappa = 2 * pairing(lam.l0, u - chi.chi0_sharp)
-        tasks.append(([2 * pairing(grad, b) for b in basis], kappa))
-    scale = lcm(quad.denominator, *(q.denominator for betas, kappa in tasks for q in (*betas, kappa)))
-    a = int(quad * scale)
-    int_tasks = [([int(q * scale) for q in betas], int(kappa * scale)) for betas, kappa in tasks]
-
-    # |den * y|^2 over the box, built once; sliced by the last coefficient
-    width = 2 * bound + 1
-    norms = [0] * width ** len(basis)
-    for column in zip(*rows):
-        col = _box_sums(column, bound)
-        norms = [n + x * x for n, x in zip(norms, col)]
-    slices = [[a * n for n in norms[i::width]] for i in range(width)]
-
-    if jobs > 1 and len(int_tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = (len(int_tasks) + jobs - 1) // jobs
-        chunks = [int_tasks[i : i + step] for i in range(0, len(int_tasks), step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            best = min(pool.map(_oracle_chunk, chunks, [slices] * len(chunks), [bound] * len(chunks)))
-    else:
-        best = _oracle_chunk(int_tasks, slices, bound)
-    return Fraction(best, 2 * scale)
+    k = len(gram)
+    work = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(gram)]
+    prev = 1
+    for p in range(k):
+        pivot, top = work[p][p], work[p]
+        for i in range(k):
+            if i != p:
+                f = work[i][p]
+                work[i] = [(pivot * x - f * y) // prev for x, y in zip(work[i], top)]
+        prev = pivot
+    return [row[k:] for row in work], prev
 
 
-def _oracle_chunk(int_tasks, slices, bound):
-    """Least scaled value over the box for the given images.
-
-    slices[i] holds a * |den * y|^2 for last coefficient m = i - bound, in the
-    order of the other coefficients, so their linear part is shared.
-    """
-    values = []
-    for betas, kappa in int_tasks:
-        head = _box_sums(betas[:-1], bound)
-        last = betas[-1]
-        per_m = [min(map(sub, sl, head)) - m * last for m, sl in zip(range(-bound, bound + 1), slices)]
-        values.append(min(per_m) + kappa)
-    return min(values)
-
-
-def _oracle_detects_divergence(spec, lam, chi, bound) -> bool:
+def _oracle_detects_divergence(spec, lam, chi, bound, images=None) -> bool:
     """For minus-infinity reports: the box minimum strictly decreases with the box."""
-    small = _oracle_minimum(spec, lam, chi, max(1, bound // 2))
-    large = _oracle_minimum(spec, lam, chi, bound)
+    if images is None:
+        images = _distinct_images(finite_weyl_group(spec.lars, spec.base.rank), chi.chi0_sharp)
+    small = _oracle_minimum(spec, lam, chi, max(1, bound // 2), 1, images)
+    large = _oracle_minimum(spec, lam, chi, bound, 1, images)
     return large < small
 
 

@@ -373,3 +373,39 @@ def test_main_builds_the_parser_at_most_once(monkeypatch, opfile, tmp_path):
     for _ in range(2):
         assert run(["normalize", "--input", opfile, "--output", tmp_path / "out.json"]) == 0
     assert len(built) <= 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, low",
+    [
+        ("min-energy", "--bound", -1, 0),
+        ("theorem-b", "--bound", -1, 0),
+        ("bracket-check", "--count", -2, 0),
+        ("check-isom", "--count", -1, 0),
+        ("roots", "--window", -3, 0),
+        ("map-roots", "--window", -1, 0),
+        ("min-energy", "--jobs", 0, 1),
+        ("min-energy", "--jobs", -2, 1),
+    ],
+)
+def test_out_of_range_flag_values_are_usage_errors(command, flag, value, low, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--input", "req.json", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least {low}, got {value}" in capsys.readouterr().err
+
+
+def test_zero_flag_values_stay_valid(tmp_path):
+    from twistaff.cli import build_parser
+
+    for command, flag in (("min-energy", "--bound"), ("bracket-check", "--count"), ("roots", "--window")):
+        args = build_parser().parse_args([command, "--input", "req.json", flag, "0"])
+        assert getattr(args, flag[2:]) == 0
+    path = tmp_path / "me.json"
+    path.write_text(json.dumps({
+        "spec": standard_spec("C1", 2).to_json(),
+        "weight": {"lc": "1", "l0": {"coords": {"1": "1/2"}}, "ld": "0"},
+    }))
+    out = tmp_path / "r.json"
+    assert run(["min-energy", "--input", path, "--bound", 0, "--output", out]) == 0
+    assert json.loads(out.read_text())["request"]["bound"] == 0

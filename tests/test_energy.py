@@ -1,6 +1,8 @@
 import itertools
 import random
 from fractions import Fraction as Q
+from math import lcm
+from operator import sub
 
 import pytest
 
@@ -9,6 +11,7 @@ from twistaff.autnorm import OperatorSpec, mode_class, standardize
 from twistaff.cyclo import mat_from_rows
 from twistaff.energy import (
     Character,
+    _distinct_images,
     _oracle_minimum,
     character_of,
     is_integral,
@@ -17,7 +20,7 @@ from twistaff.energy import (
     slant_shift,
     theorem_b_pipeline,
 )
-from twistaff.rootdata import CartanVector, Functional, pairing
+from twistaff.rootdata import CartanVector, Functional, common_rows, pairing
 from twistaff.sampling import random_functional
 from twistaff.weyl import (
     AffWeylElement,
@@ -131,12 +134,103 @@ def test_oracle_matches_plain_box_enumeration():
                 assert got == _box_reference(spec, lam, chi, bound), (kind, rank, chi, lc)
 
 
+def _box_sums(weights, bound: int) -> list[int]:
+    """sum_i m_i * weights[i] for every m in [-bound, bound]^k, last index fastest."""
+    out = [0]
+    for wt in weights:
+        steps = [m * wt for m in range(-bound, bound + 1)]
+        out = [v + s for v in out for s in steps]
+    return out
+
+
+def _vectorized_box_minimum(spec, lam, chi, bound) -> Q:
+    """Every box point times every distinct orbit image, evaluated exactly: the
+    earlier oracle, kept as the reference with its process pool left out."""
+    rank = spec.base.rank
+    basis = translation_lattice(spec)
+    rows, den = common_rows(basis, rank)  # y = sum m_i rows_i / den
+    quad = lam.lc * chi.chi_d / (den * den)  # per unit of |den * y|^2
+    tasks = []
+    for _, u in _distinct_images(finite_weyl_group(spec.lars, rank), chi.chi0_sharp):
+        grad = u.scale(lam.lc) + lam.l0.scale(chi.chi_d)
+        kappa = 2 * pairing(lam.l0, u - chi.chi0_sharp)
+        tasks.append(([2 * pairing(grad, b) for b in basis], kappa))
+    scale = lcm(quad.denominator, *(q.denominator for betas, kappa in tasks for q in (*betas, kappa)))
+    a = int(quad * scale)
+    int_tasks = [([int(q * scale) for q in betas], int(kappa * scale)) for betas, kappa in tasks]
+
+    # |den * y|^2 over the box, built once; sliced by the last coefficient
+    width = 2 * bound + 1
+    norms = [0] * width ** len(basis)
+    for column in zip(*rows):
+        col = _box_sums(column, bound)
+        norms = [n + x * x for n, x in zip(norms, col)]
+    slices = [[a * n for n in norms[i::width]] for i in range(width)]
+
+    values = []
+    for betas, kappa in int_tasks:
+        head = _box_sums(betas[:-1], bound)
+        last = betas[-1]
+        per_m = [min(map(sub, sl, head)) - m * last for m, sl in zip(range(-bound, bound + 1), slices)]
+        values.append(min(per_m) + kappa)
+    return Q(min(values), 2 * scale)
+
+
+#: per rank: the bounds 0-2, the benchmark's bound and one larger bound
+ORACLE_BOUNDS = {2: (0, 1, 2, 10, 40), 3: (0, 1, 2, 10, 20), 4: (0, 1, 2, 3, 4)}
+#: (lc, chi_d) pairs: positive definite, concave and affine quadratics
+ORACLE_SIGNS = tuple(itertools.product((1, 2, -1, -2), (0, 1, 2)))
+
+
+def test_oracle_equals_the_vectorized_box_minimum():
+    # the sign pairs rotate over two draws per (kind, rank, bound), one at the
+    # costly larger bound, so every kind meets all 12 pairs; the
+    # weight is scaled up now and then so that the real minimizer leaves the box
+    rng = random.Random(67)
+    turn = 0
+    for kind in LARS_KINDS:
+        for rank, bounds in ORACLE_BOUNDS.items():
+            spec = standard_spec(kind, rank)
+            for bound in bounds:
+                for _ in range(1 if bound == bounds[-1] else 2):
+                    lc, chi_d = ORACLE_SIGNS[turn % len(ORACLE_SIGNS)]
+                    turn += 1
+                    l0 = random_functional(rng, rank, denoms=(1, 2)).scale(rng.choice((1, 1, 4)))
+                    lam = Weight(lc, l0, 0)
+                    chi = Character(0, random_functional(rng, rank, denoms=(1, 2, 3)).sharp(), chi_d)
+                    want = _vectorized_box_minimum(spec, lam, chi, bound)
+                    assert _oracle_minimum(spec, lam, chi, bound) == want, (kind, rank, bound, lc, chi_d)
+
+
+def test_oracle_keeps_the_box_when_the_minimizer_lies_outside():
+    # the closed-form witness y = (6, 6, 6) lies outside the box |m_i| <= 3
+    spec = standard_spec("C1", 3)
+    lam = Weight(1, Functional({1: 6, 2: 6, 3: 6}), 0)
+    chi = Character(0, CartanVector(()), 1)
+    rep = min_energy(spec, lam, chi, oracle_bound=3)
+    assert rep.minimum == -54 and rep.witness.trans.y == CartanVector({1: 6, 2: 6, 3: 6})
+    assert rep.method_agreement is False
+    assert _oracle_minimum(spec, lam, chi, 3) == _vectorized_box_minimum(spec, lam, chi, 3) > -54
+
+
 def test_oracle_jobs_do_not_change_the_minimum():
     rng = random.Random(59)
     spec = standard_spec("B1", 3)
     lam = Weight(2, random_functional(rng, 3, denoms=(1, 2)), 0)
     chi = Character(0, CartanVector({1: Q(1, 2), 2: Q(-1, 3), 3: 2}), 1)
     assert _oracle_minimum(spec, lam, chi, 3, jobs=2) == _oracle_minimum(spec, lam, chi, 3, jobs=1)
+
+    # here the least value lies in the second of the two chunks, so the first
+    # chunk stops at its own, larger, ceiling
+    lam = Weight(2, Functional({3: 1}), 0)
+    chi = Character(0, CartanVector({1: Q(1, 3), 2: Q(-1, 5), 3: Q(2, 7)}), 1)
+    images = _distinct_images(finite_weyl_group("B1", 3), chi.chi0_sharp)
+    half = (len(images) + 1) // 2
+    first = _oracle_minimum(spec, lam, chi, 3, images=images[:half])
+    second = _oracle_minimum(spec, lam, chi, 3, images=images[half:])
+    assert second < first
+    assert _oracle_minimum(spec, lam, chi, 3, jobs=2) == _oracle_minimum(spec, lam, chi, 3, jobs=1) == second
+    assert second == _vectorized_box_minimum(spec, lam, chi, 3)
 
 
 def test_cvp_families():
