@@ -518,6 +518,33 @@ def test_phi_tilde_inverse_is_the_dense_conjugation(kind):
         assert mat_eq(_phi_tilde_inverse(cert, x), _dense_phi_tilde_inverse(cert, x))
 
 
+@pytest.mark.parametrize("kind", sorted(KIND_OPERATORS))
+def test_phi_tilde_inverse_is_a_phase_times_psi_tilde(kind):
+    """On the weight-a space the dense phi~^-1 is zeta_L^s(a) psi~, s(a) = -(L / D) sum_j a_j e_j
+    for the exponents e over their denominator D, and psi~ is an involution."""
+    from twistaff.affine import lars_finite_parts
+
+    cert = _kind_certificate(kind)
+    model = cert.model
+    L = cert.conductor
+    step = L // cert.exp_denominator
+    assert step * cert.exp_denominator == L
+    for a in lars_finite_parts(cert.lars, cert.base):
+        s = -step * sum(c * cert.exponents[j - 1] for j, c in a.coeffs) % L
+        for b in model.weight_space_basis(L, a):
+            want = mat_scale(Cyc.zeta(L, s), model.psi_tilde(b))
+            assert mat_eq(_dense_phi_tilde_inverse(cert, b), want), (kind, a)
+    rng = random.Random(kind)
+    d = model.dim
+    for _ in range(4):
+        x = tuple(
+            tuple(Cyc.rational(L, Q(rng.randint(-5, 5), rng.randint(1, 3))) * Cyc.zeta(L, rng.randrange(L))
+                  for _ in range(d))
+            for _ in range(d)
+        )
+        assert mat_eq(model.psi_tilde(model.psi_tilde(x)), x)
+
+
 @pytest.mark.parametrize(
     "seed, dim, hint", [(0, 4, 2), (0, 6, 4), (0, 5, 3), (1, 5, 3)]  # C2, C2, BC2, BC2
 )

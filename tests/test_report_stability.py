@@ -1,5 +1,6 @@
 """Pinned SHA-256 digests of seeded `normalize`, `bracket-check`, `check-isom`,
-`map-roots`, `min-energy` and `theorem-b` reports.
+`map-roots`, `min-energy` and `theorem-b` reports, and of seeded certificates'
+twisted gradings.
 
 Each operator comes from `random_operator(Random("stable:<family>:<dim>:<hint>"), ...)`
 and covers all four families; the bracket checks cover the seven standard
@@ -15,8 +16,10 @@ from random import Random
 
 import pytest
 
-from twistaff.affine import Weight, standard_spec
+from twistaff.affine import Weight, lars_finite_parts, standard_spec
+from twistaff.autnorm import cartan_mode_vectors, mode_class_vectors, standardize
 from twistaff.cli import main
+from twistaff.jsonio import mat_to_json
 from twistaff.rootdata import Functional
 from twistaff.sampling import random_functional, random_operator
 
@@ -361,3 +364,36 @@ def test_theorem_b_report_is_byte_stable(family, dim, hint, negative, tmp_path, 
     request = theorem_b_request(family, dim, hint, negative)
     digest = _report_digest(tmp_path, monkeypatch, request, ["theorem-b"])
     assert digest == THEOREM_B_DIGESTS[(family, dim, hint, negative)]
+
+
+#: one SHA-256 per certificate over its twisted grading, for the operator
+#: `random_operator(Random(seed), family, dim, hint)`: the root, residue and matrix
+#: JSON of every `mode_class_vectors` piece of each finite root, then the residue
+#: and matrix JSON of every `cartan_mode_vectors` piece
+GRADING_DIGESTS = {
+    ("C_unitary", 0, 4, 3): "8e568d884f1df5f58928bd9ad313a0dde7eff408125e0bbafcb631dbfa14c51b",  # A1
+    ("R", 0, 5, 3): "9f33c57d7c5c6921a6f9e534997ccfd90c4886160b50ee8b644ed0da8c2fa99d",  # B1
+    ("H", 0, 4, 4): "58a48604e60b5571a75684c3babb97b3227769fef5eadd08249afbc05e2aadeb",  # C1
+    ("R", 0, 6, 2): "912e476c2e46ac9029ee2e8e80f3cd7a8cd8f72ad9c591127f0ce9e43b7478d8",  # D1
+    ("R", 2, 6, 2): "5886b7d6ff2ecd31e5edfd1958e3cb58b3078b939951c19c74b0be3392e5e337",  # B2
+    ("C_antiunitary", 0, 6, 4): "a3bb863446aa28f0a3c99550576e8644dde9f92ce4d250da6827e8c9c4d15e0c",  # C2
+    ("C_antiunitary", 0, 4, 2): "595ee7e51a6d7220e81158882ead45ce12310ef6db0ef4367db9d74e6999e095",  # C2
+    ("C_antiunitary", 0, 5, 3): "f54a37eb3c7cb7904e157a1c2fe08185c0c2192ad4dd09e5f7f91a617fe13905",  # BC2
+    ("C_antiunitary", 1, 5, 3): "ef89d01cafba93f0d9b484ad22b68c05a96c2161ea198e3fbb7d96f6cdb5cdb2",  # BC2
+}
+
+
+def grading_digest(cert):
+    digest = hashlib.sha256()
+    for a in lars_finite_parts(cert.lars, cert.base):
+        for m, v in mode_class_vectors(cert, a):
+            digest.update(json.dumps([a.to_json(), m, mat_to_json(v)]).encode())
+    for m, v in cartan_mode_vectors(cert):
+        digest.update(json.dumps([None, m, mat_to_json(v)]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("family,seed,dim,hint", sorted(GRADING_DIGESTS))
+def test_grading_is_byte_stable(family, seed, dim, hint):
+    cert = standardize(random_operator(Random(seed), family, dim, order_hint=hint))
+    assert grading_digest(cert) == GRADING_DIGESTS[(family, seed, dim, hint)]

@@ -11,12 +11,15 @@ fails verification, is listed as it happens.  The last lines print the number
 of certificates of each affine kind, which shows that every row of
 `affine.KINDS` is reached, and one count per outcome: "ok", each distinct
 error message, "past the alarm" and "certificate fails verification".  The
-last line is one SHA-256, in grid order, over each operator's certificate and
-verification report JSON, or over its outcome text when it has no
-certificate; it pins the whole grid's output, but an operator past the alarm
-makes it depend on the host's speed.  Exit status 1 when any operator is past
-the alarm or fails verification.  Not part of the test suite: it takes a few
-minutes.
+last two lines are SHA-256 digests in grid order.  The first is over each
+operator's certificate and verification report JSON, or over its outcome
+text when it has no certificate; it pins the whole grid's output, but an
+operator past the alarm makes it depend on the host's speed.  The second is
+over the twisted grading of every certificate that passes verification: the
+root, residue and matrix JSON of each `mode_class_vectors` piece of every
+finite root, then of each `cartan_mode_vectors` piece (or the error text
+when grading raises).  Exit status 1 when any operator is past the alarm or
+fails verification.  Not part of the test suite: it takes a few minutes.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ import sys
 import time
 from collections import Counter
 
-from twistaff.affine import LARS_KINDS
-from twistaff.autnorm import standardize, verify_certificate
+from twistaff.affine import LARS_KINDS, lars_finite_parts
+from twistaff.autnorm import cartan_mode_vectors, mode_class_vectors, standardize, verify_certificate
+from twistaff.jsonio import mat_to_json
 from twistaff.sampling import random_operator
 
 SEEDS = range(48)
@@ -49,22 +53,41 @@ def _expire(signum, frame):
     raise Alarm
 
 
+def grading_text(cert):
+    """The JSON lines of every grading piece of a certificate, or the error text."""
+    try:
+        pieces = [
+            [a.to_json(), m, mat_to_json(v)]
+            for a in lars_finite_parts(cert.lars, cert.base)
+            for m, v in mode_class_vectors(cert, a)
+        ]
+        pieces += [[None, m, mat_to_json(v)] for m, v in cartan_mode_vectors(cert)]
+    except Alarm:
+        raise
+    except Exception as exc:  # a grading error is part of the pinned output
+        return f"{type(exc).__name__}: {exc}"
+    return "\n".join(json.dumps(p) for p in pieces)
+
+
 def probe_one(seed, family, dim, hint):
     """The outcome of one operator ("ok", one of FAULTS, or "<ErrorType>: <message>"),
-    the affine kind of its certificate (None without one) and the text it adds to
-    the digest: the certificate and report JSON, else the outcome."""
+    the affine kind of its certificate (None without one), the text it adds to
+    the digest (the certificate and report JSON, else the outcome) and the text
+    it adds to the grading digest (None without a verified certificate)."""
     signal.alarm(ALARM_S)
     try:
         spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
         cert = standardize(spec)
         report = verify_certificate(spec, cert)
         text = json.dumps(cert.to_json(), sort_keys=True) + json.dumps(report.to_json(), sort_keys=True)
-        return ("ok" if report.all_passed else FAULTS[1]), cert.lars, text
+        if not report.all_passed:
+            return FAULTS[1], cert.lars, text, None
+        return "ok", cert.lars, text, grading_text(cert)
     except Alarm:
-        return FAULTS[0], None, FAULTS[0]
+        return FAULTS[0], None, FAULTS[0], None
     except Exception as exc:  # the probe counts every error by its message
         outcome = f"{type(exc).__name__}: {exc}"
-        return outcome, None, outcome
+        return outcome, None, outcome, None
     finally:
         signal.alarm(0)
 
@@ -74,6 +97,7 @@ def main():
     counts: Counter = Counter()
     kinds: Counter = Counter()
     digest = hashlib.sha256()
+    grading = hashlib.sha256()
     start = time.perf_counter()
     for seed in SEEDS:
         for family in FAMILIES:
@@ -81,8 +105,10 @@ def main():
                 if family == "H" and dim % 2:
                     continue
                 for hint in HINTS:
-                    outcome, kind, text = probe_one(seed, family, dim, hint)
+                    outcome, kind, text, graded = probe_one(seed, family, dim, hint)
                     digest.update(text.encode() + b"\n")
+                    if graded is not None:
+                        grading.update(graded.encode() + b"\n")
                     counts[outcome] += 1
                     kinds[kind] += 1
                     if outcome in FAULTS:
@@ -92,6 +118,7 @@ def main():
     for outcome, n in counts.most_common():
         print(f"{n:6d}  {outcome}")
     print(f"sha256 of every certificate and report: {digest.hexdigest()}")
+    print(f"sha256 of every grading piece: {grading.hexdigest()}")
     return 1 if any(counts[f] for f in FAULTS) else 0
 
 
