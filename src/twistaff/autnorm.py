@@ -21,8 +21,11 @@ A certificate also carries the twisted grading it induces: for each root,
 the residues m with a nonzero (a, m) root space and matching eigenvectors
 (``mode_class_vectors``, ``mode_class``), and the graded Cartan pieces
 (``cartan_mode_vectors``).  For every family phi~^-1(x) = psi~(U_1* x U_1),
-an entry rephasing since U_1 is diagonal, and one routine, ``_grade``, grades
-the weight spaces, the Cartan and the phi side of the centralizer check.
+and U_1 is diagonal with phases linear in the weight, so on a span of one
+weight phi~^-1 is one root of unity zeta_L^s times psi~.  One routine,
+``_grade``, grades the weight spaces, the Cartan and the phi side of the
+centralizer check: it reads s off the basis entries and labels psi~'s +1
+and -1 eigenvectors, split once per model span (``models.Span``), by residue.
 Each piece is computed on first use and kept on the certificate, so the
 sampler, the root map, the isomorphism check and the verification all read
 one grading.  Linear algebra uses the ``cyclo`` kernel; the block
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
 from math import isqrt, lcm, prod
 
@@ -55,14 +58,12 @@ from .cyclo import (
     mat_mul,
     mat_pow,
     mat_scale,
-    nullspace,
-    solve,
     split_square,
     sqrt_rational,
     working_conductor,
 )
 from .jsonio import cyc_to_json, int_from_json, mat_from_json, mat_to_json, str_from_json
-from .models import StandardModel, span_basis, standard_model
+from .models import Span, StandardModel, standard_model
 from .rootdata import Functional, Root, RootSystem, inner
 
 FIELDS = ("R", "C", "H")
@@ -1076,45 +1077,29 @@ def _standardize_antiunitary(spec: OperatorSpec, n: int, m: int) -> Standardizat
 # -- the twisted grading and certificate verification ---------------------------------
 
 
-def _phi_tilde_inverse(cert: StandardizationCertificate, x: Matrix) -> Matrix:
-    """Inverse of the (complex-linear extension of the) automorphism, model coords.
-
-    It is psi~(U_1* x U_1) for every family: the linear standard forms are
-    U_1 T with T the identity or the diagonal flip F, and T* y T = psi~(y).
-    With U_1 = diag(u_i), entry (i, j) of x is rephased by conj(u_i) u_j.
-    """
-    L = x[0][0].L
-    k = cert._u_phases(L)
-    return cert.model.psi_tilde(tuple(
-        tuple(c * Cyc.zeta(L, k[j] - k[i]) if c and k[i] != k[j] else c for j, c in enumerate(row))
-        for i, row in enumerate(x)
-    ))
-
-
-def _grade(cert: StandardizationCertificate, basis) -> list:
+def _grade(cert: StandardizationCertificate, basis: Span) -> list:
     """(m, eigenvector) pairs of phi~^-1, eigenvalue zeta^m (zeta of the automorphism
-    order), on the phi~-stable span of basis: coordinates by solve, one nullspace per m."""
+    order), on a model span of one weight, by ascending residue.
+
+    phi~^-1(x) = psi~(U_1* x U_1) for every family (the linear standard forms are
+    U_1 T with T* y T = psi~(y)), and U_1 = diag(zeta_L^k_i) rephases entry (i, j)
+    by zeta_L^(k_j - k_i).  k is linear in the weight, so on a span of one weight
+    phi~^-1 = zeta_L^s psi~ for the one phase s read off the basis entries, and
+    its eigenvectors are psi~'s (``basis.split``): the +1 ones at the residue m
+    with m L / n_phi = s mod L, the -1 ones at s + L/2; other residues get none.
+    """
     n_phi, L = cert.orders[0], cert.conductor
     if L % n_phi != 0:
         raise StandardizeError("conductor does not contain the automorphism's roots of unity")
-    flat = [tuple(c for row in b for c in row) for b in basis]
-    images = []  # images[j]: coordinates of phi~^-1(basis[j]) in the basis
-    for b in basis:
-        coords = solve(flat, tuple(c for row in _phi_tilde_inverse(cert, b) for c in row))
-        if coords is None:
-            raise StandardizeError("automorphism does not preserve the weight space")
-        images.append(coords)
-    phi_inv = list(zip(*images))
-    out = []
-    for m in range(n_phi):
-        lam = Cyc.zeta(L, m * (L // n_phi))
-        shifted = [
-            [x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(phi_inv)
-        ]
-        for x in nullspace(shifted):
-            terms = (b if cf == 1 else mat_scale(cf, b) for cf, b in zip(x, basis) if cf)
-            out.append((m, reduce(mat_add, terms)))
-    return out
+    k = cert._u_phases(L)
+    phases = {(k[j] - k[i]) % L for i, j in basis.support}
+    if len(phases) != 1:
+        raise StandardizeError("automorphism is not one phase times psi~ on the span")
+    (s,) = phases
+    step = L // n_phi
+    plus, minus = basis.split
+    graded = sorted(((s, plus), ((s + L // 2) % L, minus)), key=lambda g: g[0])
+    return [(t // step, v) for t, pieces in graded if t % step == 0 for v in pieces]
 
 
 def _grade_weight_space(cert: StandardizationCertificate, a: Root) -> tuple:
@@ -1158,11 +1143,7 @@ def cartan_mode_vectors(cert: StandardizationCertificate) -> tuple:
     """
     pieces = cert.grading.get(None)
     if pieces is None:
-        model = cert.model
-        diagonal = (
-            model.algebra_project(model.basis_matrix(cert.conductor, i, i)) for i in range(model.dim)
-        )
-        pieces = cert.grading[None] = tuple(_grade(cert, span_basis(diagonal)))
+        pieces = cert.grading[None] = tuple(_grade(cert, cert.model.cartan_basis(cert.conductor)))
     return pieces
 
 
@@ -1230,12 +1211,7 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
 
     def check_maximal_abelian():
         # centralizer of the Cartan inside both fixed algebras equals the Cartan
-        model = cert.model
-        d = range(model.dim)
-        units = [
-            model.algebra_project(model.basis_matrix(cert.conductor, i, j))
-            for i in d for j in d if not model.entry_weight(i, j)
-        ]
+        span = cert.model.centralizer_basis(cert.conductor)
 
         def expect_rank(tag, dim):
             if dim != cert.rank:
@@ -1244,9 +1220,9 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
                     f"expected {cert.rank}"
                 )
 
-        # the psi side first: the phi side grades only when it passed
-        expect_rank("psi", len(span_basis(model.mode_project(x, 0) for x in units)))
-        expect_rank("phi", sum(m == 0 for m, _ in _grade(cert, span_basis(units))))
+        # the psi side (psi~'s +1 eigenvectors) first: the phi side grades only when it passed
+        expect_rank("psi", len(span.split[0]))
+        expect_rank("phi", sum(m == 0 for m, _ in _grade(cert, span)))
         return "centralizers equal the Cartan"
 
     def check_mu():

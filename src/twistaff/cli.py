@@ -86,6 +86,14 @@ def _field(obj, key, parse, where, default=None):
     return _parse(parse, value, f"field {key!r} of {where}")
 
 
+def _ranked_field(obj, key, cls, rank, where, default=None):
+    """A vector field with indices at most a certificate's rank; a refusal names the field."""
+    try:
+        return _field(obj, key, _vector(cls, rank), where, default)
+    except IOError as exc:
+        raise IOError(f"field {key!r} of {where} (standardized rank {rank}): {exc}") from exc
+
+
 def cmd_normalize(args):
     spec = _parse(OperatorSpec.from_json, _load(args.input), "normalize input")
     cert = standardize(spec)
@@ -152,7 +160,7 @@ def cmd_check_isom(args):
     obj = _load(args.input)
     spec = _field(obj, "operator", OperatorSpec.from_json, "check-isom input")
     cert = standardize(spec)
-    nu = _field(obj, "nu", _vector(Functional, cert.rank), "check-isom input", NO_COORDS)
+    nu = _ranked_field(obj, "nu", Functional, cert.rank, "check-isom input", NO_COORDS)
     src = cert.source_spec(nu)
     dst = cert.target_spec(nu)
     rng = random.Random(args.seed)
@@ -269,17 +277,26 @@ def cmd_min_energy(args):
     return 0, out
 
 
+#: the vector fields of a theorem-b request: (key, class, default)
+_THEOREM_B_VECTORS = (
+    ("weight", Weight, None), ("nu", Functional, NO_COORDS), ("nu_prime", Functional, NO_COORDS)
+)
+
+
 def cmd_theorem_b(args):
     obj = _load(args.input)
     where = "theorem-b input"
     spec = _field(obj, "operator", OperatorSpec.from_json, where)
-    # the standardized rank is at most the operator's dimension
-    lam = _field(obj, "weight", _vector(Weight, spec.dim), where)
-    nu = _field(obj, "nu", _vector(Functional, spec.dim), where, NO_COORDS)
-    nu_prime = _field(obj, "nu_prime", _vector(Functional, spec.dim), where, NO_COORDS)
+    # malformed vectors fail before standardizing: the standardized rank is at most the dimension
+    for key, cls, default in _THEOREM_B_VECTORS:
+        _field(obj, key, _vector(cls, spec.dim), where, default)
+    cert = standardize(spec)
+    lam, nu, nu_prime = (
+        _ranked_field(obj, key, cls, cert.rank, where, default) for key, cls, default in _THEOREM_B_VECTORS
+    )
     report, cert = theorem_b_pipeline(
         spec, lam, nu, nu_prime, oracle_bound=args.bound,
-        require_integral=not args.allow_nonintegral,
+        require_integral=not args.allow_nonintegral, cert=cert,
     )
     out = {
         "schema": "v1",

@@ -441,6 +441,7 @@ def theorem_b_pipeline(
     oracle_bound: int = 10,
     with_oracle: bool = True,
     require_integral: bool = True,
+    cert: "StandardizationCertificate | None" = None,
 ) -> tuple[EnergyReport, "StandardizationCertificate"]:
     """Standardize the twist, shift the weight by the computed slant, and minimize.
 
@@ -448,10 +449,12 @@ def theorem_b_pipeline(
     with slant mu; the minimal energy of the (nu, nu')-pair on the twisted
     side equals the orbit infimum of the weight shifted by mu + nu against the
     character built from mu + nu', over the unslanted standard Weyl group.
+    A caller that has standardized the operator already passes its certificate.
     """
     from .autnorm import mode_class, standardize
 
-    cert = standardize(operator_spec)
+    if cert is None:
+        cert = standardize(operator_spec)
     src = cert.source_spec(nu)
     if lam.lc == 0:
         raise ValueError("the central value of the weight must be nonzero")

@@ -8,20 +8,32 @@ block with weight -eps_j.  The layout is one weight tuple, and one pairing Q
 involution of the matrix algebra, the order-2 twist when it is paired, and
 the antilinear structure map for the quaternionic/antiunitary cases.  The
 weight tuple and the pairing are computed once per (kind, rank), each
-weight-space basis once per conductor and root.  The trace form is scaled so
-that the E_j are orthonormal.  Root-space and weight-space bases are the
-independent projections of matrix units, picked by ``span_basis`` through
-the ``cyclo`` span test.
+weight-space basis once per conductor and root, the Cartan and zero-weight
+bases once per conductor; each basis is a ``Span`` that keeps its psi~
+eigen-split.  The trace form is scaled so that the E_j are orthonormal.
+Root-space and weight-space bases are the independent projections of matrix
+units, picked by ``span_basis`` through the ``cyclo`` span test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .affine import KINDS, LarsKind, admissible_mode_step
-from .cyclo import Cyc, Matrix, in_span, mat_add, mat_diagonal, mat_identity, mat_scale, mat_sub
+from .cyclo import (
+    Cyc,
+    Matrix,
+    in_span,
+    mat_add,
+    mat_diagonal,
+    mat_identity,
+    mat_scale,
+    mat_sub,
+    nullspace,
+    row_reduce,
+)
 from .rootdata import Root, RootSystem
 
 
@@ -253,9 +265,65 @@ class StandardModel:
         )
 
     @lru_cache(maxsize=None)
-    def weight_space_basis(self, L: int, a: Root) -> tuple[Matrix, ...]:
+    def weight_space_basis(self, L: int, a: Root) -> "Span":
         """Basis of the full weight-a space (no mode projection), built once per L and a."""
-        return tuple(span_basis(self.algebra_project(u) for u in self._weight_units(L, a)))
+        return Span(self, span_basis(self.algebra_project(u) for u in self._weight_units(L, a)))
+
+    @lru_cache(maxsize=None)
+    def cartan_basis(self, L: int) -> "Span":
+        """Basis of the Cartan: the projected diagonal matrix units, built once per L."""
+        d = range(self.dim)
+        return Span(self, span_basis(self.algebra_project(self.basis_matrix(L, i, i)) for i in d))
+
+    @lru_cache(maxsize=None)
+    def centralizer_basis(self, L: int) -> "Span":
+        """Basis of the zero-weight space, which contains the Cartan's centralizer, built once per L."""
+        d = range(self.dim)
+        units = (self.basis_matrix(L, i, j) for i in d for j in d if not self.entry_weight(i, j))
+        return Span(self, span_basis(self.algebra_project(u) for u in units))
+
+
+class Span(tuple):
+    """A basis, as a tuple of matrices, of a psi~-stable span of one weight in a model algebra.
+
+    ``split`` is the pair (plus, minus) of psi~'s +1 and -1 eigenvectors on the
+    span: with P the matrix of psi~ in basis coordinates, one combination of the
+    basis per vector of ``nullspace(P - 1)`` and of ``nullspace(P + 1)``.
+    ``support`` is the set of positions (i, j) where some basis matrix is
+    nonzero.  Both are computed on first use and kept with the basis, which the
+    model caches.
+    """
+
+    def __new__(cls, model: StandardModel, matrices):
+        span = super().__new__(cls, matrices)
+        span.model = model
+        return span
+
+    @cached_property
+    def support(self) -> frozenset:
+        return frozenset(
+            (i, j) for b in self for i, row in enumerate(b) for j, c in enumerate(row) if c
+        )
+
+    @cached_property
+    def split(self) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
+        n = len(self)
+        flat = [tuple(c for row in b for c in row) for b in self]
+        images = [tuple(c for row in self.model.psi_tilde(b) for c in row) for b in self]
+        # one elimination of the basis with every image appended: P[i][j] is
+        # coordinate i of psi~(basis[j]); psi~ keeps the span, so nothing is left over
+        red, pivots, _ = row_reduce([[*f, *g] for f, g in zip(zip(*flat), zip(*images))], n)
+        if pivots != list(range(n)) or any(any(row[n:]) for row in red[n:]):
+            raise ValueError("psi~ does not preserve the span of the basis")
+        p = [row[n:] for row in red[:n]]
+        pieces = []
+        for sign in (1, -1):
+            shifted = [[x - sign if i == j else x for j, x in enumerate(row)] for i, row in enumerate(p)]
+            pieces.append(tuple(
+                reduce(mat_add, (b if cf == 1 else mat_scale(cf, b) for cf, b in zip(x, self) if cf))
+                for x in nullspace(shifted)
+            ))
+        return pieces[0], pieces[1]
 
 
 def span_basis(matrices) -> list[Matrix]:

@@ -253,6 +253,30 @@ def test_vector_indices_above_the_rank_are_parse_errors(opfile, tmp_path, capsys
         assert "index '1000000000' is above the rank" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("theorem-b", "nu_prime", {"coords": {"6": "1/2"}}),
+        ("theorem-b", "weight", {"lc": "1", "l0": {"coords": {"6": 1}}, "ld": "0"}),
+        ("theorem-b", "nu", {"coords": {"6": "1/2"}}),
+        ("check-isom", "nu", {"coords": {"6": "1/2"}}),
+    ],
+    ids=["theorem-b-nu-prime", "theorem-b-l0", "theorem-b-nu", "check-isom-nu"],
+)
+def test_indices_above_the_standardized_rank_are_parse_errors(tmp_path, capsys, command, field, value):
+    # a dim-6 operator whose standardized rank is 2: index 6 is within the dim, not the rank
+    spec = random_operator(Random("tb:R:6:2:0"), "R", 6, order_hint=2)
+    request = {"operator": spec.to_json(), "weight": {"lc": "1", "l0": {"coords": {}}, "ld": "0"}}
+    request[field] = value
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(request))
+    flags = ["--allow-nonintegral"] if command == "theorem-b" else []
+    assert run([command, "--input", path, *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"field {field!r} of {command} input (standardized rank 2)" in err
+    assert "index '6' is above the rank 2" in err and "Traceback" not in err
+
+
 def test_odd_quaternionic_dimension_is_refused_up_front(tmp_path, capsys):
     L, dim = 4, 3
     identity = tuple(tuple(Cyc.one(L) if i == k else Cyc.zero(L) for k in range(dim)) for i in range(dim))
