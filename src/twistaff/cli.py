@@ -294,9 +294,8 @@ def cmd_theorem_b(args):
     lam, nu, nu_prime = (
         _ranked_field(obj, key, cls, cert.rank, where, default) for key, cls, default in _THEOREM_B_VECTORS
     )
-    report, cert = theorem_b_pipeline(
-        spec, lam, nu, nu_prime, oracle_bound=args.bound,
-        require_integral=not args.allow_nonintegral, cert=cert,
+    report = theorem_b_pipeline(
+        cert, lam, nu, nu_prime, oracle_bound=args.bound, require_integral=not args.allow_nonintegral
     )
     out = {
         "schema": "v1",

@@ -434,27 +434,24 @@ def _oracle_detects_divergence(spec, lam, chi, bound, images=None) -> bool:
 
 
 def theorem_b_pipeline(
-    operator_spec,
+    cert: "StandardizationCertificate",
     lam: Weight,
     nu: Functional,
     nu_prime: Functional,
     oracle_bound: int = 10,
     with_oracle: bool = True,
     require_integral: bool = True,
-    cert: "StandardizationCertificate | None" = None,
-) -> tuple[EnergyReport, "StandardizationCertificate"]:
-    """Standardize the twist, shift the weight by the computed slant, and minimize.
+) -> EnergyReport:
+    """Shift the weight by a standardization certificate's slant, and minimize.
 
-    The operator's conjugation automorphism is normalized to a standard twist
-    with slant mu; the minimal energy of the (nu, nu')-pair on the twisted
-    side equals the orbit infimum of the weight shifted by mu + nu against the
-    character built from mu + nu', over the unslanted standard Weyl group.
-    A caller that has standardized the operator already passes its certificate.
+    The certificate normalizes the operator's conjugation automorphism to a
+    standard twist with slant mu; the minimal energy of the (nu, nu')-pair on
+    the twisted side equals the orbit infimum of the weight shifted by mu + nu
+    against the character built from mu + nu', over the unslanted standard
+    Weyl group.
     """
-    from .autnorm import mode_class, standardize
+    from .autnorm import mode_class
 
-    if cert is None:
-        cert = standardize(operator_spec)
     src = cert.source_spec(nu)
     if lam.lc == 0:
         raise ValueError("the central value of the weight must be nonzero")
@@ -462,5 +459,4 @@ def theorem_b_pipeline(
         raise ValueError("the weight is not integral on the twisted side")
     dst = standard_spec(cert.lars, cert.rank)
     lam_shifted, chi = slant_shift(lam, character_of(dst, nu, nu_prime), cert.mu + nu)
-    report = min_energy(dst, lam_shifted, chi, oracle_bound=oracle_bound, with_oracle=with_oracle)
-    return report, cert
+    return min_energy(dst, lam_shifted, chi, oracle_bound=oracle_bound, with_oracle=with_oracle)

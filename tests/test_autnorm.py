@@ -518,8 +518,10 @@ def test_phi_tilde_inverse_is_a_phase_times_psi_tilde(kind):
     d = model.dim
     for _ in range(4):
         x = tuple(
-            tuple(Cyc.rational(L, Q(rng.randint(-5, 5), rng.randint(1, 3))) * Cyc.zeta(L, rng.randrange(L))
-                  for _ in range(d))
+            tuple(
+                Cyc.rational(L, Q(rng.randint(-5, 5), rng.randint(1, 3))) * Cyc.zeta(L, rng.randrange(L))
+                for _ in range(d)
+            )
             for _ in range(d)
         )
         assert mat_eq(model.psi_tilde(model.psi_tilde(x)), x)

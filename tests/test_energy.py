@@ -342,25 +342,26 @@ def test_positive_energy_boundary():
 def test_theorem_b_pipeline_examples():
     op = OperatorSpec("C", False, 2, mat_from_rows(4, [[1, 0], [0, -1]]), 2)
     lam = Weight(2, Functional({1: 1}), 0)
-    rep, cert = theorem_b_pipeline(op, lam, Functional(()), Functional(()))
+    cert = standardize(op)
+    rep = theorem_b_pipeline(cert, lam, Functional(()), Functional(()))
     assert cert.mu == Functional({2: Q(-1, 2)})
     assert rep.positive_energy and rep.method_agreement
 
     # the identity twist reduces to a plain orbit minimization
     op_id = OperatorSpec("C", False, 2, mat_from_rows(4, [[1, 0], [0, 1]]), 1)
-    rep2, _ = theorem_b_pipeline(op_id, lam, Functional(()), Functional(()))
+    rep2 = theorem_b_pipeline(standardize(op_id), lam, Functional(()), Functional(()))
     direct = min_energy(standard_spec("A1", 2), lam, BD_CHI)
     assert rep2.minimum == direct.minimum
 
     # negative central charge diverges regardless of the twist
-    rep3, _ = theorem_b_pipeline(op, Weight(-2, Functional({1: 1}), 0), Functional(()), Functional(()))
+    rep3 = theorem_b_pipeline(cert, Weight(-2, Functional({1: 1}), 0), Functional(()), Functional(()))
     assert not rep3.positive_energy
 
     # non-integral weights are rejected unless overridden
     with pytest.raises(ValueError):
-        theorem_b_pipeline(op, Weight(1, Functional({1: 1}), 0), Functional(()), Functional(()))
-    rep4, _ = theorem_b_pipeline(
-        op, Weight(1, Functional({1: 1}), 0), Functional(()), Functional(()),
+        theorem_b_pipeline(cert, Weight(1, Functional({1: 1}), 0), Functional(()), Functional(()))
+    rep4 = theorem_b_pipeline(
+        cert, Weight(1, Functional({1: 1}), 0), Functional(()), Functional(()),
         require_integral=False,
     )
     assert rep4.method_agreement
