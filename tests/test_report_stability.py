@@ -1,6 +1,7 @@
 """Pinned SHA-256 digests of seeded `normalize`, `bracket-check`, `check-isom`,
-`map-roots`, `min-energy` and `theorem-b` reports, and of seeded certificates'
-twisted gradings.
+`map-roots`, `min-energy` and `theorem-b` reports, of seeded certificates'
+twisted gradings, and of the certificates of operators whose normal form
+enlarges the conductor.
 
 Each operator comes from `random_operator(Random("stable:<family>:<dim>:<hint>"), ...)`
 and covers all four families; the bracket checks cover the seven standard
@@ -17,7 +18,7 @@ from random import Random
 import pytest
 
 from twistaff.affine import Weight, lars_finite_parts, standard_spec
-from twistaff.autnorm import cartan_mode_vectors, mode_class_vectors, standardize
+from twistaff.autnorm import StandardizeError, cartan_mode_vectors, mode_class_vectors, standardize
 from twistaff.cli import main
 from twistaff.jsonio import mat_to_json
 from twistaff.rootdata import Functional
@@ -397,3 +398,30 @@ def grading_digest(cert):
 def test_grading_is_byte_stable(family, seed, dim, hint):
     cert = standardize(random_operator(Random(seed), family, dim, order_hint=hint))
     assert grading_digest(cert) == GRADING_DIGESTS[(family, seed, dim, hint)]
+
+
+#: `standardize(random_operator(Random(seed), family, dim, hint))` on operators whose
+#: normal form adjoins a missing rational square root by a conductor enlargement:
+#: the SHA-256 of the certificate JSON with sorted keys
+ENLARGING_DIGESTS = {
+    ("R", 5, 6, 2): "2c15568d7ae1767006bcd9f3fe9f7d58f3b76b7c4ebd3155d64de700b6e4e56e",  # D1 at 328
+    # B1 at 328, after two enlargements
+    ("R", 34, 5, 2): "7afbf5b80d95d3558dcf66a5554168f7019720d4233117555e62aa713d00c911",
+    ("C_antiunitary", 36, 5, 2): "541ab59806eddf164c8b91f12946fda82cbc7fe72a0ea2c1f98414f2bc203ae0",  # BC2 at 472
+    ("C_antiunitary", 40, 5, 3): "80747a169bcfadcb4f0ba3cd1d03bca776016540951f24f31207993f1459eab3",  # BC2 at 408
+}
+
+
+@pytest.mark.parametrize("family,seed,dim,hint", sorted(ENLARGING_DIGESTS))
+def test_enlarging_certificate_is_byte_stable(family, seed, dim, hint):
+    cert = standardize(random_operator(Random(seed), family, dim, order_hint=hint))
+    digest = hashlib.sha256(json.dumps(cert.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == ENLARGING_DIGESTS[(family, seed, dim, hint)]
+
+
+def test_enlarging_operator_refused_at_rank_one():
+    # this operator enlarges the conductor, then standardizes to rank 1
+    spec = random_operator(Random(28), "C_antiunitary", 3, order_hint=4)
+    with pytest.raises(StandardizeError) as refused:
+        standardize(spec)
+    assert str(refused.value) == "truncation too small: standardized rank 1 < 2"
