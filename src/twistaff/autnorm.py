@@ -15,7 +15,10 @@ identity's for R, the quaternionic structure for H, the operator itself for
 the antiunitary form) pairs the eigenspaces of a finite-order linear map,
 and each self-paired eigenspace splits by the sign of J^2 into conjugation
 blocks or J-stable planes.  The eigenprojectors are spectral sums
-(1/n) sum_j zeta^(-jk) a^j (``_spectral_part``).
+(1/n) sum_j zeta^(-jk) a^j (``_spectral_part``).  The walk runs at one
+conductor: a conjugation block that needs a positive rational's square root
+outside the field raises ``_Enlarge`` (``_sqrt``), and ``_antilinear_blocks``
+restarts the walk on its operator lifted to the enlarged conductor.
 
 A certificate also carries the twisted grading it induces: for each root,
 the residues m with a nonzero (a, m) root space and matching eigenvectors
@@ -52,14 +55,11 @@ from .cyclo import (
     mat_diagonal,
     mat_eq,
     mat_identity,
-    mat_inverse,
     mat_is_zero,
     mat_lift,
     mat_mul,
-    mat_pow,
     mat_scale,
     split_square,
-    sqrt_rational,
     working_conductor,
 )
 from .jsonio import cyc_to_json, int_from_json, mat_from_json, mat_to_json, str_from_json
@@ -110,11 +110,6 @@ def _antilinear(u: Matrix):
 
 def _columns(m: Matrix) -> list:
     return [tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0]))]
-
-
-def _lift(v: tuple, L: int) -> tuple:
-    """The vector at conductor L; v itself when it is already there."""
-    return v if v[0].L == L else tuple(c.lift(L) for c in v)
 
 
 def _orth_reduce(v: tuple, basis, norms) -> tuple:
@@ -391,13 +386,11 @@ def _spectral_part(orbit, k: int) -> Matrix:
 
 def eigenprojectors(a: Matrix, m: int) -> list[tuple[int, Matrix]]:
     """Exact spectral projectors of a matrix with a^m = 1; list of (exponent, projector)."""
-    L = a[0][0].L
-    d = len(a)
-    if not mat_eq(mat_pow(a, m), mat_identity(L, d)):
-        raise StandardizeError("matrix does not have the stated finite order")
-    powers = [mat_identity(L, d)]
+    powers = [mat_identity(a[0][0].L, len(a))]
     for _ in range(m - 1):
         powers.append(mat_mul(powers[-1], a))
+    if not mat_eq(mat_mul(powers[-1], a), powers[0]):
+        raise StandardizeError("matrix does not have the stated finite order")
     projs = ((k, _spectral_part(powers, k)) for k in range(m))
     return [(k, p) for k, p in projs if not mat_is_zero(p)]
 
@@ -410,32 +403,40 @@ def eigensplit(spec: OperatorSpec) -> list[tuple[int, Matrix]]:
 
 
 MAX_CONDUCTOR = 480  # adjoined square roots must keep the field desk-sized
-# an odd prime p adjoins sqrt(p) only through 4p | L2 <= MAX_CONDUCTOR
+# an odd prime p adjoins sqrt(p) only through 4p | L <= MAX_CONDUCTOR
 _ENLARGEMENT_PRIMES = tuple(
     p for p in range(2, MAX_CONDUCTOR // 4 + 1) if all(p % d for d in range(2, isqrt(p) + 1))
 )
 _ENLARGEMENT = f"an enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR} (only for positive rationals)"
 
 
-def _sqrt_or_enlarge(q, L):
-    """An exact square root of a totally positive scalar: in-field if possible,
-    else by a bounded conductor enlargement for positive rationals, whose
-    squarefree part must then have only primes in _ENLARGEMENT_PRIMES.
-    Returns (sqrt, L2) or None."""
+class _Enlarge(Exception):
+    """A positive rational's square root lies in Q(zeta_conductor), outside the working field."""
+
+    def __init__(self, conductor: int):
+        super().__init__(conductor)
+        self.conductor = conductor
+
+
+def _sqrt(q):
+    """An exact square root of q in its own field, or None.
+
+    A positive rational whose root lies outside the field raises
+    ``_Enlarge(lcm(L, 4 prod p))`` instead, when its squarefree part has only
+    primes in _ENLARGEMENT_PRIMES and that conductor is <= MAX_CONDUCTOR.
+    """
     s = cyc_sqrt(q)
-    if s is not None:
-        return s, L
-    if q.is_rational() and q.as_fraction() > 0:
+    if s is None and q.is_rational() and q.as_fraction() > 0:
         r = q.as_fraction()
         split = split_square(r.numerator * r.denominator, _ENLARGEMENT_PRIMES)
         if split is not None:
-            L2 = lcm(L, 4 * prod(split[1]))  # Gauss sums put sqrt(p) in Q(zeta_4p)
-            if L2 <= MAX_CONDUCTOR:
-                return sqrt_rational(L2, r), L2
-    return None
+            conductor = lcm(q.L, 4 * prod(split[1]))  # Gauss sums put sqrt(p) in Q(zeta_4p)
+            if conductor <= MAX_CONDUCTOR:
+                raise _Enlarge(conductor)
+    return s
 
 
-def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int):
+def _conjugation_block_decomposition(u: Matrix, proj: Matrix):
     """Exact block structure of the antilinear involution theta: v -> u conj(v) on
     the range of a projector.
 
@@ -444,9 +445,10 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int):
     theta-fixed vector.  A pair is valid exactly when plus is isotropic for the
     symmetric bilinear form B(v, w) = <v, theta w>; valid blocks keep later
     hermitian reductions B-orthogonal, so the search is a sequence of in-field
-    square-root problems.  The conductor (and u) may come back enlarged when a
-    rational square root is adjoined.
+    square-root problems (``_sqrt``, which raises ``_Enlarge`` for a rational
+    root outside the field).  Returns (blocks, fixed vector or None).
     """
+    L = u[0][0].L
     theta = _antilinear(u)
     spanned: list = []  # plus and minus of each block so far, with their norms
     spanned_norms: list = []
@@ -455,16 +457,8 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int):
         spanned.extend((plus, minus))
         spanned_norms.extend((_hdot(plus, plus), _hdot(minus, minus)))
 
-    def lift_state(L2):
-        nonlocal spanned, spanned_norms, u, theta, L
-        spanned = [_lift(b, L2) for b in spanned]
-        spanned_norms = [q.lift(L2) for q in spanned_norms]
-        u = mat_lift(u, L2)
-        theta = _antilinear(u)
-        L = L2
-
     def hreduce(v):
-        return _orth_reduce(_lift(v, L), spanned, spanned_norms)
+        return _orth_reduce(v, spanned, spanned_norms)
 
     def bform(v, w):
         return _hdot(v, theta(w))
@@ -474,21 +468,15 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int):
         # mix v with theta(v): lambda^2 conj(cv) + 2 q lambda + cv = 0
         q = _hdot(v, v)
         disc = q * q - cv * cv.conj()
-        if not disc.is_zero():
-            got = _sqrt_or_enlarge(disc, L)
-            if got is not None:
-                s, L2 = got
-                if L2 != L:
-                    lift_state(L2)
-                    v = _lift(v, L2)
-                    cv, q = cv.lift(L2), q.lift(L2)
-                tv = theta(v)
-                cbar_inv = cv.conj().inverse()
-                for sgn in (1, -1):
-                    lam = (Cyc.rational(L, sgn) * s - q) * cbar_inv
-                    w = tuple(a + lam * b for a, b in zip(v, tv))
-                    if not _vec_is_zero(w):
-                        return w
+        s = None if disc.is_zero() else _sqrt(disc)
+        if s is not None:
+            tv = theta(v)
+            cbar_inv = cv.conj().inverse()
+            for sgn in (1, -1):
+                lam = (Cyc.rational(L, sgn) * s - q) * cbar_inv
+                w = tuple(a + lam * b for a, b in zip(v, tv))
+                if not _vec_is_zero(w):
+                    return w
         return None
 
     remaining = _columns(proj)
@@ -547,16 +535,10 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int):
                     break
                 continue
             for target in (-cw * cv.inverse(), cw * cv.inverse()):
-                got = _sqrt_or_enlarge(target, L)
-                if got is None:
+                s = _sqrt(target)
+                if s is None:
                     continue
-                s, L2 = got
-                if L2 != L:
-                    lift_state(L2)
-                    v = _lift(v, L2)
-                    w2h = _lift(w2h, L2)
-                    cv = bform(v, v)
-                mix = s if (bform(v, v) * s * s + bform(w2h, w2h)).is_zero() else s * Cyc.i(L)
+                mix = s if (cv * s * s + cw).is_zero() else s * Cyc.i(L)
                 cand = tuple(a * mix + b for a, b in zip(v, w2h))
                 cand = hreduce(cand)
                 if _vec_is_zero(cand) or not bform(cand, cand).is_zero():
@@ -598,7 +580,7 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int):
 
     while len(pool) > 1:
         for i, j in combinations(range(len(pool)), 2):
-            paired = _pair_conjugation_fixed(pool[i], pool_norms[i], pool[j], pool_norms[j], L)
+            paired = _pair_conjugation_fixed(pool[i], pool_norms[i], pool[j], pool_norms[j])
             if paired is not None:
                 break
         else:
@@ -606,52 +588,33 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix, L: int):
                 "cannot complete the block normal form exactly: no reachable isotropic vectors "
                 f"or fixed-vector pairings in the working cyclotomic field or {_ENLARGEMENT}"
             )
-        plus, minus, L2 = paired
         for k in (j, i):  # the later index first
             pool.pop(k)
             pool_norms.pop(k)
-        if L2 != L:
-            lift_state(L2)
-            pool = [_lift(v, L2) for v in pool]
-            pool_norms = [x.lift(L2) for x in pool_norms]
-            plus, minus = _lift(plus, L2), _lift(minus, L2)
-        add_block(plus, minus)
+        add_block(*paired)
     blocks = list(zip(spanned[::2], spanned[1::2]))
-    return blocks, pool[0] if pool else None, L, u
+    return blocks, pool[0] if pool else None
 
 
-def _pair_conjugation_fixed(g1, q1, g2, q2, L):
+def _pair_conjugation_fixed(g1, q1, g2, q2):
     """From two orthogonal vectors fixed by an antilinear involution, build a block pair.
 
-    Returns (plus, minus, L): plus = g1' + i g2' and minus = g1' - i g2' for a
+    Returns (plus, minus): plus = g1' + i g2' and minus = g1' - i g2' for a
     remix g1', g2' of equal norm, so the involution swaps plus and minus and
-    the two are orthogonal.  Tries a square root of the norm ratio, then of the
-    norm product, and may enlarge the conductor for either; None when neither
-    has one.
+    the two are orthogonal.  The remix is (g1, sqrt(q1 / q2) g2) or, failing
+    that, (q2 g1, sqrt(q1 q2) g2); None when neither root is in the field.
     """
-    got = _sqrt_or_enlarge(q1 * q2.inverse(), L)
-    if got is not None:
-        scal, L2 = got
-        if L2 != L:
-            g1, g2, L = _lift(g1, L2), _lift(g2, L2), L2
-        g2 = tuple(c * scal for c in g2)
-        ii = Cyc.i(L)
-        plus = tuple(a + ii * b for a, b in zip(g1, g2))
-        minus = tuple(a - ii * b for a, b in zip(g1, g2))
-        return plus, minus, L
-    got = _sqrt_or_enlarge(q1 * q2, L)
-    if got is not None:
-        s, L2 = got
-        if L2 != L:
-            g1, g2, q2, L = _lift(g1, L2), _lift(g2, L2), q2.lift(L2), L2
-        ii = Cyc.i(L)
-        plus = tuple(q2 * a + ii * s * b for a, b in zip(g1, g2))
-        minus = tuple(q2 * a - ii * s * b for a, b in zip(g1, g2))
-        return plus, minus, L
-    return None
+    scale = _sqrt(q1 * q2.inverse())
+    if scale is None:
+        scale = _sqrt(q1 * q2)
+        if scale is None:
+            return None
+        g1 = _vec_scale(q2, g1)
+    g2 = _vec_scale(Cyc.i(q1.L) * scale, g2)
+    return tuple(a + b for a, b in zip(g1, g2)), tuple(a - b for a, b in zip(g1, g2))
 
 
-def _antilinear_blocks(a: Matrix, m: int, u: Matrix, L: int, minus_scale):
+def _antilinear_blocks(a: Matrix, m: int, u: Matrix, minus_scale):
     """Orthogonal column pairs (plus, minus) for J = u o conj commuting with a, a^m = 1.
 
     J maps the zeta^k-eigenspace of a onto the zeta^-k one.  A paired eigenspace
@@ -659,41 +622,42 @@ def _antilinear_blocks(a: Matrix, m: int, u: Matrix, L: int, minus_scale):
     minus_scale(k, L).  On a self-paired one (k = 0 or 2k = m) J^2 = +-1, read
     off one vector: J^2 = 1 gives conjugation blocks (minus = J(plus)) and at most
     one J-fixed vector, J^2 = -1 gives J-stable planes (minus = c J(plus)).  The
-    walk takes k = 0 and m/2 first; when a conjugation block decomposition
-    enlarges the conductor, everything emitted so far is lifted with it.
-    Returns (plus, minus, exponents, norms, fixed, L), fixed mapping exponents
-    to their J-fixed vectors.
+    walk takes k = 0 and m/2 first, at the one conductor L of a and u; when a
+    conjugation block decomposition needs a rational square root outside
+    Q(zeta_L) (``_Enlarge``), the walk restarts on a and u lifted to the
+    enlarged conductor.  Returns (plus, minus, exponents, norms, fixed, L),
+    fixed mapping exponents to their J-fixed vectors.
     """
+    L = a[0][0].L
+    J = _antilinear(u)
     projs = dict(eigenprojectors(a, m))
     plus, minus, exps, norms, fixed = [], [], [], [], {}
-    for k in sorted(projs, key=lambda k: (0 < 2 * k < m, k)):
-        if 2 * k > m:
-            continue  # the mirror of exponent m - k
-        J = _antilinear(u)
-        p = mat_lift(projs[k], L)
-        cols = _columns(p)
-        sign = 0  # J^2 on a self-paired eigenspace, read off one nonzero column
-        if 2 * k in (0, m):
-            v = next(c for c in cols if not _vec_is_zero(c))
-            sign = 1 if J(J(v)) == v else -1
-        if sign == 1:
-            blocks, fixed_vec, L2, u = _conjugation_block_decomposition(u, p, L)
-            if L2 != L:
-                plus, minus = [_lift(w, L2) for w in plus], [_lift(w, L2) for w in minus]
-                norms = [q.lift(L2) for q in norms]
-                fixed, L = {j: _lift(w, L2) for j, w in fixed.items()}, L2
-            if fixed_vec is not None:
-                fixed[k] = fixed_vec
-            basis, images = [b[0] for b in blocks], [b[1] for b in blocks]
-            qs = [_hdot(w, w) for w in basis]
-        else:
-            basis, qs = _gram_schmidt(cols, J if sign else None)
-            c = minus_scale(k, L)
-            images = [_vec_scale(c, J(w)) for w in basis]
-        plus += basis
-        minus += images
-        exps += [k] * len(basis)
-        norms += qs
+    try:
+        for k in sorted(projs, key=lambda k: (0 < 2 * k < m, k)):
+            if 2 * k > m:
+                continue  # the mirror of exponent m - k
+            cols = _columns(projs[k])
+            sign = 0  # J^2 on a self-paired eigenspace, read off one nonzero column
+            if 2 * k in (0, m):
+                v = next(c for c in cols if not _vec_is_zero(c))
+                sign = 1 if J(J(v)) == v else -1
+            if sign == 1:
+                blocks, fixed_vec = _conjugation_block_decomposition(u, projs[k])
+                if fixed_vec is not None:
+                    fixed[k] = fixed_vec
+                basis, images = [b[0] for b in blocks], [b[1] for b in blocks]
+                qs = [_hdot(w, w) for w in basis]
+            else:
+                basis, qs = _gram_schmidt(cols, J if sign else None)
+                c = minus_scale(k, L)
+                images = [_vec_scale(c, J(w)) for w in basis]
+            plus += basis
+            minus += images
+            exps += [k] * len(basis)
+            norms += qs
+    except _Enlarge as enlarged:
+        big = enlarged.conductor
+        return _antilinear_blocks(mat_lift(a, big), m, mat_lift(u, big), minus_scale)
     return plus, minus, exps, norms, fixed, L
 
 
@@ -749,12 +713,6 @@ class AntiunitaryBlockForm:
             std[self.fixed_col][self.fixed_col] = Cyc.one(L)
         return tuple(tuple(r) for r in std)
 
-    def reconstruct_linear_part(self) -> Matrix:
-        """U with A = U o conj in the block basis, transported to input coordinates."""
-        v = self.basis_change
-        # A(V w) = V Std conj(w)  =>  U = V Std conj(V)^-1
-        return mat_mul(mat_mul(v, self.block_matrix()), mat_inverse(mat_conj(v)))
-
 
 def _antiunitary_blocks(spec: OperatorSpec, m_op: int):
     """The block walk of an antiunitary operator A = u o conj of order m_op: J = A pairs
@@ -771,18 +729,22 @@ def _antiunitary_blocks(spec: OperatorSpec, m_op: int):
         # i on the J^2 = -1 eigenspace, zeta^n, zeta the primitive 2N-th root, on a pair
         return Cyc.i(L) if 2 * n == half else Cyc.zeta(L, n * (L // (2 * half)) % L)
 
-    plus, minus, exps, norms, fixed, L = _antilinear_blocks(
-        mat_mul(u, mat_conj(u)), half, u, L, minus_scale
-    )
+    a = mat_mul(u, mat_conj(u))
+    plus, minus, exps, norms, fixed, L = _antilinear_blocks(a, half, u, minus_scale)
     return plus, minus, exps, norms, fixed.get(0), L
 
 
 def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
-    """Exact block normal form of a finite-order antiunitary operator."""
+    """Exact block normal form of a finite-order antiunitary operator.
+
+    The operator is validated and its declared order checked once
+    (``_lift_with_orders``), as in ``standardize``.  The form is checked by its
+    round trip: u conj(V) = V Std for the block matrix Std, and V has orthogonal
+    columns with the recorded norms.
+    """
     if not spec.antiunitary:
         raise StandardizeError("operator is not antiunitary")
-    validate_operator(spec)
-    m_op = operator_order(spec)
+    _, _, m_op = _lift_with_orders(spec)
     plus_cols, minus_cols, exponents, norms_plus, fixed, L = _antiunitary_blocks(spec, m_op)
     middle = [fixed] if fixed is not None else []
     order, basis_change, col_norms = _assemble_columns(
@@ -798,17 +760,11 @@ def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
         col_norms=col_norms,
         conductor=L,
     )
-    _check_antiunitary_form(mat_lift(spec.matrix, L), form)
-    return form
-
-
-def _check_antiunitary_form(u: Matrix, form: AntiunitaryBlockForm) -> None:
-    """Round trip: u conj(V) = V Std for the block matrix Std, and V has orthogonal
-    columns with the recorded norms."""
-    v = form.basis_change
-    if not mat_eq(mat_mul(u, mat_conj(v)), mat_mul(v, form.block_matrix())):
+    v = basis_change
+    if not mat_eq(mat_mul(mat_lift(spec.matrix, L), mat_conj(v)), mat_mul(v, form.block_matrix())):
         raise StandardizeError("block reconstruction mismatch: u conj(V) != V Std")
-    _check_columns(v, form.col_norms)
+    _check_columns(v, col_norms)
+    return form
 
 
 # -- the standardization certificate -----------------------------------------------
@@ -1017,7 +973,7 @@ def _unit_scale(k: int, L: int) -> Cyc:
 def _standardize_h(spec: OperatorSpec, n: int, m: int) -> StandardizationCertificate:
     L, a = _working_form(spec, m)
     t = quaternionic_structure(L, spec.dim)
-    plus, minus, exps, norms, _, L = _antilinear_blocks(a, m, t, L, _unit_scale)
+    plus, minus, exps, norms, _, L = _antilinear_blocks(a, m, t, _unit_scale)
     return _collect_certificate(
         spec, "H", "C1", plus, minus, [], exps, norms, L, m, (n, m),
         partition=(("quaternionic_pairs", len(plus)),),
@@ -1026,9 +982,7 @@ def _standardize_h(spec: OperatorSpec, n: int, m: int) -> StandardizationCertifi
 
 def _standardize_r(spec: OperatorSpec, n: int, m: int, negated=False) -> StandardizationCertificate:
     L, a = _working_form(spec, m)
-    plus, minus, exps, norms, fixed, L = _antilinear_blocks(
-        a, m, mat_identity(L, spec.dim), L, _unit_scale
-    )
+    plus, minus, exps, norms, fixed, L = _antilinear_blocks(a, m, mat_identity(L, spec.dim), _unit_scale)
     s_plus = fixed.get(0)
     s_minus = fixed.get(m // 2) if m % 2 == 0 else None
     if s_plus is None and s_minus is not None:

@@ -698,17 +698,6 @@ def mat_from_rows(L: int, rows) -> Matrix:
     return tuple(out)
 
 
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    out = mat_identity(a[0][0].L, len(a))
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def row_reduce(rows, ncols: int | None = None):
     """Gauss-Jordan elimination over the cyclotomic field: the one exact kernel.
 

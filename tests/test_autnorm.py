@@ -21,6 +21,7 @@ from twistaff.autnorm import (
 )
 from twistaff.cyclo import (
     Cyc,
+    mat_conj,
     mat_eq,
     mat_from_rows,
     mat_identity,
@@ -108,6 +109,13 @@ def test_antiunitary_normal_form_plain_conjugation():
     spec3 = OperatorSpec("C", True, 3, mat_identity(L, 3), 2)
     form3 = antiunitary_normal_form(spec3)
     assert len(form3.blocks) == 1 and form3.fixed_col is not None
+
+
+def test_antiunitary_normal_form_refuses_a_wrong_declared_order():
+    # plain conjugation has order 2, as standardize reads it
+    spec = OperatorSpec("C", True, 2, mat_identity(8, 2), 4)
+    with pytest.raises(StandardizeError, match="declared order 4 but the automorphism has exact order 2"):
+        antiunitary_normal_form(spec)
 
 
 def test_antiunitary_normal_form_quaternionic():
@@ -263,9 +271,10 @@ def test_block_form_linear_part_reconstructs_operator():
     rng = random.Random(61)
     spec = random_operator(rng, "C_antiunitary", 5, order_hint=3)
     form = antiunitary_normal_form(spec)
-    u = form.reconstruct_linear_part()
+    # A(V w) = V Std conj(w): u conj(V) = V Std in input coordinates
+    v = form.basis_change
     lifted = mat_from_rows(form.conductor, [[c for c in row] for row in spec.matrix])
-    assert mat_eq(u, lifted)
+    assert mat_eq(mat_mul(lifted, mat_conj(v)), mat_mul(v, form.block_matrix()))
 
 
 def test_eigensplit_rejects_antiunitary():
@@ -395,44 +404,59 @@ def test_dimension_and_order_bounds_are_named():
 
 
 def test_conductor_enlargement_bound_is_named():
-    from twistaff.autnorm import MAX_CONDUCTOR, _conjugation_block_decomposition, _pair_conjugation_fixed
+    from twistaff.autnorm import (
+        MAX_CONDUCTOR,
+        _conjugation_block_decomposition,
+        _Enlarge,
+        _pair_conjugation_fixed,
+    )
 
     L = 8
     e1 = (Cyc.one(L), Cyc.zero(L))
     e2 = (Cyc.zero(L), Cyc.one(L))
     # sqrt(491) needs conductor 4 * 491, past the cap: no pairing
-    assert _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 491), L) is None
+    assert _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 491)) is None
     # real vectors of squared norms 1 and 491 = 21^2 + 7^2 + 1^2 under complex
     # conjugation: neither a B-plane nor a fixed-vector pairing exists, and
     # the refusal names the conductor bound
     rows = [[1, 0, 0, 0], [0, 21, 0, 0], [0, 7, 0, 0], [0, 1, 0, 0]]
     with pytest.raises(StandardizeError, match=f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
-        _conjugation_block_decomposition(mat_identity(L, 4), mat_from_rows(L, rows), L)
-    # squared norms 1 and 5 = 2^2 + 1^2 pair once sqrt(5) is adjoined at conductor 40
+        _conjugation_block_decomposition(mat_identity(L, 4), mat_from_rows(L, rows))
+    # squared norms 1 and 5 = 2^2 + 1^2 pair once sqrt(5) is adjoined at conductor 40:
+    # at 8 the decomposition asks for that conductor, and at 40 it completes
     rows = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
-    blocks, fixed, L2, _ = _conjugation_block_decomposition(mat_identity(L, 4), mat_from_rows(L, rows), L)
-    assert (len(blocks), fixed, L2) == (1, None, 40)
+    with pytest.raises(_Enlarge) as enlarged:
+        _conjugation_block_decomposition(mat_identity(L, 4), mat_from_rows(L, rows))
+    L = enlarged.value.conductor
+    assert L == 40
+    blocks, fixed = _conjugation_block_decomposition(mat_identity(L, 4), mat_from_rows(L, rows))
+    assert (len(blocks), fixed) == (1, None)
 
 
 def test_square_root_factor_bound_is_named(time_limit):
-    from twistaff.autnorm import _pair_conjugation_fixed
+    from twistaff.autnorm import _Enlarge, _pair_conjugation_fixed
 
-    L = 4
-    e1 = (Cyc.one(L), Cyc.zero(L))
-    e2 = (Cyc.zero(L), Cyc.one(L))
+    def pair(L, q):
+        e1 = (Cyc.one(L), Cyc.zero(L))
+        e2 = (Cyc.zero(L), Cyc.one(L))
+        return _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, q))
+
     # sqrt(2 * 10**4) = 100 sqrt(2) is adjoined at conductor 8
-    _, _, L2 = _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 2 * 10**4), L)
-    assert L2 == 8
+    with pytest.raises(_Enlarge) as enlarged:
+        pair(4, 2 * 10**4)
+    assert enlarged.value.conductor == 8
     # so is sqrt(2 * 10**6) = 1000 sqrt(2): the square factor 10**6 is no bound
-    plus, _, L2 = _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 2 * 10**6), L)
-    assert L2 == 8
+    with pytest.raises(_Enlarge) as enlarged:
+        pair(4, 2 * 10**6)
+    assert enlarged.value.conductor == 8
+    plus, _ = pair(8, 2 * 10**6)
     assert plus[1] * plus[1] == Cyc.rational(8, Q(-1, 2 * 10**6))  # i / (1000 sqrt(2)), squared
     # the squarefree part of p * q has primes far past MAX_CONDUCTOR // 4: no
     # trial division reaches them, and the pairing is refused at once (the
     # refusal's text, which names the bound, is pinned in the test above)
     p, q = 10000000000000000051, 20000000000000000011
     with time_limit(5):
-        assert _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, p * q), L) is None
+        assert pair(4, p * q) is None
 
 
 def test_rational_square_root_stall_reproducer_standardizes(time_limit):

@@ -19,7 +19,10 @@ over the twisted grading of every certificate that passes verification: the
 root, residue and matrix JSON of each `mode_class_vectors` piece of every
 finite root, then of each `cartan_mode_vectors` piece (or the error text
 when grading raises).  Exit status 1 when any operator is past the alarm or
-fails verification.  Not part of the test suite: it takes a few minutes.
+fails verification, or when either digest differs from the pair in PINNED, so
+a run gates byte-identical certificates and gradings on the whole grid.  A
+change that means to move a certificate updates PINNED.  Not part of the test
+suite: it takes a few minutes.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ DIMS = range(2, 8)
 HINTS = (2, 3, 4, 6)
 ALARM_S = 5
 FAULTS = ("past the alarm", "certificate fails verification")
+#: the certificate-and-report digest and the grading digest of the whole grid
+PINNED = (
+    "dd97c89b0d79a427e7c960372d90b9dfb9033385b810a9d0d03155ce0d9b8bc8",
+    "2d3c034a4456cb5c50e732c0dcf56e8422e209ce0c420f308ad563694c66a9a1",
+)
 
 
 class Alarm(Exception):
@@ -117,9 +125,12 @@ def main():
     print("certificates per kind: " + ", ".join(f"{k} {kinds[k]}" for k in LARS_KINDS))
     for outcome, n in counts.most_common():
         print(f"{n:6d}  {outcome}")
-    print(f"sha256 of every certificate and report: {digest.hexdigest()}")
-    print(f"sha256 of every grading piece: {grading.hexdigest()}")
-    return 1 if any(counts[f] for f in FAULTS) else 0
+    digests = (digest.hexdigest(), grading.hexdigest())
+    print(f"sha256 of every certificate and report: {digests[0]}")
+    print(f"sha256 of every grading piece: {digests[1]}")
+    if digests != PINNED:
+        print("the digests differ from PINNED")
+    return 1 if digests != PINNED or any(counts[f] for f in FAULTS) else 0
 
 
 if __name__ == "__main__":
