@@ -46,6 +46,7 @@ from math import isqrt, lcm, prod
 
 from .affine import KINDS, AffineRoot, AffinisationSpec, lars_contains, lars_finite_parts
 from .cyclo import (
+    MAX_CONDUCTOR,
     Cyc,
     Matrix,
     cyc_sqrt,
@@ -402,7 +403,6 @@ def eigensplit(spec: OperatorSpec) -> list[tuple[int, Matrix]]:
     return eigenprojectors(spec.matrix, matrix_order(spec.matrix))
 
 
-MAX_CONDUCTOR = 480  # adjoined square roots must keep the field desk-sized
 # an odd prime p adjoins sqrt(p) only through 4p | L <= MAX_CONDUCTOR
 _ENLARGEMENT_PRIMES = tuple(
     p for p in range(2, MAX_CONDUCTOR // 4 + 1) if all(p % d for d in range(2, isqrt(p) + 1))

@@ -3,8 +3,15 @@
 Scalars are represented in the power basis 1, z, ..., z^(phi(L)-1) of the
 primitive L-th root of unity z, with integer coefficient vectors over a
 common positive denominator.  All operations are exact; the conductor L is
-fixed per computation and must be divisible by 4 so that i = z^(L/4) is
-available.
+fixed per computation, must be divisible by 4 so that i = z^(L/4) is
+available, and stays at most ``MAX_CONDUCTOR``.
+
+The scalar kernel is all integers.  One function, ``_reduce``, reduces a sum
+of powers z^k (k < L) modulo Phi_L from a table of the L powers as sparse
+rows; products, Galois conjugates, lifts to a larger conductor and the
+matrix kernel below all go through it.  The inverse of num / den is
+den * P / N, where P is the product of the distinct Galois conjugates of num
+other than num itself and N = num * P is its rational norm.
 
 Matrices are tuples of row tuples of scalars.  All matrix products go through
 one integer kernel, ``mat_product_sum``: each operand is read once into an
@@ -28,62 +35,76 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # Exact division of integer polynomials; den must be monic up to sign
-    # and must divide num exactly wherever we use this.
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [0] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        assert c % lead == 0
-        q = c // lead
-        quot[i - dd] = q
-        for j, d in enumerate(den):
-            num[i - dd + j] -= q * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+MAX_CONDUCTOR = 480  # every field, read or enlarged to, must stay desk-sized
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, low degree first."""
-    if n == 1:
-        return (-1, 1)
-    poly = [0] * (n + 1)
-    poly[0] = -1
-    poly[n] = 1
+    """Integer coefficients of the n-th cyclotomic polynomial, low degree first.
+
+    It is x^n - 1 divided by the (monic) Phi_d of every proper divisor d of n.
+    """
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert rem == [0]
+            div = cyclotomic_polynomial(d)
+            dd = len(div) - 1
+            quot = [0] * (len(poly) - dd)
+            for i in range(len(poly) - 1, dd - 1, -1):
+                q = quot[i - dd] = poly[i]
+                if q:
+                    for j, c in enumerate(div):
+                        poly[i - dd + j] -= q * c
+            poly = quot
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _power_table(L: int) -> tuple[tuple[int, ...], ...]:
-    """z^k mod Phi_L for k = 0..2L-1, as integer coefficient rows of length phi(L)."""
-    phi = len(cyclotomic_polynomial(L)) - 1
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * phi
-    cur[0] = 1
+def _power_table(L: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """z^k mod Phi_L for k = 0..L-1, each as its nonzero (index, coefficient) pairs."""
     phi_poly = cyclotomic_polynomial(L)
-    for _ in range(2 * L):
-        rows.append(tuple(cur))
-        # multiply by z and reduce
-        carry = cur[-1]
-        nxt = [0] + cur[:-1]
+    cur = [1] + [0] * (len(phi_poly) - 2)
+    rows = []
+    for _ in range(L):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        carry = cur[-1]  # multiply by z and reduce
+        cur = [0] + cur[:-1]
         if carry:
-            for j in range(phi):
-                nxt[j] -= carry * phi_poly[j]
-        cur = nxt
+            cur = [c - carry * p for c, p in zip(cur, phi_poly)]
     return tuple(rows)
 
 
+def _reduce(L: int, coeffs) -> tuple[int, ...]:
+    """The power-basis coefficients of sum_k coeffs[k] z^k modulo Phi_L.
+
+    coeffs is a list with phi(L) <= len(coeffs) <= L.
+    """
+    phi = conductor_degree(L)
+    out = coeffs[:phi]
+    table = _power_table(L)
+    for k in range(phi, len(coeffs)):
+        c = coeffs[k]
+        if c:
+            for j, r in table[k]:
+                out[j] += c * r
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _unit_generators(L: int) -> tuple[int, ...]:
+    """Units that generate (Z/L)^x, each outside the group the earlier ones generate."""
+    gens, group = [], {1}
+    for a in range(3, L, 2):
+        if gcd(a, L) == 1 and a not in group:
+            gens.append(a)
+            frontier = group
+            while frontier:
+                frontier = {a * g % L for g in frontier} - group
+                group = group | frontier
+    return tuple(gens)
+
+
+@lru_cache(maxsize=None)
 def conductor_degree(L: int) -> int:
     return len(cyclotomic_polynomial(L)) - 1
 
@@ -136,8 +157,9 @@ class Cyc:
     @staticmethod
     def zeta(L: int, k: int = 1) -> "Cyc":
         """The root of unity zeta_L ** k."""
-        row = _power_table(L)[k % L]
-        return Cyc(L, row, 1)
+        powers = [0] * L
+        powers[k % L] = 1
+        return Cyc(L, _reduce(L, powers), 1)
 
     @staticmethod
     def i(L: int) -> "Cyc":
@@ -206,17 +228,7 @@ class Cyc:
             for ib, cb in enumerate(b):
                 if cb:
                     conv[ia + ib] += ca * cb
-        table = _power_table(self.L)
-        out = list(conv[:phi])
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c == 0:
-                continue
-            row = table[k]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += c * row[j]
-        return Cyc(self.L, tuple(out), self.den * o.den)
+        return Cyc(self.L, _reduce(self.L, conv), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -230,51 +242,31 @@ class Cyc:
         return self._coerce(other) * self.inverse()
 
     def inverse(self) -> "Cyc":
+        """den * P / N for self = num / den, all in integers.
+
+        P is the product of the distinct Galois conjugates of num other than
+        num itself, so N = num * P is the norm of num over Q(num), a rational.
+        The conjugates are the orbit of num, grown one generator a of (Z/L)^x
+        at a time: the group is abelian, so a maps the orbit so far to a block
+        that is either new or already seen, as its first element shows.  That
+        takes one conjugation per conjugate plus at most one per generator, and
+        the walk stops once all phi(L) conjugates are found.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        # extended gcd of self.num (as Q-polynomial) and Phi_L
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.L)]
-        a = [Fraction(c, self.den) for c in self.num]
-        r0, r1 = phi_poly, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            for k in range(len(p) - 1, -1, -1):
-                if p[k]:
-                    return k
-            return -1
-
-        def shrink(p):
-            d = deg(p)
-            return p[: d + 1] if d >= 0 else [Fraction(0)]
-
-        while deg(r1) > 0:
-            d0, d1 = deg(r0), deg(r1)
-            q = [Fraction(0)] * (d0 - d1 + 1)
-            rem = list(r0)
-            for i in range(d0, d1 - 1, -1):
-                c = rem[i] / r1[d1]
-                q[i - d1] = c
-                if c:
-                    for j in range(d1 + 1):
-                        rem[i - d1 + j] -= c * r1[j]
-            new_s = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for iq, cq in enumerate(q):
-                if cq:
-                    for js, cs in enumerate(s1):
-                        new_s[iq + js] -= cq * cs
-            r0, r1 = shrink(r1), shrink(rem)
-            s0, s1 = s1, shrink(new_s)
-        if deg(r1) != 0 or r1[0] == 0:
-            raise ZeroDivisionError("scalar is a zero divisor (not a unit)")
-        c = r1[0]
-        inv = [s / c for s in s1]
-        phi = conductor_degree(self.L)
-        inv += [Fraction(0)] * (phi - len(inv))
-        den = 1
-        for f in inv:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return Cyc(self.L, tuple(int(f * den) for f in inv[:phi]), den)
+        L = self.L
+        num = Cyc(L, self.num, 1, _normalize=False)
+        orbit, seen = [num], {self.num}
+        for a in _unit_generators(L):
+            block = orbit
+            while len(orbit) < len(self.num) and (head := block[0].galois(a)).num not in seen:
+                block = [head] + [y.galois(a) for y in block[1:]]
+                orbit = orbit + block
+                seen.update(y.num for y in block)
+        p = Cyc.one(L)
+        for y in orbit[1:]:
+            p = p * y
+        return Cyc(L, tuple(self.den * c for c in p.num), (num * p).num[0])
 
     def __pow__(self, k: int) -> "Cyc":
         if k < 0:
@@ -310,17 +302,11 @@ class Cyc:
         """Apply the Galois automorphism zeta -> zeta**a (a coprime to L)."""
         if gcd(a, self.L) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        table = _power_table(self.L)
-        phi = conductor_degree(self.L)
-        out = [0] * phi
+        L = self.L
+        powers = [0] * L
         for k, c in enumerate(self.num):
-            if c == 0:
-                continue
-            row = table[(a * k) % self.L]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += c * row[j]
-        return Cyc(self.L, tuple(out), self.den)
+            powers[a * k % L] = c
+        return Cyc(L, _reduce(L, powers), self.den)
 
     def conj(self) -> "Cyc":
         """Complex conjugation zeta -> zeta**-1."""
@@ -344,17 +330,9 @@ class Cyc:
         if L2 % self.L != 0:
             raise ValueError("target conductor must be a multiple")
         step = L2 // self.L
-        table = _power_table(L2)
-        phi2 = conductor_degree(L2)
-        out = [0] * phi2
-        for k, c in enumerate(self.num):
-            if c == 0:
-                continue
-            row = table[(k * step) % L2]
-            for j in range(phi2):
-                if row[j]:
-                    out[j] += c * row[j]
-        return Cyc(L2, tuple(out), self.den)
+        powers = [0] * L2
+        powers[: len(self.num) * step : step] = self.num
+        return Cyc(L2, _reduce(L2, powers), self.den)
 
     def __repr__(self):
         terms = []
@@ -417,21 +395,6 @@ def _sqrt_prime(L: int, p: int) -> Cyc:
     for k in range(1, p):
         g = g + (1 if pow(k, (p - 1) // 2, p) == 1 else -1) * Cyc.zeta(L, step * k)
     return g if p % 4 == 1 else g * -Cyc.i(L)
-
-
-def sqrt_rational(L: int, q) -> Cyc:
-    """The positive square root of a positive rational, as a cyclotomic scalar.
-
-    Requires the conductor to contain Q(sqrt(r)) for the squarefree part r of q,
-    i.e. 4r | L (Gauss sums realise sqrt(p) inside Q(zeta_4p)).
-    """
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("need a positive rational")
-    out = cyc_sqrt(Cyc.rational(L, q))
-    if out is None:
-        raise ValueError(f"conductor {L} lacks sqrt({q}); need 4r | L for its squarefree part r")
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -587,14 +550,6 @@ class IntMatrix:
         self.rows = rows
 
 
-@lru_cache(maxsize=None)
-def _reduction(L: int) -> tuple:
-    """The nonzero (index, coefficient) pairs of z^k mod Phi_L for phi(L) <= k < 2 phi(L) - 1."""
-    phi = conductor_degree(L)
-    table = _power_table(L)
-    return tuple(tuple((j, c) for j, c in enumerate(table[k]) if c) for k in range(phi, 2 * phi - 1))
-
-
 def mat_product_sum(products) -> Matrix:
     """The sum of sign * A B over the triples (sign, A, B) of IntMatrix operands.
 
@@ -605,8 +560,7 @@ def mat_product_sum(products) -> Matrix:
     products = list(products)
     first = products[0][1]
     L, n, m = first.L, len(first.rows), products[0][2].ncols
-    phi = conductor_degree(L)
-    width = 2 * phi - 1
+    width = 2 * conductor_degree(L) - 1
     den = 1
     for _, a, b in products:
         if a.L != L or b.L != L:
@@ -631,21 +585,14 @@ def mat_product_sum(products) -> Matrix:
                     for pa, ca in ta:
                         for pb, cb in tb:
                             conv[pa + pb] += ca * cb
-    reduction = _reduction(L)
     zero = Cyc.zero(L)
     out = []
     for acc_row in acc:
         row = [zero] * m
         for k, conv in acc_row.items():
-            num = conv[:phi]
-            high = conv[phi:]
-            if any(high):
-                for c, terms in zip(high, reduction):
-                    if c:
-                        for j, r in terms:
-                            num[j] += c * r
+            num = _reduce(L, conv)
             if any(num):
-                row[k] = Cyc(L, tuple(num), den)
+                row[k] = Cyc(L, num, den)
         out.append(tuple(row))
     return tuple(out)
 

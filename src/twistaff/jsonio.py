@@ -1,18 +1,20 @@
 """JSON encoding shared by the CLI and the serialization round-trip tests.
 
-Rationals travel as strings "p/q" in lowest terms (integers are accepted on
-input, everything else is refused by `rational_from_json`); cyclotomic scalars as
-{"conductor": L, "coeffs": [...]} in the power basis; matrices as nested
+Rationals travel as strings "p/q" in lowest terms (integers and "-p/q" strings
+of ASCII digits are accepted on input, everything else is refused by
+`rational_from_json`); cyclotomic scalars as {"conductor": L, "coeffs": [...]}
+in the power basis, with L at most `cyclo.MAX_CONDUCTOR`; matrices as nested
 row lists.  Every report carries a "schema": "v1" marker.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import Cyc, conductor_degree
+from .cyclo import MAX_CONDUCTOR, Cyc, conductor_degree
 
 
 def cyc_to_json(c: Cyc) -> dict:
@@ -33,17 +35,25 @@ def str_from_json(value, where: str) -> str:
     return value
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def rational_from_json(value, where: str) -> Fraction:
-    """A JSON integer or "p/q" string as a Fraction; anything else raises IOError naming it."""
+    """A JSON integer or "p/q" string as a Fraction; anything else raises IOError naming it.
+
+    A string is an optional "-", ASCII digits and optionally "/" and ASCII
+    digits: no sign on the denominator, no spaces, decimals, exponents or
+    underscores.
+    """
     if type(value) is int:
         return Fraction(value)
-    if type(value) is not str:
+    if type(value) is not str or not _RATIONAL.fullmatch(value):
         raise IOError(f"{where}: rationals are integers or 'p/q' strings, got {value!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:
         raise IOError(f"{where}: zero denominator in {value!r}") from None
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() converts
         raise IOError(f"{where}: {exc}") from None
 
 
@@ -55,6 +65,8 @@ def cyc_from_json(obj) -> Cyc:
     L, coeffs = obj["conductor"], obj["coeffs"]
     if type(L) is not int or L < 4 or L % 4:
         raise IOError(f"{where}: conductor {L!r} is not a positive integer divisible by 4")
+    if L > MAX_CONDUCTOR:
+        raise IOError(f"{where}: conductor {L} is above MAX_CONDUCTOR = {MAX_CONDUCTOR}")
     phi = conductor_degree(L)
     if not isinstance(coeffs, list) or len(coeffs) != phi:
         raise IOError(f"{where}: conductor {L} needs {phi} coefficients, got {coeffs!r}")

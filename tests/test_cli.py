@@ -6,8 +6,8 @@ import pytest
 from twistaff.affine import standard_spec
 from twistaff.autnorm import OperatorSpec, StandardizeError
 from twistaff.cli import main
-from twistaff.cyclo import Cyc, mat_from_rows
-from twistaff.jsonio import element_from_json, element_to_json, mat_to_json
+from twistaff.cyclo import MAX_CONDUCTOR, Cyc, conductor_degree, mat_from_rows
+from twistaff.jsonio import cyc_from_json, element_from_json, element_to_json, mat_to_json
 from twistaff.loopalg import DoubleExtElement
 from twistaff.models import standard_model
 from twistaff.sampling import random_operator
@@ -156,7 +156,7 @@ def test_reports_reparse(opfile, tmp_path):
     "bad, message",
     [
         ({"conductor": 4, "coeffs": ["1/0", "0"]}, "zero denominator"),
-        ({"conductor": 4, "coeffs": ["one", "0"]}, "Invalid literal"),
+        ({"conductor": 4, "coeffs": ["one", "0"]}, "integers or 'p/q' strings, got 'one'"),
         ({"conductor": 4, "coeffs": ["1"]}, "needs 2 coefficients"),
         ({"conductor": 4, "coeffs": [1.5, "0"]}, "integers or 'p/q' strings"),
         ({"conductor": 6, "coeffs": ["1", "0"]}, "divisible by 4"),
@@ -174,6 +174,18 @@ def test_malformed_scalars_are_parse_errors(tmp_path, capsys, bad, message):
     assert run(["normalize", "--input", path]) == 2
     err = capsys.readouterr().err
     assert "malformed cyclotomic scalar" in err and message in err
+
+
+def test_conductor_above_the_bound_is_refused_at_once(tmp_path, capsys, time_limit):
+    big = {"conductor": 4_000_000, "coeffs": ["1"]}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"field": "C", "antiunitary": False, "dim": 1, "order": 1, "matrix": [[big]]}))
+    with time_limit(2):
+        assert run(["normalize", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert "conductor 4000000 is above MAX_CONDUCTOR = 480" in err and "Traceback" not in err
+    top = {"conductor": MAX_CONDUCTOR, "coeffs": ["1"] + ["0"] * (conductor_degree(MAX_CONDUCTOR) - 1)}
+    assert cyc_from_json(top) == Cyc.one(MAX_CONDUCTOR)
 
 
 def test_empty_operator_is_a_domain_error(tmp_path, capsys):
@@ -215,12 +227,21 @@ def test_wrongly_typed_nested_field_is_a_parse_error(tmp_path, capsys):
         ("1", {"1": 0.1}, "rationals are integers or 'p/q' strings, got 0.1"),
         ("1", {"0": "1"}, "index '0' is not a positive integer"),
         ("1", {"x": "1"}, "index 'x' is not a positive integer"),
-        ("1", {"1": "abc"}, "Invalid literal for Fraction: 'abc'"),
+        ("1", {"1": "abc"}, "rationals are integers or 'p/q' strings, got 'abc'"),
+        ("1", {"1": "1.5"}, "rationals are integers or 'p/q' strings, got '1.5'"),
+        ("1e3", {}, "rationals are integers or 'p/q' strings, got '1e3'"),
+        ("1", {"1": " 3/4 "}, "rationals are integers or 'p/q' strings, got ' 3/4 '"),
+        ("1_000", {}, "rationals are integers or 'p/q' strings, got '1_000'"),
+        ("1", {"1": "\uff13"}, "rationals are integers or 'p/q' strings, got '\uff13'"),
+        ("+3", {}, "rationals are integers or 'p/q' strings, got '+3'"),
+        ("1", {"1": "1" * 5000}, "Exceeds the limit (4300 digits) for integer string conversion"),
         ("1", {"1e18": "1"}, "index '1e18' is not a positive integer"),
         ("1", {"1000000000": "1"}, "index '1000000000' is above the rank 2"),
     ],
     ids=[
         "zero-denominator", "lc-zero-denominator", "float", "index-zero", "index-letter", "letters",
+        "decimal", "exponent", "spaces", "underscore", "full-width-digit", "plus-sign",
+        "too-many-digits",
         "index-exponent", "index-above-rank",
     ],
 )

@@ -1,4 +1,5 @@
 import cmath
+import random
 from fractions import Fraction as Q
 from math import gcd
 from unittest import mock
@@ -24,7 +25,6 @@ from twistaff.cyclo import (
     nullspace,
     row_reduce,
     solve,
-    sqrt_rational,
     working_conductor,
 )
 
@@ -60,13 +60,11 @@ def test_field_operations():
 def test_sqrt2_and_rational_sqrts():
     s2 = Cyc.sqrt2(8)
     assert s2 * s2 == Cyc.rational(8, 2)
-    assert sqrt_rational(8, Q(9, 4)) == Cyc.rational(8, Q(3, 2))
-    s3 = sqrt_rational(12, 3)
-    assert s3 * s3 == Cyc.rational(12, 3)
-    s6 = sqrt_rational(24, 6)
-    assert s6 * s6 == Cyc.rational(24, 6)
-    s10 = sqrt_rational(40, 10)
-    assert s10 * s10 == Cyc.rational(40, 10)
+    assert cyc_sqrt(Cyc.rational(8, Q(9, 4))) == Cyc.rational(8, Q(3, 2))
+    for L, q in ((12, 3), (24, 6), (40, 10)):
+        s = cyc_sqrt(Cyc.rational(L, q))
+        assert s * s == Cyc.rational(L, q)
+    assert cyc_sqrt(Cyc.rational(8, 3)) is None  # sqrt(3) needs 12 | L
 
 
 def test_in_field_sqrt():
@@ -99,6 +97,21 @@ def test_conductor_lift_embeds_roots_of_unity():
     c = Cyc.rational(8, Q(2, 3)) + Cyc.i(8)
     cl = c.lift(40)
     assert cl * cl.inverse() == Cyc.one(40)
+
+
+def test_dense_inverse_at_a_large_conductor(time_limit):
+    L = 328  # phi(L) = 160
+    rng = random.Random(0)
+    x = Cyc(L, tuple(rng.randint(-4, 4) for _ in range(conductor_degree(L))), 5)
+    with time_limit(5):
+        y = x.inverse()
+        assert x * y == Cyc.one(L)
+
+
+def test_rational_inverse_at_a_large_conductor():
+    L = 472
+    for q in (Q(7, 3), Q(-1, 12), 5):
+        assert Cyc.rational(L, q).inverse() == Cyc.rational(L, 1 / Q(q))
 
 
 def test_working_conductor():
@@ -239,7 +252,7 @@ def test_huge_nonsquare_rational_is_refused_at_once(L, time_limit):
 
 # -- field properties of Cyc ---------------------------------------------------
 
-FIELD_CONDUCTORS = (4, 8, 12, 24)
+FIELD_CONDUCTORS = (4, 8, 12, 24, 40)  # (Z/40)^x is not cyclic
 
 
 @st.composite

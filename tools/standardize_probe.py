@@ -9,12 +9,15 @@ doubled complex model needs an even dimension) and order hints 2, 3, 4 and 6
 SIGALRM of ALARM_S seconds; an operator that outlives it, or whose certificate
 fails verification, is listed as it happens.  The last lines print the number
 of certificates of each affine kind, which shows that every row of
-`affine.KINDS` is reached, and one count per outcome: "ok", each distinct
-error message, "past the alarm" and "certificate fails verification".  The
-last two lines are SHA-256 digests in grid order.  The first is over each
-operator's certificate and verification report JSON, or over its outcome
-text when it has no certificate; it pins the whole grid's output, but an
-operator past the alarm makes it depend on the host's speed.  The second is
+`affine.KINDS` is reached, the count and total time of the operators whose
+certificate sits at a conductor above 24 (the benchmark pools never enlarge
+the conductor, so this line is where the large fields are timed), and one
+count per outcome: "ok", each distinct error message, "past the alarm" and
+"certificate fails verification".  The last two lines are SHA-256 digests in
+grid order.  The first is over each operator's certificate and verification
+report JSON, or over its outcome text when it has no certificate; it pins the
+whole grid's output, but an operator past the alarm makes it depend on the
+host's speed.  The second is
 over the twisted grading of every certificate that passes verification: the
 root, residue and matrix JSON of each `mode_class_vectors` piece of every
 finite root, then of each `cartan_mode_vectors` piece (or the error text
@@ -79,9 +82,9 @@ def grading_text(cert):
 
 def probe_one(seed, family, dim, hint):
     """The outcome of one operator ("ok", one of FAULTS, or "<ErrorType>: <message>"),
-    the affine kind of its certificate (None without one), the text it adds to
-    the digest (the certificate and report JSON, else the outcome) and the text
-    it adds to the grading digest (None without a verified certificate)."""
+    its certificate (None without one), the text it adds to the digest (the
+    certificate and report JSON, else the outcome) and the text it adds to the
+    grading digest (None without a verified certificate)."""
     signal.alarm(ALARM_S)
     try:
         spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
@@ -89,8 +92,8 @@ def probe_one(seed, family, dim, hint):
         report = verify_certificate(spec, cert)
         text = json.dumps(cert.to_json(), sort_keys=True) + json.dumps(report.to_json(), sort_keys=True)
         if not report.all_passed:
-            return FAULTS[1], cert.lars, text, None
-        return "ok", cert.lars, text, grading_text(cert)
+            return FAULTS[1], cert, text, None
+        return "ok", cert, text, grading_text(cert)
     except Alarm:
         return FAULTS[0], None, FAULTS[0], None
     except Exception as exc:  # the probe counts every error by its message
@@ -106,6 +109,7 @@ def main():
     kinds: Counter = Counter()
     digest = hashlib.sha256()
     grading = hashlib.sha256()
+    large, large_s = 0, 0.0  # operators certified above conductor 24, and their time
     start = time.perf_counter()
     for seed in SEEDS:
         for family in FAMILIES:
@@ -113,16 +117,22 @@ def main():
                 if family == "H" and dim % 2:
                     continue
                 for hint in HINTS:
-                    outcome, kind, text, graded = probe_one(seed, family, dim, hint)
+                    began = time.perf_counter()
+                    outcome, cert, text, graded = probe_one(seed, family, dim, hint)
+                    if cert is not None:
+                        kinds[cert.lars] += 1
+                        if cert.conductor > 24:
+                            large += 1
+                            large_s += time.perf_counter() - began
                     digest.update(text.encode() + b"\n")
                     if graded is not None:
                         grading.update(graded.encode() + b"\n")
                     counts[outcome] += 1
-                    kinds[kind] += 1
                     if outcome in FAULTS:
                         print(f"{outcome}: seed {seed} {family} dim {dim} hint {hint}", flush=True)
     print(f"{sum(counts.values())} operators in {time.perf_counter() - start:.1f} s")
     print("certificates per kind: " + ", ".join(f"{k} {kinds[k]}" for k in LARS_KINDS))
+    print(f"{large} operators certified above conductor 24 in {large_s:.2f} s")
     for outcome, n in counts.most_common():
         print(f"{n:6d}  {outcome}")
     digests = (digest.hexdigest(), grading.hexdigest())
