@@ -49,16 +49,17 @@ from .cyclo import (
     MAX_CONDUCTOR,
     Cyc,
     Matrix,
+    ModeMatrix,
     cyc_sqrt,
-    mat_add,
     mat_conj,
     mat_conj_transpose,
     mat_diagonal,
     mat_eq,
     mat_identity,
-    mat_is_zero,
     mat_lift,
     mat_mul,
+    mat_product_sum,
+    mat_products_equal,
     mat_scale,
     split_square,
     working_conductor,
@@ -239,36 +240,21 @@ def validate_operator(spec: OperatorSpec) -> None:
     if spec.field == "H":
         t = quaternionic_structure(L, spec.dim)
         # commuting with the antilinear structure map: U T = T conj(U)
-        if not mat_eq(mat_mul(u, t), mat_mul(t, mat_conj(u))):
+        if not mat_products_equal(u, t, t, mat_conj(u)):
             raise StandardizeError("matrix does not commute with the quaternionic structure")
 
 
 # -- orders and the lift ---------------------------------------------------------
 
 
-def _is_scalar(m: Matrix) -> Cyc | None:
-    d = len(m)
-    c = m[0][0]
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                if not (m[i][j] == c):
-                    return None
-            elif m[i][j]:
-                return None
-    return c
-
-
 def projective_order(u: Matrix, bound: int = 512) -> tuple[int, Cyc]:
     """Smallest k <= bound with u^k scalar, and the scalar."""
-    d = len(u)
-    L = u[0][0].L
-    acc = mat_identity(L, d)
+    acc = um = ModeMatrix.from_matrix(u)
     for k in range(1, bound + 1):
-        acc = mat_mul(acc, u)
-        s = _is_scalar(acc)
-        if s is not None:
-            return k, s
+        c = acc.rows[0].get(0)  # u^k is c times the identity when every row holds only c on the diagonal
+        if c is not None and all(r.keys() == {i} and r[i] == c for i, r in enumerate(acc.rows)):
+            return k, Cyc(acc.L, c, acc.den)
+        acc = mat_product_sum(((1, acc, um),))
     raise StandardizeError(f"no finite projective order within the projective_order bound {bound}")
 
 
@@ -371,29 +357,30 @@ def operator_order(spec: OperatorSpec) -> int:
 # -- eigenspace machinery ---------------------------------------------------------
 
 
-def _spectral_part(orbit, k: int) -> Matrix:
+def _spectral_part(orbit, k: int) -> ModeMatrix:
     """(1/n) sum_j zeta^(-jk) x_j over the orbit x_j = T^j x_0 of a map T with T^n = 1:
     the component of x_0 on which T acts by zeta^k, zeta the primitive n-th root."""
     n = len(orbit)
-    L = orbit[0][0][0].L
+    L = orbit[0].L
     if L % n != 0:
         raise StandardizeError(f"conductor {L} does not contain the {n}-th roots of unity")
     acc = orbit[0]
     for j in range(1, n):
         e = -j * k % n
-        acc = mat_add(acc, mat_scale(Cyc.zeta(L, e * (L // n)), orbit[j]) if e else orbit[j])
-    return mat_scale(Cyc.rational(L, Fraction(1, n)), acc)
+        acc = acc + (orbit[j].scale(Cyc.zeta(L, e * (L // n))) if e else orbit[j])
+    return acc.scale(Fraction(1, n))
 
 
 def eigenprojectors(a: Matrix, m: int) -> list[tuple[int, Matrix]]:
     """Exact spectral projectors of a matrix with a^m = 1; list of (exponent, projector)."""
-    powers = [mat_identity(a[0][0].L, len(a))]
-    for _ in range(m - 1):
-        powers.append(mat_mul(powers[-1], a))
-    if not mat_eq(mat_mul(powers[-1], a), powers[0]):
+    am = ModeMatrix.from_matrix(a)
+    powers = [ModeMatrix.from_matrix(mat_identity(am.L, len(a)))]
+    for _ in range(m):
+        powers.append(mat_product_sum(((1, powers[-1], am),)))
+    if powers.pop() != powers[0]:
         raise StandardizeError("matrix does not have the stated finite order")
     projs = ((k, _spectral_part(powers, k)) for k in range(m))
-    return [(k, p) for k, p in projs if not mat_is_zero(p)]
+    return [(k, p.to_matrix()) for k, p in projs if p]
 
 
 def eigensplit(spec: OperatorSpec) -> list[tuple[int, Matrix]]:
@@ -761,7 +748,7 @@ def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
         conductor=L,
     )
     v = basis_change
-    if not mat_eq(mat_mul(mat_lift(spec.matrix, L), mat_conj(v)), mat_mul(v, form.block_matrix())):
+    if not mat_products_equal(mat_lift(spec.matrix, L), mat_conj(v), v, form.block_matrix()):
         raise StandardizeError("block reconstruction mismatch: u conj(V) != V Std")
     _check_columns(v, col_norms)
     return form
@@ -914,8 +901,8 @@ def _check_reconstruction(cert: StandardizationCertificate, u: Matrix) -> None:
     """u, the finite-order operator at the certificate's conductor, is the standard form
     transported by the basis change."""
     v = cert.basis_change
-    lhs = mat_mul(u, mat_conj(v)) if cert.family == "C_antiunitary" else mat_mul(u, v)
-    if not mat_eq(lhs, mat_mul(v, cert.standard_linear_matrix(cert.conductor))):
+    right = mat_conj(v) if cert.family == "C_antiunitary" else v
+    if not mat_products_equal(u, right, v, cert.standard_linear_matrix(cert.conductor)):
         raise StandardizeError("reconstruction failed: operator != basis_change * standard form")
 
 
@@ -1159,7 +1146,7 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
             ut = cert.u_matrix(L2, t)
             # commuting with an antilinear operator: Ut (T conj) = (T conj) Ut
             ut_right = mat_conj(ut) if cert.family == "C_antiunitary" else ut
-            if not mat_eq(mat_mul(ut, psi_lin), mat_mul(psi_lin, ut_right)):
+            if not mat_products_equal(ut, psi_lin, psi_lin, ut_right):
                 raise StandardizeError("one-parameter group does not commute with the twist")
         return "t = 1/2, 1, 3/2"
 

@@ -13,16 +13,24 @@ matrix kernel below all go through it.  The inverse of num / den is
 den * P / N, where P is the product of the distinct Galois conjugates of num
 other than num itself and N = num * P is its rational norm.
 
-Matrices are tuples of row tuples of scalars.  All matrix products go through
-one integer kernel, ``mat_product_sum``: each operand is read once into an
-``IntMatrix`` (a common denominator and, per row, the nonzero entries as
-sparse (power, coefficient) integer terms), each output entry accumulates its
-unreduced convolution in Python ints over the lcm of the operand
-denominators, is reduced modulo Phi_L once and becomes one ``Cyc``; empty
-entries share one zero.  ``mat_mul`` and ``mat_commutator`` are its one- and
-two-product cases, and the loop bracket sums all commutators of an output
-mode in one call.  All exact linear algebra goes through one Gauss-Jordan
-kernel, ``row_reduce``; ``solve``, ``in_span``, ``nullspace``, ``det`` and
+Matrices are tuples of row tuples of scalars (``Matrix``) at the edges and
+``ModeMatrix`` inside products and the loop algebra: one denominator in
+lowest terms and, per row, the integer coefficients of each nonzero entry by
+column, so ``==`` compares structure.  The one product kernel,
+``mat_product_sum``, sums s * A B over signed products by Kronecker
+substitution.  With W = 2 phi(L) - 1 and slots of B bits, row j of B packs
+into one int (coefficient p of entry k at slot k W + p) and entry (i, j) of
+A into sum_q a_q 2^(B q), so output row i is sum_j a_ij * row_j, one
+multiply-add per nonzero entry of A, with the convolution of its entry k in
+slots k W .. k W + W - 1.  Bound: each slot sums at most ncols(A) * phi
+products per term, so it is smaller in size than T = sum |s| ncols(A) phi
+2^(bits A + bits B) (bits: the largest coefficient bit length); B, a multiple
+of 8, exceeds the bit length of T, so every slot lies in [-2^(B-1), 2^(B-1)),
+and after adding 2^(B-1) to each slot the row's base-2^B digits are the
+slots plus 2^(B-1).  That is one signed unpack per output row, then one
+reduction modulo Phi_L per nonzero entry.  An operand keeps its packed form
+per B.  All exact linear algebra goes through one Gauss-Jordan kernel,
+``row_reduce``; ``solve``, ``in_span``, ``nullspace``, ``det`` and
 ``mat_inverse`` are thin readings of its result.  ``cyc_sqrt`` builds the
 square root of a rational from the primes of the conductor and cached Gauss
 sums; only square roots of non-rational elements reach sympy.
@@ -32,7 +40,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import chain
+from math import gcd, isqrt, lcm
+from operator import add, lshift, mul
 
 
 MAX_CONDUCTOR = 480  # every field, read or enlarged to, must stay desk-sized
@@ -119,22 +129,12 @@ class Cyc:
             raise ValueError("conductor must be divisible by 4")
         if _normalize and den != 1:
             if den < 0:
-                den = -den
-                num = tuple(-c for c in num)
-            g = den
-            for c in num:
-                if c:
-                    g = gcd(g, c)
-                    if g == 1:
-                        break
+                den, num = -den, tuple(-c for c in num)
+            g = gcd(den, *num)  # den itself when num is zero
             if g > 1:
                 den //= g
                 num = tuple(c // g for c in num)
-            if den != 1 and not any(num):
-                den = 1
-        self.L = L
-        self.num = num
-        self.den = den
+        self.L, self.num, self.den = L, num, den
 
     # -- constructors ------------------------------------------------------
 
@@ -214,21 +214,7 @@ class Cyc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.num, o.num
-        phi = len(a)
-        if phi == 2:
-            # conductor 4: Gaussian rationals, Phi_4 = x^2 + 1
-            a0, a1 = a
-            b0, b1 = b
-            return Cyc(self.L, (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0), self.den * o.den)
-        conv = [0] * (2 * phi - 1)
-        for ia, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for ib, cb in enumerate(b):
-                if cb:
-                    conv[ia + ib] += ca * cb
-        return Cyc(self.L, _reduce(self.L, conv), self.den * o.den)
+        return Cyc(self.L, cyc_product(self.L, self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -448,10 +434,7 @@ def _sympy_sqrt(x: Cyc):
             const = factor.rep.to_list()[-1]  # monic linear factor y + const
             rep = list(reversed(const.to_list()))  # low to high
             rep += [0] * (phi - len(rep))
-            den = 1
-            for c in rep:
-                q = int(sympy.Rational(c).q)
-                den = den * q // gcd(den, q)
+            den = lcm(*(int(sympy.Rational(c).q) for c in rep))
             out = -Cyc(x.L, tuple(int(sympy.Rational(c) * den) for c in rep[:phi]), den)
             if out * out == x:
                 return out
@@ -514,98 +497,192 @@ def mat_scale(c: Cyc, a: Matrix) -> Matrix:
     return tuple(tuple(c * x if any(x.num) else x for x in row) for row in a)
 
 
-class IntMatrix:
-    """A cyclotomic matrix read once for the product kernel: ``rows / den``.
+class ModeMatrix:
+    """A matrix over Q(zeta_L) in integers, immutable and canonical: ``rows / den``.
 
-    ``den`` is the least common denominator of the entries, and ``rows[i]``
-    lists the nonzero entries of row i as ``(column, terms)``, where ``terms``
-    holds the nonzero ``(power, coefficient)`` pairs of the entry times ``den``.
+    ``rows[i]`` maps the column of each nonzero entry of row i to its reduced
+    power-basis coefficients times ``den``.  den > 0 is coprime to the
+    coefficients taken together (1 for zero), so ``==`` compares fields and
+    zero has no entries.
     """
 
-    __slots__ = ("L", "ncols", "den", "rows")
+    __slots__ = ("L", "ncols", "den", "rows", "_bits", "_packs")
 
-    def __init__(self, a: Matrix):
-        self.L = a[0][0].L
-        self.ncols = len(a[0])
-        den = 1
-        for row in a:
-            for x in row:
-                d = x.den
-                if d != 1 and den % d:
-                    den = den * d // gcd(den, d)
-        zero = (0,) * len(a[0][0].num)
+    def __init__(self, L: int, ncols: int, den: int, rows, canonical: bool = False):
+        if not canonical:
+            rows = [r if all(map(any, r.values())) else {j: v for j, v in r.items() if any(v)} for r in rows]
+            g = den
+            for num in chain.from_iterable(row.values() for row in rows):
+                if g == 1:
+                    break
+                g = gcd(g, *num)
+            if g > 1:
+                den //= g
+                rows = [{j: tuple(c // g for c in num) for j, num in row.items()} for row in rows]
+        self.L, self.ncols, self.den, self.rows = L, ncols, den, tuple(rows)
+        self._bits, self._packs = None, {}  # the kernel's per-object data, see packed()
+
+    @staticmethod
+    def from_matrix(a: Matrix) -> "ModeMatrix":
+        """The lcm D of the entry denominators is in lowest terms: a prime power exactly
+        dividing D exactly divides some entry's denominator, which its numerator avoids."""
+        den = lcm(*(x.den for row in a for x in row))
+        rows = [
+            {j: x.num if x.den == den else tuple(c * (den // x.den) for c in x.num) for j, x in enumerate(r) if any(x.num)}
+            for r in a
+        ]
+        return ModeMatrix(a[0][0].L, len(a[0]), den, rows, canonical=True)
+
+    def to_matrix(self) -> Matrix:
+        L, zero, d = self.L, Cyc.zero(self.L), range(self.ncols)
+        return tuple(tuple(Cyc(L, r[j], self.den) if j in r else zero for j in d) for r in self.rows)
+
+    def __bool__(self) -> bool:
+        return any(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModeMatrix):
+            return NotImplemented
+        return (self.L, self.ncols, self.den, self.rows) == (other.L, other.ncols, other.den, other.rows)
+
+    def __hash__(self):
+        return hash((self.L, self.den, tuple(frozenset(row.items()) for row in self.rows)))
+
+    def __neg__(self) -> "ModeMatrix":
+        rows = [{j: tuple(-c for c in num) for j, num in row.items()} for row in self.rows]
+        return ModeMatrix(self.L, self.ncols, self.den, rows, canonical=True)
+
+    def __add__(self, other: "ModeMatrix") -> "ModeMatrix":
+        if other.L != self.L:
+            raise ValueError(f"conductor mismatch: {self.L} vs {other.L}")
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
         rows = []
-        for row in a:
-            entries = []
-            for j, x in enumerate(row):
-                num = x.num
-                if num != zero:
-                    f = den // x.den
-                    if f == 1:
-                        entries.append((j, [(p, c) for p, c in enumerate(num) if c]))
-                    else:
-                        entries.append((j, [(p, c * f) for p, c in enumerate(num) if c]))
-            rows.append(entries)
-        self.den = den
-        self.rows = rows
+        for ra, rb in zip(self.rows, other.rows):
+            row = dict(ra) if fa == 1 else {j: tuple(c * fa for c in num) for j, num in ra.items()}
+            for j, num in rb.items():
+                if fb != 1:
+                    num = tuple(c * fb for c in num)
+                row[j] = tuple(map(add, row[j], num)) if j in row else num
+            rows.append(row)
+        return ModeMatrix(self.L, self.ncols, den, rows)
+
+    def scale(self, c) -> "ModeMatrix":
+        """c times the matrix, for a Cyc or a rational c."""
+        c = c if isinstance(c, Cyc) else Cyc.rational(self.L, c)
+        if c.is_rational():
+            rows = [{j: tuple(c.num[0] * x for x in num) for j, num in r.items()} for r in self.rows]
+        else:
+            rows = [{j: cyc_product(self.L, num, c.num) for j, num in r.items()} for r in self.rows]
+        return ModeMatrix(self.L, self.ncols, self.den * c.den, rows)
+
+    def permuted(self, table) -> "ModeMatrix":
+        """The matrix with entry (a, b) moved to (i, j) and times s, where table[a][b] = (i, j, s)."""
+        rows = [{} for _ in self.rows]
+        for a, row in enumerate(self.rows):
+            for b, num in row.items():
+                i, j, s = table[a][b]
+                rows[i][j] = num if s == 1 else tuple(-c for c in num)
+        return ModeMatrix(self.L, self.ncols, self.den, rows, canonical=True)
+
+    def trace_product(self, other: "ModeMatrix") -> Cyc:
+        """tr(self other), one reduced product per pair of entries (i, j) and (j, i)."""
+        acc = (0,) * conductor_degree(self.L)
+        for i, row in enumerate(self.rows):
+            for j, num in row.items():
+                if i in other.rows[j]:
+                    acc = tuple(map(add, acc, cyc_product(self.L, num, other.rows[j][i])))
+        return Cyc(self.L, acc, self.den * other.den)
+
+    def bits(self) -> int:
+        """The largest bit length of a coefficient."""
+        if self._bits is None:
+            coefficients = chain.from_iterable(num for row in self.rows for num in row.values())
+            self._bits = max(map(abs, coefficients), default=0).bit_length()
+        return self._bits
+
+    def packed(self, B: int):
+        """(entries, rows) at slot width B, built on first use: entries[i] is (columns,
+        values) of row i, an entry's value sum_p num[p] 2^(B p); rows[i] is
+        sum_k value_k 2^(B (2 phi - 1) k) over the row's entries."""
+        if B not in self._packs:
+            phi = conductor_degree(self.L)
+            shifts, stride = range(0, B * phi, B), B * (2 * phi - 1)
+            entries = [(list(r), [sum(map(lshift, num, shifts)) for num in r.values()]) for r in self.rows]
+            self._packs[B] = entries, [sum(map(lshift, v, [stride * k for k in c])) for c, v in entries]
+        return self._packs[B]
 
 
-def mat_product_sum(products) -> Matrix:
-    """The sum of sign * A B over the triples (sign, A, B) of IntMatrix operands.
+def cyc_product(L: int, a: tuple, b: tuple) -> tuple[int, ...]:
+    """The power-basis coefficients of the product of two power-basis vectors."""
+    if len(a) == 2:  # conductor 4: Gaussian integers, Phi_4 = x^2 + 1
+        a0, a1 = a
+        b0, b1 = b
+        return (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
+    conv = [0] * (2 * len(a) - 1)
+    for ia, ca in enumerate(a):
+        if ca:
+            for ib, cb in enumerate(b):
+                if cb:
+                    conv[ia + ib] += ca * cb
+    return _reduce(L, conv)
 
-    All products share one integer accumulator over the lcm D of the operand
-    denominator products: each output entry gathers its unreduced power-basis
-    convolution, is reduced modulo Phi_L once and becomes one ``Cyc`` over D.
+
+def mat_product_sum(products) -> ModeMatrix:
+    """The sum of sign * A B over the triples (sign, A, B) of ModeMatrix operands.
+
+    Over the lcm D of the denominator products, triple (sign, A, B) adds
+    sign D / (den A den B) * A B to the packed output rows (module docstring).
     """
     products = list(products)
-    first = products[0][1]
-    L, n, m = first.L, len(first.rows), products[0][2].ncols
-    width = 2 * conductor_degree(L) - 1
-    den = 1
-    for _, a, b in products:
-        if a.L != L or b.L != L:
-            raise ValueError(f"conductor mismatch: {a.L} vs {b.L}")
-        d = a.den * b.den
-        den = den * d // gcd(den, d)
-    acc = [{} for _ in range(n)]  # per row: column -> unreduced convolution
-    for sign, a, b in products:
-        s = sign * (den // (a.den * b.den))
-        brows = b.rows
-        for arow, acc_row in zip(a.rows, acc):
-            for j, ta in arow:
-                brow = brows[j]
-                if not brow:
-                    continue
-                if s != 1:
-                    ta = [(p, c * s) for p, c in ta]
-                for k, tb in brow:
-                    conv = acc_row.get(k)
-                    if conv is None:
-                        conv = acc_row[k] = [0] * width
-                    for pa, ca in ta:
-                        for pb, cb in tb:
-                            conv[pa + pb] += ca * cb
-    zero = Cyc.zero(L)
-    out = []
-    for acc_row in acc:
-        row = [zero] * m
-        for k, conv in acc_row.items():
-            num = _reduce(L, conv)
-            if any(num):
-                row[k] = Cyc(L, num, den)
-        out.append(tuple(row))
-    return tuple(out)
+    L, n, m = products[0][1].L, len(products[0][1].rows), products[0][2].ncols
+    phi = conductor_degree(L)
+    if any(a.L != L or b.L != L for _, a, b in products):
+        raise ValueError("conductor mismatch in a matrix product")
+    den = lcm(*(a.den * b.den for _, a, b in products))
+    products = [(sign * (den // (a.den * b.den)), a, b) for sign, a, b in products]
+    bound = sum(abs(s) * a.ncols << (a.bits() + b.bits()) for s, a, b in products) * phi
+    B = (bound.bit_length() + 8) // 8 * 8  # the least multiple of 8 above bit_length(bound)
+    acc = [0] * n
+    for s, a, b in products:
+        brows = b.packed(B)[1]
+        for i, (cols, vals) in enumerate(a.packed(B)[0]):
+            if cols:
+                t = sum(map(mul, vals, map(brows.__getitem__, cols)))
+                acc[i] += t if s == 1 else -t if s == -1 else s * t
+    half, mask, stride, bias, region, shifts, empty = _unpacking(B, 2 * phi - 1, m)
+    rows = []
+    for y in acc:
+        row = {}
+        if y:
+            y += bias
+            for k in range(m):
+                r = y & region
+                y >>= stride
+                if r != empty:
+                    row[k] = _reduce(L, [(r >> shift & mask) - half for shift in shifts])
+        rows.append(row)
+    return ModeMatrix(L, m, den, rows)
+
+
+@lru_cache(maxsize=None)
+def _unpacking(B: int, W: int, m: int) -> tuple:
+    """The constants of unpacking rows of m entries of W slots of B bits (see mat_product_sum)."""
+    half, mask, stride = 1 << (B - 1), (1 << B) - 1, B * W
+    bias = ((1 << (stride * m)) - 1) // mask * half  # half in every slot
+    return half, mask, stride, bias, (1 << stride) - 1, range(0, stride, B), bias & ((1 << stride) - 1)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError("matrix dimension mismatch")
-    return mat_product_sum(((1, IntMatrix(a), IntMatrix(b)),))
+    return mat_product_sum(((1, ModeMatrix.from_matrix(a), ModeMatrix.from_matrix(b)),)).to_matrix()
 
 
-def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    ia, ib = IntMatrix(a), IntMatrix(b)
-    return mat_product_sum(((1, ia, ib), (-1, ib, ia)))
+def mat_products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
+    """Whether a b == c d, by one kernel call whose sum a b - c d is zero exactly then."""
+    m = ModeMatrix.from_matrix
+    return not mat_product_sum(((1, m(a), m(b)), (-1, m(c), m(d))))
 
 
 def mat_conj(a: Matrix) -> Matrix:
@@ -618,10 +695,6 @@ def mat_conj_transpose(a: Matrix) -> Matrix:
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return not any(any(x.num) for row in a for x in row)
 
 
 def mat_lift(a: Matrix, L2: int) -> Matrix:

@@ -1,4 +1,4 @@
-"""JSON encoding shared by the CLI and the serialization round-trip tests.
+"""JSON encoding of the CLI's requests and reports.
 
 Rationals travel as strings "p/q" in lowest terms (integers and "-p/q" strings
 of ASCII digits are accepted on input, everything else is refused by
@@ -18,7 +18,12 @@ from .cyclo import MAX_CONDUCTOR, Cyc, conductor_degree
 
 
 def cyc_to_json(c: Cyc) -> dict:
-    return {"conductor": c.L, "coeffs": [str(Fraction(n, c.den)) for n in c.num]}
+    """Each coefficient n / den as "0", "p" or "p/q" in lowest terms, one gcd per nonzero n."""
+    coeffs = []
+    for n in c.num:
+        g = gcd(n, c.den) if n else c.den
+        coeffs.append(str(n // g) if g == c.den else f"{n // g}/{c.den // g}")
+    return {"conductor": c.L, "coeffs": coeffs}
 
 
 def int_from_json(value, where: str) -> int:
@@ -86,23 +91,6 @@ def mat_from_json(rows, L: int | None = None):
     if L is not None:
         out = tuple(tuple(c.lift(L) if c.L != L else c for c in row) for row in out)
     return out
-
-
-def element_to_json(a) -> dict:
-    """DoubleExtElement as {"z": ..., "modes": {...}, "t": ...}."""
-    return {
-        "z": cyc_to_json(a.z),
-        "modes": {str(n): mat_to_json(m) for n, m in a.loop.terms},
-        "t": cyc_to_json(a.t),
-    }
-
-
-def element_from_json(obj):
-    from .loopalg import DoubleExtElement, LoopElement
-
-    z = cyc_from_json(obj["z"])
-    terms = tuple((int(n), mat_from_json(m, z.L)) for n, m in obj.get("modes", {}).items())
-    return DoubleExtElement(z, LoopElement(terms), cyc_from_json(obj["t"]))
 
 
 def dump_report(obj, path=None) -> str:

@@ -1,29 +1,22 @@
 """Fourier-polynomial loop algebra over a matrix model, with its double extension.
 
-Elements carry finitely many modes, each a matrix over a cyclotomic field.
+Elements carry finitely many modes, each an integer ``cyclo.ModeMatrix``.
 The bracket realizes the two-step extension: a central cocycle term pairing
 opposite modes through the invariant trace form and the diagonal derivation,
-a loop term, and a derivation coordinate that acts but never grows.
+a loop term, and a derivation coordinate that acts but never grows.  Sums,
+scalings, the derivation, the pairing, validation and the untwisting relabel
+run in integers; the coordinates z and t are ``Cyc`` scalars, and a
+``Matrix`` mode given to ``LoopElement`` is converted on the way in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .affine import AffinisationSpec
-from .cyclo import (
-    Cyc,
-    IntMatrix,
-    Matrix,
-    mat_add,
-    mat_eq,
-    mat_is_zero,
-    mat_product_sum,
-    mat_scale,
-)
+from .cyclo import Cyc, Matrix, ModeMatrix, cyc_product, mat_product_sum
 from .models import StandardModel, standard_model
-from .rootdata import Functional
+from .rootdata import Functional, Root
 
 
 def _model_of(spec: AffinisationSpec) -> StandardModel:
@@ -32,13 +25,13 @@ def _model_of(spec: AffinisationSpec) -> StandardModel:
 
 @dataclass(frozen=True)
 class LoopElement:
-    """Finitely many Fourier modes, each a square cyclotomic matrix."""
+    """Finitely many Fourier modes, each a square ModeMatrix (a Matrix is converted)."""
 
-    terms: tuple  # sorted tuple of (mode, Matrix), zero matrices pruned
+    terms: tuple  # (mode, ModeMatrix) pairs in mode order, zero matrices pruned
 
     def __post_init__(self):
-        pruned = tuple(sorted((int(n), m) for n, m in self.terms if not mat_is_zero(m)))
-        object.__setattr__(self, "terms", pruned)
+        terms = ((int(n), ModeMatrix.from_matrix(m) if isinstance(m, tuple) else m) for n, m in self.terms)
+        object.__setattr__(self, "terms", tuple(sorted(((n, m) for n, m in terms if m), key=lambda t: t[0])))
 
     def modes(self) -> tuple:
         return tuple(n for n, _ in self.terms)
@@ -46,26 +39,17 @@ class LoopElement:
     def __add__(self, other: "LoopElement") -> "LoopElement":
         out = dict(self.terms)
         for n, m in other.terms:
-            out[n] = mat_add(out[n], m) if n in out else m
+            out[n] = out[n] + m if n in out else m
         return LoopElement(tuple(out.items()))
 
     def __neg__(self) -> "LoopElement":
-        return LoopElement(tuple((n, mat_scale(Cyc.rational(m[0][0].L, -1), m)) for n, m in self.terms))
+        return LoopElement(tuple((n, -m) for n, m in self.terms))
 
     def __sub__(self, other: "LoopElement") -> "LoopElement":
         return self + (-other)
 
     def scale(self, c: Cyc) -> "LoopElement":
-        return LoopElement(tuple((n, mat_scale(c, m)) for n, m in self.terms))
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopElement):
-            return NotImplemented
-        if len(self.terms) != len(other.terms):
-            return False
-        return all(
-            na == nb and mat_eq(ma, mb) for (na, ma), (nb, mb) in zip(self.terms, other.terms)
-        )
+        return LoopElement(tuple((n, m.scale(c)) for n, m in self.terms))
 
 
 @dataclass(frozen=True)
@@ -107,53 +91,21 @@ class DoubleExtElement:
     def is_zero(self) -> bool:
         return self.z.is_zero() and self.t.is_zero() and not self.loop.terms
 
-    def __eq__(self, other):
-        if not isinstance(other, DoubleExtElement):
-            return NotImplemented
-        return self.z == other.z and self.t == other.t and self.loop == other.loop
 
-
-def validate_element(spec: AffinisationSpec, a: DoubleExtElement, residues=None) -> None:
-    """Check the mode-eigenspace invariant against the spec's standard twist.
-
-    For pre-standardization elements, pass `residues(root) -> admissible residue
-    tuple mod the twist order` from a certificate instead.
-    """
+def validate_element(spec: AffinisationSpec, a: DoubleExtElement) -> None:
+    """Check the mode-eigenspace invariant against the spec's standard twist."""
     model = _model_of(spec)
     for n, m in a.loop.terms:
-        if len(m) != model.dim:
-            raise ValueError(f"matrix dimension {len(m)} does not match the model ({model.dim})")
-        if residues is None:
-            if not model.in_mode(m, n):
-                raise ValueError(f"mode {n} matrix is not in the twist eigenspace")
-        else:
-            for root, comp in model.weight_components(m):
-                allowed = residues(root)
-                if n % spec.twist_order not in tuple(r % spec.twist_order for r in allowed):
-                    raise ValueError(f"mode {n} has a weight component outside its residue class")
+        if len(m.rows) != model.dim:
+            raise ValueError(f"matrix dimension {len(m.rows)} does not match the model ({model.dim})")
+        if not model.in_mode(m, n):
+            raise ValueError(f"mode {n} matrix is not in the twist eigenspace")
 
 
-def loop_pairing(spec: AffinisationSpec, x: LoopElement, y: LoopElement, L: int = 0) -> Cyc:
-    """Invariant bilinear form: opposite modes pair through the trace form."""
-    model = _model_of(spec)
-    if not L:
-        L = _conductor_of(x, y)
-    acc = Cyc.zero(L)
-    ydict = dict(y.terms)
-    for n, m in x.terms:
-        if -n in ydict:
-            acc = acc + model.bilinear_form(m, ydict[-n])
-    return acc
-
-
-def _conductor_of(*items) -> int:
-    for it in items:
-        if isinstance(it, LoopElement):
-            for _, m in it.terms:
-                return m[0][0].L
-        if isinstance(it, DoubleExtElement):
-            return it.z.L
-    raise ValueError("cannot infer a conductor from zero loop elements")
+def loop_pairing(spec: AffinisationSpec, x: LoopElement, y: LoopElement, L: int) -> Cyc:
+    """Invariant bilinear form at conductor L: opposite modes pair through the trace form."""
+    model, ydict = _model_of(spec), dict(y.terms)
+    return sum((model.bilinear_form(m, ydict[-n]) for n, m in x.terms if -n in ydict), Cyc.zero(L))
 
 
 def _derivation(spec: AffinisationSpec, nu: Functional, L: int, scale: Cyc | None = None):
@@ -162,31 +114,26 @@ def _derivation(spec: AffinisationSpec, nu: Functional, L: int, scale: Cyc | Non
     D multiplies the entry (r, c) of a mode-n matrix by i (n/N + w_r - w_c),
     where w are the slant values of the basis vectors.  With the integer
     numerators W = nu.den * w that factor is i k / Q for Q = N nu.den and the
-    integer k = n nu.den + N W_r - N W_c, and each distinct factor (times
-    ``scale``) is built once.
+    integer k = n nu.den + N W_r - N W_c, so each entry is multiplied in
+    integers by k times i (times ``scale``), and the denominator by Q.
     """
     model, N = _model_of(spec), spec.twist_order
     Q = N * nu.den
     padded = (0, *nu.num, *(0,) * model.dim)  # padded[j] = nu.den * nu_j for j >= 1
     w = [N * padded[x] if x >= 0 else -N * padded[-x] for x in model.weights]
     unit = Cyc.i(L) if scale is None else Cyc.i(L) * scale
-    factors: dict[int, Cyc] = {}
+    factors: dict[int, tuple] = {}  # k -> the integers of k * unit
 
-    def derive(n: int, m: Matrix) -> Matrix:
+    def derive(n: int, m: ModeMatrix) -> ModeMatrix:
         shift = n * nu.den
-        rows = []
-        for wr, row in zip(w, m):
-            out = []
-            for wc, v in zip(w, row):
-                if any(v.num):
-                    k = shift + wr - wc
-                    f = factors.get(k)
-                    if f is None:
-                        f = factors[k] = unit * Cyc.rational(L, Fraction(k, Q))
-                    v = v * f
-                out.append(v)
-            rows.append(tuple(out))
-        return tuple(rows)
+        rows = [{} for _ in m.rows]
+        for wr, row, out in zip(w, m.rows, rows):
+            for c, num in row.items():
+                k = shift + wr - w[c]
+                if k:
+                    f = factors.get(k) or factors.setdefault(k, tuple(k * x for x in unit.num))
+                    out[c] = cyc_product(L, num, f)
+        return ModeMatrix(L, m.ncols, m.den * Q * unit.den, rows)
 
     return derive
 
@@ -215,11 +162,9 @@ def bracket(spec: AffinisationSpec, a: DoubleExtElement, b: DoubleExtElement) ->
     z = loop_pairing(spec, da, b.loop, L)
     # every mode pair (n, n2) adds [a_n, b_n2] to mode n + n2; each output
     # mode sums all of its commutators in one integer product kernel call
-    b_modes = [(n2, IntMatrix(m2)) for n2, m2 in b.loop.terms]
     by_mode: dict[int, list] = {}
-    for n, m in a.loop.terms:
-        x = IntMatrix(m)
-        for n2, y in b_modes:
+    for n, x in a.loop.terms:
+        for n2, y in b.loop.terms:
             by_mode.setdefault(n + n2, []).extend(((1, x, y), (-1, y, x)))
     lp = LoopElement(tuple((k, mat_product_sum(prods)) for k, prods in by_mode.items()))
     if a.t:
@@ -236,11 +181,6 @@ def kappa_form(spec: AffinisationSpec, a: DoubleExtElement, b: DoubleExtElement)
     return loop_pairing(spec, a.loop, b.loop, a.z.L) + a.z * b.t + b.z * a.t
 
 
-def weight_decompose(spec: AffinisationSpec, x: Matrix):
-    """Split a matrix into Cartan-weight components (sum reconstructs the input)."""
-    return _model_of(spec).weight_components(x)
-
-
 def phi_hat(cert, spec_src: AffinisationSpec, spec_dst: AffinisationSpec, a: DoubleExtElement) -> DoubleExtElement:
     """The untwisting isomorphism: relabel each weight component's mode.
 
@@ -249,14 +189,23 @@ def phi_hat(cert, spec_src: AffinisationSpec, spec_dst: AffinisationSpec, a: Dou
     valid.  Central and derivation coordinates are fixed.
     """
     model = _model_of(spec_dst)
-    out: dict[int, Matrix] = {}
+    out: dict[int, ModeMatrix] = {}
     for n, m in a.loop.terms:
-        for root, comp in model.weight_components(m):
-            target = cert.image_mode(root, n)
+        buckets: dict[tuple, list] = {}
+        for i, row in enumerate(m.rows):
+            for j, num in row.items():
+                buckets.setdefault(model.entry_weight(i, j), []).append((i, j, num))
+        parts: dict[int, list] = {}
+        for w in sorted(buckets):
+            target = cert.image_mode(Root(w) if w else None, n)
             if target.denominator != 1:
                 raise ValueError(
                     f"relabeled mode {target} is not an integer: invalid certificate or element"
                 )
-            k = int(target)
-            out[k] = mat_add(out[k], comp) if k in out else comp
+            rows = parts.setdefault(int(target), [{} for _ in m.rows])
+            for i, j, num in buckets[w]:
+                rows[i][j] = num
+        for k, rows in parts.items():
+            part = ModeMatrix(m.L, m.ncols, m.den, rows)
+            out[k] = out[k] + part if k in out else part
     return DoubleExtElement(a.z, LoopElement(tuple(out.items())), a.t)

@@ -25,6 +25,7 @@ from .affine import KINDS, LarsKind, admissible_mode_step
 from .cyclo import (
     Cyc,
     Matrix,
+    ModeMatrix,
     in_span,
     mat_add,
     mat_diagonal,
@@ -90,6 +91,7 @@ class StandardModel:
         # fixed so that <E_j, E_k> = delta_jk
         return Fraction(1, 2) if self.kind.mirrored else Fraction(1)
 
+    @lru_cache(maxsize=None)
     def entry_weight(self, a: int, b: int) -> tuple:
         """Sparse eps-coordinates of the weight of the matrix unit E_ab."""
         out: dict[int, int] = {}
@@ -97,6 +99,23 @@ class StandardModel:
             if idx:
                 out[abs(idx)] = out.get(abs(idx), 0) + (s if idx > 0 else -s)
         return tuple(sorted((j, c) for j, c in out.items() if c))
+
+    @cached_property
+    def _paired_table(self) -> tuple:
+        """-Q x^T Q^-1 for the pairing Q as a signed permutation (``_signed``) of the entries.
+
+        Entry (i, j) is -sign[i] * sign[j] * x[pair[j]][pair[i]], because
+        sign[a] * sign[pair[a]] is the same for every a; the map is an involution.
+        """
+        pair, sign = self.pairing
+        d = range(self.dim)
+        return tuple(tuple((pair[j], pair[i], -sign[i] * sign[j]) for j in d) for i in d)
+
+    @cached_property
+    def _flip_table(self) -> tuple:
+        """Conjugation by the reflection F that negates the second zero vector, as a signed permutation."""
+        flip, d = self.weights.index(0) + 1, range(self.dim)
+        return tuple(tuple((i, j, -1 if (i == flip) != (j == flip) else 1) for j in d) for i in d)
 
     # -- matrices --------------------------------------------------------------
 
@@ -115,50 +134,28 @@ class StandardModel:
             L, [one if w == j else -one if w == -j else Cyc.zero(L) for w in self.weights]
         )
 
-    def _paired_transpose(self, x: Matrix) -> Matrix:
-        """-Q x^T Q^-1 for the pairing Q.
-
-        sign[a] * sign[pair[a]] is the same for every a, so entry (i, j) is
-        -sign[i] * sign[j] * x[pair[j]][pair[i]].
-        """
-        pair, sign = self.pairing
-        d = range(self.dim)
-        return tuple(
-            tuple(
-                -x[pair[j]][pair[i]] if sign[i] == sign[j] else x[pair[j]][pair[i]] for j in d
-            )
-            for i in d
-        )
-
-    def _tau(self, x: Matrix) -> Matrix:
+    def _tau(self, x):
         """Defining involution of the matrix algebra; fixed points form the model algebra."""
         if self.kind.involution is None:
             return x  # full gl, no constraint
-        return self._paired_transpose(x)
+        return _signed(x, self._paired_table)
 
     def in_algebra(self, x: Matrix) -> bool:
         t = self._tau(x)
         return all(t[i][j] == x[i][j] for i in range(self.dim) for j in range(self.dim))
 
-    def algebra_project(self, x: Matrix) -> Matrix:
+    def algebra_project(self, x):
+        """(x + tau(x)) / 2, for a Matrix or a ModeMatrix x."""
         if self.kind.involution is None:
             return x
-        half = Cyc.rational(x[0][0].L, Fraction(1, 2))
-        return mat_scale(half, mat_add(x, self._tau(x)))
+        return _half_sum(x, self._tau(x), 1)
 
-    def psi_tilde(self, x: Matrix) -> Matrix:
+    def psi_tilde(self, x):
         """The complex-linear extension of the standard order-2 twist."""
         twist = self.kind.twist
         if twist is None:
             return x
-        if twist == "flip":
-            # conjugation by the reflection F that negates the second zero vector
-            flip = self.weights.index(0) + 1
-            return tuple(
-                tuple(-v if (i == flip) != (j == flip) else v for j, v in enumerate(row))
-                for i, row in enumerate(x)
-            )
-        return self._paired_transpose(x)
+        return _signed(x, self._flip_table if twist == "flip" else self._paired_table)
 
     def twist_matrix(self, L: int) -> Matrix:
         """Linear part of the standard twist operator.
@@ -176,22 +173,14 @@ class StandardModel:
             return mat_diagonal(L, [Cyc.rational(L, s) for s in signs])
         return self.structure_map_matrix(L)
 
-    def mode_project(self, x: Matrix, n: int) -> Matrix:
+    def mode_project(self, x, n: int):
         """Projection onto the twist eigenspace of mode n (trivial twist: identity)."""
         if self.n_psi == 1:
             return x
-        half = Cyc.rational(x[0][0].L, Fraction(1, 2))
-        px = self.psi_tilde(x)
-        if n % 2 == 0:
-            return mat_scale(half, mat_add(x, px))
-        return mat_scale(half, mat_sub(x, px))
+        return _half_sum(x, self.psi_tilde(x), 1 if n % 2 == 0 else -1)
 
-    def in_mode(self, x: Matrix, n: int) -> bool:
-        if self.n_psi == 1:
-            return True
-        px = self.psi_tilde(x)
-        want = px if n % 2 == 0 else tuple(tuple(-c for c in row) for row in px)
-        return all(want[i][j] == x[i][j] for i in range(self.dim) for j in range(self.dim))
+    def in_mode(self, x: ModeMatrix, n: int) -> bool:
+        return self.n_psi == 1 or self.psi_tilde(x) == (x if n % 2 == 0 else -x)
 
     # -- structure map for the K=H / antiunitary families -----------------------
 
@@ -210,16 +199,9 @@ class StandardModel:
 
     # -- forms and decompositions ------------------------------------------------
 
-    def bilinear_form(self, x: Matrix, y: Matrix) -> Cyc:
+    def bilinear_form(self, x: ModeMatrix, y: ModeMatrix) -> Cyc:
         """B(x, y) = -scale * tr(xy): the invariant bilinear extension of the real form."""
-        L = x[0][0].L
-        acc = Cyc.zero(L)
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                if x[i][j] and y[j][i]:
-                    acc = acc + x[i][j] * y[j][i]
-        return Cyc.rational(L, -self.form_scale) * acc
+        return Cyc.rational(x.L, -self.form_scale) * x.trace_product(y)
 
     def hermitian_form(self, x: Matrix, y: Matrix) -> Cyc:
         """<x, y> = scale * tr(x y*), antilinear in y."""
@@ -324,6 +306,23 @@ class Span(tuple):
                 for x in nullspace(shifted)
             ))
         return pieces[0], pieces[1]
+
+
+def _signed(x, table):
+    """The signed permutation of entries given by table[i][j] = (a, b, s): entry (i, j) is s * x[a][b].
+
+    Every table here is an involution, so a ModeMatrix moves its entry (i, j) by the same table.
+    """
+    if isinstance(x, ModeMatrix):
+        return x.permuted(table)
+    return tuple(tuple(-x[a][b] if s < 0 else x[a][b] for a, b, s in row) for row in table)
+
+
+def _half_sum(x, y, sign: int):
+    """(x + sign * y) / 2 for two matrices of one type."""
+    if isinstance(x, ModeMatrix):
+        return (x + (y if sign == 1 else -y)).scale(Fraction(1, 2))
+    return mat_scale(Cyc.rational(x[0][0].L, Fraction(1, 2)), mat_add(x, y) if sign == 1 else mat_sub(x, y))
 
 
 def span_basis(matrices) -> list[Matrix]:

@@ -22,6 +22,7 @@ from operator import mul
 from .jsonio import int_from_json, rational_from_json, str_from_json
 
 KINDS = ("A", "B", "C", "D")
+MAX_RANK = 50  # the largest base rank a request may name; W(B_n) alone has 2^n n! elements
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,10 @@ class RootSystem:
     @staticmethod
     def from_json(obj) -> "RootSystem":
         kind = str_from_json(obj["kind"], "root system kind")
-        return RootSystem(kind, int_from_json(obj["rank"], "root system rank"))
+        rank = int_from_json(obj["rank"], "root system rank")
+        if rank > MAX_RANK:
+            raise IOError(f"root system rank {rank} is above MAX_RANK = {MAX_RANK}")
+        return RootSystem(kind, rank)
 
 
 def _canon(items) -> tuple:

@@ -1,9 +1,10 @@
 """Seeded generators of exact test data: operators, weights, characters.
 
 Random unitaries are products of elementary exact moves (rational Givens
-rotations, root-of-unity phases, permutations), each built together with its
-inverse, so conjugating a standard form never needs matrix inversion and
-stays exactly unitary.  Structure-compatible variants exist per family.
+rotations, root-of-unity phases, permutations), each exactly unitary, so the
+inverse of the product is its conjugate transpose: conjugating a standard
+form never needs matrix inversion and stays exactly unitary.
+Structure-compatible variants exist per family.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from .autnorm import OperatorSpec, automorphism_order
-from .cyclo import Cyc, Matrix, mat_identity, mat_mul, mat_scale, working_conductor
+from .cyclo import (
+    Cyc, Matrix, ModeMatrix, mat_conj_transpose, mat_identity, mat_mul, mat_product_sum, mat_scale, working_conductor
+)
 from .rootdata import Functional
 
 #: rational points on the unit circle used for exact rotations
@@ -28,71 +31,66 @@ def _embed(L: int, d: int, entries: dict) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
-def _givens(L: int, d: int, i: int, j: int, c: Fraction, s: Fraction):
-    fwd = _embed(L, d, {(i, i): c, (i, j): -s, (j, i): s, (j, j): c})
-    inv = _embed(L, d, {(i, i): c, (i, j): s, (j, i): -s, (j, j): c})
-    return fwd, inv
+def _givens(L: int, d: int, i: int, j: int, c: Fraction, s: Fraction) -> Matrix:
+    return _embed(L, d, {(i, i): c, (i, j): -s, (j, i): s, (j, j): c})
 
 
-def _phase(L: int, d: int, i: int, k: int):
-    fwd = _embed(L, d, {(i, i): Cyc.zeta(L, k)})
-    inv = _embed(L, d, {(i, i): Cyc.zeta(L, -k)})
-    return fwd, inv
+def _phase(L: int, d: int, i: int, k: int) -> Matrix:
+    return _embed(L, d, {(i, i): Cyc.zeta(L, k)})
 
 
-def _swap(L: int, d: int, i: int, j: int):
-    m = _embed(L, d, {(i, i): 0, (j, j): 0, (i, j): 1, (j, i): 1})
-    return m, m
+def _unitary(L: int, d: int, factors) -> tuple[Matrix, Matrix]:
+    """The product of exactly unitary factors and its exact inverse, the conjugate transpose.
+
+    The running product stays a ModeMatrix between the factors.
+    """
+    fwd = ModeMatrix.from_matrix(mat_identity(L, d))
+    for f in factors:
+        fwd = mat_product_sum(((1, fwd, ModeMatrix.from_matrix(f)),))
+    fwd = fwd.to_matrix()
+    return fwd, mat_conj_transpose(fwd)
 
 
 def random_unitary(rng: random.Random, L: int, d: int, moves: int = 6, real: bool = False):
     """An exact unitary (orthogonal when real) with its exact inverse."""
-    fwd = mat_identity(L, d)
-    inv = mat_identity(L, d)
+    factors = []
     for _ in range(moves):
         kind = rng.choice(("givens", "phase", "swap") if not real else ("givens", "sign", "swap"))
         i, j = rng.sample(range(d), 2) if d >= 2 else (0, 0)
         if kind == "givens":
             c, s = rng.choice(PYTHAGOREAN)
-            f, g = _givens(L, d, i, j, c, s)
+            factors.append(_givens(L, d, i, j, c, s))
         elif kind == "phase":
-            f, g = _phase(L, d, i, rng.randrange(L))
+            factors.append(_phase(L, d, i, rng.randrange(L)))
         elif kind == "sign":
-            f, g = _phase(L, d, i, L // 2)
+            factors.append(_phase(L, d, i, L // 2))
         else:
-            f, g = _swap(L, d, i, j)
-        fwd = mat_mul(fwd, f)
-        inv = mat_mul(g, inv)
-    return fwd, inv
+            factors.append(_embed(L, d, {(i, i): 0, (j, j): 0, (i, j): 1, (j, i): 1}))
+    return _unitary(L, d, factors)
 
 
 def random_quaternionic_unitary(rng: random.Random, L: int, d: int, moves: int = 6):
     """An exact unitary commuting with the doubled-model structure map."""
     r = d // 2
-    fwd = mat_identity(L, d)
-    inv = mat_identity(L, d)
+    factors = []
     for _ in range(moves):
         kind = rng.choice(("rot", "phase", "flip"))
         if kind == "rot" and r >= 2:
             i, j = rng.sample(range(r), 2)
             c, s = rng.choice(PYTHAGOREAN)
-            f1, g1 = _givens(L, d, i, j, c, s)
-            f2, g2 = _givens(L, d, r + i, r + j, c, s)
-            f, g = mat_mul(f1, f2), mat_mul(g2, g1)
+            # the same rotation on the plus and the minus block
+            entries = {(i, i): c, (i, j): -s, (j, i): s, (j, j): c}
+            entries.update({(r + a, r + b): v for (a, b), v in entries.items()})
         elif kind == "phase":
             i = rng.randrange(r)
             k = rng.randrange(L)
-            f1, g1 = _phase(L, d, i, k)
-            f2, g2 = _phase(L, d, r + i, -k)
-            f, g = mat_mul(f1, f2), mat_mul(g2, g1)
+            entries = {(i, i): Cyc.zeta(L, k), (r + i, r + i): Cyc.zeta(L, -k)}
         else:
             i = rng.randrange(r)
             # e_i+ -> e_i-, e_i- -> -e_i+: the structure map's own rotation
-            f = _embed(L, d, {(i, i): 0, (r + i, r + i): 0, (i, r + i): -1, (r + i, i): 1})
-            g = _embed(L, d, {(i, i): 0, (r + i, r + i): 0, (i, r + i): 1, (r + i, i): -1})
-        fwd = mat_mul(fwd, f)
-        inv = mat_mul(g, inv)
-    return fwd, inv
+            entries = {(i, i): 0, (r + i, r + i): 0, (i, r + i): -1, (r + i, i): 1}
+        factors.append(_embed(L, d, entries))
+    return _unitary(L, d, factors)
 
 
 def random_operator(rng: random.Random, family: str, dim: int, order_hint: int = 4) -> OperatorSpec:
@@ -189,7 +187,6 @@ def random_functional(rng: random.Random, rank: int, denoms=(1, 2, 3)) -> Functi
 
 def random_loop_element(rng: random.Random, spec, L: int, max_mode: int = 2, density: float = 0.6):
     """A seeded element of a standard double extension, entries in 0, +-1, +-i."""
-    from .cyclo import mat_identity
     from .loopalg import DoubleExtElement, LoopElement
     from .models import standard_model
 
@@ -197,19 +194,16 @@ def random_loop_element(rng: random.Random, spec, L: int, max_mode: int = 2, den
     out = DoubleExtElement(
         Cyc.rational(L, rng.randint(-1, 1)), LoopElement(()), Cyc.rational(L, rng.randint(-1, 1))
     )
-    choices = (0, 1, -1)
+    i, one = Cyc.i(L).num, Cyc.one(L).num
     for _ in range(2):
         n = rng.randint(-max_mode, max_mode)
-        raw = tuple(
-            tuple(
-                (Cyc.rational(L, rng.choice(choices)) * (Cyc.i(L) if rng.random() < 0.3 else Cyc.one(L)))
-                if rng.random() < density
-                else Cyc.zero(L)
-                for _ in range(model.dim)
-            )
-            for _ in range(model.dim)
-        )
-        mm = model.mode_project(model.algebra_project(raw), n)
+        rows = [{} for _ in range(model.dim)]
+        for row in rows:
+            for j in range(model.dim):
+                if rng.random() < density:
+                    c = rng.choice((0, 1, -1))
+                    row[j] = tuple(c * x for x in (i if rng.random() < 0.3 else one))
+        mm = model.mode_project(model.algebra_project(ModeMatrix(L, model.dim, 1, rows)), n)
         out = out + DoubleExtElement.from_loop(L, n, mm)
     return out
 
@@ -218,7 +212,6 @@ def random_twisted_element(rng: random.Random, cert, window: int = 1, terms: int
     """A seeded element of the pre-standardization (twisted) double extension."""
     from .autnorm import cartan_mode_vectors, mode_class_vectors
     from .affine import lars_finite_parts
-    from .cyclo import mat_scale
     from .loopalg import DoubleExtElement, LoopElement
 
     L = cert.conductor
@@ -236,5 +229,5 @@ def random_twisted_element(rng: random.Random, cert, window: int = 1, terms: int
         coef = Cyc.rational(L, rng.choice((1, -1, 2))) * (
             Cyc.i(L) if rng.random() < 0.3 else Cyc.one(L)
         )
-        out = out + DoubleExtElement.from_loop(L, n, mat_scale(coef, vec))
+        out = out + DoubleExtElement.from_loop(L, n, ModeMatrix.from_matrix(vec).scale(coef))
     return out

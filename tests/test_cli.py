@@ -7,9 +7,8 @@ from twistaff.affine import standard_spec
 from twistaff.autnorm import OperatorSpec, StandardizeError
 from twistaff.cli import main
 from twistaff.cyclo import MAX_CONDUCTOR, Cyc, conductor_degree, mat_from_rows
-from twistaff.jsonio import cyc_from_json, element_from_json, element_to_json, mat_to_json
-from twistaff.loopalg import DoubleExtElement
-from twistaff.models import standard_model
+from twistaff.jsonio import cyc_from_json, mat_to_json
+from twistaff.rootdata import MAX_RANK
 from twistaff.sampling import random_operator
 
 
@@ -136,14 +135,6 @@ def test_exit_codes(tmp_path):
     assert run(["roots", "--input", invalid]) == 1
 
 
-def test_element_json_round_trip():
-    L = 4
-    m = standard_model("A1", 2)
-    e = DoubleExtElement.from_loop(L, 2, m.basis_matrix(L, 0, 1)) + DoubleExtElement.central(L)
-    again = element_from_json(element_to_json(e))
-    assert again == e
-
-
 def test_reports_reparse(opfile, tmp_path):
     out = tmp_path / "cert.json"
     run(["normalize", "--input", opfile, "--output", out])
@@ -186,6 +177,18 @@ def test_conductor_above_the_bound_is_refused_at_once(tmp_path, capsys, time_lim
     assert "conductor 4000000 is above MAX_CONDUCTOR = 480" in err and "Traceback" not in err
     top = {"conductor": MAX_CONDUCTOR, "coeffs": ["1"] + ["0"] * (conductor_degree(MAX_CONDUCTOR) - 1)}
     assert cyc_from_json(top) == Cyc.one(MAX_CONDUCTOR)
+
+
+@pytest.mark.parametrize("command, rank", [("roots", 100_000_000), ("bracket-check", MAX_RANK + 1)])
+def test_rank_above_the_bound_is_refused_at_once(tmp_path, capsys, time_limit, command, rank):
+    path = tmp_path / "spec.json"
+    spec = standard_spec("B1", 2).to_json()
+    spec["base"]["rank"] = rank
+    path.write_text(json.dumps(spec))
+    with time_limit(2):
+        assert run([command, "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert f"root system rank {rank} is above MAX_RANK = {MAX_RANK}" in err and "Traceback" not in err
 
 
 def test_empty_operator_is_a_domain_error(tmp_path, capsys):

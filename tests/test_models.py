@@ -4,17 +4,21 @@ from twistaff.affine import LARS_KINDS, lars_finite_parts
 from twistaff.cyclo import (
     Cyc,
     mat_add,
-    mat_commutator,
     mat_diagonal,
     mat_eq,
     mat_inverse,
     mat_mul,
     mat_scale,
+    mat_sub,
     mat_zero,
 )
 from twistaff.models import model_mode_residues, standard_model
 
 L = 4
+
+
+def mat_commutator(a, b):
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def rand_algebra_element(model, rng):

@@ -1,27 +1,26 @@
-"""Properties of the integer product kernel behind mat_mul and the loop bracket.
+"""Properties of the packed integer product kernel behind mat_mul and the loop bracket.
 
-Both references are written with plain `Cyc` operations: `mat_mul` must equal
-the entrywise sum of products, and `bracket` must equal the sum over mode
-pairs of separately built commutators plus the derivation and cocycle terms.
+Every reference is written with plain `Cyc` operations and shares no code
+with the kernel or with `twistaff.loopalg`: `mat_mul` and `mat_product_sum`
+must equal the entrywise sums of products, and `bracket` must equal the sum
+over mode pairs of commutators built entry by entry, plus the derivation
+(one factor i (n/N + nu(w_r) - nu(w_c)) per entry) and the trace pairing.
 Denominators are mixed (1, 2, 3, 4, 6), so a product term that is not
 rescaled to the common denominator, or a common denominator that is not a
-multiple of every operand denominator, changes the result.
+multiple of every operand denominator, changes the result.  The kernel test
+near the slot-width bound draws coefficients up to 2^200 in size, often all
+of one sign and of the largest size, and sums that cancel to zero.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistaff.affine import LARS_KINDS, standard_spec
-from twistaff.cyclo import Cyc, conductor_degree, mat_add, mat_mul, mat_sub
-from twistaff.loopalg import (
-    DoubleExtElement,
-    LoopElement,
-    apply_derivation,
-    bracket,
-    loop_pairing,
-)
+from twistaff.cyclo import Cyc, ModeMatrix, conductor_degree, mat_mul, mat_product_sum
+from twistaff.loopalg import DoubleExtElement, LoopElement, bracket
 from twistaff.models import standard_model
 from twistaff.rootdata import Functional
 
@@ -74,6 +73,8 @@ def entrywise_product(a, b):
 
 
 def exact(a):
+    if isinstance(a, ModeMatrix):
+        a = a.to_matrix()
     return [[(x.num, x.den) for x in row] for row in a]
 
 
@@ -84,19 +85,68 @@ def test_mat_mul_is_the_entrywise_sum_of_products(operands):
     assert exact(mat_mul(a, b)) == exact(entrywise_product(a, b))
 
 
+BIG = 1 << 200
+
+
 @st.composite
-def loop_elements(draw, spec, L):
-    """An element with up to three modes, each the model projection of a mixed-denominator matrix."""
+def big_matrices(draw, L, n, m):
+    """An n x m matrix with coefficients up to 2^200 in size over mixed denominators.
+
+    Sometimes every coefficient is the same extreme value, so that the output
+    slots come as close to the kernel's slot-width bound as the sizes allow.
+    """
+    phi = conductor_degree(L)
+    saturated = draw(st.sampled_from((None, BIG, -BIG, BIG - 1)))
+    coefficient = st.one_of(st.integers(-BIG, BIG), st.sampled_from((BIG, -BIG, BIG - 1, 1 - BIG, 0)))
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(m):
+            num = (saturated,) * phi if saturated else tuple(draw(coefficient) for _ in range(phi))
+            row.append(Cyc(L, num, draw(st.sampled_from(DENOMINATORS))))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@st.composite
+def big_product_sums(draw):
+    """Up to three signed products of one shape, then sometimes the same products negated."""
+    L = draw(st.sampled_from((4, 8, 12, 24, 120)))
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    products = [
+        (draw(st.sampled_from((1, -1))), draw(big_matrices(L, n, k)), draw(big_matrices(L, k, m)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    cancel = draw(st.booleans())
+    if cancel:
+        products += [(-sign, a, b) for sign, a, b in products]
+    return products, cancel
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_product_sums())
+def test_packed_kernel_near_its_slot_width_bound(case):
+    products, cancel = case
+    got = mat_product_sum((sign, ModeMatrix.from_matrix(a), ModeMatrix.from_matrix(b)) for sign, a, b in products)
+    want = None
+    for sign, a, b in products:
+        term = tuple(tuple(sign * x for x in row) for row in entrywise_product(a, b))
+        want = term if want is None else tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(want, term))
+    assert exact(got) == exact(want)
+    if cancel:
+        assert not got and got.den == 1 and not any(got.rows)
+
+
+def plain_loop_element(draw, spec, L):
+    """(z, {mode: Matrix}, t): up to three modes, each the model projection of a mixed-denominator matrix."""
     model = standard_model(spec.lars, spec.base.rank)
-    out = DoubleExtElement(
-        Cyc.rational(L, draw(st.sampled_from((-1, 0, 1, Fraction(1, 2))))),
-        LoopElement(()),
-        Cyc.rational(L, draw(st.sampled_from((-1, 0, 1, Fraction(1, 3))))),
-    )
+    z = Cyc.rational(L, draw(st.sampled_from((-1, 0, 1, Fraction(1, 2)))))
+    t = Cyc.rational(L, draw(st.sampled_from((-1, 0, 1, Fraction(1, 3)))))
+    modes = {}
     for n in draw(st.lists(st.integers(-2, 2), max_size=3, unique=True)):
         raw = draw(matrices(L, model.dim, model.dim))
-        out = out + DoubleExtElement.from_loop(L, n, model.mode_project(model.algebra_project(raw), n))
-    return out
+        modes[n] = model.mode_project(model.algebra_project(raw), n)
+    return z, modes, t
 
 
 @st.composite
@@ -106,28 +156,54 @@ def bracket_operands(draw):
     nu = Functional({1: Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3))))})
     spec = standard_spec(kind, rank, nu=nu)
     L = draw(st.sampled_from(CONDUCTORS))
-    return spec, draw(loop_elements(spec, L)), draw(loop_elements(spec, L))
+    return spec, L, plain_loop_element(draw, spec, L), plain_loop_element(draw, spec, L)
 
 
-def reference_bracket(spec, a, b):
-    """The double-extension bracket with one commutator per mode pair, summed with mat_add."""
-    L = a.z.L
-    modes = {}
-    for n, x in a.loop.terms:
-        for m, y in b.loop.terms:
-            comm = mat_sub(mat_mul(x, y), mat_mul(y, x))
-            modes[n + m] = mat_add(modes[n + m], comm) if n + m in modes else comm
-    da = apply_derivation(spec, spec.slant, a)
-    db = apply_derivation(spec, spec.slant, b)
-    loop = LoopElement(tuple(modes.items())) + db.loop.scale(a.t) - da.loop.scale(b.t)
-    return DoubleExtElement(loop_pairing(spec, da.loop, b.loop, L), loop, Cyc.zero(L))
+def reference_bracket(spec, L, a, b):
+    """The double-extension bracket of plain elements, entry by entry in Cyc arithmetic."""
+    (_, a_modes, a_t), (_, b_modes, b_t) = a, b
+    model = standard_model(spec.lars, spec.base.rank)
+    d = range(model.dim)
+    zero, i = Cyc.zero(L), Cyc.i(L)
+    slant = [spec.slant[abs(w)] * (1 if w > 0 else -1) if w else 0 for w in model.weights]
+
+    def derive(n, x):
+        """Entry (r, c) of mode n times i (n/N + nu(w_r) - nu(w_c))."""
+        return [
+            [x[r][c] * i * Cyc.rational(L, Fraction(n, spec.twist_order) + slant[r] - slant[c]) for c in d]
+            for r in d
+        ]
+
+    out = {}
+
+    def add(n, m):
+        acc = out.setdefault(n, [[zero] * model.dim for _ in d])
+        for r in d:
+            for c in d:
+                acc[r][c] = acc[r][c] + m[r][c]
+
+    for n, x in a_modes.items():
+        for n2, y in b_modes.items():
+            add(n + n2, [[sum((x[r][j] * y[j][c] - y[r][j] * x[j][c] for j in d), zero) for c in d] for r in d])
+    for n, y in b_modes.items():
+        add(n, [[a_t * v for v in row] for row in derive(n, y)])
+    for n, x in a_modes.items():
+        add(n, [[-b_t * v for v in row] for row in derive(n, x)])
+    z = zero
+    for n, x in a_modes.items():
+        if -n in b_modes:
+            dx, y = derive(n, x), b_modes[-n]
+            z = z + Cyc.rational(L, -model.form_scale) * sum((dx[r][c] * y[c][r] for r in d for c in d), zero)
+    terms = [(n, tuple(map(tuple, m))) for n, m in sorted(out.items()) if any(v for row in m for v in row)]
+    return SimpleNamespace(z=z, loop=SimpleNamespace(terms=terms))
 
 
 @settings(max_examples=40, deadline=None)
 @given(bracket_operands())
 def test_bracket_is_the_sum_of_mode_pair_commutators(operands):
-    spec, a, b = operands
-    got, want = bracket(spec, a, b), reference_bracket(spec, a, b)
+    spec, L, plain_a, plain_b = operands
+    a, b = (DoubleExtElement(z, LoopElement(tuple(modes.items())), t) for z, modes, t in (plain_a, plain_b))
+    got, want = bracket(spec, a, b), reference_bracket(spec, L, plain_a, plain_b)
     assert (got.z.num, got.z.den) == (want.z.num, want.z.den)
     assert got.t.is_zero()
     assert [n for n, _ in got.loop.terms] == [n for n, _ in want.loop.terms]
