@@ -528,7 +528,8 @@ class ModeMatrix:
         dividing D exactly divides some entry's denominator, which its numerator avoids."""
         den = lcm(*(x.den for row in a for x in row))
         rows = [
-            {j: x.num if x.den == den else tuple(c * (den // x.den) for c in x.num) for j, x in enumerate(r) if any(x.num)}
+            {j: x.num if x.den == den else tuple(c * (den // x.den) for c in x.num)
+             for j, x in enumerate(r) if any(x.num)}
             for r in a
         ]
         return ModeMatrix(a[0][0].L, len(a[0]), den, rows, canonical=True)

@@ -13,7 +13,8 @@ import random
 from fractions import Fraction
 from .autnorm import OperatorSpec, automorphism_order
 from .cyclo import (
-    Cyc, Matrix, ModeMatrix, mat_conj_transpose, mat_identity, mat_mul, mat_product_sum, mat_scale, working_conductor
+    Cyc, Matrix, ModeMatrix, mat_conj_transpose, mat_identity, mat_mul, mat_product_sum, mat_scale,
+    working_conductor,
 )
 from .rootdata import Functional
 
