@@ -50,17 +50,9 @@ from .cyclo import (
     Cyc,
     Matrix,
     ModeMatrix,
+    cyc_product,
     cyc_sqrt,
-    mat_conj,
-    mat_conj_transpose,
-    mat_diagonal,
-    mat_eq,
-    mat_identity,
-    mat_lift,
-    mat_mul,
-    mat_product_sum,
     mat_products_equal,
-    mat_scale,
     split_square,
     working_conductor,
 )
@@ -98,20 +90,18 @@ def _vec_is_zero(u):
     return all(a.is_zero() for a in u)
 
 
-def _mat_apply(m: Matrix, v: tuple) -> tuple:
+def _mat_apply(m: ModeMatrix, v: tuple) -> tuple:
+    """m v for a vector v of Cyc."""
+    L, zero = m.L, Cyc.zero(m.L)
     return tuple(
-        sum((row[j] * v[j] for j in range(len(v)) if row[j] and v[j]), Cyc.zero(v[0].L))
-        for row in m
+        sum((Cyc(L, cyc_product(L, num, v[j].num), m.den * v[j].den) for j, num in row.items() if v[j]), zero)
+        for row in m.rows
     )
 
 
-def _antilinear(u: Matrix):
+def _antilinear(u: ModeMatrix):
     """The antilinear map v -> u conj(v)."""
     return lambda v: _mat_apply(u, tuple(a.conj() for a in v))
-
-
-def _columns(m: Matrix) -> list:
-    return [tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0]))]
 
 
 def _orth_reduce(v: tuple, basis, norms) -> tuple:
@@ -162,7 +152,7 @@ class OperatorSpec:
     field: str
     antiunitary: bool
     dim: int
-    matrix: Matrix
+    matrix: ModeMatrix
     declared_order: int
 
     def __post_init__(self):
@@ -176,12 +166,12 @@ class OperatorSpec:
             raise StandardizeError(f"dimension must be at least 1, got {self.dim}")
         if self.field == "H" and self.dim % 2:
             raise StandardizeError("quaternionic model needs even complex dimension")
-        if len(self.matrix) != self.dim or any(len(r) != self.dim for r in self.matrix):
+        if (len(self.matrix.rows), self.matrix.ncols) != (self.dim, self.dim):
             raise StandardizeError("matrix shape does not match dim")
 
     @property
     def conductor(self) -> int:
-        return self.matrix[0][0].L
+        return self.matrix.L
 
     def to_json(self):
         return {
@@ -199,12 +189,8 @@ class OperatorSpec:
             raise IOError(f"operator antiunitary: expected a boolean, got {antiunitary!r}")
         field = str_from_json(obj["field"], "operator field")
         dim = int_from_json(obj["dim"], "operator dim")
-        matrix = mat_from_json(obj["matrix"])
+        matrix = mat_from_json(obj["matrix"])  # one conductor per request
         order = int_from_json(obj["order"], "operator order")
-        # one conductor per request: the exact arithmetic never mixes fields
-        conductors = sorted({c.L for row in matrix for c in row})
-        if len(conductors) > 1:
-            raise IOError(f"operator matrix: entries at more than one conductor: {conductors}")
         return OperatorSpec(field, antiunitary, dim, matrix, order)
 
 
@@ -216,52 +202,47 @@ def family_of(spec: OperatorSpec) -> str:
     return "C_antiunitary" if spec.antiunitary else "C_unitary"
 
 
-def quaternionic_structure(L: int, dim: int) -> Matrix:
+def quaternionic_structure(L: int, dim: int) -> ModeMatrix:
     """Linear part of the doubled-model structure map (v, w) -> (-conj w, conj v); dim is even."""
     r = dim // 2
-    z = Cyc.zero(L)
-    one = Cyc.one(L)
-    rows = [[z] * dim for _ in range(dim)]
-    for j in range(r):
-        rows[j][r + j] = -one
-        rows[r + j][j] = one
-    return tuple(tuple(row) for row in rows)
+    entries = {(j, r + j): -1 for j in range(r)} | {(r + j, j): 1 for j in range(r)}
+    return ModeMatrix.from_entries(L, (dim, dim), entries)
 
 
 def validate_operator(spec: OperatorSpec) -> None:
     """Exact unitarity and field-structure checks."""
     L = spec.conductor
     u = spec.matrix
-    if not mat_eq(mat_mul(u, mat_conj_transpose(u)), mat_identity(L, spec.dim)):
+    if u @ u.conj_transpose() != ModeMatrix.identity(L, spec.dim):
         raise StandardizeError("matrix is not unitary")
     if spec.field == "R":
-        if not mat_eq(u, mat_conj(u)):
+        if u != u.conj():
             raise StandardizeError("field R requires a real matrix")
     if spec.field == "H":
         t = quaternionic_structure(L, spec.dim)
         # commuting with the antilinear structure map: U T = T conj(U)
-        if not mat_products_equal(u, t, t, mat_conj(u)):
+        if not mat_products_equal(u, t, t, u.conj()):
             raise StandardizeError("matrix does not commute with the quaternionic structure")
 
 
 # -- orders and the lift ---------------------------------------------------------
 
 
-def projective_order(u: Matrix, bound: int = 512) -> tuple[int, Cyc]:
+def projective_order(u: ModeMatrix, bound: int = 512) -> tuple[int, Cyc]:
     """Smallest k <= bound with u^k scalar, and the scalar."""
-    acc = um = ModeMatrix.from_matrix(u)
+    acc = u
     for k in range(1, bound + 1):
         c = acc.rows[0].get(0)  # u^k is c times the identity when every row holds only c on the diagonal
         if c is not None and all(r.keys() == {i} and r[i] == c for i, r in enumerate(acc.rows)):
             return k, Cyc(acc.L, c, acc.den)
-        acc = mat_product_sum(((1, acc, um),))
+        acc = acc @ u
     raise StandardizeError(f"no finite projective order within the projective_order bound {bound}")
 
 
-def matrix_order(u: Matrix, bound: int = 512) -> int:
+def matrix_order(u: ModeMatrix, bound: int = 512) -> int:
     k, s = projective_order(u, bound)
     # order of the scalar times k
-    L = u[0][0].L
+    L = u.L
     acc = s
     for m in range(1, bound + 1):
         if acc == Cyc.one(L):
@@ -272,10 +253,10 @@ def matrix_order(u: Matrix, bound: int = 512) -> int:
     )
 
 
-def _order_matrix(spec: OperatorSpec) -> Matrix:
+def _order_matrix(spec: OperatorSpec) -> ModeMatrix:
     """The linear map the automorphism's order is read from: u, or u conj(u) if antiunitary."""
     u = spec.matrix
-    return mat_mul(u, mat_conj(u)) if spec.antiunitary else u
+    return u @ u.conj() if spec.antiunitary else u
 
 
 def automorphism_order(spec: OperatorSpec) -> int:
@@ -334,9 +315,9 @@ def _lift_from_order(spec: OperatorSpec, k: int, lam0: Cyc) -> tuple[OperatorSpe
             L2 = lcm(4, n * L)
             jj = j * (L2 // L)
             sol = next(m for m in range(L2) if (m * n) % L2 == (-jj) % L2)
-            lifted = mat_scale(Cyc.zeta(L2, sol), mat_lift(spec.matrix, L2))
+            lifted = spec.matrix.lift(L2).scale(Cyc.zeta(L2, sol))
         else:
-            lifted = mat_scale(Cyc.zeta(L, sol), spec.matrix)
+            lifted = spec.matrix.scale(Cyc.zeta(L, sol))
         return OperatorSpec(spec.field, False, spec.dim, lifted, n), n, n
     if lam0 == Cyc.one(L):
         return spec, n, n
@@ -371,19 +352,18 @@ def _spectral_part(orbit, k: int) -> ModeMatrix:
     return acc.scale(Fraction(1, n))
 
 
-def eigenprojectors(a: Matrix, m: int) -> list[tuple[int, Matrix]]:
+def eigenprojectors(a: ModeMatrix, m: int) -> list[tuple[int, ModeMatrix]]:
     """Exact spectral projectors of a matrix with a^m = 1; list of (exponent, projector)."""
-    am = ModeMatrix.from_matrix(a)
-    powers = [ModeMatrix.from_matrix(mat_identity(am.L, len(a)))]
+    powers = [ModeMatrix.identity(a.L, len(a.rows))]
     for _ in range(m):
-        powers.append(mat_product_sum(((1, powers[-1], am),)))
+        powers.append(powers[-1] @ a)
     if powers.pop() != powers[0]:
         raise StandardizeError("matrix does not have the stated finite order")
     projs = ((k, _spectral_part(powers, k)) for k in range(m))
-    return [(k, p.to_matrix()) for k, p in projs if p]
+    return [(k, p) for k, p in projs if p]
 
 
-def eigensplit(spec: OperatorSpec) -> list[tuple[int, Matrix]]:
+def eigensplit(spec: OperatorSpec) -> list[tuple[int, ModeMatrix]]:
     """Spectral projectors of a unitary finite-order operator spec."""
     if spec.antiunitary:
         raise StandardizeError("eigensplit applies to linear operators; see the normal form")
@@ -423,7 +403,7 @@ def _sqrt(q):
     return s
 
 
-def _conjugation_block_decomposition(u: Matrix, proj: Matrix):
+def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
     """Exact block structure of the antilinear involution theta: v -> u conj(v) on
     the range of a projector.
 
@@ -435,7 +415,7 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix):
     square-root problems (``_sqrt``, which raises ``_Enlarge`` for a rational
     root outside the field).  Returns (blocks, fixed vector or None).
     """
-    L = u[0][0].L
+    L = u.L
     theta = _antilinear(u)
     spanned: list = []  # plus and minus of each block so far, with their norms
     spanned_norms: list = []
@@ -466,7 +446,7 @@ def _conjugation_block_decomposition(u: Matrix, proj: Matrix):
                     return w
         return None
 
-    remaining = _columns(proj)
+    remaining = proj.columns()
 
     stuck: list = []
     progress = True
@@ -601,7 +581,7 @@ def _pair_conjugation_fixed(g1, q1, g2, q2):
     return tuple(a + b for a, b in zip(g1, g2)), tuple(a - b for a, b in zip(g1, g2))
 
 
-def _antilinear_blocks(a: Matrix, m: int, u: Matrix, minus_scale):
+def _antilinear_blocks(a: ModeMatrix, m: int, u: ModeMatrix, minus_scale):
     """Orthogonal column pairs (plus, minus) for J = u o conj commuting with a, a^m = 1.
 
     J maps the zeta^k-eigenspace of a onto the zeta^-k one.  A paired eigenspace
@@ -615,7 +595,7 @@ def _antilinear_blocks(a: Matrix, m: int, u: Matrix, minus_scale):
     enlarged conductor.  Returns (plus, minus, exponents, norms, fixed, L),
     fixed mapping exponents to their J-fixed vectors.
     """
-    L = a[0][0].L
+    L = a.L
     J = _antilinear(u)
     projs = dict(eigenprojectors(a, m))
     plus, minus, exps, norms, fixed = [], [], [], [], {}
@@ -623,7 +603,7 @@ def _antilinear_blocks(a: Matrix, m: int, u: Matrix, minus_scale):
         for k in sorted(projs, key=lambda k: (0 < 2 * k < m, k)):
             if 2 * k > m:
                 continue  # the mirror of exponent m - k
-            cols = _columns(projs[k])
+            cols = projs[k].columns()
             sign = 0  # J^2 on a self-paired eigenspace, read off one nonzero column
             if 2 * k in (0, m):
                 v = next(c for c in cols if not _vec_is_zero(c))
@@ -644,7 +624,7 @@ def _antilinear_blocks(a: Matrix, m: int, u: Matrix, minus_scale):
             norms += qs
     except _Enlarge as enlarged:
         big = enlarged.conductor
-        return _antilinear_blocks(mat_lift(a, big), m, mat_lift(u, big), minus_scale)
+        return _antilinear_blocks(a.lift(big), m, u.lift(big), minus_scale)
     return plus, minus, exps, norms, fixed, L
 
 
@@ -687,18 +667,18 @@ class AntiunitaryBlockForm:
     col_norms: tuple
     conductor: int
 
-    def block_matrix(self) -> Matrix:
+    def block_matrix(self) -> ModeMatrix:
         """Std with A(V w) = V Std conj(w): the block phases, and 1 at the fixed column."""
         L = self.conductor
         d = len(self.basis_change)
-        std = [[Cyc.zero(L)] * d for _ in range(d)]
         zeta = L // (2 * self.half_order)
+        std = {}
         for n, pc, mc in self.blocks:
-            std[mc][pc] = Cyc.zeta(L, (-n * zeta) % L)
-            std[pc][mc] = Cyc.zeta(L, (n * zeta) % L)
+            std[mc, pc] = Cyc.zeta(L, (-n * zeta) % L)
+            std[pc, mc] = Cyc.zeta(L, (n * zeta) % L)
         if self.fixed_col is not None:
-            std[self.fixed_col][self.fixed_col] = Cyc.one(L)
-        return tuple(tuple(r) for r in std)
+            std[self.fixed_col, self.fixed_col] = Cyc.one(L)
+        return ModeMatrix.from_entries(L, (d, d), std)
 
 
 def _antiunitary_blocks(spec: OperatorSpec, m_op: int):
@@ -710,14 +690,13 @@ def _antiunitary_blocks(spec: OperatorSpec, m_op: int):
     """
     half = m_op // 2
     L = lcm(working_conductor(m_op, sqrt2=True), spec.conductor)
-    u = mat_lift(spec.matrix, L)
+    u = spec.matrix.lift(L)
 
     def minus_scale(n, L):
         # i on the J^2 = -1 eigenspace, zeta^n, zeta the primitive 2N-th root, on a pair
         return Cyc.i(L) if 2 * n == half else Cyc.zeta(L, n * (L // (2 * half)) % L)
 
-    a = mat_mul(u, mat_conj(u))
-    plus, minus, exps, norms, fixed, L = _antilinear_blocks(a, half, u, minus_scale)
+    plus, minus, exps, norms, fixed, L = _antilinear_blocks(u @ u.conj(), half, u, minus_scale)
     return plus, minus, exps, norms, fixed.get(0), L
 
 
@@ -747,8 +726,8 @@ def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
         col_norms=col_norms,
         conductor=L,
     )
-    v = basis_change
-    if not mat_products_equal(mat_lift(spec.matrix, L), mat_conj(v), v, form.block_matrix()):
+    v = ModeMatrix.from_rows(L, basis_change)
+    if not mat_products_equal(spec.matrix.lift(L), v.conj(), v, form.block_matrix()):
         raise StandardizeError("block reconstruction mismatch: u conj(V) != V Std")
     _check_columns(v, col_norms)
     return form
@@ -764,8 +743,9 @@ class StandardizationCertificate:
     Exponents are stored in units of the primitive exp_denominator-th root of
     unity: the one-parameter group acts on the j-th plus column by that root
     raised to exponents[j] * t, and mu[j] = -exponents[j] / exp_denominator.
-    Columns of basis_change (the model basis in input coordinates) are exactly
-    orthogonal with recorded squared norms; each plus/minus pair shares its norm.
+    Columns of basis_change (the model basis in input coordinates, as rows of
+    Cyc) are exactly orthogonal with recorded squared norms; each plus/minus
+    pair shares its norm.  The checks read it once as ``basis_change_matrix``.
     The twisted grading derived from it is computed lazily, once per root,
     into ``grading`` (see ``mode_class_vectors``); ``dataclasses.replace``
     starts a fresh one.
@@ -792,6 +772,10 @@ class StandardizationCertificate:
     @property
     def psi_kind(self) -> str:
         return KINDS[self.lars].psi_kind
+
+    @cached_property
+    def basis_change_matrix(self) -> ModeMatrix:
+        return ModeMatrix.from_rows(self.conductor, self.basis_change)
 
     @cached_property
     def grading(self) -> dict:
@@ -829,9 +813,9 @@ class StandardizationCertificate:
         signed = (exps[w - 1] if w > 0 else -exps[-w - 1] if w else 0 for w in self.model.weights)
         return [e * int(step) % L for e in signed]
 
-    def u_matrix(self, L: int, t: Fraction = Fraction(1)) -> Matrix:
+    def u_matrix(self, L: int, t: Fraction = Fraction(1)) -> ModeMatrix:
         """U_t of the one-parameter group, in model coordinates (U_1 by default)."""
-        return mat_diagonal(L, [Cyc.zeta(L, k) for k in self._u_phases(L, t)])
+        return ModeMatrix.diagonal(L, [Cyc.zeta(L, k) for k in self._u_phases(L, t)])
 
     def image_mode(self, a: Root | None, n: int) -> Fraction:
         """Target mode N_psi (n / N_phi - mu(a)) of source mode n at root a (None: the Cartan)."""
@@ -839,9 +823,9 @@ class StandardizationCertificate:
         shift = inner(self.mu, a) if a is not None else 0
         return n_psi * (Fraction(n, n_phi) - shift)
 
-    def standard_linear_matrix(self, L: int) -> Matrix:
+    def standard_linear_matrix(self, L: int) -> ModeMatrix:
         """Linear part of the standardized operator (U_1 times the twist) in model coords."""
-        return mat_mul(self.u_matrix(L), self.model.twist_matrix(L))
+        return self.u_matrix(L) @ self.model.twist_matrix(L)
 
     def to_json(self):
         return {
@@ -852,7 +836,7 @@ class StandardizationCertificate:
             "rank": self.rank,
             "exponents": list(self.exponents),
             "mu": self.mu.to_json(),
-            "basis_change_columns": mat_to_json(_columns(self.basis_change)),
+            "basis_change_columns": [[cyc_to_json(c) for c in col] for col in zip(*self.basis_change)],
             "col_norms": [cyc_to_json(c) for c in self.col_norms],
             "index_partition": [list(p) for p in self.index_partition],
             "orders": list(self.orders),
@@ -892,31 +876,26 @@ def _collect_certificate(
         conductor=L,
         negated=negated,
     )
-    _check_reconstruction(cert, mat_lift(spec.matrix, L))
-    _check_columns(basis_change, col_norms)
+    _check_reconstruction(cert, spec.matrix.lift(L))
+    _check_columns(cert.basis_change_matrix, col_norms)
     return cert
 
 
-def _check_reconstruction(cert: StandardizationCertificate, u: Matrix) -> None:
+def _check_reconstruction(cert: StandardizationCertificate, u: ModeMatrix) -> None:
     """u, the finite-order operator at the certificate's conductor, is the standard form
     transported by the basis change."""
-    v = cert.basis_change
-    right = mat_conj(v) if cert.family == "C_antiunitary" else v
+    v = cert.basis_change_matrix
+    right = v.conj() if cert.family == "C_antiunitary" else v
     if not mat_products_equal(u, right, v, cert.standard_linear_matrix(cert.conductor)):
         raise StandardizeError("reconstruction failed: operator != basis_change * standard form")
 
 
-def _check_columns(v: Matrix, col_norms: tuple) -> None:
+def _check_columns(v: ModeMatrix, col_norms: tuple) -> None:
     """The basis change v has orthogonal columns with the recorded positive real squared norms."""
-    gram = mat_mul(mat_conj_transpose(v), v)
-    d = len(v)
-    for i in range(d):
-        for j in range(d):
-            want = col_norms[i] if i == j else Cyc.zero(v[0][0].L)
-            if not (gram[i][j] == want):
-                raise StandardizeError("basis columns are not orthogonal with recorded norms")
-        if not col_norms[i].is_real() or col_norms[i].is_zero():
-            raise StandardizeError("column norm is not a positive real")
+    if v.conj_transpose() @ v != ModeMatrix.diagonal(v.L, col_norms):
+        raise StandardizeError("basis columns are not orthogonal with recorded norms")
+    if not all(q.is_real() and q for q in col_norms):
+        raise StandardizeError("column norm is not a positive real")
 
 
 def standardize(spec: OperatorSpec) -> StandardizationCertificate:
@@ -936,14 +915,14 @@ def _working_form(spec: OperatorSpec, m: int):
     """(L, a): a conductor L holding the 2m-th roots of unity and the input's entries,
     and the operator, of order m, lifted to L."""
     L = lcm(working_conductor(2 * m), spec.conductor)
-    return L, mat_lift(spec.matrix, L)
+    return L, spec.matrix.lift(L)
 
 
 def _standardize_c_unitary(spec: OperatorSpec, n: int) -> StandardizationCertificate:
     L, a = _working_form(spec, n)
     plus, exps, norms = [], [], []
     for k, p in eigenprojectors(a, n):
-        basis, qs = _gram_schmidt(_columns(p))
+        basis, qs = _gram_schmidt(p.columns())
         plus += basis
         exps += [k] * len(basis)
         norms += qs
@@ -969,13 +948,13 @@ def _standardize_h(spec: OperatorSpec, n: int, m: int) -> StandardizationCertifi
 
 def _standardize_r(spec: OperatorSpec, n: int, m: int, negated=False) -> StandardizationCertificate:
     L, a = _working_form(spec, m)
-    plus, minus, exps, norms, fixed, L = _antilinear_blocks(a, m, mat_identity(L, spec.dim), _unit_scale)
+    plus, minus, exps, norms, fixed, L = _antilinear_blocks(a, m, ModeMatrix.identity(L, spec.dim), _unit_scale)
     s_plus = fixed.get(0)
     s_minus = fixed.get(m // 2) if m % 2 == 0 else None
     if s_plus is None and s_minus is not None:
         if negated:
             raise StandardizeError("sign normalization did not converge")
-        neg = mat_scale(Cyc.rational(spec.conductor, -1), spec.matrix)
+        neg = -spec.matrix
         # (-u)^n = (-1)^n u^n: an odd n flips the scalar +-1 and with it the order
         m_neg = m if n % 2 == 0 else (2 * n if m == n else n)
         neg_spec = OperatorSpec(spec.field, False, spec.dim, neg, spec.declared_order)
@@ -1128,14 +1107,14 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
     def check_reconstruction():
         L = cert.conductor
         validate_operator(spec)
-        u = mat_lift(_lift_from_order(spec, *read_projective())[0].matrix, L)
+        u = _lift_from_order(spec, *read_projective())[0].matrix.lift(L)
         if cert.family == "R" and cert.negated:
-            u = mat_scale(Cyc.rational(L, -1), u)
+            u = -u
         _check_reconstruction(cert, u)
         return "exact"
 
     def check_columns():
-        _check_columns(cert.basis_change, cert.col_norms)
+        _check_columns(cert.basis_change_matrix, cert.col_norms)
         return f"{len(cert.basis_change)} columns"
 
     def check_one_parameter():
@@ -1145,7 +1124,7 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
             ut = cert.u_matrix(L2, t)
             # commuting with an antilinear operator: Ut (T conj) = (T conj) Ut
-            ut_right = mat_conj(ut) if cert.family == "C_antiunitary" else ut
+            ut_right = ut.conj() if cert.family == "C_antiunitary" else ut
             if not mat_products_equal(ut, psi_lin, psi_lin, ut_right):
                 raise StandardizeError("one-parameter group does not commute with the twist")
         return "t = 1/2, 1, 3/2"

@@ -13,27 +13,29 @@ matrix kernel below all go through it.  The inverse of num / den is
 den * P / N, where P is the product of the distinct Galois conjugates of num
 other than num itself and N = num * P is its rational norm.
 
-Matrices are tuples of row tuples of scalars (``Matrix``) at the edges and
-``ModeMatrix`` inside products and the loop algebra: one denominator in
+All matrix arithmetic is on one type, ``ModeMatrix``: one denominator in
 lowest terms and, per row, the integer coefficients of each nonzero entry by
-column, so ``==`` compares structure.  The one product kernel,
-``mat_product_sum``, sums s * A B over signed products by Kronecker
-substitution.  With W = 2 phi(L) - 1 and slots of B bits, row j of B packs
-into one int (coefficient p of entry k at slot k W + p) and entry (i, j) of
-A into sum_q a_q 2^(B q), so output row i is sum_j a_ij * row_j, one
-multiply-add per nonzero entry of A, with the convolution of its entry k in
-slots k W .. k W + W - 1.  Bound: each slot sums at most ncols(A) * phi
-products per term, so it is smaller in size than T = sum |s| ncols(A) phi
-2^(bits A + bits B) (bits: the largest coefficient bit length); B, a multiple
-of 8, exceeds the bit length of T, so every slot lies in [-2^(B-1), 2^(B-1)),
-and after adding 2^(B-1) to each slot the row's base-2^B digits are the
-slots plus 2^(B-1).  That is one signed unpack per output row, then one
-reduction modulo Phi_L per nonzero entry.  An operand keeps its packed form
-per B.  All exact linear algebra goes through one Gauss-Jordan kernel,
-``row_reduce``; ``solve``, ``in_span``, ``nullspace``, ``det`` and
-``mat_inverse`` are thin readings of its result.  ``cyc_sqrt`` builds the
-square root of a rational from the primes of the conductor and cached Gauss
-sums; only square roots of non-rational elements reach sympy.
+column, so ``==`` compares structure.  Rows of ``Cyc`` (``Matrix``, a tuple
+of row tuples) are only what the elimination kernel reads and writes, and the
+operands of ``mat_mul``, which converts both for callers that hold rows.
+The one product kernel, ``mat_product_sum``, sums s * A B over signed
+products by Kronecker substitution.  With W = 2 phi(L) - 1 and slots of B
+bits, row j of B packs into one int (coefficient p of entry k at slot
+k W + p) and entry (i, j) of A into sum_q a_q 2^(B q), so output row i is
+sum_j a_ij * row_j, one multiply-add per nonzero entry of A, with the
+convolution of its entry k in slots k W .. k W + W - 1.  Bound: each slot
+sums at most ncols(A) * phi products per term, so it is smaller in size
+than T = sum |s| ncols(A) phi 2^(bits A + bits B) (bits: the largest
+coefficient bit length); B, a multiple of 8, exceeds the bit length of T,
+so every slot lies in [-2^(B-1), 2^(B-1)), and after adding 2^(B-1) to
+each slot the row's base-2^B digits are the slots plus 2^(B-1).  That is
+one signed unpack per output row, then one reduction modulo Phi_L per
+nonzero entry.  An operand keeps its packed form per B.  All exact linear
+algebra goes through one Gauss-Jordan kernel, ``row_reduce``; ``solve``,
+``in_span``, ``nullspace``, ``det`` and ``mat_inverse`` are thin readings of
+its result.  ``cyc_sqrt`` builds the square root of a rational from the
+primes of the conductor and cached Gauss sums; only square roots of
+non-rational elements reach sympy.
 """
 
 from __future__ import annotations
@@ -98,6 +100,22 @@ def _reduce(L: int, coeffs) -> tuple[int, ...]:
             for j, r in table[k]:
                 out[j] += c * r
     return tuple(out)
+
+
+def _galois(L: int, num: tuple, a: int) -> tuple[int, ...]:
+    """The coefficients of the image of num under zeta -> zeta**a (a coprime to L)."""
+    powers = [0] * L
+    for k, c in enumerate(num):
+        powers[a * k % L] = c
+    return _reduce(L, powers)
+
+
+def _lift(L: int, num: tuple, L2: int) -> tuple[int, ...]:
+    """The coefficients of num, at conductor L, embedded at the multiple L2 of L."""
+    step = L2 // L
+    powers = [0] * L2
+    powers[: len(num) * step : step] = num
+    return _reduce(L2, powers)
 
 
 @lru_cache(maxsize=None)
@@ -288,11 +306,7 @@ class Cyc:
         """Apply the Galois automorphism zeta -> zeta**a (a coprime to L)."""
         if gcd(a, self.L) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        L = self.L
-        powers = [0] * L
-        for k, c in enumerate(self.num):
-            powers[a * k % L] = c
-        return Cyc(L, _reduce(L, powers), self.den)
+        return Cyc(self.L, _galois(self.L, self.num, a), self.den)
 
     def conj(self) -> "Cyc":
         """Complex conjugation zeta -> zeta**-1."""
@@ -315,10 +329,7 @@ class Cyc:
             return self
         if L2 % self.L != 0:
             raise ValueError("target conductor must be a multiple")
-        step = L2 // self.L
-        powers = [0] * L2
-        powers[: len(self.num) * step : step] = self.num
-        return Cyc(L2, _reduce(L2, powers), self.den)
+        return Cyc(L2, _lift(self.L, self.num, L2), self.den)
 
     def __repr__(self):
         terms = []
@@ -460,41 +471,7 @@ def working_conductor(*orders: int, sqrt2: bool = False) -> int:
 
 # -- matrices over a cyclotomic field ---------------------------------------
 
-Matrix = tuple  # tuple of row tuples of Cyc
-
-
-def mat_zero(L: int, n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    z = Cyc.zero(L)
-    return tuple(tuple(z for _ in range(m)) for _ in range(n))
-
-
-def mat_identity(L: int, n: int) -> Matrix:
-    one = Cyc.one(L)
-    z = Cyc.zero(L)
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
-
-
-def mat_diagonal(L: int, diag: list) -> Matrix:
-    z = Cyc.zero(L)
-    n = len(diag)
-    return tuple(tuple(diag[i] if i == j else z for j in range(n)) for i in range(n))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    # a zero entry adds nothing: keep the other one
-    return tuple(
-        tuple((x + y if any(y.num) else x) if any(x.num) else y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c: Cyc, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x if any(x.num) else x for x in row) for row in a)
+Matrix = tuple  # tuple of row tuples of Cyc: the rows of the elimination kernel and of mat_mul
 
 
 class ModeMatrix:
@@ -522,28 +499,60 @@ class ModeMatrix:
         self.L, self.ncols, self.den, self.rows = L, ncols, den, tuple(rows)
         self._bits, self._packs = None, {}  # the kernel's per-object data, see packed()
 
-    @staticmethod
-    def from_matrix(a: Matrix) -> "ModeMatrix":
-        """The lcm D of the entry denominators is in lowest terms: a prime power exactly
-        dividing D exactly divides some entry's denominator, which its numerator avoids."""
-        den = lcm(*(x.den for row in a for x in row))
-        rows = [
-            {j: x.num if x.den == den else tuple(c * (den // x.den) for c in x.num)
-             for j, x in enumerate(r) if any(x.num)}
-            for r in a
-        ]
-        return ModeMatrix(a[0][0].L, len(a[0]), den, rows, canonical=True)
+    # -- constructors and the Cyc edge ------------------------------------------
 
-    def to_matrix(self) -> Matrix:
+    @staticmethod
+    def from_rows(L: int, rows) -> "ModeMatrix":
+        """The matrix of rows of scalars, each a Cyc at L or a rational.
+
+        The lcm D of the entry denominators is in lowest terms: a prime power exactly
+        dividing D exactly divides some entry's denominator, which its numerator avoids.
+        """
+        rows = [[x if isinstance(x, Cyc) else Cyc.rational(L, x) for x in row] for row in rows]
+        if any(x.L != L for row in rows for x in row):
+            raise ValueError(f"conductor mismatch: a matrix at {L} with an entry at another conductor")
+        den = lcm(*(x.den for row in rows for x in row))
+        nums = [
+            {j: x.num if x.den == den else tuple(c * (den // x.den) for c in x.num) for j, x in enumerate(r) if any(x.num)}
+            for r in rows
+        ]
+        return ModeMatrix(L, len(rows[0]) if rows else 0, den, nums, canonical=True)
+
+    @staticmethod
+    def from_entries(L: int, shape: tuple[int, int], entries: dict) -> "ModeMatrix":
+        """The matrix of shape (rows, columns) with entries[(i, j)], a Cyc at L or a rational,
+        at (i, j) and zero elsewhere."""
+        zero = Cyc.zero(L)
+        return ModeMatrix.from_rows(L, [[entries.get((i, j), zero) for j in range(shape[1])] for i in range(shape[0])])
+
+    @staticmethod
+    def diagonal(L: int, diag) -> "ModeMatrix":
+        return ModeMatrix.from_entries(L, (len(diag), len(diag)), {(i, i): x for i, x in enumerate(diag)})
+
+    @staticmethod
+    def identity(L: int, n: int) -> "ModeMatrix":
+        one = Cyc.one(L).num
+        return ModeMatrix(L, n, 1, [{i: one} for i in range(n)], canonical=True)
+
+    def to_rows(self) -> Matrix:
         L, zero, d = self.L, Cyc.zero(self.L), range(self.ncols)
         return tuple(tuple(Cyc(L, r[j], self.den) if j in r else zero for j in d) for r in self.rows)
+
+    def columns(self) -> list[tuple]:
+        """The columns as vectors of Cyc."""
+        return list(zip(*self.to_rows()))
+
+    # -- arithmetic and structure -----------------------------------------------
+
+    @property
+    def shape(self) -> str:
+        """"rows x columns", as the shape-mismatch errors name it."""
+        return f"{len(self.rows)}x{self.ncols}"
 
     def __bool__(self) -> bool:
         return any(self.rows)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModeMatrix):
-            return NotImplemented
+    def __eq__(self, other: "ModeMatrix") -> bool:
         return (self.L, self.ncols, self.den, self.rows) == (other.L, other.ncols, other.den, other.rows)
 
     def __hash__(self):
@@ -556,6 +565,8 @@ class ModeMatrix:
     def __add__(self, other: "ModeMatrix") -> "ModeMatrix":
         if other.L != self.L:
             raise ValueError(f"conductor mismatch: {self.L} vs {other.L}")
+        if (len(self.rows), self.ncols) != (len(other.rows), other.ncols):
+            raise ValueError(f"matrix shape mismatch: {self.shape} plus {other.shape}")
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         rows = []
@@ -568,6 +579,12 @@ class ModeMatrix:
             rows.append(row)
         return ModeMatrix(self.L, self.ncols, den, rows)
 
+    def __sub__(self, other: "ModeMatrix") -> "ModeMatrix":
+        return self + -other
+
+    def __matmul__(self, other: "ModeMatrix") -> "ModeMatrix":
+        return mat_product_sum(((1, self, other),))
+
     def scale(self, c) -> "ModeMatrix":
         """c times the matrix, for a Cyc or a rational c."""
         c = c if isinstance(c, Cyc) else Cyc.rational(self.L, c)
@@ -576,6 +593,31 @@ class ModeMatrix:
         else:
             rows = [{j: cyc_product(self.L, num, c.num) for j, num in r.items()} for r in self.rows]
         return ModeMatrix(self.L, self.ncols, self.den * c.den, rows)
+
+    # conjugation and lifting map the integral power basis onto an integral basis
+    # of the same ring, so they keep every entry nonzero and the content of the
+    # coefficients: the results stay canonical
+
+    def conj(self) -> "ModeMatrix":
+        """The entrywise complex conjugate."""
+        L = self.L
+        rows = [{j: _galois(L, num, L - 1) for j, num in row.items()} for row in self.rows]
+        return ModeMatrix(L, self.ncols, self.den, rows, canonical=True)
+
+    def conj_transpose(self) -> "ModeMatrix":
+        L = self.L
+        rows = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, num in row.items():
+                rows[j][i] = _galois(L, num, L - 1)
+        return ModeMatrix(L, len(self.rows), self.den, rows, canonical=True)
+
+    def lift(self, L2: int) -> "ModeMatrix":
+        """The matrix at conductor L2, a multiple of L; the matrix itself when it is already there."""
+        if L2 == self.L:
+            return self
+        rows = [{j: _lift(self.L, num, L2) for j, num in row.items()} for row in self.rows]
+        return ModeMatrix(L2, self.ncols, self.den, rows, canonical=True)
 
     def permuted(self, table) -> "ModeMatrix":
         """The matrix with entry (a, b) moved to (i, j) and times s, where table[a][b] = (i, j, s)."""
@@ -594,6 +636,8 @@ class ModeMatrix:
                 if i in other.rows[j]:
                     acc = tuple(map(add, acc, cyc_product(self.L, num, other.rows[j][i])))
         return Cyc(self.L, acc, self.den * other.den)
+
+    # -- the product kernel's data ---------------------------------------------
 
     def bits(self) -> int:
         """The largest bit length of a coefficient."""
@@ -632,14 +676,19 @@ def cyc_product(L: int, a: tuple, b: tuple) -> tuple[int, ...]:
 def mat_product_sum(products) -> ModeMatrix:
     """The sum of sign * A B over the triples (sign, A, B) of ModeMatrix operands.
 
-    Over the lcm D of the denominator products, triple (sign, A, B) adds
-    sign D / (den A den B) * A B to the packed output rows (module docstring).
+    Every A B must have the shape of the first; a mismatch raises ValueError
+    naming both shapes.  Over the lcm D of the denominator products, triple
+    (sign, A, B) adds sign D / (den A den B) * A B to the packed output rows
+    (module docstring).
     """
     products = list(products)
     L, n, m = products[0][1].L, len(products[0][1].rows), products[0][2].ncols
     phi = conductor_degree(L)
-    if any(a.L != L or b.L != L for _, a, b in products):
-        raise ValueError("conductor mismatch in a matrix product")
+    for _, a, b in products:
+        if a.L != L or b.L != L:
+            raise ValueError("conductor mismatch in a matrix product")
+        if a.ncols != len(b.rows) or len(a.rows) != n or b.ncols != m:
+            raise ValueError(f"matrix shape mismatch: {a.shape} times {b.shape} in a sum of {n}x{m} products")
     den = lcm(*(a.den * b.den for _, a, b in products))
     products = [(sign * (den // (a.den * b.den)), a, b) for sign, a, b in products]
     bound = sum(abs(s) * a.ncols << (a.bits() + b.bits()) for s, a, b in products) * phi
@@ -674,49 +723,14 @@ def _unpacking(B: int, W: int, m: int) -> tuple:
     return half, mask, stride, bias, (1 << stride) - 1, range(0, stride, B), bias & ((1 << stride) - 1)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise ValueError("matrix dimension mismatch")
-    return mat_product_sum(((1, ModeMatrix.from_matrix(a), ModeMatrix.from_matrix(b)),)).to_matrix()
-
-
-def mat_products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
+def mat_products_equal(a: ModeMatrix, b: ModeMatrix, c: ModeMatrix, d: ModeMatrix) -> bool:
     """Whether a b == c d, by one kernel call whose sum a b - c d is zero exactly then."""
-    m = ModeMatrix.from_matrix
-    return not mat_product_sum(((1, m(a), m(b)), (-1, m(c), m(d))))
+    return not mat_product_sum(((1, a, b), (-1, c, d)))
 
 
-def mat_conj(a: Matrix) -> Matrix:
-    return tuple(tuple(x.conj() for x in row) for row in a)
-
-
-def mat_conj_transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(x.conj() for x in col) for col in zip(*a))
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_lift(a: Matrix, L2: int) -> Matrix:
-    """The matrix at conductor L2; a itself when it is already there."""
-    if a[0][0].L == L2:
-        return a
-    return tuple(tuple(x.lift(L2) for x in row) for row in a)
-
-
-def mat_from_rows(L: int, rows) -> Matrix:
-    """Build a matrix from nested rationals / Cyc entries."""
-    out = []
-    for row in rows:
-        r = []
-        for x in row:
-            if isinstance(x, Cyc):
-                r.append(x.lift(L) if x.L != L else x)
-            else:
-                r.append(Cyc.rational(L, x))
-        out.append(tuple(r))
-    return tuple(out)
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product of two matrices given as rows of Cyc, as rows: the kernel behind a row edge."""
+    return (ModeMatrix.from_rows(a[0][0].L, a) @ ModeMatrix.from_rows(b[0][0].L, b)).to_rows()
 
 
 def row_reduce(rows, ncols: int | None = None):
@@ -805,7 +819,8 @@ def det(a: Matrix) -> Cyc:
 def mat_inverse(a: Matrix) -> Matrix:
     """Inverse of a square matrix; raises ValueError when it is singular."""
     n = len(a)
-    augmented = [[*row, *e] for row, e in zip(a, mat_identity(a[0][0].L, n))]
+    one, zero = Cyc.one(a[0][0].L), Cyc.zero(a[0][0].L)
+    augmented = [[*row, *(one if i == j else zero for j in range(n))] for i, row in enumerate(a)]
     red, pivots, _ = row_reduce(augmented, n)
     if len(pivots) != n:
         raise ValueError("singular matrix")

@@ -4,7 +4,8 @@ Rationals travel as strings "p/q" in lowest terms (integers and "-p/q" strings
 of ASCII digits are accepted on input, everything else is refused by
 `rational_from_json`); cyclotomic scalars as {"conductor": L, "coeffs": [...]}
 in the power basis, with L at most `cyclo.MAX_CONDUCTOR`; matrices as nested
-row lists.  Every report carries a "schema": "v1" marker.
+row lists, read straight into a `cyclo.ModeMatrix` with no `Fraction` per
+coefficient.  Every report carries a "schema": "v1" marker.
 """
 
 from __future__ import annotations
@@ -12,18 +13,22 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .cyclo import MAX_CONDUCTOR, Cyc, conductor_degree
+from .cyclo import MAX_CONDUCTOR, Cyc, ModeMatrix, conductor_degree
+
+
+def _coeffs_to_json(num, den: int) -> list[str]:
+    """Each coefficient n / den as "0", "p" or "p/q" in lowest terms, one gcd per nonzero n."""
+    coeffs = []
+    for n in num:
+        g = gcd(n, den) if n else den
+        coeffs.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return coeffs
 
 
 def cyc_to_json(c: Cyc) -> dict:
-    """Each coefficient n / den as "0", "p" or "p/q" in lowest terms, one gcd per nonzero n."""
-    coeffs = []
-    for n in c.num:
-        g = gcd(n, c.den) if n else c.den
-        coeffs.append(str(n // g) if g == c.den else f"{n // g}/{c.den // g}")
-    return {"conductor": c.L, "coeffs": coeffs}
+    return {"conductor": c.L, "coeffs": _coeffs_to_json(c.num, c.den)}
 
 
 def int_from_json(value, where: str) -> int:
@@ -43,27 +48,36 @@ def str_from_json(value, where: str) -> str:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def rational_from_json(value, where: str) -> Fraction:
-    """A JSON integer or "p/q" string as a Fraction; anything else raises IOError naming it.
+def _rational_parts(value, where: str) -> tuple[int, int]:
+    """(p, q) with q > 0 for a JSON integer or "p/q" string, not reduced; anything else
+    raises IOError naming it.
 
     A string is an optional "-", ASCII digits and optionally "/" and ASCII
     digits: no sign on the denominator, no spaces, decimals, exponents or
     underscores.
     """
     if type(value) is int:
-        return Fraction(value)
+        return value, 1
     if type(value) is not str or not _RATIONAL.fullmatch(value):
         raise IOError(f"{where}: rationals are integers or 'p/q' strings, got {value!r}")
+    p, _, q = value.partition("/")
     try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise IOError(f"{where}: zero denominator in {value!r}") from None
+        p, q = int(p), int(q or 1)
     except ValueError as exc:  # more digits than int() converts
         raise IOError(f"{where}: {exc}") from None
+    if q == 0:
+        raise IOError(f"{where}: zero denominator in {value!r}")
+    return p, q
 
 
-def cyc_from_json(obj) -> Cyc:
-    """Parse a scalar; a malformed one raises IOError, which the CLI reports with exit 2."""
+def rational_from_json(value, where: str) -> Fraction:
+    """A JSON integer or "p/q" string as a Fraction (see ``_rational_parts``)."""
+    return Fraction(*_rational_parts(value, where))
+
+
+def _scalar_from_json(obj) -> tuple[int, list[tuple[int, int]]]:
+    """The conductor and the coefficients, as (p, q) pairs, of a scalar; a malformed one
+    raises IOError, which the CLI reports with exit 2."""
     where = "malformed cyclotomic scalar"
     if not isinstance(obj, dict):
         raise IOError(f"{where}: expected an object, got {obj!r}")
@@ -75,22 +89,42 @@ def cyc_from_json(obj) -> Cyc:
     phi = conductor_degree(L)
     if not isinstance(coeffs, list) or len(coeffs) != phi:
         raise IOError(f"{where}: conductor {L} needs {phi} coefficients, got {coeffs!r}")
-    fracs = [rational_from_json(x, where) for x in coeffs]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return Cyc(L, tuple(int(f * den) for f in fracs), den)
+    return L, [_rational_parts(x, where) for x in coeffs]
 
 
-def mat_to_json(m) -> list:
-    return [[cyc_to_json(c) for c in row] for row in m]
+def cyc_from_json(obj) -> Cyc:
+    L, parts = _scalar_from_json(obj)
+    den = lcm(*(q for _, q in parts))
+    return Cyc(L, tuple(p * (den // q) for p, q in parts), den)
 
 
-def mat_from_json(rows, L: int | None = None):
-    out = tuple(tuple(cyc_from_json(c) for c in row) for row in rows)
-    if L is not None:
-        out = tuple(tuple(c.lift(L) if c.L != L else c for c in row) for row in out)
-    return out
+def mat_to_json(m: ModeMatrix) -> list:
+    zero = {"conductor": m.L, "coeffs": ["0"] * conductor_degree(m.L)}
+    return [
+        [{"conductor": m.L, "coeffs": _coeffs_to_json(row[j], m.den)} if j in row else zero for j in range(m.ncols)]
+        for row in m.rows
+    ]
+
+
+def mat_from_json(rows) -> ModeMatrix:
+    """The operator matrix of a list of rows of scalars, read into integers over one denominator.
+
+    Every scalar is checked as ``cyc_from_json`` checks it, then the conductors
+    must agree.  A matrix without entries is read at conductor 4.
+    """
+    where = "operator matrix"
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise IOError(f"{where}: expected a list of row lists, got {rows!r}")
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise IOError(f"{where}: rows of unequal lengths {lengths}")
+    parsed = [[_scalar_from_json(c) for c in row] for row in rows]
+    conductors = sorted({L for row in parsed for L, _ in row})
+    if len(conductors) > 1:
+        raise IOError(f"{where}: entries at more than one conductor: {conductors}")
+    den = lcm(*(q for row in parsed for _, parts in row for _, q in parts))
+    nums = [{j: tuple(p * (den // q) for p, q in parts) for j, (_, parts) in enumerate(row)} for row in parsed]
+    return ModeMatrix(conductors[0] if conductors else 4, len(rows[0]) if rows else 0, den, nums)
 
 
 def dump_report(obj, path=None) -> str:

@@ -5,8 +5,7 @@ The bracket realizes the two-step extension: a central cocycle term pairing
 opposite modes through the invariant trace form and the diagonal derivation,
 a loop term, and a derivation coordinate that acts but never grows.  Sums,
 scalings, the derivation, the pairing, validation and the untwisting relabel
-run in integers; the coordinates z and t are ``Cyc`` scalars, and a
-``Matrix`` mode given to ``LoopElement`` is converted on the way in.
+run in integers; the coordinates z and t are ``Cyc`` scalars.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .affine import AffinisationSpec
-from .cyclo import Cyc, Matrix, ModeMatrix, cyc_product, mat_product_sum
+from .cyclo import Cyc, ModeMatrix, cyc_product, mat_product_sum
 from .models import StandardModel, standard_model
-from .rootdata import Functional, Root
+from .rootdata import Functional
 
 
 def _model_of(spec: AffinisationSpec) -> StandardModel:
@@ -25,13 +24,13 @@ def _model_of(spec: AffinisationSpec) -> StandardModel:
 
 @dataclass(frozen=True)
 class LoopElement:
-    """Finitely many Fourier modes, each a square ModeMatrix (a Matrix is converted)."""
+    """Finitely many Fourier modes, each a square ModeMatrix."""
 
     terms: tuple  # (mode, ModeMatrix) pairs in mode order, zero matrices pruned
 
     def __post_init__(self):
-        terms = ((int(n), ModeMatrix.from_matrix(m) if isinstance(m, tuple) else m) for n, m in self.terms)
-        object.__setattr__(self, "terms", tuple(sorted(((n, m) for n, m in terms if m), key=lambda t: t[0])))
+        terms = ((int(n), m) for n, m in self.terms if m)
+        object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda t: t[0])))
 
     def modes(self) -> tuple:
         return tuple(n for n, _ in self.terms)
@@ -73,7 +72,7 @@ class DoubleExtElement:
         return DoubleExtElement(Cyc.zero(L), LoopElement(()), Cyc.one(L))
 
     @staticmethod
-    def from_loop(L: int, mode: int, m: Matrix) -> "DoubleExtElement":
+    def from_loop(L: int, mode: int, m: ModeMatrix) -> "DoubleExtElement":
         return DoubleExtElement(Cyc.zero(L), LoopElement(((mode, m),)), Cyc.zero(L))
 
     def __add__(self, other: "DoubleExtElement") -> "DoubleExtElement":
@@ -191,21 +190,12 @@ def phi_hat(cert, spec_src: AffinisationSpec, spec_dst: AffinisationSpec, a: Dou
     model = _model_of(spec_dst)
     out: dict[int, ModeMatrix] = {}
     for n, m in a.loop.terms:
-        buckets: dict[tuple, list] = {}
-        for i, row in enumerate(m.rows):
-            for j, num in row.items():
-                buckets.setdefault(model.entry_weight(i, j), []).append((i, j, num))
-        parts: dict[int, list] = {}
-        for w in sorted(buckets):
-            target = cert.image_mode(Root(w) if w else None, n)
+        for w, part in model.weight_components(m):
+            target = cert.image_mode(w, n)
             if target.denominator != 1:
                 raise ValueError(
                     f"relabeled mode {target} is not an integer: invalid certificate or element"
                 )
-            rows = parts.setdefault(int(target), [{} for _ in m.rows])
-            for i, j, num in buckets[w]:
-                rows[i][j] = num
-        for k, rows in parts.items():
-            part = ModeMatrix(m.L, m.ncols, m.den, rows)
+            k = int(target)
             out[k] = out[k] + part if k in out else part
     return DoubleExtElement(a.z, LoopElement(tuple(out.items())), a.t)

@@ -11,8 +11,9 @@ weight tuple and the pairing are computed once per (kind, rank), each
 weight-space basis once per conductor and root, the Cartan and zero-weight
 bases once per conductor; each basis is a ``Span`` that keeps its psi~
 eigen-split.  The trace form is scaled so that the E_j are orthonormal.
-Root-space and weight-space bases are the independent projections of matrix
-units, picked by ``span_basis`` through the ``cyclo`` span test.
+Every matrix is a ``cyclo.ModeMatrix``; the weight-space bases are the
+independent projections of matrix units, picked by ``span_basis`` through
+the ``cyclo`` span test.
 """
 
 from __future__ import annotations
@@ -20,21 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from itertools import chain
+from operator import add
 
-from .affine import KINDS, LarsKind, admissible_mode_step
-from .cyclo import (
-    Cyc,
-    Matrix,
-    ModeMatrix,
-    in_span,
-    mat_add,
-    mat_diagonal,
-    mat_identity,
-    mat_scale,
-    mat_sub,
-    nullspace,
-    row_reduce,
-)
+from .affine import KINDS, LarsKind
+from .cyclo import Cyc, ModeMatrix, in_span, nullspace, row_reduce
 from .rootdata import Root, RootSystem
 
 
@@ -102,10 +93,11 @@ class StandardModel:
 
     @cached_property
     def _paired_table(self) -> tuple:
-        """-Q x^T Q^-1 for the pairing Q as a signed permutation (``_signed``) of the entries.
+        """-Q x^T Q^-1 for the pairing Q as a signed permutation (``ModeMatrix.permuted``) of the entries.
 
         Entry (i, j) is -sign[i] * sign[j] * x[pair[j]][pair[i]], because
-        sign[a] * sign[pair[a]] is the same for every a; the map is an involution.
+        sign[a] * sign[pair[a]] is the same for every a; the map is an
+        involution, so moving entry (i, j) by the same table gives it.
         """
         pair, sign = self.pairing
         d = range(self.dim)
@@ -119,45 +111,33 @@ class StandardModel:
 
     # -- matrices --------------------------------------------------------------
 
-    def basis_matrix(self, L: int, a: int, b: int) -> Matrix:
-        z = Cyc.zero(L)
-        one = Cyc.one(L)
-        return tuple(
-            tuple(one if (i == a and j == b) else z for j in range(self.dim))
-            for i in range(self.dim)
-        )
+    def basis_matrix(self, L: int, a: int, b: int) -> ModeMatrix:
+        return ModeMatrix.from_entries(L, (self.dim, self.dim), {(a, b): 1})
 
-    def cartan_matrix(self, j: int, L: int) -> Matrix:
+    def cartan_matrix(self, j: int, L: int) -> ModeMatrix:
         """The operator E_j: +1 on the j-th plus vector, -1 on its mirror."""
-        one = Cyc.one(L)
-        return mat_diagonal(
-            L, [one if w == j else -one if w == -j else Cyc.zero(L) for w in self.weights]
-        )
+        return ModeMatrix.diagonal(L, [1 if w == j else -1 if w == -j else 0 for w in self.weights])
 
-    def _tau(self, x):
+    def _tau(self, x: ModeMatrix) -> ModeMatrix:
         """Defining involution of the matrix algebra; fixed points form the model algebra."""
         if self.kind.involution is None:
             return x  # full gl, no constraint
-        return _signed(x, self._paired_table)
+        return x.permuted(self._paired_table)
 
-    def in_algebra(self, x: Matrix) -> bool:
-        t = self._tau(x)
-        return all(t[i][j] == x[i][j] for i in range(self.dim) for j in range(self.dim))
-
-    def algebra_project(self, x):
-        """(x + tau(x)) / 2, for a Matrix or a ModeMatrix x."""
+    def algebra_project(self, x: ModeMatrix) -> ModeMatrix:
+        """(x + tau(x)) / 2."""
         if self.kind.involution is None:
             return x
-        return _half_sum(x, self._tau(x), 1)
+        return (x + self._tau(x)).scale(Fraction(1, 2))
 
-    def psi_tilde(self, x):
+    def psi_tilde(self, x: ModeMatrix) -> ModeMatrix:
         """The complex-linear extension of the standard order-2 twist."""
         twist = self.kind.twist
         if twist is None:
             return x
-        return _signed(x, self._flip_table if twist == "flip" else self._paired_table)
+        return x.permuted(self._flip_table if twist == "flip" else self._paired_table)
 
-    def twist_matrix(self, L: int) -> Matrix:
+    def twist_matrix(self, L: int) -> ModeMatrix:
         """Linear part of the standard twist operator.
 
         No twist: the identity.  The flip: the reflection F, so psi_tilde(x) = F x F.
@@ -166,25 +146,25 @@ class StandardModel:
         """
         twist = self.kind.twist
         if twist is None:
-            return mat_identity(L, self.dim)
+            return ModeMatrix.identity(L, self.dim)
         if twist == "flip":
             flip = self.weights.index(0) + 1
-            signs = [-1 if a == flip else 1 for a in range(self.dim)]
-            return mat_diagonal(L, [Cyc.rational(L, s) for s in signs])
+            return ModeMatrix.diagonal(L, [-1 if a == flip else 1 for a in range(self.dim)])
         return self.structure_map_matrix(L)
 
-    def mode_project(self, x, n: int):
+    def mode_project(self, x: ModeMatrix, n: int) -> ModeMatrix:
         """Projection onto the twist eigenspace of mode n (trivial twist: identity)."""
         if self.n_psi == 1:
             return x
-        return _half_sum(x, self.psi_tilde(x), 1 if n % 2 == 0 else -1)
+        y = self.psi_tilde(x)
+        return (x + y if n % 2 == 0 else x - y).scale(Fraction(1, 2))
 
     def in_mode(self, x: ModeMatrix, n: int) -> bool:
         return self.n_psi == 1 or self.psi_tilde(x) == (x if n % 2 == 0 else -x)
 
     # -- structure map for the K=H / antiunitary families -----------------------
 
-    def structure_map_matrix(self, L: int) -> Matrix:
+    def structure_map_matrix(self, L: int) -> ModeMatrix:
         """Linear part T of the standard antilinear structure map (v -> T conj(v)).
 
         The pairing Q: C1/C2 the quaternionic map with T e+ = e-, T e- = -e+;
@@ -193,9 +173,7 @@ class StandardModel:
         if self.kind.structure is None:
             raise ValueError(f"kind {self.lars} carries no antilinear structure map")
         pair, sign = self.pairing
-        cols = [(pair[a], Cyc.rational(L, sign[a])) for a in range(self.dim)]
-        z = Cyc.zero(L)
-        return tuple(tuple(v if row == i else z for row, v in cols) for i in range(self.dim))
+        return ModeMatrix.from_entries(L, (self.dim, self.dim), {(pair[a], a): sign[a] for a in range(self.dim)})
 
     # -- forms and decompositions ------------------------------------------------
 
@@ -203,33 +181,13 @@ class StandardModel:
         """B(x, y) = -scale * tr(xy): the invariant bilinear extension of the real form."""
         return Cyc.rational(x.L, -self.form_scale) * x.trace_product(y)
 
-    def hermitian_form(self, x: Matrix, y: Matrix) -> Cyc:
-        """<x, y> = scale * tr(x y*), antilinear in y."""
-        L = x[0][0].L
-        acc = Cyc.zero(L)
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                if x[i][j] and y[i][j]:
-                    acc = acc + x[i][j] * y[i][j].conj()
-        return Cyc.rational(L, self.form_scale) * acc
-
-    def weight_components(self, x: Matrix) -> list[tuple[Root | None, Matrix]]:
-        """Split a matrix into its Cartan-weight components; their sum is x."""
-        L = x[0][0].L
-        d = self.dim
+    def weight_components(self, x: ModeMatrix) -> list[tuple[Root | None, ModeMatrix]]:
+        """Split a matrix into its Cartan-weight components, by ascending weight; their sum is x."""
         buckets: dict[tuple, list] = {}
-        for i in range(d):
-            for j in range(d):
-                if x[i][j]:
-                    buckets.setdefault(self.entry_weight(i, j), []).append((i, j, x[i][j]))
-        out = []
-        for w in sorted(buckets):
-            m = [[Cyc.zero(L)] * d for _ in range(d)]
-            for i, j, v in buckets[w]:
-                m[i][j] = v
-            out.append((Root(w) if w else None, tuple(tuple(row) for row in m)))
-        return out
+        for i, row in enumerate(x.rows):
+            for j, num in row.items():
+                buckets.setdefault(self.entry_weight(i, j), [{} for _ in x.rows])[i][j] = num
+        return [(Root(w) if w else None, ModeMatrix(x.L, x.ncols, x.den, buckets[w])) for w in sorted(buckets)]
 
     def _weight_units(self, L: int, a: Root):
         """The off-diagonal matrix units of weight a."""
@@ -238,12 +196,6 @@ class StandardModel:
             for i in range(self.dim)
             for j in range(self.dim)
             if i != j and self.entry_weight(i, j) == a.coeffs
-        )
-
-    def root_space_basis(self, L: int, a: Root, residue: int) -> list[Matrix]:
-        """Basis of the weight-a, mode-residue component of the model algebra."""
-        return span_basis(
-            self.mode_project(self.algebra_project(u), residue) for u in self._weight_units(L, a)
         )
 
     @lru_cache(maxsize=None)
@@ -266,7 +218,7 @@ class StandardModel:
 
 
 class Span(tuple):
-    """A basis, as a tuple of matrices, of a psi~-stable span of one weight in a model algebra.
+    """A basis, as a tuple of ModeMatrix, of a psi~-stable span of one weight in a model algebra.
 
     ``split`` is the pair (plus, minus) of psi~'s +1 and -1 eigenvectors on the
     span: with P the matrix of psi~ in basis coordinates, one combination of the
@@ -283,15 +235,13 @@ class Span(tuple):
 
     @cached_property
     def support(self) -> frozenset:
-        return frozenset(
-            (i, j) for b in self for i, row in enumerate(b) for j, c in enumerate(row) if c
-        )
+        return frozenset((i, j) for b in self for i, row in enumerate(b.rows) for j in row)
 
     @cached_property
-    def split(self) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
+    def split(self) -> tuple[tuple[ModeMatrix, ...], tuple[ModeMatrix, ...]]:
         n = len(self)
-        flat = [tuple(c for row in b for c in row) for b in self]
-        images = [tuple(c for row in self.model.psi_tilde(b) for c in row) for b in self]
+        flat = [_flat(b) for b in self]
+        images = [_flat(self.model.psi_tilde(b)) for b in self]
         # one elimination of the basis with every image appended: P[i][j] is
         # coordinate i of psi~(basis[j]); psi~ keeps the span, so nothing is left over
         red, pivots, _ = row_reduce([[*f, *g] for f, g in zip(zip(*flat), zip(*images))], n)
@@ -302,36 +252,24 @@ class Span(tuple):
         for sign in (1, -1):
             shifted = [[x - sign if i == j else x for j, x in enumerate(row)] for i, row in enumerate(p)]
             pieces.append(tuple(
-                reduce(mat_add, (b if cf == 1 else mat_scale(cf, b) for cf, b in zip(x, self) if cf))
+                reduce(add, (b if cf == 1 else b.scale(cf) for cf, b in zip(x, self) if cf))
                 for x in nullspace(shifted)
             ))
         return pieces[0], pieces[1]
 
 
-def _signed(x, table):
-    """The signed permutation of entries given by table[i][j] = (a, b, s): entry (i, j) is s * x[a][b].
-
-    Every table here is an involution, so a ModeMatrix moves its entry (i, j) by the same table.
-    """
-    if isinstance(x, ModeMatrix):
-        return x.permuted(table)
-    return tuple(tuple(-x[a][b] if s < 0 else x[a][b] for a, b, s in row) for row in table)
+def _flat(x: ModeMatrix) -> tuple:
+    """The entries of x, row by row, as one vector of Cyc for the elimination kernel."""
+    return tuple(chain.from_iterable(x.to_rows()))
 
 
-def _half_sum(x, y, sign: int):
-    """(x + sign * y) / 2 for two matrices of one type."""
-    if isinstance(x, ModeMatrix):
-        return (x + (y if sign == 1 else -y)).scale(Fraction(1, 2))
-    return mat_scale(Cyc.rational(x[0][0].L, Fraction(1, 2)), mat_add(x, y) if sign == 1 else mat_sub(x, y))
-
-
-def span_basis(matrices) -> list[Matrix]:
+def span_basis(matrices) -> list[ModeMatrix]:
     """A basis of the span of the matrices: each one nonzero and outside the earlier ones' span."""
-    basis: list[Matrix] = []
+    basis: list[ModeMatrix] = []
     flat: list[tuple] = []
     for v in matrices:
-        f = tuple(c for row in v for c in row)
-        if any(f) and not in_span(flat, f):
+        f = _flat(v)
+        if v and not in_span(flat, f):
             basis.append(v)
             flat.append(f)
     return basis
@@ -341,12 +279,3 @@ def span_basis(matrices) -> list[Matrix]:
 def standard_model(lars: str, rank: int) -> StandardModel:
     return StandardModel(lars, rank)
 
-
-def model_mode_residues(model: StandardModel, a: Root) -> tuple:
-    """Residues mod n_psi at which the root's space is nonzero, from the realization."""
-    res, step = admissible_mode_step(model.lars, a)
-    if model.n_psi == 1:
-        return (0,)
-    if step == 1:
-        return (0, 1)
-    return (res % 2,)

@@ -4,7 +4,9 @@ Random unitaries are products of elementary exact moves (rational Givens
 rotations, root-of-unity phases, permutations), each exactly unitary, so the
 inverse of the product is its conjugate transpose: conjugating a standard
 form never needs matrix inversion and stays exactly unitary.
-Structure-compatible variants exist per family.
+Structure-compatible variants exist per family.  Every matrix is a
+``cyclo.ModeMatrix``; ``random_unitary`` alone hands out rows of ``Cyc``, the
+operands of ``cyclo.mat_mul`` and ``cyclo.mat_inverse``.
 """
 
 from __future__ import annotations
@@ -12,10 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from .autnorm import OperatorSpec, automorphism_order
-from .cyclo import (
-    Cyc, Matrix, ModeMatrix, mat_conj_transpose, mat_identity, mat_mul, mat_product_sum, mat_scale,
-    working_conductor,
-)
+from .cyclo import Cyc, Matrix, ModeMatrix, working_conductor
 from .rootdata import Functional
 
 #: rational points on the unit circle used for exact rotations
@@ -23,37 +22,37 @@ PYTHAGOREAN = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 
                (Fraction(8, 17), Fraction(15, 17)), (Fraction(20, 29), Fraction(21, 29)))
 
 
-def _embed(L: int, d: int, entries: dict) -> Matrix:
-    z = Cyc.zero(L)
-    one = Cyc.one(L)
-    rows = [[one if i == j else z for j in range(d)] for i in range(d)]
-    for (i, j), v in entries.items():
-        rows[i][j] = v if isinstance(v, Cyc) else Cyc.rational(L, v)
-    return tuple(tuple(r) for r in rows)
+def _embed(L: int, d: int, entries: dict) -> ModeMatrix:
+    """The identity with the given entries (Cyc or rationals) written over it."""
+    return ModeMatrix.from_entries(L, (d, d), {(i, i): 1 for i in range(d)} | entries)
 
 
-def _givens(L: int, d: int, i: int, j: int, c: Fraction, s: Fraction) -> Matrix:
+def _givens(L: int, d: int, i: int, j: int, c: Fraction, s: Fraction) -> ModeMatrix:
     return _embed(L, d, {(i, i): c, (i, j): -s, (j, i): s, (j, j): c})
 
 
-def _phase(L: int, d: int, i: int, k: int) -> Matrix:
+def _phase(L: int, d: int, i: int, k: int) -> ModeMatrix:
     return _embed(L, d, {(i, i): Cyc.zeta(L, k)})
 
 
-def _unitary(L: int, d: int, factors) -> tuple[Matrix, Matrix]:
-    """The product of exactly unitary factors and its exact inverse, the conjugate transpose.
-
-    The running product stays a ModeMatrix between the factors.
-    """
-    fwd = ModeMatrix.from_matrix(mat_identity(L, d))
+def _unitary(L: int, d: int, factors) -> ModeMatrix:
+    """The product of exactly unitary factors; its exact inverse is its conjugate transpose."""
+    fwd = ModeMatrix.identity(L, d)
     for f in factors:
-        fwd = mat_product_sum(((1, fwd, ModeMatrix.from_matrix(f)),))
-    fwd = fwd.to_matrix()
-    return fwd, mat_conj_transpose(fwd)
+        fwd = fwd @ f
+    return fwd
 
 
-def random_unitary(rng: random.Random, L: int, d: int, moves: int = 6, real: bool = False):
-    """An exact unitary (orthogonal when real) with its exact inverse."""
+def random_unitary(
+    rng: random.Random, L: int, d: int, moves: int = 6, real: bool = False
+) -> tuple[Matrix, Matrix]:
+    """An exact unitary (orthogonal when real) with its exact inverse, both as rows of Cyc."""
+    u = _random_moves(rng, L, d, moves, real)
+    return u.to_rows(), u.conj_transpose().to_rows()
+
+
+def _random_moves(rng: random.Random, L: int, d: int, moves: int = 6, real: bool = False) -> ModeMatrix:
+    """The exact unitary (orthogonal when real) of ``random_unitary``."""
     factors = []
     for _ in range(moves):
         kind = rng.choice(("givens", "phase", "swap") if not real else ("givens", "sign", "swap"))
@@ -70,7 +69,7 @@ def random_unitary(rng: random.Random, L: int, d: int, moves: int = 6, real: boo
     return _unitary(L, d, factors)
 
 
-def random_quaternionic_unitary(rng: random.Random, L: int, d: int, moves: int = 6):
+def random_quaternionic_unitary(rng: random.Random, L: int, d: int, moves: int = 6) -> ModeMatrix:
     """An exact unitary commuting with the doubled-model structure map."""
     r = d // 2
     factors = []
@@ -99,34 +98,33 @@ def random_operator(rng: random.Random, family: str, dim: int, order_hint: int =
     if family == "C_unitary":
         m = order_hint
         L = working_conductor(2 * m)
-        v, vinv = random_unitary(rng, L, dim)
+        v = _random_moves(rng, L, dim)
         exps = [rng.randrange(m) for _ in range(dim)]
         exps[0] = 0
         exps[min(1, dim - 1)] = 1 if m > 1 else 0  # force the full order
         diag = _embed(L, dim, {(i, i): Cyc.zeta(L, (e * (L // m)) % L) for i, e in enumerate(exps)})
-        a = mat_mul(mat_mul(v, diag), vinv)
+        a = v @ diag @ v.conj_transpose()
         # a projective phase exercises the finite-order lift
-        a = mat_scale(Cyc.zeta(L, rng.randrange(L)), a)
+        a = a.scale(Cyc.zeta(L, rng.randrange(L)))
         spec = OperatorSpec("C", False, dim, a, 1)
         return OperatorSpec("C", False, dim, a, automorphism_order(spec))
     if family == "H":
         r = dim // 2
         m = order_hint
         L = working_conductor(2 * m)
-        v, vinv = random_quaternionic_unitary(rng, L, dim)
+        v = random_quaternionic_unitary(rng, L, dim)
         exps = [rng.randrange(m // 2 + 1) for _ in range(r)]
         entries = {}
         for i, e in enumerate(exps):
             entries[(i, i)] = Cyc.zeta(L, (e * (L // m)) % L)
             entries[(r + i, r + i)] = Cyc.zeta(L, (-e * (L // m)) % L)
-        diag = _embed(L, dim, entries)
-        a = mat_mul(mat_mul(v, diag), vinv)
+        a = v @ _embed(L, dim, entries) @ v.conj_transpose()
         spec = OperatorSpec("H", False, dim, a, 1)
         return OperatorSpec("H", False, dim, a, automorphism_order(spec))
     if family == "R":
         m = order_hint
         L = working_conductor(2 * m)
-        v, vinv = random_unitary(rng, L, dim, real=True)
+        v = _random_moves(rng, L, dim, real=True)
         entries = {}
         i = 0
         # single +-1 axes: one for odd dims, sometimes a (+1, -1) pair for even dims
@@ -149,8 +147,7 @@ def random_operator(rng: random.Random, family: str, dim: int, order_hint: int =
         if i < dim:
             entries[(i, i)] = Cyc.rational(L, rng.choice((1, -1)))
             i += 1
-        diag = _embed(L, dim, entries)
-        a = mat_mul(mat_mul(v, diag), vinv)
+        a = v @ _embed(L, dim, entries) @ v.conj_transpose()
         spec = OperatorSpec("R", False, dim, a, 1)
         return OperatorSpec("R", False, dim, a, automorphism_order(spec))
     if family == "C_antiunitary":
@@ -170,11 +167,9 @@ def random_operator(rng: random.Random, family: str, dim: int, order_hint: int =
         if has_fixed:
             entries[(r, r)] = 1
         std = _embed(L, dim, entries)
-        v, vinv = random_unitary(rng, L, dim)
-        # linear part of V (Std o conj) V^-1 is V Std conj(V^-1) = V Std conj(Vinv)
-        from .cyclo import mat_conj
-
-        a = mat_mul(mat_mul(v, std), mat_conj(vinv))
+        v = _random_moves(rng, L, dim)
+        # linear part of V (Std o conj) V^-1 is V Std conj(V^-1) = V Std V^T
+        a = v @ std @ v.conj_transpose().conj()
         spec = OperatorSpec("C", True, dim, a, 2)
         return OperatorSpec("C", True, dim, a, automorphism_order(spec))
     raise ValueError(f"unknown family {family}")
@@ -230,5 +225,5 @@ def random_twisted_element(rng: random.Random, cert, window: int = 1, terms: int
         coef = Cyc.rational(L, rng.choice((1, -1, 2))) * (
             Cyc.i(L) if rng.random() < 0.3 else Cyc.one(L)
         )
-        out = out + DoubleExtElement.from_loop(L, n, ModeMatrix.from_matrix(vec).scale(coef))
+        out = out + DoubleExtElement.from_loop(L, n, vec.scale(coef))
     return out

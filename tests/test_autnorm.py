@@ -19,45 +19,35 @@ from twistaff.autnorm import (
     standardize,
     verify_certificate,
 )
-from twistaff.cyclo import (
-    Cyc,
-    mat_conj,
-    mat_eq,
-    mat_from_rows,
-    mat_identity,
-    mat_mul,
-    mat_scale,
-    mat_zero,
-)
+from twistaff.cyclo import Cyc, ModeMatrix
 from twistaff.rootdata import Functional, Root
 from twistaff.sampling import random_operator
 
+rows = ModeMatrix.from_rows
+identity = ModeMatrix.identity
+
 
 def diag(L, *entries):
-    d = len(entries)
-    rows = [[Cyc.zero(L)] * d for _ in range(d)]
-    for i, e in enumerate(entries):
-        rows[i][i] = e if isinstance(e, Cyc) else Cyc.rational(L, e)
-    return tuple(tuple(r) for r in rows)
+    return ModeMatrix.diagonal(L, entries)
 
 
 def test_finite_order_lift_rephases_projective_input():
     # B = zeta_3 * id has order 3 projectively trivial conjugation: order 1
     L = 12
-    b = mat_scale(Cyc.zeta(L, 4), mat_identity(L, 2))
+    b = identity(L, 2).scale(Cyc.zeta(L, 4))
     spec = OperatorSpec("C", False, 2, b, 1)
     lifted = finite_order_lift(spec)
-    assert mat_eq(lifted.matrix, mat_identity(L, 2))
+    assert lifted.matrix == identity(L, 2)
     # an operator already of the declared order is unchanged
     a = diag(L, 1, -1)
     spec2 = OperatorSpec("C", False, 2, a, 2)
-    assert mat_eq(finite_order_lift(spec2).matrix, a)
+    assert finite_order_lift(spec2).matrix == a
 
 
 def test_finite_order_lift_antiunitary_square():
     # A = J o conj has A^2 = -1: kept as is, operator order 4
     L = 8
-    j = mat_from_rows(L, [[0, -1], [1, 0]])
+    j = rows(L, [[0, -1], [1, 0]])
     spec = OperatorSpec("C", True, 2, j, automorphism_order(OperatorSpec("C", True, 2, j, 1)))
     lifted = finite_order_lift(spec)
     assert operator_order(lifted) == 4
@@ -74,26 +64,24 @@ def test_eigensplit_examples_and_invariants():
     L = 8
     a = diag(L, 1, -1)
     projs = dict(eigenprojectors(a, 2))
-    assert mat_eq(projs[0], diag(L, 1, 0))
-    assert mat_eq(projs[1], diag(L, 0, 1))
-    assert mat_eq(dict(eigenprojectors(mat_identity(L, 3), 1))[0], mat_identity(L, 3))
+    assert projs[0] == diag(L, 1, 0)
+    assert projs[1] == diag(L, 0, 1)
+    assert dict(eigenprojectors(identity(L, 3), 1))[0] == identity(L, 3)
     # 3-cycle permutation: three rank-1 projectors, exact idempotents resolving unity
     L = 12
-    p3 = mat_from_rows(L, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    p3 = rows(L, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     projs = eigenprojectors(p3, 3)
     assert len(projs) == 3
-    total = mat_zero(L, 3)
+    total = diag(L, 0, 0, 0)
     for k, p in projs:
-        assert mat_eq(mat_mul(p, p), p)
+        assert p @ p == p
         zk = Cyc.zeta(L, (k * 4) % L)
-        assert mat_eq(mat_mul(p3, p), mat_scale(zk, p))
+        assert p3 @ p == p.scale(zk)
         for k2, p2 in projs:
             if k2 != k:
-                assert all(c.is_zero() for row in mat_mul(p, p2) for c in row)
-        from twistaff.cyclo import mat_add
-
-        total = mat_add(total, p)
-    assert mat_eq(total, mat_identity(L, 3))
+                assert not p @ p2
+        total = total + p
+    assert total == identity(L, 3)
     spec = OperatorSpec("C", False, 3, p3, 3)
     assert len(eigensplit(spec)) == 3
 
@@ -101,19 +89,19 @@ def test_eigensplit_examples_and_invariants():
 def test_antiunitary_normal_form_plain_conjugation():
     # plain conjugation on C^2: one block with exponent 0, no fixed vector
     L = 8
-    spec = OperatorSpec("C", True, 2, mat_identity(L, 2), 2)
+    spec = OperatorSpec("C", True, 2, identity(L, 2), 2)
     form = antiunitary_normal_form(spec)
     assert len(form.blocks) == 1 and form.fixed_col is None
     assert form.blocks[0][0] == 0
     # on C^3: one block plus a fixed vector
-    spec3 = OperatorSpec("C", True, 3, mat_identity(L, 3), 2)
+    spec3 = OperatorSpec("C", True, 3, identity(L, 3), 2)
     form3 = antiunitary_normal_form(spec3)
     assert len(form3.blocks) == 1 and form3.fixed_col is not None
 
 
 def test_antiunitary_normal_form_refuses_a_wrong_declared_order():
     # plain conjugation has order 2, as standardize reads it
-    spec = OperatorSpec("C", True, 2, mat_identity(8, 2), 4)
+    spec = OperatorSpec("C", True, 2, identity(8, 2), 4)
     with pytest.raises(StandardizeError, match="declared order 4 but the automorphism has exact order 2"):
         antiunitary_normal_form(spec)
 
@@ -121,7 +109,7 @@ def test_antiunitary_normal_form_refuses_a_wrong_declared_order():
 def test_antiunitary_normal_form_quaternionic():
     # A^2 = -1 on C^2: a single block at the half exponent
     L = 8
-    j = mat_from_rows(L, [[0, -1], [1, 0]])
+    j = rows(L, [[0, -1], [1, 0]])
     spec = OperatorSpec("C", True, 2, j, 2)
     form = antiunitary_normal_form(spec)
     assert len(form.blocks) == 1 and form.fixed_col is None
@@ -186,7 +174,7 @@ def test_standardize_verify_passes_all_families_larger_sizes():
 def test_mode_class_examples():
     # identity twist: every root sits at the zero class
     L = 8
-    cert = standardize(OperatorSpec("C", False, 3, mat_identity(L, 3), 1))
+    cert = standardize(OperatorSpec("C", False, 3, identity(L, 3), 1))
     for a in (Root(((1, 1), (2, -1))), Root(((1, 1), (3, -1)))):
         assert mode_class(cert, a) == (0,)
     # diag(1, -1): the crossing root flips sign, class 1 mod 2
@@ -212,11 +200,10 @@ def test_mode_class_vectors_span_and_eigenproperty():
         assert len(vecs) == len(cert.model.weight_space_basis(L, a))
         for m, v in vecs:
             img = _dense_phi_tilde_inverse(cert, v)
-            want = mat_scale(Cyc.zeta(L, (m * (L // n_phi)) % L), v)
-            assert mat_eq(img, want)
+            assert img == v.scale(Cyc.zeta(L, (m * (L // n_phi)) % L))
     for m, v in cartan_mode_vectors(cert):
         img = _dense_phi_tilde_inverse(cert, v)
-        assert mat_eq(img, mat_scale(Cyc.zeta(L, (m * (L // n_phi)) % L), v))
+        assert img == v.scale(Cyc.zeta(L, (m * (L // n_phi)) % L))
 
 
 def test_tampered_certificates_are_detected():
@@ -235,10 +222,14 @@ def test_tampered_certificates_are_detected():
     tampered_exp = dataclasses.replace(cert, exponents=tuple(exps))
     assert not verify_certificate(spec, tampered_exp).all_passed
 
-    rows = [list(r) for r in cert.basis_change]
-    rows[0][0] = rows[0][0] + Cyc.one(cert.conductor)
-    tampered_basis = dataclasses.replace(cert, basis_change=tuple(tuple(r) for r in rows))
+    changed = [list(r) for r in cert.basis_change]
+    changed[0][0] = changed[0][0] + Cyc.one(cert.conductor)
+    tampered_basis = dataclasses.replace(cert, basis_change=tuple(tuple(r) for r in changed))
     assert not verify_certificate(spec, tampered_basis).all_passed
+    # the tuple rows are read as a matrix, and the two checks that read them refuse it on the merits
+    checks = {name: (ok, detail) for name, ok, detail in verify_certificate(spec, tampered_basis).items}
+    assert checks["reconstruction"] == (False, "reconstruction failed: operator != basis_change * standard form")
+    assert checks["columns_orthogonal"] == (False, "basis columns are not orthogonal with recorded norms")
 
     norms = list(cert.col_norms)
     norms[0] = norms[0] * Cyc.rational(cert.conductor, 2)
@@ -251,18 +242,18 @@ def test_operator_spec_json_round_trip():
     spec = random_operator(rng, "C_antiunitary", 4, order_hint=2)
     again = OperatorSpec.from_json(spec.to_json())
     assert again.field == spec.field and again.antiunitary == spec.antiunitary
-    assert mat_eq(again.matrix, spec.matrix)
+    assert again.matrix == spec.matrix
     assert again.declared_order == spec.declared_order
 
 
 def test_structure_validation():
     L = 8
     with pytest.raises(StandardizeError):
-        OperatorSpec("R", True, 2, mat_identity(L, 2), 1)
-    bad = mat_from_rows(L, [[1, 1], [0, 1]])
+        OperatorSpec("R", True, 2, identity(L, 2), 1)
+    bad = rows(L, [[1, 1], [0, 1]])
     with pytest.raises(StandardizeError):
         finite_order_lift(OperatorSpec("C", False, 2, bad, 1))
-    img = mat_scale(Cyc.i(L), mat_identity(L, 2))
+    img = identity(L, 2).scale(Cyc.i(L))
     with pytest.raises(StandardizeError):
         finite_order_lift(OperatorSpec("R", False, 2, img, 1))
 
@@ -272,14 +263,14 @@ def test_block_form_linear_part_reconstructs_operator():
     spec = random_operator(rng, "C_antiunitary", 5, order_hint=3)
     form = antiunitary_normal_form(spec)
     # A(V w) = V Std conj(w): u conj(V) = V Std in input coordinates
-    v = form.basis_change
-    lifted = mat_from_rows(form.conductor, [[c for c in row] for row in spec.matrix])
-    assert mat_eq(mat_mul(lifted, mat_conj(v)), mat_mul(v, form.block_matrix()))
+    v = rows(form.conductor, form.basis_change)
+    lifted = spec.matrix.lift(form.conductor)
+    assert lifted @ v.conj() == v @ form.block_matrix()
 
 
 def test_eigensplit_rejects_antiunitary():
     L = 8
-    spec = OperatorSpec("C", True, 2, mat_identity(L, 2), 2)
+    spec = OperatorSpec("C", True, 2, identity(L, 2), 2)
     with pytest.raises(StandardizeError):
         eigensplit(spec)
 
@@ -366,7 +357,7 @@ def test_standardize_validates_once_and_reads_the_order_once(monkeypatch, family
     assert verify_certificate(spec, cert).all_passed
     lifted = finite_order_lift(spec)
     if cert.negated:
-        lifted = dataclasses.replace(lifted, matrix=mat_scale(Cyc.rational(lifted.conductor, -1), lifted.matrix))
+        lifted = dataclasses.replace(lifted, matrix=-lifted.matrix)
     assert cert.operator_order == operator_order(lifted)
     assert cert.orders[0] == automorphism_order(spec)
 
@@ -396,9 +387,9 @@ def test_replaced_certificate_gets_its_own_grading():
 def test_dimension_and_order_bounds_are_named():
     L = 8
     with pytest.raises(StandardizeError, match="dimension must be at least 1"):
-        OperatorSpec("C", False, 0, (), 1)
+        OperatorSpec("C", False, 0, identity(L, 0), 1)
     # a rational rotation has infinite order
-    rot = mat_from_rows(L, [[Q(3, 5), Q(-4, 5)], [Q(4, 5), Q(3, 5)]])
+    rot = rows(L, [[Q(3, 5), Q(-4, 5)], [Q(4, 5), Q(3, 5)]])
     with pytest.raises(StandardizeError, match="projective_order bound 512"):
         standardize(OperatorSpec("R", False, 2, rot, 4))
 
@@ -419,17 +410,17 @@ def test_conductor_enlargement_bound_is_named():
     # real vectors of squared norms 1 and 491 = 21^2 + 7^2 + 1^2 under complex
     # conjugation: neither a B-plane nor a fixed-vector pairing exists, and
     # the refusal names the conductor bound
-    rows = [[1, 0, 0, 0], [0, 21, 0, 0], [0, 7, 0, 0], [0, 1, 0, 0]]
+    proj = [[1, 0, 0, 0], [0, 21, 0, 0], [0, 7, 0, 0], [0, 1, 0, 0]]
     with pytest.raises(StandardizeError, match=f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
-        _conjugation_block_decomposition(mat_identity(L, 4), mat_from_rows(L, rows))
+        _conjugation_block_decomposition(identity(L, 4), rows(L, proj))
     # squared norms 1 and 5 = 2^2 + 1^2 pair once sqrt(5) is adjoined at conductor 40:
     # at 8 the decomposition asks for that conductor, and at 40 it completes
-    rows = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
+    proj = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
     with pytest.raises(_Enlarge) as enlarged:
-        _conjugation_block_decomposition(mat_identity(L, 4), mat_from_rows(L, rows))
+        _conjugation_block_decomposition(identity(L, 4), rows(L, proj))
     L = enlarged.value.conductor
     assert L == 40
-    blocks, fixed = _conjugation_block_decomposition(mat_identity(L, 4), mat_from_rows(L, rows))
+    blocks, fixed = _conjugation_block_decomposition(identity(L, 4), rows(L, proj))
     assert (len(blocks), fixed) == (1, None)
 
 
@@ -474,14 +465,14 @@ def test_block_decomposition_enlarges_the_conductor():
 
     # two anisotropic vectors of the +1 eigenspace pair through a B-plane only
     # after sqrt(5/4) is adjoined, which takes the working conductor 8 to 40
-    rows = [
+    matrix = [
         [Q(3, 5), Q(-4, 5), 0, 0, 0],
         [Q(-4, 5), Q(-3, 5), 0, 0, 0],
         [0, 0, 1, 0, 0],
         [0, 0, 0, 0, 1],
         [0, 0, 0, 1, 0],
     ]
-    spec = OperatorSpec("R", False, 5, mat_from_rows(4, rows), 2)
+    spec = OperatorSpec("R", False, 5, rows(4, matrix), 2)
     cert = standardize(spec)
     assert (cert.lars, cert.rank, cert.conductor) == ("B1", 2, 40)
     assert verify_certificate(spec, cert).all_passed
@@ -512,14 +503,12 @@ def _kind_certificate(kind):
 
 def _dense_phi_tilde_inverse(cert, x):
     """The reference: D* x D for the linear standard form D = U_1 T, psi~(U_1* x U_1) otherwise."""
-    from twistaff.cyclo import mat_conj_transpose
-
-    L = x[0][0].L
+    L = x.L
     if cert.family == "C_antiunitary":
         u1 = cert.u_matrix(L)
-        return cert.model.psi_tilde(mat_mul(mat_mul(mat_conj_transpose(u1), x), u1))
+        return cert.model.psi_tilde(u1.conj_transpose() @ x @ u1)
     dhat = cert.standard_linear_matrix(L)
-    return mat_mul(mat_mul(mat_conj_transpose(dhat), x), dhat)
+    return dhat.conj_transpose() @ x @ dhat
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_OPERATORS))
@@ -536,19 +525,16 @@ def test_phi_tilde_inverse_is_a_phase_times_psi_tilde(kind):
     for a in lars_finite_parts(cert.lars, cert.base):
         s = -step * sum(c * cert.exponents[j - 1] for j, c in a.coeffs) % L
         for b in model.weight_space_basis(L, a):
-            want = mat_scale(Cyc.zeta(L, s), model.psi_tilde(b))
-            assert mat_eq(_dense_phi_tilde_inverse(cert, b), want), (kind, a)
+            want = model.psi_tilde(b).scale(Cyc.zeta(L, s))
+            assert _dense_phi_tilde_inverse(cert, b) == want, (kind, a)
     rng = random.Random(kind)
     d = model.dim
     for _ in range(4):
-        x = tuple(
-            tuple(
-                Cyc.rational(L, Q(rng.randint(-5, 5), rng.randint(1, 3))) * Cyc.zeta(L, rng.randrange(L))
-                for _ in range(d)
-            )
+        x = rows(L, [
+            [Cyc.rational(L, Q(rng.randint(-5, 5), rng.randint(1, 3))) * Cyc.zeta(L, rng.randrange(L)) for _ in range(d)]
             for _ in range(d)
-        )
-        assert mat_eq(model.psi_tilde(model.psi_tilde(x)), x)
+        ])
+        assert model.psi_tilde(model.psi_tilde(x)) == x
 
 
 @pytest.mark.parametrize(
@@ -598,7 +584,7 @@ def test_verification_details_for_a_wrong_order_and_a_non_unitary_operator():
     )
     assert checks["declared_order"] == (False, "declared order mismatch")
     # the declared-order check does not depend on unitarity
-    scaled = dataclasses.replace(spec, matrix=mat_scale(Cyc.rational(spec.conductor, 2), spec.matrix))
+    scaled = dataclasses.replace(spec, matrix=spec.matrix.scale(2))
     checks = {name: (ok, detail) for name, ok, detail in verify_certificate(scaled, cert).items}
     assert checks["reconstruction"] == (False, "matrix is not unitary")
     assert checks["declared_order"] == (True, f"order {n}")

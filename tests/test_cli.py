@@ -6,7 +6,7 @@ import pytest
 from twistaff.affine import standard_spec
 from twistaff.autnorm import OperatorSpec, StandardizeError
 from twistaff.cli import main
-from twistaff.cyclo import MAX_CONDUCTOR, Cyc, conductor_degree, mat_from_rows
+from twistaff.cyclo import MAX_CONDUCTOR, Cyc, ModeMatrix, conductor_degree
 from twistaff.jsonio import cyc_from_json, mat_to_json
 from twistaff.rootdata import MAX_RANK
 from twistaff.sampling import random_operator
@@ -19,7 +19,7 @@ def opfile(tmp_path):
     rows[0][0] = Cyc.one(L)
     rows[1][1] = Cyc.zeta(L, 4)
     rows[2][2] = Cyc.zeta(L, 8)
-    spec = OperatorSpec("C", False, 3, tuple(tuple(r) for r in rows), 3)
+    spec = OperatorSpec("C", False, 3, ModeMatrix.from_rows(L, rows), 3)
     path = tmp_path / "op.json"
     path.write_text(json.dumps(spec.to_json()))
     return path
@@ -108,7 +108,7 @@ def test_min_energy_above_exhaustive_rank_is_a_domain_error(tmp_path, capsys):
 
 
 def test_theorem_b_command(tmp_path):
-    op = OperatorSpec("C", False, 2, mat_from_rows(4, [[1, 0], [0, -1]]), 2)
+    op = OperatorSpec("C", False, 2, ModeMatrix.diagonal(4, [1, -1]), 2)
     path = tmp_path / "tb.json"
     path.write_text(json.dumps({
         "operator": op.to_json(),
@@ -152,6 +152,10 @@ def test_reports_reparse(opfile, tmp_path):
         ({"conductor": 4, "coeffs": [1.5, "0"]}, "integers or 'p/q' strings"),
         ({"conductor": 6, "coeffs": ["1", "0"]}, "divisible by 4"),
         ({"conductor": "4", "coeffs": ["1", "0"]}, "divisible by 4"),
+        ({"conductor": 4, "coeffs": ["1" * 5000, "0"]}, "Exceeds the limit (4300 digits) for integer string conversion"),
+        ({"conductor": 484, "coeffs": ["1"]}, "conductor 484 is above MAX_CONDUCTOR = 480"),
+        ({"conductor": 4, "coeffs": ["-1/2", "3/0"]}, "zero denominator in '3/0'"),
+        ({"conductor": 4, "coeffs": ["1/-2", "0"]}, "integers or 'p/q' strings, got '1/-2'"),
     ],
 )
 def test_malformed_scalars_are_parse_errors(tmp_path, capsys, bad, message):
@@ -303,7 +307,7 @@ def test_indices_above_the_standardized_rank_are_parse_errors(tmp_path, capsys, 
 
 def test_odd_quaternionic_dimension_is_refused_up_front(tmp_path, capsys):
     L, dim = 4, 3
-    identity = tuple(tuple(Cyc.one(L) if i == k else Cyc.zero(L) for k in range(dim)) for i in range(dim))
+    identity = ModeMatrix.identity(L, dim)
     with pytest.raises(StandardizeError, match="quaternionic model needs even complex dimension"):
         OperatorSpec("H", False, dim, identity, 1)
     with pytest.raises(StandardizeError, match="quaternionic model needs even complex dimension"):
@@ -323,8 +327,15 @@ def test_odd_quaternionic_dimension_is_refused_up_front(tmp_path, capsys):
         ("order", 2.5, "operator order: expected an integer, got 2.5"),
         ("order", True, "operator order: expected an integer, got True"),
         ("field", 5, "operator field: expected a string, got 5"),
+        ("matrix", 5, "operator matrix: expected a list of row lists, got 5"),
+        ("matrix", [5], "operator matrix: expected a list of row lists, got [5]"),
+        ("matrix", None, "operator matrix: expected a list of row lists, got None"),
+        ("matrix", [[], [0]], "operator matrix: rows of unequal lengths [0, 1]"),
     ],
-    ids=["antiunitary-string", "dim-string", "dim-float", "order-float", "order-bool", "field-int"],
+    ids=[
+        "antiunitary-string", "dim-string", "dim-float", "order-float", "order-bool", "field-int",
+        "matrix-int", "matrix-int-row", "matrix-null", "matrix-ragged",
+    ],
 )
 def test_wrongly_typed_operator_fields_are_parse_errors(opfile, capsys, field, value, message):
     opfile.write_text(json.dumps(dict(json.loads(opfile.read_text()), **{field: value})))

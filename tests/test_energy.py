@@ -8,7 +8,7 @@ import pytest
 
 from twistaff.affine import LARS_KINDS, Weight, standard_spec
 from twistaff.autnorm import OperatorSpec, mode_class, standardize
-from twistaff.cyclo import mat_from_rows
+from twistaff.cyclo import ModeMatrix
 from twistaff.energy import (
     Character,
     _distinct_images,
@@ -340,7 +340,7 @@ def test_positive_energy_boundary():
 
 
 def test_theorem_b_pipeline_examples():
-    op = OperatorSpec("C", False, 2, mat_from_rows(4, [[1, 0], [0, -1]]), 2)
+    op = OperatorSpec("C", False, 2, ModeMatrix.diagonal(4, [1, -1]), 2)
     lam = Weight(2, Functional({1: 1}), 0)
     cert = standardize(op)
     rep = theorem_b_pipeline(cert, lam, Functional(()), Functional(()))
@@ -348,7 +348,7 @@ def test_theorem_b_pipeline_examples():
     assert rep.positive_energy and rep.method_agreement
 
     # the identity twist reduces to a plain orbit minimization
-    op_id = OperatorSpec("C", False, 2, mat_from_rows(4, [[1, 0], [0, 1]]), 1)
+    op_id = OperatorSpec("C", False, 2, ModeMatrix.identity(4, 2), 1)
     rep2 = theorem_b_pipeline(standardize(op_id), lam, Functional(()), Functional(()))
     direct = min_energy(standard_spec("A1", 2), lam, BD_CHI)
     assert rep2.minimum == direct.minimum
@@ -368,7 +368,7 @@ def test_theorem_b_pipeline_examples():
 
 
 def test_theorem_b_integrality_uses_twisted_modes():
-    op = OperatorSpec("C", False, 2, mat_from_rows(4, [[1, 0], [0, -1]]), 2)
+    op = OperatorSpec("C", False, 2, ModeMatrix.diagonal(4, [1, -1]), 2)
     cert = standardize(op)
     src = cert.source_spec(Functional(()))
     assert is_integral(src, Weight(2, Functional({1: 1}), 0), residues=lambda a: mode_class(cert, a))

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from twistaff.affine import LARS_KINDS, standard_spec
-from twistaff.cyclo import Cyc, mat_eq, mat_scale, mat_sub, mat_conj_transpose
+from twistaff.cyclo import Cyc, ModeMatrix
 from twistaff.loopalg import (
     DoubleExtElement,
     apply_derivation,
@@ -33,7 +33,7 @@ def test_derivation_coordinate_scales_modes():
     x = DoubleExtElement.from_loop(L, 1, m.basis_matrix(L, 0, 1))
     got = bracket(spec, DoubleExtElement.scaling(L), x)
     scal = Cyc.i(L) * Cyc.rational(L, Q(4, 3))
-    assert got == DoubleExtElement.from_loop(L, 1, mat_scale(scal, m.basis_matrix(L, 0, 1)))
+    assert got == DoubleExtElement.from_loop(L, 1, m.basis_matrix(L, 0, 1).scale(scal))
 
 
 def test_paired_modes_produce_the_central_charge():
@@ -43,42 +43,42 @@ def test_paired_modes_produce_the_central_charge():
     b = bracket(
         spec,
         DoubleExtElement.from_loop(L, 1, x),
-        DoubleExtElement.from_loop(L, -1, mat_conj_transpose(x)),
+        DoubleExtElement.from_loop(L, -1, x.conj_transpose()),
     )
     assert b.z == -Cyc.i(L)
     assert b.t.is_zero()
     loop = dict(b.loop.terms)
     assert list(loop) == [0]
-    assert mat_eq(loop[0].to_matrix(), mat_sub(m.cartan_matrix(1, L), m.cartan_matrix(2, L)))
+    assert loop[0] == m.cartan_matrix(1, L) - m.cartan_matrix(2, L)
 
 
 def test_root_vector_bracket_display():
     # [e_n x, (e_n x)*] = (-i (n/N + s(a#)) <x,x>, <x,x> a#, 0) for weight vectors
+    from twistaff.affine import lars_finite_parts
+    from twistaff.models import span_basis
+    from twistaff.rootdata import inner
+
     for kind in LARS_KINDS:
         spec = standard_spec(kind, 2, nu=Functional({1: Q(1, 4)}))
         m = standard_model(kind, 2)
-        from twistaff.affine import lars_finite_parts
-        from twistaff.models import model_mode_residues
-        from twistaff.rootdata import inner
-        from twistaff.cyclo import mat_add, mat_zero
-
         for a in lars_finite_parts(kind, m.base)[:4]:
-            for res in model_mode_residues(m, a):
-                for x in m.root_space_basis(L, a, res):
+            for res in range(m.n_psi):
+                # the (a, res) root space: the projected matrix units of weight a (none off its residues)
+                for x in span_basis(m.mode_project(m.algebra_project(u), res) for u in m._weight_units(L, a)):
                     n = res
                     e = DoubleExtElement.from_loop(L, n, x)
-                    estar = DoubleExtElement.from_loop(L, -n, mat_conj_transpose(x))
+                    estar = DoubleExtElement.from_loop(L, -n, x.conj_transpose())
                     b = bracket(spec, e, estar)
-                    nx = m.hermitian_form(x, x)
+                    nx = Cyc.rational(L, m.form_scale) * x.trace_product(x.conj_transpose())  # <x, x>
                     scal = Q(n, spec.twist_order) + inner(spec.slant, a.functional())
                     want_z = -Cyc.i(L) * Cyc.rational(L, scal) * nx
                     assert b.z == want_z
-                    sharp = mat_zero(L, m.dim)
+                    sharp = ModeMatrix(L, m.dim, 1, [{} for _ in range(m.dim)])
                     for j, c in a.coeffs:
-                        sharp = mat_add(sharp, mat_scale(Cyc.rational(L, c), m.cartan_matrix(j, L)))
+                        sharp = sharp + m.cartan_matrix(j, L).scale(c)
                     assert dict(b.loop.terms) == {} if nx.is_zero() else True
                     loop = dict(b.loop.terms)
-                    assert mat_eq(loop[0].to_matrix(), mat_scale(nx, sharp))
+                    assert loop[0] == sharp.scale(nx)
 
 
 def test_kappa_examples():
@@ -133,27 +133,26 @@ def test_derivation_examples():
 
 def test_weight_decompose():
     m = standard_model("A1", 2)
-    from twistaff.cyclo import mat_identity, mat_add, mat_zero
-
-    ident = mat_identity(L, 2)
+    ident = ModeMatrix.identity(L, 2)
     comps = m.weight_components(ident)
     assert len(comps) == 1 and comps[0][0] is None
     unit = m.basis_matrix(L, 0, 1)
     comps = m.weight_components(unit)
     assert len(comps) == 1 and comps[0][0] == Root(((1, 1), (2, -1)))
-    dense = tuple(tuple(Cyc.rational(L, i + 2 * j + 1) for j in range(2)) for i in range(2))
+    dense = ModeMatrix.from_rows(L, [[i + 2 * j + 1 for j in range(2)] for i in range(2)])
     comps = m.weight_components(dense)
     assert len(comps) <= 4
-    total = mat_zero(L, 2)
+    total = ModeMatrix(L, 2, 1, [{}, {}])
     for _, comp in comps:
-        total = mat_add(total, comp)
-    assert mat_eq(total, dense)
+        total = total + comp
+    assert total == dense
 
 
 def test_mode_eigenspace_validation():
     spec = standard_spec("C2", 2)
     m = standard_model("C2", 2)
-    x = m.root_space_basis(L, Root(((1, 2),)), 0)[0]  # long roots live at even modes
+    x = m.mode_project(m.algebra_project(m.basis_matrix(L, 0, 2)), 0)  # long roots live at even modes
+    assert m.entry_weight(0, 2) == ((1, 2),) and x
     good = DoubleExtElement.from_loop(L, 2, x)
     validate_element(spec, good)
     bad = DoubleExtElement.from_loop(L, 1, x)
@@ -198,10 +197,9 @@ def test_phi_hat_rejects_inadmissible_modes():
 def test_phi_hat_mode_relabel_diag_example():
     # the order-2 twist diag(1, -1): the crossing weight at source mode 1 lands at mode 0
     from twistaff.autnorm import OperatorSpec, standardize
-    from twistaff.cyclo import mat_from_rows
     from twistaff.loopalg import phi_hat
 
-    op = OperatorSpec("C", False, 2, mat_from_rows(4, [[1, 0], [0, -1]]), 2)
+    op = OperatorSpec("C", False, 2, ModeMatrix.diagonal(4, [1, -1]), 2)
     cert = standardize(op)
     src, dst = cert.source_spec(), cert.target_spec()
     m = cert.model

@@ -1,32 +1,45 @@
 import random
 
-from twistaff.affine import LARS_KINDS, lars_finite_parts
-from twistaff.cyclo import (
-    Cyc,
-    mat_add,
-    mat_diagonal,
-    mat_eq,
-    mat_inverse,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    mat_zero,
-)
-from twistaff.models import model_mode_residues, standard_model
+from twistaff.affine import LARS_KINDS, admissible_mode_step, lars_finite_parts
+from twistaff.cyclo import Cyc, ModeMatrix, mat_inverse
+from twistaff.models import span_basis, standard_model
 
 L = 4
 
 
 def mat_commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    return a @ b - b @ a
 
 
 def rand_algebra_element(model, rng):
-    raw = tuple(
-        tuple(Cyc.rational(L, rng.randint(-2, 2)) for _ in range(model.dim))
-        for _ in range(model.dim)
-    )
-    return model.algebra_project(raw)
+    raw = [[rng.randint(-2, 2) for _ in range(model.dim)] for _ in range(model.dim)]
+    return model.algebra_project(ModeMatrix.from_rows(L, raw))
+
+
+def model_mode_residues(model, a):
+    """Residues mod n_psi at which the root's space is nonzero, from the affine root data."""
+    res, step = admissible_mode_step(model.lars, a)
+    if model.n_psi == 1:
+        return (0,)
+    if step == 1:
+        return (0, 1)
+    return (res % 2,)
+
+
+def root_space_basis(model, a, residue):
+    """A basis of the weight-a, mode-residue component of the model algebra, from the realization."""
+    return span_basis(model.mode_project(model.algebra_project(u), residue) for u in model._weight_units(L, a))
+
+
+def hermitian_form(model, x, y):
+    """<x, y> = scale * tr(x y*), entry by entry, antilinear in y."""
+    xr, yr = x.to_rows(), y.to_rows()
+    acc = sum((p * q.conj() for rx, ry in zip(xr, yr) for p, q in zip(rx, ry)), Cyc.zero(L))
+    return Cyc.rational(L, model.form_scale) * acc
+
+
+def in_algebra(model, x):
+    return model._tau(x) == x
 
 
 def test_root_spaces_are_lines_exactly_at_admissible_residues():
@@ -35,7 +48,7 @@ def test_root_spaces_are_lines_exactly_at_admissible_residues():
         for a in lars_finite_parts(kind, m.base):
             allowed = model_mode_residues(m, a)
             for n in range(m.n_psi):
-                basis = m.root_space_basis(L, a, n)
+                basis = root_space_basis(m, a, n)
                 assert len(basis) == (1 if n in allowed else 0), (kind, a, n)
 
 
@@ -44,7 +57,7 @@ def test_cartan_operators_are_orthonormal():
         m = standard_model(kind, 3)
         for j in range(1, 4):
             for k in range(1, 4):
-                f = m.hermitian_form(m.cartan_matrix(j, L), m.cartan_matrix(k, L))
+                f = hermitian_form(m, m.cartan_matrix(j, L), m.cartan_matrix(k, L))
                 assert f == Cyc.rational(L, 1 if j == k else 0)
 
 
@@ -53,11 +66,10 @@ def test_weight_grading():
         m = standard_model(kind, 2)
         for a in lars_finite_parts(kind, m.base)[:5]:
             for n in model_mode_residues(m, a):
-                for v in m.root_space_basis(L, a, n):
+                for v in root_space_basis(m, a, n):
                     for j in (1, 2):
                         br = mat_commutator(m.cartan_matrix(j, L), v)
-                        want = mat_scale(Cyc.rational(L, a.functional()[j]), v)
-                        assert mat_eq(br, want)
+                        assert br == v.scale(a.functional()[j])
 
 
 def test_algebra_closed_and_twist_is_involutive_automorphism():
@@ -66,12 +78,12 @@ def test_algebra_closed_and_twist_is_involutive_automorphism():
         m = standard_model(kind, 2)
         for _ in range(4):
             x, y = rand_algebra_element(m, rng), rand_algebra_element(m, rng)
-            assert m.in_algebra(mat_commutator(x, y))
+            assert in_algebra(m, mat_commutator(x, y))
             if m.n_psi == 2:
                 px, py = m.psi_tilde(x), m.psi_tilde(y)
-                assert mat_eq(m.psi_tilde(mat_commutator(x, y)), mat_commutator(px, py))
-                assert mat_eq(m.psi_tilde(px), x)
-                assert mat_eq(mat_add(m.mode_project(x, 0), m.mode_project(x, 1)), x)
+                assert m.psi_tilde(mat_commutator(x, y)) == mat_commutator(px, py)
+                assert m.psi_tilde(px) == x
+                assert m.mode_project(x, 0) + m.mode_project(x, 1) == x
 
 
 def test_weight_components_reassemble():
@@ -79,16 +91,20 @@ def test_weight_components_reassemble():
     for kind in LARS_KINDS:
         m = standard_model(kind, 2)
         x = rand_algebra_element(m, rng)
-        total = mat_zero(L, m.dim)
-        for _, comp in m.weight_components(x):
-            total = mat_add(total, comp)
-        assert mat_eq(total, x)
+        comps = m.weight_components(x)
+        assert len({w for w, _ in comps}) == len(comps)
+        for w, comp in comps:
+            assert all(m.entry_weight(i, j) == (w.coeffs if w else ()) for i, row in enumerate(comp.rows) for j in row)
+        total = ModeMatrix(L, m.dim, 1, [{} for _ in range(m.dim)])
+        for _, comp in comps:
+            total = total + comp
+        assert total == x
 
 
 def _neg_transpose_conjugate(x, q):
     """-Q x^T Q^-1."""
-    lhs = mat_mul(mat_mul(q, tuple(zip(*x))), mat_inverse(q))
-    return mat_scale(Cyc.rational(L, -1), lhs)
+    transpose = x.conj_transpose().conj()
+    return -(q @ transpose @ ModeMatrix.from_rows(L, mat_inverse(q.to_rows())))
 
 
 def test_involutions_match_their_matrix_definitions():
@@ -102,25 +118,19 @@ def test_involutions_match_their_matrix_definitions():
             else:
                 # the exchange e+ <-> e- fixing the zero vectors
                 mirror = [w.index(-w[j]) if w[j] else j for j in range(d)]
-                q = tuple(
-                    tuple(Cyc.one(L) if mirror[j] == i else Cyc.zero(L) for j in range(d))
-                    for i in range(d)
-                )
+                q = ModeMatrix.from_entries(L, (d, d), {(mirror[j], j): 1 for j in range(d)})
             involution = m.psi_tilde if kind in ("C2", "BC2") else m._tau
             for _ in range(3):
-                x = tuple(
-                    tuple(
-                        Cyc.rational(L, rng.randint(-3, 3)) + rng.randint(-2, 2) * Cyc.i(L)
-                        for _ in range(d)
-                    )
+                x = ModeMatrix.from_rows(L, [
+                    [Cyc.rational(L, rng.randint(-3, 3)) + rng.randint(-2, 2) * Cyc.i(L) for _ in range(d)]
                     for _ in range(d)
-                )
-                assert mat_eq(involution(x), _neg_transpose_conjugate(x, q)), (kind, rank)
+                ])
+                assert involution(x) == _neg_transpose_conjugate(x, q), (kind, rank)
                 if kind == "B2":
                     # the twist is conjugation by the flip F of one zero vector
                     f = m.twist_matrix(L)
-                    flips = [a for a in range(d) if f[a][a] == Cyc.rational(L, -1)]
+                    flips = [a for a in range(d) if f.to_rows()[a][a] == Cyc.rational(L, -1)]
                     assert len(flips) == 1 and w[flips[0]] == 0
                     signs = [-1 if a in flips else 1 for a in range(d)]
-                    assert mat_eq(f, mat_diagonal(L, [Cyc.rational(L, s) for s in signs]))
-                    assert mat_eq(m.psi_tilde(x), mat_mul(mat_mul(f, x), f)), rank
+                    assert f == ModeMatrix.diagonal(L, signs)
+                    assert m.psi_tilde(x) == f @ x @ f, rank

@@ -1,8 +1,10 @@
-"""Properties of the packed integer product kernel behind mat_mul and the loop bracket.
+"""Properties of `ModeMatrix`, its packed integer product kernel and the loop bracket.
 
 Every reference is written with plain `Cyc` operations and shares no code
-with the kernel or with `twistaff.loopalg`: `mat_mul` and `mat_product_sum`
-must equal the entrywise sums of products, and `bracket` must equal the sum
+with the kernel or with `twistaff.loopalg`: the structural `ModeMatrix`
+operations must equal the entrywise references below, `mat_mul` and
+`mat_product_sum` must equal the entrywise sums of products (and refuse
+operands of mismatched shapes), and `bracket` must equal the sum
 over mode pairs of commutators built entry by entry, plus the derivation
 (one factor i (n/N + nu(w_r) - nu(w_c)) per entry) and the trace pairing.
 Denominators are mixed (1, 2, 3, 4, 6), so a product term that is not
@@ -15,6 +17,7 @@ of one sign and of the largest size, and sums that cancel to zero.
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,8 +77,95 @@ def entrywise_product(a, b):
 
 def exact(a):
     if isinstance(a, ModeMatrix):
-        a = a.to_matrix()
+        a = a.to_rows()
     return [[(x.num, x.den) for x in row] for row in a]
+
+
+# -- entrywise references for the ModeMatrix operations, on rows of Cyc ----------
+
+
+def ref_zero(L, n, m):
+    z = Cyc.zero(L)
+    return tuple(tuple(z for _ in range(m)) for _ in range(n))
+
+
+def ref_identity(L, n):
+    return ref_diagonal(L, [Cyc.one(L)] * n)
+
+
+def ref_diagonal(L, diag):
+    z, n = Cyc.zero(L), len(diag)
+    return tuple(tuple(diag[i] if i == j else z for j in range(n)) for i in range(n))
+
+
+def ref_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_scale(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def ref_eq(a, b):
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def ref_conj(a):
+    return tuple(tuple(x.conj() for x in row) for row in a)
+
+
+def ref_conj_transpose(a):
+    return tuple(tuple(x.conj() for x in col) for col in zip(*a))
+
+
+def ref_lift(a, L2):
+    return tuple(tuple(x.lift(L2) for x in row) for row in a)
+
+
+@st.composite
+def structure_operands(draw):
+    """Two matrices of one shape (often equal), a scalar and a lift factor, at conductor 4, 8, 12 or 24."""
+    L = draw(st.sampled_from(CONDUCTORS))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = draw(matrices(L, n, m))
+    b = draw(st.one_of(st.just(a), matrices(L, n, m)))
+    return L, a, b, draw(scalars(L, DENOMINATORS)), draw(st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(structure_operands())
+def test_mode_matrix_operations_match_the_entrywise_references(operands):
+    L, a, b, c, k = operands
+    n, m = len(a), len(a[0])
+    A, B = ModeMatrix.from_rows(L, a), ModeMatrix.from_rows(L, b)
+    assert exact(A) == exact(a)
+    assert exact(A + B) == exact(ref_add(a, b))
+    assert exact(A - B) == exact(ref_sub(a, b))
+    assert exact(A.scale(c)) == exact(ref_scale(c, a))
+    assert (A == B) == ref_eq(a, b) and (A - B + B) == A
+    assert not (A - A) and exact(A - A) == exact(ref_zero(L, n, m))
+    assert exact(A.conj()) == exact(ref_conj(a))
+    assert exact(A.conj_transpose()) == exact(ref_conj_transpose(a))
+    assert exact(A.lift(k * L)) == exact(ref_lift(a, k * L))
+    assert A.columns() == list(zip(*a))
+    assert exact(ModeMatrix.diagonal(L, a[0])) == exact(ref_diagonal(L, a[0]))
+    assert exact(ModeMatrix.identity(L, m)) == exact(ref_identity(L, m))
+
+
+def test_operands_of_mismatched_shapes_are_refused():
+    i3, i2 = ModeMatrix.identity(4, 3), ModeMatrix.identity(4, 2)
+    with pytest.raises(ValueError, match="2x2 times 2x2 in a sum of 3x3 products"):
+        mat_product_sum(((1, i3, i3), (-1, i2, i2)))
+    with pytest.raises(ValueError, match="3x3 plus 2x2"):
+        i3 + i2
+    with pytest.raises(ValueError, match="3x3 times 2x2"):
+        i3 @ i2
+    with pytest.raises(ValueError, match="2x3 times 2x2"):
+        mat_mul(i3.to_rows()[:2], i2.to_rows())
 
 
 @settings(max_examples=120, deadline=None)
@@ -127,7 +217,8 @@ def big_product_sums(draw):
 @given(big_product_sums())
 def test_packed_kernel_near_its_slot_width_bound(case):
     products, cancel = case
-    got = mat_product_sum((sign, ModeMatrix.from_matrix(a), ModeMatrix.from_matrix(b)) for sign, a, b in products)
+    L = products[0][1][0][0].L
+    got = mat_product_sum((sign, ModeMatrix.from_rows(L, a), ModeMatrix.from_rows(L, b)) for sign, a, b in products)
     want = None
     for sign, a, b in products:
         term = tuple(tuple(sign * x for x in row) for row in entrywise_product(a, b))
@@ -138,14 +229,14 @@ def test_packed_kernel_near_its_slot_width_bound(case):
 
 
 def plain_loop_element(draw, spec, L):
-    """(z, {mode: Matrix}, t): up to three modes, each the model projection of a mixed-denominator matrix."""
+    """(z, {mode: rows of Cyc}, t): up to three modes, each the model projection of a mixed-denominator matrix."""
     model = standard_model(spec.lars, spec.base.rank)
     z = Cyc.rational(L, draw(st.sampled_from((-1, 0, 1, Fraction(1, 2)))))
     t = Cyc.rational(L, draw(st.sampled_from((-1, 0, 1, Fraction(1, 3)))))
     modes = {}
     for n in draw(st.lists(st.integers(-2, 2), max_size=3, unique=True)):
-        raw = draw(matrices(L, model.dim, model.dim))
-        modes[n] = model.mode_project(model.algebra_project(raw), n)
+        raw = ModeMatrix.from_rows(L, draw(matrices(L, model.dim, model.dim)))
+        modes[n] = model.mode_project(model.algebra_project(raw), n).to_rows()
     return z, modes, t
 
 
@@ -202,7 +293,10 @@ def reference_bracket(spec, L, a, b):
 @given(bracket_operands())
 def test_bracket_is_the_sum_of_mode_pair_commutators(operands):
     spec, L, plain_a, plain_b = operands
-    a, b = (DoubleExtElement(z, LoopElement(tuple(modes.items())), t) for z, modes, t in (plain_a, plain_b))
+    a, b = (
+        DoubleExtElement(z, LoopElement(tuple((n, ModeMatrix.from_rows(L, m)) for n, m in modes.items())), t)
+        for z, modes, t in (plain_a, plain_b)
+    )
     got, want = bracket(spec, a, b), reference_bracket(spec, L, plain_a, plain_b)
     assert (got.z.num, got.z.den) == (want.z.num, want.z.den)
     assert got.t.is_zero()
