@@ -58,9 +58,11 @@ from .cyclo import (
 )
 from .jsonio import cyc_to_json, int_from_json, mat_from_json, mat_to_json, str_from_json
 from .models import Span, StandardModel, standard_model
-from .rootdata import Functional, Root, RootSystem, inner
+from .rootdata import MAX_RANK, Functional, Root, RootSystem, inner
 
 FIELDS = ("R", "C", "H")
+#: the largest operator dimension a request may name: the largest model dimension at MAX_RANK
+MAX_DIM = 2 * MAX_RANK + 2
 
 
 class StandardizeError(ValueError):
@@ -189,6 +191,8 @@ class OperatorSpec:
             raise IOError(f"operator antiunitary: expected a boolean, got {antiunitary!r}")
         field = str_from_json(obj["field"], "operator field")
         dim = int_from_json(obj["dim"], "operator dim")
+        if dim > MAX_DIM:
+            raise IOError(f"operator dim {dim} is above MAX_DIM = {MAX_DIM}")
         matrix = mat_from_json(obj["matrix"])  # one conductor per request
         order = int_from_json(obj["order"], "operator order")
         return OperatorSpec(field, antiunitary, dim, matrix, order)

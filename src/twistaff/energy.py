@@ -4,21 +4,25 @@ The energy of a Weyl-orbit point is a quadratic polynomial in the translation
 part whose coefficients depend on the finite Weyl element w only through the
 image w.chi0_sharp of the character, so the infimum over the orbit reduces,
 for each distinct image, to a closest-vector problem in the translation
-lattice.  All seven kinds have classical lattices (integer, checkerboard,
-sum-zero, and half-scalings), so the closed form is an exact per-family CVP.
-An independent oracle computes the exact least orbit value over a bounded
-coefficient box and every distinct orbit image, in integers and without CVP.
-It evaluates only the box points that can still be the minimum: the vertices
-when the quadratic is concave or affine, and otherwise, per image, the points
-inside the bounding box of the ellipsoid below the least value found so far,
-skipping every image whose real minimum already lies above that value.
+lattice.  The images are enumerated directly, as the arrangements of the
+numerators of chi0_sharp under the signs the kind admits, each with the first
+finite Weyl element that produces it; the group itself is never scanned.  All
+seven kinds have classical lattices (integer, checkerboard, sum-zero, and
+half-scalings), so the closed form is an exact per-family CVP, run in
+integers over one denominator per request.  An independent oracle computes
+the exact least orbit value over a bounded coefficient box and every
+distinct orbit image, in integers and without CVP.  It evaluates only the
+box points that can still be the minimum: the vertices when the quadratic is
+concave or affine, and otherwise, per image, the points inside the bounding
+box of the ellipsoid below the least value found so far, skipping every
+image whose real minimum already lies above that value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import product, repeat
 from math import isqrt
 from operator import mul, sub
 
@@ -35,13 +39,12 @@ from .affine import (
     standard_spec,
 )
 from .jsonio import rational_from_json
-from .rootdata import CartanVector, Functional, common_rows, inner, int_vector, pairing
+from .rootdata import CartanVector, Functional, common_rows, inner, int_vector
 from .weyl import (
     AffWeylElement,
     FiniteWeylElement,
     Translation,
     act,
-    finite_weyl_group,
     translation_lattice,
 )
 
@@ -121,90 +124,122 @@ class EnergyReport:
 # -- closest vector problems for the seven translation lattices -----------------
 
 
-def _round_nearest(x: Fraction) -> int:
-    # nearest integer, ties toward minus infinity for determinism
-    floor = x.numerator // x.denominator
-    frac = x - floor
-    return floor + (1 if frac > Fraction(1, 2) else 0)
+def _cvp(shape: str, target: list[int], den: int) -> list[int]:
+    """A nearest point of Z^n ("Z"), D_n ("D") or the sum-zero A_(n-1) ("A") to target / den.
 
-
-def _cvp_integer(target: list[Fraction]) -> list[int]:
-    return [_round_nearest(t) for t in target]
-
-
-def _cvp_checkerboard(target: list[Fraction]) -> list[int]:
-    r = _cvp_integer(target)
-    if sum(r) % 2 == 0:
-        return r
-    best_i, best_cost = None, None
-    for i, (t, ri) in enumerate(zip(target, r)):
-        delta = ri - t
-        up = 1 + 2 * delta  # cost of r_i + 1
-        down = 1 - 2 * delta  # cost of r_i - 1
-        move = 1 if up <= down else -1
-        cost = min(up, down)
-        if best_cost is None or cost < best_cost:
-            best_i, best_cost, best_move = i, cost, move
-    r[best_i] += best_move
-    return r
-
-
-def _cvp_sum_zero(target: list[Fraction]) -> list[int]:
-    n = len(target)
-    mean = sum(target, Fraction(0)) / n
-    t = [x - mean for x in target]
-    r = [_round_nearest(x) for x in t]
-    delta = sum(r)
-    if delta:
-        residuals = sorted(range(n), key=lambda i: (r[i] - t[i], i))
-        if delta > 0:
-            # decrement where the rounding went up the most
-            for i in reversed(residuals[-delta:]):
-                r[i] -= 1
-        else:
-            for i in residuals[: -delta]:
-                r[i] += 1
+    The target is integer numerators over one den > 0, and every step runs in
+    integers (decoders after Conway & Sloane, 1982).  Each coordinate rounds
+    to the nearest integer, ties toward minus infinity.  D_n: when the sum is
+    odd, the coordinate with the largest rounding error (the first on ties)
+    moves one step toward its target.  A_(n-1): the target is first projected
+    to the sum-zero hyperplane; a nonzero sum then moves the coordinates that
+    rounded furthest in its direction (by error, then index) one step back.
+    """
+    if shape == "A":
+        n, total = len(target), sum(target)
+        target, den = [n * t - total for t in target], n * den
+    r = [(2 * t + den - 1) // (2 * den) for t in target]
+    excess = sum(r)
+    if shape == "D" and excess % 2:
+        err = [x * den - t for x, t in zip(r, target)]
+        i = max(range(len(r)), key=lambda i: abs(err[i]))
+        r[i] += 1 if err[i] <= 0 else -1
+    elif shape == "A" and excess:
+        order = sorted(range(len(r)), key=lambda i: (r[i] * den - target[i], i))
+        step = 1 if excess > 0 else -1
+        for i in order[-excess:] if excess > 0 else order[:-excess]:
+            r[i] -= step
     return r
 
 
 def lattice_cvp(kind: str, rank: int, target: CartanVector) -> CartanVector:
     """An exact nearest lattice vector to the target, deterministic under ties."""
     shape, scale = KINDS[kind].lattice
-    t = [target[j] / scale for j in range(1, rank + 1)]
-    if shape == "Z":
-        r = _cvp_integer(t)
-    elif shape == "D":
-        r = _cvp_checkerboard(t)
-    else:
-        r = _cvp_sum_zero(t)
-    return int_vector(r).scale(scale)
+    num = _padded(target.num, rank)
+    r = _cvp(shape, [x * scale.denominator for x in num], target.den * scale.numerator)
+    return int_vector([x * scale.numerator for x in r], scale.denominator)
 
 
-def _orbit_value(lam: Weight, chi: Character, u: CartanVector, y: CartanVector) -> Fraction:
-    """lam((y, w).chi - chi) in closed form, for the image u = w.chi0_sharp."""
-    return (
-        lam.lc * chi.chi_d * pairing(y, y) / 2
-        - lam.lc * pairing(u, y)
-        + pairing(lam.l0, u - chi.chi0_sharp)
-        - chi.chi_d * pairing(lam.l0, y)
-    )
+def _padded(num: tuple, rank: int) -> tuple:
+    """The numerators of coordinates 1..rank."""
+    return tuple(num[:rank]) + (0,) * (rank - len(num))
 
 
-def _distinct_images(
-    group, chi0_sharp: CartanVector
-) -> list[tuple[FiniteWeylElement, CartanVector]]:
-    """(w, w.chi0_sharp) for the first w of the group with each distinct image.
+# -- the orbit of the character --------------------------------------------------
 
-    The orbit value depends on the finite element only through its image, so
-    one representative per image covers the whole finite Weyl group.
+
+def _distinct_images(kind: str, rank: int, chi0_sharp: CartanVector) -> list[tuple[tuple, tuple, tuple]]:
+    """(perm, signs, u) for every distinct image u of chi0_sharp under the finite Weyl group.
+
+    u holds the image's numerators over chi0_sharp.den, one per coordinate
+    1..rank.  The images are the distinct arrangements of the numerators x of
+    chi0_sharp under the kind's sign rule (`sign_flips`): any signs, an even
+    number of flips, or none.  (perm, signs) is the first element of
+    `weyl.finite_weyl_group` that sends x to u (see `_first_element`), and
+    the list runs in the order of those elements: it is the group scan's list,
+    found without the group.  The orbit value depends on the finite element
+    only through its image, so one element per image covers the group.
     """
-    first = {}
-    for w in group:
-        first.setdefault(w.apply(chi0_sharp), w)
-    return [(w, u) for u, w in first.items()]
+    rule = KINDS[kind].sign_flips
+    x = _padded(chi0_sharp.num, rank)
+    # with no zero in x, an even number of flips keeps the parity of the negative entries
+    parity = sum(v < 0 for v in x) % 2 if rule == "even" and all(x) else None
+    images = []
+    for arranged in _arrangements(x if rule == "none" else [abs(v) for v in x]):
+        free = [p for p, v in enumerate(arranged) if v] if rule != "none" else []
+        for signs in product((1, -1), repeat=len(free)):
+            if parity is not None and signs.count(-1) % 2 != parity:
+                continue
+            u = list(arranged)
+            for p, s in zip(free, signs):
+                u[p] *= s
+            images.append((*_first_element(x, u, rule), tuple(u)))
+    # group order: permutations lexicographically, then signs in product((1, -1)) order
+    images.sort(key=lambda image: (image[0], [-s for s in image[1]]))
+    return images
 
 
-#: the finite Weyl group is enumerated in full; min_energy refuses higher ranks
+def _arrangements(values) -> list[tuple]:
+    """Every distinct ordering of the multiset of values, once each (next-permutation order)."""
+    a = sorted(values)
+    n = len(a)
+    out = [tuple(a)]
+    while True:
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+        out.append(tuple(a))
+
+
+def _first_element(x: tuple, u: list, rule: str) -> tuple[tuple, tuple]:
+    """(perm, signs) of the first finite Weyl element, in group order, that sends x to u.
+
+    Greedy: perm[j] is the least unused p with |u_p| = |x_j| (u_p = x_j when
+    no sign flips), and signs[j] = u_p / x_j, or +1 where x_j = 0.  Under the
+    even rule, when those flips are odd, the sign of the last j with x_j = 0
+    becomes -1 (u is in the orbit, so such a j exists).
+    """
+    size = (lambda v: v) if rule == "none" else abs
+    slots = {}
+    for p in range(len(u), 0, -1):
+        slots.setdefault(size(u[p - 1]), []).append(p)
+    perm = tuple(slots[size(v)].pop() for v in x)
+    signs = [1 if u[p - 1] == v else -1 for p, v in zip(perm, x)]
+    if rule == "even" and signs.count(-1) % 2:
+        signs[max(j for j, v in enumerate(x) if not v)] = -1
+    return perm, tuple(signs)
+
+
+#: the closed form enumerates the orbit of chi0_sharp, of up to 2^n n! images,
+#: and the oracle checks it over (2 bound + 1)^n box points; min_energy refuses
+#: higher ranks
 EXHAUSTIVE_RANK = 5
 
 
@@ -219,11 +254,12 @@ def min_energy(
 ) -> EnergyReport:
     """Infimum of lam over the unslanted Weyl orbit displacement of the character.
 
-    Closed form: per distinct image of the character under the finite Weyl
-    group the translation part is a positive definite quadratic, minimized
-    exactly by a lattice CVP; the oracle's exact minimum over a coefficient
-    box must agree.  The finite Weyl group is enumerated in full, so ranks
-    above exhaustive_rank raise ValueError.
+    Closed form: per distinct image u of chi0_sharp under the finite Weyl
+    group (`_distinct_images`, which enumerates the orbit, not the group) the
+    translation part is a positive definite quadratic, minimized exactly by
+    an integer lattice CVP; ties go to the first image.  The oracle's exact
+    minimum over a coefficient box must agree.  The orbit and the oracle box
+    grow with the rank, so ranks above exhaustive_rank raise ValueError.
     """
     if lam.lc == 0:
         raise ValueError("the central value of the weight must be nonzero")
@@ -234,7 +270,7 @@ def min_energy(
     if rank > exhaustive_rank:
         raise ValueError(
             f"rank {rank} is above exhaustive_rank = {exhaustive_rank}: "
-            "the exact minimum enumerates the finite Weyl group"
+            "the orbit images and the oracle box grow with the rank"
         )
     bounds = {"lattice": oracle_bound, "finite_search": "exhaustive"}
 
@@ -242,19 +278,12 @@ def min_energy(
     if coeff < 0:
         agree = _oracle_detects_divergence(spec, lam, chi, oracle_bound) if with_oracle else None
         return EnergyReport(False, None, None, agree, bounds)
-    images = _distinct_images(finite_weyl_group(kind, rank), chi.chi0_sharp)
+    images = _distinct_images(kind, rank, chi.chi0_sharp)
     if coeff == 0:
         return _linear_case(spec, lam, chi, images, bounds, with_oracle, oracle_bound)
 
-    best = None
-    for w, u in images:
-        grad = u.scale(lam.lc) + lam.l0.scale(chi.chi_d)
-        target = grad.scale(Fraction(1, 2) / coeff)
-        y = lattice_cvp(kind, rank, target)
-        val = _orbit_value(lam, chi, u, y)
-        if best is None or val < best[0]:
-            best = (val, AffWeylElement(Translation(y), w))
-    minimum, witness = best
+    minimum, perm, signs, y = _closed_form(kind, rank, lam, chi, images)
+    witness = AffWeylElement(Translation(y), FiniteWeylElement(perm, signs))
 
     # the witness reproduces the minimum through the actual action
     if lam(act(spec, witness, chi) - chi) != minimum:
@@ -267,19 +296,57 @@ def min_energy(
     return EnergyReport(True, minimum, witness, agreement, bounds)
 
 
-def _linear_case(spec, lam, chi, images, bounds, with_oracle, oracle_bound):
-    # chi_d = 0: the orbit value is affine in the translation part
-    basis = translation_lattice(spec)
+def _closed_form(kind, rank, lam, chi, images) -> tuple[Fraction, tuple, tuple, CartanVector]:
+    """(minimum, perm, signs, y) of the least orbit value over the images, for lc chi_d > 0.
+
+    With lc = p/q, chi_d = pd/qd, l0 = L/ld, chi0_sharp = X/xd and the
+    lattice scale sn/sd, the value at the image u = U/xd and y = (sn/sd) r is
+    lc chi_d |y|^2 / 2 - <lc u + chi_d l0, y> + <l0, u - chi0_sharp>.  Its
+    minimizer over r is the CVP of T/D, with the integers
+    T = sd (p qd ld U + pd q xd L) and D = p pd xd ld sn > 0 (p pd > 0), and
+    E = 2 q qd sd^2 xd ld > 0 times the value is
+    sn (D |r|^2 - 2 T.r) + 2 q qd sd^2 (L.U - L.X).  Every image shares D
+    and E, so the images compare in integers; the first least one wins, and
+    one Fraction is built.
+    """
+    shape, scale = KINDS[kind].lattice
+    sn, sd = scale.numerator, scale.denominator
+    p, q, pd, qd = lam.lc.numerator, lam.lc.denominator, chi.chi_d.numerator, chi.chi_d.denominator
+    L, ld, xd = _padded(lam.l0.num, rank), lam.l0.den, chi.chi0_sharp.den
+    a = sd * p * qd * ld
+    base = [sd * pd * q * xd * x for x in L]
+    den = p * pd * xd * ld * sn
+    c = 2 * q * qd * sd * sd
     best = None
-    for w, u in images:
-        grad = u.scale(lam.lc) + lam.l0.scale(chi.chi_d)
-        if any(pairing(grad, b) for b in basis):
+    for perm, signs, u in images:
+        t = [a * x + b for x, b in zip(u, base)]
+        r = _cvp(shape, t, den)
+        val = sn * (den * _dot(r, r) - 2 * _dot(t, r)) + c * _dot(L, u)
+        if best is None or val < best[0]:
+            best = (val, perm, signs, r)
+    val, perm, signs, r = best
+    minimum = Fraction(val - c * _dot(L, chi.chi0_sharp.num), c * xd * ld)
+    return minimum, perm, signs, int_vector([sn * x for x in r], sd)
+
+
+def _linear_case(spec, lam, chi, images, bounds, with_oracle, oracle_bound):
+    # chi_d = 0: the orbit value lc <u, y> + <l0, u - chi0_sharp> is affine in
+    # the translation part, and bounded below only if u is orthogonal to the lattice
+    rank = spec.base.rank
+    rows, _ = common_rows(translation_lattice(spec), rank)
+    L = _padded(lam.l0.num, rank)
+    best = None
+    for perm, signs, u in images:
+        if any(_dot(u, row) for row in rows):
             agree = _oracle_detects_divergence(spec, lam, chi, oracle_bound, images) if with_oracle else None
             return EnergyReport(False, None, None, agree, bounds)
-        val = _orbit_value(lam, chi, u, CartanVector())
+        val = _dot(L, u)
         if best is None or val < best[0]:
-            best = (val, AffWeylElement(Translation(CartanVector()), w))
-    minimum, witness = best
+            best = (val, perm, signs)
+    val, perm, signs = best
+    chi0 = chi.chi0_sharp
+    minimum = Fraction(val - _dot(L, chi0.num), lam.l0.den * chi0.den)
+    witness = AffWeylElement(Translation(CartanVector()), FiniteWeylElement(perm, signs))
     agreement = None
     if with_oracle:
         agreement = _oracle_minimum(spec, lam, chi, oracle_bound, 1, images) == minimum
@@ -293,15 +360,15 @@ def _oracle_minimum(spec, lam, chi, bound, jobs=1, images=None) -> Fraction:
     After one common integer scaling, twice the orbit value at the image
     u = w.chi0_sharp is F_u(m) = a m.G.m - beta_u.m + kappa_u, with G the
     Gram matrix of the integer lattice rows; only beta and kappa depend on u.
-    Pass the (w, u) pairs of `_distinct_images` as images when they are at
-    hand.  No CVP: a point is skipped only when its value provably cannot be
-    below one already evaluated (see `_least_value`), so the result is the
-    exact box minimum and checks the closed form.
+    Pass the (perm, signs, u) triples of `_distinct_images` as images when
+    they are at hand.  No CVP: a point is skipped only when its value
+    provably cannot be below one already evaluated (see `_least_value`), so
+    the result is the exact box minimum and checks the closed form.
     """
     rank = spec.base.rank
     rows, den = common_rows(translation_lattice(spec), rank)  # y = sum m_i rows_i / den
     if images is None:
-        images = _distinct_images(finite_weyl_group(spec.lars, rank), chi.chi0_sharp)
+        images = _distinct_images(spec.lars, rank, chi.chi0_sharp)
     # F_u = 2 * scale * orbit value: with y = rows.m / den, the terms lc chi_d |y|^2,
     # -2 <lc u + chi_d l0, y> and 2 <l0, u - chi0_sharp> scale to a m.G.m, -beta_u.m
     # and kappa_u in integers; every image shares the denominator of chi0_sharp
@@ -314,8 +381,8 @@ def _oracle_minimum(spec, lam, chi, bound, jobs=1, images=None) -> Fraction:
     beta_l0 = [grad_l0 * _dot(l0.num, r) for r in rows]
     kappa_chi0 = _dot(l0.num, chi0.num)
     tasks = [
-        ([grad_u * _dot(u.num, r) + b for r, b in zip(rows, beta_l0)], const * (_dot(l0.num, u.num) - kappa_chi0))
-        for _, u in images
+        ([grad_u * _dot(u, r) + b for r, b in zip(rows, beta_l0)], const * (_dot(l0.num, u) - kappa_chi0))
+        for *_, u in images
     ]
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -424,11 +491,16 @@ def _adjugate(gram) -> tuple[list, int]:
     return [row[k:] for row in work], prev
 
 
-def _oracle_detects_divergence(spec, lam, chi, bound, images=None) -> bool:
-    """For minus-infinity reports: the box minimum strictly decreases with the box."""
+def _oracle_detects_divergence(spec, lam, chi, bound, images=None) -> bool | None:
+    """For minus-infinity reports: the box minimum strictly decreases from box bound // 2 to box bound.
+
+    At bound 0 there is only one box, so the check cannot run: None.
+    """
+    if bound < 1:
+        return None
     if images is None:
-        images = _distinct_images(finite_weyl_group(spec.lars, spec.base.rank), chi.chi0_sharp)
-    small = _oracle_minimum(spec, lam, chi, max(1, bound // 2), 1, images)
+        images = _distinct_images(spec.lars, spec.base.rank, chi.chi0_sharp)
+    small = _oracle_minimum(spec, lam, chi, bound // 2, 1, images)
     large = _oracle_minimum(spec, lam, chi, bound, 1, images)
     return large < small
 

@@ -113,7 +113,13 @@ def reflection_element(a: Root, rank: int) -> FiniteWeylElement:
 
 
 def finite_weyl_group(kind: str, rank: int) -> tuple[FiniteWeylElement, ...]:
-    """All finite Weyl elements of the kind, deterministic order; built once per (kind, rank)."""
+    """All finite Weyl elements of the kind, deterministic order; built once per (kind, rank).
+
+    No `src/` path scans the group: `energy._distinct_images` enumerates the
+    orbit of the character and finds, per image, the first element of this
+    order.  The group stays as the tests' reference for that enumeration;
+    perfbench/tracer.py and perfbench/run.py also resolve it by name.
+    """
     return _finite_weyl_group(kind, rank)
 
 

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from twistaff.affine import standard_spec
-from twistaff.autnorm import OperatorSpec, StandardizeError
+from twistaff.autnorm import MAX_DIM, OperatorSpec, StandardizeError
 from twistaff.cli import main
 from twistaff.cyclo import MAX_CONDUCTOR, Cyc, ModeMatrix, conductor_degree
 from twistaff.jsonio import cyc_from_json, mat_to_json
@@ -324,6 +324,7 @@ def test_odd_quaternionic_dimension_is_refused_up_front(tmp_path, capsys):
         ("antiunitary", "false", "operator antiunitary: expected a boolean, got 'false'"),
         ("dim", "x", "operator dim: expected an integer, got 'x'"),
         ("dim", 3.9, "operator dim: expected an integer, got 3.9"),
+        ("dim", MAX_DIM + 1, f"operator dim {MAX_DIM + 1} is above MAX_DIM = {MAX_DIM}"),
         ("order", 2.5, "operator order: expected an integer, got 2.5"),
         ("order", True, "operator order: expected an integer, got True"),
         ("field", 5, "operator field: expected a string, got 5"),
@@ -333,8 +334,8 @@ def test_odd_quaternionic_dimension_is_refused_up_front(tmp_path, capsys):
         ("matrix", [[], [0]], "operator matrix: rows of unequal lengths [0, 1]"),
     ],
     ids=[
-        "antiunitary-string", "dim-string", "dim-float", "order-float", "order-bool", "field-int",
-        "matrix-int", "matrix-int-row", "matrix-null", "matrix-ragged",
+        "antiunitary-string", "dim-string", "dim-float", "dim-above-max", "order-float", "order-bool",
+        "field-int", "matrix-int", "matrix-int-row", "matrix-null", "matrix-ragged",
     ],
 )
 def test_wrongly_typed_operator_fields_are_parse_errors(opfile, capsys, field, value, message):

@@ -6,7 +6,7 @@ from operator import sub
 
 import pytest
 
-from twistaff.affine import LARS_KINDS, Weight, standard_spec
+from twistaff.affine import KINDS, LARS_KINDS, Weight, standard_spec
 from twistaff.autnorm import OperatorSpec, mode_class, standardize
 from twistaff.cyclo import ModeMatrix
 from twistaff.energy import (
@@ -20,10 +20,11 @@ from twistaff.energy import (
     slant_shift,
     theorem_b_pipeline,
 )
-from twistaff.rootdata import CartanVector, Functional, common_rows, pairing
+from twistaff.rootdata import CartanVector, Functional, common_rows, int_vector, pairing
 from twistaff.sampling import random_functional
 from twistaff.weyl import (
     AffWeylElement,
+    FiniteWeylElement,
     Translation,
     act,
     act_slanted,
@@ -32,6 +33,21 @@ from twistaff.weyl import (
 )
 
 BD_CHI = Character(0, CartanVector(()), 1)
+
+
+def _group_scan_images(group, chi0_sharp):
+    """(w, w.chi0_sharp) for the first w of the group with each distinct image:
+    the scan over the whole finite Weyl group that `_distinct_images` must
+    match, elements and order."""
+    first = {}
+    for w in group:
+        first.setdefault(w.apply(chi0_sharp), w)
+    return [(w, u) for u, w in first.items()]
+
+
+def _as_elements(images, den):
+    """`_distinct_images` triples as (FiniteWeylElement, CartanVector) pairs."""
+    return [(FiniteWeylElement(perm, signs), int_vector(u, den)) for perm, signs, u in images]
 
 
 def test_is_integral_examples():
@@ -151,7 +167,7 @@ def _vectorized_box_minimum(spec, lam, chi, bound) -> Q:
     rows, den = common_rows(basis, rank)  # y = sum m_i rows_i / den
     quad = lam.lc * chi.chi_d / (den * den)  # per unit of |den * y|^2
     tasks = []
-    for _, u in _distinct_images(finite_weyl_group(spec.lars, rank), chi.chi0_sharp):
+    for _, u in _as_elements(_distinct_images(spec.lars, rank, chi.chi0_sharp), chi.chi0_sharp.den):
         grad = u.scale(lam.lc) + lam.l0.scale(chi.chi_d)
         kappa = 2 * pairing(lam.l0, u - chi.chi0_sharp)
         tasks.append(([2 * pairing(grad, b) for b in basis], kappa))
@@ -224,7 +240,7 @@ def test_oracle_jobs_do_not_change_the_minimum():
     # chunk stops at its own, larger, ceiling
     lam = Weight(2, Functional({3: 1}), 0)
     chi = Character(0, CartanVector({1: Q(1, 3), 2: Q(-1, 5), 3: Q(2, 7)}), 1)
-    images = _distinct_images(finite_weyl_group("B1", 3), chi.chi0_sharp)
+    images = _distinct_images("B1", 3, chi.chi0_sharp)
     half = (len(images) + 1) // 2
     first = _oracle_minimum(spec, lam, chi, 3, images=images[:half])
     second = _oracle_minimum(spec, lam, chi, 3, images=images[half:])
@@ -262,6 +278,170 @@ def test_cvp_beats_box_enumeration():
                 for b in basis:
                     y = y + b.scale(rng.randint(-4, 4))
                 assert pairing(y - target, y - target) >= d_best
+
+
+def _orbit_test_vectors(rng, rank):
+    """Seeded chi0_sharp vectors: zeros, repeated magnitudes, both signs and denominators."""
+    fixed = [
+        CartanVector(()),
+        CartanVector({1: 1}),
+        CartanVector({j: (-1) ** j for j in range(1, rank + 1)}),  # one magnitude, no zero
+        CartanVector({j: Q(-1, 2) for j in range(1, rank + 1)}),
+        CartanVector({1: Q(1, 3), rank: Q(-1, 3)}),
+    ]
+    drawn = [
+        CartanVector({
+            j: rng.choice((1, -1)) * rng.choice((0, 0, 1, 1, 2, Q(1, 2), Q(2, 3)))
+            for j in range(1, rank + 1)
+        })
+        for _ in range(5)
+    ]
+    return fixed + drawn
+
+
+def test_orbit_enumeration_matches_the_group_scan():
+    rng = random.Random(71)
+    for kind in LARS_KINDS:
+        for rank in (2, 3, 4, 5):
+            group = finite_weyl_group(kind, rank)
+            for chi0 in _orbit_test_vectors(rng, rank):
+                got = _as_elements(_distinct_images(kind, rank, chi0), chi0.den)
+                assert got == _group_scan_images(group, chi0), (kind, rank, chi0)
+
+
+# -- the Fraction closed form, kept as the reference for the integer one --------
+
+
+def _round_nearest(x: Q) -> int:
+    # nearest integer, ties toward minus infinity for determinism
+    floor = x.numerator // x.denominator
+    return floor + (1 if x - floor > Q(1, 2) else 0)
+
+
+def _cvp_integer(target):
+    return [_round_nearest(t) for t in target]
+
+
+def _cvp_checkerboard(target):
+    r = _cvp_integer(target)
+    if sum(r) % 2 == 0:
+        return r
+    best_i, best_cost = None, None
+    for i, (t, ri) in enumerate(zip(target, r)):
+        delta = ri - t
+        up = 1 + 2 * delta  # cost of r_i + 1
+        down = 1 - 2 * delta  # cost of r_i - 1
+        move = 1 if up <= down else -1
+        cost = min(up, down)
+        if best_cost is None or cost < best_cost:
+            best_i, best_cost, best_move = i, cost, move
+    r[best_i] += best_move
+    return r
+
+
+def _cvp_sum_zero(target):
+    n = len(target)
+    mean = sum(target, Q(0)) / n
+    t = [x - mean for x in target]
+    r = [_round_nearest(x) for x in t]
+    delta = sum(r)
+    if delta:
+        residuals = sorted(range(n), key=lambda i: (r[i] - t[i], i))
+        if delta > 0:
+            # decrement where the rounding went up the most
+            for i in reversed(residuals[-delta:]):
+                r[i] -= 1
+        else:
+            for i in residuals[: -delta]:
+                r[i] += 1
+    return r
+
+
+def _lattice_cvp_reference(kind, rank, target):
+    shape, scale = KINDS[kind].lattice
+    t = [target[j] / scale for j in range(1, rank + 1)]
+    decode = {"Z": _cvp_integer, "D": _cvp_checkerboard, "A": _cvp_sum_zero}[shape]
+    return int_vector(decode(t)).scale(scale)
+
+
+def _orbit_value(lam, chi, u, y):
+    """lam((y, w).chi - chi) in closed form, for the image u = w.chi0_sharp."""
+    return (
+        lam.lc * chi.chi_d * pairing(y, y) / 2
+        - lam.lc * pairing(u, y)
+        + pairing(lam.l0, u - chi.chi0_sharp)
+        - chi.chi_d * pairing(lam.l0, y)
+    )
+
+
+def _closed_form_reference(spec, lam, chi):
+    """(minimum, witness) of the Fraction closed form over the group scan's
+    images, or None for minus infinity."""
+    kind, rank = spec.lars, spec.base.rank
+    coeff = lam.lc * chi.chi_d / 2
+    if coeff < 0:
+        return None
+    basis = translation_lattice(spec)
+    best = None
+    for w, u in _group_scan_images(finite_weyl_group(kind, rank), chi.chi0_sharp):
+        grad = u.scale(lam.lc) + lam.l0.scale(chi.chi_d)
+        if coeff == 0:
+            if any(pairing(grad, b) for b in basis):
+                return None
+            y = CartanVector()
+        else:
+            y = _lattice_cvp_reference(kind, rank, grad.scale(Q(1, 2) / coeff))
+        val = _orbit_value(lam, chi, u, y)
+        if best is None or val < best[0]:
+            best = (val, AffWeylElement(Translation(y), w))
+    return best
+
+
+#: (lc, chi_d): positive definite with integer and fractional values (both
+#: signs negative included), divergent (lc chi_d < 0) and linear (chi_d = 0)
+CLOSED_FORM_SIGNS = (
+    (1, 1), (2, 1), (Q(1, 2), Q(3, 2)), (Q(-2, 3), Q(-1, 2)), (Q(5, 3), 2),
+    (-1, 1), (1, Q(-1, 3)), (Q(3, 2), 0), (-2, 0),
+)
+
+
+def test_integer_closed_form_matches_the_fraction_reference():
+    rng = random.Random(73)
+    for kind in LARS_KINDS:  # CVP families Z (C1, B2, BC2), D (B1, D1, C2) and A (A1)
+        for rank in (2, 3, 4, 5):
+            spec = standard_spec(kind, rank)
+            for lc, chi_d in CLOSED_FORM_SIGNS:
+                for chi0 in rng.sample(_orbit_test_vectors(rng, rank), 2):
+                    l0 = random_functional(rng, rank, denoms=(1, 2, 3)).scale(rng.choice((1, 1, 3)))
+                    lam, chi = Weight(lc, l0, 0), Character(0, chi0, chi_d)
+                    rep = min_energy(spec, lam, chi, with_oracle=False)
+                    want = _closed_form_reference(spec, lam, chi)
+                    case = (kind, rank, lc, chi_d, chi0, l0)
+                    if want is None:
+                        assert not rep.positive_energy and rep.minimum is None and rep.witness is None, case
+                    else:
+                        assert rep.positive_energy and (rep.minimum, rep.witness) == want, case
+
+
+def test_lattice_cvp_matches_the_fraction_decoders():
+    # halves and quarters make rounding ties and parity and sum fix-ups common
+    rng = random.Random(79)
+    for kind in LARS_KINDS:
+        for rank in (2, 3, 4, 5):
+            for _ in range(40):
+                coords = {j: Q(rng.randint(-12, 12), rng.choice((1, 2, 3, 4))) for j in range(1, rank + 1)}
+                target = CartanVector(coords)
+                assert lattice_cvp(kind, rank, target) == _lattice_cvp_reference(kind, rank, target), (kind, target)
+
+
+def test_divergence_check_at_small_bounds():
+    # bound 1 compares the box {0} with box 1; bound 0 has one box, so no check runs
+    spec = standard_spec("C1", 3)
+    lam = Weight(-1, Functional({1: 1}), 0)
+    agreement = {b: min_energy(spec, lam, BD_CHI, oracle_bound=b).method_agreement for b in (0, 1, 2)}
+    assert agreement == {0: None, 1: True, 2: True}
+    rep = min_energy(spec, lam, BD_CHI, oracle_bound=0)
+    assert not rep.positive_energy and rep.to_json()["method_agreement"] is None
 
 
 def test_minimum_independent_of_chi_c_and_lambda_d():
