@@ -310,10 +310,26 @@ def lars_contains(kind: str, r: AffineRoot, base: RootSystem) -> bool:
     return r.mode % step == res % step
 
 
+#: the most (root, mode) pairs a listing may span: finite parts times the 2 window + 1 modes
+MAX_ROOT_MODES = 100_000
+
+
+def check_root_window(parts, window: int) -> None:
+    """Refuse a window whose (root, mode) pairs over the finite parts exceed MAX_ROOT_MODES."""
+    pairs = len(parts) * (2 * window + 1)
+    if pairs > MAX_ROOT_MODES:
+        raise IOError(
+            f"window {window} spans {pairs} (root, mode) pairs over {len(parts)} finite parts, "
+            f"above MAX_ROOT_MODES = {MAX_ROOT_MODES}"
+        )
+
+
 def enumerate_affine_roots(kind: str, base: RootSystem, window: int) -> list[AffineRoot]:
-    """Compact affine roots with |mode| <= window, deterministic order."""
+    """Compact affine roots with |mode| <= window, deterministic order; see check_root_window."""
+    parts = lars_finite_parts(kind, base)
+    check_root_window(parts, window)
     out = []
-    for a in lars_finite_parts(kind, base):
+    for a in parts:
         res, step = admissible_mode_step(kind, a)
         for n in range(-window, window + 1):
             if n % step == res % step:
@@ -321,7 +337,7 @@ def enumerate_affine_roots(kind: str, base: RootSystem, window: int) -> list[Aff
     return out
 
 
-# -- evaluation, coroots, reparametrization -----------------------------------
+# -- evaluation and coroots --------------------------------------------------
 
 
 def root_weight(spec: AffinisationSpec, r: AffineRoot) -> Weight:
@@ -333,13 +349,6 @@ def root_weight(spec: AffinisationSpec, r: AffineRoot) -> Weight:
     return Weight(0, f, shift + inner(spec.slant, f))
 
 
-def eval_root(spec: AffinisationSpec, r: AffineRoot, v: ExtCartanVector) -> Fraction:
-    """alpha(H) + T*(n/N + slant(alpha sharp)), exactly."""
-    if len(v.h.num) > spec.base.rank:
-        raise ValueError("vector support exceeds the base rank")
-    return root_weight(spec, r)(v)
-
-
 def affine_coroot(spec: AffinisationSpec, r: AffineRoot) -> ExtCartanVector:
     """The coroot of a compact affine root, in the i-picture."""
     if not r.is_compact():
@@ -348,17 +357,3 @@ def affine_coroot(spec: AffinisationSpec, r: AffineRoot) -> ExtCartanVector:
     norm = inner(f, f)
     zc = -2 * (Fraction(r.mode, spec.twist_order) + inner(spec.slant, f)) / norm
     return ExtCartanVector(zc, coroot(r.root), 0)
-
-
-def reparam_weight(w: Weight, n: int) -> Weight:
-    """Weight after switching from the long-period to the 1/N-period convention."""
-    if n < 1:
-        raise ValueError("period divisor must be positive")
-    return Weight(w.lc / n, w.l0, w.ld * n)
-
-
-def reparam_vector(v: ExtCartanVector, n: int) -> ExtCartanVector:
-    """Cartan vector under the same convention switch; pairing with weights is preserved."""
-    if n < 1:
-        raise ValueError("period divisor must be positive")
-    return ExtCartanVector(v.z * n, v.h, v.t / n)

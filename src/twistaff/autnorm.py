@@ -278,17 +278,6 @@ def _root_of_unity_log(c: Cyc) -> int:
     raise StandardizeError("scalar is not a root of unity in the working field")
 
 
-def finite_order_lift(spec: OperatorSpec) -> OperatorSpec:
-    """Replace the operator by one of exact finite order inducing the same automorphism.
-
-    Over C (unitary) the operator is rephased so its order equals the declared
-    automorphism order; over R, H and in the antiunitary case the scalar
-    obstruction is +-1 and the operator already has order dividing twice the
-    declared order.
-    """
-    return _lift_with_orders(spec)[0]
-
-
 def _lift_with_orders(spec: OperatorSpec) -> tuple[OperatorSpec, int, int]:
     """The finite-order lift, the automorphism order n and the lift's operator order m."""
     validate_operator(spec)
@@ -365,13 +354,6 @@ def eigenprojectors(a: ModeMatrix, m: int) -> list[tuple[int, ModeMatrix]]:
         raise StandardizeError("matrix does not have the stated finite order")
     projs = ((k, _spectral_part(powers, k)) for k in range(m))
     return [(k, p) for k, p in projs if p]
-
-
-def eigensplit(spec: OperatorSpec) -> list[tuple[int, ModeMatrix]]:
-    """Spectral projectors of a unitary finite-order operator spec."""
-    if spec.antiunitary:
-        raise StandardizeError("eigensplit applies to linear operators; see the normal form")
-    return eigenprojectors(spec.matrix, matrix_order(spec.matrix))
 
 
 # an odd prime p adjoins sqrt(p) only through 4p | L <= MAX_CONDUCTOR

@@ -19,6 +19,7 @@ from .affine import (
     AffineRoot,
     AffinisationSpec,
     Weight,
+    check_root_window,
     enumerate_affine_roots,
     ext_cartan_basis,
     lars_contains,
@@ -127,8 +128,10 @@ def cmd_map_roots(args):
     cert = standardize(spec)
     n_phi = cert.orders[0]
     window = args.window if args.window else 4 * n_phi
+    parts = lars_finite_parts(cert.lars, cert.base)
+    check_root_window(parts, window)
     table = []
-    for a in lars_finite_parts(cert.lars, cert.base):
+    for a in parts:
         residues = mode_class(cert, a)
         for n in range(-window, window + 1):
             if n % n_phi not in residues:

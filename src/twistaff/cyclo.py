@@ -16,8 +16,8 @@ other than num itself and N = num * P is its rational norm.
 All matrix arithmetic is on one type, ``ModeMatrix``: one denominator in
 lowest terms and, per row, the integer coefficients of each nonzero entry by
 column, so ``==`` compares structure.  Rows of ``Cyc`` (``Matrix``, a tuple
-of row tuples) are only what the elimination kernel reads and writes, and the
-operands of ``mat_mul``, which converts both for callers that hold rows.
+of row tuples) are only the operands and results of ``mat_inverse`` and
+``mat_mul``, which converts both for callers that hold rows.
 The one product kernel, ``mat_product_sum``, sums s * A B over signed
 products by Kronecker substitution.  With W = 2 phi(L) - 1 and slots of B
 bits, row j of B packs into one int (coefficient p of entry k at slot
@@ -30,12 +30,11 @@ coefficient bit length); B, a multiple of 8, exceeds the bit length of T,
 so every slot lies in [-2^(B-1), 2^(B-1)), and after adding 2^(B-1) to
 each slot the row's base-2^B digits are the slots plus 2^(B-1).  That is
 one signed unpack per output row, then one reduction modulo Phi_L per
-nonzero entry.  An operand keeps its packed form per B.  All exact linear
-algebra goes through one Gauss-Jordan kernel, ``row_reduce``; ``solve``,
-``in_span``, ``nullspace``, ``det`` and ``mat_inverse`` are thin readings of
-its result.  ``cyc_sqrt`` builds the square root of a rational from the
-primes of the conductor and cached Gauss sums; only square roots of
-non-rational elements reach sympy.
+nonzero entry.  An operand keeps its packed form per B.  The one
+elimination is the Gauss-Jordan kernel ``row_reduce`` behind ``mat_inverse``;
+no model basis needs it (see ``models``).  ``cyc_sqrt`` builds the square
+root of a rational from the primes of the conductor and cached Gauss sums;
+only square roots of non-rational elements reach sympy.
 """
 
 from __future__ import annotations
@@ -471,7 +470,7 @@ def working_conductor(*orders: int, sqrt2: bool = False) -> int:
 
 # -- matrices over a cyclotomic field ---------------------------------------
 
-Matrix = tuple  # tuple of row tuples of Cyc: the rows of the elimination kernel and of mat_mul
+Matrix = tuple  # tuple of row tuples of Cyc: the rows of mat_inverse and mat_mul
 
 
 class ModeMatrix:
@@ -734,7 +733,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def row_reduce(rows, ncols: int | None = None):
-    """Gauss-Jordan elimination over the cyclotomic field: the one exact kernel.
+    """Gauss-Jordan elimination over the cyclotomic field: the kernel of ``mat_inverse``.
 
     Brings the first ``ncols`` columns (all by default) of a copy of ``rows``
     to reduced row echelon form and carries the remaining columns along.
@@ -773,47 +772,6 @@ def row_reduce(rows, ncols: int | None = None):
         if len(pivots) == n:
             break
     return work, pivots, det
-
-
-def solve(vectors, target):
-    """Coefficients x with sum_i x[i] * vectors[i] == target, or None outside their span."""
-    k = len(vectors)
-    rows = [[v[j] for v in vectors] + [t] for j, t in enumerate(target)]
-    red, pivots, _ = row_reduce(rows, k)
-    if any(row[k] for row in red[len(pivots):]):
-        return None
-    x = [Cyc.zero(target[0].L)] * k
-    for row, col in zip(red, pivots):
-        x[col] = row[k]
-    return x
-
-
-def in_span(vectors, v) -> bool:
-    """Exact linear-span membership of the vector v."""
-    return solve(vectors, v) is not None
-
-
-def nullspace(a: Matrix) -> list[tuple]:
-    """A basis of the solutions x of a x = 0, one vector per non-pivot column."""
-    ncols = len(a[0])
-    L = a[0][0].L
-    red, pivots, _ = row_reduce(a)
-    out = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        x = [Cyc.zero(L)] * ncols
-        x[free] = Cyc.one(L)
-        for row, col in zip(red, pivots):
-            x[col] = -row[free]
-        out.append(tuple(x))
-    return out
-
-
-def det(a: Matrix) -> Cyc:
-    """Determinant of a square matrix."""
-    _, pivots, d = row_reduce(a)
-    return d if len(pivots) == len(a) else Cyc.zero(a[0][0].L)
 
 
 def mat_inverse(a: Matrix) -> Matrix:

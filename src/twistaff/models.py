@@ -11,21 +11,24 @@ weight tuple and the pairing are computed once per (kind, rank), each
 weight-space basis once per conductor and root, the Cartan and zero-weight
 bases once per conductor; each basis is a ``Span`` that keeps its psi~
 eigen-split.  The trace form is scaled so that the E_j are orthonormal.
-Every matrix is a ``cyclo.ModeMatrix``; the weight-space bases are the
-independent projections of matrix units, picked by ``span_basis`` through
-the ``cyclo`` span test.
+Every matrix is a ``cyclo.ModeMatrix``.
+
+No basis needs elimination.  tau and psi~ are signed permutations of the
+matrix entries (``ModeMatrix.permuted``), so the projection of a matrix unit
+is zero or +- the projection of the first unit of its orbit, and projections
+from different orbits have disjoint supports.  ``span_basis`` keeps one
+projection per orbit and ``Span.split`` reads psi~ on the basis as a signed
+permutation; each refuses input that is not of this form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from itertools import chain
-from operator import add
+from functools import cached_property, lru_cache
 
 from .affine import KINDS, LarsKind
-from .cyclo import Cyc, ModeMatrix, in_span, nullspace, row_reduce
+from .cyclo import Cyc, ModeMatrix
 from .rootdata import Root, RootSystem
 
 
@@ -220,12 +223,15 @@ class StandardModel:
 class Span(tuple):
     """A basis, as a tuple of ModeMatrix, of a psi~-stable span of one weight in a model algebra.
 
+    The basis matrices have disjoint supports, and psi~ maps each one to +- a
+    basis matrix: psi~(b_k) = s_k b_pi(k).  ``support`` maps each position
+    (i, j) where some basis matrix is nonzero to the index of that matrix.
     ``split`` is the pair (plus, minus) of psi~'s +1 and -1 eigenvectors on the
-    span: with P the matrix of psi~ in basis coordinates, one combination of the
-    basis per vector of ``nullspace(P - 1)`` and of ``nullspace(P + 1)``.
-    ``support`` is the set of positions (i, j) where some basis matrix is
-    nonzero.  Both are computed on first use and kept with the basis, which the
-    model caches.
+    span.  For sigma = +1, then -1, and k ascending, it takes b_k when
+    pi(k) = k and s_k = sigma, and sigma s_k b_pi(k) + b_k when pi(k) < k:
+    with P the matrix of psi~ in basis coordinates, the basis of ker(P - sigma)
+    that Gauss-Jordan elimination reads off the free columns.  Both are
+    computed on first use and kept with the basis, which the model caches.
     """
 
     def __new__(cls, model: StandardModel, matrices):
@@ -234,44 +240,56 @@ class Span(tuple):
         return span
 
     @cached_property
-    def support(self) -> frozenset:
-        return frozenset((i, j) for b in self for i, row in enumerate(b.rows) for j in row)
+    def support(self) -> dict:
+        return {p: k for k, b in enumerate(self) for p in _positions(b)}
 
     @cached_property
     def split(self) -> tuple[tuple[ModeMatrix, ...], tuple[ModeMatrix, ...]]:
-        n = len(self)
-        flat = [_flat(b) for b in self]
-        images = [_flat(self.model.psi_tilde(b)) for b in self]
-        # one elimination of the basis with every image appended: P[i][j] is
-        # coordinate i of psi~(basis[j]); psi~ keeps the span, so nothing is left over
-        red, pivots, _ = row_reduce([[*f, *g] for f, g in zip(zip(*flat), zip(*images))], n)
-        if pivots != list(range(n)) or any(any(row[n:]) for row in red[n:]):
-            raise ValueError("psi~ does not preserve the span of the basis")
-        p = [row[n:] for row in red[:n]]
+        signed = []  # (pi(k), s_k) per basis index k
+        for b in self:
+            image = self.model.psi_tilde(b)
+            k = self.support.get(_positions(image)[0])
+            s = 0 if k is None else 1 if image == self[k] else -1 if image == -self[k] else 0
+            if not s:
+                raise ValueError("psi~ does not preserve the span of the basis as signed copies of its members")
+            signed.append((k, s))
         pieces = []
-        for sign in (1, -1):
-            shifted = [[x - sign if i == j else x for j, x in enumerate(row)] for i, row in enumerate(p)]
-            pieces.append(tuple(
-                reduce(add, (b if cf == 1 else b.scale(cf) for cf, b in zip(x, self) if cf))
-                for x in nullspace(shifted)
-            ))
+        for sigma in (1, -1):
+            vectors = []
+            for k, (p, s) in enumerate(signed):
+                if p == k and s == sigma:
+                    vectors.append(self[k])
+                elif p < k:
+                    vectors.append((self[p] if sigma * s == 1 else -self[p]) + self[k])
+            pieces.append(tuple(vectors))
         return pieces[0], pieces[1]
 
 
-def _flat(x: ModeMatrix) -> tuple:
-    """The entries of x, row by row, as one vector of Cyc for the elimination kernel."""
-    return tuple(chain.from_iterable(x.to_rows()))
+def _positions(x: ModeMatrix) -> list[tuple[int, int]]:
+    """The positions (i, j) of the nonzero entries of x, row by row."""
+    return [(i, j) for i, row in enumerate(x.rows) for j in row]
 
 
 def span_basis(matrices) -> list[ModeMatrix]:
-    """A basis of the span of the matrices: each one nonzero and outside the earlier ones' span."""
+    """A basis of the span of projections of matrix units under a signed-permutation group.
+
+    A nonzero matrix whose support meets no kept matrix's support is kept.  One
+    that meets a kept matrix's support must be +- that matrix and adds nothing;
+    anything else is not such a projection and raises ValueError, so the basis
+    is never a guess.
+    """
     basis: list[ModeMatrix] = []
-    flat: list[tuple] = []
+    owner: dict[tuple[int, int], int] = {}
     for v in matrices:
-        f = _flat(v)
-        if v and not in_span(flat, f):
+        if not v:
+            continue
+        positions = _positions(v)
+        k = owner.get(positions[0])
+        if k is None and not any(p in owner for p in positions):
+            owner.update(dict.fromkeys(positions, len(basis)))
             basis.append(v)
-            flat.append(f)
+        elif k is None or v not in (basis[k], -basis[k]):
+            raise ValueError("the matrices are not signed copies of each other on disjoint supports")
     return basis
 
 

@@ -85,18 +85,6 @@ class Root:
     def _functional(self) -> "Functional":
         return Functional(self.coeffs)
 
-    def belongs_to(self, system: RootSystem) -> bool:
-        if any(j > system.rank for j, _ in self.coeffs):
-            return False
-        pat = tuple(abs(c) for _, c in self.coeffs)
-        if system.kind == "A":
-            return pat == (1, 1) and self.coeffs[0][1] + self.coeffs[1][1] == 0
-        if system.kind == "B":
-            return pat in ((1,), (1, 1))
-        if system.kind == "C":
-            return pat in ((2,), (1, 1))
-        return pat == (1, 1)
-
     def to_json(self):
         return {"coeffs": {str(j): c for j, c in self.coeffs}}
 
@@ -133,9 +121,6 @@ class CartanVector:
     def coords(self) -> tuple:
         """The nonzero coordinates as sorted (index, Fraction) pairs."""
         return tuple((j, Fraction(x, self.den)) for j, x in enumerate(self.num, 1) if x)
-
-    def as_dict(self) -> dict:
-        return dict(self.coords)
 
     def __getitem__(self, j: int) -> Fraction:
         return Fraction(self.num[j - 1], self.den) if 0 < j <= len(self.num) else Fraction(0)

@@ -23,7 +23,6 @@ from .affine import (
     Weight,
     admissible_mode_step,
     affine_coroot,
-    ext_cartan_basis,
     lars_finite_parts,
     root_weight,
     slant_shift,
@@ -231,35 +230,6 @@ def reflect_affine(spec: AffinisationSpec, r: AffineRoot, v: ExtCartanVector) ->
     return AffineReflection(spec, r)(v)
 
 
-def reflection_aff_element(spec: AffinisationSpec, r: AffineRoot) -> AffWeylElement:
-    """Normal form of r_(a,n): translation by (n/N) a-check, then r_a."""
-    if not r.is_compact():
-        raise ValueError("cannot reflect in a non-compact root")
-    y = coroot(r.root).scale(Fraction(r.mode, spec.twist_order))
-    return AffWeylElement(Translation(y), reflection_element(r.root, spec.base.rank))
-
-
-def word_reduce(spec: AffinisationSpec, word: list[AffineRoot]) -> AffWeylElement:
-    """Normal form of a product of affine reflections, written left to right.
-
-    The word multiplies like the written product: the last letter acts first.
-    The result is verified against the step-by-step slanted reflections on a
-    basis of the extended Cartan model.
-    """
-    out = AffWeylElement.identity(spec.base.rank)
-    for letter in word:
-        out = out * reflection_aff_element(spec, letter)
-
-    reflections = [AffineReflection(spec, letter) for letter in reversed(word)]
-    for v in ext_cartan_basis(spec.base.rank):
-        direct = v
-        for reflect in reflections:
-            direct = reflect(direct)
-        if act_slanted(spec, spec.slant, out, v) != direct:
-            raise AssertionError("word reduction does not match the composed reflections")
-    return out
-
-
 def f_word(spec: AffinisationSpec, nu: Functional, letters: list[Root], v: ExtCartanVector) -> CartanVector:
     """Finite-part displacement of a word of mode-0 reflections applied first-to-last.
 
@@ -312,20 +282,6 @@ def _lattice_reduce(gens: list[CartanVector], rank: int) -> tuple[CartanVector, 
         if pool:
             basis.append(pool[0] if pool[0][col] > 0 else [-x for x in pool[0]])
     return tuple(int_vector(row, den) for row in basis)
-
-
-def lattice_contains(basis: list[CartanVector], y: CartanVector, rank: int) -> bool:
-    """Membership of y in the lattice spanned by an upper-triangular-style basis."""
-    rem = y
-    for b in basis:
-        lead = next((j for j in range(1, rank + 1) if b[j]), None)
-        if lead is None:
-            continue
-        c = rem[lead] / b[lead]
-        if c.denominator != 1:
-            return False
-        rem = rem - b.scale(c)
-    return rem.is_zero()
 
 
 def unslanted_action_check(

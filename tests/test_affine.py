@@ -11,11 +11,9 @@ from twistaff.affine import (
     admissible_mode_step,
     affine_coroot,
     enumerate_affine_roots,
-    eval_root,
     lars_contains,
     lars_finite_parts,
-    reparam_vector,
-    reparam_weight,
+    root_weight,
     standard_spec,
 )
 from twistaff.rootdata import CartanVector, Functional, Root, RootSystem
@@ -60,12 +58,12 @@ def test_x1_kinds_contain_all_modes():
 def test_eval_examples():
     spec = standard_spec("A1", 3)
     v = ExtCartanVector(5, E1, 2)
-    assert eval_root(spec, AffineRoot(e12, 3), v) == 7
-    assert eval_root(spec, AffineRoot(e12, 3), ExtCartanVector(9, CartanVector(()), 0)) == 0
+    assert root_weight(spec, AffineRoot(e12, 3))(v) == 7
+    assert root_weight(spec, AffineRoot(e12, 3))(ExtCartanVector(9, CartanVector(()), 0)) == 0
     spec2 = AffinisationSpec(
         RootSystem("A", 3), "A1", 2, slant_mu=Functional({2: Q(-1, 2)})
     )
-    assert eval_root(spec2, AffineRoot(e12, 1), ExtCartanVector(0, CartanVector(()), 2)) == 2
+    assert root_weight(spec2, AffineRoot(e12, 1))(ExtCartanVector(0, CartanVector(()), 2)) == 2
 
 
 def test_coroot_examples():
@@ -91,27 +89,7 @@ def test_coroot_evaluates_to_two_exhaustively():
     for kind in LARS_KINDS:
         spec = standard_spec(kind, 4, mu=mu)
         for r in enumerate_affine_roots(kind, spec.base, 8):
-            assert eval_root(spec, r, affine_coroot(spec, r)) == 2
-
-
-def test_reparam_examples():
-    w = Weight(2, Functional({1: 1}), 3)
-    assert reparam_weight(w, 2) == Weight(1, Functional({1: 1}), 6)
-    assert reparam_weight(Weight(0, Functional(()), 1), 3) == Weight(0, Functional(()), 3)
-    assert reparam_weight(w, 1) == w
-    assert reparam_vector(ExtCartanVector(1, CartanVector(()), 0), 2) == ExtCartanVector(
-        2, CartanVector(()), 0
-    )
-    v = ExtCartanVector(0, E1, 4)
-    assert reparam_vector(v, 4) == ExtCartanVector(0, E1, 1)
-    assert reparam_vector(v, 1) == v
-
-
-def test_reparam_preserves_pairing():
-    w = Weight(Q(3, 2), Functional({1: 2, 2: Q(-1, 3)}), Q(5, 7))
-    v = ExtCartanVector(Q(1, 3), CartanVector({1: 1, 2: 4}), Q(9, 2))
-    for n in range(1, 7):
-        assert w(v) == reparam_weight(w, n)(reparam_vector(v, n))
+            assert root_weight(spec, r)(affine_coroot(spec, r)) == 2
 
 
 def test_affine_root_invariants():

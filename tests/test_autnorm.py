@@ -7,12 +7,12 @@ import pytest
 from twistaff.autnorm import (
     OperatorSpec,
     StandardizeError,
+    _lift_with_orders,
     antiunitary_normal_form,
     automorphism_order,
     cartan_mode_vectors,
     eigenprojectors,
-    eigensplit,
-    finite_order_lift,
+    matrix_order,
     mode_class,
     mode_class_vectors,
     operator_order,
@@ -23,12 +23,19 @@ from twistaff.cyclo import Cyc, ModeMatrix
 from twistaff.rootdata import Functional, Root
 from twistaff.sampling import random_operator
 
+import elimination
+
 rows = ModeMatrix.from_rows
 identity = ModeMatrix.identity
 
 
 def diag(L, *entries):
     return ModeMatrix.diagonal(L, entries)
+
+
+def finite_order_lift(spec):
+    """The operator of exact finite order that the standardization lifts spec to."""
+    return _lift_with_orders(spec)[0]
 
 
 def test_finite_order_lift_rephases_projective_input():
@@ -82,8 +89,7 @@ def test_eigensplit_examples_and_invariants():
                 assert not p @ p2
         total = total + p
     assert total == identity(L, 3)
-    spec = OperatorSpec("C", False, 3, p3, 3)
-    assert len(eigensplit(spec)) == 3
+    assert len(eigenprojectors(p3, matrix_order(p3))) == 3
 
 
 def test_antiunitary_normal_form_plain_conjugation():
@@ -266,13 +272,6 @@ def test_block_form_linear_part_reconstructs_operator():
     v = rows(form.conductor, form.basis_change)
     lifted = spec.matrix.lift(form.conductor)
     assert lifted @ v.conj() == v @ form.block_matrix()
-
-
-def test_eigensplit_rejects_antiunitary():
-    L = 8
-    spec = OperatorSpec("C", True, 2, identity(L, 2), 2)
-    with pytest.raises(StandardizeError):
-        eigensplit(spec)
 
 
 def _family_certificates():
@@ -549,7 +548,8 @@ def test_cartan_pieces_are_an_eigenbasis_of_the_cartan(seed, dim, hint):
     cartan = span_basis(model.algebra_project(model.basis_matrix(L, i, i)) for i in range(model.dim))
     pieces = [v for _, v in cartan_mode_vectors(cert)]
     assert len(pieces) == len(cartan)
-    assert len(span_basis(pieces)) == len(pieces)
+    # the pieces mix the orbits of the projected units, so independence is read by elimination
+    assert len(elimination.span_basis(pieces)) == len(pieces)
 
 
 @pytest.mark.parametrize(

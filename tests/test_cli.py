@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from twistaff.affine import standard_spec
+from twistaff.affine import MAX_ROOT_MODES, standard_spec
 from twistaff.autnorm import MAX_DIM, OperatorSpec, StandardizeError
 from twistaff.cli import main
 from twistaff.cyclo import MAX_CONDUCTOR, Cyc, ModeMatrix, conductor_degree
@@ -435,24 +435,46 @@ def test_main_builds_the_parser_at_most_once(monkeypatch, opfile, tmp_path):
     assert len(built) <= 1
 
 
+def _above_root_modes(window, parts):
+    pairs = parts * (2 * window + 1)
+    return f"window {window} spans {pairs} (root, mode) pairs over {parts} finite parts, above MAX_ROOT_MODES = {MAX_ROOT_MODES}"
+
+
 @pytest.mark.parametrize(
-    "command, flag, value, low",
+    "command, flag, value, message",
     [
-        ("min-energy", "--bound", -1, 0),
-        ("theorem-b", "--bound", -1, 0),
-        ("bracket-check", "--count", -2, 0),
-        ("check-isom", "--count", -1, 0),
-        ("roots", "--window", -3, 0),
-        ("map-roots", "--window", -1, 0),
-        ("min-energy", "--jobs", 0, 1),
-        ("min-energy", "--jobs", -2, 1),
+        ("min-energy", "--bound", -1, "argument --bound: must be at least 0, got -1"),
+        ("theorem-b", "--bound", -1, "argument --bound: must be at least 0, got -1"),
+        ("bracket-check", "--count", -2, "argument --count: must be at least 0, got -2"),
+        ("check-isom", "--count", -1, "argument --count: must be at least 0, got -1"),
+        ("roots", "--window", -3, "argument --window: must be at least 0, got -3"),
+        ("map-roots", "--window", -1, "argument --window: must be at least 0, got -1"),
+        ("min-energy", "--jobs", 0, "argument --jobs: must be at least 1, got 0"),
+        ("min-energy", "--jobs", -2, "argument --jobs: must be at least 1, got -2"),
+        # B1 at rank 4 has 32 finite parts, the map-roots operator's A1 at rank 3 six
+        ("roots", "--window", 10_000, _above_root_modes(10_000, 32)),
+        ("map-roots", "--window", 1_000_000, _above_root_modes(1_000_000, 6)),
+    ],
+    ids=[
+        "min-energy---bound--1-0", "theorem-b---bound--1-0", "bracket-check---count--2-0",
+        "check-isom---count--1-0", "roots---window--3-0", "map-roots---window--1-0",
+        "min-energy---jobs-0-1", "min-energy---jobs--2-1", "roots---window-above-max", "map-roots---window-above-max",
     ],
 )
-def test_out_of_range_flag_values_are_usage_errors(command, flag, value, low, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run([command, "--input", "req.json", flag, value])
-    assert exc.value.code == 2
-    assert f"argument {flag}: must be at least {low}, got {value}" in capsys.readouterr().err
+def test_out_of_range_flag_values_are_usage_errors(command, flag, value, message, opfile, tmp_path, capsys, time_limit):
+    # argparse refuses a negative value before reading the input; a window is
+    # refused once the finite parts are known, before any (root, mode) pair is listed
+    inputs = {"roots": standard_spec("B1", 4).to_json(), "map-roots": {"operator": json.loads(opfile.read_text())}}
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(inputs.get(command, {})))
+    with time_limit(5):
+        try:
+            code = run([command, "--input", path, flag, value])
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_zero_flag_values_stay_valid(tmp_path):

@@ -14,16 +14,14 @@ from twistaff.cyclo import (
     conductor_degree,
     cyc_sqrt,
     cyclotomic_polynomial,
-    det,
     ModeMatrix,
-    in_span,
     mat_inverse,
     mat_mul,
-    nullspace,
     row_reduce,
-    solve,
     working_conductor,
 )
+
+from elimination import det, in_span, nullspace, solve
 
 
 def test_cyclotomic_polynomials():

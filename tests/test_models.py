@@ -1,8 +1,13 @@
 import random
 
+import pytest
+
 from twistaff.affine import LARS_KINDS, admissible_mode_step, lars_finite_parts
 from twistaff.cyclo import Cyc, ModeMatrix, mat_inverse
-from twistaff.models import span_basis, standard_model
+from twistaff.models import Span, span_basis, standard_model
+from twistaff.rootdata import Root
+
+import elimination
 
 L = 4
 
@@ -134,3 +139,60 @@ def test_involutions_match_their_matrix_definitions():
                     signs = [-1 if a in flips else 1 for a in range(d)]
                     assert f == ModeMatrix.diagonal(L, signs)
                     assert m.psi_tilde(x) == f @ x @ f, rank
+
+
+def layout(matrices):
+    """Each matrix's denominator and rows as (column, coefficients) lists: == plus the key order of every row."""
+    return [(m.den, [list(row.items()) for row in m.rows]) for m in matrices]
+
+
+def model_unit_lists(model, L):
+    """(span, the projected units it was built from) for every span the model caches at L."""
+    d = range(model.dim)
+    cartan = [model.algebra_project(model.basis_matrix(L, i, i)) for i in d]
+    yield model.cartan_basis(L), cartan
+    zero = (model.basis_matrix(L, i, j) for i in d for j in d if not model.entry_weight(i, j))
+    yield model.centralizer_basis(L), [model.algebra_project(u) for u in zero]
+    weights = sorted({model.entry_weight(i, j) for i in d for j in d if i != j} - {()})
+    for w in weights:
+        yield model.weight_space_basis(L, Root(w)), [model.algebra_project(u) for u in model._weight_units(L, Root(w))]
+
+
+@pytest.mark.parametrize("L", [4, 8, 12, 24])
+def test_orbit_spans_equal_the_elimination_reference(L):
+    rng = random.Random(L)
+    spans = 0
+    for kind in LARS_KINDS:
+        for rank in (2, 3, 4, 5):
+            model = standard_model(kind, rank)
+            for span, units in model_unit_lists(model, L):
+                reference = elimination.span_basis(units)
+                assert layout(span) == layout(reference), (kind, rank)
+                shuffled = rng.sample(units, len(units))
+                assert layout(span_basis(shuffled)) == layout(elimination.span_basis(shuffled)), (kind, rank)
+                plus, minus = span.split
+                # projections that vanish leave an empty span, which the elimination cannot read
+                ref_plus, ref_minus = elimination.split(span) if span else ((), ())
+                assert (layout(plus), layout(minus)) == (layout(ref_plus), layout(ref_minus)), (kind, rank)
+                assert len(plus) + len(minus) == len(span)
+                for n in range(model.n_psi):
+                    projected = [model.mode_project(u, n) for u in units]
+                    assert layout(span_basis(projected)) == layout(elimination.span_basis(projected))
+                spans += bool(span)
+    assert spans == 744  # nonempty spans per conductor: 2976 over the four conductors
+
+
+def test_non_orbit_input_is_refused():
+    model = standard_model("C2", 2)
+    x = model.cartan_basis(L)[0]
+    y = model.psi_tilde(x)
+    assert y not in (x, -x)
+    # x + y overlaps x's support but is not +- x: elimination would keep both
+    assert len(elimination.span_basis([x, x + y])) == 2
+    with pytest.raises(ValueError, match="not signed copies"):
+        span_basis([x, x + y])
+    # psi~ keeps the span of x and x + y, but maps x to y = (x + y) - x, not to +- a member
+    span = Span(model, [x, x + y])
+    assert len(elimination.split(span)[0]) == 1
+    with pytest.raises(ValueError, match="psi~ does not preserve the span of the basis"):
+        span.split

@@ -131,9 +131,6 @@ def test_root_pattern_validation():
         Root(())
     with pytest.raises(ValueError):
         RootSystem("A", 1)
-    assert Root(((1, 2),)).belongs_to(RootSystem("C", 2))
-    assert not Root(((1, 2),)).belongs_to(RootSystem("B", 2))
-    assert not Root(((1, 1), (2, 1))).belongs_to(RootSystem("A", 2))
 
 
 def test_json_round_trip():
@@ -180,16 +177,16 @@ def test_vector_matches_fraction_reference(a, b, c, perm, signs):
     u, v = CartanVector(a), CartanVector(b)
     for w in (u, v, u + v, u - v, -u, u.scale(c), u.scale(int(c))):
         assert_canonical(w)
-    assert u.as_dict() == nonzero(a) and dict(u.coords) == nonzero(a)
+    assert dict(u.coords) == nonzero(a)
     assert all(u[j] == a.get(j, 0) for j in range(0, RANK + 2))
     assert u.support() == tuple(sorted(nonzero(a)))
-    assert (u + v).as_dict() == ref_combine(a, b, 1)
-    assert (u - v).as_dict() == ref_combine(a, b, -1)
-    assert (-u).as_dict() == nonzero({j: -x for j, x in a.items()})
-    assert u.scale(c).as_dict() == nonzero({j: c * x for j, x in a.items()})
+    assert dict((u + v).coords) == ref_combine(a, b, 1)
+    assert dict((u - v).coords) == ref_combine(a, b, -1)
+    assert dict((-u).coords) == nonzero({j: -x for j, x in a.items()})
+    assert dict(u.scale(c).coords) == nonzero({j: c * x for j, x in a.items()})
     assert pairing(u, v) == sum((x * b.get(j, 0) for j, x in a.items()), Q(0))
     w = FiniteWeylElement(tuple(perm), tuple(signs))
-    assert w.apply(u).as_dict() == nonzero({perm[j - 1]: signs[j - 1] * x for j, x in a.items()})
+    assert dict(w.apply(u).coords) == nonzero({perm[j - 1]: signs[j - 1] * x for j, x in a.items()})
     # canonical form: equal <=> same num and den <=> same reference, and equal => same hash
     same = (u.num, u.den) == (v.num, v.den)
     assert (u == v) == same == (nonzero(a) == nonzero(b))

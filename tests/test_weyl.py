@@ -8,11 +8,13 @@ from twistaff.affine import (
     ExtCartanVector,
     Weight,
     admissible_mode_step,
+    ext_cartan_basis,
     lars_finite_parts,
     standard_spec,
 )
 from twistaff.rootdata import CartanVector, Functional, Root, coroot, inner, pairing, reflect_finite
 from twistaff.weyl import (
+    AffineReflection,
     AffWeylElement,
     FiniteWeylElement,
     Translation,
@@ -20,16 +22,53 @@ from twistaff.weyl import (
     act_slanted,
     f_word,
     finite_weyl_group,
-    lattice_contains,
     reflect_affine,
     reflection_element,
     translate,
     translation_lattice,
     unslanted_action_check,
-    word_reduce,
 )
 
 e12 = Root(((1, 1), (2, -1)))
+
+
+def reflection_aff_element(spec, r):
+    """Normal form of r_(a,n): translation by (n/N) a-check, then r_a."""
+    y = coroot(r.root).scale(Q(r.mode, spec.twist_order))
+    return AffWeylElement(Translation(y), reflection_element(r.root, spec.base.rank))
+
+
+def word_reduce(spec, word):
+    """Normal form of a product of affine reflections, written left to right.
+
+    The word multiplies like the written product: the last letter acts first.
+    The result is checked against the step-by-step slanted reflections on a
+    basis of the extended Cartan model.
+    """
+    out = AffWeylElement.identity(spec.base.rank)
+    for letter in word:
+        out = out * reflection_aff_element(spec, letter)
+    reflections = [AffineReflection(spec, letter) for letter in reversed(word)]
+    for v in ext_cartan_basis(spec.base.rank):
+        direct = v
+        for reflect in reflections:
+            direct = reflect(direct)
+        assert act_slanted(spec, spec.slant, out, v) == direct
+    return out
+
+
+def lattice_contains(basis, y, rank):
+    """Membership of y in the lattice spanned by an upper-triangular-style basis."""
+    rem = y
+    for b in basis:
+        lead = next((j for j in range(1, rank + 1) if b[j]), None)
+        if lead is None:
+            continue
+        c = rem[lead] / b[lead]
+        if c.denominator != 1:
+            return False
+        rem = rem - b.scale(c)
+    return rem.is_zero()
 
 
 def rand_frac(rng):
