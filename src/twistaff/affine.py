@@ -177,11 +177,6 @@ class AffineRoot:
     def to_json(self):
         return {"root": None if self.root is None else self.root.to_json(), "mode": self.mode}
 
-    @staticmethod
-    def from_json(obj) -> "AffineRoot":
-        r = obj["root"]
-        return AffineRoot(None if r is None else Root.from_json(r), int(obj["mode"]))
-
 
 @dataclass(frozen=True)
 class ExtCartanVector:
@@ -210,12 +205,6 @@ class ExtCartanVector:
 
     def to_json(self):
         return {"z": str(self.z), "h": self.h.to_json(), "t": str(self.t)}
-
-    @staticmethod
-    def from_json(obj, rank: int | None = None) -> "ExtCartanVector":
-        where = "malformed extended Cartan vector"
-        z, t = rational_from_json(obj["z"], where), rational_from_json(obj["t"], where)
-        return ExtCartanVector(z, CartanVector.from_json(obj["h"], rank), t)
 
 
 def _rational(x) -> Fraction:

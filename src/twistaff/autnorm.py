@@ -31,9 +31,11 @@ centralizer check: it reads s off the basis entries and labels psi~'s +1
 and -1 eigenvectors, split once per model span (``models.Span``), by residue.
 Each piece is computed on first use and kept on the certificate, so the
 sampler, the root map, the isomorphism check and the verification all read
-one grading.  Linear algebra uses the ``cyclo`` kernel; the block
-constructions orthogonalize through one local Hermitian projection,
-``_orth_reduce``, and lay out their columns through ``_assemble_columns``.
+one grading.  All linear algebra is on ``cyclo.ModeMatrix``: the block
+constructions walk n x 1 columns (<u, v> = v* u, the antilinear image u conj(v),
+sums and scalings of matrices), orthogonalize through one local Hermitian
+projection, ``_orth_reduce``, and lay out their columns as one basis-change
+matrix through ``_assemble_columns``.
 """
 
 from __future__ import annotations
@@ -48,9 +50,7 @@ from .affine import KINDS, AffineRoot, AffinisationSpec, lars_contains, lars_fin
 from .cyclo import (
     MAX_CONDUCTOR,
     Cyc,
-    Matrix,
     ModeMatrix,
-    cyc_product,
     cyc_sqrt,
     mat_products_equal,
     split_square,
@@ -69,49 +69,25 @@ class StandardizeError(ValueError):
     """Raised when an operator violates its declared structure."""
 
 
-# -- vectors ------------------------------------------------------------------
+# -- vectors: n x 1 ModeMatrix columns --------------------------------------------
 
 
-def _hdot(u: tuple, v: tuple) -> Cyc:
-    acc = Cyc.zero(u[0].L)
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b.conj()
-    return acc
-
-
-def _vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
-def _vec_is_zero(u):
-    return all(a.is_zero() for a in u)
-
-
-def _mat_apply(m: ModeMatrix, v: tuple) -> tuple:
-    """m v for a vector v of Cyc."""
-    L, zero = m.L, Cyc.zero(m.L)
-    return tuple(
-        sum((Cyc(L, cyc_product(L, num, v[j].num), m.den * v[j].den) for j, num in row.items() if v[j]), zero)
-        for row in m.rows
-    )
+def _hdot(u: ModeMatrix, v: ModeMatrix) -> Cyc:
+    """The Hermitian product <u, v> = v* u."""
+    return v.conj_transpose().trace_product(u)
 
 
 def _antilinear(u: ModeMatrix):
     """The antilinear map v -> u conj(v)."""
-    return lambda v: _mat_apply(u, tuple(a.conj() for a in v))
+    return lambda v: u @ v.conj()
 
 
-def _orth_reduce(v: tuple, basis, norms) -> tuple:
+def _orth_reduce(v: ModeMatrix, basis, norms) -> ModeMatrix:
     """v minus its Hermitian projections <v, b> / <b, b> b onto orthogonal vectors b."""
     for b, q in zip(basis, norms):
         c = _hdot(v, b)
         if c:
-            v = _vec_sub(v, _vec_scale(c * q.inverse(), b))
+            v = v - b.scale(c * q.inverse())
     return v
 
 
@@ -126,7 +102,7 @@ def _gram_schmidt(vectors, sigma=None):
     span, span_norms = [], []  # the kept vectors and their sigma-images
     for v in vectors:
         w = _orth_reduce(v, span, span_norms)
-        if _vec_is_zero(w):
+        if not w:
             continue
         q = _hdot(w, w)
         basis.append(w)
@@ -427,8 +403,8 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
             cbar_inv = cv.conj().inverse()
             for sgn in (1, -1):
                 lam = (Cyc.rational(L, sgn) * s - q) * cbar_inv
-                w = tuple(a + lam * b for a, b in zip(v, tv))
-                if not _vec_is_zero(w):
+                w = v + tv.scale(lam)
+                if w:
                     return w
         return None
 
@@ -441,7 +417,7 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
         next_round = []
         for v in remaining:
             v = hreduce(v)
-            if _vec_is_zero(v):
+            if not v:
                 continue
             cv = bform(v, v)
             if cv.is_zero():
@@ -451,7 +427,7 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
             iso = try_isotropic(v, cv)
             if iso is not None:
                 iso = hreduce(iso)
-                if not _vec_is_zero(iso) and bform(iso, iso).is_zero():
+                if iso and bform(iso, iso).is_zero():
                     add_block(iso, theta(iso))
                     progress = True
                     continue
@@ -460,11 +436,11 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
 
     # pair up anisotropic stragglers through two-dimensional B-planes
     work = [hreduce(v) for v in remaining]
-    work = [v for v in work if not _vec_is_zero(v)]
+    work = [v for v in work if v]
     while len(work) > 1:
         v = work.pop(0)
         v = hreduce(v)
-        if _vec_is_zero(v):
+        if not v:
             continue
         cv = bform(v, v)
         if cv.is_zero():
@@ -473,14 +449,14 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
         placed = False
         for idx in range(len(work)):
             w = hreduce(work[idx])
-            if _vec_is_zero(w):
+            if not w:
                 continue
             # B-orthogonalize w against v, then search the binary form diag(cv, cw)
             coeff = bform(v, w) * cv.inverse()
-            w2h = _vec_sub(w, _vec_scale(coeff, v))
+            w2h = w - v.scale(coeff)
             cw = bform(w2h, w2h)
             if cw.is_zero():
-                if not _vec_is_zero(w2h):
+                if w2h:
                     add_block(hreduce(w2h), theta(hreduce(w2h)))
                     work.pop(idx)
                     work.insert(0, v)
@@ -492,15 +468,14 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
                 if s is None:
                     continue
                 mix = s if (cv * s * s + cw).is_zero() else s * Cyc.i(L)
-                cand = tuple(a * mix + b for a, b in zip(v, w2h))
-                cand = hreduce(cand)
-                if _vec_is_zero(cand) or not bform(cand, cand).is_zero():
+                cand = hreduce(v.scale(mix) + w2h)
+                if not cand or not bform(cand, cand).is_zero():
                     continue
                 add_block(cand, theta(cand))
                 work.pop(idx)
                 # the B-complement of the block inside span{v, w} resurfaces next round
-                leftover = hreduce(tuple(a * mix - b for a, b in zip(v, w2h)))
-                if not _vec_is_zero(leftover):
+                leftover = hreduce(v.scale(mix) - w2h)
+                if leftover:
                     work.insert(0, leftover)
                 placed = True
                 break
@@ -516,17 +491,14 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
     ii = Cyc.i(L)
     for v in work:
         v = _orth_reduce(hreduce(v), pool, pool_norms)
-        if _vec_is_zero(v):
+        if not v:
             continue
         tv = theta(v)
-        for cand in (
-            tuple(a + b for a, b in zip(v, tv)),
-            tuple(ii * (a - b) for a, b in zip(v, tv)),
-        ):
+        for cand in (v + tv, (v - tv).scale(ii)):
             cand = _orth_reduce(hreduce(cand), pool, pool_norms)
-            if _vec_is_zero(cand):
+            if not cand:
                 continue
-            if not _vec_is_zero(_vec_sub(theta(cand), cand)):
+            if theta(cand) != cand:
                 raise StandardizeError("fixed-vector construction failed")
             pool.append(cand)
             pool_norms.append(_hdot(cand, cand))
@@ -562,9 +534,9 @@ def _pair_conjugation_fixed(g1, q1, g2, q2):
         scale = _sqrt(q1 * q2)
         if scale is None:
             return None
-        g1 = _vec_scale(q2, g1)
-    g2 = _vec_scale(Cyc.i(q1.L) * scale, g2)
-    return tuple(a + b for a, b in zip(g1, g2)), tuple(a - b for a, b in zip(g1, g2))
+        g1 = g1.scale(q2)
+    g2 = g2.scale(Cyc.i(q1.L) * scale)
+    return g1 + g2, g1 - g2
 
 
 def _antilinear_blocks(a: ModeMatrix, m: int, u: ModeMatrix, minus_scale):
@@ -592,7 +564,7 @@ def _antilinear_blocks(a: ModeMatrix, m: int, u: ModeMatrix, minus_scale):
             cols = projs[k].columns()
             sign = 0  # J^2 on a self-paired eigenspace, read off one nonzero column
             if 2 * k in (0, m):
-                v = next(c for c in cols if not _vec_is_zero(c))
+                v = next(c for c in cols if c)
                 sign = 1 if J(J(v)) == v else -1
             if sign == 1:
                 blocks, fixed_vec = _conjugation_block_decomposition(u, projs[k])
@@ -603,7 +575,7 @@ def _antilinear_blocks(a: ModeMatrix, m: int, u: ModeMatrix, minus_scale):
             else:
                 basis, qs = _gram_schmidt(cols, J if sign else None)
                 c = minus_scale(k, L)
-                images = [_vec_scale(c, J(w)) for w in basis]
+                images = [J(w).scale(c) for w in basis]
             plus += basis
             minus += images
             exps += [k] * len(basis)
@@ -628,8 +600,7 @@ def _assemble_columns(plus, minus, exponents, norms, middle, middle_norms, d):
         col_norms += [norms[i] for i in order]
     if len(cols) != d:
         raise StandardizeError(f"the block construction gave {len(cols)} columns in dimension {d}")
-    basis_change = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    return order, basis_change, tuple(col_norms)
+    return order, ModeMatrix.from_columns(cols), tuple(col_norms)
 
 
 # -- the antiunitary normal form ----------------------------------------------------
@@ -642,21 +613,22 @@ class AntiunitaryBlockForm:
     Each block is (exponent n, plus column index, minus column index): the
     operator maps the plus vector to zeta^-n times the minus vector and the
     minus vector to zeta^n times the plus vector, zeta the primitive 2N-th
-    root.  At most one fixed vector appears.  Columns of basis_change are
-    pairwise orthogonal; squared norms are recorded, not normalized away.
+    root.  At most one fixed vector appears.  Columns of basis_change (a
+    ModeMatrix) are pairwise orthogonal; squared norms are recorded, not
+    normalized away.
     """
 
     half_order: int  # N, with A^(2N) = 1
     blocks: tuple  # ((n, plus_col, minus_col), ...)
     fixed_col: int | None
-    basis_change: Matrix
+    basis_change: ModeMatrix
     col_norms: tuple
     conductor: int
 
     def block_matrix(self) -> ModeMatrix:
         """Std with A(V w) = V Std conj(w): the block phases, and 1 at the fixed column."""
         L = self.conductor
-        d = len(self.basis_change)
+        d = self.basis_change.ncols
         zeta = L // (2 * self.half_order)
         std = {}
         for n, pc, mc in self.blocks:
@@ -699,8 +671,8 @@ def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
     _, _, m_op = _lift_with_orders(spec)
     plus_cols, minus_cols, exponents, norms_plus, fixed, L = _antiunitary_blocks(spec, m_op)
     middle = [fixed] if fixed is not None else []
-    order, basis_change, col_norms = _assemble_columns(
-        plus_cols, minus_cols, exponents, norms_plus, middle, [_hdot(v, v) for v in middle], spec.dim
+    order, v, col_norms = _assemble_columns(
+        plus_cols, minus_cols, exponents, norms_plus, middle, [_hdot(w, w) for w in middle], spec.dim
     )
     r = len(order)
     blocks = tuple((exponents[i], pos, r + len(middle) + pos) for pos, i in enumerate(order))
@@ -708,11 +680,10 @@ def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
         half_order=m_op // 2,
         blocks=blocks,
         fixed_col=r if middle else None,
-        basis_change=basis_change,
+        basis_change=v,
         col_norms=col_norms,
         conductor=L,
     )
-    v = ModeMatrix.from_rows(L, basis_change)
     if not mat_products_equal(spec.matrix.lift(L), v.conj(), v, form.block_matrix()):
         raise StandardizeError("block reconstruction mismatch: u conj(V) != V Std")
     _check_columns(v, col_norms)
@@ -729,9 +700,9 @@ class StandardizationCertificate:
     Exponents are stored in units of the primitive exp_denominator-th root of
     unity: the one-parameter group acts on the j-th plus column by that root
     raised to exponents[j] * t, and mu[j] = -exponents[j] / exp_denominator.
-    Columns of basis_change (the model basis in input coordinates, as rows of
-    Cyc) are exactly orthogonal with recorded squared norms; each plus/minus
-    pair shares its norm.  The checks read it once as ``basis_change_matrix``.
+    Columns of basis_change (a ModeMatrix: the model basis in input
+    coordinates) are exactly orthogonal with recorded squared norms; each
+    plus/minus pair shares its norm.
     The twisted grading derived from it is computed lazily, once per root,
     into ``grading`` (see ``mode_class_vectors``); ``dataclasses.replace``
     starts a fresh one.
@@ -742,7 +713,7 @@ class StandardizationCertificate:
     rank: int
     exponents: tuple
     mu: Functional
-    basis_change: Matrix
+    basis_change: ModeMatrix
     col_norms: tuple
     index_partition: tuple  # descriptive (name, count-or-flag) pairs
     orders: tuple  # (automorphism order, standard twist order)
@@ -758,10 +729,6 @@ class StandardizationCertificate:
     @property
     def psi_kind(self) -> str:
         return KINDS[self.lars].psi_kind
-
-    @cached_property
-    def basis_change_matrix(self) -> ModeMatrix:
-        return ModeMatrix.from_rows(self.conductor, self.basis_change)
 
     @cached_property
     def grading(self) -> dict:
@@ -822,7 +789,7 @@ class StandardizationCertificate:
             "rank": self.rank,
             "exponents": list(self.exponents),
             "mu": self.mu.to_json(),
-            "basis_change_columns": [[cyc_to_json(c) for c in col] for col in zip(*self.basis_change)],
+            "basis_change_columns": [list(col) for col in zip(*mat_to_json(self.basis_change))],
             "col_norms": [cyc_to_json(c) for c in self.col_norms],
             "index_partition": [list(p) for p in self.index_partition],
             "orders": list(self.orders),
@@ -863,14 +830,14 @@ def _collect_certificate(
         negated=negated,
     )
     _check_reconstruction(cert, spec.matrix.lift(L))
-    _check_columns(cert.basis_change_matrix, col_norms)
+    _check_columns(cert.basis_change, col_norms)
     return cert
 
 
 def _check_reconstruction(cert: StandardizationCertificate, u: ModeMatrix) -> None:
     """u, the finite-order operator at the certificate's conductor, is the standard form
     transported by the basis change."""
-    v = cert.basis_change_matrix
+    v = cert.basis_change
     right = v.conj() if cert.family == "C_antiunitary" else v
     if not mat_products_equal(u, right, v, cert.standard_linear_matrix(cert.conductor)):
         raise StandardizeError("reconstruction failed: operator != basis_change * standard form")
@@ -967,7 +934,7 @@ def _standardize_antiunitary(spec: OperatorSpec, n: int, m: int) -> Standardizat
     if fixed is None:
         # quaternionic standard twist: rotate the minus columns and shift the exponents
         ii = Cyc.i(L)
-        minus = [_vec_scale(ii, w) for w in minus]
+        minus = [w.scale(ii) for w in minus]
         exps = [2 * k + m // 2 for k in exps]
         zero_cols, lars, partition = [], "C2", [("blocks", len(plus))]
     else:
@@ -1077,16 +1044,16 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         try:
             detail = fn()
             items.append((name, True, detail or "ok"))
-        except Exception as exc:  # noqa: BLE001 - each failed check is itemized
+        except ValueError as exc:  # a failed check (StandardizeError is one) is itemized
             items.append((name, False, str(exc)))
 
     try:  # one projective order (k, lam0) for the reconstruction and the declared order
         projective = projective_order(_order_matrix(spec))
-    except Exception as exc:  # noqa: BLE001 - each check that reads it reports it
+    except ValueError as exc:  # each check that reads it reports it
         projective = exc
 
     def read_projective():
-        if isinstance(projective, Exception):
+        if isinstance(projective, ValueError):
             raise projective
         return projective
 
@@ -1100,8 +1067,8 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         return "exact"
 
     def check_columns():
-        _check_columns(cert.basis_change_matrix, cert.col_norms)
-        return f"{len(cert.basis_change)} columns"
+        _check_columns(cert.basis_change, cert.col_norms)
+        return f"{cert.basis_change.ncols} columns"
 
     def check_one_parameter():
         # U_t at rational times commutes with the standard twist operator

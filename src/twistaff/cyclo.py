@@ -15,9 +15,11 @@ other than num itself and N = num * P is its rational norm.
 
 All matrix arithmetic is on one type, ``ModeMatrix``: one denominator in
 lowest terms and, per row, the integer coefficients of each nonzero entry by
-column, so ``==`` compares structure.  Rows of ``Cyc`` (``Matrix``, a tuple
-of row tuples) are only the operands and results of ``mat_inverse`` and
-``mat_mul``, which converts both for callers that hold rows.
+column, so ``==`` compares structure.  A vector is an n x 1 ``ModeMatrix``
+(``columns``, ``from_columns``).  Rows of ``Cyc`` (``Matrix``, a tuple of row
+tuples) are only the edge that the benchmark's micro timings read: the
+operands and results of ``mat_inverse`` and ``mat_mul``, converted by
+``from_rows`` and ``to_rows``; no subcommand builds one.
 The one product kernel, ``mat_product_sum``, sums s * A B over signed
 products by Kronecker substitution.  With W = 2 phi(L) - 1 and slots of B
 bits, row j of B packs into one int (coefficient p of entry k at slot
@@ -520,9 +522,38 @@ class ModeMatrix:
     @staticmethod
     def from_entries(L: int, shape: tuple[int, int], entries: dict) -> "ModeMatrix":
         """The matrix of shape (rows, columns) with entries[(i, j)], a Cyc at L or a rational,
-        at (i, j) and zero elsewhere."""
-        zero = Cyc.zero(L)
-        return ModeMatrix.from_rows(L, [[entries.get((i, j), zero) for j in range(shape[1])] for i in range(shape[0])])
+        at (i, j) and zero elsewhere; a zero entry writes nothing.
+
+        The denominator is the lcm of the nonzero entries' denominators, so it is in
+        lowest terms: a prime power exactly dividing it exactly divides some entry's
+        denominator, which that entry's numerator avoids.
+        """
+        values = {k: x if isinstance(x, Cyc) else Cyc.rational(L, x) for k, x in entries.items()}
+        values = {k: x for k, x in values.items() if any(x.num)}
+        if any(x.L != L for x in values.values()):
+            raise ValueError(f"conductor mismatch: a matrix at {L} with an entry at another conductor")
+        den = lcm(*(x.den for x in values.values()))
+        rows = [{} for _ in range(shape[0])]
+        for (i, j), x in sorted(values.items()):
+            rows[i][j] = x.num if x.den == den else tuple(c * (den // x.den) for c in x.num)
+        return ModeMatrix(L, shape[1], den, rows, canonical=True)
+
+    @staticmethod
+    def from_columns(columns) -> "ModeMatrix":
+        """The matrix whose columns are the given n x 1 matrices, at least one, in order.
+
+        The denominator is the lcm of the column denominators, so it is in lowest
+        terms: a prime power exactly dividing it exactly divides some column's
+        denominator, which that column's coefficients avoid.
+        """
+        den = lcm(*(c.den for c in columns))
+        rows = [{} for _ in columns[0].rows]
+        for j, c in enumerate(columns):
+            f = den // c.den
+            for row, entry in zip(rows, c.rows):
+                if entry:
+                    row[j] = entry[0] if f == 1 else tuple(x * f for x in entry[0])
+        return ModeMatrix(columns[0].L, len(columns), den, rows, canonical=True)
 
     @staticmethod
     def diagonal(L: int, diag) -> "ModeMatrix":
@@ -537,9 +568,13 @@ class ModeMatrix:
         L, zero, d = self.L, Cyc.zero(self.L), range(self.ncols)
         return tuple(tuple(Cyc(L, r[j], self.den) if j in r else zero for j in d) for r in self.rows)
 
-    def columns(self) -> list[tuple]:
-        """The columns as vectors of Cyc."""
-        return list(zip(*self.to_rows()))
+    def columns(self) -> list["ModeMatrix"]:
+        """The columns as n x 1 matrices, each over its own lowest denominator."""
+        cols = [[{} for _ in self.rows] for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, num in row.items():
+                cols[j][i] = {0: num}
+        return [ModeMatrix(self.L, 1, self.den, c) for c in cols]
 
     # -- arithmetic and structure -----------------------------------------------
 

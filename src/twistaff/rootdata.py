@@ -88,10 +88,6 @@ class Root:
     def to_json(self):
         return {"coeffs": {str(j): c for j, c in self.coeffs}}
 
-    @staticmethod
-    def from_json(obj) -> "Root":
-        return Root(tuple((int(j), int(c)) for j, c in obj["coeffs"].items()))
-
 
 class CartanVector:
     """An exact rational vector indexed by 1..rank: coordinate j is num[j - 1] / den.

@@ -6,7 +6,8 @@ inverse of the product is its conjugate transpose: conjugating a standard
 form never needs matrix inversion and stays exactly unitary.
 Structure-compatible variants exist per family.  Every matrix is a
 ``cyclo.ModeMatrix``; ``random_unitary`` alone hands out rows of ``Cyc``, the
-operands of ``cyclo.mat_mul`` and ``cyclo.mat_inverse``.
+operands of ``cyclo.mat_mul`` and ``cyclo.mat_inverse`` that the benchmark's
+micro timings read.  No subcommand calls it.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from twistaff.autnorm import (
     standardize,
     verify_certificate,
 )
-from twistaff.cyclo import Cyc
+from twistaff.cyclo import Cyc, ModeMatrix
 from twistaff.energy import Character, min_energy
 from twistaff.loopalg import (
     DoubleExtElement,
@@ -345,12 +345,8 @@ def test_criterion_9_certificates_verify_and_tampering_is_detected():
             ),
             dataclasses.replace(
                 cert,
-                basis_change=tuple(
-                    tuple(
-                        (c + Cyc.one(cert.conductor)) if (i, j) == (0, 0) else c
-                        for j, c in enumerate(row)
-                    )
-                    for i, row in enumerate(cert.basis_change)
+                basis_change=cert.basis_change + ModeMatrix.from_entries(
+                    cert.conductor, (cert.basis_change.ncols,) * 2, {(0, 0): 1}
                 ),
             ),
             dataclasses.replace(

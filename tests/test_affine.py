@@ -109,9 +109,5 @@ def test_spec_validation_and_json():
     again = AffinisationSpec.from_json(spec.to_json())
     assert again == spec
     assert spec.slant == Functional({1: Q(-1, 2), 2: Q(1, 3)})
-    r = AffineRoot(e12, -2)
-    assert AffineRoot.from_json(r.to_json()) == r
-    nc = AffineRoot(None, 1)
-    assert AffineRoot.from_json(nc.to_json()) == nc
     w = Weight(1, Functional({1: 1}), Q(2, 3))
     assert Weight.from_json(w.to_json()) == w

@@ -228,11 +228,11 @@ def test_tampered_certificates_are_detected():
     tampered_exp = dataclasses.replace(cert, exponents=tuple(exps))
     assert not verify_certificate(spec, tampered_exp).all_passed
 
-    changed = [list(r) for r in cert.basis_change]
-    changed[0][0] = changed[0][0] + Cyc.one(cert.conductor)
-    tampered_basis = dataclasses.replace(cert, basis_change=tuple(tuple(r) for r in changed))
+    d = cert.basis_change.ncols
+    corner = ModeMatrix.from_entries(cert.conductor, (d, d), {(0, 0): 1})
+    tampered_basis = dataclasses.replace(cert, basis_change=cert.basis_change + corner)
     assert not verify_certificate(spec, tampered_basis).all_passed
-    # the tuple rows are read as a matrix, and the two checks that read them refuse it on the merits
+    # the two checks that read the basis change refuse it on the merits
     checks = {name: (ok, detail) for name, ok, detail in verify_certificate(spec, tampered_basis).items}
     assert checks["reconstruction"] == (False, "reconstruction failed: operator != basis_change * standard form")
     assert checks["columns_orthogonal"] == (False, "basis columns are not orthogonal with recorded norms")
@@ -241,6 +241,21 @@ def test_tampered_certificates_are_detected():
     norms[0] = norms[0] * Cyc.rational(cert.conductor, 2)
     tampered_norms = dataclasses.replace(cert, col_norms=tuple(norms))
     assert not verify_certificate(spec, tampered_norms).all_passed
+
+
+def test_a_program_fault_in_a_check_is_raised_not_itemized(monkeypatch):
+    # a failed check raises ValueError (StandardizeError is one); any other error is a fault
+    from twistaff import autnorm
+
+    spec = random_operator(random.Random(36), "R", 6, order_hint=4)
+    cert = standardize(spec)
+
+    def broken(v, col_norms):
+        raise TypeError("a fault in the column check")
+
+    monkeypatch.setattr(autnorm, "_check_columns", broken)
+    with pytest.raises(TypeError, match="a fault in the column check"):
+        verify_certificate(spec, cert)
 
 
 def test_operator_spec_json_round_trip():
@@ -269,7 +284,7 @@ def test_block_form_linear_part_reconstructs_operator():
     spec = random_operator(rng, "C_antiunitary", 5, order_hint=3)
     form = antiunitary_normal_form(spec)
     # A(V w) = V Std conj(w): u conj(V) = V Std in input coordinates
-    v = rows(form.conductor, form.basis_change)
+    v = form.basis_change
     lifted = spec.matrix.lift(form.conductor)
     assert lifted @ v.conj() == v @ form.block_matrix()
 
@@ -402,8 +417,7 @@ def test_conductor_enlargement_bound_is_named():
     )
 
     L = 8
-    e1 = (Cyc.one(L), Cyc.zero(L))
-    e2 = (Cyc.zero(L), Cyc.one(L))
+    e1, e2 = identity(L, 2).columns()
     # sqrt(491) needs conductor 4 * 491, past the cap: no pairing
     assert _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, 491)) is None
     # real vectors of squared norms 1 and 491 = 21^2 + 7^2 + 1^2 under complex
@@ -427,8 +441,7 @@ def test_square_root_factor_bound_is_named(time_limit):
     from twistaff.autnorm import _Enlarge, _pair_conjugation_fixed
 
     def pair(L, q):
-        e1 = (Cyc.one(L), Cyc.zero(L))
-        e2 = (Cyc.zero(L), Cyc.one(L))
+        e1, e2 = identity(L, 2).columns()
         return _pair_conjugation_fixed(e1, Cyc.one(L), e2, Cyc.rational(L, q))
 
     # sqrt(2 * 10**4) = 100 sqrt(2) is adjoined at conductor 8
@@ -440,7 +453,8 @@ def test_square_root_factor_bound_is_named(time_limit):
         pair(4, 2 * 10**6)
     assert enlarged.value.conductor == 8
     plus, _ = pair(8, 2 * 10**6)
-    assert plus[1] * plus[1] == Cyc.rational(8, Q(-1, 2 * 10**6))  # i / (1000 sqrt(2)), squared
+    (second,) = plus.to_rows()[1]
+    assert second * second == Cyc.rational(8, Q(-1, 2 * 10**6))  # i / (1000 sqrt(2)), squared
     # the squarefree part of p * q has primes far past MAX_CONDUCTOR // 4: no
     # trial division reaches them, and the pairing is refused at once (the
     # refusal's text, which names the bound, is pinned in the test above)

@@ -1,7 +1,10 @@
+import copy
 import json
 from random import Random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twistaff.affine import MAX_ROOT_MODES, standard_spec
 from twistaff.autnorm import MAX_DIM, OperatorSpec, StandardizeError
@@ -491,3 +494,41 @@ def test_zero_flag_values_stay_valid(tmp_path):
     out = tmp_path / "r.json"
     assert run(["min-energy", "--input", path, "--bound", 0, "--output", out]) == 0
     assert json.loads(out.read_text())["request"]["bound"] == 0
+
+
+#: any JSON value: null, booleans, numbers, strings, and lists and objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=10,
+)
+
+#: a valid min-energy request with an explicit character
+ENERGY_REQUEST = {
+    "spec": standard_spec("A1", 2).to_json(),
+    "weight": {"lc": "1", "l0": {"coords": {"1": "1"}}, "ld": "0"},
+    "chi": {"chi_c": "0", "chi0_sharp": {"coords": {}}, "chi_d": "1"},
+}
+
+#: (subcommand, path of the request field that the fuzz test replaces)
+FUZZED_FIELDS = [("normalize", (key,)) for key in ("matrix", "dim", "order", "field", "antiunitary")] + [
+    ("min-energy", ("weight",)), ("min-energy", ("chi",)), ("min-energy", ("spec", "base")),
+]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(FUZZED_FIELDS), JSON_VALUES)
+def test_any_json_value_in_a_request_field_exits_1_or_2(opfile, tmp_path, case, value):
+    # the fixtures are only read; each example writes its own request over the last one
+    command, path = case
+    request = json.loads(opfile.read_text()) if command == "normalize" else copy.deepcopy(ENERGY_REQUEST)
+    *parents, key = path
+    holder = request
+    for parent in parents:
+        holder = holder[parent]
+    unchanged = json.dumps(holder[key], sort_keys=True) == json.dumps(value, sort_keys=True)
+    holder[key] = value
+    req = tmp_path / "fuzz.json"
+    req.write_text(json.dumps(request))
+    code = run([command, "--input", req, "--output", tmp_path / "fuzz_out.json"])
+    assert code == 0 if unchanged else code in (1, 2)

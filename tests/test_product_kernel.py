@@ -2,7 +2,9 @@
 
 Every reference is written with plain `Cyc` operations and shares no code
 with the kernel or with `twistaff.loopalg`: the structural `ModeMatrix`
-operations must equal the entrywise references below, `mat_mul` and
+operations must equal the entrywise references below (`from_columns` must
+undo `columns`, and `from_entries` must equal `from_rows` of the dense grid,
+explicit zeros included), `mat_mul` and
 `mat_product_sum` must equal the entrywise sums of products (and refuse
 operands of mismatched shapes), and `bracket` must equal the sum
 over mode pairs of commutators built entry by entry, plus the derivation
@@ -151,9 +153,33 @@ def test_mode_matrix_operations_match_the_entrywise_references(operands):
     assert exact(A.conj()) == exact(ref_conj(a))
     assert exact(A.conj_transpose()) == exact(ref_conj_transpose(a))
     assert exact(A.lift(k * L)) == exact(ref_lift(a, k * L))
-    assert A.columns() == list(zip(*a))
+    assert [exact(col) for col in A.columns()] == [exact([[x] for x in col]) for col in zip(*a)]
+    assert ModeMatrix.from_columns(A.columns()) == A
     assert exact(ModeMatrix.diagonal(L, a[0])) == exact(ref_diagonal(L, a[0]))
     assert exact(ModeMatrix.identity(L, m)) == exact(ref_identity(L, m))
+
+
+@st.composite
+def entry_dicts(draw):
+    """A conductor, a shape and entries at some of its positions: scalars, rationals and explicit zeros."""
+    L = draw(st.sampled_from(CONDUCTORS))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = st.one_of(
+        scalars(L, DENOMINATORS),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        st.integers(-3, 3),
+        st.sampled_from((0, Fraction(0), Cyc.zero(L))),
+    )
+    positions = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+    return L, (n, m), draw(st.dictionaries(positions, values, max_size=n * m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(entry_dicts())
+def test_from_entries_is_from_rows_of_the_dense_grid(operands):
+    L, (n, m), entries = operands
+    dense = [[entries.get((i, j), 0) for j in range(m)] for i in range(n)]
+    assert ModeMatrix.from_entries(L, (n, m), entries) == ModeMatrix.from_rows(L, dense)
 
 
 def test_operands_of_mismatched_shapes_are_refused():

@@ -134,8 +134,6 @@ def test_root_pattern_validation():
 
 
 def test_json_round_trip():
-    r = Root(((1, 1), (3, -1)))
-    assert Root.from_json(r.to_json()) == r
     s = RootSystem("B", 3)
     assert RootSystem.from_json(s.to_json()) == s
     f = Functional({1: Q(1, 2)})
