@@ -211,16 +211,6 @@ def _rational(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-CENTRAL = ExtCartanVector(1, CartanVector(), 0)  # image of the central generator bc
-SCALING = ExtCartanVector(0, CartanVector(), 1)  # image of the scaling generator bd
-
-
-def ext_cartan_basis(rank: int) -> list:
-    """CENTRAL, SCALING and the unit vectors of the finite Cartan part, in that order."""
-    units = [ExtCartanVector(0, CartanVector({j: 1}), 0) for j in range(1, rank + 1)]
-    return [CENTRAL, SCALING] + units
-
-
 @dataclass(frozen=True)
 class Weight:
     """A weight of the extended algebra, split as (central value, finite part, scaling value)."""

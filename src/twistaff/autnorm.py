@@ -977,7 +977,7 @@ def _grade(cert: StandardizationCertificate, basis: Span) -> list:
 
 def _grade_weight_space(cert: StandardizationCertificate, a: Root) -> tuple:
     """Eigenvectors of the automorphism on the weight-a space, one per dimension."""
-    basis = cert.model.weight_space_basis(cert.conductor, a)
+    basis = cert.model.weight_space_basis(cert.conductor, a.coeffs)
     if not basis:
         raise StandardizeError(f"{a} is not a weight of the model algebra")
     out = _grade(cert, basis)
@@ -1084,7 +1084,7 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
 
     def check_maximal_abelian():
         # centralizer of the Cartan inside both fixed algebras equals the Cartan
-        span = cert.model.centralizer_basis(cert.conductor)
+        span = cert.model.weight_space_basis(cert.conductor, ())
 
         def expect_rank(tag, dim):
             if dim != cert.rank:

@@ -7,11 +7,12 @@ block with weight -eps_j.  The layout is one weight tuple, and one pairing Q
 (plus vector <-> mirror, exchange or symplectic) serves the defining
 involution of the matrix algebra, the order-2 twist when it is paired, and
 the antilinear structure map for the quaternionic/antiunitary cases.  The
-weight tuple and the pairing are computed once per (kind, rank), each
-weight-space basis once per conductor and root, the Cartan and zero-weight
-bases once per conductor; each basis is a ``Span`` that keeps its psi~
-eigen-split.  The trace form is scaled so that the E_j are orthonormal.
-Every matrix is a ``cyclo.ModeMatrix``.
+weight tuple, the pairing and the positions of each weight's matrix units are
+computed once per (kind, rank), each weight-space basis (the zero weight
+included) once per conductor and weight, the Cartan basis once per conductor;
+each basis is a ``Span`` that keeps its psi~ eigen-split.  The trace form
+is scaled so that the E_j are orthonormal.  Every matrix is a
+``cyclo.ModeMatrix``.
 
 No basis needs elimination.  tau and psi~ are signed permutations of the
 matrix entries (``ModeMatrix.permuted``), so the projection of a matrix unit
@@ -192,32 +193,33 @@ class StandardModel:
                 buckets.setdefault(self.entry_weight(i, j), [{} for _ in x.rows])[i][j] = num
         return [(Root(w) if w else None, ModeMatrix(x.L, x.ncols, x.den, buckets[w])) for w in sorted(buckets)]
 
-    def _weight_units(self, L: int, a: Root):
-        """The off-diagonal matrix units of weight a."""
-        return (
-            self.basis_matrix(L, i, j)
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if i != j and self.entry_weight(i, j) == a.coeffs
-        )
+    @cached_property
+    def _unit_positions(self) -> dict:
+        """Weight (sparse eps-coordinates, () for zero) -> its matrix units' positions (i, j), row by row."""
+        index: dict[tuple, list] = {}
+        for i in range(self.dim):
+            for j in range(self.dim):
+                index.setdefault(self.entry_weight(i, j), []).append((i, j))
+        return index
+
+    def _weight_units(self, L: int, w: tuple):
+        """The matrix units of weight w (a root's coeffs, () for zero), row by row."""
+        return (self.basis_matrix(L, i, j) for i, j in self._unit_positions.get(w, ()))
 
     @lru_cache(maxsize=None)
-    def weight_space_basis(self, L: int, a: Root) -> "Span":
-        """Basis of the full weight-a space (no mode projection), built once per L and a."""
-        return Span(self, span_basis(self.algebra_project(u) for u in self._weight_units(L, a)))
+    def weight_space_basis(self, L: int, w: tuple) -> "Span":
+        """Basis of the weight-w space (no mode projection), built once per L and w.
+
+        w is a root's coeffs, or () for the zero-weight space, which contains
+        the Cartan's centralizer.
+        """
+        return Span(self, span_basis(self.algebra_project(u) for u in self._weight_units(L, w)))
 
     @lru_cache(maxsize=None)
     def cartan_basis(self, L: int) -> "Span":
         """Basis of the Cartan: the projected diagonal matrix units, built once per L."""
         d = range(self.dim)
         return Span(self, span_basis(self.algebra_project(self.basis_matrix(L, i, i)) for i in d))
-
-    @lru_cache(maxsize=None)
-    def centralizer_basis(self, L: int) -> "Span":
-        """Basis of the zero-weight space, which contains the Cartan's centralizer, built once per L."""
-        d = range(self.dim)
-        units = (self.basis_matrix(L, i, j) for i in d for j in d if not self.entry_weight(i, j))
-        return Span(self, span_basis(self.algebra_project(u) for u in units))
 
 
 class Span(tuple):

@@ -195,9 +195,9 @@ def int_vector(num, den: int = 1) -> CartanVector:
     return v
 
 
-def combine(u: CartanVector, a: int, v: CartanVector, b: int, d: int = 1) -> CartanVector:
-    """(a u + b v) / d for integers a, b and d > 0."""
-    a, b, den = a * v.den, b * u.den, u.den * v.den * d
+def combine(u: CartanVector, a: int, v: CartanVector, b: int) -> CartanVector:
+    """a u + b v for integers a and b."""
+    a, b, den = a * v.den, b * u.den, u.den * v.den
     x, y = u.num, v.num
     if len(x) < len(y):
         x, y, a, b = y, x, b, a

@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
-from operator import mul
 
 from .affine import (
     KINDS,
@@ -32,7 +31,6 @@ from .rootdata import (
     Functional,
     Root,
     RootSystem,
-    combine,
     common_rows,
     coroot,
     inner,
@@ -192,42 +190,9 @@ def act_slanted(spec: AffinisationSpec, nu: Functional, w: AffWeylElement, v: Ex
     return translate(spec, nu, moved)
 
 
-class AffineReflection:
-    """The reflection v -> v - r(v) r-check in a compact affine root r, with the spec's slant.
-
-    r as a weight, r(v) = alpha(H) + shift T, and its coroot are built once
-    per (spec, r).  A reflection computes in integers and builds one
-    Fraction, the new Z.
-    """
-
-    __slots__ = ("alpha", "shift", "coroot", "rank")
-
-    def __init__(self, spec: AffinisationSpec, r: AffineRoot):
-        if not r.is_compact():
-            raise ValueError("cannot reflect in a non-compact root")
-        weight = root_weight(spec, r)
-        self.alpha, self.shift = weight.l0, weight.ld
-        self.coroot = affine_coroot(spec, r)
-        self.rank = spec.base.rank
-
-    def __call__(self, v: ExtCartanVector) -> ExtCartanVector:
-        h, t, s, zc = v.h, v.t, self.shift, self.coroot.z
-        if len(h.num) > self.rank:
-            raise ValueError("vector support exceeds the base rank")
-        # r(v) = p / q over the denominators of alpha(H) and shift T
-        hq, sq = self.alpha.den * h.den, s.denominator * t.denominator
-        p = sum(map(mul, self.alpha.num, h.num)) * sq + s.numerator * t.numerator * hq
-        if not p:
-            return v
-        q = hq * sq
-        zq = v.z.denominator * q * zc.denominator
-        z = Fraction(v.z.numerator * q * zc.denominator - p * zc.numerator * v.z.denominator, zq)
-        return ExtCartanVector(z, combine(h, q, self.coroot.h, -p, q), t)
-
-
 def reflect_affine(spec: AffinisationSpec, r: AffineRoot, v: ExtCartanVector) -> ExtCartanVector:
-    """Reflection in a compact affine root, with the spec's slant."""
-    return AffineReflection(spec, r)(v)
+    """Reflection v -> v - r(v) r-check in a compact affine root r, with the spec's slant."""
+    return v - affine_coroot(spec, r).scale(root_weight(spec, r)(v))
 
 
 def f_word(spec: AffinisationSpec, nu: Functional, letters: list[Root], v: ExtCartanVector) -> CartanVector:

@@ -203,7 +203,7 @@ def test_mode_class_vectors_span_and_eigenproperty():
     n_phi = cert.orders[0]
     for a in lars_finite_parts(cert.lars, cert.base):
         vecs = mode_class_vectors(cert, a)
-        assert len(vecs) == len(cert.model.weight_space_basis(L, a))
+        assert len(vecs) == len(cert.model.weight_space_basis(L, a.coeffs))
         for m, v in vecs:
             img = _dense_phi_tilde_inverse(cert, v)
             assert img == v.scale(Cyc.zeta(L, (m * (L // n_phi)) % L))
@@ -307,7 +307,7 @@ def test_mode_class_is_the_residues_of_the_grading():
         fresh = dataclasses.replace(cert)
         for a, residues in zip(roots, classes):
             assert residues == tuple(m for m, _ in mode_class_vectors(fresh, a)), (fam, a)
-            assert len(residues) == len(cert.model.weight_space_basis(cert.conductor, a))
+            assert len(residues) == len(cert.model.weight_space_basis(cert.conductor, a.coeffs))
 
 
 def test_grading_is_computed_once_per_certificate_and_root(monkeypatch, tmp_path):
@@ -537,7 +537,7 @@ def test_phi_tilde_inverse_is_a_phase_times_psi_tilde(kind):
     assert step * cert.exp_denominator == L
     for a in lars_finite_parts(cert.lars, cert.base):
         s = -step * sum(c * cert.exponents[j - 1] for j, c in a.coeffs) % L
-        for b in model.weight_space_basis(L, a):
+        for b in model.weight_space_basis(L, a.coeffs):
             want = model.psi_tilde(b).scale(Cyc.zeta(L, s))
             assert _dense_phi_tilde_inverse(cert, b) == want, (kind, a)
     rng = random.Random(kind)

@@ -1,18 +1,29 @@
 import copy
+import dataclasses
 import json
+from fractions import Fraction as Q
 from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twistaff.affine import MAX_ROOT_MODES, standard_spec
-from twistaff.autnorm import MAX_DIM, OperatorSpec, StandardizeError
+from twistaff import cli
+from twistaff.affine import MAX_ROOT_MODES, AffineRoot, ExtCartanVector, lars_finite_parts, standard_spec
+from twistaff.autnorm import (
+    MAX_DIM,
+    OperatorSpec,
+    StandardizationCertificate,
+    StandardizeError,
+    mode_class,
+    standardize,
+)
 from twistaff.cli import main
 from twistaff.cyclo import MAX_CONDUCTOR, Cyc, ModeMatrix, conductor_degree
 from twistaff.jsonio import cyc_from_json, mat_to_json
-from twistaff.rootdata import MAX_RANK
+from twistaff.rootdata import MAX_RANK, CartanVector, Functional
 from twistaff.sampling import random_operator
+from twistaff.weyl import reflect_affine
 
 
 @pytest.fixture
@@ -70,6 +81,56 @@ def test_check_isom(opfile, tmp_path):
     assert run(["check-isom", "--input", req, "--seed", 5, "--count", 4, "--output", out]) == 0
     doc = json.loads(out.read_text())
     assert doc["passed"] and doc["weyl_reflections_coincide"]
+
+
+def reflections_coincide(cert, nu):
+    """The reference Weyl verdict: each matched pair of reflections on every extended-Cartan basis vector."""
+    src, dst = cert.source_spec(nu), cert.target_spec(nu)
+    basis = [ExtCartanVector(1, CartanVector(), 0), ExtCartanVector(0, CartanVector(), 1)]
+    basis += [ExtCartanVector(0, CartanVector({j: 1}), 0) for j in range(1, cert.rank + 1)]
+    n_phi = cert.orders[0]
+    ok = True
+    for a in lars_finite_parts(cert.lars, cert.base):
+        for m in mode_class(cert, a):
+            for n in (m, m + n_phi, m - n_phi):
+                t = cert.image_mode(a, n)
+                ok &= t.denominator == 1 and all(
+                    reflect_affine(src, AffineRoot(a, n), v) == reflect_affine(dst, AffineRoot(a, int(t)), v)
+                    for v in basis
+                )
+    return ok
+
+
+def test_check_isom_weyl_verdict_matches_the_reflection_reference(tmp_path, monkeypatch):
+    """check-isom compares root weights; on shifted certificates it must agree with the reflections.
+
+    A shift of mu moves the target modes (a fractional one makes some of them
+    non-integral); a shift of the target's nu alone moves the target weights
+    while every mode stays integral.
+    """
+    nu = Functional({1: Q(1, 3)})
+    target_spec = StandardizationCertificate.target_spec
+    verdicts = []
+    for seed, family, dim in ((1, "C_unitary", 3), (2, "H", 4), (3, "R", 4), (4, "C_antiunitary", 4)):
+        spec = random_operator(Random(seed), family, dim, order_hint=3)
+        cert = standardize(spec)
+        req = tmp_path / f"ci{seed}.json"
+        req.write_text(json.dumps({"operator": spec.to_json(), "nu": nu.to_json()}))
+        for mu_shift, nu_shift in ((0, 0), (1, 0), (Q(1, 2), 0), (Q(1, 4), 0), (0, Q(1, 2))):
+            shifted = dataclasses.replace(cert, mu=cert.mu + Functional({1: mu_shift}))
+            monkeypatch.setattr(cli, "standardize", lambda _spec, c=shifted: c)
+            monkeypatch.setattr(
+                StandardizationCertificate,
+                "target_spec",
+                lambda c, v=None, d=Functional({2: nu_shift}): target_spec(c, v + d),
+            )
+            out = tmp_path / "ci_out.json"
+            code = main(["check-isom", "--input", str(req), "--count", "0", "--output", str(out)])
+            doc = json.loads(out.read_text())
+            want = reflections_coincide(shifted, nu)
+            assert doc["weyl_reflections_coincide"] == want == (code == 0), (family, mu_shift, nu_shift)
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
 
 
 def test_bracket_check(tmp_path):

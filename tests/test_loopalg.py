@@ -64,7 +64,7 @@ def test_root_vector_bracket_display():
         for a in lars_finite_parts(kind, m.base)[:4]:
             for res in range(m.n_psi):
                 # the (a, res) root space: the projected matrix units of weight a (none off its residues)
-                for x in span_basis(m.mode_project(m.algebra_project(u), res) for u in m._weight_units(L, a)):
+                for x in span_basis(m.mode_project(m.algebra_project(u), res) for u in m._weight_units(L, a.coeffs)):
                     n = res
                     e = DoubleExtElement.from_loop(L, n, x)
                     estar = DoubleExtElement.from_loop(L, -n, x.conj_transpose())
@@ -186,7 +186,7 @@ def test_phi_hat_rejects_inadmissible_modes():
         bad = next((n for n in range(cert.orders[0])), None)
         if classes != (0,):
             off = (classes[0] + 1) % cert.orders[0]
-            x = m.weight_space_basis(Lc, a)[0]
+            x = m.weight_space_basis(Lc, a.coeffs)[0]
             elem = DoubleExtElement.from_loop(Lc, off, x)
             with pytest.raises(ValueError):
                 phi_hat(cert, src, dst, elem)

@@ -5,7 +5,6 @@ import pytest
 from twistaff.affine import LARS_KINDS, admissible_mode_step, lars_finite_parts
 from twistaff.cyclo import Cyc, ModeMatrix, mat_inverse
 from twistaff.models import Span, span_basis, standard_model
-from twistaff.rootdata import Root
 
 import elimination
 
@@ -33,7 +32,7 @@ def model_mode_residues(model, a):
 
 def root_space_basis(model, a, residue):
     """A basis of the weight-a, mode-residue component of the model algebra, from the realization."""
-    return span_basis(model.mode_project(model.algebra_project(u), residue) for u in model._weight_units(L, a))
+    return span_basis(model.mode_project(model.algebra_project(u), residue) for u in model._weight_units(L, a.coeffs))
 
 
 def hermitian_form(model, x, y):
@@ -151,11 +150,9 @@ def model_unit_lists(model, L):
     d = range(model.dim)
     cartan = [model.algebra_project(model.basis_matrix(L, i, i)) for i in d]
     yield model.cartan_basis(L), cartan
-    zero = (model.basis_matrix(L, i, j) for i in d for j in d if not model.entry_weight(i, j))
-    yield model.centralizer_basis(L), [model.algebra_project(u) for u in zero]
-    weights = sorted({model.entry_weight(i, j) for i in d for j in d if i != j} - {()})
-    for w in weights:
-        yield model.weight_space_basis(L, Root(w)), [model.algebra_project(u) for u in model._weight_units(L, Root(w))]
+    for w in sorted({model.entry_weight(i, j) for i in d for j in d}):  # () first: the zero weight
+        units = (model.basis_matrix(L, i, j) for i in d for j in d if model.entry_weight(i, j) == w)
+        yield model.weight_space_basis(L, w), [model.algebra_project(u) for u in units]
 
 
 @pytest.mark.parametrize("L", [4, 8, 12, 24])

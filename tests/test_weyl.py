@@ -2,19 +2,19 @@ import random
 from fractions import Fraction as Q
 from math import factorial
 
+import pytest
+
 from twistaff.affine import (
     LARS_KINDS,
     AffineRoot,
     ExtCartanVector,
     Weight,
     admissible_mode_step,
-    ext_cartan_basis,
     lars_finite_parts,
     standard_spec,
 )
 from twistaff.rootdata import CartanVector, Functional, Root, coroot, inner, pairing, reflect_finite
 from twistaff.weyl import (
-    AffineReflection,
     AffWeylElement,
     FiniteWeylElement,
     Translation,
@@ -30,6 +30,15 @@ from twistaff.weyl import (
 )
 
 e12 = Root(((1, 1), (2, -1)))
+
+CENTRAL = ExtCartanVector(1, CartanVector(), 0)  # image of the central generator bc
+SCALING = ExtCartanVector(0, CartanVector(), 1)  # image of the scaling generator bd
+
+
+def ext_cartan_basis(rank: int) -> list:
+    """CENTRAL, SCALING and the unit vectors of the finite Cartan part, in that order."""
+    units = [ExtCartanVector(0, CartanVector({j: 1}), 0) for j in range(1, rank + 1)]
+    return [CENTRAL, SCALING] + units
 
 
 def reflection_aff_element(spec, r):
@@ -48,11 +57,10 @@ def word_reduce(spec, word):
     out = AffWeylElement.identity(spec.base.rank)
     for letter in word:
         out = out * reflection_aff_element(spec, letter)
-    reflections = [AffineReflection(spec, letter) for letter in reversed(word)]
     for v in ext_cartan_basis(spec.base.rank):
         direct = v
-        for reflect in reflections:
-            direct = reflect(direct)
+        for letter in reversed(word):
+            direct = reflect_affine(spec, letter, direct)
         assert act_slanted(spec, spec.slant, out, v) == direct
     return out
 
@@ -89,6 +97,12 @@ def test_reflect_affine_examples():
     assert out == ExtCartanVector(1, CartanVector({1: -1, 2: 1}), 1)
     fixed = ExtCartanVector(3, CartanVector({1: 1, 2: 1}), 0)
     assert reflect_affine(spec, AffineRoot(e12, 0), fixed) == fixed
+
+
+def test_reflect_affine_refuses_a_non_compact_root():
+    spec = standard_spec("A1", 2)
+    with pytest.raises(ValueError, match="non-compact"):
+        reflect_affine(spec, AffineRoot(None, 1), ExtCartanVector(0, CartanVector(()), 1))
 
 
 def test_translate_examples():
