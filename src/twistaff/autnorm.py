@@ -18,7 +18,9 @@ blocks or J-stable planes.  The eigenprojectors are spectral sums
 (1/n) sum_j zeta^(-jk) a^j (``_spectral_part``).  The walk runs at one
 conductor: a conjugation block that needs a positive rational's square root
 outside the field raises ``_Enlarge`` (``_sqrt``), and ``_antilinear_blocks``
-restarts the walk on its operator lifted to the enlarged conductor.
+restarts the walk on its operator lifted to the enlarged conductor.  The walk
+takes each step once and does not re-test what its construction fixes; the
+certificate's exact reconstruction and column checks are its one check.
 
 A certificate also carries the twisted grading it induces: for each root,
 the residues m with a nonzero (a, m) root space and matching eigenvectors
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .affine import KINDS, AffineRoot, AffinisationSpec, lars_contains, lars_finite_parts
 from .cyclo import (
@@ -63,6 +65,8 @@ from .rootdata import MAX_RANK, Functional, Root, RootSystem, inner
 FIELDS = ("R", "C", "H")
 #: the largest operator dimension a request may name: the largest model dimension at MAX_RANK
 MAX_DIM = 2 * MAX_RANK + 2
+#: the largest projective order, and scalar order, that projective_order and matrix_order search
+MAX_ORDER = 512
 
 
 class StandardizeError(ValueError):
@@ -208,28 +212,28 @@ def validate_operator(spec: OperatorSpec) -> None:
 # -- orders and the lift ---------------------------------------------------------
 
 
-def projective_order(u: ModeMatrix, bound: int = 512) -> tuple[int, Cyc]:
-    """Smallest k <= bound with u^k scalar, and the scalar."""
+def projective_order(u: ModeMatrix) -> tuple[int, Cyc]:
+    """Smallest k <= MAX_ORDER with u^k scalar, and the scalar."""
     acc = u
-    for k in range(1, bound + 1):
+    for k in range(1, MAX_ORDER + 1):
         c = acc.rows[0].get(0)  # u^k is c times the identity when every row holds only c on the diagonal
         if c is not None and all(r.keys() == {i} and r[i] == c for i, r in enumerate(acc.rows)):
             return k, Cyc(acc.L, c, acc.den)
         acc = acc @ u
-    raise StandardizeError(f"no finite projective order within the projective_order bound {bound}")
+    raise StandardizeError(f"no finite projective order within the projective_order bound {MAX_ORDER}")
 
 
-def matrix_order(u: ModeMatrix, bound: int = 512) -> int:
-    k, s = projective_order(u, bound)
+def matrix_order(u: ModeMatrix) -> int:
+    k, s = projective_order(u)
     # order of the scalar times k
     L = u.L
     acc = s
-    for m in range(1, bound + 1):
+    for m in range(1, MAX_ORDER + 1):
         if acc == Cyc.one(L):
             return k * m
         acc = acc * s
     raise StandardizeError(
-        f"scalar part is not a root of unity of order within the matrix_order bound {bound}"
+        f"scalar part is not a root of unity of order within the matrix_order bound {MAX_ORDER}"
     )
 
 
@@ -276,17 +280,13 @@ def _lift_from_order(spec: OperatorSpec, k: int, lam0: Cyc) -> tuple[OperatorSpe
         )
     L = spec.conductor
     if family_of(spec) == "C_unitary":
-        # solve nu^n = lam0^-1 among roots of unity, enlarging the conductor if needed
+        # solve nu^n = lam0^-1 among roots of unity: at L when gcd(n, L) divides j, and
+        # otherwise at lcm(4, n L), which holds an n-th root of any L-th root of unity
         j = _root_of_unity_log(lam0)
-        sol = next((m for m in range(L) if (m * n) % L == (-j) % L), None)
-        if sol is None:
-            # an n-th root of any L-th root of unity lives at conductor lcm(4, n L)
-            L2 = lcm(4, n * L)
-            jj = j * (L2 // L)
-            sol = next(m for m in range(L2) if (m * n) % L2 == (-jj) % L2)
-            lifted = spec.matrix.lift(L2).scale(Cyc.zeta(L2, sol))
-        else:
-            lifted = spec.matrix.scale(Cyc.zeta(L, sol))
+        L2 = L if j % gcd(n, L) == 0 else lcm(4, n * L)
+        jj = j * (L2 // L)
+        sol = next(m for m in range(L2) if m * n % L2 == -jj % L2)
+        lifted = spec.matrix.lift(L2).scale(Cyc.zeta(L2, sol))
         return OperatorSpec(spec.field, False, spec.dim, lifted, n), n, n
     if lam0 == Cyc.one(L):
         return spec, n, n
@@ -375,7 +375,9 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
     symmetric bilinear form B(v, w) = <v, theta w>; valid blocks keep later
     hermitian reductions B-orthogonal, so the search is a sequence of in-field
     square-root problems (``_sqrt``, which raises ``_Enlarge`` for a rational
-    root outside the field).  Returns (blocks, fixed vector or None).
+    root outside the field).  Each vector is reduced against the blocks once, and
+    a block built isotropic is not re-tested: the caller's exact checks of the
+    assembled basis catch a fault.  Returns (blocks, fixed vector or None).
     """
     L = u.L
     theta = _antilinear(u)
@@ -398,15 +400,10 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
         q = _hdot(v, v)
         disc = q * q - cv * cv.conj()
         s = None if disc.is_zero() else _sqrt(disc)
-        if s is not None:
-            tv = theta(v)
-            cbar_inv = cv.conj().inverse()
-            for sgn in (1, -1):
-                lam = (Cyc.rational(L, sgn) * s - q) * cbar_inv
-                w = v + tv.scale(lam)
-                if w:
-                    return w
-        return None
+        if s is None:
+            return None
+        # the first root serves: v + lambda theta(v) = 0 would force |cv| = q, that is disc = 0
+        return v + theta(v).scale((s - q) * cv.conj().inverse())
 
     remaining = proj.columns()
 
@@ -424,19 +421,17 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
                 add_block(v, theta(v))
                 progress = True
                 continue
+            # reduced, as theta maps the blocks' span onto itself; B(iso, iso) = 0 by lambda
             iso = try_isotropic(v, cv)
             if iso is not None:
-                iso = hreduce(iso)
-                if iso and bform(iso, iso).is_zero():
-                    add_block(iso, theta(iso))
-                    progress = True
-                    continue
+                add_block(iso, theta(iso))
+                progress = True
+                continue
             next_round.append(v)
         remaining = next_round
 
-    # pair up anisotropic stragglers through two-dimensional B-planes
-    work = [hreduce(v) for v in remaining]
-    work = [v for v in work if v]
+    # pair up anisotropic stragglers through B-planes (the last round reduced them all)
+    work = remaining
     while len(work) > 1:
         v = work.pop(0)
         v = hreduce(v)
@@ -456,8 +451,8 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
             w2h = w - v.scale(coeff)
             cw = bform(w2h, w2h)
             if cw.is_zero():
-                if w2h:
-                    add_block(hreduce(w2h), theta(hreduce(w2h)))
+                if w2h:  # reduced, as v and w are
+                    add_block(w2h, theta(w2h))
                     work.pop(idx)
                     work.insert(0, v)
                     placed = True
@@ -468,9 +463,8 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
                 if s is None:
                     continue
                 mix = s if (cv * s * s + cw).is_zero() else s * Cyc.i(L)
-                cand = hreduce(v.scale(mix) + w2h)
-                if not cand or not bform(cand, cand).is_zero():
-                    continue
+                # reduced, nonzero and B-isotropic: B(v, w2h) = 0 and cv mix^2 + cw = 0
+                cand = v.scale(mix) + w2h
                 add_block(cand, theta(cand))
                 work.pop(idx)
                 # the B-complement of the block inside span{v, w} resurfaces next round
@@ -495,11 +489,10 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
             continue
         tv = theta(v)
         for cand in (v + tv, (v - tv).scale(ii)):
+            # still theta-fixed: its reduction coefficients against fixed vectors and pairs are real
             cand = _orth_reduce(hreduce(cand), pool, pool_norms)
             if not cand:
                 continue
-            if theta(cand) != cand:
-                raise StandardizeError("fixed-vector construction failed")
             pool.append(cand)
             pool_norms.append(_hdot(cand, cand))
 
@@ -526,27 +519,24 @@ def _pair_conjugation_fixed(g1, q1, g2, q2):
 
     Returns (plus, minus): plus = g1' + i g2' and minus = g1' - i g2' for a
     remix g1', g2' of equal norm, so the involution swaps plus and minus and
-    the two are orthogonal.  The remix is (g1, sqrt(q1 / q2) g2) or, failing
-    that, (q2 g1, sqrt(q1 q2) g2); None when neither root is in the field.
+    the two are orthogonal.  The remix is (g1, sqrt(q1 / q2) g2); None when that
+    root is not in the field (nor is sqrt(q1 q2), of the same square class).
     """
     scale = _sqrt(q1 * q2.inverse())
     if scale is None:
-        scale = _sqrt(q1 * q2)
-        if scale is None:
-            return None
-        g1 = g1.scale(q2)
+        return None
     g2 = g2.scale(Cyc.i(q1.L) * scale)
     return g1 + g2, g1 - g2
 
 
-def _antilinear_blocks(a: ModeMatrix, m: int, u: ModeMatrix, minus_scale):
+def _antilinear_blocks(a: ModeMatrix, m: int, u: ModeMatrix):
     """Orthogonal column pairs (plus, minus) for J = u o conj commuting with a, a^m = 1.
 
-    J maps the zeta^k-eigenspace of a onto the zeta^-k one.  A paired eigenspace
-    (0 < 2k < m) gets an orthogonal basis with minus = c J(plus), c =
-    minus_scale(k, L).  On a self-paired one (k = 0 or 2k = m) J^2 = +-1, read
-    off one vector: J^2 = 1 gives conjugation blocks (minus = J(plus)) and at most
-    one J-fixed vector, J^2 = -1 gives J-stable planes (minus = c J(plus)).  The
+    J maps the zeta^k-eigenspace of a onto the zeta^-k one, and every pair has
+    minus = J(plus), which callers rescale as their form needs.  A paired
+    eigenspace (0 < 2k < m) gets an orthogonal basis.  On a self-paired one (k = 0
+    or 2k = m) J^2 = +-1, read off one vector: J^2 = 1 gives conjugation blocks
+    and at most one J-fixed vector, J^2 = -1 gives J-stable planes.  The
     walk takes k = 0 and m/2 first, at the one conductor L of a and u; when a
     conjugation block decomposition needs a rational square root outside
     Q(zeta_L) (``_Enlarge``), the walk restarts on a and u lifted to the
@@ -574,19 +564,18 @@ def _antilinear_blocks(a: ModeMatrix, m: int, u: ModeMatrix, minus_scale):
                 qs = [_hdot(w, w) for w in basis]
             else:
                 basis, qs = _gram_schmidt(cols, J if sign else None)
-                c = minus_scale(k, L)
-                images = [J(w).scale(c) for w in basis]
+                images = [J(w) for w in basis]
             plus += basis
             minus += images
             exps += [k] * len(basis)
             norms += qs
     except _Enlarge as enlarged:
         big = enlarged.conductor
-        return _antilinear_blocks(a.lift(big), m, u.lift(big), minus_scale)
+        return _antilinear_blocks(a.lift(big), m, u.lift(big))
     return plus, minus, exps, norms, fixed, L
 
 
-def _assemble_columns(plus, minus, exponents, norms, middle, middle_norms, d):
+def _assemble_columns(plus, minus, exponents, norms, middle, d):
     """Sort the pairs by exponent and lay out the plus, middle and minus columns.
 
     minus is empty when the layout has no mirrored block.  Returns the sorting
@@ -594,7 +583,7 @@ def _assemble_columns(plus, minus, exponents, norms, middle, middle_norms, d):
     """
     order = sorted(range(len(exponents)), key=lambda i: (exponents[i], i))
     cols = [plus[i] for i in order] + list(middle)
-    col_norms = [norms[i] for i in order] + list(middle_norms)
+    col_norms = [norms[i] for i in order] + [_hdot(v, v) for v in middle]
     if minus:
         cols += [minus[i] for i in order]
         col_norms += [norms[i] for i in order]
@@ -643,18 +632,17 @@ def _antiunitary_blocks(spec: OperatorSpec, m_op: int):
     """The block walk of an antiunitary operator A = u o conj of order m_op: J = A pairs
     the eigenspaces of A^2 = u conj(u), whose order is N = m_op / 2.
 
-    Returns the ``_antilinear_blocks`` output with the J-fixed vector of
-    exponent 0 (or None) in place of the fixed map.
+    Returns the ``_antilinear_blocks`` output, its minus columns rescaled to the
+    block form, with the J-fixed vector of exponent 0 (or None) for the fixed map.
     """
     half = m_op // 2
     L = lcm(working_conductor(m_op, sqrt2=True), spec.conductor)
     u = spec.matrix.lift(L)
-
-    def minus_scale(n, L):
-        # i on the J^2 = -1 eigenspace, zeta^n, zeta the primitive 2N-th root, on a pair
-        return Cyc.i(L) if 2 * n == half else Cyc.zeta(L, n * (L // (2 * half)) % L)
-
-    plus, minus, exps, norms, fixed, L = _antilinear_blocks(u @ u.conj(), half, u, minus_scale)
+    plus, minus, exps, norms, fixed, L = _antilinear_blocks(u @ u.conj(), half, u)
+    # minus = c(n) J(plus) at the final conductor: c = i on the J^2 = -1 eigenspace (2n = N),
+    # zeta^n on a pair, zeta the primitive 2N-th root, and c(0) = 1
+    scales = {n: Cyc.i(L) if 2 * n == half else Cyc.zeta(L, n * (L // (2 * half)) % L) for n in exps if n}
+    minus = [w.scale(scales[n]) if n else w for w, n in zip(minus, exps)]
     return plus, minus, exps, norms, fixed.get(0), L
 
 
@@ -671,9 +659,7 @@ def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
     _, _, m_op = _lift_with_orders(spec)
     plus_cols, minus_cols, exponents, norms_plus, fixed, L = _antiunitary_blocks(spec, m_op)
     middle = [fixed] if fixed is not None else []
-    order, v, col_norms = _assemble_columns(
-        plus_cols, minus_cols, exponents, norms_plus, middle, [_hdot(w, w) for w in middle], spec.dim
-    )
+    order, v, col_norms = _assemble_columns(plus_cols, minus_cols, exponents, norms_plus, middle, spec.dim)
     r = len(order)
     blocks = tuple((exponents[i], pos, r + len(middle) + pos) for pos, i in enumerate(order))
     form = AntiunitaryBlockForm(
@@ -809,9 +795,7 @@ def _collect_certificate(
     rank = len(plus_cols)
     if rank < 2:
         raise StandardizeError(f"truncation too small: standardized rank {rank} < 2")
-    order, basis_change, col_norms = _assemble_columns(
-        plus_cols, minus_cols, exponents, norms, zero_cols, [_hdot(v, v) for v in zero_cols], spec.dim
-    )
+    order, basis_change, col_norms = _assemble_columns(plus_cols, minus_cols, exponents, norms, zero_cols, spec.dim)
     exps = tuple(exponents[i] for i in order)
     mu = Functional({j + 1: Fraction(-exps[j], exp_denominator) for j in range(rank)})
     cert = StandardizationCertificate(
@@ -885,14 +869,10 @@ def _standardize_c_unitary(spec: OperatorSpec, n: int) -> StandardizationCertifi
     )
 
 
-def _unit_scale(k: int, L: int) -> Cyc:
-    return Cyc.one(L)
-
-
 def _standardize_h(spec: OperatorSpec, n: int, m: int) -> StandardizationCertificate:
     L, a = _working_form(spec, m)
     t = quaternionic_structure(L, spec.dim)
-    plus, minus, exps, norms, _, L = _antilinear_blocks(a, m, t, _unit_scale)
+    plus, minus, exps, norms, _, L = _antilinear_blocks(a, m, t)
     return _collect_certificate(
         spec, "H", "C1", plus, minus, [], exps, norms, L, m, (n, m),
         partition=(("quaternionic_pairs", len(plus)),),
@@ -901,7 +881,7 @@ def _standardize_h(spec: OperatorSpec, n: int, m: int) -> StandardizationCertifi
 
 def _standardize_r(spec: OperatorSpec, n: int, m: int, negated=False) -> StandardizationCertificate:
     L, a = _working_form(spec, m)
-    plus, minus, exps, norms, fixed, L = _antilinear_blocks(a, m, ModeMatrix.identity(L, spec.dim), _unit_scale)
+    plus, minus, exps, norms, fixed, L = _antilinear_blocks(a, m, ModeMatrix.identity(L, spec.dim))
     s_plus = fixed.get(0)
     s_minus = fixed.get(m // 2) if m % 2 == 0 else None
     if s_plus is None and s_minus is not None:
@@ -965,10 +945,9 @@ def _grade(cert: StandardizationCertificate, basis: Span) -> list:
     if L % n_phi != 0:
         raise StandardizeError("conductor does not contain the automorphism's roots of unity")
     k = cert._u_phases(L)
-    phases = {(k[j] - k[i]) % L for i, j in basis.support}
-    if len(phases) != 1:
-        raise StandardizeError("automorphism is not one phase times psi~ on the span")
-    (s,) = phases
+    # one position serves: the phases are linear in the weight, whatever the exponents
+    i, j = next(iter(basis.support))
+    s = (k[j] - k[i]) % L
     step = L // n_phi
     plus, minus = basis.split
     graded = sorted(((s, plus), ((s + L // 2) % L, minus)), key=lambda g: g[0])

@@ -25,13 +25,7 @@ from .affine import (
     lars_finite_parts,
     root_weight,
 )
-from .autnorm import (
-    OperatorSpec,
-    StandardizeError,
-    mode_class,
-    standardize,
-    verify_certificate,
-)
+from .autnorm import OperatorSpec, mode_class, standardize, verify_certificate
 from .energy import Character, character_of, min_energy, theorem_b_pipeline
 from .loopalg import apply_derivation, bracket, kappa_form, phi_hat, validate_element
 from .rootdata import Functional
@@ -366,13 +360,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, out = COMMANDS[args.command][0](args)
-    except (IOError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
         print(f"error: missing or malformed field {exc} in the input", file=sys.stderr)
         return 2
-    except (DomainError, StandardizeError, ValueError) as exc:
+    except (DomainError, ValueError) as exc:  # a StandardizeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = jsonio.dump_report(out, args.output)

@@ -1,6 +1,6 @@
 """Readings of the Gauss-Jordan kernel ``cyclo.row_reduce``, kept as test references.
 
-``solve``, ``in_span``, ``nullspace`` and ``det`` read its result.  On top
+``solve``, ``in_span``, ``nullspace``, ``rank`` and ``det`` read its result.  On top
 of them, ``span_basis`` and ``split`` compute a model span's basis and its
 psi~ eigen-split by elimination over the entries of the matrices, for any
 input; ``models`` reads both off signed-permutation orbits, and its results
@@ -47,6 +47,11 @@ def nullspace(a) -> list[tuple]:
             x[col] = -row[free]
         out.append(tuple(x))
     return out
+
+
+def rank(a) -> int:
+    """The rank of a matrix given as rows of Cyc."""
+    return len(row_reduce(a)[1])
 
 
 def det(a) -> Cyc:

@@ -625,3 +625,103 @@ def test_certificates_of_one_kind_share_the_weight_space_bases(monkeypatch):
     assert len(first) == len(second) > 0
     for b1, b2 in zip(first, second):
         assert isinstance(b1, tuple) and b1 is b2
+
+
+#: seeded probe-grid operators (family, seed, dim, order hint) whose conjugation block
+#: decompositions reach, between them, every branch: a B-plane (the R one), a stage-1
+#: isotropic vector (14, 4, 2), a B-plane with cw = 0 (4, 5, 2), a B-plane with a
+#: leftover (2, 5, 2) and a fixed-vector pairing (28, 5, 2)
+BLOCK_OPERATORS = [
+    ("R", 1, 5, 2),
+    ("C_antiunitary", 14, 4, 2),
+    ("C_antiunitary", 4, 5, 2),
+    ("C_antiunitary", 2, 5, 2),
+    ("C_antiunitary", 28, 5, 2),
+]
+
+
+@pytest.mark.parametrize("family, seed, dim, hint", BLOCK_OPERATORS)
+def test_block_decomposition_gives_isotropic_orthogonal_blocks(monkeypatch, family, seed, dim, hint):
+    """What the walk no longer re-tests: each plus is B-isotropic with minus = theta(plus) of
+    equal norm, all block vectors and the fixed vector are orthogonal, the fixed vector is
+    theta-fixed, and the blocks and the fixed vector fill the projector's rank."""
+    from itertools import combinations
+
+    from twistaff import autnorm
+
+    decompositions = []  # (u, projector, output) of every J^2 = 1 eigenspace the walk splits
+    real = autnorm._conjugation_block_decomposition
+
+    def recording(u, proj):
+        out = real(u, proj)
+        decompositions.append((u, proj, out))
+        return out
+
+    monkeypatch.setattr(autnorm, "_conjugation_block_decomposition", recording)
+    standardize(random_operator(random.Random(seed), family, dim, order_hint=hint))
+    assert decompositions
+    hdot = autnorm._hdot
+    for u, proj, (blocks, fixed) in decompositions:
+        theta = autnorm._antilinear(u)
+        for plus, minus in blocks:
+            assert not hdot(plus, theta(plus))
+            assert minus == theta(plus)
+            assert hdot(plus, plus) == hdot(minus, minus)
+        vectors = [v for block in blocks for v in block] + ([fixed] if fixed is not None else [])
+        for x, y in combinations(vectors, 2):
+            assert not hdot(x, y)
+        if fixed is not None:
+            assert theta(fixed) == fixed
+        assert len(vectors) == elimination.rank(proj.to_rows())
+
+
+def test_an_isotropic_refusal_keeps_its_message():
+    spec = random_operator(random.Random(4), "C_antiunitary", 3, order_hint=3)
+    with pytest.raises(StandardizeError) as refused:
+        standardize(spec)
+    assert str(refused.value) == (
+        "cannot complete the block normal form exactly: no reachable isotropic vectors or "
+        "fixed-vector pairings in the working cyclotomic field or an enlargement up to "
+        "MAX_CONDUCTOR = 480 (only for positive rationals)"
+    )
+
+
+@pytest.mark.parametrize("L", [8, 12, 24])
+def test_square_roots_exist_per_square_class(L):
+    """sqrt(x) exists exactly when sqrt(x c^2) does, for nonzero c; a positive rational's
+    root asks for the same enlargement either way.  So the fixed-vector pairing needs no
+    retry with sqrt(q1 q2) = sqrt((q1 / q2) q2^2)."""
+    from twistaff.autnorm import _Enlarge, _sqrt
+    from twistaff.cyclo import cyc_sqrt
+
+    rng = random.Random(L)
+
+    def draw(rational, square):
+        """A seeded nonzero element, rational or not, and a square when asked."""
+        while True:
+            x = Cyc.rational(L, Q(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 6)))
+            if not rational:
+                for _ in range(2):
+                    x = x + Cyc.zeta(L, rng.randrange(1, L)) * Cyc.rational(L, Q(rng.randint(-4, 4), rng.randint(1, 3)))
+            x = x * x if square else x
+            if x and x.is_rational() == rational:
+                return x
+
+    def enlargement(q):
+        try:
+            return _sqrt(q) is not None
+        except _Enlarge as enlarged:
+            return enlarged.conductor
+
+    roots, enlargements = set(), set()
+    for rational in (True, False):
+        for t in range(8):
+            x, c = draw(rational, square=t % 4 == 0), draw(rational, square=False)
+            has_root = cyc_sqrt(x) is not None
+            assert (cyc_sqrt(x * c * c) is not None) == has_root
+            roots.add(has_root)
+            if rational and x.as_fraction() > 0:
+                enlargements.add(enlargement(x))
+                assert enlargement(x * c * c) == enlargement(x)
+    assert roots == {True, False}
+    assert any(type(e) is int for e in enlargements)
