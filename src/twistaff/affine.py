@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .jsonio import int_from_json, rational_from_json, str_from_json
+from . import DomainError
+from .jsonio import json_field, rational_from_json
 from .rootdata import CartanVector, Functional, Root, RootSystem, coroot, enumerate_roots, inner
 
 
@@ -111,13 +112,13 @@ class AffinisationSpec:
     def __post_init__(self):
         kind = KINDS.get(self.lars)
         if kind is None:
-            raise ValueError(f"unknown affine kind {self.lars!r}")
+            raise DomainError(f"unknown affine kind {self.lars!r}")
         if kind.base != self.base.kind:
-            raise ValueError(f"kind {self.lars} needs a base of type {kind.base}")
+            raise DomainError(f"kind {self.lars} needs a base of type {kind.base}")
         if self.twist_order == 0:
             object.__setattr__(self, "twist_order", kind.twist_order)
         if self.twist_order < 1:
-            raise ValueError("twist order must be positive")
+            raise DomainError("twist order must be positive")
 
     @cached_property
     def slant(self) -> Functional:
@@ -138,14 +139,14 @@ class AffinisationSpec:
 
     @staticmethod
     def from_json(obj) -> "AffinisationSpec":
-        base = RootSystem.from_json(obj["base"])
-        return AffinisationSpec(
-            base=base,
-            lars=str_from_json(obj["lars"], "lars"),
-            twist_order=int_from_json(obj.get("twist_order", 0), "twist_order"),
-            slant_mu=Functional.from_json(obj.get("slant_mu", {"coords": {}}), base.rank),
-            slant_nu=Functional.from_json(obj.get("slant_nu", {"coords": {}}), base.rank),
+        where = "affinisation spec"
+        base = RootSystem.from_json(json_field(obj, "base", where, dict))
+        lars, twist_order = json_field(obj, "lars", where, str), json_field(obj, "twist_order", where, int, 0)
+        slant_mu, slant_nu = (
+            Functional.from_json(json_field(obj, key, where, dict, {"coords": {}}), base.rank)
+            for key in ("slant_mu", "slant_nu")
         )
+        return AffinisationSpec(base, lars, twist_order, slant_mu, slant_nu)
 
 
 def standard_spec(kind: str, rank: int, mu=None, nu=None) -> AffinisationSpec:
@@ -235,8 +236,8 @@ class Weight:
     @staticmethod
     def from_json(obj, rank: int | None = None) -> "Weight":
         where = "malformed weight"
-        lc, ld = rational_from_json(obj["lc"], where), rational_from_json(obj["ld"], where)
-        return Weight(lc, Functional.from_json(obj["l0"], rank), ld)
+        lc, ld = (rational_from_json(json_field(obj, key, where), where) for key in ("lc", "ld"))
+        return Weight(lc, Functional.from_json(json_field(obj, "l0", where, dict), rank), ld)
 
 
 def slant_shift(lam: Weight, chi: ExtCartanVector, nu: Functional):

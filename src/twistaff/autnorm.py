@@ -48,6 +48,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
+from . import DomainError
 from .affine import KINDS, AffineRoot, AffinisationSpec, lars_contains, lars_finite_parts
 from .cyclo import (
     MAX_CONDUCTOR,
@@ -58,7 +59,7 @@ from .cyclo import (
     split_square,
     working_conductor,
 )
-from .jsonio import cyc_to_json, int_from_json, mat_from_json, mat_to_json, str_from_json
+from .jsonio import cyc_to_json, json_field, mat_from_json, mat_to_json
 from .models import Span, StandardModel, standard_model
 from .rootdata import MAX_RANK, Functional, Root, RootSystem, inner
 
@@ -69,7 +70,7 @@ MAX_DIM = 2 * MAX_RANK + 2
 MAX_ORDER = 512
 
 
-class StandardizeError(ValueError):
+class StandardizeError(DomainError):
     """Raised when an operator violates its declared structure."""
 
 
@@ -166,15 +167,13 @@ class OperatorSpec:
 
     @staticmethod
     def from_json(obj) -> "OperatorSpec":
-        antiunitary = obj.get("antiunitary", False)
-        if type(antiunitary) is not bool:
-            raise IOError(f"operator antiunitary: expected a boolean, got {antiunitary!r}")
-        field = str_from_json(obj["field"], "operator field")
-        dim = int_from_json(obj["dim"], "operator dim")
+        antiunitary = json_field(obj, "antiunitary", "operator", bool, False)
+        field = json_field(obj, "field", "operator", str)
+        dim = json_field(obj, "dim", "operator", int)
         if dim > MAX_DIM:
             raise IOError(f"operator dim {dim} is above MAX_DIM = {MAX_DIM}")
-        matrix = mat_from_json(obj["matrix"])  # one conductor per request
-        order = int_from_json(obj["order"], "operator order")
+        matrix = mat_from_json(json_field(obj, "matrix", "operator"))  # one conductor per request
+        order = json_field(obj, "order", "operator", int)
         return OperatorSpec(field, antiunitary, dim, matrix, order)
 
 
@@ -1023,16 +1022,16 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         try:
             detail = fn()
             items.append((name, True, detail or "ok"))
-        except ValueError as exc:  # a failed check (StandardizeError is one) is itemized
+        except DomainError as exc:  # a failed check is itemized; any other error is a fault
             items.append((name, False, str(exc)))
 
     try:  # one projective order (k, lam0) for the reconstruction and the declared order
         projective = projective_order(_order_matrix(spec))
-    except ValueError as exc:  # each check that reads it reports it
+    except DomainError as exc:  # each check that reads it reports it
         projective = exc
 
     def read_projective():
-        if isinstance(projective, ValueError):
+        if isinstance(projective, DomainError):
             raise projective
         return projective
 

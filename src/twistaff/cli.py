@@ -1,7 +1,9 @@
 """Batch command line front end: JSON in, JSON report out.
 
-One subcommand per pipeline.  Exit codes: 0 on success, 1 on a domain error
-(invariant violation, failed verification), 2 on an I/O or parse error.
+One subcommand per pipeline.  Exit codes: 0 on success; 1 on a refusal, a
+`DomainError` (invariant violation, failed verification); 2 on a malformed
+request or an I/O error, an `OSError`; 3 on a program fault, any other
+exception, with its traceback on stderr.
 Reports echo the parsed request, carry a schema marker, and are byte-stable
 for a fixed request and seed.
 """
@@ -12,9 +14,10 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from functools import lru_cache
 
-from . import jsonio
+from . import DomainError, jsonio
 from .affine import (
     AffineRoot,
     AffinisationSpec,
@@ -30,10 +33,6 @@ from .energy import Character, character_of, min_energy, theorem_b_pipeline
 from .loopalg import apply_derivation, bracket, kappa_form, phi_hat, validate_element
 from .rootdata import Functional
 from .sampling import random_loop_element, random_twisted_element
-
-
-class DomainError(Exception):
-    pass
 
 
 #: the JSON of the zero functional, the default of optional functional fields
@@ -55,12 +54,12 @@ def _load(path):
 
 
 def _parse(parse, value, where):
-    """parse(value) for a JSON object; a value or a field of the wrong JSON type is a parse error."""
+    """parse(value) for a JSON object; a malformed value's IOError is re-raised naming where."""
     if not isinstance(value, dict):
         raise IOError(f"{where} must be a JSON object, got {json.dumps(value)}")
     try:
         return parse(value)
-    except (TypeError, AttributeError) as exc:
+    except IOError as exc:
         raise IOError(f"malformed {where}: {exc}") from exc
 
 
@@ -71,21 +70,12 @@ def _vector(cls, rank):
 
 def _field(obj, key, parse, where, default=None):
     """parse(obj[key]) for an object field, with an optional default for a missing one."""
-    if key in obj:
-        value = obj[key]
-    elif default is not None:
-        value = default
-    else:
-        raise IOError(f"missing field {key!r} in {where}")
-    return _parse(parse, value, f"field {key!r} of {where}")
+    return _parse(parse, jsonio.json_field(obj, key, where, default=default), f"field {key!r} of {where}")
 
 
 def _ranked_field(obj, key, cls, rank, where, default=None):
-    """A vector field with indices at most a certificate's rank; a refusal names the field."""
-    try:
-        return _field(obj, key, _vector(cls, rank), where, default)
-    except IOError as exc:
-        raise IOError(f"field {key!r} of {where} (standardized rank {rank}): {exc}") from exc
+    """A vector field with indices at most a certificate's rank; a refusal names the field and the rank."""
+    return _field(obj, key, _vector(cls, rank), f"{where} (standardized rank {rank})", default)
 
 
 def cmd_normalize(args):
@@ -363,12 +353,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"error: missing or malformed field {exc} in the input", file=sys.stderr)
-        return 2
-    except (DomainError, ValueError) as exc:  # a StandardizeError is a ValueError
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:  # a program fault, never a refusal
+        traceback.print_exc()
+        return 3
     text = jsonio.dump_report(out, args.output)
     if not args.output:
         sys.stdout.write(text)

@@ -38,7 +38,8 @@ from .affine import (
     slant_shift,
     standard_spec,
 )
-from .jsonio import rational_from_json
+from . import DomainError
+from .jsonio import json_field, rational_from_json
 from .rootdata import CartanVector, Functional, common_rows, inner, int_vector
 from .weyl import (
     AffWeylElement,
@@ -67,8 +68,8 @@ class Character(ExtCartanVector):
     @staticmethod
     def from_json(obj, rank: int | None = None) -> "Character":
         where = "malformed character"
-        chi_c, chi_d = (rational_from_json(obj[key], where) for key in ("chi_c", "chi_d"))
-        return Character(chi_c, CartanVector.from_json(obj["chi0_sharp"], rank), chi_d)
+        chi_c, chi_d = (rational_from_json(json_field(obj, key, where), where) for key in ("chi_c", "chi_d"))
+        return Character(chi_c, CartanVector.from_json(json_field(obj, "chi0_sharp", where, dict), rank), chi_d)
 
 
 def character_of(spec: AffinisationSpec, nu: Functional, nu_prime: Functional, chi_c=0) -> Character:
@@ -259,16 +260,16 @@ def min_energy(
     translation part is a positive definite quadratic, minimized exactly by
     an integer lattice CVP; ties go to the first image.  The oracle's exact
     minimum over a coefficient box must agree.  The orbit and the oracle box
-    grow with the rank, so ranks above exhaustive_rank raise ValueError.
+    grow with the rank, so ranks above exhaustive_rank raise DomainError.
     """
     if lam.lc == 0:
-        raise ValueError("the central value of the weight must be nonzero")
+        raise DomainError("the central value of the weight must be nonzero")
     if not spec.is_standard():
-        raise ValueError("energy minimization runs on the standard (untwisted) side")
+        raise DomainError("energy minimization runs on the standard (untwisted) side")
     rank = spec.base.rank
     kind = spec.lars
     if rank > exhaustive_rank:
-        raise ValueError(
+        raise DomainError(
             f"rank {rank} is above exhaustive_rank = {exhaustive_rank}: "
             "the orbit images and the oracle box grow with the rank"
         )
@@ -526,9 +527,9 @@ def theorem_b_pipeline(
 
     src = cert.source_spec(nu)
     if lam.lc == 0:
-        raise ValueError("the central value of the weight must be nonzero")
+        raise DomainError("the central value of the weight must be nonzero")
     if require_integral and not is_integral(src, lam, residues=lambda a: mode_class(cert, a)):
-        raise ValueError("the weight is not integral on the twisted side")
+        raise DomainError("the weight is not integral on the twisted side")
     dst = standard_spec(cert.lars, cert.rank)
     lam_shifted, chi = slant_shift(lam, character_of(dst, nu, nu_prime), cert.mu + nu)
     return min_energy(dst, lam_shifted, chi, oracle_bound=oracle_bound, with_oracle=with_oracle)

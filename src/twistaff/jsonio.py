@@ -5,7 +5,8 @@ of ASCII digits are accepted on input, everything else is refused by
 `rational_from_json`); cyclotomic scalars as {"conductor": L, "coeffs": [...]}
 in the power basis, with L at most `cyclo.MAX_CONDUCTOR`; matrices as nested
 row lists, read straight into a `cyclo.ModeMatrix` with no `Fraction` per
-coefficient.  Every report carries a "schema": "v1" marker.
+coefficient.  Every request field is read by `json_field`.  Every report
+carries a "schema": "v1" marker.
 """
 
 from __future__ import annotations
@@ -31,17 +32,26 @@ def cyc_to_json(c: Cyc) -> dict:
     return {"conductor": c.L, "coeffs": _coeffs_to_json(c.num, c.den)}
 
 
-def int_from_json(value, where: str) -> int:
-    """A JSON integer (not a boolean); anything else raises IOError naming it."""
-    if type(value) is not int:
-        raise IOError(f"{where}: expected an integer, got {value!r}")
-    return value
+#: the name of each JSON type a request field may be required to have
+_KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string", dict: "an object"}
 
 
-def str_from_json(value, where: str) -> str:
-    """A JSON string; anything else raises IOError naming it."""
-    if type(value) is not str:
-        raise IOError(f"{where}: expected a string, got {value!r}")
+def json_field(obj, key: str, where: str, kind=None, default=None):
+    """obj[key] of a JSON object obj, or default when the key is absent and default is not None.
+
+    With a kind the value must have exactly that type, so a boolean is not an
+    integer.  A non-object obj, a missing field or a value of another type
+    raises IOError naming where and key.
+    """
+    if type(obj) is not dict:
+        raise IOError(f"{where}: expected an object, got {obj!r}")
+    if key not in obj:
+        if default is None:
+            raise IOError(f"{where}: missing field {key!r}")
+        return default
+    value = obj[key]
+    if kind is not None and type(value) is not kind:
+        raise IOError(f"{where} {key}: expected {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -79,9 +89,7 @@ def _scalar_from_json(obj) -> tuple[int, list[tuple[int, int]]]:
     """The conductor and the coefficients, as (p, q) pairs, of a scalar; a malformed one
     raises IOError, which the CLI reports with exit 2."""
     where = "malformed cyclotomic scalar"
-    if not isinstance(obj, dict):
-        raise IOError(f"{where}: expected an object, got {obj!r}")
-    L, coeffs = obj["conductor"], obj["coeffs"]
+    L, coeffs = json_field(obj, "conductor", where), json_field(obj, "coeffs", where)
     if type(L) is not int or L < 4 or L % 4:
         raise IOError(f"{where}: conductor {L!r} is not a positive integer divisible by 4")
     if L > MAX_CONDUCTOR:

@@ -19,7 +19,8 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from .jsonio import int_from_json, rational_from_json, str_from_json
+from . import DomainError
+from .jsonio import json_field, rational_from_json
 
 KINDS = ("A", "B", "C", "D")
 MAX_RANK = 50  # the largest base rank a request may name; W(B_n) alone has 2^n n! elements
@@ -32,17 +33,17 @@ class RootSystem:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown root system kind {self.kind!r}")
+            raise DomainError(f"unknown root system kind {self.kind!r}")
         if self.rank < 2:
-            raise ValueError("rank must be at least 2")
+            raise DomainError("rank must be at least 2")
 
     def to_json(self):
         return {"kind": self.kind, "rank": self.rank}
 
     @staticmethod
     def from_json(obj) -> "RootSystem":
-        kind = str_from_json(obj["kind"], "root system kind")
-        rank = int_from_json(obj["rank"], "root system rank")
+        kind = json_field(obj, "kind", "root system", str)
+        rank = json_field(obj, "rank", "root system", int)
         if rank > MAX_RANK:
             raise IOError(f"root system rank {rank} is above MAX_RANK = {MAX_RANK}")
         return RootSystem(kind, rank)
@@ -169,7 +170,7 @@ class CartanVector:
         """
         where = "malformed vector coordinate"
         coords = {}
-        for key, v in obj["coords"].items():
+        for key, v in json_field(obj, "coords", "vector", dict).items():
             j = str(key)
             if not (j.isascii() and j.isdigit()) or int(j) < 1:
                 raise IOError(f"{where}: index {j!r} is not a positive integer")

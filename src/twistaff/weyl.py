@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import gcd
 
 from .affine import (
     KINDS,
@@ -20,9 +19,7 @@ from .affine import (
     AffinisationSpec,
     ExtCartanVector,
     Weight,
-    admissible_mode_step,
     affine_coroot,
-    lars_finite_parts,
     root_weight,
     slant_shift,
 )
@@ -30,8 +27,6 @@ from .rootdata import (
     CartanVector,
     Functional,
     Root,
-    RootSystem,
-    common_rows,
     coroot,
     inner,
     int_vector,
@@ -217,36 +212,21 @@ def translation_lattice(spec: AffinisationSpec) -> tuple[CartanVector, ...]:
     """A Z-basis of the lattice of Weyl translation vectors for a standard spec."""
     if not spec.is_standard():
         raise ValueError("translation lattice is defined for standard specs")
-    return _translation_lattice(spec.lars, spec.base)
+    return _translation_lattice(spec.lars, spec.base.rank)
 
 
 @lru_cache(maxsize=None)
-def _translation_lattice(kind: str, base: RootSystem) -> tuple[CartanVector, ...]:
-    gens = []
-    for a in lars_finite_parts(kind, base):
-        res, step = admissible_mode_step(kind, a)
-        gens.append(coroot(a).scale(Fraction(gcd(res, step), KINDS[kind].twist_order)))
-    return _lattice_reduce(gens, base.rank)
-
-
-def _lattice_reduce(gens: list[CartanVector], rank: int) -> tuple[CartanVector, ...]:
-    """Hermite-style Z-basis of the group generated by the given vectors."""
-    rows, den = common_rows(gens, rank)
-    # integer row reduction: Euclid on each column, pivots made positive
-    mat = [r for r in rows if any(r)]
-    basis = []
-    for col in range(rank):
-        pool = [r for r in mat if r[col]]
-        mat = [r for r in mat if not r[col]]
-        while len(pool) > 1:
-            pool.sort(key=lambda r: abs(r[col]))
-            piv = pool[0]
-            reduced = [[x - r[col] // piv[col] * y for x, y in zip(r, piv)] for r in pool[1:]]
-            mat += [r for r in reduced if not r[col] and any(r)]
-            pool = [piv] + [r for r in reduced if r[col]]
-        if pool:
-            basis.append(pool[0] if pool[0][col] > 0 else [-x for x in pool[0]])
-    return tuple(int_vector(row, den) for row in basis)
+def _translation_lattice(kind: str, n: int) -> tuple[CartanVector, ...]:
+    """scale * (Z^n | D_n | A_(n-1)) for the kind's lattice (shape, scale): the unit vectors,
+    e_j + e_(j+1) then 2 e_n, or e_j - e_(j+1)."""
+    shape, scale = KINDS[kind].lattice
+    if shape == "Z":
+        rows = [{j: 1} for j in range(1, n + 1)]
+    elif shape == "D":
+        rows = [{j: 1, j + 1: 1} for j in range(1, n)] + [{n: 2}]
+    else:
+        rows = [{j: 1, j + 1: -1} for j in range(1, n)]
+    return tuple(CartanVector(row).scale(scale) for row in rows)
 
 
 def unslanted_action_check(

@@ -244,7 +244,7 @@ def test_tampered_certificates_are_detected():
 
 
 def test_a_program_fault_in_a_check_is_raised_not_itemized(monkeypatch):
-    # a failed check raises ValueError (StandardizeError is one); any other error is a fault
+    # a failed check raises DomainError (StandardizeError is one); any other error is a fault
     from twistaff import autnorm
 
     spec = random_operator(random.Random(36), "R", 6, order_hint=4)

@@ -199,6 +199,27 @@ def test_exit_codes(tmp_path):
     assert run(["roots", "--input", invalid]) == 1
 
 
+@pytest.mark.parametrize(
+    "owner, name, fault",
+    [
+        (cli, "standardize", KeyError("grading")),
+        (cli, "standardize", ValueError("conductor mismatch: 12 vs 24")),
+        (cli, "standardize", TypeError("unsupported operand")),
+        (OperatorSpec, "from_json", AttributeError("'list' object has no attribute 'items'")),
+    ],
+    ids=["standardize-KeyError", "standardize-ValueError", "standardize-TypeError", "from_json-AttributeError"],
+)
+def test_a_program_fault_is_not_a_refusal(opfile, monkeypatch, capsys, owner, name, fault):
+    # only a DomainError exits 1 and only an OSError exits 2; any other exception is a fault
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setattr(owner, name, broken)
+    assert run(["normalize", "--input", opfile]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and f"{type(fault).__name__}: " in err
+
+
 def test_reports_reparse(opfile, tmp_path):
     out = tmp_path / "cert.json"
     run(["normalize", "--input", opfile, "--output", out])
@@ -571,10 +592,28 @@ ENERGY_REQUEST = {
     "chi": {"chi_c": "0", "chi0_sharp": {"coords": {}}, "chi_d": "1"},
 }
 
-#: (subcommand, path of the request field that the fuzz test replaces)
+#: (subcommand, path of the request field that the fuzz test replaces), top-level and nested fields
 FUZZED_FIELDS = [("normalize", (key,)) for key in ("matrix", "dim", "order", "field", "antiunitary")] + [
+    ("normalize", ("matrix", 0, 0)),
+    ("roots", ("base",)), ("roots", ("slant_mu",)),
+    ("check-isom", ("nu",)),
     ("min-energy", ("weight",)), ("min-energy", ("chi",)), ("min-energy", ("spec", "base")),
+    ("min-energy", ("weight", "l0")), ("min-energy", ("chi", "chi0_sharp")),
 ]
+
+#: the flags of each fuzzed subcommand: one bracket pair keeps an accepted check-isom request quick
+FUZZED_FLAGS = {"check-isom": ["--count", 1]}
+
+
+def fuzz_request(command, operator):
+    """A valid request of the subcommand; normalize and check-isom read the given operator."""
+    if command == "normalize":
+        return operator
+    if command == "check-isom":
+        return {"operator": operator, "nu": {"coords": {}}}
+    if command == "roots":
+        return standard_spec("A1", 2).to_json()
+    return copy.deepcopy(ENERGY_REQUEST)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -582,7 +621,7 @@ FUZZED_FIELDS = [("normalize", (key,)) for key in ("matrix", "dim", "order", "fi
 def test_any_json_value_in_a_request_field_exits_1_or_2(opfile, tmp_path, case, value):
     # the fixtures are only read; each example writes its own request over the last one
     command, path = case
-    request = json.loads(opfile.read_text()) if command == "normalize" else copy.deepcopy(ENERGY_REQUEST)
+    request = fuzz_request(command, json.loads(opfile.read_text()))
     *parents, key = path
     holder = request
     for parent in parents:
@@ -591,5 +630,5 @@ def test_any_json_value_in_a_request_field_exits_1_or_2(opfile, tmp_path, case, 
     holder[key] = value
     req = tmp_path / "fuzz.json"
     req.write_text(json.dumps(request))
-    code = run([command, "--input", req, "--output", tmp_path / "fuzz_out.json"])
+    code = run([command, "--input", req, "--output", tmp_path / "fuzz_out.json", *FUZZED_FLAGS.get(command, [])])
     assert code == 0 if unchanged else code in (1, 2)

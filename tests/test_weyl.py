@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -145,6 +145,44 @@ def test_translation_lattices():
                     assert lattice_contains(basis, y, 3), (kind, a, n)
 
 
+def scaled_coroots(spec):
+    """The translation generators: gcd(res, step) / N times the coroot of each finite part a
+    whose modes are res mod step."""
+    gens = []
+    for a in lars_finite_parts(spec.lars, spec.base):
+        res, step = admissible_mode_step(spec.lars, a)
+        gens.append(coroot(a).scale(Q(gcd(res, step), spec.twist_order)))
+    return gens
+
+
+def coroot_lattice_basis(kind, rank):
+    """The reference translation lattice: the scaled coroots reduced to a Z-basis by integer
+    row reduction (Euclid on each column, pivots made positive)."""
+    gens = scaled_coroots(standard_spec(kind, rank))
+    den = lcm(*(g.den for g in gens))
+    mat = [[int(g[j] * den) for j in range(1, rank + 1)] for g in gens]
+    basis = []
+    for col in range(rank):
+        pool = [r for r in mat if r[col]]
+        mat = [r for r in mat if not r[col]]
+        while len(pool) > 1:
+            pool.sort(key=lambda r: abs(r[col]))
+            piv = pool[0]
+            reduced = [[x - r[col] // piv[col] * y for x, y in zip(r, piv)] for r in pool[1:]]
+            mat += [r for r in reduced if not r[col] and any(r)]
+            pool = [piv] + [r for r in reduced if r[col]]
+        if pool:
+            basis.append(pool[0] if pool[0][col] > 0 else [-x for x in pool[0]])
+    return tuple(CartanVector({j: Q(x, den) for j, x in enumerate(row, 1)}) for row in basis)
+
+
+@pytest.mark.parametrize("kind", LARS_KINDS)
+def test_translation_lattice_is_the_reduced_coroot_lattice(kind):
+    # the basis read off the kind's lattice row is exactly the reduced coroot generators
+    for rank in range(2, 9):
+        assert translation_lattice(standard_spec(kind, rank)) == coroot_lattice_basis(kind, rank), (kind, rank)
+
+
 def test_translation_reflection_identities():
     rng = random.Random(7)
     for kind in LARS_KINDS:
@@ -284,18 +322,10 @@ def test_slanted_action_with_lattice_slant_is_translation_conjugation():
 
 def test_lattice_reduction_spans_the_same_group():
     # the emitted basis and the raw generators generate each other
-    from twistaff.affine import admissible_mode_step, lars_finite_parts, standard_spec
-    from math import gcd as _gcd
-
     for kind in LARS_KINDS:
         spec = standard_spec(kind, 4)
         basis = translation_lattice(spec)
-        gens = []
-        for a in lars_finite_parts(kind, spec.base):
-            res, step = admissible_mode_step(kind, a)
-            d = _gcd(res, step)
-            gens.append(coroot(a).scale(Q(d, spec.twist_order)))
-        for g in gens:
+        for g in scaled_coroots(spec):
             assert lattice_contains(basis, g, 4), (kind, g)
         # each basis vector is an integer combination of scaled coroots: check by
         # membership in the full generated group via a small coefficient search
