@@ -15,10 +15,12 @@ identity's for R, the quaternionic structure for H, the operator itself for
 the antiunitary form) pairs the eigenspaces of a finite-order linear map,
 and each self-paired eigenspace splits by the sign of J^2 into conjugation
 blocks or J-stable planes.  The eigenprojectors are spectral sums
-(1/n) sum_j zeta^(-jk) a^j (``_spectral_part``).  The walk runs at one
-conductor: a conjugation block that needs a positive rational's square root
-outside the field raises ``_Enlarge`` (``_sqrt``), and ``_antilinear_blocks``
-restarts the walk on its operator lifted to the enlarged conductor.  The walk
+(1/n) sum_j zeta^(-jk) a^j (``_spectral_part``).  Every field comes from
+``cyclo``: the lift and the walks run at a ``working_conductor``, which
+refuses one above ``MAX_CONDUCTOR``, and a conjugation block that needs a
+positive rational's square root outside the field raises ``_Enlarge``
+(``_sqrt``) with its ``sqrt_conductor``; ``_antilinear_blocks`` restarts the
+walk on its operator lifted to that conductor.  The walk
 takes each step once and does not re-test what its construction fixes; the
 certificate's exact reconstruction and column checks are its one check.
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm
 
 from . import DomainError
 from .affine import KINDS, AffineRoot, AffinisationSpec, lars_contains, lars_finite_parts
@@ -56,7 +58,7 @@ from .cyclo import (
     ModeMatrix,
     cyc_sqrt,
     mat_products_equal,
-    split_square,
+    sqrt_conductor,
     working_conductor,
 )
 from .jsonio import cyc_to_json, json_field, mat_from_json, mat_to_json
@@ -280,9 +282,9 @@ def _lift_from_order(spec: OperatorSpec, k: int, lam0: Cyc) -> tuple[OperatorSpe
     L = spec.conductor
     if family_of(spec) == "C_unitary":
         # solve nu^n = lam0^-1 among roots of unity: at L when gcd(n, L) divides j, and
-        # otherwise at lcm(4, n L), which holds an n-th root of any L-th root of unity
+        # otherwise at n L, which holds an n-th root of any L-th root of unity
         j = _root_of_unity_log(lam0)
-        L2 = L if j % gcd(n, L) == 0 else lcm(4, n * L)
+        L2 = L if j % gcd(n, L) == 0 else working_conductor(L, n * L)
         jj = j * (L2 // L)
         sol = next(m for m in range(L2) if m * n % L2 == -jj % L2)
         lifted = spec.matrix.lift(L2).scale(Cyc.zeta(L2, sol))
@@ -331,10 +333,6 @@ def eigenprojectors(a: ModeMatrix, m: int) -> list[tuple[int, ModeMatrix]]:
     return [(k, p) for k, p in projs if p]
 
 
-# an odd prime p adjoins sqrt(p) only through 4p | L <= MAX_CONDUCTOR
-_ENLARGEMENT_PRIMES = tuple(
-    p for p in range(2, MAX_CONDUCTOR // 4 + 1) if all(p % d for d in range(2, isqrt(p) + 1))
-)
 _ENLARGEMENT = f"an enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR} (only for positive rationals)"
 
 
@@ -350,17 +348,14 @@ def _sqrt(q):
     """An exact square root of q in its own field, or None.
 
     A positive rational whose root lies outside the field raises
-    ``_Enlarge(lcm(L, 4 prod p))`` instead, when its squarefree part has only
-    primes in _ENLARGEMENT_PRIMES and that conductor is <= MAX_CONDUCTOR.
+    ``_Enlarge(sqrt_conductor(q))`` instead, when that field is within
+    MAX_CONDUCTOR.
     """
     s = cyc_sqrt(q)
     if s is None and q.is_rational() and q.as_fraction() > 0:
-        r = q.as_fraction()
-        split = split_square(r.numerator * r.denominator, _ENLARGEMENT_PRIMES)
-        if split is not None:
-            conductor = lcm(q.L, 4 * prod(split[1]))  # Gauss sums put sqrt(p) in Q(zeta_4p)
-            if conductor <= MAX_CONDUCTOR:
-                raise _Enlarge(conductor)
+        conductor = sqrt_conductor(q)
+        if conductor is not None:
+            raise _Enlarge(conductor)
     return s
 
 
@@ -635,7 +630,7 @@ def _antiunitary_blocks(spec: OperatorSpec, m_op: int):
     block form, with the J-fixed vector of exponent 0 (or None) for the fixed map.
     """
     half = m_op // 2
-    L = lcm(working_conductor(m_op, sqrt2=True), spec.conductor)
+    L = working_conductor(spec.conductor, 8, 2 * m_op)
     u = spec.matrix.lift(L)
     plus, minus, exps, norms, fixed, L = _antilinear_blocks(u @ u.conj(), half, u)
     # minus = c(n) J(plus) at the final conductor: c = i on the J^2 = -1 eigenspace (2n = N),
@@ -850,7 +845,7 @@ def standardize(spec: OperatorSpec) -> StandardizationCertificate:
 def _working_form(spec: OperatorSpec, m: int):
     """(L, a): a conductor L holding the 2m-th roots of unity and the input's entries,
     and the operator, of order m, lifted to L."""
-    L = lcm(working_conductor(2 * m), spec.conductor)
+    L = working_conductor(spec.conductor, 4 * m)
     return L, spec.matrix.lift(L)
 
 
@@ -1049,7 +1044,10 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         return f"{cert.basis_change.ncols} columns"
 
     def check_one_parameter():
-        # U_t at rational times commutes with the standard twist operator
+        # U_t at rational times commutes with the standard twist operator.  This field is
+        # the one that working_conductor does not choose: it divides 2 cert.conductor, so it
+        # is at most 2 MAX_CONDUCTOR, and bounding it would fail a valid certificate (an
+        # antiunitary one at 480 with even N = m_op / 2 needs 960 for U_1/2 alone)
         L2 = lcm(cert.conductor, 2 * cert.exp_denominator)
         psi_lin = cert.model.twist_matrix(L2)
         for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):

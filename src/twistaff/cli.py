@@ -4,8 +4,11 @@ One subcommand per pipeline.  Exit codes: 0 on success; 1 on a refusal, a
 `DomainError` (invariant violation, failed verification); 2 on a malformed
 request or an I/O error, an `OSError`; 3 on a program fault, any other
 exception, with its traceback on stderr.
-Reports echo the parsed request, carry a schema marker, and are byte-stable
-for a fixed request and seed.
+Each handler takes the parsed options and the request object and returns
+(exit code, report body); ``main`` loads the request and frames every report
+as {"schema": "v1", "request": echo, **body}.  The echo holds the command,
+the input path and every option the command reads but ``UNECHOED``.
+Reports are byte-stable for a fixed request and seed.
 """
 
 from __future__ import annotations
@@ -78,39 +81,30 @@ def _ranked_field(obj, key, cls, rank, where, default=None):
     return _field(obj, key, _vector(cls, rank), f"{where} (standardized rank {rank})", default)
 
 
-def cmd_normalize(args):
-    spec = _parse(OperatorSpec.from_json, _load(args.input), "normalize input")
+def _cert_summary(cert) -> dict:
+    """The certificate fields that map-roots, check-isom and theorem-b report."""
+    return {"lars": cert.lars, "rank": cert.rank, "orders": list(cert.orders)}
+
+
+def cmd_normalize(args, obj):
+    spec = _parse(OperatorSpec.from_json, obj, "normalize input")
     cert = standardize(spec)
     report = verify_certificate(spec, cert)
-    out = {
-        "schema": "v1",
-        "request": {"command": "normalize", "input": args.input},
-        "certificate": cert.to_json(),
-        "verification": report.to_json(),
-    }
-    if not report.all_passed:
-        return 1, out
-    return 0, out
+    body = {"certificate": cert.to_json(), "verification": report.to_json()}
+    return (0 if report.all_passed else 1), body
 
 
-def cmd_roots(args):
-    spec = _parse(AffinisationSpec.from_json, _load(args.input), "roots input")
+def cmd_roots(args, obj):
+    spec = _parse(AffinisationSpec.from_json, obj, "roots input")
     roots = enumerate_affine_roots(spec.lars, spec.base, args.window)
-    out = {
-        "schema": "v1",
-        "request": {"command": "roots", "input": args.input, "window": args.window},
-        "spec": spec.to_json(),
-        "count": len(roots),
-        "roots": [r.to_json() for r in roots],
-    }
-    return 0, out
+    return 0, {"spec": spec.to_json(), "count": len(roots), "roots": [r.to_json() for r in roots]}
 
 
-def cmd_map_roots(args):
-    spec = _field(_load(args.input), "operator", OperatorSpec.from_json, "map-roots input")
+def cmd_map_roots(args, obj):
+    spec = _field(obj, "operator", OperatorSpec.from_json, "map-roots input")
     cert = standardize(spec)
     n_phi = cert.orders[0]
-    window = args.window if args.window else 4 * n_phi
+    window = args.window = args.window or 4 * n_phi  # the echo reports the resolved window
     parts = lars_finite_parts(cert.lars, cert.base)
     check_root_window(parts, window)
     table = []
@@ -132,18 +126,11 @@ def cmd_map_roots(args):
             }
             table.append(entry)
     ok = all(e["integral"] and e["in_target"] for e in table)
-    out = {
-        "schema": "v1",
-        "request": {"command": "map-roots", "input": args.input, "window": window},
-        "certificate": {"lars": cert.lars, "rank": cert.rank, "orders": list(cert.orders)},
-        "map": table,
-        "all_integral_and_contained": ok,
-    }
-    return (0 if ok else 1), out
+    body = {"certificate": _cert_summary(cert), "map": table, "all_integral_and_contained": ok}
+    return (0 if ok else 1), body
 
 
-def cmd_check_isom(args):
-    obj = _load(args.input)
+def cmd_check_isom(args, obj):
     spec = _field(obj, "operator", OperatorSpec.from_json, "check-isom input")
     cert = standardize(spec)
     nu = _ranked_field(obj, "nu", Functional, cert.rank, "check-isom input", NO_COORDS)
@@ -178,24 +165,17 @@ def cmd_check_isom(args):
                     dst, AffineRoot(a, int(t))
                 )
     ok_all &= weyl_ok
-    out = {
-        "schema": "v1",
-        "request": {
-            "command": "check-isom",
-            "input": args.input,
-            "seed": args.seed,
-            "count": args.count,
-        },
-        "certificate": {"lars": cert.lars, "rank": cert.rank, "orders": list(cert.orders)},
+    body = {
+        "certificate": _cert_summary(cert),
         "bracket_checks": checks,
         "weyl_reflections_coincide": weyl_ok,
         "passed": bool(ok_all),
     }
-    return (0 if ok_all else 1), out
+    return (0 if ok_all else 1), body
 
 
-def cmd_bracket_check(args):
-    spec = _parse(AffinisationSpec.from_json, _load(args.input), "bracket-check input")
+def cmd_bracket_check(args, obj):
+    spec = _parse(AffinisationSpec.from_json, obj, "bracket-check input")
     if not spec.is_standard():
         raise DomainError("bracket-check expects a standard spec; use check-isom for twists")
     rng = random.Random(args.seed)
@@ -222,24 +202,11 @@ def cmd_bracket_check(args):
         if kappa_form(spec, da, b) == -kappa_form(spec, a, db):
             results["derivation_skew"] += 1
     ok = all(v == args.count for v in results.values())
-    out = {
-        "schema": "v1",
-        "request": {
-            "command": "bracket-check",
-            "input": args.input,
-            "seed": args.seed,
-            "count": args.count,
-        },
-        "spec": spec.to_json(),
-        "passed_counts": results,
-        "trials": args.count,
-        "passed": ok,
-    }
-    return (0 if ok else 1), out
+    body = {"spec": spec.to_json(), "passed_counts": results, "trials": args.count, "passed": ok}
+    return (0 if ok else 1), body
 
 
-def cmd_min_energy(args):
-    obj = _load(args.input)
+def cmd_min_energy(args, obj):
     where = "min-energy input"
     spec = _field(obj, "spec", AffinisationSpec.from_json, where)
     rank = spec.base.rank
@@ -250,15 +217,7 @@ def cmd_min_energy(args):
         nu_prime = _field(obj, "nu_prime", _vector(Functional, rank), where, NO_COORDS)
         chi = character_of(spec, spec.slant_nu, nu_prime)
     report = min_energy(spec, lam, chi, oracle_bound=args.bound, jobs=args.jobs)
-    out = {
-        "schema": "v1",
-        "request": {"command": "min-energy", "input": args.input, "bound": args.bound},
-        "spec": spec.to_json(),
-        "weight": lam.to_json(),
-        "chi": chi.to_json(),
-        "report": report.to_json(),
-    }
-    return 0, out
+    return 0, {"spec": spec.to_json(), "weight": lam.to_json(), "chi": chi.to_json(), "report": report.to_json()}
 
 
 #: the vector fields of a theorem-b request: (key, class, default)
@@ -267,8 +226,7 @@ _THEOREM_B_VECTORS = (
 )
 
 
-def cmd_theorem_b(args):
-    obj = _load(args.input)
+def cmd_theorem_b(args, obj):
     where = "theorem-b input"
     spec = _field(obj, "operator", OperatorSpec.from_json, where)
     # malformed vectors fail before standardizing: the standardized rank is at most the dimension
@@ -281,19 +239,8 @@ def cmd_theorem_b(args):
     report = theorem_b_pipeline(
         cert, lam, nu, nu_prime, oracle_bound=args.bound, require_integral=not args.allow_nonintegral
     )
-    out = {
-        "schema": "v1",
-        "request": {"command": "theorem-b", "input": args.input, "bound": args.bound},
-        "certificate": {
-            "lars": cert.lars,
-            "rank": cert.rank,
-            "orders": list(cert.orders),
-            "mu": cert.mu.to_json(),
-            "exponents": list(cert.exponents),
-        },
-        "report": report.to_json(),
-    }
-    return 0, out
+    summary = _cert_summary(cert) | {"mu": cert.mu.to_json(), "exponents": list(cert.exponents)}
+    return 0, {"certificate": summary, "report": report.to_json()}
 
 
 def _int_at_least(low):
@@ -320,6 +267,9 @@ OPTIONS = {
         action="store_true", help="compute the orbit infimum even for non-integral weights"
     ),
 }
+
+#: the OPTIONS that a request echo leaves out: neither changes the bytes of a report the request gets
+UNECHOED = ("--jobs", "--allow-nonintegral")
 
 #: subcommand -> (handler, the OPTIONS it reads)
 COMMANDS = {
@@ -348,8 +298,9 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, options = COMMANDS[args.command]
     try:
-        code, out = COMMANDS[args.command][0](args)
+        code, body = handler(args, _load(args.input))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -359,7 +310,10 @@ def main(argv=None) -> int:
     except Exception:  # a program fault, never a refusal
         traceback.print_exc()
         return 3
-    text = jsonio.dump_report(out, args.output)
+    # read after the handler, which may resolve a default (map-roots' window)
+    request = {"command": args.command, "input": args.input}
+    request |= {flag[2:]: getattr(args, flag[2:]) for flag in options if flag not in UNECHOED}
+    text = jsonio.dump_report({"schema": "v1", "request": request, **body}, args.output)
     if not args.output:
         sys.stdout.write(text)
     else:

@@ -4,7 +4,10 @@ Scalars are represented in the power basis 1, z, ..., z^(phi(L)-1) of the
 primitive L-th root of unity z, with integer coefficient vectors over a
 common positive denominator.  All operations are exact; the conductor L is
 fixed per computation, must be divisible by 4 so that i = z^(L/4) is
-available, and stays at most ``MAX_CONDUCTOR``.
+available, and stays at most ``MAX_CONDUCTOR``.  This module chooses every
+working field: ``working_conductor`` holds given roots of unity and refuses a
+field above ``MAX_CONDUCTOR`` (a ``DomainError``), and ``sqrt_conductor``
+names the least field that holds a rational's square root.
 
 The scalar kernel is all integers.  One function, ``_reduce``, reduces a sum
 of powers z^k (k < L) modulo Phi_L from a table of the L powers as sparse
@@ -35,8 +38,8 @@ one signed unpack per output row, then one reduction modulo Phi_L per
 nonzero entry.  An operand keeps its packed form per B.  The one
 elimination is the Gauss-Jordan kernel ``row_reduce`` behind ``mat_inverse``;
 no model basis needs it (see ``models``).  ``cyc_sqrt`` builds the square
-root of a rational from the primes of the conductor and cached Gauss sums;
-only square roots of non-rational elements reach sympy.
+root of a rational by stripping the primes of ``SQRT_PRIMES`` and from cached
+Gauss sums; only square roots of non-rational elements reach sympy.
 """
 
 from __future__ import annotations
@@ -44,11 +47,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import add, lshift, mul
 
+from . import DomainError
 
-MAX_CONDUCTOR = 480  # every field, read or enlarged to, must stay desk-sized
+
+#: every working field, read, chosen (``working_conductor``) or enlarged to
+#: (``sqrt_conductor``), stays desk-sized; only the one-parameter check of a
+#: certificate reads a field of up to twice this
+MAX_CONDUCTOR = 480
+#: the primes p <= MAX_CONDUCTOR // 4: sqrt(p) lies in Q(zeta_L) exactly when lcm(L, 4p) = L
+SQRT_PRIMES = tuple(
+    p for p in range(2, MAX_CONDUCTOR // 4 + 1) if all(p % d for d in range(2, isqrt(p) + 1))
+)
 
 
 @lru_cache(maxsize=None)
@@ -342,46 +354,40 @@ class Cyc:
         return " + ".join(terms) if terms else "0"
 
 
-def split_square(m: int, primes) -> tuple[int, tuple[int, ...]] | None:
-    """Write a positive integer m as s**2 * (product of some of primes), or None.
+def _sqrt_split(x: Cyc) -> tuple[int, list[int], int] | None:
+    """(s, odd, c) for a rational x, with |x| = s**2 * prod(odd) / den**2, or None.
 
-    Each prime is stripped from m and only the parity of its exponent is kept;
-    what is left must be a perfect square.  There is no trial division beyond
-    the given primes, so the cost is independent of the other factors of m.
-    Returns (s, the primes of odd exponent).
+    odd holds the primes of SQRT_PRIMES of odd exponent in x, and
+    c = lcm(L, 4 prod(odd)) is the least multiple of L whose field holds
+    sqrt(x): a Gauss sum puts sqrt(p) in Q(zeta_4p), and i is in every field.
+    Each prime is stripped from |x| den and what is left must be a perfect
+    square, else a prime past SQRT_PRIMES has odd exponent and no field within
+    MAX_CONDUCTOR holds the root.  There is no trial division beyond
+    SQRT_PRIMES, so the cost is independent of the other factors of x.
     """
-    s, odd = 1, []
-    for p in primes:
+    m, s, odd = abs(x.num[0]) * x.den, 1, []
+    for p in SQRT_PRIMES:
         e = 0
-        while m % p == 0:
+        while m and m % p == 0:
             m //= p
             e += 1
         s *= p ** (e // 2)
         if e % 2:
             odd.append(p)
     r = _isqrt_exact(m)
-    return None if r is None else (s * r, tuple(odd))
+    return None if r is None else (s * r, odd, lcm(x.L, 4 * prod(odd)))
 
 
-@lru_cache(maxsize=None)
-def _sqrt_primes(L: int) -> tuple[int, ...]:
-    """The primes p with sqrt(p) in Q(zeta_L): the odd primes of L, and 2 when 8 | L."""
-    out = [2] if L % 8 == 0 else []
-    m, p = L, 3
-    while m % 2 == 0:
-        m //= 2
-    while m > 1:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 2
-    return tuple(out)
+def sqrt_conductor(x: Cyc) -> int | None:
+    """The least multiple of x.L whose field holds the square root of a rational x,
+    or None when that conductor is above MAX_CONDUCTOR."""
+    split = _sqrt_split(x)
+    return split[2] if split is not None and split[2] <= MAX_CONDUCTOR else None
 
 
 @lru_cache(maxsize=None)
 def _sqrt_prime(L: int, p: int) -> Cyc:
-    """The positive square root of a prime p of _sqrt_primes(L), in Q(zeta_L).
+    """The positive square root of a prime p of SQRT_PRIMES with lcm(L, 4p) = L, in Q(zeta_L).
 
     For odd p the quadratic Gauss sum over the p-th roots of unity is sqrt(p)
     when p = 1 mod 4 and i*sqrt(p) when p = 3 mod 4 (Gauss's sign theorem).
@@ -411,20 +417,19 @@ def _sympy_field(L: int):
 def cyc_sqrt(x: Cyc):
     """An exact square root of x inside its own field, or None if there is none.
 
-    A rational x never reaches sympy: its root is decided and built from the
-    primes of the conductor (see ``split_square``) and cached Gauss sums, and
-    it is the positive real root for x > 0 and i times it for x < 0.  Other
-    elements are factored as y**2 - x over the field by sympy, whose root
-    sign follows its factor order.
+    A rational x never reaches sympy: it has a root exactly when
+    lcm(L, 4 prod(odd)) = L (``_sqrt_split``), which within MAX_CONDUCTOR
+    reads ``sqrt_conductor(x) == x.L``.  The root is built from cached Gauss
+    sums, and it is the positive real root for x > 0 and i times it for
+    x < 0.  Other elements are factored as y**2 - x over the field by sympy,
+    whose root sign follows its factor order.
     """
-    if x.is_zero():
-        return Cyc.zero(x.L)
     if not x.is_rational():
         return _sympy_sqrt(x)
-    split = split_square(abs(x.num[0]) * x.den, _sqrt_primes(x.L))
-    if split is None:
+    split = _sqrt_split(x)
+    if split is None or split[2] != x.L:
         return None
-    s, odd = split
+    s, odd, _ = split
     out = Cyc.rational(x.L, Fraction(s, x.den))
     for p in odd:
         out = out * _sqrt_prime(x.L, p)
@@ -461,13 +466,15 @@ def _isqrt_exact(n: int):
     return r if r * r == n else None
 
 
-def working_conductor(*orders: int, sqrt2: bool = False) -> int:
-    """Smallest conductor holding i, the needed root-of-unity orders, and optionally sqrt 2."""
-    L = 8 if sqrt2 else 4
-    for n in orders:
-        g = gcd(L, 2 * n)
-        L = L * (2 * n) // g
-    return L
+def working_conductor(L: int, *orders: int) -> int:
+    """lcm(L, *orders): the least multiple of the conductor L holding the n-th roots
+    of unity for each n.  A working field above MAX_CONDUCTOR is refused."""
+    conductor = lcm(L, *orders)
+    if conductor > MAX_CONDUCTOR:
+        raise DomainError(
+            f"the working field needs conductor {conductor}, above MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+        )
+    return conductor
 
 
 # -- matrices over a cyclotomic field ---------------------------------------

@@ -512,7 +512,6 @@ def theorem_b_pipeline(
     nu: Functional,
     nu_prime: Functional,
     oracle_bound: int = 10,
-    with_oracle: bool = True,
     require_integral: bool = True,
 ) -> EnergyReport:
     """Shift the weight by a standardization certificate's slant, and minimize.
@@ -532,4 +531,4 @@ def theorem_b_pipeline(
         raise DomainError("the weight is not integral on the twisted side")
     dst = standard_spec(cert.lars, cert.rank)
     lam_shifted, chi = slant_shift(lam, character_of(dst, nu, nu_prime), cert.mu + nu)
-    return min_energy(dst, lam_shifted, chi, oracle_bound=oracle_bound, with_oracle=with_oracle)
+    return min_energy(dst, lam_shifted, chi, oracle_bound=oracle_bound)

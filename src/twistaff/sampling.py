@@ -4,7 +4,8 @@ Random unitaries are products of elementary exact moves (rational Givens
 rotations, root-of-unity phases, permutations), each exactly unitary, so the
 inverse of the product is its conjugate transpose: conjugating a standard
 form never needs matrix inversion and stays exactly unitary.
-Structure-compatible variants exist per family.  Every matrix is a
+Structure-compatible variants exist per family, each over the field that
+``cyclo.working_conductor`` chooses for its order.  Every matrix is a
 ``cyclo.ModeMatrix``; ``random_unitary`` alone hands out rows of ``Cyc``, the
 operands of ``cyclo.mat_mul`` and ``cyclo.mat_inverse`` that the benchmark's
 micro timings read.  No subcommand calls it.
@@ -21,6 +22,12 @@ from .rootdata import Functional
 #: rational points on the unit circle used for exact rotations
 PYTHAGOREAN = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
                (Fraction(8, 17), Fraction(15, 17)), (Fraction(20, 29), Fraction(21, 29)))
+#: the elementary moves of a random unitary
+MOVES = 6
+#: the chance that a random loop element draws an entry
+LOOP_DENSITY = 0.6
+#: the terms of a random twisted element, and their mode window in periods of the twist
+TWISTED_TERMS, TWISTED_WINDOW = 3, 1
 
 
 def _embed(L: int, d: int, entries: dict) -> ModeMatrix:
@@ -44,18 +51,16 @@ def _unitary(L: int, d: int, factors) -> ModeMatrix:
     return fwd
 
 
-def random_unitary(
-    rng: random.Random, L: int, d: int, moves: int = 6, real: bool = False
-) -> tuple[Matrix, Matrix]:
-    """An exact unitary (orthogonal when real) with its exact inverse, both as rows of Cyc."""
-    u = _random_moves(rng, L, d, moves, real)
+def random_unitary(rng: random.Random, L: int, d: int) -> tuple[Matrix, Matrix]:
+    """An exact unitary with its exact inverse, both as rows of Cyc."""
+    u = _random_moves(rng, L, d)
     return u.to_rows(), u.conj_transpose().to_rows()
 
 
-def _random_moves(rng: random.Random, L: int, d: int, moves: int = 6, real: bool = False) -> ModeMatrix:
-    """The exact unitary (orthogonal when real) of ``random_unitary``."""
+def _random_moves(rng: random.Random, L: int, d: int, real: bool = False) -> ModeMatrix:
+    """An exact unitary (orthogonal when real) of MOVES elementary moves."""
     factors = []
-    for _ in range(moves):
+    for _ in range(MOVES):
         kind = rng.choice(("givens", "phase", "swap") if not real else ("givens", "sign", "swap"))
         i, j = rng.sample(range(d), 2) if d >= 2 else (0, 0)
         if kind == "givens":
@@ -70,11 +75,11 @@ def _random_moves(rng: random.Random, L: int, d: int, moves: int = 6, real: bool
     return _unitary(L, d, factors)
 
 
-def random_quaternionic_unitary(rng: random.Random, L: int, d: int, moves: int = 6) -> ModeMatrix:
-    """An exact unitary commuting with the doubled-model structure map."""
+def random_quaternionic_unitary(rng: random.Random, L: int, d: int) -> ModeMatrix:
+    """An exact unitary of MOVES moves commuting with the doubled-model structure map."""
     r = d // 2
     factors = []
-    for _ in range(moves):
+    for _ in range(MOVES):
         kind = rng.choice(("rot", "phase", "flip"))
         if kind == "rot" and r >= 2:
             i, j = rng.sample(range(r), 2)
@@ -98,7 +103,7 @@ def random_operator(rng: random.Random, family: str, dim: int, order_hint: int =
     """A seeded finite-order operator of the given family, as an OperatorSpec."""
     if family == "C_unitary":
         m = order_hint
-        L = working_conductor(2 * m)
+        L = working_conductor(4, 4 * m)
         v = _random_moves(rng, L, dim)
         exps = [rng.randrange(m) for _ in range(dim)]
         exps[0] = 0
@@ -112,7 +117,7 @@ def random_operator(rng: random.Random, family: str, dim: int, order_hint: int =
     if family == "H":
         r = dim // 2
         m = order_hint
-        L = working_conductor(2 * m)
+        L = working_conductor(4, 4 * m)
         v = random_quaternionic_unitary(rng, L, dim)
         exps = [rng.randrange(m // 2 + 1) for _ in range(r)]
         entries = {}
@@ -124,7 +129,7 @@ def random_operator(rng: random.Random, family: str, dim: int, order_hint: int =
         return OperatorSpec("H", False, dim, a, automorphism_order(spec))
     if family == "R":
         m = order_hint
-        L = working_conductor(2 * m)
+        L = working_conductor(4, 4 * m)
         v = _random_moves(rng, L, dim, real=True)
         entries = {}
         i = 0
@@ -154,7 +159,7 @@ def random_operator(rng: random.Random, family: str, dim: int, order_hint: int =
     if family == "C_antiunitary":
         # conjugate a standard block form by an exact unitary
         n = max(2, order_hint)
-        L = working_conductor(2 * n, sqrt2=True)
+        L = working_conductor(8, 4 * n)
         r = dim // 2
         has_fixed = dim % 2 == 1
         entries = {}
@@ -182,7 +187,7 @@ def random_functional(rng: random.Random, rank: int, denoms=(1, 2, 3)) -> Functi
     )
 
 
-def random_loop_element(rng: random.Random, spec, L: int, max_mode: int = 2, density: float = 0.6):
+def random_loop_element(rng: random.Random, spec, L: int, max_mode: int = 2):
     """A seeded element of a standard double extension, entries in 0, +-1, +-i."""
     from .loopalg import DoubleExtElement, LoopElement
     from .models import standard_model
@@ -197,7 +202,7 @@ def random_loop_element(rng: random.Random, spec, L: int, max_mode: int = 2, den
         rows = [{} for _ in range(model.dim)]
         for row in rows:
             for j in range(model.dim):
-                if rng.random() < density:
+                if rng.random() < LOOP_DENSITY:
                     c = rng.choice((0, 1, -1))
                     row[j] = tuple(c * x for x in (i if rng.random() < 0.3 else one))
         mm = model.mode_project(model.algebra_project(ModeMatrix(L, model.dim, 1, rows)), n)
@@ -205,7 +210,7 @@ def random_loop_element(rng: random.Random, spec, L: int, max_mode: int = 2, den
     return out
 
 
-def random_twisted_element(rng: random.Random, cert, window: int = 1, terms: int = 3):
+def random_twisted_element(rng: random.Random, cert):
     """A seeded element of the pre-standardization (twisted) double extension."""
     from .autnorm import cartan_mode_vectors, mode_class_vectors
     from .affine import lars_finite_parts
@@ -220,9 +225,9 @@ def random_twisted_element(rng: random.Random, cert, window: int = 1, terms: int
     out = DoubleExtElement(
         Cyc.rational(L, rng.randint(-1, 1)), LoopElement(()), Cyc.rational(L, rng.randint(-1, 1))
     )
-    for _ in range(terms):
+    for _ in range(TWISTED_TERMS):
         m, vec = pieces[rng.randrange(len(pieces))]
-        n = m + n_phi * rng.randint(-window, window)
+        n = m + n_phi * rng.randint(-TWISTED_WINDOW, TWISTED_WINDOW)
         coef = Cyc.rational(L, rng.choice((1, -1, 2))) * (
             Cyc.i(L) if rng.random() < 0.3 else Cyc.one(L)
         )

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from twistaff import DomainError
 from twistaff.autnorm import (
     OperatorSpec,
     StandardizeError,
@@ -406,6 +407,25 @@ def test_dimension_and_order_bounds_are_named():
     rot = rows(L, [[Q(3, 5), Q(-4, 5)], [Q(4, 5), Q(3, 5)]])
     with pytest.raises(StandardizeError, match="projective_order bound 512"):
         standardize(OperatorSpec("R", False, 2, rot, 4))
+
+
+#: dim-2 operators whose working field would be 960: (matrix builder, antiunitary, order)
+OVERSIZED = {
+    # the C_unitary shift: its square is zeta_480, so the lift's rephasing needs zeta_960
+    "shift": (lambda: rows(480, [[0, 1], [Cyc.zeta(480), 0]]), False, 2),
+    # order 240: _working_form needs the 960-th roots of unity
+    "diagonal": (lambda: diag(240, 1, Cyc.zeta(240)), False, 240),
+    # order 240, operator order 480: _antiunitary_blocks needs the 960-th roots of unity
+    "antiunitary": (lambda: rows(240, [[0, Cyc.zeta(240)], [1, 0]]), True, 240),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_a_working_field_above_the_bound_is_refused(name, time_limit):
+    build, antiunitary, order = OVERSIZED[name]
+    spec = OperatorSpec("C", antiunitary, 2, build(), order)
+    with time_limit(2), pytest.raises(DomainError, match="MAX_CONDUCTOR = 480"):
+        standardize(spec)
 
 
 def test_conductor_enlargement_bound_is_named():

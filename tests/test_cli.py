@@ -268,6 +268,17 @@ def test_conductor_above_the_bound_is_refused_at_once(tmp_path, capsys, time_lim
     assert cyc_from_json(top) == Cyc.one(MAX_CONDUCTOR)
 
 
+def test_a_working_field_above_the_bound_is_a_domain_error(tmp_path, capsys, time_limit):
+    # each entry is within the bound, but the shift's square zeta_480 needs zeta_960 to rephase
+    shift = ModeMatrix.from_rows(MAX_CONDUCTOR, [[0, 1], [Cyc.zeta(MAX_CONDUCTOR), 0]])
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(OperatorSpec("C", False, 2, shift, 2).to_json()))
+    with time_limit(2):
+        assert run(["normalize", "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert "needs conductor 960, above MAX_CONDUCTOR = 480" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, rank", [("roots", 100_000_000), ("bracket-check", MAX_RANK + 1)])
 def test_rank_above_the_bound_is_refused_at_once(tmp_path, capsys, time_limit, command, rank):
     path = tmp_path / "spec.json"

@@ -1,14 +1,14 @@
 import cmath
 import random
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm, prod
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistaff import cyclo
+from twistaff import DomainError, cyclo
 from twistaff.cyclo import (
     Cyc,
     conductor_degree,
@@ -18,6 +18,7 @@ from twistaff.cyclo import (
     mat_inverse,
     mat_mul,
     row_reduce,
+    sqrt_conductor,
     working_conductor,
 )
 
@@ -110,10 +111,12 @@ def test_rational_inverse_at_a_large_conductor():
 
 
 def test_working_conductor():
-    assert working_conductor(1) == 4
-    assert working_conductor(2) == 4
-    assert working_conductor(3) == 12
-    assert working_conductor(6, sqrt2=True) == 24
+    assert working_conductor(4, 2) == 4
+    assert working_conductor(4, 4) == 4
+    assert working_conductor(4, 6) == 12
+    assert working_conductor(8, 12) == 24
+    with pytest.raises(DomainError, match="needs conductor 960, above MAX_CONDUCTOR = 480"):
+        working_conductor(480, 960)
 
 
 def mat_from_rows(L, rows):
@@ -251,6 +254,50 @@ def test_huge_nonsquare_rational_is_refused_at_once(L, time_limit):
         assert cyc_sqrt(Cyc.rational(L, Q(-7 * 10**400, 3**401))) is None
         root = cyc_sqrt(Cyc.rational(L, Q(10**400, 4**401)))
     assert root == Cyc.rational(L, Q(10**200, 2**401))
+
+
+#: the SQRT_PRIMES test's conductors: every one divides MAX_CONDUCTOR = 480 = 2^5 3 5
+SQRT_FIELD_CONDUCTORS = (4, 8, 12, 24, 40, 120, 480)
+
+
+def trial_division_sqrt_conductor(L, q):
+    """lcm(L, 4 * the squarefree part of |q|) by full trial division, or None past 480."""
+    m, core, p = abs(q.numerator) * q.denominator, 1, 2
+    while m > 1:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        core *= p ** (e % 2)
+        p += 1
+    c = lcm(L, 4 * core)
+    return c if c <= 480 else None
+
+
+@st.composite
+def signed_rationals(draw):
+    """Nonzero rationals over primes within SQRT_PRIMES (up to 113) and past it (127, 131)."""
+    primes = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 29, 113, 127, 131)), max_size=3)
+    num = prod(draw(primes)) * draw(st.integers(1, 6)) ** 2
+    den = prod(draw(primes)) * draw(st.integers(1, 4)) ** 2
+    return draw(st.sampled_from((1, -1))) * Q(num, den)
+
+
+def test_sqrt_primes_are_the_primes_within_a_quarter_of_the_bound():
+    assert cyclo.SQRT_PRIMES == tuple(p for p in range(2, 121) if all(p % d for d in range(2, p)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SQRT_FIELD_CONDUCTORS), signed_rationals())
+def test_sqrt_conductor_is_the_least_field_holding_the_root(L, q):
+    x = Cyc.rational(L, q)
+    c = sqrt_conductor(x)
+    assert c == trial_division_sqrt_conductor(L, q)
+    assert (cyc_sqrt(x) is not None) == (c == L)
+    if q > 0 and c is not None:
+        big = x.lift(c)
+        root = cyc_sqrt(big)
+        assert root * root == big
 
 
 # -- field properties of Cyc ---------------------------------------------------
