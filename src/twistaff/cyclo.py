@@ -39,7 +39,8 @@ nonzero entry.  An operand keeps its packed form per B.  The one
 elimination is the Gauss-Jordan kernel ``row_reduce`` behind ``mat_inverse``;
 no model basis needs it (see ``models``).  ``cyc_sqrt`` builds the square
 root of a rational by stripping the primes of ``SQRT_PRIMES`` and from cached
-Gauss sums; only square roots of non-rational elements reach sympy.
+Gauss sums, and other roots by quadratic steps down the Galois 2-tower to a
+rational root, all in integers.
 """
 
 from __future__ import annotations
@@ -403,6 +404,8 @@ def _sqrt_prime(L: int, p: int) -> Cyc:
 
 @lru_cache(maxsize=None)
 def _sympy_field(L: int):
+    """sympy's Q(zeta_L).  No package code calls it: perfbench/tracer.py counts calls
+    to it by name, and the tests' sympy square-root reference reads it."""
     import sympy
 
     z = sympy.exp(2 * sympy.I * sympy.pi / L)
@@ -417,44 +420,61 @@ def _sympy_field(L: int):
 def cyc_sqrt(x: Cyc):
     """An exact square root of x inside its own field, or None if there is none.
 
-    A rational x never reaches sympy: it has a root exactly when
-    lcm(L, 4 prod(odd)) = L (``_sqrt_split``), which within MAX_CONDUCTOR
-    reads ``sqrt_conductor(x) == x.L``.  The root is built from cached Gauss
-    sums, and it is the positive real root for x > 0 and i times it for
-    x < 0.  Other elements are factored as y**2 - x over the field by sympy,
-    whose root sign follows its factor order.
+    A rational x has one exactly when lcm(L, 4 prod(odd)) = L (``_sqrt_split``),
+    which within MAX_CONDUCTOR reads ``sqrt_conductor(x) == x.L``: the positive
+    real root for x > 0 and i times it for x < 0, from cached Gauss sums.  Other
+    roots are found down the Galois 2-tower (``_tower_sqrt``); of the two, the
+    one whose highest-power nonzero coefficient is positive is returned.
     """
-    if not x.is_rational():
-        return _sympy_sqrt(x)
-    split = _sqrt_split(x)
-    if split is None or split[2] != x.L:
-        return None
-    s, odd, _ = split
-    out = Cyc.rational(x.L, Fraction(s, x.den))
-    for p in odd:
-        out = out * _sqrt_prime(x.L, p)
-    return out * Cyc.i(x.L) if x.num[0] < 0 else out
+    y = _tower_sqrt(x, ())
+    if y is None or x.is_rational():
+        return y
+    return y if next(c for c in reversed(y.num) if c) > 0 else -y
 
 
-def _sympy_sqrt(x: Cyc):
-    """A square root of x from sympy's factorisation of y**2 - x over Q(zeta_L), or None."""
-    import sympy
+def _tower_sqrt(x: Cyc, sigmas: tuple[int, ...]):
+    """A square root of x in the field F fixed by the units ``sigmas``, which fix x, or None.
 
-    field = _sympy_field(x.L)
-    phi = conductor_degree(x.L)
-    # field elements are polynomials in the generator, coefficients high to low
-    xel = field([sympy.Rational(x.num[k], x.den) for k in reversed(range(phi))])
-    y = sympy.Dummy("y")
-    poly = sympy.Poly([field.one, field.zero, -xel], y, domain=field)
-    for factor, _ in poly.factor_list()[1]:
-        if factor.degree() == 1:
-            const = factor.rep.to_list()[-1]  # monic linear factor y + const
-            rep = list(reversed(const.to_list()))  # low to high
-            rep += [0] * (phi - len(rep))
-            den = lcm(*(int(sympy.Rational(c).q) for c in rep))
-            out = -Cyc(x.L, tuple(int(sympy.Rational(c) * den) for c in rep[:phi]), den)
-            if out * out == x:
-                return out
+    Each sigma has order 2 modulo the group H of the earlier ones; one more
+    fixes F' below F.  If y**2 = x, then n = y sigma(y) and t = y + sigma(y) lie
+    in F', n**2 = x sigma(x) and t**2 = x + sigma(x) + 2n.  Any such n and t != 0
+    in F' give the root (x + n) / t of x, and t lies in F' for one sign of n.  When
+    sigma(x) = x, y lies in F' or in delta F', with delta a trace over H of a
+    power of zeta minus its sigma-image.  The descent ends at a rational x, or
+    at a non-rational x in a field of odd degree (a ``DomainError``), which lies
+    below Q(zeta_L) when phi(L) is not a power of two.
+    """
+    L = x.L
+    if x.is_rational():
+        split = _sqrt_split(x)
+        if split is None or split[2] != L:
+            return None
+        y = Cyc.rational(L, Fraction(split[0], x.den))
+        for p in split[1]:
+            y = y * _sqrt_prime(L, p)
+        y = y * Cyc.i(L) if x.num[0] < 0 else y
+        return y if all(y.galois(a) == y for a in sigmas) else None
+    fixing = {1}
+    for a in sigmas:
+        fixing |= {a * h % L for h in fixing}
+    sigma = next((a for a in range(3, L, 2) if gcd(a, L) == 1 and a not in fixing and a * a % L in fixing), None)
+    if sigma is None:
+        raise DomainError(f"no exact square root of a non-rational scalar at conductor {L}: the quadratic subfields "
+                          f"of Q(zeta_{L}) end at a field of odd degree {conductor_degree(L) // len(fixing)}")
+    below, xs = sigmas + (sigma,), x.galois(sigma)
+    if xs == x:
+        y = _tower_sqrt(x, below)
+        if y is not None:
+            return y
+        traces = (sum(Cyc.zeta(L, k * h) for h in fixing) for k in range(1, L))
+        delta = next(d for d in (w - w.galois(sigma) for w in traces) if d)
+        f = _tower_sqrt(x / (delta * delta), below)
+        return None if f is None else f * delta
+    n = _tower_sqrt(x * xs, below)
+    for r in () if n is None else (n, -n):
+        t = _tower_sqrt(x + xs + 2 * r, below)
+        if t:
+            return (x + r) / t
     return None
 
 

@@ -706,6 +706,27 @@ def test_an_isotropic_refusal_keeps_its_message():
     )
 
 
+#: (seed, hint) of the dim-3 C_antiunitary operators refused for want of an isotropic vector
+ISOTROPIC_REFUSALS = ((4, 3), (4, 4), (18, 2), (18, 3), (18, 4))
+#: antiunitary diagonal blocks that pad them to dims 5 and 7, where rank 2 or more is possible
+PADS = ((1, 1), (1, 1, 1, 1), (1, -1))
+
+
+@pytest.mark.parametrize("pad", PADS)
+@pytest.mark.parametrize("seed,hint", ISOTROPIC_REFUSALS)
+def test_padded_isotropic_refusals_keep_their_message(seed, hint, pad):
+    """Padding does not help: the walk still builds an isotropic vector whose root
+    (such as sqrt(1 + sqrt 2)) no cyclotomic field holds."""
+    spec = random_operator(random.Random(seed), "C_antiunitary", 3, order_hint=hint)
+    L, n = spec.matrix.L, spec.dim + len(pad)
+    entries = {(i, j): c for i, row in enumerate(spec.matrix.to_rows()) for j, c in enumerate(row)}
+    entries |= {(spec.dim + k, spec.dim + k): s for k, s in enumerate(pad)}
+    padded = OperatorSpec("C", True, n, ModeMatrix.from_entries(L, (n, n), entries), 1)
+    padded = dataclasses.replace(padded, declared_order=automorphism_order(padded))
+    with pytest.raises(StandardizeError, match="no reachable isotropic vectors or fixed-vector pairings"):
+        standardize(padded)
+
+
 @pytest.mark.parametrize("L", [8, 12, 24])
 def test_square_roots_exist_per_square_class(L):
     """sqrt(x) exists exactly when sqrt(x c^2) does, for nonzero c; a positive rational's

@@ -1,8 +1,8 @@
 import cmath
 import random
+import sys
 from fractions import Fraction as Q
 from math import gcd, lcm, prod
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from twistaff.cyclo import (
 )
 
 from elimination import det, in_span, nullspace, solve
+from sympy_reference import sympy_sqrt
 
 
 def test_cyclotomic_polynomials():
@@ -78,11 +79,7 @@ def test_rational_sqrt_is_exact_beyond_float_precision(monkeypatch):
     assert cyclo._isqrt_exact(n * n + 1) is None
     assert cyclo._isqrt_exact(10**400) == 10**200  # above the float range
     assert cyclo._isqrt_exact(-4) is None
-
-    def no_sympy(L):
-        raise AssertionError("a rational square took the sympy path")
-
-    monkeypatch.setattr(cyclo, "_sympy_field", no_sympy)
+    monkeypatch.setitem(sys.modules, "sympy", None)  # importing sympy now fails
     assert cyc_sqrt(Cyc.rational(4, Q(n * n, 10**400))) == Cyc.rational(4, Q(n, 10**200))
 
 
@@ -235,15 +232,58 @@ def rationals(draw):
 @given(st.sampled_from(SQRT_CONDUCTORS), rationals())
 def test_rational_sqrt_exists_exactly_when_sympy_finds_one(L, q):
     x = Cyc.rational(L, q)
-    with mock.patch.object(cyclo, "_sympy_field", side_effect=AssertionError("sympy on a rational")):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "sympy", None)
         root = cyc_sqrt(x)
-    assert (root is None) == (cyclo._sympy_sqrt(x) is None)
+    assert (root is None) == (sympy_sqrt(x) is None)
     if root is not None:
         assert root * root == x
         # the positive real root for q > 0, and i times it for q < 0
         value = embed(root) / (1 if q > 0 else 1j)
         assert abs(value.imag) < 1e-9 and value.real > 0
         assert (root if q > 0 else root * Cyc.i(L).conj()).is_real()
+
+
+#: conductors whose phi(L) is a power of two, so the quadratic subfields reach Q
+TOWER_CONDUCTORS = (4, 8, 12, 16, 20, 24, 40, 48, 60, 80)
+
+
+@st.composite
+def elements(draw, conductors):
+    """An element of Q(zeta_L) with a few small terms, at a conductor drawn from the given ones."""
+    L = draw(st.sampled_from(conductors))
+    terms = draw(st.lists(st.tuples(st.integers(0, L - 1), st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=4))
+    return sum((Cyc.zeta(L, k) * Q(a, b) for k, a, b in terms), Cyc.zero(L))
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements(TOWER_CONDUCTORS))
+def test_tower_sqrt_recovers_a_square_up_to_sign(y):
+    if y.is_rational():
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "sympy", None)
+        root = cyc_sqrt(y * y)
+    assert root in (y, -y)
+    # the sign rule: the highest-power nonzero coefficient is positive
+    assert [c for c in root.num if c][-1] > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(elements((4, 8, 12, 16, 20, 24)), st.booleans())
+def test_tower_sqrt_agrees_with_sympy(y, square):
+    """The same root, sign included, or None for both, on squares and on other elements."""
+    x = y * y if square else y
+    if x.is_rational():
+        return
+    assert cyc_sqrt(x) == sympy_sqrt(x)
+
+
+def test_tower_sqrt_refuses_an_odd_degree_field():
+    # phi(28) = 12: below the quadratic subfields of Q(zeta_28) lies the cubic field of zeta_7 + 1/zeta_7
+    x = Cyc.zeta(28, 4) + Cyc.zeta(28, -4)
+    with pytest.raises(DomainError, match="conductor 28"):
+        cyc_sqrt(x)
 
 
 @pytest.mark.parametrize("L", SQRT_CONDUCTORS)

@@ -12,6 +12,7 @@ verification detail or a bracket check's outcome shows up here.
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -70,7 +71,7 @@ RARE_BRANCH_DIGESTS = {
     (4, 5, 2): "b166459797664f69aad7c55ddc43f2bc820d4d8b1b8dd286259745ca4ec2817d",
     # stage 3: pairing of conjugation-fixed vectors
     (28, 5, 2): "8df03bde47c38d90a26dc4b6742cbe67be955747c1b69c036a5560de66d57e52",
-    # a non-rational square root found by sympy
+    # a non-rational square root found down the Galois tower
     (14, 5, 3): "765a127d4eabf0acfae6d861d3eb007fc871004dbd84748adb2c2d0a2ab07118",
     (15, 4, 2): "bedf30ae97220577f8de5d9539c728583fa00ae2d9ec7378bf13304f470e4b05",
 }
@@ -78,6 +79,7 @@ RARE_BRANCH_DIGESTS = {
 
 @pytest.mark.parametrize("seed,dim,hint", sorted(RARE_BRANCH_DIGESTS))
 def test_normalize_rare_branch_report_is_byte_stable(seed, dim, hint, tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)  # the program must not import sympy
     spec = random_operator(Random(seed), "C_antiunitary", dim, order_hint=hint)
     digest = _report_digest(tmp_path, monkeypatch, spec.to_json(), ["normalize"])
     assert digest == RARE_BRANCH_DIGESTS[(seed, dim, hint)]
