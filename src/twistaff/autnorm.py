@@ -17,12 +17,13 @@ and each self-paired eigenspace splits by the sign of J^2 into conjugation
 blocks or J-stable planes.  The eigenprojectors are spectral sums
 (1/n) sum_j zeta^(-jk) a^j (``_spectral_part``).  Every field comes from
 ``cyclo``: the lift and the walks run at a ``working_conductor``, which
-refuses one above ``MAX_CONDUCTOR``, and a conjugation block that needs a
-positive rational's square root outside the field raises ``_Enlarge``
-(``_sqrt``) with its ``sqrt_conductor``; ``_antilinear_blocks`` restarts the
-walk on its operator lifted to that conductor.  The walk
-takes each step once and does not re-test what its construction fixes; the
-certificate's exact reconstruction and column checks are its one check.
+refuses one above ``MAX_CONDUCTOR``, and a conjugation block that needs the
+square root of a rational q missing from the field raises ``_Enlarge``
+(``_sqrt``) with the ``sqrt_conductor`` that adjoins the root of |q|;
+``_antilinear_blocks`` restarts the walk on its operator lifted to that
+conductor.  The walk takes each step once and does not re-test what its
+construction fixes; the certificate's exact reconstruction and column checks
+are its one check.
 
 A certificate also carries the twisted grading it induces: for each root,
 the residues m with a nonzero (a, m) root space and matching eigenvectors
@@ -337,7 +338,7 @@ _ENLARGEMENT = f"an enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR} (only for 
 
 
 class _Enlarge(Exception):
-    """A positive rational's square root lies in Q(zeta_conductor), outside the working field."""
+    """A rational's square root lies outside the working field, in Q(zeta_conductor) with sqrt(|q|)."""
 
     def __init__(self, conductor: int):
         super().__init__(conductor)
@@ -347,12 +348,12 @@ class _Enlarge(Exception):
 def _sqrt(q):
     """An exact square root of q in its own field, or None.
 
-    A positive rational whose root lies outside the field raises
+    A rational whose root is missing from the field raises
     ``_Enlarge(sqrt_conductor(q))`` instead, when that field is within
-    MAX_CONDUCTOR.
+    MAX_CONDUCTOR: it adjoins the root of |q|, and i is in every field.
     """
     s = cyc_sqrt(q)
-    if s is None and q.is_rational() and q.as_fraction() > 0:
+    if s is None and q.is_rational():
         conductor = sqrt_conductor(q)
         if conductor is not None:
             raise _Enlarge(conductor)
@@ -369,126 +370,99 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
     symmetric bilinear form B(v, w) = <v, theta w>; valid blocks keep later
     hermitian reductions B-orthogonal, so the search is a sequence of in-field
     square-root problems (``_sqrt``, which raises ``_Enlarge`` for a rational
-    root outside the field).  Each vector is reduced against the blocks once, and
-    a block built isotropic is not re-tested: the caller's exact checks of the
+    root outside the field).  Each stage applies one rule: ``isotropic`` while
+    it adds blocks, then ``plane``, then the pairing of theta-fixed vectors.  A
+    block built isotropic is not re-tested: the caller's exact checks of the
     assembled basis catch a fault.  Returns (blocks, fixed vector or None).
     """
-    L = u.L
     theta = _antilinear(u)
-    spanned: list = []  # plus and minus of each block so far, with their norms
-    spanned_norms: list = []
+    spanned, spanned_norms = [], []  # plus and minus of each block so far, with their norms
 
-    def add_block(plus, minus):
-        spanned.extend((plus, minus))
-        spanned_norms.extend((_hdot(plus, plus), _hdot(minus, minus)))
+    def add(plus):
+        q = _hdot(plus, plus)  # theta is antiunitary: minus = theta(plus) has the same norm
+        spanned.extend((plus, theta(plus)))
+        spanned_norms.extend((q, q))
 
-    def hreduce(v):
+    def reduced(v):
         return _orth_reduce(v, spanned, spanned_norms)
 
     def bform(v, w):
         return _hdot(v, theta(w))
 
-    def try_isotropic(v, cv):
-        """An isotropic vector in the theta-stable span of v, or None."""
-        # mix v with theta(v): lambda^2 conj(cv) + 2 q lambda + cv = 0
-        q = _hdot(v, v)
-        disc = q * q - cv * cv.conj()
-        s = None if disc.is_zero() else _sqrt(disc)
+    def isotropic(v):
+        """Whether a block was added in the theta-stable span of a reduced v."""
+        cv = bform(v, v)
+        if cv:
+            # mix v with theta(v): lambda^2 conj(cv) + 2 q lambda + cv = 0
+            q = _hdot(v, v)
+            disc = q * q - cv * cv.conj()
+            s = _sqrt(disc) if disc else None
+            if s is None:
+                return False
+            # the first root serves: v + lambda theta(v) = 0 would force |cv| = q, that is
+            # disc = 0; reduced, as theta maps the blocks' span onto itself
+            v = v + theta(v).scale((s - q) * cv.conj().inverse())
+        add(v)
+        return True
+
+    def plane(v, cv, w):
+        """Add a block in span{v, reduced w} for cv = B(v, v) != 0; return the vector to
+        walk next (zero for none), or None when the field holds no block there."""
+        w = reduced(w)
+        w = w - v.scale(bform(v, w) * cv.inverse())  # B-orthogonal to v
+        if not w:
+            return None
+        cw = bform(w, w)
+        if not cw:
+            add(w)
+            return v
+        # the binary form diag(cv, cw) is isotropic at v s + w when cv s^2 + cw = 0
+        s = _sqrt(-cw * cv.inverse())
         if s is None:
             return None
-        # the first root serves: v + lambda theta(v) = 0 would force |cv| = q, that is disc = 0
-        return v + theta(v).scale((s - q) * cv.conj().inverse())
+        add(v.scale(s) + w)
+        return reduced(v.scale(s) - w)  # the block's B-complement inside span{v, w}
 
-    remaining = proj.columns()
-
-    stuck: list = []
-    progress = True
-    while progress:
-        progress = False
-        next_round = []
-        for v in remaining:
-            v = hreduce(v)
-            if not v:
-                continue
-            cv = bform(v, v)
-            if cv.is_zero():
-                add_block(v, theta(v))
-                progress = True
-                continue
-            # reduced, as theta maps the blocks' span onto itself; B(iso, iso) = 0 by lambda
-            iso = try_isotropic(v, cv)
-            if iso is not None:
-                add_block(iso, theta(iso))
-                progress = True
-                continue
-            next_round.append(v)
-        remaining = next_round
+    rest, count = proj.columns(), None
+    while count != len(spanned):  # until a round adds no block
+        count = len(spanned)
+        rest = [v for v in map(reduced, rest) if v and not isotropic(v)]
 
     # pair up anisotropic stragglers through B-planes (the last round reduced them all)
-    work = remaining
+    work, stuck = rest, []
     while len(work) > 1:
-        v = work.pop(0)
-        v = hreduce(v)
+        v = reduced(work.pop(0))
         if not v:
             continue
         cv = bform(v, v)
-        if cv.is_zero():
-            add_block(v, theta(v))
+        if not cv:
+            add(v)
             continue
-        placed = False
-        for idx in range(len(work)):
-            w = hreduce(work[idx])
-            if not w:
-                continue
-            # B-orthogonalize w against v, then search the binary form diag(cv, cw)
-            coeff = bform(v, w) * cv.inverse()
-            w2h = w - v.scale(coeff)
-            cw = bform(w2h, w2h)
-            if cw.is_zero():
-                if w2h:  # reduced, as v and w are
-                    add_block(w2h, theta(w2h))
-                    work.pop(idx)
-                    work.insert(0, v)
-                    placed = True
-                    break
-                continue
-            for target in (-cw * cv.inverse(), cw * cv.inverse()):
-                s = _sqrt(target)
-                if s is None:
-                    continue
-                mix = s if (cv * s * s + cw).is_zero() else s * Cyc.i(L)
-                # reduced, nonzero and B-isotropic: B(v, w2h) = 0 and cv mix^2 + cw = 0
-                cand = v.scale(mix) + w2h
-                add_block(cand, theta(cand))
-                work.pop(idx)
-                # the B-complement of the block inside span{v, w} resurfaces next round
-                leftover = hreduce(v.scale(mix) - w2h)
-                if leftover:
-                    work.insert(0, leftover)
-                placed = True
+        for idx, w in enumerate(work):
+            walk_next = plane(v, cv, w)
+            if walk_next is not None:
+                del work[idx]
+                if walk_next:
+                    work.insert(0, walk_next)
                 break
-            if placed:
-                break
-        if not placed:
+        else:
             stuck.append(v)
 
     work += stuck
     # last stage: split leftovers into theta-fixed vectors and pair those
-    pool: list = []
-    pool_norms: list = []
-    ii = Cyc.i(L)
+    pool, pool_norms = [], []
+    ii = Cyc.i(u.L)
     for v in work:
-        v = _orth_reduce(hreduce(v), pool, pool_norms)
+        v = _orth_reduce(reduced(v), pool, pool_norms)
         if not v:
             continue
         tv = theta(v)
         for cand in (v + tv, (v - tv).scale(ii)):
             # still theta-fixed: its reduction coefficients against fixed vectors and pairs are real
-            cand = _orth_reduce(hreduce(cand), pool, pool_norms)
-            if not cand:
-                continue
-            pool.append(cand)
-            pool_norms.append(_hdot(cand, cand))
+            cand = _orth_reduce(reduced(cand), pool, pool_norms)
+            if cand:
+                pool.append(cand)
+                pool_norms.append(_hdot(cand, cand))
 
     while len(pool) > 1:
         for i, j in combinations(range(len(pool)), 2):
@@ -503,7 +477,7 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
         for k in (j, i):  # the later index first
             pool.pop(k)
             pool_norms.pop(k)
-        add_block(*paired)
+        add(paired[0])  # its minus is theta(plus)
     blocks = list(zip(spanned[::2], spanned[1::2]))
     return blocks, pool[0] if pool else None
 

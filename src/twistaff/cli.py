@@ -45,11 +45,11 @@ NO_COORDS = {"coords": {}}
 def _load(path):
     """The request object of an input file; anything but a JSON object is a parse error."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except FileNotFoundError as exc:
         raise IOError(f"input file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
         raise IOError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise IOError(f"the input in {path} must be a JSON object, got {json.dumps(obj)}")
@@ -301,7 +301,11 @@ def main(argv=None) -> int:
     handler, options = COMMANDS[args.command]
     try:
         code, body = handler(args, _load(args.input))
-    except OSError as exc:
+        # read after the handler, which may resolve a default (map-roots' window)
+        request = {"command": args.command, "input": args.input}
+        request |= {flag[2:]: getattr(args, flag[2:]) for flag in options if flag not in UNECHOED}
+        text = jsonio.dump_report({"schema": "v1", "request": request, **body}, args.output)
+    except OSError as exc:  # a malformed request, or an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
@@ -310,10 +314,6 @@ def main(argv=None) -> int:
     except Exception:  # a program fault, never a refusal
         traceback.print_exc()
         return 3
-    # read after the handler, which may resolve a default (map-roots' window)
-    request = {"command": args.command, "input": args.input}
-    request |= {flag[2:]: getattr(args, flag[2:]) for flag in options if flag not in UNECHOED}
-    text = jsonio.dump_report({"schema": "v1", "request": request, **body}, args.output)
     if not args.output:
         sys.stdout.write(text)
     else:

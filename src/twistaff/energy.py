@@ -251,7 +251,6 @@ def min_energy(
     oracle_bound: int = 10,
     with_oracle: bool = True,
     jobs: int = 1,
-    exhaustive_rank: int = EXHAUSTIVE_RANK,
 ) -> EnergyReport:
     """Infimum of lam over the unslanted Weyl orbit displacement of the character.
 
@@ -260,7 +259,7 @@ def min_energy(
     translation part is a positive definite quadratic, minimized exactly by
     an integer lattice CVP; ties go to the first image.  The oracle's exact
     minimum over a coefficient box must agree.  The orbit and the oracle box
-    grow with the rank, so ranks above exhaustive_rank raise DomainError.
+    grow with the rank, so ranks above EXHAUSTIVE_RANK raise DomainError.
     """
     if lam.lc == 0:
         raise DomainError("the central value of the weight must be nonzero")
@@ -268,9 +267,9 @@ def min_energy(
         raise DomainError("energy minimization runs on the standard (untwisted) side")
     rank = spec.base.rank
     kind = spec.lars
-    if rank > exhaustive_rank:
+    if rank > EXHAUSTIVE_RANK:
         raise DomainError(
-            f"rank {rank} is above exhaustive_rank = {exhaustive_rank}: "
+            f"rank {rank} is above exhaustive_rank = {EXHAUSTIVE_RANK}: "
             "the orbit images and the oracle box grow with the rank"
         )
     bounds = {"lattice": oracle_bound, "finite_search": "exhaustive"}

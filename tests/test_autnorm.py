@@ -729,9 +729,9 @@ def test_padded_isotropic_refusals_keep_their_message(seed, hint, pad):
 
 @pytest.mark.parametrize("L", [8, 12, 24])
 def test_square_roots_exist_per_square_class(L):
-    """sqrt(x) exists exactly when sqrt(x c^2) does, for nonzero c; a positive rational's
-    root asks for the same enlargement either way.  So the fixed-vector pairing needs no
-    retry with sqrt(q1 q2) = sqrt((q1 / q2) q2^2)."""
+    """sqrt(x) exists exactly when sqrt(x c^2) does, for nonzero c; a rational's root, of
+    either sign, asks for the same enlargement either way.  So the fixed-vector pairing
+    needs no retry with sqrt(q1 q2) = sqrt((q1 / q2) q2^2)."""
     from twistaff.autnorm import _Enlarge, _sqrt
     from twistaff.cyclo import cyc_sqrt
 
@@ -761,8 +761,20 @@ def test_square_roots_exist_per_square_class(L):
             has_root = cyc_sqrt(x) is not None
             assert (cyc_sqrt(x * c * c) is not None) == has_root
             roots.add(has_root)
-            if rational and x.as_fraction() > 0:
+            if rational:
                 enlargements.add(enlargement(x))
                 assert enlargement(x * c * c) == enlargement(x)
     assert roots == {True, False}
     assert any(type(e) is int for e in enlargements)
+
+
+def test_a_negative_rational_asks_for_the_root_of_its_absolute_value():
+    """i is in every field, so sqrt(-q) needs the field of sqrt(q): sqrt(-5) at conductor 8
+    asks for 40, as sqrt(5) does, and sqrt(-4) is 2i."""
+    from twistaff.autnorm import _Enlarge, _sqrt
+
+    L = 8
+    with pytest.raises(_Enlarge) as enlarged:
+        _sqrt(Cyc.rational(L, -5))
+    assert enlarged.value.conductor == 40
+    assert _sqrt(Cyc.rational(L, -4)) == Cyc.i(L) * 2

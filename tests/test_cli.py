@@ -315,6 +315,26 @@ def test_non_object_input_is_a_parse_error(tmp_path, capsys, command, request_js
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff\xfe{", "can't decode byte 0xff"), (b"[" * 100_000, "maximum recursion depth")],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, content, message):
+    path = tmp_path / "req.json"
+    path.write_bytes(content)
+    assert run(["normalize", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed JSON in {path}" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["missing/cert.json", "."], ids=["missing-directory", "a-directory"])
+def test_an_unwritable_output_is_an_io_error(opfile, tmp_path, capsys, target):
+    assert run(["normalize", "--input", opfile, "--output", tmp_path / target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_wrongly_typed_nested_field_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"base": 5, "lars": "A1"}))

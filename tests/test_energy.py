@@ -109,8 +109,6 @@ def test_min_energy_above_exhaustive_rank_names_the_bound():
     spec = standard_spec("B1", 6)
     with pytest.raises(ValueError, match="exhaustive_rank = 5"):
         min_energy(spec, Weight(1, Functional({1: 1}), 0), BD_CHI)
-    with pytest.raises(ValueError, match="exhaustive_rank = 2"):
-        min_energy(standard_spec("C1", 3), Weight(1, Functional(()), 0), BD_CHI, exhaustive_rank=2)
 
 
 def _box_reference(spec, lam, chi, bound):
