@@ -613,7 +613,9 @@ class ModeMatrix:
     def __bool__(self) -> bool:
         return any(self.rows)
 
-    def __eq__(self, other: "ModeMatrix") -> bool:
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModeMatrix):
+            return NotImplemented
         return (self.L, self.ncols, self.den, self.rows) == (other.L, other.ncols, other.den, other.rows)
 
     def __hash__(self):

@@ -3,9 +3,11 @@
 Elements carry finitely many modes, each an integer ``cyclo.ModeMatrix``.
 The bracket realizes the two-step extension: a central cocycle term pairing
 opposite modes through the invariant trace form and the diagonal derivation,
-a loop term, and a derivation coordinate that acts but never grows.  Sums,
-scalings, the derivation, the pairing, validation and the untwisting relabel
-run in integers; the coordinates z and t are ``Cyc`` scalars.
+a loop term, and a derivation coordinate that acts but never grows.
+``bracket_sum`` sums brackets over pairs with one product-kernel call per
+output mode; ``bracket`` is one pair.  Sums, scalings, the derivation, the
+pairing, validation and the untwisting relabel run in integers; the
+coordinates z and t are ``Cyc`` scalars.
 """
 
 from __future__ import annotations
@@ -145,34 +147,40 @@ def apply_derivation(spec: AffinisationSpec, nu: Functional, a: DoubleExtElement
     return DoubleExtElement(Cyc.zero(L), loop, Cyc.zero(L))
 
 
-def bracket(spec: AffinisationSpec, a: DoubleExtElement, b: DoubleExtElement) -> DoubleExtElement:
-    """Exact Lie bracket of the double extension.
+def bracket_sum(spec: AffinisationSpec, pairs) -> DoubleExtElement:
+    """Exact sum of the brackets [a, b] of the double extension over a sequence of pairs (a, b).
 
     [a, b] = (kappa(D a, b), sum of [a_n, b_m] at mode n + m + a.t D b - b.t D a, 0)
-    for the slant derivation D.
+    for the slant derivation D.  One ``mat_product_sum`` call per output mode
+    takes the commutators of every pair: its one integer accumulator holds
+    each product over the lcm of all their denominators, so its canonical
+    result equals the sum of the pairs' own commutator sums.
     """
-    L = a.z.L
-    if b.z.L != L:
+    L = pairs[0][0].z.L
+    if any(x.z.L != L for pair in pairs for x in pair):
         raise ValueError("conductor mismatch between elements")
     derive = _derivation(spec, spec.slant, L)
-    # the cocycle pairs D(a_n) with b_-n, so D(a) is needed on those modes only
-    paired = set(b.loop.modes())
-    da = LoopElement(tuple((n, derive(n, m)) for n, m in a.loop.terms if -n in paired))
-    z = loop_pairing(spec, da, b.loop, L)
-    # every mode pair (n, n2) adds [a_n, b_n2] to mode n + n2; each output
-    # mode sums all of its commutators in one integer product kernel call
-    by_mode: dict[int, list] = {}
-    for n, x in a.loop.terms:
-        for n2, y in b.loop.terms:
-            by_mode.setdefault(n + n2, []).extend(((1, x, y), (-1, y, x)))
+    z, by_mode = Cyc.zero(L), {}
+    for a, b in pairs:
+        # the cocycle pairs D(a_n) with b_-n, so D(a) is needed on those modes only
+        paired = set(b.loop.modes())
+        da = LoopElement(tuple((n, derive(n, m)) for n, m in a.loop.terms if -n in paired))
+        z = z + loop_pairing(spec, da, b.loop, L)
+        for n, x in a.loop.terms:
+            for n2, y in b.loop.terms:
+                by_mode.setdefault(n + n2, []).extend(((1, x, y), (-1, y, x)))
     lp = LoopElement(tuple((k, mat_product_sum(prods)) for k, prods in by_mode.items()))
-    if a.t:
-        derive_b = _derivation(spec, spec.slant, L, a.t)
-        lp = lp + LoopElement(tuple((n, derive_b(n, m)) for n, m in b.loop.terms))
-    if b.t:
-        derive_a = _derivation(spec, spec.slant, L, -b.t)
-        lp = lp + LoopElement(tuple((n, derive_a(n, m)) for n, m in a.loop.terms))
+    for a, b in pairs:
+        for scale, x in ((a.t, b), (-b.t, a)):  # a.t D b - b.t D a
+            if scale:
+                derive_x = _derivation(spec, spec.slant, L, scale)
+                lp = lp + LoopElement(tuple((n, derive_x(n, m)) for n, m in x.loop.terms))
     return DoubleExtElement(z, lp, Cyc.zero(L))
+
+
+def bracket(spec: AffinisationSpec, a: DoubleExtElement, b: DoubleExtElement) -> DoubleExtElement:
+    """Exact Lie bracket [a, b] of the double extension (``bracket_sum`` of one pair)."""
+    return bracket_sum(spec, ((a, b),))
 
 
 def kappa_form(spec: AffinisationSpec, a: DoubleExtElement, b: DoubleExtElement) -> Cyc:

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistaff import DomainError, cyclo
@@ -258,15 +258,23 @@ def elements(draw, conductors):
 
 @settings(max_examples=80, deadline=None)
 @given(elements(TOWER_CONDUCTORS))
+@example(3 * Cyc.zeta(16, 2) - 3 * Cyc.zeta(16, 6))  # y = 3 sqrt(2), whose top coefficient is -3
 def test_tower_sqrt_recovers_a_square_up_to_sign(y):
     if y.is_rational():
         return
+    x = y * y
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(sys.modules, "sympy", None)
-        root = cyc_sqrt(y * y)
+        root = cyc_sqrt(x)
     assert root in (y, -y)
-    # the sign rule: the highest-power nonzero coefficient is positive
-    assert [c for c in root.num if c][-1] > 0
+    if x.is_rational():
+        # a rational x takes the rational path: the positive real root for x > 0, i times it for x < 0
+        value = embed(root) / (1 if x.num[0] > 0 else 1j)
+        assert abs(value.imag) < 1e-9 and value.real > 0
+        assert (root if x.num[0] > 0 else root * Cyc.i(x.L).conj()).is_real()
+    else:
+        # the tower's sign rule: the highest-power nonzero coefficient is positive
+        assert [c for c in root.num if c][-1] > 0
 
 
 @settings(max_examples=30, deadline=None)

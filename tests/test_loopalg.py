@@ -1,14 +1,19 @@
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from twistaff import loopalg
 from twistaff.affine import LARS_KINDS, standard_spec
+from twistaff.cli import main
 from twistaff.cyclo import Cyc, ModeMatrix
 from twistaff.loopalg import (
     DoubleExtElement,
+    LoopElement,
     apply_derivation,
     bracket,
+    bracket_sum,
     kappa_form,
     validate_element,
 )
@@ -111,6 +116,34 @@ def test_bracket_properties_random():
             da, db = apply_derivation(spec, nu, a), apply_derivation(spec, nu, b)
             assert kappa_form(spec, da, b) == -kappa_form(spec, a, db)
             assert apply_derivation(spec, nu, ab) == bracket(spec, da, b) + bracket(spec, a, db)
+
+
+@pytest.mark.parametrize("kind", LARS_KINDS)
+def test_bracket_sum_is_the_sum_of_its_brackets(kind):
+    rng = random.Random(f"bracket-sum:{kind}")
+    for rank in (2, 3, 4):
+        spec = standard_spec(kind, rank, mu=Functional({1: Q(1, 4)}), nu=Functional({2: Q(-1, 3)}))
+        for _ in range(2):
+            a, b, c = (random_loop_element(rng, spec, L) for _ in range(3))
+            # nonzero central and derivation coordinates, and elements without loop terms
+            zt = DoubleExtElement(Cyc.rational(L, Q(2, 3)), a.loop, Cyc.i(L))
+            bare = DoubleExtElement(Cyc.one(L), LoopElement(()), -Cyc.i(L))
+            jacobi = ((a, bracket(spec, b, c)), (b, bracket(spec, c, a)), (c, bracket(spec, a, b)))
+            for pairs in (jacobi, ((zt, b), (c, zt), (bare, a)), ((a, bare), (bare, bare)), ((zt, c),)):
+                want = sum((bracket(spec, x, y) for x, y in pairs), DoubleExtElement.zero(L))
+                assert bracket_sum(spec, pairs) == want
+
+
+def test_bracket_check_fails_a_bracket_without_its_commutator_half(tmp_path, monkeypatch):
+    # every (-1, y, x) product dropped: the loop part becomes the associative product x y
+    kernel = loopalg.mat_product_sum
+    monkeypatch.setattr(loopalg, "mat_product_sum", lambda prods: kernel([p for p in prods if p[0] == 1]))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(standard_spec("C2", 3).to_json()))
+    argv = ["bracket-check", "--input", "spec.json", "--seed", "1", "--count", "4", "--output", "out.json"]
+    assert main(argv) == 1
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert doc["passed_counts"]["jacobi"] < doc["trials"] == 4
 
 
 def test_derivation_examples():

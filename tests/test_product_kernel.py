@@ -194,6 +194,13 @@ def test_operands_of_mismatched_shapes_are_refused():
         mat_mul(i3.to_rows()[:2], i2.to_rows())
 
 
+def test_a_matrix_is_unequal_to_any_other_type():
+    i2 = ModeMatrix.identity(4, 2)
+    assert i2.__eq__(None) is NotImplemented and i2.__eq__(i2.to_rows()) is NotImplemented
+    assert i2 != None and i2 != 1 and i2 != "identity"  # noqa: E711
+    assert i2 == ModeMatrix.identity(4, 2) and i2 != ModeMatrix.identity(8, 2)
+
+
 @settings(max_examples=120, deadline=None)
 @given(product_operands())
 def test_mat_mul_is_the_entrywise_sum_of_products(operands):
