@@ -14,8 +14,10 @@ The R, H and antiunitary families share one normal-form walk,
 identity's for R, the quaternionic structure for H, the operator itself for
 the antiunitary form) pairs the eigenspaces of a finite-order linear map,
 and each self-paired eigenspace splits by the sign of J^2 into conjugation
-blocks or J-stable planes.  The eigenprojectors are spectral sums
-(1/n) sum_j zeta^(-jk) a^j (``_spectral_part``).  Every field comes from
+blocks or J-stable planes.  The eigenprojectors P_k = (1/n) sum_j
+zeta^(-jk) a^j are one product-kernel call each (``eigenprojectors``), and
+every eigenspace walk stops once its vectors number rank(P_k) = tr(P_k)
+(``_rank``): they then span the eigenspace.  Every field comes from
 ``cyclo``: the lift and the walks run at a ``working_conductor``, which
 refuses one above ``MAX_CONDUCTOR``, and a conjugation block that needs the
 square root of a rational q missing from the field raises ``_Enlarge``
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import gcd, lcm
 
 from . import DomainError
@@ -58,13 +60,14 @@ from .cyclo import (
     Cyc,
     ModeMatrix,
     cyc_sqrt,
+    mat_product_sum,
     mat_products_equal,
     sqrt_conductor,
     working_conductor,
 )
 from .jsonio import cyc_to_json, json_field, mat_from_json, mat_to_json
 from .models import Span, StandardModel, standard_model
-from .rootdata import MAX_RANK, Functional, Root, RootSystem, inner
+from .rootdata import MAX_RANK, Functional, Root, RootSystem
 
 FIELDS = ("R", "C", "H")
 #: the largest operator dimension a request may name: the largest model dimension at MAX_RANK
@@ -99,16 +102,18 @@ def _orth_reduce(v: ModeMatrix, basis, norms) -> ModeMatrix:
     return v
 
 
-def _gram_schmidt(vectors, sigma=None):
+def _gram_schmidt(vectors, rank: int, sigma=None):
     """Exact orthogonalization without normalization; returns (basis, norms).
 
     With an antiunitary sigma that maps each kept w to a vector orthogonal to
     it, later vectors are also reduced against sigma(w): the kept vectors and
     their sigma-images are then mutually orthogonal (greedy sigma-stable planes).
+    The vectors lie in a space of dimension rank: once the kept vectors and their
+    sigma-images number rank, they span it and the walk stops.
     """
     basis, norms = [], []
     span, span_norms = [], []  # the kept vectors and their sigma-images
-    for v in vectors:
+    for v in takewhile(lambda _: len(span) < rank, vectors):
         w = _orth_reduce(v, span, span_norms)
         if not w:
             continue
@@ -309,29 +314,34 @@ def operator_order(spec: OperatorSpec) -> int:
 # -- eigenspace machinery ---------------------------------------------------------
 
 
-def _spectral_part(orbit, k: int) -> ModeMatrix:
-    """(1/n) sum_j zeta^(-jk) x_j over the orbit x_j = T^j x_0 of a map T with T^n = 1:
-    the component of x_0 on which T acts by zeta^k, zeta the primitive n-th root."""
-    n = len(orbit)
-    L = orbit[0].L
-    if L % n != 0:
-        raise StandardizeError(f"conductor {L} does not contain the {n}-th roots of unity")
-    acc = orbit[0]
-    for j in range(1, n):
-        e = -j * k % n
-        acc = acc + (orbit[j].scale(Cyc.zeta(L, e * (L // n))) if e else orbit[j])
-    return acc.scale(Fraction(1, n))
+def eigenprojectors(a: ModeMatrix, m: int, exponents=None) -> list[tuple[int, ModeMatrix]]:
+    """Exact spectral projectors of a matrix with a^m = 1; list of (exponent, projector).
 
-
-def eigenprojectors(a: ModeMatrix, m: int) -> list[tuple[int, ModeMatrix]]:
-    """Exact spectral projectors of a matrix with a^m = 1; list of (exponent, projector)."""
-    powers = [ModeMatrix.identity(a.L, len(a.rows))]
+    P_k = (1/m) sum_j zeta^(-jk) a^j, zeta the primitive m-th root, is one kernel
+    call over the products of the scalar matrices zeta^e / m with the powers a^j.
+    Only the given exponents (all of 0, ..., m - 1 by default) are built, and a
+    zero projector is left out.
+    """
+    L, d = a.L, len(a.rows)
+    powers = [ModeMatrix.identity(L, d)]
     for _ in range(m):
         powers.append(powers[-1] @ a)
     if powers.pop() != powers[0]:
         raise StandardizeError("matrix does not have the stated finite order")
-    projs = ((k, _spectral_part(powers, k)) for k in range(m))
+    if L % m != 0:
+        raise StandardizeError(f"conductor {L} does not contain the {m}-th roots of unity")
+    phases = [ModeMatrix(L, d, m, [{i: Cyc.zeta(L, e * (L // m)).num} for i in range(d)]) for e in range(m)]
+    projs = (
+        (k, mat_product_sum((1, phases[-j * k % m], x) for j, x in enumerate(powers)))
+        for k in (range(m) if exponents is None else exponents)
+    )
     return [(k, p) for k, p in projs if p]
+
+
+def _rank(p: ModeMatrix) -> int:
+    """The rank of an idempotent p: tr(p), a rational integer, so the constant
+    coefficients of the diagonal over the denominator."""
+    return sum(row[i][0] for i, row in enumerate(p.rows) if i in row) // p.den
 
 
 _ENLARGEMENT = f"an enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR} (only for positive rationals)"
@@ -373,10 +383,18 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
     root outside the field).  Each stage applies one rule: ``isotropic`` while
     it adds blocks, then ``plane``, then the pairing of theta-fixed vectors.  A
     block built isotropic is not re-tested: the caller's exact checks of the
-    assembled basis catch a fault.  Returns (blocks, fixed vector or None).
+    assembled basis catch a fault.  Every stage stops once the block vectors and
+    theta-fixed vectors number rank(proj) = tr(proj): they then span the range,
+    and every later reduction is zero.  Returns (blocks, fixed vector or None).
     """
     theta = _antilinear(u)
+    rank = _rank(proj)
     spanned, spanned_norms = [], []  # plus and minus of each block so far, with their norms
+    pool, pool_norms = [], []  # the theta-fixed vectors of the last stage, with their norms
+
+    def unfilled(vectors):
+        """The vectors, for as long as the block and fixed vectors do not span the range."""
+        return takewhile(lambda _: len(spanned) + len(pool) < rank, vectors)
 
     def add(plus):
         q = _hdot(plus, plus)  # theta is antiunitary: minus = theta(plus) has the same norm
@@ -426,11 +444,11 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
     rest, count = proj.columns(), None
     while count != len(spanned):  # until a round adds no block
         count = len(spanned)
-        rest = [v for v in map(reduced, rest) if v and not isotropic(v)]
+        rest = [v for v in map(reduced, unfilled(rest)) if v and not isotropic(v)]
 
     # pair up anisotropic stragglers through B-planes (the last round reduced them all)
     work, stuck = rest, []
-    while len(work) > 1:
+    while len(work) > 1 and len(spanned) < rank:
         v = reduced(work.pop(0))
         if not v:
             continue
@@ -450,14 +468,13 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
 
     work += stuck
     # last stage: split leftovers into theta-fixed vectors and pair those
-    pool, pool_norms = [], []
     ii = Cyc.i(u.L)
-    for v in work:
+    for v in unfilled(work):
         v = _orth_reduce(reduced(v), pool, pool_norms)
         if not v:
             continue
         tv = theta(v)
-        for cand in (v + tv, (v - tv).scale(ii)):
+        for cand in unfilled((v + tv, (v - tv).scale(ii))):
             # still theta-fixed: its reduction coefficients against fixed vectors and pairs are real
             cand = _orth_reduce(reduced(cand), pool, pool_norms)
             if cand:
@@ -513,12 +530,10 @@ def _antilinear_blocks(a: ModeMatrix, m: int, u: ModeMatrix):
     """
     L = a.L
     J = _antilinear(u)
-    projs = dict(eigenprojectors(a, m))
+    projs = dict(eigenprojectors(a, m, range(m // 2 + 1)))  # m - k mirrors k
     plus, minus, exps, norms, fixed = [], [], [], [], {}
     try:
         for k in sorted(projs, key=lambda k: (0 < 2 * k < m, k)):
-            if 2 * k > m:
-                continue  # the mirror of exponent m - k
             cols = projs[k].columns()
             sign = 0  # J^2 on a self-paired eigenspace, read off one nonzero column
             if 2 * k in (0, m):
@@ -531,7 +546,7 @@ def _antilinear_blocks(a: ModeMatrix, m: int, u: ModeMatrix):
                 basis, images = [b[0] for b in blocks], [b[1] for b in blocks]
                 qs = [_hdot(w, w) for w in basis]
             else:
-                basis, qs = _gram_schmidt(cols, J if sign else None)
+                basis, qs = _gram_schmidt(cols, _rank(projs[k]), J if sign else None)
                 images = [J(w) for w in basis]
             plus += basis
             minus += images
@@ -727,8 +742,9 @@ class StandardizationCertificate:
     def image_mode(self, a: Root | None, n: int) -> Fraction:
         """Target mode N_psi (n / N_phi - mu(a)) of source mode n at root a (None: the Cartan)."""
         n_phi, n_psi = self.orders
-        shift = inner(self.mu, a) if a is not None else 0
-        return n_psi * (Fraction(n, n_phi) - shift)
+        num, den = self.mu.num, self.mu.den
+        shift = sum(num[j - 1] * c for j, c in a.coeffs if j <= len(num)) if a is not None else 0
+        return Fraction(n_psi * (n * den - n_phi * shift), n_phi * den)
 
     def standard_linear_matrix(self, L: int) -> ModeMatrix:
         """Linear part of the standardized operator (U_1 times the twist) in model coords."""
@@ -827,7 +843,7 @@ def _standardize_c_unitary(spec: OperatorSpec, n: int) -> StandardizationCertifi
     L, a = _working_form(spec, n)
     plus, exps, norms = [], [], []
     for k, p in eigenprojectors(a, n):
-        basis, qs = _gram_schmidt(p.columns())
+        basis, qs = _gram_schmidt(p.columns(), _rank(p))
         plus += basis
         exps += [k] * len(basis)
         norms += qs

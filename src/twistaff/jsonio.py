@@ -6,14 +6,16 @@ of ASCII digits are accepted on input, everything else is refused by
 in the power basis, with L at most `cyclo.MAX_CONDUCTOR`; matrices as nested
 row lists, read straight into a `cyclo.ModeMatrix` with no `Fraction` per
 coefficient.  Every request field is read by `json_field`.  Every report
-carries a "schema": "v1" marker.
+carries a "schema": "v1" marker and is written by `dump_report` with the bytes
+of `json.dumps(report, sort_keys=True, indent=2)`, from a recursive writer
+instead of `json`'s pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 
 from .cyclo import MAX_CONDUCTOR, Cyc, ModeMatrix, conductor_degree
@@ -135,8 +137,54 @@ def mat_from_json(rows) -> ModeMatrix:
     return ModeMatrix(conductors[0] if conductors else 4, len(rows[0]) if rows else 0, den, nums)
 
 
+def _write_json(obj, out: list, newline: str) -> None:
+    """Append the pieces of obj's ``json.dumps(obj, sort_keys=True, indent=2)`` text to out;
+    newline is a newline followed by the indent of obj's own line."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("report keys must be str")
+        inner, sep = newline + "  ", "{"
+        for key in sorted(obj):
+            out += (sep, inner, encode_basestring_ascii(key), ": ")
+            _write_json(obj[key], out, inner)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in obj:
+            out += (sep, inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"a report holds no {type(obj).__name__}")
+
+
 def dump_report(obj, path=None) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, written
+    to path when one is given.
+
+    ``json``'s C encoder does not indent, and its pure-Python one is slow, so
+    ``_write_json`` writes the same bytes for the types a report holds: dicts
+    with str keys, lists, str, int, bool and None; anything else raises
+    TypeError.  The writer is to be deleted when the compact report
+    schema v2 of ROADMAP item 5, written by the C encoder, lands.
+    """
+    out = []
+    _write_json(obj, out, "\n")
+    text = "".join(out) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)

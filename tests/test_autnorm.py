@@ -492,12 +492,9 @@ def test_rational_square_root_stall_reproducer_standardizes(time_limit):
     assert verify_certificate(spec, cert).all_passed
 
 
-def test_block_decomposition_enlarges_the_conductor():
-    import hashlib
-    import json
-
-    # two anisotropic vectors of the +1 eigenspace pair through a B-plane only
-    # after sqrt(5/4) is adjoined, which takes the working conductor 8 to 40
+def _enlarging_r_operator():
+    """An R operator whose +1 eigenspace has two anisotropic vectors that pair through a
+    B-plane only after sqrt(5/4) is adjoined, which takes the working conductor 8 to 40."""
     matrix = [
         [Q(3, 5), Q(-4, 5), 0, 0, 0],
         [Q(-4, 5), Q(-3, 5), 0, 0, 0],
@@ -505,7 +502,14 @@ def test_block_decomposition_enlarges_the_conductor():
         [0, 0, 0, 0, 1],
         [0, 0, 0, 1, 0],
     ]
-    spec = OperatorSpec("R", False, 5, rows(4, matrix), 2)
+    return OperatorSpec("R", False, 5, rows(4, matrix), 2)
+
+
+def test_block_decomposition_enlarges_the_conductor():
+    import hashlib
+    import json
+
+    spec = _enlarging_r_operator()
     cert = standardize(spec)
     assert (cert.lars, cert.rank, cert.conductor) == ("B1", 2, 40)
     assert verify_certificate(spec, cert).all_passed
@@ -778,3 +782,103 @@ def test_a_negative_rational_asks_for_the_root_of_its_absolute_value():
         _sqrt(Cyc.rational(L, -5))
     assert enlarged.value.conductor == 40
     assert _sqrt(Cyc.rational(L, -4)) == Cyc.i(L) * 2
+
+
+# -- the eigenspace walks: kernel projectors, and every walk stops at tr(P) ---------------
+
+
+def _spectral_sum(a, m, k):
+    """The reference projector (1/m) sum_j zeta^(-jk) a^j, zeta the primitive m-th root, by
+    matrix sums and scalings."""
+    L = a.L
+    power = acc = identity(L, len(a.rows))
+    for j in range(1, m):
+        power = power @ a
+        acc = acc + power.scale(Cyc.zeta(L, -j * k * (L // m)))
+    return acc.scale(Q(1, m))
+
+
+#: one seeded operator per family (family, seed, dim, order hint) on which a walk stopped
+#: one vector short of its projector's rank misses a column
+WALK_OPERATORS = [("C_unitary", 0, 4, 2), ("H", 0, 6, 3), ("R", 0, 5, 2), ("C_antiunitary", 0, 5, 2)]
+
+
+@pytest.mark.parametrize("operator", [*WALK_OPERATORS, "enlarging"])
+def test_walks_read_kernel_projectors_and_stop_at_their_rank(monkeypatch, operator):
+    """The kernel projectors equal the spectral sums, are idempotent and sum to the
+    identity; each eigenspace walk places exactly tr(P) vectors, its rank."""
+    from twistaff import autnorm
+
+    if operator == "enlarging":
+        spec = _enlarging_r_operator()
+    else:
+        family, seed, dim, hint = operator
+        spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
+    projections, walks = [], []
+    real_projectors, real_gs, real_blocks = (
+        autnorm.eigenprojectors, autnorm._gram_schmidt, autnorm._conjugation_block_decomposition,
+    )
+
+    def projectors(a, m, exponents=None):
+        out = real_projectors(a, m, exponents)
+        projections.append((a, m, exponents, out))
+        return out
+
+    def gram_schmidt(vectors, rank, sigma=None):
+        basis, norms = real_gs(vectors, rank, sigma)
+        spanned = len(basis) * (1 if sigma is None else 2)
+        walks.append((rank, spanned, elimination.rank(ModeMatrix.from_columns(vectors).to_rows())))
+        return basis, norms
+
+    def blocks(u, proj):
+        out = real_blocks(u, proj)
+        walks.append((autnorm._rank(proj), 2 * len(out[0]) + (out[1] is not None), elimination.rank(proj.to_rows())))
+        return out
+
+    monkeypatch.setattr(autnorm, "eigenprojectors", projectors)
+    monkeypatch.setattr(autnorm, "_gram_schmidt", gram_schmidt)
+    monkeypatch.setattr(autnorm, "_conjugation_block_decomposition", blocks)
+    cert = standardize(spec)
+    assert verify_certificate(spec, cert).all_passed
+    if operator == "enlarging":
+        assert cert.conductor == 40 and len(projections) == 2  # the walk restarted at 40
+    assert projections and walks
+    for a, m, exponents, out in projections:
+        wanted = range(m) if exponents is None else exponents
+        reference = [(k, p) for k, p in ((k, _spectral_sum(a, m, k)) for k in wanted) if p]
+        assert out == reference
+        full = real_projectors(a, m)
+        assert all(p @ p == p for _, p in full)
+        assert sum((p for _, p in full[1:]), full[0][1]) == identity(a.L, len(a.rows))
+    for rank, placed, eliminated in walks:
+        assert rank == placed == eliminated
+
+
+@pytest.mark.parametrize("family, seed, dim, hint", WALK_OPERATORS)
+def test_a_walk_stopped_short_of_its_rank_is_refused(monkeypatch, family, seed, dim, hint):
+    """A rank of tr(P) - 1 stops a walk one vector early: the basis change misses a column
+    of each such eigenspace, and the column count refuses it."""
+    from twistaff import autnorm
+
+    real = autnorm._rank
+    monkeypatch.setattr(autnorm, "_rank", lambda p: real(p) - 1)
+    spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
+    with pytest.raises(StandardizeError, match=f"the block construction gave [0-9]+ columns in dimension {dim}"):
+        standardize(spec)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_OPERATORS))
+def test_image_mode_is_the_relabel_of_the_slant(kind):
+    """image_mode(a, n) = N_psi (n / N_phi - mu(a)) at every finite root and the Cartan, also
+    for a mu shifted off the exponents."""
+    from twistaff.affine import lars_finite_parts
+    from twistaff.rootdata import inner
+
+    cert = _kind_certificate(kind)
+    shift = Functional({j: Q(1, 7) for j in range(1, cert.rank + 1)})
+    for c in (cert, dataclasses.replace(cert, mu=cert.mu + shift)):
+        n_phi, n_psi = c.orders
+        for a in (None, *lars_finite_parts(c.lars, c.base)):
+            mu_a = inner(c.mu, a) if a is not None else 0
+            for n in range(-4 * n_phi, 4 * n_phi + 1):
+                assert c.image_mode(a, n) == n_psi * (Q(n, n_phi) - mu_a), (kind, a, n)

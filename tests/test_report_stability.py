@@ -17,13 +17,52 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from twistaff import jsonio
 from twistaff.affine import Weight, lars_finite_parts, standard_spec
 from twistaff.autnorm import StandardizeError, cartan_mode_vectors, mode_class_vectors, standardize
 from twistaff.cli import main
 from twistaff.jsonio import mat_to_json
 from twistaff.rootdata import Functional
 from twistaff.sampling import random_functional, random_operator
+
+
+
+@pytest.fixture(autouse=True)
+def reports_match_json_dumps(monkeypatch):
+    """Every report a test here writes has the bytes of json.dumps with sorted keys and indent 2."""
+    real = jsonio.dump_report
+
+    def checked(obj, path=None):
+        text = real(obj, path)
+        assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return text
+
+    monkeypatch.setattr(jsonio, "dump_report", checked)
+
+
+#: JSON trees of the types a report holds: str keys, ints of any size, any text
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@given(JSON_TREES)
+@example({"": [], "z": {}, "a": [[{}], [[]], {"b": None}], "\u00e9\x00\x1f\"\\/\u2028": "\ud83d\ude00\n\t"})
+@example([-(10**60), 0, True, False, None, "", {"k": [-1]}])
+def test_report_writer_matches_json_dumps(tree):
+    assert jsonio.dump_report(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("tree", [1.5, {"a": [0.0]}, {1: "x"}, {"a": {None: 1}}, {1, 2}, [b"x"], (1, 2)])
+def test_report_writer_refuses_other_types(tree):
+    with pytest.raises(TypeError):
+        jsonio.dump_report(tree)
+
 
 DIGESTS = {
     ("C_unitary", 4, 3): "ec01b6a52bdb2c7d281811f87b74c9356149a6f9101cf5bc2d18de52cb417e35",
