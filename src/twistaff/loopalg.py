@@ -4,8 +4,9 @@ Elements carry finitely many modes, each an integer ``cyclo.ModeMatrix``.
 The bracket realizes the two-step extension: a central cocycle term pairing
 opposite modes through the invariant trace form and the diagonal derivation,
 a loop term, and a derivation coordinate that acts but never grows.
-``bracket_sum`` sums brackets over pairs with one product-kernel call per
-output mode; ``bracket`` is one pair.  Sums, scalings, the derivation, the
+``bracket_sum`` sums brackets over pairs with one kernel call per output
+mode, which at conductor 4 (every bracket-check) also takes the derivation
+terms; ``bracket`` is one pair.  Sums, scalings, the derivation, the
 pairing, validation and the untwisting relabel run in integers; the
 coordinates z and t are ``Cyc`` scalars.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .affine import AffinisationSpec
-from .cyclo import Cyc, ModeMatrix, cyc_product, mat_product_sum
+from .cyclo import Cyc, ModeMatrix, _gaussian_sum, cyc_product, mat_product_sum
 from .models import StandardModel, standard_model
 from .rootdata import Functional
 
@@ -109,41 +110,42 @@ def loop_pairing(spec: AffinisationSpec, x: LoopElement, y: LoopElement, L: int)
     return sum((model.bilinear_form(m, ydict[-n]) for n, m in x.terms if -n in ydict), Cyc.zero(L))
 
 
-def _derivation(spec: AffinisationSpec, nu: Functional, L: int, scale: Cyc | None = None):
-    """The map (n, m) -> scale * D(m) of the nu-diagonal derivation D on mode n.
+def _slant_weights(spec: AffinisationSpec, nu: Functional, L: int) -> tuple[Cyc, list[int]]:
+    """(i / Q, w) of the nu-diagonal derivation D on the spec's model at conductor L.
 
     D multiplies the entry (r, c) of a mode-n matrix by i (n/N + w_r - w_c),
     where w are the slant values of the basis vectors.  With the integer
-    numerators W = nu.den * w that factor is i k / Q for Q = N nu.den and the
-    integer k = n nu.den + N W_r - N W_c, so each entry is multiplied in
-    integers by k times i (times ``scale``), and the denominator by Q.
+    numerators W = nu.den * w that factor is (i / Q) k for Q = N nu.den and the
+    integer k = n nu.den + N W_r - N W_c; the list w holds the N W_r.
     """
     model, N = _model_of(spec), spec.twist_order
-    Q = N * nu.den
     padded = (0, *nu.num, *(0,) * model.dim)  # padded[j] = nu.den * nu_j for j >= 1
     w = [N * padded[x] if x >= 0 else -N * padded[-x] for x in model.weights]
-    unit = Cyc.i(L) if scale is None else Cyc.i(L) * scale
-    factors: dict[int, tuple] = {}  # k -> the integers of k * unit
+    return Cyc(L, Cyc.i(L).num, N * nu.den), w
 
-    def derive(n: int, m: ModeMatrix) -> ModeMatrix:
-        shift = n * nu.den
-        rows = [{} for _ in m.rows]
-        for wr, row, out in zip(w, m.rows, rows):
-            for c, num in row.items():
-                k = shift + wr - w[c]
-                if k:
-                    f = factors.get(k) or factors.setdefault(k, tuple(k * x for x in unit.num))
-                    out[c] = cyc_product(L, num, f)
-        return ModeMatrix(L, m.ncols, m.den * Q * unit.den, rows)
 
-    return derive
+def _weighted(L: int, shift: int, w: list[int], m: ModeMatrix, c: Cyc) -> ModeMatrix:
+    """c (shift + w_r - w_c) m_rc at each entry (r, c) of m, in integers.
+
+    With c = i / Q and shift = n nu.den (``_slant_weights``) it is D(m) on mode n.
+    """
+    factors: dict[int, tuple] = {}  # k -> the integers of k * c
+    rows = [{} for _ in m.rows]
+    for wr, row, out in zip(w, m.rows, rows):
+        u = shift + wr
+        for col, num in row.items():
+            k = u - w[col]
+            if k:
+                f = factors.get(k) or factors.setdefault(k, tuple(k * x for x in c.num))
+                out[col] = cyc_product(L, num, f)
+    return ModeMatrix(L, m.ncols, m.den * c.den, rows)
 
 
 def apply_derivation(spec: AffinisationSpec, nu: Functional, a: DoubleExtElement) -> DoubleExtElement:
     """The diagonal derivation: i(n/N + nu(weight sharp)) on each weight component."""
     L = a.z.L
-    derive = _derivation(spec, nu, L)
-    loop = LoopElement(tuple((n, derive(n, m)) for n, m in a.loop.terms))
+    iq, w = _slant_weights(spec, nu, L)
+    loop = LoopElement(tuple((n, _weighted(L, n * nu.den, w, m, iq)) for n, m in a.loop.terms))
     return DoubleExtElement(Cyc.zero(L), loop, Cyc.zero(L))
 
 
@@ -151,31 +153,44 @@ def bracket_sum(spec: AffinisationSpec, pairs) -> DoubleExtElement:
     """Exact sum of the brackets [a, b] of the double extension over a sequence of pairs (a, b).
 
     [a, b] = (kappa(D a, b), sum of [a_n, b_m] at mode n + m + a.t D b - b.t D a, 0)
-    for the slant derivation D.  One ``mat_product_sum`` call per output mode
-    takes the commutators of every pair: its one integer accumulator holds
-    each product over the lcm of all their denominators, so its canonical
-    result equals the sum of the pairs' own commutator sums.
+    for the slant derivation D.  Each output mode collects every pair's signed
+    commutator products (1, x, y), (-1, y, x) and derivation terms
+    (1, a.t i / Q, b_n), (-1, b.t i / Q, a_n) (``_weighted``): at conductor 4
+    one ``cyclo._gaussian_sum`` call takes them all; elsewhere one
+    ``mat_product_sum`` call takes the products and the derivation matrices
+    are added.  Every ``ModeMatrix`` is canonical, so the result equals the
+    sum of the pairs' own brackets.
     """
     L = pairs[0][0].z.L
     if any(x.z.L != L for pair in pairs for x in pair):
         raise ValueError("conductor mismatch between elements")
-    derive = _derivation(spec, spec.slant, L)
-    z, by_mode = Cyc.zero(L), {}
+    nu = spec.slant
+    iq, w = _slant_weights(spec, nu, L)
+    z, by_mode = Cyc.zero(L), {}  # output mode -> (signed products, signed derivation terms)
     for a, b in pairs:
         # the cocycle pairs D(a_n) with b_-n, so D(a) is needed on those modes only
         paired = set(b.loop.modes())
-        da = LoopElement(tuple((n, derive(n, m)) for n, m in a.loop.terms if -n in paired))
+        da = LoopElement(tuple((n, _weighted(L, n * nu.den, w, m, iq)) for n, m in a.loop.terms if -n in paired))
         z = z + loop_pairing(spec, da, b.loop, L)
         for n, x in a.loop.terms:
             for n2, y in b.loop.terms:
-                by_mode.setdefault(n + n2, []).extend(((1, x, y), (-1, y, x)))
-    lp = LoopElement(tuple((k, mat_product_sum(prods)) for k, prods in by_mode.items()))
-    for a, b in pairs:
-        for scale, x in ((a.t, b), (-b.t, a)):  # a.t D b - b.t D a
-            if scale:
-                derive_x = _derivation(spec, spec.slant, L, scale)
-                lp = lp + LoopElement(tuple((n, derive_x(n, m)) for n, m in x.loop.terms))
-    return DoubleExtElement(z, lp, Cyc.zero(L))
+                by_mode.setdefault(n + n2, ([], []))[0].extend(((1, x, y), (-1, y, x)))
+        for s, t, x in ((1, a.t, b), (-1, b.t, a)):  # a.t D b - b.t D a
+            if t:
+                c = t * iq
+                for n, m in x.loop.terms:
+                    by_mode.setdefault(n, ([], []))[1].append((s, c, m))
+    if L == 4:
+        loop = [
+            (k, _gaussian_sum(len(w), len(w), prods, terms, k * nu.den, w)) for k, (prods, terms) in by_mode.items()
+        ]
+    else:
+        loop = []
+        for k, (prods, terms) in by_mode.items():
+            parts = [_weighted(L, k * nu.den, w, m, c if s == 1 else -c) for s, c, m in terms]
+            total = mat_product_sum(prods) if prods else parts.pop()
+            loop.append((k, sum(parts, total)))
+    return DoubleExtElement(z, LoopElement(tuple(loop)), Cyc.zero(L))
 
 
 def bracket(spec: AffinisationSpec, a: DoubleExtElement, b: DoubleExtElement) -> DoubleExtElement:

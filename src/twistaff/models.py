@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add, sub
 
 from .affine import KINDS, LarsKind
 from .cyclo import Cyc, ModeMatrix
@@ -132,7 +133,7 @@ class StandardModel:
         """(x + tau(x)) / 2."""
         if self.kind.involution is None:
             return x
-        return (x + self._tau(x)).scale(Fraction(1, 2))
+        return _half_sum(x, self._paired_table, 1)
 
     def psi_tilde(self, x: ModeMatrix) -> ModeMatrix:
         """The complex-linear extension of the standard order-2 twist."""
@@ -160,8 +161,8 @@ class StandardModel:
         """Projection onto the twist eigenspace of mode n (trivial twist: identity)."""
         if self.n_psi == 1:
             return x
-        y = self.psi_tilde(x)
-        return (x + y if n % 2 == 0 else x - y).scale(Fraction(1, 2))
+        table = self._flip_table if self.kind.twist == "flip" else self._paired_table
+        return _half_sum(x, table, 1 if n % 2 == 0 else -1)
 
     def in_mode(self, x: ModeMatrix, n: int) -> bool:
         return self.n_psi == 1 or self.psi_tilde(x) == (x if n % 2 == 0 else -x)
@@ -265,6 +266,21 @@ class Span(tuple):
                     vectors.append((self[p] if sigma * s == 1 else -self[p]) + self[k])
             pieces.append(tuple(vectors))
         return pieces[0], pieces[1]
+
+
+def _half_sum(x: ModeMatrix, table, sign: int) -> ModeMatrix:
+    """(x + sign P(x)) / 2 for the signed permutation P of the entries in ``table``
+    (``ModeMatrix.permuted``): one pass over x's entries, over 2 x.den."""
+    rows = [dict(row) for row in x.rows]
+    for a, row in enumerate(x.rows):
+        for b, num in row.items():
+            i, j, s = table[a][b]
+            have = rows[i].get(j)
+            if have is None:
+                rows[i][j] = num if s * sign == 1 else tuple(-c for c in num)
+            else:
+                rows[i][j] = tuple(map(add if s * sign == 1 else sub, have, num))
+    return ModeMatrix(x.L, x.ncols, 2 * x.den, rows)
 
 
 def _positions(x: ModeMatrix) -> list[tuple[int, int]]:

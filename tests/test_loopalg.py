@@ -134,16 +134,36 @@ def test_bracket_sum_is_the_sum_of_its_brackets(kind):
                 assert bracket_sum(spec, pairs) == want
 
 
-def test_bracket_check_fails_a_bracket_without_its_commutator_half(tmp_path, monkeypatch):
-    # every (-1, y, x) product dropped: the loop part becomes the associative product x y
-    kernel = loopalg.mat_product_sum
-    monkeypatch.setattr(loopalg, "mat_product_sum", lambda prods: kernel([p for p in prods if p[0] == 1]))
+def _bracket_check(tmp_path, monkeypatch):
+    """The bracket-check report of four seeded C2 rank-3 trials, with the exit code."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.json").write_text(json.dumps(standard_spec("C2", 3).to_json()))
     argv = ["bracket-check", "--input", "spec.json", "--seed", "1", "--count", "4", "--output", "out.json"]
-    assert main(argv) == 1
-    doc = json.loads((tmp_path / "out.json").read_text())
+    return main(argv), json.loads((tmp_path / "out.json").read_text())
+
+
+def test_bracket_check_fails_a_bracket_without_its_commutator_half(tmp_path, monkeypatch):
+    # every (-1, y, x) product dropped: the loop part becomes the associative product x y
+    kernel = loopalg._gaussian_sum
+    monkeypatch.setattr(
+        loopalg, "_gaussian_sum", lambda n, m, prods, *rest: kernel(n, m, [p for p in prods if p[0] == 1], *rest)
+    )
+    code, doc = _bracket_check(tmp_path, monkeypatch)
+    assert code == 1
     assert doc["passed_counts"]["jacobi"] < doc["trials"] == 4
+
+
+def test_bracket_check_fails_a_bracket_without_its_a_t_derivation_term(tmp_path, monkeypatch):
+    # every (1, a.t i / Q, b_n) term dropped: [a, b] + [b, a] = -(a.t D b + b.t D a), not zero
+    kernel = loopalg._gaussian_sum
+    monkeypatch.setattr(
+        loopalg,
+        "_gaussian_sum",
+        lambda n, m, prods, terms, *rest: kernel(n, m, prods, [t for t in terms if t[0] == -1], *rest),
+    )
+    code, doc = _bracket_check(tmp_path, monkeypatch)
+    assert code == 1
+    assert doc["passed_counts"]["antisymmetry"] < doc["trials"] == 4
 
 
 def test_derivation_examples():

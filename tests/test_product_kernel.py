@@ -13,7 +13,11 @@ Denominators are mixed (1, 2, 3, 4, 6), so a product term that is not
 rescaled to the common denominator, or a common denominator that is not a
 multiple of every operand denominator, changes the result.  The kernel test
 near the slot-width bound draws coefficients up to 2^200 in size, often all
-of one sign and of the largest size, and sums that cancel to zero.
+of one sign and of the largest size, and sums that cancel to zero.  At
+conductor 4, where `mat_product_sum` multiplies Gaussian integers inline, the
+packed kernel called directly (`packed_product_sum`) is a second reference
+on the same operands, and the bracket's derivation coordinates t include
+non-rational Gaussian values (i, 1 + i/2).
 """
 
 from fractions import Fraction
@@ -24,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistaff.affine import LARS_KINDS, standard_spec
-from twistaff.cyclo import Cyc, ModeMatrix, conductor_degree, mat_mul, mat_product_sum
+from twistaff.cyclo import Cyc, ModeMatrix, conductor_degree, mat_mul, mat_product_sum, packed_product_sum
 from twistaff.loopalg import DoubleExtElement, LoopElement, bracket
 from twistaff.models import standard_model
 from twistaff.rootdata import Functional
@@ -232,9 +236,9 @@ def big_matrices(draw, L, n, m):
 
 
 @st.composite
-def big_product_sums(draw):
+def big_product_sums(draw, conductors=(4, 8, 12, 24, 120)):
     """Up to three signed products of one shape, then sometimes the same products negated."""
-    L = draw(st.sampled_from((4, 8, 12, 24, 120)))
+    L = draw(st.sampled_from(conductors))
     n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
     products = [
         (draw(st.sampled_from((1, -1))), draw(big_matrices(L, n, k)), draw(big_matrices(L, k, m)))
@@ -261,11 +265,24 @@ def test_packed_kernel_near_its_slot_width_bound(case):
         assert not got and got.den == 1 and not any(got.rows)
 
 
+@settings(max_examples=60, deadline=None)
+@given(big_product_sums(conductors=(4,)))
+def test_gaussian_kernel_is_the_packed_kernel_at_conductor_4(case):
+    products, cancel = case
+    operands = [(sign, ModeMatrix.from_rows(4, a), ModeMatrix.from_rows(4, b)) for sign, a, b in products]
+    got = mat_product_sum(operands)
+    assert got == packed_product_sum(operands)
+    if cancel:
+        assert not got and got.den == 1
+
+
 def plain_loop_element(draw, spec, L):
     """(z, {mode: rows of Cyc}, t): up to three modes, each the model projection of a mixed-denominator matrix."""
     model = standard_model(spec.lars, spec.base.rank)
     z = Cyc.rational(L, draw(st.sampled_from((-1, 0, 1, Fraction(1, 2)))))
-    t = Cyc.rational(L, draw(st.sampled_from((-1, 0, 1, Fraction(1, 3)))))
+    i = Cyc.i(L)
+    t = draw(st.sampled_from((-1, 0, 1, Fraction(1, 3), i, 1 + i * Fraction(1, 2))))
+    t = t if isinstance(t, Cyc) else Cyc.rational(L, t)
     modes = {}
     for n in draw(st.lists(st.integers(-2, 2), max_size=3, unique=True)):
         raw = ModeMatrix.from_rows(L, draw(matrices(L, model.dim, model.dim)))
