@@ -12,7 +12,7 @@ names the least field that holds a rational's square root.
 The scalar kernel is all integers.  One function, ``_reduce``, reduces a sum
 of powers z^k (k < L) modulo Phi_L from a table of the L powers as sparse
 rows; products, Galois conjugates, lifts to a larger conductor and the
-packed matrix kernel below all go through it.  The inverse of num / den is
+matrix kernel below all go through it.  The inverse of num / den is
 den * P / N, where P is the product of the distinct Galois conjugates of num
 other than num itself and N = num * P is its rational norm.
 
@@ -24,14 +24,7 @@ tuples) are only the edge that the benchmark's micro timings read: the
 operands and results of ``mat_inverse`` and ``mat_mul``, converted by
 ``from_rows`` and ``to_rows``; no subcommand builds one.
 The one product kernel, ``mat_product_sum``, sums s * A B over signed
-products.  At conductor 4 the entries are Gaussian integers and
-``_gaussian_sum`` multiplies them inline into one (re, im) accumulator per
-output entry: at phi = 2 packing, unpacking and one reduction per output
-entry cost more than the products themselves.  ``loopalg.bracket_sum`` adds
-the derivation terms of a bracket into the same accumulator.  Every other
-conductor takes the packed kernel, ``packed_product_sum`` (callable at
-conductor 4 too, as the tests' reference), by Kronecker substitution.
-With W = 2 phi(L) - 1 and slots of B
+products by Kronecker substitution.  With W = 2 phi(L) - 1 and slots of B
 bits, row j of B packs into one int (coefficient p of entry k at slot
 k W + p) and entry (i, j) of A into sum_q a_q 2^(B q), so output row i is
 sum_j a_ij * row_j, one multiply-add per nonzero entry of A, with the
@@ -42,7 +35,9 @@ coefficient bit length); B, a multiple of 8, exceeds the bit length of T,
 so every slot lies in [-2^(B-1), 2^(B-1)), and after adding 2^(B-1) to
 each slot the row's base-2^B digits are the slots plus 2^(B-1).  That is
 one signed unpack per output row, then one reduction modulo Phi_L per
-nonzero entry.  An operand keeps its packed form per B.  The one
+nonzero entry.  An operand keeps its packed form per B.  At conductor 4, where
+packing costs more than the products, ``loopalg.bracket_sum`` multiplies
+its Gaussian entries inline instead.  The one
 elimination is the Gauss-Jordan kernel ``row_reduce`` behind ``mat_inverse``;
 no model basis needs it (see ``models``).  ``cyc_sqrt`` builds the square
 root of a rational by stripping the primes of ``SQRT_PRIMES`` and from cached
@@ -747,36 +742,18 @@ def mat_product_sum(products) -> ModeMatrix:
     """The sum of sign * A B over the triples (sign, A, B) of ModeMatrix operands.
 
     Every A B must have the shape of the first; a mismatch raises ValueError
-    naming both shapes.  At conductor 4 the sum is ``_gaussian_sum``'s, at
-    every other conductor ``packed_product_sum``'s (module docstring).
+    naming both shapes.  Over the lcm D of the denominator products, triple
+    (sign, A, B) adds sign D / (den A den B) * A B to the packed output rows
+    (module docstring).
     """
     products = list(products)
-    if products[0][1].L != 4:
-        return packed_product_sum(products)
-    _, n, m = _product_shape(products)
-    return _gaussian_sum(n, m, products)
-
-
-def _product_shape(products) -> tuple[int, int, int]:
-    """(L, n, m) of a sum of n x m products at conductor L; ValueError on any mismatch."""
     L, n, m = products[0][1].L, len(products[0][1].rows), products[0][2].ncols
+    phi = conductor_degree(L)
     for _, a, b in products:
         if a.L != L or b.L != L:
             raise ValueError("conductor mismatch in a matrix product")
         if a.ncols != len(b.rows) or len(a.rows) != n or b.ncols != m:
             raise ValueError(f"matrix shape mismatch: {a.shape} times {b.shape} in a sum of {n}x{m} products")
-    return L, n, m
-
-
-def packed_product_sum(products) -> ModeMatrix:
-    """``mat_product_sum`` by the packed kernel at any conductor, 4 included.
-
-    Over the lcm D of the denominator products, triple (sign, A, B) adds
-    sign D / (den A den B) * A B to the packed output rows (module docstring).
-    """
-    products = list(products)
-    L, n, m = _product_shape(products)
-    phi = conductor_degree(L)
     den = lcm(*(a.den * b.den for _, a, b in products))
     products = [(sign * (den // (a.den * b.den)), a, b) for sign, a, b in products]
     bound = sum(abs(s) * a.ncols << (a.bits() + b.bits()) for s, a, b in products) * phi
@@ -803,45 +780,9 @@ def packed_product_sum(products) -> ModeMatrix:
     return ModeMatrix(L, m, den, rows)
 
 
-def _gaussian_sum(n: int, m: int, products, weighted=(), shift: int = 0, w=()) -> ModeMatrix:
-    """An n x m sum at conductor 4, where every entry is a Gaussian integer (re, im) over a denominator.
-
-    It adds s A B for each product (s, A, B) with an integer s, and, for each
-    weighted term (s, c, X) with c a Cyc, s c (shift + w_r - w_c) X_rc at each
-    entry (r, c) of X.  One accumulator of (re, im) integer pairs per entry
-    holds every term over the lcm D of the terms' denominators, each entry
-    product multiplied inline (Phi_4 = x^2 + 1, so nothing is left to
-    reduce), and the sum is one canonical ``ModeMatrix``.
-    """
-    den = lcm(*(a.den * b.den for _, a, b in products), *(c.den * x.den for _, c, x in weighted))
-    re, im = [[0] * m for _ in range(n)], [[0] * m for _ in range(n)]
-    for s, a, b in products:
-        f, brows = s * (den // (a.den * b.den)), b.rows
-        for arow, racc, iacc in zip(a.rows, re, im):
-            for j, (a0, a1) in arow.items():
-                if f != 1:
-                    a0, a1 = f * a0, f * a1
-                for k, (b0, b1) in brows[j].items():
-                    racc[k] += a0 * b0 - a1 * b1
-                    iacc[k] += a0 * b1 + a1 * b0
-    for s, c, x in weighted:
-        f = s * (den // (c.den * x.den))
-        g0, g1 = f * c.num[0], f * c.num[1]
-        for wr, xrow, racc, iacc in zip(w, x.rows, re, im):
-            u = shift + wr
-            for k, (x0, x1) in xrow.items():
-                e = u - w[k]
-                if e:
-                    h0, h1 = e * g0, e * g1
-                    racc[k] += h0 * x0 - h1 * x1
-                    iacc[k] += h0 * x1 + h1 * x0
-    rows = [{k: v for k, v in enumerate(zip(racc, iacc)) if v[0] or v[1]} for racc, iacc in zip(re, im)]
-    return ModeMatrix(4, m, den, rows)
-
-
 @lru_cache(maxsize=None)
 def _unpacking(B: int, W: int, m: int) -> tuple:
-    """The constants of unpacking rows of m entries of W slots of B bits (see packed_product_sum)."""
+    """The constants of unpacking rows of m entries of W slots of B bits (see mat_product_sum)."""
     half, mask, stride = 1 << (B - 1), (1 << B) - 1, B * W
     bias = ((1 << (stride * m)) - 1) // mask * half  # half in every slot
     return half, mask, stride, bias, (1 << stride) - 1, range(0, stride, B), bias & ((1 << stride) - 1)

@@ -5,18 +5,20 @@ The bracket realizes the two-step extension: a central cocycle term pairing
 opposite modes through the invariant trace form and the diagonal derivation,
 a loop term, and a derivation coordinate that acts but never grows.
 ``bracket_sum`` sums brackets over pairs with one kernel call per output
-mode, which at conductor 4 (every bracket-check) also takes the derivation
-terms; ``bracket`` is one pair.  Sums, scalings, the derivation, the
-pairing, validation and the untwisting relabel run in integers; the
-coordinates z and t are ``Cyc`` scalars.
+mode: at conductor 4 (every bracket-check) this module's Gaussian-integer
+sum, which also takes the derivation terms, and elsewhere
+``cyclo.mat_product_sum``.  ``bracket`` is one pair.  Sums, scalings, the
+derivation, the pairing, validation and the untwisting relabel run in
+integers; the coordinates z and t are ``Cyc`` scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .affine import AffinisationSpec
-from .cyclo import Cyc, ModeMatrix, _gaussian_sum, cyc_product, mat_product_sum
+from .cyclo import Cyc, ModeMatrix, cyc_product, mat_product_sum
 from .models import StandardModel, standard_model
 from .rootdata import Functional
 
@@ -141,6 +143,44 @@ def _weighted(L: int, shift: int, w: list[int], m: ModeMatrix, c: Cyc) -> ModeMa
     return ModeMatrix(L, m.ncols, m.den * c.den, rows)
 
 
+def _gaussian_sum(n: int, m: int, products, weighted=(), shift: int = 0, w=()) -> ModeMatrix:
+    """An n x m sum at conductor 4, where every entry is a Gaussian integer (re, im) over a denominator.
+
+    It adds s A B for each product (s, A, B) with an integer s, and, for each
+    weighted term (s, c, X), s times ``_weighted``'s c (shift + w_r - w_c) X_rc
+    at each entry (r, c) of X.  One accumulator of (re, im) integer pairs per
+    entry holds every term over the lcm D of the terms' denominators, each
+    entry product multiplied inline (Phi_4 = x^2 + 1, so nothing is left to
+    reduce), and the sum is one canonical ``ModeMatrix``.  At phi = 2 the
+    packing, unpacking and per-entry reduction of ``mat_product_sum`` cost
+    more than the products themselves.
+    """
+    den = lcm(*(a.den * b.den for _, a, b in products), *(c.den * x.den for _, c, x in weighted))
+    re, im = [[0] * m for _ in range(n)], [[0] * m for _ in range(n)]
+    for s, a, b in products:
+        f, brows = s * (den // (a.den * b.den)), b.rows
+        for arow, racc, iacc in zip(a.rows, re, im):
+            for j, (a0, a1) in arow.items():
+                if f != 1:
+                    a0, a1 = f * a0, f * a1
+                for k, (b0, b1) in brows[j].items():
+                    racc[k] += a0 * b0 - a1 * b1
+                    iacc[k] += a0 * b1 + a1 * b0
+    for s, c, x in weighted:
+        f = s * (den // (c.den * x.den))
+        g0, g1 = f * c.num[0], f * c.num[1]
+        for wr, xrow, racc, iacc in zip(w, x.rows, re, im):
+            u = shift + wr
+            for k, (x0, x1) in xrow.items():
+                e = u - w[k]
+                if e:
+                    h0, h1 = e * g0, e * g1
+                    racc[k] += h0 * x0 - h1 * x1
+                    iacc[k] += h0 * x1 + h1 * x0
+    rows = [{k: v for k, v in enumerate(zip(racc, iacc)) if v[0] or v[1]} for racc, iacc in zip(re, im)]
+    return ModeMatrix(4, m, den, rows)
+
+
 def apply_derivation(spec: AffinisationSpec, nu: Functional, a: DoubleExtElement) -> DoubleExtElement:
     """The diagonal derivation: i(n/N + nu(weight sharp)) on each weight component."""
     L = a.z.L
@@ -156,7 +196,7 @@ def bracket_sum(spec: AffinisationSpec, pairs) -> DoubleExtElement:
     for the slant derivation D.  Each output mode collects every pair's signed
     commutator products (1, x, y), (-1, y, x) and derivation terms
     (1, a.t i / Q, b_n), (-1, b.t i / Q, a_n) (``_weighted``): at conductor 4
-    one ``cyclo._gaussian_sum`` call takes them all; elsewhere one
+    one ``_gaussian_sum`` call takes them all; elsewhere one
     ``mat_product_sum`` call takes the products and the derivation matrices
     are added.  Every ``ModeMatrix`` is canonical, so the result equals the
     sum of the pairs' own brackets.

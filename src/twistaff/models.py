@@ -123,24 +123,24 @@ class StandardModel:
         """The operator E_j: +1 on the j-th plus vector, -1 on its mirror."""
         return ModeMatrix.diagonal(L, [1 if w == j else -1 if w == -j else 0 for w in self.weights])
 
-    def _tau(self, x: ModeMatrix) -> ModeMatrix:
-        """Defining involution of the matrix algebra; fixed points form the model algebra."""
-        if self.kind.involution is None:
-            return x  # full gl, no constraint
-        return x.permuted(self._paired_table)
-
     def algebra_project(self, x: ModeMatrix) -> ModeMatrix:
-        """(x + tau(x)) / 2."""
+        """(x + tau(x)) / 2 for the defining involution tau = -Q x^T Q^-1; its fixed points form the model algebra."""
         if self.kind.involution is None:
             return x
         return _half_sum(x, self._paired_table, 1)
 
-    def psi_tilde(self, x: ModeMatrix) -> ModeMatrix:
-        """The complex-linear extension of the standard order-2 twist."""
+    @cached_property
+    def _twist_table(self) -> tuple | None:
+        """The standard twist as a signed permutation of the entries (the flip or the pairing); None if untwisted."""
         twist = self.kind.twist
         if twist is None:
-            return x
-        return x.permuted(self._flip_table if twist == "flip" else self._paired_table)
+            return None
+        return self._flip_table if twist == "flip" else self._paired_table
+
+    def psi_tilde(self, x: ModeMatrix) -> ModeMatrix:
+        """The complex-linear extension of the standard order-2 twist."""
+        table = self._twist_table
+        return x if table is None else x.permuted(table)
 
     def twist_matrix(self, L: int) -> ModeMatrix:
         """Linear part of the standard twist operator.
@@ -161,8 +161,7 @@ class StandardModel:
         """Projection onto the twist eigenspace of mode n (trivial twist: identity)."""
         if self.n_psi == 1:
             return x
-        table = self._flip_table if self.kind.twist == "flip" else self._paired_table
-        return _half_sum(x, table, 1 if n % 2 == 0 else -1)
+        return _half_sum(x, self._twist_table, 1 if n % 2 == 0 else -1)
 
     def in_mode(self, x: ModeMatrix, n: int) -> bool:
         return self.n_psi == 1 or self.psi_tilde(x) == (x if n % 2 == 0 else -x)

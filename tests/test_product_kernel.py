@@ -14,10 +14,10 @@ rescaled to the common denominator, or a common denominator that is not a
 multiple of every operand denominator, changes the result.  The kernel test
 near the slot-width bound draws coefficients up to 2^200 in size, often all
 of one sign and of the largest size, and sums that cancel to zero.  At
-conductor 4, where `mat_product_sum` multiplies Gaussian integers inline, the
-packed kernel called directly (`packed_product_sum`) is a second reference
-on the same operands, and the bracket's derivation coordinates t include
-non-rational Gaussian values (i, 1 + i/2).
+conductor 4, where `loopalg.bracket_sum` multiplies Gaussian integers inline
+(`loopalg._gaussian_sum`), the packed kernel is its reference on the same
+operands, and the bracket's derivation coordinates t include non-rational
+Gaussian values (i, 1 + i/2).
 """
 
 from fractions import Fraction
@@ -28,8 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistaff.affine import LARS_KINDS, standard_spec
-from twistaff.cyclo import Cyc, ModeMatrix, conductor_degree, mat_mul, mat_product_sum, packed_product_sum
-from twistaff.loopalg import DoubleExtElement, LoopElement, bracket
+from twistaff.cyclo import Cyc, ModeMatrix, conductor_degree, mat_mul, mat_product_sum
+from twistaff.loopalg import DoubleExtElement, LoopElement, _gaussian_sum, bracket
 from twistaff.models import standard_model
 from twistaff.rootdata import Functional
 
@@ -270,8 +270,9 @@ def test_packed_kernel_near_its_slot_width_bound(case):
 def test_gaussian_kernel_is_the_packed_kernel_at_conductor_4(case):
     products, cancel = case
     operands = [(sign, ModeMatrix.from_rows(4, a), ModeMatrix.from_rows(4, b)) for sign, a, b in products]
-    got = mat_product_sum(operands)
-    assert got == packed_product_sum(operands)
+    n, m = len(operands[0][1].rows), operands[0][2].ncols
+    got = _gaussian_sum(n, m, operands)
+    assert got == mat_product_sum(operands)
     if cancel:
         assert not got and got.den == 1
 
