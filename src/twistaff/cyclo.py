@@ -24,20 +24,13 @@ tuples) are only the edge that the benchmark's micro timings read: the
 operands and results of ``mat_inverse`` and ``mat_mul``, converted by
 ``from_rows`` and ``to_rows``; no subcommand builds one.
 The one product kernel, ``mat_product_sum``, sums s * A B over signed
-products by Kronecker substitution.  With W = 2 phi(L) - 1 and slots of B
-bits, row j of B packs into one int (coefficient p of entry k at slot
-k W + p) and entry (i, j) of A into sum_q a_q 2^(B q), so output row i is
-sum_j a_ij * row_j, one multiply-add per nonzero entry of A, with the
-convolution of its entry k in slots k W .. k W + W - 1.  Bound: each slot
-sums at most ncols(A) * phi products per term, so it is smaller in size
-than T = sum |s| ncols(A) phi 2^(bits A + bits B) (bits: the largest
-coefficient bit length); B, a multiple of 8, exceeds the bit length of T,
-so every slot lies in [-2^(B-1), 2^(B-1)), and after adding 2^(B-1) to
-each slot the row's base-2^B digits are the slots plus 2^(B-1).  That is
-one signed unpack per output row, then one reduction modulo Phi_L per
-nonzero entry.  An operand keeps its packed form per B.  At conductor 4, where
-packing costs more than the products, ``loopalg.bracket_sum`` multiplies
-its Gaussian entries inline instead.  The one
+products by schoolbook on the nonzero coefficients: the operands' power-basis
+coefficients are mostly zero and a few bits long, so each nonzero
+coefficient of A multiply-adds the nonzero coefficients of the matching
+entries of B into one list of 2 phi(L) - 1 integers per output entry, and
+each output entry is reduced modulo Phi_L once.  At conductor 4, where
+``loopalg.bracket_sum`` also adds derivation terms, it multiplies its
+Gaussian entries inline instead.  The one
 elimination is the Gauss-Jordan kernel ``row_reduce`` behind ``mat_inverse``;
 no model basis needs it (see ``models``).  ``cyc_sqrt`` builds the square
 root of a rational by stripping the primes of ``SQRT_PRIMES`` and from cached
@@ -51,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
-from operator import add, lshift, mul
+from operator import add
 
 from . import DomainError
 
@@ -334,11 +327,6 @@ class Cyc:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not a rational scalar: {self}")
-        return Fraction(self.num[0], self.den)
-
     def lift(self, L2: int) -> "Cyc":
         """Embed into Q(zeta_L2) for a conductor multiple L2."""
         if L2 == self.L:
@@ -513,7 +501,7 @@ class ModeMatrix:
     zero has no entries.
     """
 
-    __slots__ = ("L", "ncols", "den", "rows", "_bits", "_packs")
+    __slots__ = ("L", "ncols", "den", "rows")
 
     def __init__(self, L: int, ncols: int, den: int, rows, canonical: bool = False):
         if not canonical:
@@ -527,7 +515,6 @@ class ModeMatrix:
                 den //= g
                 rows = [{j: tuple(c // g for c in num) for j, num in row.items()} for row in rows]
         self.L, self.ncols, self.den, self.rows = L, ncols, den, tuple(rows)
-        self._bits, self._packs = None, {}  # the kernel's per-object data, see packed()
 
     # -- constructors and the Cyc edge ------------------------------------------
 
@@ -702,26 +689,6 @@ class ModeMatrix:
                     acc = tuple(map(add, acc, cyc_product(self.L, num, other.rows[j][i])))
         return Cyc(self.L, acc, self.den * other.den)
 
-    # -- the product kernel's data ---------------------------------------------
-
-    def bits(self) -> int:
-        """The largest bit length of a coefficient."""
-        if self._bits is None:
-            coefficients = chain.from_iterable(num for row in self.rows for num in row.values())
-            self._bits = max(map(abs, coefficients), default=0).bit_length()
-        return self._bits
-
-    def packed(self, B: int):
-        """(entries, rows) at slot width B, built on first use: entries[i] is (columns,
-        values) of row i, an entry's value sum_p num[p] 2^(B p); rows[i] is
-        sum_k value_k 2^(B (2 phi - 1) k) over the row's entries."""
-        if B not in self._packs:
-            phi = conductor_degree(self.L)
-            shifts, stride = range(0, B * phi, B), B * (2 * phi - 1)
-            entries = [(list(r), [sum(map(lshift, num, shifts)) for num in r.values()]) for r in self.rows]
-            self._packs[B] = entries, [sum(map(lshift, v, [stride * k for k in c])) for c, v in entries]
-        return self._packs[B]
-
 
 def cyc_product(L: int, a: tuple, b: tuple) -> tuple[int, ...]:
     """The power-basis coefficients of the product of two power-basis vectors."""
@@ -743,49 +710,37 @@ def mat_product_sum(products) -> ModeMatrix:
 
     Every A B must have the shape of the first; a mismatch raises ValueError
     naming both shapes.  Over the lcm D of the denominator products, triple
-    (sign, A, B) adds sign D / (den A den B) * A B to the packed output rows
-    (module docstring).
+    (sign, A, B) adds sign D / (den A den B) * A B by schoolbook: each nonzero
+    coefficient of an entry (i, j) of A, times that factor, multiply-adds the
+    nonzero coefficients of each entry (j, k) of B into the 2 phi(L) - 1 powers
+    of output entry (i, k), which is reduced modulo Phi_L once at the end.
     """
     products = list(products)
     L, n, m = products[0][1].L, len(products[0][1].rows), products[0][2].ncols
-    phi = conductor_degree(L)
     for _, a, b in products:
         if a.L != L or b.L != L:
             raise ValueError("conductor mismatch in a matrix product")
         if a.ncols != len(b.rows) or len(a.rows) != n or b.ncols != m:
             raise ValueError(f"matrix shape mismatch: {a.shape} times {b.shape} in a sum of {n}x{m} products")
     den = lcm(*(a.den * b.den for _, a, b in products))
-    products = [(sign * (den // (a.den * b.den)), a, b) for sign, a, b in products]
-    bound = sum(abs(s) * a.ncols << (a.bits() + b.bits()) for s, a, b in products) * phi
-    B = (bound.bit_length() + 8) // 8 * 8  # the least multiple of 8 above bit_length(bound)
-    acc = [0] * n
-    for s, a, b in products:
-        brows = b.packed(B)[1]
-        for i, (cols, vals) in enumerate(a.packed(B)[0]):
-            if cols:
-                t = sum(map(mul, vals, map(brows.__getitem__, cols)))
-                acc[i] += t if s == 1 else -t if s == -1 else s * t
-    half, mask, stride, bias, region, shifts, empty = _unpacking(B, 2 * phi - 1, m)
-    rows = []
-    for y in acc:
-        row = {}
-        if y:
-            y += bias
-            for k in range(m):
-                r = y & region
-                y >>= stride
-                if r != empty:
-                    row[k] = _reduce(L, [(r >> shift & mask) - half for shift in shifts])
-        rows.append(row)
+    width = 2 * conductor_degree(L) - 1
+    acc = [{} for _ in range(n)]  # output row i: column k -> the unreduced powers of entry (i, k)
+    for sign, a, b in products:
+        f = sign * (den // (a.den * b.den))
+        brows = [[(k, [(q, c) for q, c in enumerate(num) if c]) for k, num in row.items()] for row in b.rows]
+        for arow, out in zip(a.rows, acc):
+            for j, num in arow.items():
+                brow = brows[j]
+                for p, c in enumerate(num):
+                    if c:
+                        c *= f
+                        for k, terms in brow:
+                            conv = out.get(k) or out.setdefault(k, [0] * width)
+                            for q, d in terms:
+                                conv[p + q] += c * d
+    # in column order, as every other constructor writes a row
+    rows = [{k: _reduce(L, conv) for k, conv in sorted(out.items())} for out in acc]
     return ModeMatrix(L, m, den, rows)
-
-
-@lru_cache(maxsize=None)
-def _unpacking(B: int, W: int, m: int) -> tuple:
-    """The constants of unpacking rows of m entries of W slots of B bits (see mat_product_sum)."""
-    half, mask, stride = 1 << (B - 1), (1 << B) - 1, B * W
-    bias = ((1 << (stride * m)) - 1) // mask * half  # half in every slot
-    return half, mask, stride, bias, (1 << stride) - 1, range(0, stride, B), bias & ((1 << stride) - 1)
 
 
 def mat_products_equal(a: ModeMatrix, b: ModeMatrix, c: ModeMatrix, d: ModeMatrix) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .affine import AffinisationSpec
-from .cyclo import Cyc, ModeMatrix, cyc_product, mat_product_sum
+from .cyclo import Cyc, ModeMatrix, conductor_degree, cyc_product, mat_product_sum
 from .models import StandardModel, standard_model
 from .rootdata import Functional
 
@@ -36,9 +36,6 @@ class LoopElement:
     def __post_init__(self):
         terms = ((int(n), m) for n, m in self.terms if m)
         object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda t: t[0])))
-
-    def modes(self) -> tuple:
-        return tuple(n for n, _ in self.terms)
 
     def __add__(self, other: "LoopElement") -> "LoopElement":
         out = dict(self.terms)
@@ -143,6 +140,22 @@ def _weighted(L: int, shift: int, w: list[int], m: ModeMatrix, c: Cyc) -> ModeMa
     return ModeMatrix(L, m.ncols, m.den * c.den, rows)
 
 
+def _weighted_trace(L: int, shift: int, w: list[int], x: ModeMatrix, y: ModeMatrix) -> Cyc:
+    """The sum over entries (r, c) of (shift + w_r - w_c) x_rc y_cr, in integers.
+
+    With shift = n nu.den it is tr(D(x) y) / (i / Q) for x on mode n
+    (``_slant_weights``), without building D(x).
+    """
+    acc, yrows = (0,) * conductor_degree(L), y.rows
+    for r, (wr, row) in enumerate(zip(w, x.rows)):
+        u = shift + wr
+        for col, num in row.items():
+            k = u - w[col]
+            if k and r in yrows[col]:
+                acc = tuple(s + k * t for s, t in zip(acc, cyc_product(L, num, yrows[col][r])))
+    return Cyc(L, acc, x.den * y.den)
+
+
 def _gaussian_sum(n: int, m: int, products, weighted=(), shift: int = 0, w=()) -> ModeMatrix:
     """An n x m sum at conductor 4, where every entry is a Gaussian integer (re, im) over a denominator.
 
@@ -152,8 +165,8 @@ def _gaussian_sum(n: int, m: int, products, weighted=(), shift: int = 0, w=()) -
     entry holds every term over the lcm D of the terms' denominators, each
     entry product multiplied inline (Phi_4 = x^2 + 1, so nothing is left to
     reduce), and the sum is one canonical ``ModeMatrix``.  At phi = 2 the
-    packing, unpacking and per-entry reduction of ``mat_product_sum`` cost
-    more than the products themselves.
+    generic schoolbook of ``mat_product_sum``, with its coefficient lists and
+    per-entry reduction, costs about three times as much per product.
     """
     den = lcm(*(a.den * b.den for _, a, b in products), *(c.den * x.den for _, c, x in weighted))
     re, im = [[0] * m for _ in range(n)], [[0] * m for _ in range(n)]
@@ -198,8 +211,10 @@ def bracket_sum(spec: AffinisationSpec, pairs) -> DoubleExtElement:
     (1, a.t i / Q, b_n), (-1, b.t i / Q, a_n) (``_weighted``): at conductor 4
     one ``_gaussian_sum`` call takes them all; elsewhere one
     ``mat_product_sum`` call takes the products and the derivation matrices
-    are added.  Every ``ModeMatrix`` is canonical, so the result equals the
-    sum of the pairs' own brackets.
+    are added.  The cocycle takes tr(D(a_n) b_-n) for each mode n of a that
+    meets -n in b from the entries (``_weighted_trace``), never building
+    D(a_n).  Every ``ModeMatrix`` and ``Cyc`` is canonical, so the result
+    equals the sum of the pairs' own brackets.
     """
     L = pairs[0][0].z.L
     if any(x.z.L != L for pair in pairs for x in pair):
@@ -208,11 +223,10 @@ def bracket_sum(spec: AffinisationSpec, pairs) -> DoubleExtElement:
     iq, w = _slant_weights(spec, nu, L)
     z, by_mode = Cyc.zero(L), {}  # output mode -> (signed products, signed derivation terms)
     for a, b in pairs:
-        # the cocycle pairs D(a_n) with b_-n, so D(a) is needed on those modes only
-        paired = set(b.loop.modes())
-        da = LoopElement(tuple((n, _weighted(L, n * nu.den, w, m, iq)) for n, m in a.loop.terms if -n in paired))
-        z = z + loop_pairing(spec, da, b.loop, L)
+        opposite = dict(b.loop.terms)
         for n, x in a.loop.terms:
+            if -n in opposite:  # the cocycle pairs D(a_n) with b_-n: z collects tr(D(a_n) b_-n) / (i / Q)
+                z = z + _weighted_trace(L, n * nu.den, w, x, opposite[-n])
             for n2, y in b.loop.terms:
                 by_mode.setdefault(n + n2, ([], []))[0].extend(((1, x, y), (-1, y, x)))
         for s, t, x in ((1, a.t, b), (-1, b.t, a)):  # a.t D b - b.t D a
@@ -230,6 +244,7 @@ def bracket_sum(spec: AffinisationSpec, pairs) -> DoubleExtElement:
             parts = [_weighted(L, k * nu.den, w, m, c if s == 1 else -c) for s, c, m in terms]
             total = mat_product_sum(prods) if prods else parts.pop()
             loop.append((k, sum(parts, total)))
+    z = z * iq * Cyc.rational(L, -_model_of(spec).form_scale)  # B(x, y) = -scale tr(x y)
     return DoubleExtElement(z, LoopElement(tuple(loop)), Cyc.zero(L))
 
 

@@ -1,4 +1,4 @@
-"""Properties of `ModeMatrix`, its packed integer product kernel and the loop bracket.
+"""Properties of `ModeMatrix`, its sparse schoolbook product kernel and the loop bracket.
 
 Every reference is written with plain `Cyc` operations and shares no code
 with the kernel or with `twistaff.loopalg`: the structural `ModeMatrix`
@@ -9,15 +9,16 @@ explicit zeros included), `mat_mul` and
 operands of mismatched shapes), and `bracket` must equal the sum
 over mode pairs of commutators built entry by entry, plus the derivation
 (one factor i (n/N + nu(w_r) - nu(w_c)) per entry) and the trace pairing.
-Denominators are mixed (1, 2, 3, 4, 6), so a product term that is not
-rescaled to the common denominator, or a common denominator that is not a
-multiple of every operand denominator, changes the result.  The kernel test
-near the slot-width bound draws coefficients up to 2^200 in size, often all
-of one sign and of the largest size, and sums that cancel to zero.  At
-conductor 4, where `loopalg.bracket_sum` multiplies Gaussian integers inline
-(`loopalg._gaussian_sum`), the packed kernel is its reference on the same
-operands, and the bracket's derivation coordinates t include non-rational
-Gaussian values (i, 1 + i/2).
+The conductors include 16 and 40, whose Phi_L (x^8 + 1, and degree 16) have
+reduction tables of their own.  Denominators are mixed (1, 2, 3, 4, 6), so a
+product term that is not rescaled to the common denominator, or a common
+denominator that is not a multiple of every operand denominator, changes the
+result.  The large-coefficient kernel test draws coefficients up to 2^200 in
+size, often all of one sign and of the largest size, and sums that cancel to
+zero.  At conductor 4, where `loopalg.bracket_sum` multiplies Gaussian
+integers inline (`loopalg._gaussian_sum`), that sum meets the same entrywise
+reference on the same operands, and the bracket's derivation coordinates t
+include non-rational Gaussian values (i, 1 + i/2).
 """
 
 from fractions import Fraction
@@ -33,7 +34,7 @@ from twistaff.loopalg import DoubleExtElement, LoopElement, _gaussian_sum, brack
 from twistaff.models import standard_model
 from twistaff.rootdata import Functional
 
-CONDUCTORS = (4, 8, 12, 24)
+CONDUCTORS = (4, 8, 12, 16, 24, 40)
 DENOMINATORS = (1, 2, 3, 4, 6)
 
 
@@ -134,7 +135,7 @@ def ref_lift(a, L2):
 
 @st.composite
 def structure_operands(draw):
-    """Two matrices of one shape (often equal), a scalar and a lift factor, at conductor 4, 8, 12 or 24."""
+    """Two matrices of one shape (often equal), a scalar and a lift factor, at one of CONDUCTORS."""
     L = draw(st.sampled_from(CONDUCTORS))
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     a = draw(matrices(L, n, m))
@@ -219,8 +220,8 @@ BIG = 1 << 200
 def big_matrices(draw, L, n, m):
     """An n x m matrix with coefficients up to 2^200 in size over mixed denominators.
 
-    Sometimes every coefficient is the same extreme value, so that the output
-    slots come as close to the kernel's slot-width bound as the sizes allow.
+    Sometimes every coefficient is the same extreme value, so that every
+    power of every output entry sums products of the largest size and sign.
     """
     phi = conductor_degree(L)
     saturated = draw(st.sampled_from((None, BIG, -BIG, BIG - 1)))
@@ -236,7 +237,7 @@ def big_matrices(draw, L, n, m):
 
 
 @st.composite
-def big_product_sums(draw, conductors=(4, 8, 12, 24, 120)):
+def big_product_sums(draw, conductors=(4, 8, 12, 16, 24, 120)):
     """Up to three signed products of one shape, then sometimes the same products negated."""
     L = draw(st.sampled_from(conductors))
     n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
@@ -250,29 +251,34 @@ def big_product_sums(draw, conductors=(4, 8, 12, 24, 120)):
     return products, cancel
 
 
-@settings(max_examples=60, deadline=None)
-@given(big_product_sums())
-def test_packed_kernel_near_its_slot_width_bound(case):
-    products, cancel = case
-    L = products[0][1][0][0].L
-    got = mat_product_sum((sign, ModeMatrix.from_rows(L, a), ModeMatrix.from_rows(L, b)) for sign, a, b in products)
+def signed_entrywise_sum(products):
+    """sum of sign * a b over the (sign, a, b) triples of rows of Cyc, entry by entry."""
     want = None
     for sign, a, b in products:
         term = tuple(tuple(sign * x for x in row) for row in entrywise_product(a, b))
         want = term if want is None else tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(want, term))
-    assert exact(got) == exact(want)
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_product_sums())
+def test_kernel_is_the_entrywise_sum_on_large_coefficients(case):
+    products, cancel = case
+    L = products[0][1][0][0].L
+    got = mat_product_sum((sign, ModeMatrix.from_rows(L, a), ModeMatrix.from_rows(L, b)) for sign, a, b in products)
+    assert exact(got) == exact(signed_entrywise_sum(products))
     if cancel:
         assert not got and got.den == 1 and not any(got.rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(big_product_sums(conductors=(4,)))
-def test_gaussian_kernel_is_the_packed_kernel_at_conductor_4(case):
+def test_gaussian_kernel_is_the_entrywise_sum_at_conductor_4(case):
     products, cancel = case
     operands = [(sign, ModeMatrix.from_rows(4, a), ModeMatrix.from_rows(4, b)) for sign, a, b in products]
     n, m = len(operands[0][1].rows), operands[0][2].ncols
     got = _gaussian_sum(n, m, operands)
-    assert got == mat_product_sum(operands)
+    assert exact(got) == exact(signed_entrywise_sum(products))
     if cancel:
         assert not got and got.den == 1
 
