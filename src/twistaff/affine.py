@@ -12,8 +12,10 @@ two slant functionals.  Cartan-side data is stored in the i-picture: a triple
 evaluation, coroots, translations and the Weyl action all become real
 rational formulas.  Z and T (and the central and scaling values of a weight)
 are `Fraction`s; H and every slant or finite weight part is the integer
-vector `rootdata.CartanVector`.  The finite parts of each realization are
-enumerated once per (kind, base).
+vector `rootdata.CartanVector`.  ``lars_finite_parts`` enumerates the finite
+parts of a realization once per (kind, base) and process: it and
+``_finite_part_set`` are module-level caches that outlive a request, so only
+the first request of a process for a (kind, base) builds its ``Root``s.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ from itertools import combinations, takewhile
 from math import gcd, lcm
 
 from . import DomainError
-from .affine import KINDS, AffineRoot, AffinisationSpec, lars_contains, lars_finite_parts
+from .affine import KINDS, AffinisationSpec, admissible_mode_step, lars_finite_parts
 from .cyclo import (
     MAX_CONDUCTOR,
     Cyc,
@@ -673,8 +673,9 @@ class StandardizationCertificate:
     coordinates) are exactly orthogonal with recorded squared norms; each
     plus/minus pair shares its norm.
     The twisted grading derived from it is computed lazily, once per root,
-    into ``grading`` (see ``mode_class_vectors``); ``dataclasses.replace``
-    starts a fresh one.
+    into ``grading`` (see ``mode_class_vectors``), beside the phases it reads
+    (``_phases``) and the list of its pieces (``grading_pieces``);
+    ``dataclasses.replace`` starts a fresh one.
     """
 
     family: str
@@ -735,16 +736,46 @@ class StandardizationCertificate:
         signed = (exps[w - 1] if w > 0 else -exps[-w - 1] if w else 0 for w in self.model.weights)
         return [e * int(step) % L for e in signed]
 
+    @cached_property
+    def _phases(self) -> list:
+        """``_u_phases`` at the certificate's conductor, which ``_grade`` reads for every root."""
+        return self._u_phases(self.conductor)
+
+    @cached_property
+    def grading_pieces(self) -> tuple:
+        """Every (residue, matrix) piece of the grading: each root's, then the Cartan's."""
+        parts = lars_finite_parts(self.lars, self.base)
+        return tuple(p for a in parts for p in mode_class_vectors(self, a)) + cartan_mode_vectors(self)
+
     def u_matrix(self, L: int, t: Fraction = Fraction(1)) -> ModeMatrix:
         """U_t of the one-parameter group, in model coordinates (U_1 by default)."""
         return ModeMatrix.diagonal(L, [Cyc.zeta(L, k) for k in self._u_phases(L, t)])
 
+    def _mu_num(self, a: Root | None) -> int:
+        """mu(a) times mu's denominator (0 at the Cartan)."""
+        num = self.mu.num
+        return sum(num[j - 1] * c for j, c in a.coeffs if j <= len(num)) if a is not None else 0
+
     def image_mode(self, a: Root | None, n: int) -> Fraction:
         """Target mode N_psi (n / N_phi - mu(a)) of source mode n at root a (None: the Cartan)."""
         n_phi, n_psi = self.orders
-        num, den = self.mu.num, self.mu.den
-        shift = sum(num[j - 1] * c for j, c in a.coeffs if j <= len(num)) if a is not None else 0
-        return Fraction(n_psi * (n * den - n_phi * shift), n_phi * den)
+        den = self.mu.den
+        return Fraction(n_psi * (n * den - n_phi * self._mu_num(a)), n_phi * den)
+
+    def image_modes(self, a: Root, modes):
+        """(n, image_mode(a, n), in target) for each source mode n at a finite part a of the kind.
+
+        The image is an int when integral, else a Fraction, which is never in
+        the target; the target's admissible class at a is read once.
+        """
+        n_phi, n_psi = self.orders
+        den = self.mu.den
+        q, offset = n_phi * den, n_phi * self._mu_num(a)
+        res, step = admissible_mode_step(self.lars, a)
+        for n in modes:
+            p = n_psi * (n * den - offset)
+            t, r = divmod(p, q)
+            yield (n, Fraction(p, q), False) if r else (n, t, t % step == res % step)
 
     def standard_linear_matrix(self, L: int) -> ModeMatrix:
         """Linear part of the standardized operator (U_1 times the twist) in model coords."""
@@ -928,7 +959,7 @@ def _grade(cert: StandardizationCertificate, basis: Span) -> list:
     n_phi, L = cert.orders[0], cert.conductor
     if L % n_phi != 0:
         raise StandardizeError("conductor does not contain the automorphism's roots of unity")
-    k = cert._u_phases(L)
+    k = cert._phases
     # one position serves: the phases are linear in the weight, whatever the exponents
     i, j = next(iter(basis.support))
     s = (k[j] - k[i]) % L
@@ -1082,13 +1113,11 @@ def verify_certificate(spec: OperatorSpec, cert: StandardizationCertificate) -> 
         return f"order {true_order}"
 
     def check_mode_integrality():
-        base = cert.base
-        for a in lars_finite_parts(cert.lars, base):
-            for m in mode_class(cert, a):
-                target = cert.image_mode(a, m)
-                if target.denominator != 1:
+        for a in lars_finite_parts(cert.lars, cert.base):
+            for _, target, contained in cert.image_modes(a, mode_class(cert, a)):
+                if type(target) is not int:
                     raise StandardizeError(f"non-integral relabeled mode for {a}")
-                if not lars_contains(cert.lars, AffineRoot(a, int(target)), base):
+                if not contained:
                     raise StandardizeError(f"relabeled mode escapes the target system for {a}")
         return "all residues relabel integrally into the target"
 

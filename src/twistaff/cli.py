@@ -21,20 +21,11 @@ import traceback
 from functools import lru_cache
 
 from . import DomainError, jsonio
-from .affine import (
-    AffineRoot,
-    AffinisationSpec,
-    Weight,
-    check_root_window,
-    enumerate_affine_roots,
-    lars_contains,
-    lars_finite_parts,
-    root_weight,
-)
+from .affine import AffinisationSpec, Weight, check_root_window, enumerate_affine_roots, lars_finite_parts
 from .autnorm import OperatorSpec, mode_class, standardize, verify_certificate
 from .energy import Character, character_of, min_energy, theorem_b_pipeline
 from .loopalg import apply_derivation, bracket, bracket_sum, kappa_form, phi_hat, validate_element
-from .rootdata import Functional
+from .rootdata import Functional, inner
 from .sampling import random_loop_element, random_twisted_element
 
 
@@ -97,7 +88,9 @@ def cmd_normalize(args, obj):
 def cmd_roots(args, obj):
     spec = _parse(AffinisationSpec.from_json, obj, "roots input")
     roots = enumerate_affine_roots(spec.lars, spec.base, args.window)
-    return 0, {"spec": spec.to_json(), "count": len(roots), "roots": [r.to_json() for r in roots]}
+    parts = {a: a.to_json() for a in lars_finite_parts(spec.lars, spec.base)}
+    listing = [{"root": parts[r.root], "mode": r.mode} for r in roots]
+    return 0, {"spec": spec.to_json(), "count": len(roots), "roots": listing}
 
 
 def cmd_map_roots(args, obj):
@@ -109,22 +102,12 @@ def cmd_map_roots(args, obj):
     check_root_window(parts, window)
     table = []
     for a in parts:
-        residues = mode_class(cert, a)
-        for n in range(-window, window + 1):
-            if n % n_phi not in residues:
-                continue
-            target = cert.image_mode(a, n)
-            entry = {
-                "root": a.to_json(),
-                "mode": n,
-                "image_mode": str(target),
-                "integral": target.denominator == 1,
-                "in_target": bool(
-                    target.denominator == 1
-                    and lars_contains(cert.lars, AffineRoot(a, int(target)), cert.base)
-                ),
-            }
-            table.append(entry)
+        root, residues = a.to_json(), mode_class(cert, a)
+        modes = (n for n in range(-window, window + 1) if n % n_phi in residues)
+        for n, t, contained in cert.image_modes(a, modes):
+            table.append(
+                {"root": root, "mode": n, "image_mode": str(t), "integral": type(t) is int, "in_target": contained}
+            )
     ok = all(e["integral"] and e["in_target"] for e in table)
     body = {"certificate": _cert_summary(cert), "map": table, "all_integral_and_contained": ok}
     return (0 if ok else 1), body
@@ -154,16 +137,17 @@ def cmd_check_isom(args, obj):
     # is linear in v, so s_src = s_dst exactly when the rank-one maps r (x) r-check
     # agree; source and target roots share the finite part a != 0, so the scalar
     # relating them is 1.  affine_coroot is a function of root_weight, so the
-    # reflections coincide exactly when the two root weights are equal.
+    # reflections coincide exactly when the two root weights are equal.  Both have
+    # finite part f = a and lc = 0, so that is n / N_src + slant_src(f) = t / N_dst +
+    # slant_dst(f), or n N_dst - t N_src = (slant_dst(f) - slant_src(f)) N_src N_dst.
     weyl_ok = True
-    n_phi = cert.orders[0]
+    n_src, n_dst = src.twist_order, dst.twist_order
     for a in lars_finite_parts(cert.lars, cert.base):
-        for m in mode_class(cert, a):
-            for n in (m, m + n_phi, m - n_phi):
-                t = cert.image_mode(a, n)
-                weyl_ok &= t.denominator == 1 and root_weight(src, AffineRoot(a, n)) == root_weight(
-                    dst, AffineRoot(a, int(t))
-                )
+        f = a.functional()
+        gap = (inner(dst.slant, f) - inner(src.slant, f)) * n_src * n_dst
+        modes = [n for m in mode_class(cert, a) for n in (m, m + n_src, m - n_src)]
+        for n, t, _ in cert.image_modes(a, modes):
+            weyl_ok &= type(t) is int and n * n_dst - t * n_src == gap
     ok_all &= weyl_ok
     body = {
         "certificate": _cert_summary(cert),

@@ -212,16 +212,11 @@ def random_loop_element(rng: random.Random, spec, L: int, max_mode: int = 2):
 
 def random_twisted_element(rng: random.Random, cert):
     """A seeded element of the pre-standardization (twisted) double extension."""
-    from .autnorm import cartan_mode_vectors, mode_class_vectors
-    from .affine import lars_finite_parts
     from .loopalg import DoubleExtElement, LoopElement
 
     L = cert.conductor
     n_phi = cert.orders[0]
-    pieces = []
-    for a in lars_finite_parts(cert.lars, cert.base):
-        pieces.extend(mode_class_vectors(cert, a))
-    pieces.extend(cartan_mode_vectors(cert))
+    pieces = cert.grading_pieces
     out = DoubleExtElement(
         Cyc.rational(L, rng.randint(-1, 1)), LoopElement(()), Cyc.rational(L, rng.randint(-1, 1))
     )

@@ -9,7 +9,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twistaff import cli
-from twistaff.affine import MAX_ROOT_MODES, AffineRoot, ExtCartanVector, lars_finite_parts, standard_spec
+from twistaff.affine import (
+    MAX_ROOT_MODES,
+    AffineRoot,
+    ExtCartanVector,
+    lars_contains,
+    lars_finite_parts,
+    standard_spec,
+)
 from twistaff.autnorm import (
     MAX_DIM,
     OperatorSpec,
@@ -17,6 +24,7 @@ from twistaff.autnorm import (
     StandardizeError,
     mode_class,
     standardize,
+    verify_certificate,
 )
 from twistaff.cli import main
 from twistaff.cyclo import MAX_CONDUCTOR, Cyc, ModeMatrix, conductor_degree
@@ -130,6 +138,75 @@ def test_check_isom_weyl_verdict_matches_the_reflection_reference(tmp_path, monk
             want = reflections_coincide(shifted, nu)
             assert doc["weyl_reflections_coincide"] == want == (code == 0), (family, mu_shift, nu_shift)
             verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+#: shifts of mu on coordinate 1: none, an integral one and two fractional ones
+MU_SHIFTS = (0, 1, Q(1, 2), Q(1, 4))
+
+
+def shifted_certificates():
+    """(operator, certificate with mu shifted on coordinate 1): one seeded operator per family."""
+    for seed, family, dim in ((1, "C_unitary", 3), (2, "H", 4), (3, "R", 4), (4, "C_antiunitary", 4)):
+        spec = random_operator(Random(seed), family, dim, order_hint=3)
+        cert = standardize(spec)
+        for mu_shift in MU_SHIFTS:
+            yield spec, dataclasses.replace(cert, mu=cert.mu + Functional({1: mu_shift}))
+
+
+def image_reference(cert, a, n):
+    """(image mode text, integral, in target) of source mode n at root a, from image_mode and lars_contains."""
+    t = cert.image_mode(a, n)
+    integral = t.denominator == 1
+    return str(Q(t)), integral, integral and lars_contains(cert.lars, AffineRoot(a, int(t)), cert.base)
+
+
+def test_map_roots_on_shifted_certificates_matches_the_image_mode_reference(tmp_path, monkeypatch):
+    """Every map entry of a shifted certificate is its image_mode, formatted and tested entry by entry.
+
+    A shift of 1/2 or 1/4 makes some target modes non-integral or moves them
+    out of the target kind's admissible class; the pinned reports have no
+    such entry.
+    """
+    req, out = tmp_path / "mr.json", tmp_path / "mr_out.json"
+    seen = set()
+    for spec, cert in shifted_certificates():
+        monkeypatch.setattr(cli, "standardize", lambda _spec, c=cert: c)
+        req.write_text(json.dumps({"operator": spec.to_json()}))
+        code = main(["map-roots", "--input", str(req), "--output", str(out)])
+        doc = json.loads(out.read_text())
+        n_phi = cert.orders[0]
+        window = 4 * n_phi
+        want = []
+        for a in lars_finite_parts(cert.lars, cert.base):
+            for n in range(-window, window + 1):
+                if n % n_phi in mode_class(cert, a):
+                    text, integral, inside = image_reference(cert, a, n)
+                    root = json.loads(json.dumps(a.to_json()))
+                    want.append({"root": root, "mode": n, "image_mode": text, "integral": integral, "in_target": inside})
+        assert doc["map"] == want, (cert.family, cert.mu)
+        ok = all(e["integral"] and e["in_target"] for e in want)
+        assert doc["all_integral_and_contained"] == ok == (code == 0)
+        seen |= {(e["integral"], e["in_target"]) for e in want}
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_mode_integrality_item_on_shifted_certificates_matches_the_image_mode_reference():
+    """verify_certificate's mode_integrality item fails exactly where image_mode and lars_contains
+    find a residue that relabels out of the target, with the reason of the first such residue."""
+    verdicts = []
+    for spec, cert in shifted_certificates():
+        item = next(i for i in verify_certificate(spec, cert).items if i[0] == "mode_integrality")
+        want = None
+        for a in lars_finite_parts(cert.lars, cert.base):
+            for m in mode_class(cert, a):
+                _, integral, inside = image_reference(cert, a, m)
+                if want is None and not inside:
+                    want = f"non-integral relabeled mode for {a}" if not integral else (
+                        f"relabeled mode escapes the target system for {a}"
+                    )
+        assert item[1:] == ((True, "all residues relabel integrally into the target") if want is None else (False, want))
+        verdicts.append(want is None)
     assert True in verdicts and False in verdicts
 
 

@@ -1,7 +1,9 @@
 """Properties of `ModeMatrix`, its sparse schoolbook product kernel and the loop bracket.
 
 Every reference is written with plain `Cyc` operations and shares no code
-with the kernel or with `twistaff.loopalg`: the structural `ModeMatrix`
+with the kernel or with `twistaff.loopalg`; the conjugates are sums of
+conjugated roots of unity, so they share no Galois map with `Cyc.conj`
+either.  The structural `ModeMatrix`
 operations must equal the entrywise references below (`from_columns` must
 undo `columns`, and `from_entries` must equal `from_rows` of the dense grid,
 explicit zeros included), `mat_mul` and
@@ -121,12 +123,18 @@ def ref_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def ref_conj_scalar(x):
+    """The conjugate sum_k c_k zeta^(-k) / den, built from roots of unity, not by `Cyc.conj`."""
+    L = x.L
+    return sum((Cyc.zeta(L, -k) * Fraction(c, x.den) for k, c in enumerate(x.num) if c), Cyc.zero(L))
+
+
 def ref_conj(a):
-    return tuple(tuple(x.conj() for x in row) for row in a)
+    return tuple(tuple(ref_conj_scalar(x) for x in row) for row in a)
 
 
 def ref_conj_transpose(a):
-    return tuple(tuple(x.conj() for x in col) for col in zip(*a))
+    return tuple(tuple(ref_conj_scalar(x) for x in col) for col in zip(*a))
 
 
 def ref_lift(a, L2):
