@@ -6,18 +6,19 @@ lifts such an operator to finite order, splits it into exact eigenspaces,
 computes the antiunitary block normal form, and assembles a certificate:
 the standard twist it untwists to, the diagonal exponents, the slant, and
 the basis change realizing everything, all in exact cyclotomic arithmetic.
-``standardize`` validates the operator and takes its projective order once
-(``_lift_with_orders``); the automorphism and operator orders follow from it.
+``standardize`` validates the operator and walks the powers of its order
+matrix once (``_lift_with_orders``); the orders and the lift's powers follow.
 
 The R, H and antiunitary families share one normal-form walk,
 ``_antilinear_blocks``: an antilinear J = u o conj (``_antilinear(u)``: the
 identity's for R, the quaternionic structure for H, the operator itself for
 the antiunitary form) pairs the eigenspaces of a finite-order linear map,
 and each self-paired eigenspace splits by the sign of J^2 into conjugation
-blocks or J-stable planes.  The eigenprojectors P_k = (1/n) sum_j
-zeta^(-jk) a^j are one product-kernel call each (``eigenprojectors``), and
-every eigenspace walk stops once its vectors number rank(P_k) = tr(P_k)
-(``_rank``): they then span the eigenspace.  Every field comes from
+blocks or J-stable planes.  No eigenprojector P_k = (1/n) sum_j zeta^(-jk)
+a^j is built: each power of the lift a is a root of unity times a power of
+the walk, so an eigenspace (``_Powers.eigenspaces``) is its rank tr(P_k) and
+the columns of P_k, summed by index arithmetic when first read; every walk
+stops once its vectors number that rank.  Every field comes from
 ``cyclo``: the lift and the walks run at a ``working_conductor``, which
 refuses one above ``MAX_CONDUCTOR``, and a conjugation block that needs the
 square root of a rational q missing from the field raises ``_Enlarge``
@@ -47,9 +48,9 @@ matrix through ``_assemble_columns``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations, takewhile
 from math import gcd, lcm
 
@@ -59,8 +60,8 @@ from .cyclo import (
     MAX_CONDUCTOR,
     Cyc,
     ModeMatrix,
+    _reduce,
     cyc_sqrt,
-    mat_product_sum,
     mat_products_equal,
     sqrt_conductor,
     working_conductor,
@@ -219,15 +220,21 @@ def validate_operator(spec: OperatorSpec) -> None:
 # -- orders and the lift ---------------------------------------------------------
 
 
-def projective_order(u: ModeMatrix) -> tuple[int, Cyc]:
-    """Smallest k <= MAX_ORDER with u^k scalar, and the scalar."""
-    acc = u
+def _power_walk(u: ModeMatrix) -> tuple[int, Cyc, tuple]:
+    """Smallest k <= MAX_ORDER with u^k scalar, the scalar, and u^0, ..., u^(k-1)."""
+    walk, acc = [ModeMatrix.identity(u.L, len(u.rows))], u
     for k in range(1, MAX_ORDER + 1):
         c = acc.rows[0].get(0)  # u^k is c times the identity when every row holds only c on the diagonal
         if c is not None and all(r.keys() == {i} and r[i] == c for i, r in enumerate(acc.rows)):
-            return k, Cyc(acc.L, c, acc.den)
+            return k, Cyc(acc.L, c, acc.den), tuple(walk)
+        walk.append(acc)
         acc = acc @ u
     raise StandardizeError(f"no finite projective order within the projective_order bound {MAX_ORDER}")
+
+
+def projective_order(u: ModeMatrix) -> tuple[int, Cyc]:
+    """Smallest k <= MAX_ORDER with u^k scalar, and the scalar."""
+    return _power_walk(u)[:2]
 
 
 def matrix_order(u: ModeMatrix) -> int:
@@ -265,19 +272,19 @@ def _root_of_unity_log(c: Cyc) -> int:
     raise StandardizeError("scalar is not a root of unity in the working field")
 
 
-def _lift_with_orders(spec: OperatorSpec) -> tuple[OperatorSpec, int, int]:
-    """The finite-order lift, the automorphism order n and the lift's operator order m."""
+def _lift_with_orders(spec: OperatorSpec) -> tuple[OperatorSpec, int, int, "_Powers"]:
+    """The finite-order lift, the automorphism order n, the lift's operator order m and its powers."""
     validate_operator(spec)
-    return _lift_from_order(spec, *projective_order(_order_matrix(spec)))
+    return _lift_from_order(spec, *_power_walk(_order_matrix(spec)))
 
 
-def _lift_from_order(spec: OperatorSpec, k: int, lam0: Cyc) -> tuple[OperatorSpec, int, int]:
-    """The lift and its orders from one projective order k with scalar lam0.
+def _lift_from_order(spec: OperatorSpec, k: int, lam0: Cyc, walk=()) -> tuple[OperatorSpec, int, int, "_Powers"]:
+    """The lift, its orders and its powers from one projective order k with scalar lam0.
 
-    u^k, or (u conj u)^k, is lam0.  n is k (2k if antiunitary) and must be the
-    declared order; the rephased unitary has m = n, and otherwise lam0 = +-1
-    and m = n or 2n.  That the lift's m-th power is 1 is checked where its
-    eigenprojectors are built.
+    u^k, or (u conj u)^k, is lam0, and walk holds the powers below k.  n is k (2k
+    if antiunitary) and must be the declared order; the rephased unitary has m = n,
+    and otherwise lam0 = +-1 and m = n or 2n.  That the lift's m-th power is 1 is
+    checked on these scalars where its eigenspaces are built (``_Powers``).
     """
     n = spec.declared_order
     true_order = 2 * k if spec.antiunitary else k
@@ -294,11 +301,12 @@ def _lift_from_order(spec: OperatorSpec, k: int, lam0: Cyc) -> tuple[OperatorSpe
         jj = j * (L2 // L)
         sol = next(m for m in range(L2) if m * n % L2 == -jj % L2)
         lifted = spec.matrix.lift(L2).scale(Cyc.zeta(L2, sol))
-        return OperatorSpec(spec.field, False, spec.dim, lifted, n), n, n
+        powers = _Powers(walk, Fraction(sol, L2), Fraction(j, L))
+        return OperatorSpec(spec.field, False, spec.dim, lifted, n), n, n, powers
     if lam0 == Cyc.one(L):
-        return spec, n, n
+        return spec, n, n, _Powers(walk)
     if lam0 == Cyc.rational(L, -1):
-        return spec, n, 2 * n
+        return spec, n, 2 * n, _Powers(walk, scalar=Fraction(1, 2))
     if spec.antiunitary:
         raise StandardizeError("antiunitary scalar obstruction must be +-1")
     # R and H: B^N central means B^N = +-1 exactly
@@ -314,34 +322,62 @@ def operator_order(spec: OperatorSpec) -> int:
 # -- eigenspace machinery ---------------------------------------------------------
 
 
-def eigenprojectors(a: ModeMatrix, m: int, exponents=None) -> list[tuple[int, ModeMatrix]]:
-    """Exact spectral projectors of a matrix with a^m = 1; list of (exponent, projector).
+@dataclass(frozen=True)
+class _Eigenspace:
+    """An eigenspace of a lift: its rank tr(P_k) and, iterated, the columns of P_k in order."""
 
-    P_k = (1/m) sum_j zeta^(-jk) a^j, zeta the primitive m-th root, is one kernel
-    call over the products of the scalar matrices zeta^e / m with the powers a^j.
-    Only the given exponents (all of 0, ..., m - 1 by default) are built, and a
-    zero projector is left out.
-    """
-    L, d = a.L, len(a.rows)
-    powers = [ModeMatrix.identity(L, d)]
-    for _ in range(m):
-        powers.append(powers[-1] @ a)
-    if powers.pop() != powers[0]:
-        raise StandardizeError("matrix does not have the stated finite order")
-    if L % m != 0:
-        raise StandardizeError(f"conductor {L} does not contain the {m}-th roots of unity")
-    phases = [ModeMatrix(L, d, m, [{i: Cyc.zeta(L, e * (L // m)).num} for i in range(d)]) for e in range(m)]
-    projs = (
-        (k, mat_product_sum((1, phases[-j * k % m], x) for j, x in enumerate(powers)))
-        for k in (range(m) if exponents is None else exponents)
-    )
-    return [(k, p) for k, p in projs if p]
+    k: int
+    rank: int
+    column: object  # column c of P_k, built on first read and kept
+    dim: int
+
+    def __iter__(self):
+        return map(self.column, range(self.dim))
 
 
-def _rank(p: ModeMatrix) -> int:
-    """The rank of an idempotent p: tr(p), a rational integer, so the constant
-    coefficients of the diagonal over the denominator."""
-    return sum(row[i][0] for i, row in enumerate(p.rows) if i in row) // p.den
+@dataclass(frozen=True)
+class _Powers:
+    """The powers of a lift a = zeta^phase u, read from the power walk of u: u^0, ...,
+    u^(K-1) at the input conductor, with u^K = zeta^scalar (phase and scalar in turns,
+    zeta^t = exp(2 pi i t)), so a^j = zeta^(phase j + scalar (j div K)) u^(j mod K)."""
+
+    walk: tuple
+    phase: Fraction = Fraction(0)
+    scalar: Fraction = Fraction(0)
+
+    def negated(self) -> "_Powers":  # the powers of -a: (-a)^j = (-1)^j a^j
+        return replace(self, phase=self.phase + Fraction(1, 2))
+
+    def eigenspaces(self, L: int, m: int, exponents) -> list[_Eigenspace]:
+        """The nonzero zeta_m^k-eigenspaces of a at conductor L for the exponents k; the
+        scalars must prove a^m = zeta^(phase m + scalar m / K) u^(m mod K) = 1.
+
+        In P_k = (1/m) sum_j zeta_m^(-jk) a^j, coefficient q of an entry of u^(j mod K) (``terms``:
+        at the walk's conductor L0, over the common denominator) goes to power q L / L0 + L (phase j
+        + scalar (j div K) - jk / m) mod L of one list of L integers per entry, reduced once; tr(P_k) alike.
+        """
+        walk, K, d = self.walk, len(self.walk), len(self.walk[0].rows)
+        if m % K or (self.phase * m + self.scalar * (m // K)).denominator != 1:
+            raise StandardizeError("matrix does not have the stated finite order")
+        step, den = L // walk[0].L, lcm(*(p.den for p in walk))
+        terms = [[{c: [(q * step, x * (den // p.den)) for q, x in enumerate(num) if x] for c, num in row.items()}
+                  for row in p.rows] for p in walk]
+        diagonals = [[t for i, row in enumerate(rows) for t in row.get(i, ())] for rows in terms]
+        base = [int(L * (self.phase * j + self.scalar * (j // K))) for j in range(m)]
+
+        def power_sum(shifts, pick):  # sum_j zeta_L^shifts[j] times the terms pick(j mod K), reduced
+            acc = [0] * L
+            for j, e in enumerate(shifts):
+                for q, x in pick(j % K):
+                    acc[(q + e) % L] += x
+            return _reduce(L, acc)
+
+        def column(shifts, c):
+            return ModeMatrix(L, 1, den * m, [{0: power_sum(shifts, lambda p: terms[p][i].get(c, ()))} for i in range(d)])
+
+        shifts = {k: [b - j * k * (L // m) for j, b in enumerate(base)] for k in exponents}
+        ranks = {k: power_sum(s, diagonals.__getitem__)[0] // (den * m) for k, s in shifts.items()}  # tr(P_k) in Z
+        return [_Eigenspace(k, r, cache(partial(column, shifts[k])), d) for k, r in ranks.items() if r]
 
 
 _ENLARGEMENT = f"an enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR} (only for positive rationals)"
@@ -370,9 +406,9 @@ def _sqrt(q):
     return s
 
 
-def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
+def _conjugation_block_decomposition(u: ModeMatrix, rank: int, columns):
     """Exact block structure of the antilinear involution theta: v -> u conj(v) on
-    the range of a projector.
+    the span of the columns, of dimension rank.
 
     Emits pairs (plus, minus = theta(plus)) that are orthogonal with equal
     norms, all blocks mutually orthogonal, plus at most one leftover
@@ -384,11 +420,10 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
     it adds blocks, then ``plane``, then the pairing of theta-fixed vectors.  A
     block built isotropic is not re-tested: the caller's exact checks of the
     assembled basis catch a fault.  Every stage stops once the block vectors and
-    theta-fixed vectors number rank(proj) = tr(proj): they then span the range,
-    and every later reduction is zero.  Returns (blocks, fixed vector or None).
+    theta-fixed vectors number rank: they then span the space, and every later
+    reduction is zero.  Returns (blocks, fixed vector or None).
     """
     theta = _antilinear(u)
-    rank = _rank(proj)
     spanned, spanned_norms = [], []  # plus and minus of each block so far, with their norms
     pool, pool_norms = [], []  # the theta-fixed vectors of the last stage, with their norms
 
@@ -441,7 +476,7 @@ def _conjugation_block_decomposition(u: ModeMatrix, proj: ModeMatrix):
         add(v.scale(s) + w)
         return reduced(v.scale(s) - w)  # the block's B-complement inside span{v, w}
 
-    rest, count = proj.columns(), None
+    rest, count = columns, None
     while count != len(spanned):  # until a round adds no block
         count = len(spanned)
         rest = [v for v in map(reduced, unfilled(rest)) if v and not isotropic(v)]
@@ -514,47 +549,45 @@ def _pair_conjugation_fixed(g1, q1, g2, q2):
     return g1 + g2, g1 - g2
 
 
-def _antilinear_blocks(a: ModeMatrix, m: int, u: ModeMatrix):
-    """Orthogonal column pairs (plus, minus) for J = u o conj commuting with a, a^m = 1.
+def _antilinear_blocks(powers: _Powers, m: int, u: ModeMatrix):
+    """Orthogonal column pairs (plus, minus) for J = u o conj commuting with the lift a of the powers, a^m = 1.
 
     J maps the zeta^k-eigenspace of a onto the zeta^-k one, and every pair has
     minus = J(plus), which callers rescale as their form needs.  A paired
     eigenspace (0 < 2k < m) gets an orthogonal basis.  On a self-paired one (k = 0
     or 2k = m) J^2 = +-1, read off one vector: J^2 = 1 gives conjugation blocks
     and at most one J-fixed vector, J^2 = -1 gives J-stable planes.  The
-    walk takes k = 0 and m/2 first, at the one conductor L of a and u; when a
+    walk takes k = 0 and m/2 first, at the conductor L of u; when a
     conjugation block decomposition needs a rational square root outside
-    Q(zeta_L) (``_Enlarge``), the walk restarts on a and u lifted to the
-    enlarged conductor.  Returns (plus, minus, exponents, norms, fixed, L),
-    fixed mapping exponents to their J-fixed vectors.
+    Q(zeta_L) (``_Enlarge``), the walk restarts on u lifted to the enlarged
+    conductor, with the eigenspaces rebuilt there from the same powers.  Returns
+    (plus, minus, exponents, norms, fixed, L), fixed mapping exponents to J-fixed vectors.
     """
-    L = a.L
-    J = _antilinear(u)
-    projs = dict(eigenprojectors(a, m, range(m // 2 + 1)))  # m - k mirrors k
+    L, J = u.L, _antilinear(u)
+    spaces = powers.eigenspaces(L, m, range(m // 2 + 1))  # m - k mirrors k
     plus, minus, exps, norms, fixed = [], [], [], [], {}
     try:
-        for k in sorted(projs, key=lambda k: (0 < 2 * k < m, k)):
-            cols = projs[k].columns()
+        for space in sorted(spaces, key=lambda s: (0 < 2 * s.k < m, s.k)):
             sign = 0  # J^2 on a self-paired eigenspace, read off one nonzero column
-            if 2 * k in (0, m):
-                v = next(c for c in cols if c)
+            if 2 * space.k in (0, m):
+                v = next(c for c in space if c)
                 sign = 1 if J(J(v)) == v else -1
             if sign == 1:
-                blocks, fixed_vec = _conjugation_block_decomposition(u, projs[k])
+                blocks, fixed_vec = _conjugation_block_decomposition(u, space.rank, space)
                 if fixed_vec is not None:
-                    fixed[k] = fixed_vec
+                    fixed[space.k] = fixed_vec
                 basis, images = [b[0] for b in blocks], [b[1] for b in blocks]
                 qs = [_hdot(w, w) for w in basis]
             else:
-                basis, qs = _gram_schmidt(cols, _rank(projs[k]), J if sign else None)
+                basis, qs = _gram_schmidt(space, space.rank, J if sign else None)
                 images = [J(w) for w in basis]
             plus += basis
             minus += images
-            exps += [k] * len(basis)
+            exps += [space.k] * len(basis)
             norms += qs
     except _Enlarge as enlarged:
         big = enlarged.conductor
-        return _antilinear_blocks(a.lift(big), m, u.lift(big))
+        return _antilinear_blocks(powers, m, u.lift(big))
     return plus, minus, exps, norms, fixed, L
 
 
@@ -611,9 +644,9 @@ class AntiunitaryBlockForm:
         return ModeMatrix.from_entries(L, (d, d), std)
 
 
-def _antiunitary_blocks(spec: OperatorSpec, m_op: int):
+def _antiunitary_blocks(spec: OperatorSpec, powers: _Powers, m_op: int):
     """The block walk of an antiunitary operator A = u o conj of order m_op: J = A pairs
-    the eigenspaces of A^2 = u conj(u), whose order is N = m_op / 2.
+    the eigenspaces of A^2 = u conj(u), of order N = m_op / 2, whose powers are given.
 
     Returns the ``_antilinear_blocks`` output, its minus columns rescaled to the
     block form, with the J-fixed vector of exponent 0 (or None) for the fixed map.
@@ -621,7 +654,7 @@ def _antiunitary_blocks(spec: OperatorSpec, m_op: int):
     half = m_op // 2
     L = working_conductor(spec.conductor, 8, 2 * m_op)
     u = spec.matrix.lift(L)
-    plus, minus, exps, norms, fixed, L = _antilinear_blocks(u @ u.conj(), half, u)
+    plus, minus, exps, norms, fixed, L = _antilinear_blocks(powers, half, u)
     # minus = c(n) J(plus) at the final conductor: c = i on the J^2 = -1 eigenspace (2n = N),
     # zeta^n on a pair, zeta the primitive 2N-th root, and c(0) = 1
     scales = {n: Cyc.i(L) if 2 * n == half else Cyc.zeta(L, n * (L // (2 * half)) % L) for n in exps if n}
@@ -639,8 +672,8 @@ def antiunitary_normal_form(spec: OperatorSpec) -> AntiunitaryBlockForm:
     """
     if not spec.antiunitary:
         raise StandardizeError("operator is not antiunitary")
-    _, _, m_op = _lift_with_orders(spec)
-    plus_cols, minus_cols, exponents, norms_plus, fixed, L = _antiunitary_blocks(spec, m_op)
+    _, _, m_op, powers = _lift_with_orders(spec)
+    plus_cols, minus_cols, exponents, norms_plus, fixed, L = _antiunitary_blocks(spec, powers, m_op)
     middle = [fixed] if fixed is not None else []
     order, v, col_norms = _assemble_columns(plus_cols, minus_cols, exponents, norms_plus, middle, spec.dim)
     r = len(order)
@@ -852,31 +885,24 @@ def _check_columns(v: ModeMatrix, col_norms: tuple) -> None:
 
 def standardize(spec: OperatorSpec) -> StandardizationCertificate:
     """Produce the standardization certificate for a finite-order operator."""
-    lifted, n, m = _lift_with_orders(spec)
+    lifted, n, m, powers = _lift_with_orders(spec)
     fam = family_of(spec)
     if fam == "C_unitary":
-        return _standardize_c_unitary(lifted, n)
+        return _standardize_c_unitary(lifted, powers, n)
     if fam == "H":
-        return _standardize_h(lifted, n, m)
+        return _standardize_h(lifted, powers, n, m)
     if fam == "R":
-        return _standardize_r(lifted, n, m)
-    return _standardize_antiunitary(lifted, n, m)
+        return _standardize_r(lifted, powers, n, m)
+    return _standardize_antiunitary(lifted, powers, n, m)
 
 
-def _working_form(spec: OperatorSpec, m: int):
-    """(L, a): a conductor L holding the 2m-th roots of unity and the input's entries,
-    and the operator, of order m, lifted to L."""
-    L = working_conductor(spec.conductor, 4 * m)
-    return L, spec.matrix.lift(L)
-
-
-def _standardize_c_unitary(spec: OperatorSpec, n: int) -> StandardizationCertificate:
-    L, a = _working_form(spec, n)
+def _standardize_c_unitary(spec: OperatorSpec, powers: _Powers, n: int) -> StandardizationCertificate:
+    L = working_conductor(spec.conductor, 4 * n)
     plus, exps, norms = [], [], []
-    for k, p in eigenprojectors(a, n):
-        basis, qs = _gram_schmidt(p.columns(), _rank(p))
+    for space in powers.eigenspaces(L, n, range(n)):
+        basis, qs = _gram_schmidt(space, space.rank)
         plus += basis
-        exps += [k] * len(basis)
+        exps += [space.k] * len(basis)
         norms += qs
     return _collect_certificate(
         spec, "C_unitary", "A1", plus, [], [], exps, norms, L, n, (n, n),
@@ -884,19 +910,18 @@ def _standardize_c_unitary(spec: OperatorSpec, n: int) -> StandardizationCertifi
     )
 
 
-def _standardize_h(spec: OperatorSpec, n: int, m: int) -> StandardizationCertificate:
-    L, a = _working_form(spec, m)
-    t = quaternionic_structure(L, spec.dim)
-    plus, minus, exps, norms, _, L = _antilinear_blocks(a, m, t)
+def _standardize_h(spec: OperatorSpec, powers: _Powers, n: int, m: int) -> StandardizationCertificate:
+    t = quaternionic_structure(working_conductor(spec.conductor, 4 * m), spec.dim)
+    plus, minus, exps, norms, _, L = _antilinear_blocks(powers, m, t)
     return _collect_certificate(
         spec, "H", "C1", plus, minus, [], exps, norms, L, m, (n, m),
         partition=(("quaternionic_pairs", len(plus)),),
     )
 
 
-def _standardize_r(spec: OperatorSpec, n: int, m: int, negated=False) -> StandardizationCertificate:
-    L, a = _working_form(spec, m)
-    plus, minus, exps, norms, fixed, L = _antilinear_blocks(a, m, ModeMatrix.identity(L, spec.dim))
+def _standardize_r(spec: OperatorSpec, powers: _Powers, n: int, m: int, negated=False) -> StandardizationCertificate:
+    identity = ModeMatrix.identity(working_conductor(spec.conductor, 4 * m), spec.dim)
+    plus, minus, exps, norms, fixed, L = _antilinear_blocks(powers, m, identity)
     s_plus = fixed.get(0)
     s_minus = fixed.get(m // 2) if m % 2 == 0 else None
     if s_plus is None and s_minus is not None:
@@ -906,7 +931,7 @@ def _standardize_r(spec: OperatorSpec, n: int, m: int, negated=False) -> Standar
         # (-u)^n = (-1)^n u^n: an odd n flips the scalar +-1 and with it the order
         m_neg = m if n % 2 == 0 else (2 * n if m == n else n)
         neg_spec = OperatorSpec(spec.field, False, spec.dim, neg, spec.declared_order)
-        return _standardize_r(neg_spec, n, m_neg, negated=True)
+        return _standardize_r(neg_spec, powers.negated(), n, m_neg, negated=True)
 
     zero_cols = [v for v in (s_plus, s_minus) if v is not None]
     partition = [("rotation_pairs", len(plus))]
@@ -924,8 +949,8 @@ def _standardize_r(spec: OperatorSpec, n: int, m: int, negated=False) -> Standar
     )
 
 
-def _standardize_antiunitary(spec: OperatorSpec, n: int, m: int) -> StandardizationCertificate:
-    plus, minus, exps, norms, fixed, L = _antiunitary_blocks(spec, m)
+def _standardize_antiunitary(spec: OperatorSpec, powers: _Powers, n: int, m: int) -> StandardizationCertificate:
+    plus, minus, exps, norms, fixed, L = _antiunitary_blocks(spec, powers, m)
     if fixed is None:
         # quaternionic standard twist: rotate the minus columns and shift the exponents
         ii = Cyc.i(L)

@@ -8,7 +8,8 @@ row lists, read straight into a `cyclo.ModeMatrix` with no `Fraction` per
 coefficient.  Every request field is read by `json_field`.  Every report
 carries a "schema": "v1" marker and is written by `dump_report` with the bytes
 of `json.dumps(report, sort_keys=True, indent=2)`, from a recursive writer
-instead of `json`'s pure-Python indenting encoder.
+instead of `json`'s pure-Python indenting encoder; a subtree that the report
+holds more than once is written once per indent and its text reused.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
+from sys import getrefcount
 
 from .cyclo import MAX_CONDUCTOR, Cyc, ModeMatrix, conductor_degree
 
@@ -137,39 +139,52 @@ def mat_from_json(rows) -> ModeMatrix:
     return ModeMatrix(conductors[0] if conductors else 4, len(rows[0]) if rows else 0, den, nums)
 
 
-def _write_json(obj, out: list, newline: str) -> None:
+def _write_json(obj, out: list, newline: str, seen: dict) -> None:
     """Append the pieces of obj's ``json.dumps(obj, sort_keys=True, indent=2)`` text to out;
-    newline is a newline followed by the indent of obj's own line."""
-    if isinstance(obj, str):
+    newline is a newline followed by the indent of obj's own line.
+
+    seen maps (id, newline) of a container that may recur (one held only by its parent, this frame
+    and getrefcount's argument cannot) to the slice of out holding its text, joined when next met.
+    """
+    kind = type(obj)
+    if kind is str:
         out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is dict or kind is list:
+        if not obj:
+            out.append("{}" if kind is dict else "[]")
+            return
+        key = (id(obj), newline) if getrefcount(obj) > 3 else None
+        text = seen.get(key)  # nothing is kept under None
+        if text is not None:
+            if type(text) is tuple:
+                text = seen[key] = "".join(out[text[0] : text[1]])
+            out.append(text)
+            return
+        start, inner = len(out), newline + "  "
+        if kind is dict:
+            if not all(type(k) is str for k in obj):
+                raise TypeError("report keys must be str")
+            sep = "{"
+            for k in sorted(obj):
+                out += (sep, inner, encode_basestring_ascii(k), ": ")
+                _write_json(obj[k], out, inner, seen)
+                sep = ","
+            out.append(newline + "}")
+        else:
+            sep = "["
+            for item in obj:
+                out += (sep, inner)
+                _write_json(item, out, inner, seen)
+                sep = ","
+            out.append(newline + "]")
+        if key:
+            seen[key] = (start, len(out))
     elif obj is None or obj is True or obj is False:
         out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        if not all(isinstance(key, str) for key in obj):
-            raise TypeError("report keys must be str")
-        inner, sep = newline + "  ", "{"
-        for key in sorted(obj):
-            out += (sep, inner, encode_basestring_ascii(key), ": ")
-            _write_json(obj[key], out, inner)
-            sep = ","
-        out.append(newline + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        inner, sep = newline + "  ", "["
-        for item in obj:
-            out += (sep, inner)
-            _write_json(item, out, inner)
-            sep = ","
-        out.append(newline + "]")
     else:
-        raise TypeError(f"a report holds no {type(obj).__name__}")
+        raise TypeError(f"a report holds no {kind.__name__}")
 
 
 def dump_report(obj, path=None) -> str:
@@ -183,7 +198,7 @@ def dump_report(obj, path=None) -> str:
     schema v2 of ROADMAP item 5, written by the C encoder, lands.
     """
     out = []
-    _write_json(obj, out, "\n")
+    _write_json(obj, out, "\n", {})
     text = "".join(out) + "\n"
     if path:
         with open(path, "w") as fh:

@@ -1,8 +1,11 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistaff import DomainError
 from twistaff.autnorm import (
@@ -12,7 +15,6 @@ from twistaff.autnorm import (
     antiunitary_normal_form,
     automorphism_order,
     cartan_mode_vectors,
-    eigenprojectors,
     matrix_order,
     mode_class,
     mode_class_vectors,
@@ -25,6 +27,7 @@ from twistaff.rootdata import Functional, Root
 from twistaff.sampling import random_operator
 
 import elimination
+import spectral
 
 rows = ModeMatrix.from_rows
 identity = ModeMatrix.identity
@@ -68,29 +71,39 @@ def test_declared_order_mismatch_is_an_error():
         finite_order_lift(spec)
 
 
+def eigenprojectors(a, m):
+    """(k, P_k, rank) of each eigenspace of a, with a^m = 1, read off a's own power walk."""
+    return [(s.k, spectral.projector(s), s.rank) for s in spectral.powers_of(a).eigenspaces(a.L, m, range(m))]
+
+
 def test_eigensplit_examples_and_invariants():
     L = 8
     a = diag(L, 1, -1)
-    projs = dict(eigenprojectors(a, 2))
+    projs = {k: p for k, p, _ in eigenprojectors(a, 2)}
     assert projs[0] == diag(L, 1, 0)
     assert projs[1] == diag(L, 0, 1)
-    assert dict(eigenprojectors(identity(L, 3), 1))[0] == identity(L, 3)
+    assert eigenprojectors(identity(L, 3), 1) == [(0, identity(L, 3), 3)]
     # 3-cycle permutation: three rank-1 projectors, exact idempotents resolving unity
     L = 12
     p3 = rows(L, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     projs = eigenprojectors(p3, 3)
     assert len(projs) == 3
     total = diag(L, 0, 0, 0)
-    for k, p in projs:
+    for k, p, rank in projs:
         assert p @ p == p
+        assert rank == 1 == elimination.rank(p.to_rows())
+        assert p == spectral.spectral_sum(p3, 3, k)
         zk = Cyc.zeta(L, (k * 4) % L)
         assert p3 @ p == p.scale(zk)
-        for k2, p2 in projs:
+        for k2, p2, _ in projs:
             if k2 != k:
                 assert not p @ p2
         total = total + p
     assert total == identity(L, 3)
     assert len(eigenprojectors(p3, matrix_order(p3))) == 3
+    # a stated order the powers do not have is refused on the scalars
+    with pytest.raises(StandardizeError, match="matrix does not have the stated finite order"):
+        eigenprojectors(p3, 2)
 
 
 def test_antiunitary_normal_form_plain_conjugation():
@@ -350,13 +363,15 @@ def test_grading_is_computed_once_per_certificate_and_root(monkeypatch, tmp_path
     ],
 )
 def test_standardize_validates_once_and_reads_the_order_once(monkeypatch, family, seed, dim, hint):
+    """One validation and one power walk, which the eigenspaces read: projective_order, which
+    drops the walk's powers, is not called at all."""
     from collections import Counter
 
     from twistaff import autnorm
 
     spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
     calls = Counter()
-    for name in ("validate_operator", "projective_order"):
+    for name in ("validate_operator", "_power_walk", "projective_order"):
 
         def counting(*args, _real=getattr(autnorm, name), _name=name):
             calls[_name] += 1
@@ -366,7 +381,8 @@ def test_standardize_validates_once_and_reads_the_order_once(monkeypatch, family
     cert = standardize(spec)
     assert cert.negated == ((family, seed) == ("R", 0))
     assert calls["validate_operator"] == 1
-    assert calls["projective_order"] <= 2
+    assert calls["_power_walk"] == 1
+    assert calls["projective_order"] == 0
     # the orders recorded on the certificate are the ones the independent check finds
     monkeypatch.undo()
     assert verify_certificate(spec, cert).all_passed
@@ -375,6 +391,43 @@ def test_standardize_validates_once_and_reads_the_order_once(monkeypatch, family
         lifted = dataclasses.replace(lifted, matrix=-lifted.matrix)
     assert cert.operator_order == operator_order(lifted)
     assert cert.orders[0] == automorphism_order(spec)
+
+
+@pytest.mark.parametrize(
+    "family, seed, dim, hint",
+    [
+        ("C_unitary", 1, 4, 3),
+        ("C_unitary", 0, 4, 2),  # rephased
+        ("H", 1, 4, 4),
+        ("H", 0, 6, 3),
+        ("R", 1, 5, 3),
+        ("R", 0, 5, 2),  # B1 after the sign retry
+        ("C_antiunitary", 1, 5, 4),
+    ],
+)
+def test_standardize_multiplies_out_the_powers_once(monkeypatch, family, seed, dim, hint):
+    """The d x d product-kernel calls of one standardization: the validation (one, two for H),
+    the order matrix u conj(u) of an antiunitary u, the power walk's k - 1 products up to its
+    projective order k, and the reconstruction (two) and column (one) checks.  The eigenspaces
+    add none, so a second power walk, or a projector built as a matrix, shows here."""
+    from twistaff import autnorm, cyclo
+
+    spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
+    k, _ = autnorm.projective_order(autnorm._order_matrix(spec))
+    assert k >= 2  # so that every extra power walk multiplies
+    square = []
+    real = cyclo.mat_product_sum
+
+    def counting(products):
+        out = real(products)
+        square.append((len(out.rows), out.ncols) == (dim, dim))
+        return out
+
+    monkeypatch.setattr(cyclo, "mat_product_sum", counting)
+    cert = standardize(spec)
+    assert cert.negated == ((family, seed) == ("R", 0))
+    fixed = {"C_unitary": 4, "R": 4, "H": 5, "C_antiunitary": 5}[family]
+    assert sum(square) == k - 1 + fixed
 
 
 def test_replaced_certificate_gets_its_own_grading():
@@ -443,17 +496,17 @@ def test_conductor_enlargement_bound_is_named():
     # real vectors of squared norms 1 and 491 = 21^2 + 7^2 + 1^2 under complex
     # conjugation: neither a B-plane nor a fixed-vector pairing exists, and
     # the refusal names the conductor bound
-    proj = [[1, 0, 0, 0], [0, 21, 0, 0], [0, 7, 0, 0], [0, 1, 0, 0]]
+    span = [[1, 0, 0, 0], [0, 21, 0, 0], [0, 7, 0, 0], [0, 1, 0, 0]]
     with pytest.raises(StandardizeError, match=f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
-        _conjugation_block_decomposition(identity(L, 4), rows(L, proj))
+        _conjugation_block_decomposition(identity(L, 4), 2, rows(L, span).columns())
     # squared norms 1 and 5 = 2^2 + 1^2 pair once sqrt(5) is adjoined at conductor 40:
     # at 8 the decomposition asks for that conductor, and at 40 it completes
-    proj = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
+    span = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
     with pytest.raises(_Enlarge) as enlarged:
-        _conjugation_block_decomposition(identity(L, 4), rows(L, proj))
+        _conjugation_block_decomposition(identity(L, 4), 2, rows(L, span).columns())
     L = enlarged.value.conductor
     assert L == 40
-    blocks, fixed = _conjugation_block_decomposition(identity(L, 4), rows(L, proj))
+    blocks, fixed = _conjugation_block_decomposition(identity(L, 4), 2, rows(L, span).columns())
     assert (len(blocks), fixed) == (1, None)
 
 
@@ -673,19 +726,19 @@ def test_block_decomposition_gives_isotropic_orthogonal_blocks(monkeypatch, fami
 
     from twistaff import autnorm
 
-    decompositions = []  # (u, projector, output) of every J^2 = 1 eigenspace the walk splits
+    decompositions = []  # (u, eigenspace, output) of every J^2 = 1 eigenspace the walk splits
     real = autnorm._conjugation_block_decomposition
 
-    def recording(u, proj):
-        out = real(u, proj)
-        decompositions.append((u, proj, out))
+    def recording(u, rank, space):
+        out = real(u, rank, space)
+        decompositions.append((u, space, out))
         return out
 
     monkeypatch.setattr(autnorm, "_conjugation_block_decomposition", recording)
     standardize(random_operator(random.Random(seed), family, dim, order_hint=hint))
     assert decompositions
     hdot = autnorm._hdot
-    for u, proj, (blocks, fixed) in decompositions:
+    for u, space, (blocks, fixed) in decompositions:
         theta = autnorm._antilinear(u)
         for plus, minus in blocks:
             assert not hdot(plus, theta(plus))
@@ -696,7 +749,7 @@ def test_block_decomposition_gives_isotropic_orthogonal_blocks(monkeypatch, fami
             assert not hdot(x, y)
         if fixed is not None:
             assert theta(fixed) == fixed
-        assert len(vectors) == elimination.rank(proj.to_rows())
+        assert len(vectors) == space.rank == elimination.rank(spectral.projector(space).to_rows())
 
 
 def test_an_isotropic_refusal_keeps_its_message():
@@ -784,18 +837,30 @@ def test_a_negative_rational_asks_for_the_root_of_its_absolute_value():
     assert _sqrt(Cyc.rational(L, -4)) == Cyc.i(L) * 2
 
 
-# -- the eigenspace walks: kernel projectors, and every walk stops at tr(P) ---------------
+# -- the eigenspaces: read off the power walk, and every walk stops at tr(P) ----------------
 
 
-def _spectral_sum(a, m, k):
-    """The reference projector (1/m) sum_j zeta^(-jk) a^j, zeta the primitive m-th root, by
-    matrix sums and scalings."""
-    L = a.L
-    power = acc = identity(L, len(a.rows))
-    for j in range(1, m):
-        power = power @ a
-        acc = acc + power.scale(Cyc.zeta(L, -j * k * (L // m)))
-    return acc.scale(Q(1, m))
+def _lift_reference(spec, L, negated=False):
+    """The finite-order linear map whose eigenspaces the walk reads, at conductor L, built
+    without the power walk's phases: the lifted operator (negated for the R sign retry), or
+    u conj(u) for an antiunitary u."""
+    if spec.antiunitary:
+        u = spec.matrix.lift(L)
+        return u @ u.conj()
+    a = finite_order_lift(spec).matrix.lift(L)
+    return -a if negated else a
+
+
+def _check_eigenspaces(spaces, a, m, exponents):
+    """Every eigenspace's columns are its spectral sum's and of the kernel projector, its rank
+    is the elimination rank, and exactly the nonzero projectors among the exponents appear."""
+    reference = [(k, spectral.spectral_sum(a, m, k)) for k in exponents]
+    reference = [(k, p) for k, p in reference if p]
+    assert [s.k for s in spaces] == [k for k, _ in reference]
+    assert reference == spectral.kernel_projectors(a, m, exponents)
+    for space, (_, p) in zip(spaces, reference):
+        assert list(space) == p.columns()
+        assert space.rank == elimination.rank(p.to_rows())
 
 
 #: one seeded operator per family (family, seed, dim, order hint) on which a walk stopped
@@ -805,8 +870,9 @@ WALK_OPERATORS = [("C_unitary", 0, 4, 2), ("H", 0, 6, 3), ("R", 0, 5, 2), ("C_an
 
 @pytest.mark.parametrize("operator", [*WALK_OPERATORS, "enlarging"])
 def test_walks_read_kernel_projectors_and_stop_at_their_rank(monkeypatch, operator):
-    """The kernel projectors equal the spectral sums, are idempotent and sum to the
-    identity; each eigenspace walk places exactly tr(P) vectors, its rank."""
+    """The eigenspaces a standardization reads have the columns of the spectral sums and of
+    the kernel projectors; over all exponents those are idempotent and sum to the identity;
+    each eigenspace walk places exactly tr(P) vectors, its rank."""
     from twistaff import autnorm
 
     if operator == "enlarging":
@@ -814,44 +880,111 @@ def test_walks_read_kernel_projectors_and_stop_at_their_rank(monkeypatch, operat
     else:
         family, seed, dim, hint = operator
         spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
-    projections, walks = [], []
-    real_projectors, real_gs, real_blocks = (
-        autnorm.eigenprojectors, autnorm._gram_schmidt, autnorm._conjugation_block_decomposition,
+    readings, walks = [], []
+    real_spaces, real_gs, real_blocks = (
+        autnorm._Powers.eigenspaces, autnorm._gram_schmidt, autnorm._conjugation_block_decomposition,
     )
 
-    def projectors(a, m, exponents=None):
-        out = real_projectors(a, m, exponents)
-        projections.append((a, m, exponents, out))
+    def eigenspaces(powers, L, m, exponents):
+        out = real_spaces(powers, L, m, exponents)
+        readings.append((powers, L, m, exponents, out))
         return out
 
     def gram_schmidt(vectors, rank, sigma=None):
         basis, norms = real_gs(vectors, rank, sigma)
         spanned = len(basis) * (1 if sigma is None else 2)
-        walks.append((rank, spanned, elimination.rank(ModeMatrix.from_columns(vectors).to_rows())))
+        walks.append((rank, spanned, elimination.rank(ModeMatrix.from_columns(list(vectors)).to_rows())))
         return basis, norms
 
-    def blocks(u, proj):
-        out = real_blocks(u, proj)
-        walks.append((autnorm._rank(proj), 2 * len(out[0]) + (out[1] is not None), elimination.rank(proj.to_rows())))
+    def blocks(u, rank, space):
+        out = real_blocks(u, rank, space)
+        walks.append((rank, 2 * len(out[0]) + (out[1] is not None), elimination.rank(spectral.projector(space).to_rows())))
         return out
 
-    monkeypatch.setattr(autnorm, "eigenprojectors", projectors)
+    monkeypatch.setattr(autnorm._Powers, "eigenspaces", eigenspaces)
     monkeypatch.setattr(autnorm, "_gram_schmidt", gram_schmidt)
     monkeypatch.setattr(autnorm, "_conjugation_block_decomposition", blocks)
     cert = standardize(spec)
     assert verify_certificate(spec, cert).all_passed
     if operator == "enlarging":
-        assert cert.conductor == 40 and len(projections) == 2  # the walk restarted at 40
-    assert projections and walks
-    for a, m, exponents, out in projections:
-        wanted = range(m) if exponents is None else exponents
-        reference = [(k, p) for k, p in ((k, _spectral_sum(a, m, k)) for k in wanted) if p]
-        assert out == reference
-        full = real_projectors(a, m)
-        assert all(p @ p == p for _, p in full)
-        assert sum((p for _, p in full[1:]), full[0][1]) == identity(a.L, len(a.rows))
+        assert cert.conductor == 40 and [L for _, L, *_ in readings] == [8, 40]  # the walk restarted at 40
+    assert readings and walks
+    first = readings[0][0]
+    for powers, L, m, exponents, out in readings:
+        a = _lift_reference(spec, L, negated=powers != first)  # the R sign retry reads -a
+        _check_eigenspaces(out, a, m, exponents)
+        full = [spectral.projector(s) for s in real_spaces(powers, L, m, range(m))]
+        assert all(p @ p == p for p in full)
+        assert sum(full[1:], full[0]) == identity(L, len(a.rows))
     for rank, placed, eliminated in walks:
         assert rank == placed == eliminated
+
+
+def _rephased_c_unitary():
+    """A C_unitary operator w S w* with S^3 = zeta_12, S the cyclic shift with one entry zeta_12
+    and w a seeded unitary: its lift needs a cube root of zeta_12^-1, at conductor 36 = 3 * 12."""
+    L = 12
+    w = random_operator(random.Random(3), "C_unitary", 3, order_hint=3).matrix
+    u = w @ rows(L, [[0, 0, Cyc.zeta(L)], [1, 0, 0], [0, 1, 0]]) @ w.conj_transpose()
+    return OperatorSpec("C", False, 3, u, automorphism_order(OperatorSpec("C", False, 3, u, 1)))
+
+
+def _lift_eigenspaces(spec, negated=False, L=None):
+    """Check the eigenspaces of the lift (of its negation, for the R sign retry) at L, by
+    default the least conductor holding the 4m-th roots of unity, over every exponent, against
+    the references; return the lift's (lifted spec, powers, order)."""
+    lifted, _, m, powers = _lift_with_orders(spec)
+    if spec.antiunitary:
+        m //= 2  # the order of u conj(u)
+    if negated:
+        powers, m = powers.negated(), matrix_order(-lifted.matrix)
+    L = L or math.lcm(lifted.conductor, 4 * m)
+    _check_eigenspaces(powers.eigenspaces(L, m, range(m)), _lift_reference(spec, L, negated), m, range(m))
+    return lifted, powers, m
+
+
+#: seeded operators on the paths of the power walk's index arithmetic: (builder, reading)
+EIGENSPACE_PATHS = {
+    "C_unitary rephased at n L": (_rephased_c_unitary, {}),
+    "R, lam0 = -1": (lambda: random_operator(random.Random(9), "R", 4, order_hint=4), {}),
+    "H, lam0 = -1": (lambda: random_operator(random.Random(12), "H", 4, order_hint=4), {}),
+    "R negated": (lambda: random_operator(random.Random(0), "R", 5, order_hint=3), {"negated": True}),
+    "antiunitary u conj(u)": (lambda: random_operator(random.Random(0), "C_antiunitary", 4, order_hint=4), {}),
+    "enlarging, restarted at 40": (_enlarging_r_operator, {"L": 40}),
+}
+
+
+@pytest.mark.parametrize("path", sorted(EIGENSPACE_PATHS))
+def test_eigenspaces_from_the_power_walk_on_every_path(path):
+    """Every column and rank of every eigenspace equals the spectral sum's and the kernel
+    projector's, on each path of a^j = zeta^e u^(j mod k): the rephasing, the sign lam0 = -1 on
+    the powers j >= k, the R negation, u conj(u) and the rebuild at an enlarged conductor."""
+    build, reading = EIGENSPACE_PATHS[path]
+    spec = build()
+    lifted, powers, m = _lift_eigenspaces(spec, **reading)
+    k = len(powers.walk)
+    if path.startswith("C_unitary"):
+        assert lifted.conductor == spec.declared_order * spec.conductor and powers.phase
+    if "lam0 = -1" in path or path.startswith("antiunitary"):
+        assert powers.scalar == Q(1, 2) and m == 2 * k and k >= 2
+    if path == "R negated":
+        assert standardize(spec).negated and powers.phase == Q(1, 2) and k >= 2
+    if path.startswith("enlarging"):
+        assert standardize(spec).conductor == 40
+    assert verify_certificate(spec, standardize(spec)).all_passed
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["C_unitary", "R", "H", "C_antiunitary"]),
+    st.integers(0, 10**6),
+    st.integers(2, 3),
+    st.integers(2, 4),
+)
+def test_eigenspaces_of_seeded_operators_equal_the_spectral_sums(family, seed, half_dim, hint):
+    """The eigenspace property on seeded operators of every family, dimensions 4 to 7 (even for H)."""
+    dim = 2 * half_dim + (family != "H" and seed % 2)
+    _lift_eigenspaces(random_operator(random.Random(seed), family, dim, order_hint=hint))
 
 
 @pytest.mark.parametrize("family, seed, dim, hint", WALK_OPERATORS)
@@ -860,8 +993,8 @@ def test_a_walk_stopped_short_of_its_rank_is_refused(monkeypatch, family, seed, 
     of each such eigenspace, and the column count refuses it."""
     from twistaff import autnorm
 
-    real = autnorm._rank
-    monkeypatch.setattr(autnorm, "_rank", lambda p: real(p) - 1)
+    real = autnorm._Eigenspace
+    monkeypatch.setattr(autnorm, "_Eigenspace", lambda k, rank, column, dim: real(k, rank - 1, column, dim))
     spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
     with pytest.raises(StandardizeError, match=f"the block construction gave [0-9]+ columns in dimension {dim}"):
         standardize(spec)

@@ -64,6 +64,18 @@ def test_report_writer_refuses_other_types(tree):
         jsonio.dump_report(tree)
 
 
+def test_report_writer_reuses_shared_subtrees():
+    """A dict shared at two depths and thrice at one depth, and a shared list, are written as
+    json.dumps writes them; a non-str key in a shared dict is still refused."""
+    shared = {"coeffs": {"1": 1, "2": -1}, "flags": [True, None, "x"]}
+    row = [shared, 0]
+    tree = {"a": [shared, shared, shared], "b": {"c": shared, "d": [row, row]}, "e": row, "f": [[shared]]}
+    assert jsonio.dump_report(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    bad = {1: "x"}
+    with pytest.raises(TypeError, match="report keys must be str"):
+        jsonio.dump_report({"a": [bad, bad], "b": bad})
+
+
 DIGESTS = {
     ("C_unitary", 4, 3): "ec01b6a52bdb2c7d281811f87b74c9356149a6f9101cf5bc2d18de52cb417e35",
     ("C_unitary", 4, 6): "2f4578696bc8916c89bb86d911392c6fab17084d0c2e5a7e0ac66e74a62b0504",
