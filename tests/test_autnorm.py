@@ -19,6 +19,7 @@ from twistaff.autnorm import (
     mode_class,
     mode_class_vectors,
     operator_order,
+    projective_order,
     standardize,
     verify_certificate,
 )
@@ -360,16 +361,32 @@ def test_grading_is_computed_once_per_certificate_and_root(monkeypatch, tmp_path
         ("R", 0, 5, 2),  # B1 after the sign retry
         ("C_antiunitary", 1, 5, 4),  # BC2
         ("C_antiunitary", 2, 4, 6),  # C2
+        ("C_unitary", 0, 4, 2),  # rephased
+        ("H", 0, 6, 3),
     ],
 )
 def test_standardize_validates_once_and_reads_the_order_once(monkeypatch, family, seed, dim, hint):
     """One validation and one power walk, which the eigenspaces read: projective_order, which
-    drops the walk's powers, is not called at all."""
+    drops the walk's powers, is not called at all.
+
+    The d x d product-kernel calls are the validation's (one, two for H), the order matrix
+    u conj(u) of an antiunitary u, the walk's k - 1 products up to its projective order k, and
+    the reconstruction (two) and column (one) checks: a second power walk or a projector built
+    as a matrix shows here."""
     from collections import Counter
 
-    from twistaff import autnorm
+    from twistaff import autnorm, cyclo
 
     spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
+    k, _ = projective_order(autnorm._order_matrix(spec))
+    square, real = [], cyclo.mat_product_sum
+
+    def kernel(products):
+        out = real(products)
+        square.append((len(out.rows), out.ncols) == (dim, dim))
+        return out
+
+    monkeypatch.setattr(cyclo, "mat_product_sum", kernel)
     calls = Counter()
     for name in ("validate_operator", "_power_walk", "projective_order"):
 
@@ -383,6 +400,7 @@ def test_standardize_validates_once_and_reads_the_order_once(monkeypatch, family
     assert calls["validate_operator"] == 1
     assert calls["_power_walk"] == 1
     assert calls["projective_order"] == 0
+    assert sum(square) == k - 1 + {"C_unitary": 4, "R": 4, "H": 5, "C_antiunitary": 5}[family]
     # the orders recorded on the certificate are the ones the independent check finds
     monkeypatch.undo()
     assert verify_certificate(spec, cert).all_passed
@@ -391,43 +409,6 @@ def test_standardize_validates_once_and_reads_the_order_once(monkeypatch, family
         lifted = dataclasses.replace(lifted, matrix=-lifted.matrix)
     assert cert.operator_order == operator_order(lifted)
     assert cert.orders[0] == automorphism_order(spec)
-
-
-@pytest.mark.parametrize(
-    "family, seed, dim, hint",
-    [
-        ("C_unitary", 1, 4, 3),
-        ("C_unitary", 0, 4, 2),  # rephased
-        ("H", 1, 4, 4),
-        ("H", 0, 6, 3),
-        ("R", 1, 5, 3),
-        ("R", 0, 5, 2),  # B1 after the sign retry
-        ("C_antiunitary", 1, 5, 4),
-    ],
-)
-def test_standardize_multiplies_out_the_powers_once(monkeypatch, family, seed, dim, hint):
-    """The d x d product-kernel calls of one standardization: the validation (one, two for H),
-    the order matrix u conj(u) of an antiunitary u, the power walk's k - 1 products up to its
-    projective order k, and the reconstruction (two) and column (one) checks.  The eigenspaces
-    add none, so a second power walk, or a projector built as a matrix, shows here."""
-    from twistaff import autnorm, cyclo
-
-    spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
-    k, _ = autnorm.projective_order(autnorm._order_matrix(spec))
-    assert k >= 2  # so that every extra power walk multiplies
-    square = []
-    real = cyclo.mat_product_sum
-
-    def counting(products):
-        out = real(products)
-        square.append((len(out.rows), out.ncols) == (dim, dim))
-        return out
-
-    monkeypatch.setattr(cyclo, "mat_product_sum", counting)
-    cert = standardize(spec)
-    assert cert.negated == ((family, seed) == ("R", 0))
-    fixed = {"C_unitary": 4, "R": 4, "H": 5, "C_antiunitary": 5}[family]
-    assert sum(square) == k - 1 + fixed
 
 
 def test_replaced_certificate_gets_its_own_grading():
@@ -963,15 +944,16 @@ def test_eigenspaces_from_the_power_walk_on_every_path(path):
     spec = build()
     lifted, powers, m = _lift_eigenspaces(spec, **reading)
     k = len(powers.walk)
+    cert = standardize(spec)
+    assert verify_certificate(spec, cert).all_passed
     if path.startswith("C_unitary"):
         assert lifted.conductor == spec.declared_order * spec.conductor and powers.phase
     if "lam0 = -1" in path or path.startswith("antiunitary"):
         assert powers.scalar == Q(1, 2) and m == 2 * k and k >= 2
     if path == "R negated":
-        assert standardize(spec).negated and powers.phase == Q(1, 2) and k >= 2
+        assert cert.negated and powers.phase == Q(1, 2) and k >= 2
     if path.startswith("enlarging"):
-        assert standardize(spec).conductor == 40
-    assert verify_certificate(spec, standardize(spec)).all_passed
+        assert cert.conductor == 40
 
 
 @settings(max_examples=20, deadline=None)
