@@ -170,8 +170,8 @@ def cmd_bracket_check(args, obj):
         b = random_loop_element(rng, spec, L)
         c = random_loop_element(rng, spec, L)
         ab, bc = bracket(spec, a, b), bracket(spec, b, c)
-        # [b, a] stays a bracket of its own: in one kernel call with [a, b] the
-        # two pairs' products cancel term by term, so the check would hold by construction
+        # [b, a] stays a bracket of its own (in one kernel call with [a, b] the products would cancel);
+        # on the sigma path [a, b] folds A B and [b, a] folds B A, so this tests s_k P(A B) = -B A
         if (ab + bracket(spec, b, a)).is_zero():
             results["antisymmetry"] += 1
         if bracket_sum(spec, ((a, bc), (b, bracket(spec, c, a)), (c, ab))).is_zero():

@@ -30,7 +30,8 @@ coefficient of A multiply-adds the nonzero coefficients of the matching
 entries of B into one list of 2 phi(L) - 1 integers per output entry, and
 each output entry is reduced modulo Phi_L once.  At conductor 4, where
 ``loopalg.bracket_sum`` also adds derivation terms, it multiplies its
-Gaussian entries inline instead.  The one
+Gaussian entries inline instead, with one product per commutator on the
+orthogonal and symplectic models (``loopalg``'s sigma path).  The one
 elimination is the Gauss-Jordan kernel ``row_reduce`` behind ``mat_inverse``;
 no model basis needs it (see ``models``).  ``cyc_sqrt`` builds the square
 root of a rational by stripping the primes of ``SQRT_PRIMES`` and from cached

@@ -7,9 +7,13 @@ a loop term, and a derivation coordinate that acts but never grows.
 ``bracket_sum`` sums brackets over pairs with one kernel call per output
 mode: at conductor 4 (every bracket-check) this module's Gaussian-integer
 sum, which also takes the derivation terms, and elsewhere
-``cyclo.mat_product_sum``.  ``bracket`` is one pair.  Sums, scalings, the
-derivation, the pairing, validation and the untwisting relabel run in
-integers; the coordinates z and t are ``Cyc`` scalars.
+``cyclo.mat_product_sum``.  ``bracket`` is one pair.  The orthogonal and
+symplectic models are fixed sets of P(x) = -Q x^T Q^-1 (the models'
+``_paired_table``); P(x y) = -P(y) P(x), so y x = -e e' P(x y) for P(x) = e x
+and P(y) = e' y, and a commutator takes one product on the sigma path:
+conductor 4 and B1, C1, D1, B2 (e = 1) or standard C2, BC2 (e = (-1)^n on
+mode n).  Sums, scalings, the derivation, the pairing, validation and the
+untwisting relabel run in integers; z and t are ``Cyc`` scalars.
 """
 
 from __future__ import annotations
@@ -156,13 +160,16 @@ def _weighted_trace(L: int, shift: int, w: list[int], x: ModeMatrix, y: ModeMatr
     return Cyc(L, acc, x.den * y.den)
 
 
-def _gaussian_sum(n: int, m: int, products, weighted=(), shift: int = 0, w=()) -> ModeMatrix:
+def _gaussian_sum(n: int, m: int, products, weighted=(), shift: int = 0, w=(), fold=None) -> ModeMatrix:
     """An n x m sum at conductor 4, where every entry is a Gaussian integer (re, im) over a denominator.
 
-    It adds s A B for each product (s, A, B) with an integer s, and, for each
-    weighted term (s, c, X), s times ``_weighted``'s c (shift + w_r - w_c) X_rc
-    at each entry (r, c) of X.  One accumulator of (re, im) integer pairs per
-    entry holds every term over the lcm D of the terms' denominators, each
+    It adds s A B for each product (s, A, B) with an integer s.  A fold
+    (orbits, s) then turns that sum T into T + s P(T) in place, where P moves
+    (a, b) to (i, j) times t and back for each (a, b, i, j, t) in
+    ``StandardModel._paired_orbits``.  Then it adds, for each weighted term
+    (s, c, X), s times ``_weighted``'s c (shift + w_r - w_c) X_rc at each entry
+    (r, c) of X.  One accumulator of (re, im) integer pairs per entry holds
+    every term over the lcm D of the terms' denominators, each
     entry product multiplied inline (Phi_4 = x^2 + 1, so nothing is left to
     reduce), and the sum is one canonical ``ModeMatrix``.  At phi = 2 the
     generic schoolbook of ``mat_product_sum``, with its coefficient lists and
@@ -179,6 +186,12 @@ def _gaussian_sum(n: int, m: int, products, weighted=(), shift: int = 0, w=()) -
                 for k, (b0, b1) in brows[j].items():
                     racc[k] += a0 * b0 - a1 * b1
                     iacc[k] += a0 * b1 + a1 * b0
+    if fold:
+        orbits, s = fold
+        for acc in (re, im):
+            for a, b, i, j, t in orbits:
+                x, y = acc[a][b], acc[i][j]
+                acc[a][b], acc[i][j] = (x + y, x + y) if t == s else (x - y, y - x)
     for s, c, x in weighted:
         f = s * (den // (c.den * x.den))
         g0, g1 = f * c.num[0], f * c.num[1]
@@ -194,6 +207,17 @@ def _gaussian_sum(n: int, m: int, products, weighted=(), shift: int = 0, w=()) -
     return ModeMatrix(4, m, den, rows)
 
 
+def _check_sigma(table, n: int, x: ModeMatrix, s: int) -> None:
+    """Refuse the mode-n matrix x at conductor 4 unless P(x) = s x for the signed permutation P in ``table``."""
+    rows = x.rows
+    for row, trow in zip(rows, table):
+        for col, (x0, x1) in row.items():
+            i, j, t = trow[col]
+            y = rows[i].get(j)
+            if y is None or (y[0] != x0 or y[1] != x1 if t == s else y[0] != -x0 or y[1] != -x1):
+                raise ValueError(f"mode {n} matrix is not fixed by the model's anti-automorphism with sign {s}")
+
+
 def apply_derivation(spec: AffinisationSpec, nu: Functional, a: DoubleExtElement) -> DoubleExtElement:
     """The diagonal derivation: i(n/N + nu(weight sharp)) on each weight component."""
     L = a.z.L
@@ -206,45 +230,53 @@ def bracket_sum(spec: AffinisationSpec, pairs) -> DoubleExtElement:
     """Exact sum of the brackets [a, b] of the double extension over a sequence of pairs (a, b).
 
     [a, b] = (kappa(D a, b), sum of [a_n, b_m] at mode n + m + a.t D b - b.t D a, 0)
-    for the slant derivation D.  Each output mode collects every pair's signed
+    for the slant derivation D.  Each output mode k collects every pair's signed
     commutator products (1, x, y), (-1, y, x) and derivation terms
     (1, a.t i / Q, b_n), (-1, b.t i / Q, a_n) (``_weighted``): at conductor 4
     one ``_gaussian_sum`` call takes them all; elsewhere one
     ``mat_product_sum`` call takes the products and the derivation matrices
-    are added.  The cocycle takes tr(D(a_n) b_-n) for each mode n of a that
-    meets -n in b from the entries (``_weighted_trace``), never building
-    D(a_n).  Every ``ModeMatrix`` and ``Cyc`` is canonical, so the result
-    equals the sum of the pairs' own brackets.
+    are added.  On the sigma path (module docstring) mode k collects only the
+    products (1, x, y), whose sum T_k ``_gaussian_sum`` folds into
+    T_k + s_k P(T_k) for s_k = e on mode k; an input x at mode n with
+    P(x) != s_n x raises ValueError naming n.  The cocycle takes tr(D(a_n) b_-n)
+    for each mode n of a that meets -n in b from the entries
+    (``_weighted_trace``), never building D(a_n).  Every ``ModeMatrix`` and
+    ``Cyc`` is canonical, so the result equals the sum of the pairs' own brackets.
     """
     L = pairs[0][0].z.L
     if any(x.z.L != L for pair in pairs for x in pair):
         raise ValueError("conductor mismatch between elements")
-    nu = spec.slant
+    nu, model = spec.slant, _model_of(spec)
     iq, w = _slant_weights(spec, nu, L)
+    kind = model.kind  # the sigma path (module docstring): s_n = (-1)^n when odd, else 1
+    sigma = L == 4 and bool(kind.involution or kind.twist in ("exchange", "symplectic") and spec.is_standard())
+    odd = sigma and not kind.involution
     z, by_mode = Cyc.zero(L), {}  # output mode -> (signed products, signed derivation terms)
     for a, b in pairs:
+        if sigma:
+            for n, x in (*a.loop.terms, *b.loop.terms):
+                _check_sigma(model._paired_table, n, x, -1 if odd and n % 2 else 1)
         opposite = dict(b.loop.terms)
         for n, x in a.loop.terms:
             if -n in opposite:  # the cocycle pairs D(a_n) with b_-n: z collects tr(D(a_n) b_-n) / (i / Q)
                 z = z + _weighted_trace(L, n * nu.den, w, x, opposite[-n])
             for n2, y in b.loop.terms:
-                by_mode.setdefault(n + n2, ([], []))[0].extend(((1, x, y), (-1, y, x)))
+                by_mode.setdefault(n + n2, ([], []))[0].extend(((1, x, y),) if sigma else ((1, x, y), (-1, y, x)))
         for s, t, x in ((1, a.t, b), (-1, b.t, a)):  # a.t D b - b.t D a
             if t:
                 c = t * iq
                 for n, m in x.loop.terms:
                     by_mode.setdefault(n, ([], []))[1].append((s, c, m))
-    if L == 4:
-        loop = [
-            (k, _gaussian_sum(len(w), len(w), prods, terms, k * nu.den, w)) for k, (prods, terms) in by_mode.items()
-        ]
-    else:
-        loop = []
-        for k, (prods, terms) in by_mode.items():
+    loop = []
+    for k, (prods, terms) in by_mode.items():
+        if L == 4:
+            fold = (model._paired_orbits, -1 if odd and k % 2 else 1) if sigma else None
+            loop.append((k, _gaussian_sum(len(w), len(w), prods, terms, k * nu.den, w, fold)))
+        else:
             parts = [_weighted(L, k * nu.den, w, m, c if s == 1 else -c) for s, c, m in terms]
             total = mat_product_sum(prods) if prods else parts.pop()
             loop.append((k, sum(parts, total)))
-    z = z * iq * Cyc.rational(L, -_model_of(spec).form_scale)  # B(x, y) = -scale tr(x y)
+    z = z * iq * Cyc.rational(L, -model.form_scale)  # B(x, y) = -scale tr(x y)
     return DoubleExtElement(z, LoopElement(tuple(loop)), Cyc.zero(L))
 
 

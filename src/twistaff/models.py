@@ -109,6 +109,12 @@ class StandardModel:
         return tuple(tuple((pair[j], pair[i], -sign[i] * sign[j]) for j in d) for i in d)
 
     @cached_property
+    def _paired_orbits(self) -> tuple:
+        """Each orbit {(a, b), (i, j)} of ``_paired_table`` once, as (a, b, *table[a][b]) with (a, b) <= (i, j)."""
+        d, table = range(self.dim), self._paired_table
+        return tuple((a, b, *table[a][b]) for a in d for b in d if (a, b) <= table[a][b][:2])
+
+    @cached_property
     def _flip_table(self) -> tuple:
         """Conjugation by the reflection F that negates the second zero vector, as a signed permutation."""
         flip, d = self.weights.index(0) + 1, range(self.dim)

@@ -192,22 +192,23 @@ def random_loop_element(rng: random.Random, spec, L: int, max_mode: int = 2):
     from .loopalg import DoubleExtElement, LoopElement
     from .models import standard_model
 
-    model = standard_model(spec.lars, spec.base.rank)
-    out = DoubleExtElement(
-        Cyc.rational(L, rng.randint(-1, 1)), LoopElement(()), Cyc.rational(L, rng.randint(-1, 1))
-    )
-    i, one = Cyc.i(L).num, Cyc.one(L).num
+    model, random, choice = standard_model(spec.lars, spec.base.rank), rng.random, rng.choice
+    z, t = Cyc.rational(L, rng.randint(-1, 1)), Cyc.rational(L, rng.randint(-1, 1))
+    units = {(c, u): tuple(c * x for x in (Cyc.i(L) if u else Cyc.one(L)).num) for c in (1, -1) for u in (True, False)}
+    modes = {}
     for _ in range(2):
         n = rng.randint(-max_mode, max_mode)
         rows = [{} for _ in range(model.dim)]
         for row in rows:
             for j in range(model.dim):
-                if rng.random() < LOOP_DENSITY:
-                    c = rng.choice((0, 1, -1))
-                    row[j] = tuple(c * x for x in (i if rng.random() < 0.3 else one))
-        mm = model.mode_project(model.algebra_project(ModeMatrix(L, model.dim, 1, rows)), n)
-        out = out + DoubleExtElement.from_loop(L, n, mm)
-    return out
+                if random() < LOOP_DENSITY:
+                    c = choice((0, 1, -1))
+                    u = random() < 0.3  # drawn for c = 0 too, so the stream of draws stays the same
+                    if c:
+                        row[j] = units[c, u]
+        mm = model.mode_project(model.algebra_project(ModeMatrix(L, model.dim, 1, rows, canonical=True)), n)
+        modes[n] = modes[n] + mm if n in modes else mm
+    return DoubleExtElement(z, LoopElement(tuple(modes.items())), t)
 
 
 def random_twisted_element(rng: random.Random, cert):

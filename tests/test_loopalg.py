@@ -134,23 +134,60 @@ def test_bracket_sum_is_the_sum_of_its_brackets(kind):
                 assert bracket_sum(spec, pairs) == want
 
 
-def _bracket_check(tmp_path, monkeypatch):
-    """The bracket-check report of four seeded C2 rank-3 trials, with the exit code."""
+def _bracket_check(tmp_path, monkeypatch, kind="C2"):
+    """The bracket-check report of four seeded rank-3 trials of a kind, with the exit code."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "spec.json").write_text(json.dumps(standard_spec("C2", 3).to_json()))
+    (tmp_path / "spec.json").write_text(json.dumps(standard_spec(kind, 3).to_json()))
     argv = ["bracket-check", "--input", "spec.json", "--seed", "1", "--count", "4", "--output", "out.json"]
     return main(argv), json.loads((tmp_path / "out.json").read_text())
 
 
 def test_bracket_check_fails_a_bracket_without_its_commutator_half(tmp_path, monkeypatch):
-    # every (-1, y, x) product dropped: the loop part becomes the associative product x y
+    # A1 keeps both products; every (-1, y, x) dropped, the loop part becomes the associative product x y
     kernel = loopalg._gaussian_sum
     monkeypatch.setattr(
         loopalg, "_gaussian_sum", lambda n, m, prods, *rest: kernel(n, m, [p for p in prods if p[0] == 1], *rest)
     )
-    code, doc = _bracket_check(tmp_path, monkeypatch)
+    code, doc = _bracket_check(tmp_path, monkeypatch, "A1")
     assert code == 1
     assert doc["passed_counts"]["jacobi"] < doc["trials"] == 4
+
+
+#: sigma-path mutations of ``_gaussian_sum``'s fold on C2, whose s_k is (-1)^k
+SIGMA_MUTATIONS = {
+    "fold_skipped": lambda fold: None,  # the loop part is the associative product x y
+    "even_sign_on_odd_modes": lambda fold: (fold[0], 1),  # s_k = 1, the involution kinds' rule, on odd k too
+}
+
+
+def _mutate_fold(monkeypatch, mutation):
+    kernel, mutate = loopalg._gaussian_sum, SIGMA_MUTATIONS[mutation]
+    monkeypatch.setattr(
+        loopalg,
+        "_gaussian_sum",
+        lambda n, m, prods, terms, shift, w, fold: kernel(n, m, prods, terms, shift, w, mutate(fold)),
+    )
+
+
+@pytest.mark.parametrize("mutation", SIGMA_MUTATIONS)
+def test_bracket_check_fails_a_sigma_bracket_with_a_wrong_fold(tmp_path, monkeypatch, mutation):
+    # without the input refusal, the mutated bracket fails the algebraic checks themselves
+    _mutate_fold(monkeypatch, mutation)
+    monkeypatch.setattr(loopalg, "_check_sigma", lambda *args: None)
+    code, doc = _bracket_check(tmp_path, monkeypatch)
+    counts = doc["passed_counts"]
+    assert code == 1
+    assert min(counts["jacobi"], counts["antisymmetry"]) < doc["trials"] == 4
+
+
+@pytest.mark.parametrize("mutation", SIGMA_MUTATIONS)
+def test_bracket_check_refuses_a_sigma_bracket_with_a_wrong_fold(tmp_path, monkeypatch, capsys, mutation):
+    # the mutated [b, c] is not sigma-fixed with its mode's sign, so the Jacobi sum refuses it: a program fault
+    _mutate_fold(monkeypatch, mutation)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(standard_spec("C2", 3).to_json()))
+    assert main(["bracket-check", "--input", "spec.json", "--seed", "1", "--count", "4"]) == 3
+    assert "is not fixed by the model's anti-automorphism" in capsys.readouterr().err
 
 
 def test_bracket_check_fails_a_bracket_without_its_a_t_derivation_term(tmp_path, monkeypatch):

@@ -30,11 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistaff.affine import LARS_KINDS, standard_spec
+from twistaff import loopalg
+from twistaff.affine import LARS_KINDS, AffinisationSpec, standard_spec
 from twistaff.cyclo import Cyc, ModeMatrix, conductor_degree, mat_mul, mat_product_sum
-from twistaff.loopalg import DoubleExtElement, LoopElement, _gaussian_sum, bracket
+from twistaff.loopalg import DoubleExtElement, LoopElement, _gaussian_sum, bracket, bracket_sum
 from twistaff.models import standard_model
-from twistaff.rootdata import Functional
+from twistaff.rootdata import Functional, RootSystem
 
 CONDUCTORS = (4, 8, 12, 16, 24, 40)
 DENOMINATORS = (1, 2, 3, 4, 6)
@@ -368,3 +369,114 @@ def test_bracket_is_the_sum_of_mode_pair_commutators(operands):
     assert [n for n, _ in got.loop.terms] == [n for n, _ in want.loop.terms]
     for (_, x), (_, y) in zip(got.loop.terms, want.loop.terms):
         assert exact(x) == exact(y)
+
+
+#: the kinds whose conductor-4 brackets take one product per commutator (``loopalg`` module docstring)
+SIGMA_KINDS = ("B1", "C1", "D1", "B2", "C2", "BC2")
+
+
+def as_element(L, plain):
+    z, modes, t = plain
+    return DoubleExtElement(z, LoopElement(tuple((n, ModeMatrix.from_rows(L, m)) for n, m in modes.items())), t)
+
+
+def reference_bracket_sum(spec, L, pairs):
+    """The sum of ``reference_bracket`` over pairs of plain elements, as a plain element with t = 0."""
+    z, modes = Cyc.zero(L), {}
+    for a, b in pairs:
+        got = reference_bracket(spec, L, a, b)
+        z = z + got.z
+        for n, m in got.loop.terms:
+            modes[n] = ref_add(modes[n], m) if n in modes else m
+    return z, {n: m for n, m in sorted(modes.items()) if any(v for row in m for v in row)}, Cyc.zero(L)
+
+
+def assert_plain_equal(got, want):
+    z, modes, _ = want
+    assert (got.z.num, got.z.den) == (z.num, z.den)
+    assert got.t.is_zero()
+    assert [n for n, _ in got.loop.terms] == list(modes)
+    for (_, x), y in zip(got.loop.terms, modes.values()):
+        assert exact(x) == exact(y)
+
+
+@st.composite
+def sigma_triples(draw):
+    """A sigma kind's standard spec with a slant, and three plain elements at conductor 4."""
+    kind = draw(st.sampled_from(SIGMA_KINDS))
+    nu = Functional({1: Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3))))})
+    spec = standard_spec(kind, draw(st.integers(2, 4)), nu=nu)
+    return spec, [plain_loop_element(draw, spec, 4) for _ in range(3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(sigma_triples())
+def test_sigma_bracket_sums_match_the_reference(case):
+    # one product per commutator, folded by T + s_k P(T), against two products per entry in Cyc arithmetic
+    spec, (a, b, c) = case
+    inner = [reference_bracket_sum(spec, 4, (pair,)) for pair in ((b, c), (c, a), (a, b))]
+    for pairs in (((a, b), (b, c), (c, a), (a, a)), tuple(zip((a, b, c), inner))):
+        got = bracket_sum(spec, tuple((as_element(4, x), as_element(4, y)) for x, y in pairs))
+        assert_plain_equal(got, reference_bracket_sum(spec, 4, pairs))
+    jacobi = bracket_sum(spec, tuple((as_element(4, x), as_element(4, y)) for x, y in zip((a, b, c), inner)))
+    assert jacobi.is_zero()
+
+
+@pytest.mark.parametrize("kind", SIGMA_KINDS)
+@pytest.mark.parametrize("mode", (0, 1))
+def test_sigma_bracket_refuses_a_mode_matrix_off_its_sign(kind, mode):
+    spec, model = standard_spec(kind, 3), standard_model(kind, 3)
+    unit = DoubleExtElement.from_loop(4, mode, model.basis_matrix(4, 0, 1))
+    fixed = DoubleExtElement.from_loop(4, 0, model.cartan_matrix(1, 4))
+    for pair in ((unit, fixed), (fixed, unit)):
+        with pytest.raises(ValueError, match=f"mode {mode} matrix is not fixed"):
+            bracket(spec, *pair)
+    # the full matrix algebra of A1 has no anti-automorphism to check
+    a1 = standard_model("A1", 3).basis_matrix(4, 0, 1)
+    bracket(standard_spec("A1", 3), *(DoubleExtElement.from_loop(4, mode, a1),) * 2)
+
+
+@st.composite
+def nonstandard_c2_pairs(draw):
+    """A C2 spec of twist order 4 and two plain elements whose mode-n parts lie in psi~'s (-1)^(n+1) eigenspace."""
+    spec = AffinisationSpec(RootSystem("C", draw(st.integers(2, 3))), "C2", twist_order=4)
+    model = standard_model("C2", spec.base.rank)
+    pair = []
+    for _ in range(2):
+        modes = {}
+        for n in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True)):
+            raw = ModeMatrix.from_rows(4, draw(matrices(4, model.dim, model.dim)))
+            modes[n] = model.mode_project(raw, n + 1).to_rows()
+        pair.append((Cyc.zero(4), modes, Cyc.rational(4, draw(st.sampled_from((0, 1, -1))))))
+    return spec, pair
+
+
+@settings(max_examples=20, deadline=None)
+@given(nonstandard_c2_pairs())
+def test_nonstandard_c2_bracket_keeps_two_products(case):
+    # the (-1)^n rule is false here, so the sigma path would refuse these elements or fold them wrongly
+    spec, (a, b) = case
+    assert_plain_equal(bracket(spec, as_element(4, a), as_element(4, b)), reference_bracket_sum(spec, 4, ((a, b),)))
+
+
+@pytest.mark.parametrize(
+    "kind, nonstandard, per_commutator",
+    [(kind, False, 1) for kind in SIGMA_KINDS] + [("A1", False, 2), ("C2", True, 2), ("BC2", True, 2)],
+)
+def test_products_handed_to_the_gaussian_kernel(monkeypatch, kind, nonstandard, per_commutator):
+    spec = standard_spec(kind, 3)
+    if nonstandard:
+        spec = AffinisationSpec(spec.base, kind, twist_order=4)
+    model, kernel, seen = standard_model(kind, 3), loopalg._gaussian_sum, []
+
+    def counting(n, m, prods, terms, shift, w, fold):
+        seen.append((len(prods), fold is not None))
+        return kernel(n, m, prods, terms, shift, w, fold)
+
+    monkeypatch.setattr(loopalg, "_gaussian_sum", counting)
+    # a two-mode element against a one-mode one: two output modes of one commutator each
+    x, y = model.cartan_matrix(1, 4), model.cartan_matrix(2, 4)
+    a = DoubleExtElement(Cyc.zero(4), LoopElement(((0, x), (2, y))), Cyc.zero(4))
+    b = DoubleExtElement.from_loop(4, 2, x)
+    bracket(spec, a, b)
+    assert sorted(seen) == [(per_commutator, per_commutator == 1)] * 2
