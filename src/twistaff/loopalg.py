@@ -215,7 +215,7 @@ def _check_sigma(table, n: int, x: ModeMatrix, s: int) -> None:
             i, j, t = trow[col]
             y = rows[i].get(j)
             if y is None or (y[0] != x0 or y[1] != x1 if t == s else y[0] != -x0 or y[1] != -x1):
-                raise ValueError(f"mode {n} matrix is not fixed by the model's anti-automorphism with sign {s}")
+                raise ValueError(f"mode {n} matrix x is not {s} x under the model's involution -Q x^T Q^-1")
 
 
 def apply_derivation(spec: AffinisationSpec, nu: Functional, a: DoubleExtElement) -> DoubleExtElement:

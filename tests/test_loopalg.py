@@ -187,7 +187,7 @@ def test_bracket_check_refuses_a_sigma_bracket_with_a_wrong_fold(tmp_path, monke
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.json").write_text(json.dumps(standard_spec("C2", 3).to_json()))
     assert main(["bracket-check", "--input", "spec.json", "--seed", "1", "--count", "4"]) == 3
-    assert "is not fixed by the model's anti-automorphism" in capsys.readouterr().err
+    assert "under the model's involution -Q x^T Q^-1" in capsys.readouterr().err
 
 
 def test_bracket_check_fails_a_bracket_without_its_a_t_derivation_term(tmp_path, monkeypatch):
