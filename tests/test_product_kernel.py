@@ -360,15 +360,17 @@ def reference_bracket(spec, L, a, b):
     return SimpleNamespace(z=z, loop=SimpleNamespace(terms=terms))
 
 
+def as_element(L, plain):
+    z, modes, t = plain
+    return DoubleExtElement(z, LoopElement(tuple((n, ModeMatrix.from_rows(L, m)) for n, m in modes.items())), t)
+
+
 @settings(max_examples=40, deadline=None)
 @given(bracket_operands())
 def test_bracket_is_the_sum_of_mode_pair_commutators(operands):
     spec, L, plain_a, plain_b = operands
-    a, b = (
-        DoubleExtElement(z, LoopElement(tuple((n, ModeMatrix.from_rows(L, m)) for n, m in modes.items())), t)
-        for z, modes, t in (plain_a, plain_b)
-    )
-    got, want = bracket(spec, a, b), reference_bracket(spec, L, plain_a, plain_b)
+    got = bracket(spec, as_element(L, plain_a), as_element(L, plain_b))
+    want = reference_bracket(spec, L, plain_a, plain_b)
     assert (got.z.num, got.z.den) == (want.z.num, want.z.den)
     assert got.t.is_zero()
     assert [n for n, _ in got.loop.terms] == [n for n, _ in want.loop.terms]
@@ -378,11 +380,6 @@ def test_bracket_is_the_sum_of_mode_pair_commutators(operands):
 
 #: the kinds whose conductor-4 brackets take one product per commutator (``loopalg`` module docstring)
 SIGMA_KINDS = ("B1", "C1", "D1", "B2", "C2", "BC2")
-
-
-def as_element(L, plain):
-    z, modes, t = plain
-    return DoubleExtElement(z, LoopElement(tuple((n, ModeMatrix.from_rows(L, m)) for n, m in modes.items())), t)
 
 
 def reference_bracket_sum(spec, L, pairs):
