@@ -24,9 +24,10 @@ refuses one above ``MAX_CONDUCTOR``, and a conjugation block that needs the
 square root of a rational q missing from the field raises ``_Enlarge``
 (``_sqrt``) with the ``sqrt_conductor`` that adjoins the root of |q|;
 ``_antilinear_blocks`` restarts the walk on its operator lifted to that
-conductor.  The walk takes each step once and does not re-test what its
-construction fixes; the certificate's exact reconstruction and column checks
-are its one check.
+conductor.  The R form reads its sign off the ranks before the walk
+(``_standardize_r``).  The walk takes each step once and does not re-test what
+its construction fixes; the certificate's exact reconstruction and column
+checks are its one check.
 
 A certificate also carries the twisted grading it induces: for each root,
 the residues m with a nonzero (a, m) root space and matching eigenvectors
@@ -380,7 +381,7 @@ class _Powers:
         return [_Eigenspace(k, r, cache(partial(column, shifts[k])), d) for k, r in ranks.items() if r]
 
 
-_ENLARGEMENT = f"an enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR} (only for positive rationals)"
+_ENLARGEMENT = f"an enlargement up to MAX_CONDUCTOR = {MAX_CONDUCTOR} (only for rationals)"
 
 
 class _Enlarge(Exception):
@@ -919,20 +920,19 @@ def _standardize_h(spec: OperatorSpec, powers: _Powers, n: int, m: int) -> Stand
     )
 
 
-def _standardize_r(spec: OperatorSpec, powers: _Powers, n: int, m: int, negated=False) -> StandardizationCertificate:
+def _standardize_r(spec: OperatorSpec, powers: _Powers, n: int, m: int) -> StandardizationCertificate:
+    """J = conj fixes a vector of a self-paired eigenspace exactly when tr(P_k) is odd, so the
+    walk runs once, on -u when only P_(m/2) has odd rank: B1 keeps the +1 eigenspace's fixed
+    vector.  (-u)^n = (-1)^n u^n, so an odd n flips the scalar +-1 and m = 2n becomes n."""
+    self_paired = powers.eigenspaces(working_conductor(spec.conductor, 4 * m), m, (0, m // 2)) if m % 2 == 0 else ()
+    negated = {s.k for s in self_paired if s.rank % 2} == {m // 2}
+    if negated:
+        spec = OperatorSpec(spec.field, False, spec.dim, -spec.matrix, spec.declared_order)
+        powers, m = powers.negated(), n if n % 2 else m
     identity = ModeMatrix.identity(working_conductor(spec.conductor, 4 * m), spec.dim)
     plus, minus, exps, norms, fixed, L = _antilinear_blocks(powers, m, identity)
     s_plus = fixed.get(0)
     s_minus = fixed.get(m // 2) if m % 2 == 0 else None
-    if s_plus is None and s_minus is not None:
-        if negated:
-            raise StandardizeError("sign normalization did not converge")
-        neg = -spec.matrix
-        # (-u)^n = (-1)^n u^n: an odd n flips the scalar +-1 and with it the order
-        m_neg = m if n % 2 == 0 else (2 * n if m == n else n)
-        neg_spec = OperatorSpec(spec.field, False, spec.dim, neg, spec.declared_order)
-        return _standardize_r(neg_spec, powers.negated(), n, m_neg, negated=True)
-
     zero_cols = [v for v in (s_plus, s_minus) if v is not None]
     partition = [("rotation_pairs", len(plus))]
     if s_plus is not None and s_minus is not None:

@@ -25,7 +25,7 @@ from .affine import AffinisationSpec, Weight, check_root_window, enumerate_affin
 from .autnorm import OperatorSpec, mode_class, standardize, verify_certificate
 from .energy import Character, character_of, min_energy, theorem_b_pipeline
 from .loopalg import apply_derivation, bracket, bracket_sum, kappa_form, phi_hat, validate_element
-from .rootdata import Functional, inner
+from .rootdata import Functional
 from .sampling import random_loop_element, random_twisted_element
 
 
@@ -133,21 +133,13 @@ def cmd_check_isom(args, obj):
         good = lhs == rhs
         ok_all &= good
         checks.append({"pair": trial, "bracket_preserved": good})
-    # Weyl coincidence on a window of matched reflections.  s_r(v) = v - r(v) r-check
-    # is linear in v, so s_src = s_dst exactly when the rank-one maps r (x) r-check
-    # agree; source and target roots share the finite part a != 0, so the scalar
-    # relating them is 1.  affine_coroot is a function of root_weight, so the
-    # reflections coincide exactly when the two root weights are equal.  Both have
-    # finite part f = a and lc = 0, so that is n / N_src + slant_src(f) = t / N_dst +
-    # slant_dst(f), or n N_dst - t N_src = (slant_dst(f) - slant_src(f)) N_src N_dst.
-    weyl_ok = True
-    n_src, n_dst = src.twist_order, dst.twist_order
-    for a in lars_finite_parts(cert.lars, cert.base):
-        f = a.functional()
-        gap = (inner(dst.slant, f) - inner(src.slant, f)) * n_src * n_dst
-        modes = [n for m in mode_class(cert, a) for n in (m, m + n_src, m - n_src)]
-        for n, t, _ in cert.image_modes(a, modes):
-            weyl_ok &= type(t) is int and n * n_dst - t * n_src == gap
+    # Weyl coincidence of matched reflections.  s_r(v) = v - r(v) r-check is linear in v, and
+    # source and target roots share the finite part a, so the reflections coincide exactly
+    # when the root weights do: n / N_src + nu(a) = t / N_dst + (mu + nu)(a).  Every t that
+    # image_mode returns satisfies that, and t moves by +-N_dst at n +- N_src, so the verdict
+    # is that every residue's image mode is an integer.
+    parts = lars_finite_parts(cert.lars, cert.base)
+    weyl_ok = all(type(t) is int for a in parts for _, t, _ in cert.image_modes(a, mode_class(cert, a)))
     ok_all &= weyl_ok
     body = {
         "certificate": _cert_summary(cert),

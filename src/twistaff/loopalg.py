@@ -12,8 +12,11 @@ symplectic models are fixed sets of P(x) = -Q x^T Q^-1 (the models'
 ``_paired_table``); P(x y) = -P(y) P(x), so y x = -e e' P(x y) for P(x) = e x
 and P(y) = e' y, and a commutator takes one product on the sigma path:
 conductor 4 and B1, C1, D1, B2 (e = 1) or standard C2, BC2 (e = (-1)^n on
-mode n).  Sums, scalings, the derivation, the pairing, validation and the
-untwisting relabel run in integers; z and t are ``Cyc`` scalars.
+mode n), where the model's ``check_fixed`` refuses an input off its sign.
+``validate_element`` runs the model's ``check_mode``: every mode-n matrix is
+fixed by the involution and in the standard twist's (-1)^n eigenspace.
+Sums, scalings, the derivation, the pairing, validation and the untwisting
+relabel run in integers; z and t are ``Cyc`` scalars.
 """
 
 from __future__ import annotations
@@ -98,13 +101,13 @@ class DoubleExtElement:
 
 
 def validate_element(spec: AffinisationSpec, a: DoubleExtElement) -> None:
-    """Check the mode-eigenspace invariant against the spec's standard twist."""
+    """Check that every mode-n matrix has the model's size and lies in the model algebra's
+    mode-n space: fixed by its involution, in the standard twist's (-1)^n eigenspace."""
     model = _model_of(spec)
     for n, m in a.loop.terms:
         if len(m.rows) != model.dim:
             raise ValueError(f"matrix dimension {len(m.rows)} does not match the model ({model.dim})")
-        if not model.in_mode(m, n):
-            raise ValueError(f"mode {n} matrix is not in the twist eigenspace")
+        model.check_mode(m, n)
 
 
 def loop_pairing(spec: AffinisationSpec, x: LoopElement, y: LoopElement, L: int) -> Cyc:
@@ -207,17 +210,6 @@ def _gaussian_sum(n: int, m: int, products, weighted=(), shift: int = 0, w=(), f
     return ModeMatrix(4, m, den, rows)
 
 
-def _check_sigma(table, n: int, x: ModeMatrix, s: int) -> None:
-    """Refuse the mode-n matrix x at conductor 4 unless P(x) = s x for the signed permutation P in ``table``."""
-    rows = x.rows
-    for row, trow in zip(rows, table):
-        for col, (x0, x1) in row.items():
-            i, j, t = trow[col]
-            y = rows[i].get(j)
-            if y is None or (y[0] != x0 or y[1] != x1 if t == s else y[0] != -x0 or y[1] != -x1):
-                raise ValueError(f"mode {n} matrix x is not {s} x under the model's involution -Q x^T Q^-1")
-
-
 def apply_derivation(spec: AffinisationSpec, nu: Functional, a: DoubleExtElement) -> DoubleExtElement:
     """The diagonal derivation: i(n/N + nu(weight sharp)) on each weight component."""
     L = a.z.L
@@ -255,7 +247,7 @@ def bracket_sum(spec: AffinisationSpec, pairs) -> DoubleExtElement:
     for a, b in pairs:
         if sigma:
             for n, x in (*a.loop.terms, *b.loop.terms):
-                _check_sigma(model._paired_table, n, x, -1 if odd and n % 2 else 1)
+                model.check_fixed(model._paired_table, n, x, -1 if odd and n % 2 else 1)
         opposite = dict(b.loop.terms)
         for n, x in a.loop.terms:
             if -n in opposite:  # the cocycle pairs D(a_n) with b_-n: z collects tr(D(a_n) b_-n) / (i / Q)

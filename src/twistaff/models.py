@@ -17,9 +17,10 @@ is scaled so that the E_j are orthonormal.  Every matrix is a
 No basis needs elimination.  tau and psi~ are signed permutations of the
 matrix entries (``ModeMatrix.permuted``), so the projection of a matrix unit
 is zero or +- the projection of the first unit of its orbit, and projections
-from different orbits have disjoint supports.  ``span_basis`` keeps one
-projection per orbit and ``Span.split`` reads psi~ on the basis as a signed
-permutation; each refuses input that is not of this form.
+from different orbits have disjoint supports.  A basis is one nonzero
+projected unit per orbit (``_orbit_units``), and ``Span.split`` reads psi~ on
+it as a signed permutation, refusing any other input.  ``check_mode`` tests a
+mode matrix against tau and psi~ on the same tables, entry by entry.
 """
 
 from __future__ import annotations
@@ -169,8 +170,30 @@ class StandardModel:
             return x
         return _half_sum(x, self._twist_table, 1 if n % 2 == 0 else -1)
 
-    def in_mode(self, x: ModeMatrix, n: int) -> bool:
-        return self.n_psi == 1 or self.psi_tilde(x) == (x if n % 2 == 0 else -x)
+    def check_fixed(self, table, n: int, x: ModeMatrix, s: int) -> None:
+        """Refuse the mode-n matrix x (ValueError naming n) unless P(x) = s x for the signed
+        permutation P in ``table`` (``_paired_table`` or ``_flip_table``), read entry by entry.
+
+        At conductor 4 (every bracket-check) an entry is a Gaussian pair (re, im),
+        whose negation is compared without a call."""
+        rows, gauss = x.rows, x.L == 4
+        for row, trow in zip(rows, table):
+            for col, num in row.items():
+                i, j, t = trow[col]
+                y = rows[i].get(j)
+                if y is None or (
+                    y != num if t == s else y[0] != -num[0] or y[1] != -num[1] if gauss else any(map(add, y, num))
+                ):
+                    what = "involution -Q x^T Q^-1" if table is self._paired_table else "flip F x F"
+                    raise ValueError(f"mode {n} matrix x is not {s} x under the model's {what}")
+
+    def check_mode(self, x: ModeMatrix, n: int) -> None:
+        """Refuse a mode-n matrix outside the model algebra's mode-n space (``check_fixed``):
+        tau(x) = x for the defining involution tau, psi~(x) = (-1)^n x for the standard twist."""
+        if self.kind.involution:
+            self.check_fixed(self._paired_table, n, x, 1)
+        if self._twist_table:
+            self.check_fixed(self._twist_table, n, x, -1 if n % 2 else 1)
 
     # -- structure map for the K=H / antiunitary families -----------------------
 
@@ -200,17 +223,18 @@ class StandardModel:
         return [(Root(w) if w else None, ModeMatrix(x.L, x.ncols, x.den, buckets[w])) for w in sorted(buckets)]
 
     @cached_property
-    def _unit_positions(self) -> dict:
-        """Weight (sparse eps-coordinates, () for zero) -> its matrix units' positions (i, j), row by row."""
-        index: dict[tuple, list] = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                index.setdefault(self.entry_weight(i, j), []).append((i, j))
+    def _orbit_units(self) -> dict:
+        """Weight (sparse eps-coordinates, () for zero) -> the first unit (a, b) of each orbit
+        of tau with a nonzero projection, row by row; for A1 each unit is an orbit of its own."""
+        d, index = range(self.dim), {}
+        orbits = self._paired_orbits if self.kind.involution else [(a, b, a, b, 1) for a in d for b in d]
+        for a, b, i, j, t in orbits:
+            if (a, b) != (i, j) or t == 1:  # a unit that tau negates projects to zero
+                index.setdefault(self.entry_weight(a, b), []).append((a, b))
         return index
 
-    def _weight_units(self, L: int, w: tuple):
-        """The matrix units of weight w (a root's coeffs, () for zero), row by row."""
-        return (self.basis_matrix(L, i, j) for i, j in self._unit_positions.get(w, ()))
+    def _projected_units(self, L: int, units) -> "Span":
+        return Span(self, [self.algebra_project(self.basis_matrix(L, a, b)) for a, b in units])
 
     @lru_cache(maxsize=None)
     def weight_space_basis(self, L: int, w: tuple) -> "Span":
@@ -219,13 +243,12 @@ class StandardModel:
         w is a root's coeffs, or () for the zero-weight space, which contains
         the Cartan's centralizer.
         """
-        return Span(self, span_basis(self.algebra_project(u) for u in self._weight_units(L, w)))
+        return self._projected_units(L, self._orbit_units.get(w, ()))
 
     @lru_cache(maxsize=None)
     def cartan_basis(self, L: int) -> "Span":
         """Basis of the Cartan: the projected diagonal matrix units, built once per L."""
-        d = range(self.dim)
-        return Span(self, span_basis(self.algebra_project(self.basis_matrix(L, i, i)) for i in d))
+        return self._projected_units(L, [(a, b) for a, b in self._orbit_units.get((), ()) if a == b])
 
 
 class Span(tuple):
@@ -291,29 +314,6 @@ def _half_sum(x: ModeMatrix, table, sign: int) -> ModeMatrix:
 def _positions(x: ModeMatrix) -> list[tuple[int, int]]:
     """The positions (i, j) of the nonzero entries of x, row by row."""
     return [(i, j) for i, row in enumerate(x.rows) for j in row]
-
-
-def span_basis(matrices) -> list[ModeMatrix]:
-    """A basis of the span of projections of matrix units under a signed-permutation group.
-
-    A nonzero matrix whose support meets no kept matrix's support is kept.  One
-    that meets a kept matrix's support must be +- that matrix and adds nothing;
-    anything else is not such a projection and raises ValueError, so the basis
-    is never a guess.
-    """
-    basis: list[ModeMatrix] = []
-    owner: dict[tuple[int, int], int] = {}
-    for v in matrices:
-        if not v:
-            continue
-        positions = _positions(v)
-        k = owner.get(positions[0])
-        if k is None and not any(p in owner for p in positions):
-            owner.update(dict.fromkeys(positions, len(basis)))
-            basis.append(v)
-        elif k is None or v not in (basis[k], -basis[k]):
-            raise ValueError("the matrices are not signed copies of each other on disjoint supports")
-    return basis
 
 
 @lru_cache(maxsize=None)

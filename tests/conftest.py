@@ -6,10 +6,17 @@ import sys
 
 import pytest
 
-#: a test still running after this long has hung: its stack is dumped and the run exits with 1
-HANG_LIMIT_S = 300
+#: a test that has used this much CPU time has hung: it fails, and the run goes on
+CPU_LIMIT_S = 300
+#: a test still running after this long has hung without burning CPU: its stack is dumped and the run exits with 1
+HANG_LIMIT_S = 900
 #: a duplicate of the stderr descriptor, which output capturing leaves alone
 _HANG_STDERR = pytest.StashKey[int]()
+
+
+class CPULimitExceeded(BaseException):
+    """Raised in a test past CPU_LIMIT_S; not an Exception, so that no ``except Exception``
+    in the code under test keeps it."""
 
 
 def pytest_configure(config):
@@ -22,12 +29,23 @@ def pytest_unconfigure(config):
 
 @pytest.fixture(autouse=True)
 def hang_limit(pytestconfig):
-    """End the whole run, with every thread's stack on stderr, when a test passes HANG_LIMIT_S.
+    """Fail a test inside itself when it passes CPU_LIMIT_S of CPU time, and end the whole run,
+    with every thread's stack on stderr, when it passes HANG_LIMIT_S of wall-clock time.
 
-    faulthandler's watchdog is a thread, so the SIGALRM of ``time_limit`` is untouched."""
+    The CPU limit is ITIMER_VIRTUAL's SIGVTALRM, whose handler raises where the test
+    runs; the wall-clock backstop is faulthandler's watchdog thread.  Neither touches
+    the SIGALRM of ``time_limit``."""
+
+    def expire(signum, frame):
+        raise CPULimitExceeded(f"past the {CPU_LIMIT_S} s CPU limit")
+
+    old = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, CPU_LIMIT_S)
     faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=pytestconfig.stash[_HANG_STDERR])
     yield
     faulthandler.cancel_dump_traceback_later()
+    signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+    signal.signal(signal.SIGVTALRM, old)
 
 
 @pytest.fixture

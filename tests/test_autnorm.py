@@ -358,7 +358,7 @@ def test_grading_is_computed_once_per_certificate_and_root(monkeypatch, tmp_path
         ("C_unitary", 1, 4, 3),
         ("H", 1, 4, 4),
         ("R", 1, 5, 3),
-        ("R", 0, 5, 2),  # B1 after the sign retry
+        ("R", 0, 5, 2),  # B1 on the negated operator
         ("C_antiunitary", 1, 5, 4),  # BC2
         ("C_antiunitary", 2, 4, 6),  # C2
         ("C_unitary", 0, 4, 2),  # rephased
@@ -612,12 +612,10 @@ def test_phi_tilde_inverse_is_a_phase_times_psi_tilde(kind):
     "seed, dim, hint", [(0, 4, 2), (0, 6, 4), (0, 5, 3), (1, 5, 3)]  # C2, C2, BC2, BC2
 )
 def test_cartan_pieces_are_an_eigenbasis_of_the_cartan(seed, dim, hint):
-    from twistaff.models import span_basis
-
     cert = standardize(random_operator(random.Random(seed), "C_antiunitary", dim, order_hint=hint))
     model = cert.model
     L = cert.conductor
-    cartan = span_basis(model.algebra_project(model.basis_matrix(L, i, i)) for i in range(model.dim))
+    cartan = elimination.span_basis(model.algebra_project(model.basis_matrix(L, i, i)) for i in range(model.dim))
     pieces = [v for _, v in cartan_mode_vectors(cert)]
     assert len(pieces) == len(cartan)
     # the pieces mix the orbits of the projected units, so independence is read by elimination
@@ -740,7 +738,7 @@ def test_an_isotropic_refusal_keeps_its_message():
     assert str(refused.value) == (
         "cannot complete the block normal form exactly: no reachable isotropic vectors or "
         "fixed-vector pairings in the working cyclotomic field or an enlargement up to "
-        "MAX_CONDUCTOR = 480 (only for positive rationals)"
+        "MAX_CONDUCTOR = 480 (only for rationals)"
     )
 
 
@@ -823,7 +821,7 @@ def test_a_negative_rational_asks_for_the_root_of_its_absolute_value():
 
 def _lift_reference(spec, L, negated=False):
     """The finite-order linear map whose eigenspaces the walk reads, at conductor L, built
-    without the power walk's phases: the lifted operator (negated for the R sign retry), or
+    without the power walk's phases: the lifted operator (negated when the R sign negates it), or
     u conj(u) for an antiunitary u."""
     if spec.antiunitary:
         u = spec.matrix.lift(L)
@@ -888,17 +886,48 @@ def test_walks_read_kernel_projectors_and_stop_at_their_rank(monkeypatch, operat
     cert = standardize(spec)
     assert verify_certificate(spec, cert).all_passed
     if operator == "enlarging":
-        assert cert.conductor == 40 and [L for _, L, *_ in readings] == [8, 40]  # the walk restarted at 40
+        # the R sign's reading of k = 0 and 1, then the walk, restarted at 40
+        assert cert.conductor == 40
+        assert [(L, e) for _, L, _, e, _ in readings] == [(8, (0, 1)), (8, range(2)), (40, range(2))]
     assert readings and walks
     first = readings[0][0]
     for powers, L, m, exponents, out in readings:
-        a = _lift_reference(spec, L, negated=powers != first)  # the R sign retry reads -a
+        a = _lift_reference(spec, L, negated=powers != first)  # the walk of a negated R operator reads -a
         _check_eigenspaces(out, a, m, exponents)
         full = [spectral.projector(s) for s in real_spaces(powers, L, m, range(m))]
         assert all(p @ p == p for p in full)
         assert sum(full[1:], full[0]) == identity(L, len(a.rows))
     for rank, placed, eliminated in walks:
         assert rank == placed == eliminated
+
+
+def test_each_r_standardization_walks_once(monkeypatch):
+    """The R sign is read off the ranks of the self-paired eigenspaces before the walk, so every
+    R standardization, negated or not, runs ``_antilinear_blocks`` once; a restart after an
+    enlargement is part of that one walk."""
+    from twistaff import autnorm
+
+    real, depth, walks = autnorm._antilinear_blocks, [], []
+
+    def counting(*args):
+        walks.append(not depth)
+        depth.append(None)
+        try:
+            return real(*args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(autnorm, "_antilinear_blocks", counting)
+    specs = [_enlarging_r_operator()]
+    specs += [random_operator(random.Random(seed), "R", dim, order_hint=hint)
+              for seed in range(6) for dim in (4, 5) for hint in (2, 3, 4, 6)]
+    seen = set()
+    for spec in specs:
+        walks.clear()
+        cert = standardize(spec)
+        assert sum(walks) == 1, (spec.dim, cert.negated)
+        seen.add((cert.negated, len(walks) > 1))
+    assert seen >= {(True, False), (False, True)}  # a negated operator, and a restarted walk
 
 
 def _rephased_c_unitary():
@@ -911,7 +940,7 @@ def _rephased_c_unitary():
 
 
 def _lift_eigenspaces(spec, negated=False, L=None):
-    """Check the eigenspaces of the lift (of its negation, for the R sign retry) at L, by
+    """Check the eigenspaces of the lift (of its negation, for a negated R operator) at L, by
     default the least conductor holding the 4m-th roots of unity, over every exponent, against
     the references; return the lift's (lifted spec, powers, order)."""
     lifted, _, m, powers = _lift_with_orders(spec)

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import dataclasses
 import json
@@ -20,7 +21,6 @@ from twistaff.affine import (
 from twistaff.autnorm import (
     MAX_DIM,
     OperatorSpec,
-    StandardizationCertificate,
     StandardizeError,
     mode_class,
     standardize,
@@ -29,8 +29,8 @@ from twistaff.autnorm import (
 from twistaff.cli import main
 from twistaff.cyclo import MAX_CONDUCTOR, Cyc, ModeMatrix, conductor_degree
 from twistaff.jsonio import cyc_from_json, mat_to_json
-from twistaff.rootdata import MAX_RANK, CartanVector, Functional
-from twistaff.sampling import random_operator
+from twistaff.rootdata import MAX_RANK, CartanVector, Functional, inner
+from twistaff.sampling import random_functional, random_operator
 from twistaff.weyl import reflect_affine
 
 
@@ -110,34 +110,63 @@ def reflections_coincide(cert, nu):
 
 
 def test_check_isom_weyl_verdict_matches_the_reflection_reference(tmp_path, monkeypatch):
-    """check-isom compares root weights; on shifted certificates it must agree with the reflections.
+    """check-isom reads integrality; on shifted certificates it must agree with the reflections.
 
-    A shift of mu moves the target modes (a fractional one makes some of them
-    non-integral); a shift of the target's nu alone moves the target weights
-    while every mode stays integral.
+    A shift of mu moves the target modes, and a fractional one makes some of
+    them non-integral.
     """
     nu = Functional({1: Q(1, 3)})
-    target_spec = StandardizationCertificate.target_spec
     verdicts = []
-    for seed, family, dim in ((1, "C_unitary", 3), (2, "H", 4), (3, "R", 4), (4, "C_antiunitary", 4)):
-        spec = random_operator(Random(seed), family, dim, order_hint=3)
-        cert = standardize(spec)
-        req = tmp_path / f"ci{seed}.json"
+    for spec, shifted in shifted_certificates():
+        monkeypatch.setattr(cli, "standardize", lambda _spec, c=shifted: c)
+        req, out = tmp_path / "ci.json", tmp_path / "ci_out.json"
         req.write_text(json.dumps({"operator": spec.to_json(), "nu": nu.to_json()}))
-        for mu_shift, nu_shift in ((0, 0), (1, 0), (Q(1, 2), 0), (Q(1, 4), 0), (0, Q(1, 2))):
-            shifted = dataclasses.replace(cert, mu=cert.mu + Functional({1: mu_shift}))
-            monkeypatch.setattr(cli, "standardize", lambda _spec, c=shifted: c)
-            monkeypatch.setattr(
-                StandardizationCertificate,
-                "target_spec",
-                lambda c, v=None, d=Functional({2: nu_shift}): target_spec(c, v + d),
-            )
-            out = tmp_path / "ci_out.json"
-            code = main(["check-isom", "--input", str(req), "--count", "0", "--output", str(out)])
-            doc = json.loads(out.read_text())
-            want = reflections_coincide(shifted, nu)
-            assert doc["weyl_reflections_coincide"] == want == (code == 0), (family, mu_shift, nu_shift)
-            verdicts.append(want)
+        code = main(["check-isom", "--input", str(req), "--count", "0", "--output", str(out)])
+        doc = json.loads(out.read_text())
+        want = reflections_coincide(shifted, nu)
+        assert doc["weyl_reflections_coincide"] == want == (code == 0), (shifted.family, shifted.mu)
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def slant_gap_verdict(cert, nu):
+    """The reference Weyl verdict from the root weights of matched pairs on a window.
+
+    The reflections of (a, n) and (a, t) coincide when their root weights do:
+    n / N_src + slant_src(a) = t / N_dst + slant_dst(a), that is
+    n N_dst - t N_src = (slant_dst(a) - slant_src(a)) N_src N_dst.
+    """
+    src, dst = cert.source_spec(nu), cert.target_spec(nu)
+    n_src, n_dst = src.twist_order, dst.twist_order
+    ok = True
+    for a in lars_finite_parts(cert.lars, cert.base):
+        f = a.functional()
+        gap = (inner(dst.slant, f) - inner(src.slant, f)) * n_src * n_dst
+        modes = [n for m in mode_class(cert, a) for n in (m, m + n_src, m - n_src)]
+        for n, t, _ in cert.image_modes(a, modes):
+            ok &= type(t) is int and n * n_dst - t * n_src == gap
+    return ok
+
+
+def test_check_isom_weyl_verdict_matches_the_slant_gap_reference(monkeypatch):
+    """check-isom's integrality verdict equals the slant-gap loop on certificates of all four
+    families with mu shifted on a random coordinate and a random nu, false verdicts included."""
+    rng = Random("slant-gap")
+    verdicts = []
+    for family, dim in (("C_unitary", 4), ("H", 4), ("R", 5), ("C_antiunitary", 5)):
+        for seed in range(3):
+            spec = random_operator(Random(seed), family, dim, order_hint=3)
+            cert = standardize(spec)
+            for _ in range(8):
+                shift = Functional({rng.randint(1, cert.rank): Q(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))})
+                shifted = dataclasses.replace(cert, mu=cert.mu + shift)
+                nu = random_functional(rng, cert.rank)
+                monkeypatch.setattr(cli, "standardize", lambda _spec, c=shifted: c)
+                obj = {"operator": spec.to_json(), "nu": nu.to_json()}
+                code, body = cli.cmd_check_isom(argparse.Namespace(seed=0, count=0), obj)
+                want = slant_gap_verdict(shifted, nu)
+                assert body["weyl_reflections_coincide"] == want == (code == 0), (family, seed, shift, nu)
+                verdicts.append(want)
     assert True in verdicts and False in verdicts
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from twistaff import loopalg
-from twistaff.affine import LARS_KINDS, standard_spec
+from twistaff.affine import KINDS, LARS_KINDS, standard_spec
 from twistaff.cli import main
 from twistaff.cyclo import Cyc, ModeMatrix
 from twistaff.loopalg import (
@@ -17,9 +17,11 @@ from twistaff.loopalg import (
     kappa_form,
     validate_element,
 )
-from twistaff.models import standard_model
+from twistaff.models import StandardModel, standard_model
 from twistaff.rootdata import Functional, Root
 from twistaff.sampling import random_loop_element
+
+import elimination
 
 L = 4
 
@@ -60,7 +62,6 @@ def test_paired_modes_produce_the_central_charge():
 def test_root_vector_bracket_display():
     # [e_n x, (e_n x)*] = (-i (n/N + s(a#)) <x,x>, <x,x> a#, 0) for weight vectors
     from twistaff.affine import lars_finite_parts
-    from twistaff.models import span_basis
     from twistaff.rootdata import inner
 
     for kind in LARS_KINDS:
@@ -69,7 +70,7 @@ def test_root_vector_bracket_display():
         for a in lars_finite_parts(kind, m.base)[:4]:
             for res in range(m.n_psi):
                 # the (a, res) root space: the projected matrix units of weight a (none off its residues)
-                for x in span_basis(m.mode_project(m.algebra_project(u), res) for u in m._weight_units(L, a.coeffs)):
+                for x in elimination.span_basis(m.mode_project(b, res) for b in m.weight_space_basis(L, a.coeffs)):
                     n = res
                     e = DoubleExtElement.from_loop(L, n, x)
                     estar = DoubleExtElement.from_loop(L, -n, x.conj_transpose())
@@ -174,7 +175,7 @@ def _mutate_fold(monkeypatch, mutation):
 def test_bracket_check_fails_a_sigma_bracket_with_a_wrong_fold(tmp_path, monkeypatch, mutation):
     # without the input refusal, the mutated bracket fails the algebraic checks themselves
     _mutate_fold(monkeypatch, mutation)
-    monkeypatch.setattr(loopalg, "_check_sigma", lambda *args: None)
+    monkeypatch.setattr(StandardModel, "check_fixed", lambda *args: None)
     code, doc = _bracket_check(tmp_path, monkeypatch)
     counts = doc["passed_counts"]
     assert code == 1
@@ -247,6 +248,20 @@ def test_mode_eigenspace_validation():
     bad = DoubleExtElement.from_loop(L, 1, x)
     with pytest.raises(ValueError):
         validate_element(spec, bad)
+
+
+@pytest.mark.parametrize("kind", [k for k in LARS_KINDS if KINDS[k].involution])
+def test_validation_refuses_a_unit_off_the_involution(kind):
+    # the bare unit E_01 is not fixed by tau = -Q x^T Q^-1, whatever the twist says
+    spec, m = standard_spec(kind, 2), standard_model(kind, 2)
+    unit = m.basis_matrix(L, 0, 1)
+    with pytest.raises(ValueError, match="mode 0 matrix x is not 1 x under the model's involution -Q x"):
+        validate_element(spec, DoubleExtElement.from_loop(L, 0, unit))
+    x = m.algebra_project(unit)
+    validate_element(spec, DoubleExtElement.from_loop(L, 0, x))
+    if m.n_psi == 2:  # B2: E_01 misses the flipped zero vector, so x is even under the flip
+        with pytest.raises(ValueError, match="mode 1 matrix x is not -1 x under the model's flip F x F"):
+            validate_element(spec, DoubleExtElement.from_loop(L, 1, x))
 
 
 def test_phi_hat_rejects_inadmissible_modes():

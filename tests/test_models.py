@@ -5,7 +5,7 @@ import pytest
 
 from twistaff.affine import LARS_KINDS, admissible_mode_step, lars_finite_parts
 from twistaff.cyclo import Cyc, ModeMatrix, mat_inverse
-from twistaff.models import Span, span_basis, standard_model
+from twistaff.models import Span, _half_sum, standard_model
 
 import elimination
 
@@ -32,8 +32,8 @@ def model_mode_residues(model, a):
 
 
 def root_space_basis(model, a, residue):
-    """A basis of the weight-a, mode-residue component of the model algebra, from the realization."""
-    return span_basis(model.mode_project(model.algebra_project(u), residue) for u in model._weight_units(L, a.coeffs))
+    """A basis of the weight-a, mode-residue component of the model algebra, by elimination."""
+    return elimination.span_basis(model.mode_project(b, residue) for b in model.weight_space_basis(L, a.coeffs))
 
 
 def hermitian_form(model, x, y):
@@ -162,7 +162,6 @@ def model_unit_lists(model, L):
 
 @pytest.mark.parametrize("L", [4, 8, 12, 24])
 def test_orbit_spans_equal_the_elimination_reference(L):
-    rng = random.Random(L)
     spans = 0
     for kind in LARS_KINDS:
         for rank in (2, 3, 4, 5):
@@ -170,16 +169,11 @@ def test_orbit_spans_equal_the_elimination_reference(L):
             for span, units in model_unit_lists(model, L):
                 reference = elimination.span_basis(units)
                 assert layout(span) == layout(reference), (kind, rank)
-                shuffled = rng.sample(units, len(units))
-                assert layout(span_basis(shuffled)) == layout(elimination.span_basis(shuffled)), (kind, rank)
                 plus, minus = span.split
                 # projections that vanish leave an empty span, which the elimination cannot read
                 ref_plus, ref_minus = elimination.split(span) if span else ((), ())
                 assert (layout(plus), layout(minus)) == (layout(ref_plus), layout(ref_minus)), (kind, rank)
                 assert len(plus) + len(minus) == len(span)
-                for n in range(model.n_psi):
-                    projected = [model.mode_project(u, n) for u in units]
-                    assert layout(span_basis(projected)) == layout(elimination.span_basis(projected))
                 spans += bool(span)
     assert spans == 744  # nonempty spans per conductor: 2976 over the four conductors
 
@@ -189,12 +183,38 @@ def test_non_orbit_input_is_refused():
     x = model.cartan_basis(L)[0]
     y = model.psi_tilde(x)
     assert y not in (x, -x)
-    # x + y overlaps x's support but is not +- x: elimination would keep both
-    assert len(elimination.span_basis([x, x + y])) == 2
-    with pytest.raises(ValueError, match="not signed copies"):
-        span_basis([x, x + y])
     # psi~ keeps the span of x and x + y, but maps x to y = (x + y) - x, not to +- a member
     span = Span(model, [x, x + y])
     assert len(elimination.split(span)[0]) == 1
     with pytest.raises(ValueError, match="psi~ does not preserve the span of the basis"):
         span.split
+
+
+@pytest.mark.parametrize("kind", [k for k in LARS_KINDS if k != "A1"])
+@pytest.mark.parametrize("L", [4, 12])
+def test_check_fixed_agrees_with_the_permuted_matrix(kind, L):
+    # check_fixed reads x entry by entry (Gaussian pairs at L = 4); the reference builds P(x) whole
+    rng = random.Random(f"{kind}:{L}")
+    model = standard_model(kind, 3)
+    d = model.dim
+    tables = [t for t in (model._paired_table, model._twist_table) if t]
+    seen = set()
+    for table in tables:
+        for s in (1, -1):
+            for _ in range(12):
+                cells = [(rng.randrange(d), rng.randrange(d)) for _ in range(rng.randint(1, 6))]
+                entries = {cell: Cyc.zeta(L, rng.randrange(L)) for cell in cells}
+                raw = ModeMatrix.from_entries(L, (d, d), entries)
+                fixed = _half_sum(raw, table, s)
+                (a, b), value = next(iter(entries.items()))
+                nudged = fixed + ModeMatrix.from_entries(L, (d, d), {(a, b): value})
+                for x in (raw, fixed, nudged):
+                    want = x.permuted(table) == (x if s == 1 else -x)
+                    try:
+                        model.check_fixed(table, 0, x, s)
+                        got = True
+                    except ValueError:
+                        got = False
+                    assert got == want, (kind, s, x.rows)
+                    seen.add(want)
+    assert seen == {True, False}
