@@ -86,8 +86,13 @@ class StandardizeError(DomainError):
 
 
 def _hdot(u: ModeMatrix, v: ModeMatrix) -> Cyc:
-    """The Hermitian product <u, v> = v* u."""
-    return v.conj_transpose().trace_product(u)
+    """The Hermitian product <u, v> = sum_i u_i conj(v_i), coefficient p of u_i times q of v_i at z^(p - q)."""
+    L, terms = u.L, []
+    for ru, rv in zip(u.rows, v.rows):
+        if ru and rv:
+            vt = [(q, d) for q, d in enumerate(rv[0]) if d]
+            terms += [((p - q) % L, c * d) for p, c in enumerate(ru[0]) if c for q, d in vt]
+    return Cyc(L, _reduce(L, terms), u.den * v.den)
 
 
 def _antilinear(u: ModeMatrix):
@@ -353,28 +358,31 @@ class _Powers:
         """The nonzero zeta_m^k-eigenspaces of a at conductor L for the exponents k; the
         scalars must prove a^m = zeta^(phase m + scalar m / K) u^(m mod K) = 1.
 
-        In P_k = (1/m) sum_j zeta_m^(-jk) a^j, coefficient q of an entry of u^(j mod K) (``terms``:
-        at the walk's conductor L0, over the common denominator) goes to power q L / L0 + L (phase j
-        + scalar (j div K) - jk / m) mod L of one list of L integers per entry, reduced once; tr(P_k) alike.
+        In P_k = (1/m) sum_j zeta_m^(-jk) a^j, nonzero coefficient q of an entry of u^(j mod K) (at
+        the walk's conductor L0, over the common denominator) goes to power q L / L0 + L (phase j
+        + scalar (j div K) - jk / m) mod L and through its power-table row.  tr(P_k) reads only the
+        diagonals; the terms of a column are built on the column's first read.
         """
         walk, K, d = self.walk, len(self.walk), len(self.walk[0].rows)
         if m % K or (self.phase * m + self.scalar * (m // K)).denominator != 1:
             raise StandardizeError("matrix does not have the stated finite order")
         step, den = L // walk[0].L, lcm(*(p.den for p in walk))
-        terms = [[{c: [(q * step, x * (den // p.den)) for q, x in enumerate(num) if x] for c, num in row.items()}
-                  for row in p.rows] for p in walk]
-        diagonals = [[t for i, row in enumerate(rows) for t in row.get(i, ())] for rows in terms]
+        scale = [den // p.den for p in walk]
+        diagonals = [[(q * step, x * f) for i, row in enumerate(p.rows) if i in row for q, x in enumerate(row[i]) if x]
+                     for p, f in zip(walk, scale)]
         base = [int(L * (self.phase * j + self.scalar * (j // K))) for j in range(m)]
 
         def power_sum(shifts, pick):  # sum_j zeta_L^shifts[j] times the terms pick(j mod K), reduced
-            acc = [0] * L
-            for j, e in enumerate(shifts):
-                for q, x in pick(j % K):
-                    acc[(q + e) % L] += x
-            return _reduce(L, acc)
+            return _reduce(L, [((q + e) % L, x) for j, e in enumerate(shifts) for q, x in pick(j % K)])
+
+        @cache
+        def column_terms(c):  # column c of every power as terms (q L / L0, coefficient over den)
+            return [[[(q * step, x * f) for q, x in enumerate(row[c]) if x] if c in row else () for row in p.rows]
+                    for p, f in zip(walk, scale)]
 
         def column(shifts, c):
-            return ModeMatrix(L, 1, den * m, [{0: power_sum(shifts, lambda p: terms[p][i].get(c, ()))} for i in range(d)])
+            terms = column_terms(c)
+            return ModeMatrix(L, 1, den * m, [{0: power_sum(shifts, lambda p: terms[p][i])} for i in range(d)])
 
         shifts = {k: [b - j * k * (L // m) for j, b in enumerate(base)] for k in exponents}
         ranks = {k: power_sum(s, diagonals.__getitem__)[0] // (den * m) for k, s in shifts.items()}  # tr(P_k) in Z

@@ -9,10 +9,11 @@ working field: ``working_conductor`` holds given roots of unity and refuses a
 field above ``MAX_CONDUCTOR`` (a ``DomainError``), and ``sqrt_conductor``
 names the least field that holds a rational's square root.
 
-The scalar kernel is all integers.  One function, ``_reduce``, reduces a sum
-of powers z^k (k < L) modulo Phi_L from a table of the L powers as sparse
-rows; products, Galois conjugates, lifts to a larger conductor and the
-matrix kernel below all go through it.  The inverse of num / den is
+The scalar kernel is all integers and touches only nonzero coefficients, as
+entries read off eigenspaces are nearly monomials: each nonzero term c z^k of
+a Galois conjugate, lift or root of unity (``_reduce``), and each nonzero high
+power of a product (``_fold``), goes through its row of the table of z^k mod
+Phi_L (k < L) as sparse rows.  The inverse of num / den is
 den * P / N, where P is the product of the distinct Galois conjugates of num
 other than num itself and N = num * P is its rational norm.
 
@@ -24,11 +25,10 @@ tuples) are only the edge that the benchmark's micro timings read: the
 operands and results of ``mat_inverse`` and ``mat_mul``, converted by
 ``from_rows`` and ``to_rows``; no subcommand builds one.
 The one product kernel, ``mat_product_sum``, sums s * A B over signed
-products by schoolbook on the nonzero coefficients: the operands' power-basis
-coefficients are mostly zero and a few bits long, so each nonzero
-coefficient of A multiply-adds the nonzero coefficients of the matching
-entries of B into one list of 2 phi(L) - 1 integers per output entry, and
-each output entry is reduced modulo Phi_L once.  At conductor 4, where
+products by schoolbook: each nonzero coefficient of A multiply-adds the
+nonzero coefficients of the rows of B that A names into 2 phi(L) - 1 integers
+per output entry it meets, reduced once, with the content taken in the same
+pass, so the result is built canonical.  At conductor 4, where
 ``loopalg.bracket_sum`` also adds derivation terms, it multiplies its
 Gaussian entries inline instead, with one product per commutator on the
 orthogonal and symplectic models (``loopalg``'s sigma path).  The one
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, isqrt, lcm, prod
 from operator import add
 
@@ -96,16 +96,11 @@ def _power_table(L: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-def _reduce(L: int, coeffs) -> tuple[int, ...]:
-    """The power-basis coefficients of sum_k coeffs[k] z^k modulo Phi_L.
-
-    coeffs is a list with phi(L) <= len(coeffs) <= L.
-    """
-    phi = conductor_degree(L)
-    out = coeffs[:phi]
-    table = _power_table(L)
-    for k in range(phi, len(coeffs)):
-        c = coeffs[k]
+def _reduce(L: int, terms) -> tuple[int, ...]:
+    """The power-basis coefficients of sum c z^k over the pairs (k, c), k < L, modulo Phi_L:
+    each nonzero c multiply-adds the power table's row of z^k (z^k itself for k < phi(L))."""
+    table, out = _power_table(L), [0] * conductor_degree(L)
+    for k, c in terms:
         if c:
             for j, r in table[k]:
                 out[j] += c * r
@@ -113,19 +108,18 @@ def _reduce(L: int, coeffs) -> tuple[int, ...]:
 
 
 def _galois(L: int, num: tuple, a: int) -> tuple[int, ...]:
-    """The coefficients of the image of num under zeta -> zeta**a (a coprime to L)."""
-    powers = [0] * L
+    """The coefficients of the image of num under zeta -> zeta**a (a coprime to L); ``_reduce``'s loop, inline."""
+    table, out = _power_table(L), [0] * len(num)
     for k, c in enumerate(num):
-        powers[a * k % L] = c
-    return _reduce(L, powers)
+        if c:
+            for j, r in table[a * k % L]:
+                out[j] += c * r
+    return tuple(out)
 
 
 def _lift(L: int, num: tuple, L2: int) -> tuple[int, ...]:
     """The coefficients of num, at conductor L, embedded at the multiple L2 of L."""
-    step = L2 // L
-    powers = [0] * L2
-    powers[: len(num) * step : step] = num
-    return _reduce(L2, powers)
+    return _reduce(L2, [(k * (L2 // L), c) for k, c in enumerate(num) if c])
 
 
 @lru_cache(maxsize=None)
@@ -185,9 +179,7 @@ class Cyc:
     @staticmethod
     def zeta(L: int, k: int = 1) -> "Cyc":
         """The root of unity zeta_L ** k."""
-        powers = [0] * L
-        powers[k % L] = 1
-        return Cyc(L, _reduce(L, powers), 1)
+        return Cyc(L, _reduce(L, ((k % L, 1),)), 1)
 
     @staticmethod
     def i(L: int) -> "Cyc":
@@ -691,6 +683,15 @@ class ModeMatrix:
         return Cyc(self.L, acc, self.den * other.den)
 
 
+def _fold(table, phi: int, conv: list) -> tuple[int, ...]:
+    """The powers conv[k] z^k (k < 2 phi - 1) modulo Phi_L: the nonzero high powers through the power table."""
+    out = conv[:phi]
+    for k in compress(range(phi, len(conv)), conv[phi:]):
+        for j, r in table[k]:
+            out[j] += conv[k] * r
+    return tuple(out)
+
+
 def cyc_product(L: int, a: tuple, b: tuple) -> tuple[int, ...]:
     """The power-basis coefficients of the product of two power-basis vectors."""
     if len(a) == 2:  # conductor 4: Gaussian integers, Phi_4 = x^2 + 1
@@ -703,7 +704,7 @@ def cyc_product(L: int, a: tuple, b: tuple) -> tuple[int, ...]:
             for ib, cb in enumerate(b):
                 if cb:
                     conv[ia + ib] += ca * cb
-    return _reduce(L, conv)
+    return _fold(_power_table(L), len(a), conv)
 
 
 def mat_product_sum(products) -> ModeMatrix:
@@ -711,10 +712,12 @@ def mat_product_sum(products) -> ModeMatrix:
 
     Every A B must have the shape of the first; a mismatch raises ValueError
     naming both shapes.  Over the lcm D of the denominator products, triple
-    (sign, A, B) adds sign D / (den A den B) * A B by schoolbook: each nonzero
-    coefficient of an entry (i, j) of A, times that factor, multiply-adds the
-    nonzero coefficients of each entry (j, k) of B into the 2 phi(L) - 1 powers
-    of output entry (i, k), which is reduced modulo Phi_L once at the end.
+    (sign, A, B) adds sign D / (den A den B) * A B: each nonzero coefficient of
+    an entry (i, j) of A, times that factor, multiply-adds the nonzero
+    coefficients of row j of B (read once per product, only for the j that A
+    names) into the 2 phi(L) - 1 powers of each output entry (i, k) it meets.
+    Each met entry is folded once (``_fold``), and the content of the nonzero
+    entries is taken in the same pass, so the result is built canonical.
     """
     products = list(products)
     L, n, m = products[0][1].L, len(products[0][1].rows), products[0][2].ncols
@@ -724,24 +727,32 @@ def mat_product_sum(products) -> ModeMatrix:
         if a.ncols != len(b.rows) or len(a.rows) != n or b.ncols != m:
             raise ValueError(f"matrix shape mismatch: {a.shape} times {b.shape} in a sum of {n}x{m} products")
     den = lcm(*(a.den * b.den for _, a, b in products))
-    width = 2 * conductor_degree(L) - 1
+    table, phi = _power_table(L), conductor_degree(L)
+    width = 2 * phi - 1
     acc = [{} for _ in range(n)]  # output row i: column k -> the unreduced powers of entry (i, k)
     for sign, a, b in products:
-        f = sign * (den // (a.den * b.den))
-        brows = [[(k, [(q, c) for q, c in enumerate(num) if c]) for k, num in row.items()] for row in b.rows]
+        f, brows = sign * (den // (a.den * b.den)), {}  # row j of B as its terms (k, q, coefficient)
         for arow, out in zip(a.rows, acc):
             for j, num in arow.items():
-                brow = brows[j]
+                terms = brows.get(j)
+                if terms is None:
+                    terms = brows[j] = [(k, q, d) for k, v in b.rows[j].items() for q, d in enumerate(v) if d]
                 for p, c in enumerate(num):
                     if c:
                         c *= f
-                        for k, terms in brow:
+                        for k, q, d in terms:
                             conv = out.get(k) or out.setdefault(k, [0] * width)
-                            for q, d in terms:
-                                conv[p + q] += c * d
-    # in column order, as every other constructor writes a row
-    rows = [{k: _reduce(L, conv) for k, conv in sorted(out.items())} for out in acc]
-    return ModeMatrix(L, m, den, rows)
+                            conv[p + q] += c * d
+    rows, g = [{} for _ in acc], den
+    for out, row in zip(acc, rows):
+        for k in sorted(out):  # the nonzero entries in column order, as every other constructor writes a row
+            if any(num := _fold(table, phi, out[k])):
+                row[k] = num
+                g = gcd(g, *num) if g > 1 else 1  # their content, in the same pass
+    if g > 1:
+        den //= g
+        rows = [{k: tuple(c // g for c in num) for k, num in row.items()} for row in rows]
+    return ModeMatrix(L, m, den, rows, canonical=True)
 
 
 def mat_products_equal(a: ModeMatrix, b: ModeMatrix, c: ModeMatrix, d: ModeMatrix) -> bool:

@@ -175,8 +175,8 @@ def _gaussian_sum(n: int, m: int, products, weighted=(), shift: int = 0, w=(), f
     every term over the lcm D of the terms' denominators, each
     entry product multiplied inline (Phi_4 = x^2 + 1, so nothing is left to
     reduce), and the sum is one canonical ``ModeMatrix``.  At phi = 2 the
-    generic schoolbook of ``mat_product_sum``, with its coefficient lists and
-    per-entry reduction, costs about three times as much per product.
+    generic ``mat_product_sum`` takes about twice as long on the same products
+    (1.8-2.0 times, on those of a seed-0 ``lie-brackets`` cycle, 2-core host).
     """
     den = lcm(*(a.den * b.den for _, a, b in products), *(c.den * x.den for _, c, x in weighted))
     re, im = [[0] * m for _ in range(n)], [[0] * m for _ in range(n)]

@@ -17,7 +17,13 @@ product term that is not rescaled to the common denominator, or a common
 denominator that is not a multiple of every operand denominator, changes the
 result.  The large-coefficient kernel test draws coefficients up to 2^200 in
 size, often all of one sign and of the largest size, and sums that cancel to
-zero.  At conductor 4, where `loopalg.bracket_sum` multiplies Gaussian
+zero.  On near-monomial operands (one nonzero coefficient per entry, at
+conductors 12, 24 and 40) the product kernel, `conj`, `conj_transpose`,
+`lift`, scalar products, Galois maps, roots of unity and `autnorm._hdot` must
+equal a reference by long division modulo Phi_L that reads no power table,
+and each matrix result must be what the canonicalizing constructor makes of
+its own rows, on sums that cancel to zero and sums whose terms share a
+content too.  At conductor 4, where `loopalg.bracket_sum` multiplies Gaussian
 integers inline (`loopalg._gaussian_sum`), that sum meets the same entrywise
 reference on the same operands, and the bracket's derivation coordinates t
 include non-rational Gaussian values (i, 1 + i/2).  On the orthogonal and
@@ -29,6 +35,7 @@ products, and the products handed to `_gaussian_sum` are counted.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -37,7 +44,8 @@ from hypothesis import strategies as st
 
 from twistaff import loopalg
 from twistaff.affine import LARS_KINDS, AffinisationSpec, standard_spec
-from twistaff.cyclo import Cyc, ModeMatrix, conductor_degree, mat_mul, mat_product_sum
+from twistaff.autnorm import _hdot
+from twistaff.cyclo import Cyc, ModeMatrix, conductor_degree, cyclotomic_polynomial, mat_mul, mat_product_sum
 from twistaff.loopalg import DoubleExtElement, LoopElement, _gaussian_sum, bracket, bracket_sum
 from twistaff.models import standard_model
 from twistaff.rootdata import Functional, RootSystem
@@ -295,6 +303,136 @@ def test_gaussian_kernel_is_the_entrywise_sum_at_conductor_4(case):
     assert exact(got) == exact(signed_entrywise_sum(products))
     if cancel:
         assert not got and got.den == 1
+
+
+# -- near-monomial operands: every rewritten kernel builds its output canonical ------
+
+MONOMIAL_CONDUCTORS = (12, 24, 40)
+MONOMIAL_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+
+
+def poly_mod(L, powers):
+    """The power-basis coefficients of sum c x^k over powers {k: c} modulo x^L - 1 and then
+    Phi_L, by long division: no power table."""
+    phi_poly = cyclotomic_polynomial(L)
+    phi = len(phi_poly) - 1
+    coeffs = [0] * L
+    for k, c in powers.items():
+        coeffs[k % L] += c
+    for top in range(L - 1, phi - 1, -1):
+        c = coeffs[top]
+        for j, p in enumerate(phi_poly):
+            coeffs[top - phi + j] -= c * p
+    return tuple(coeffs[:phi])
+
+
+def monomial_matrix(L, shape, den, entries):
+    """The matrix with c zeta^k / den at each (i, j): (c, k) of entries, through the canonicalizing constructor."""
+    rows = [{} for _ in range(shape[0])]
+    for (i, j), (c, k) in sorted(entries.items()):
+        rows[i][j] = poly_mod(L, {k: c})
+    return ModeMatrix(L, shape[1], den, rows)
+
+
+@st.composite
+def monomial_operands(draw, L, n, m):
+    """(shape, den, entries) of an n x m matrix of entries 0 or c zeta^k with k < phi(L), one
+    nonzero coefficient each; (den, scale) = (1, 2) makes every c even, so its products with an
+    operand over an even denominator share the content 2."""
+    den, scale = draw(st.sampled_from(((1, 1), (2, 1), (3, 1), (1, 2))))
+    monomial = st.tuples(st.sampled_from(MONOMIAL_COEFFICIENTS).map(lambda c: c * scale),
+                         st.integers(0, conductor_degree(L) - 1))
+    positions = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+    return (n, m), den, draw(st.dictionaries(positions, monomial, min_size=1, max_size=n * m))
+
+
+@st.composite
+def monomial_product_sums(draw):
+    """Up to three signed products; then the same products negated (a zero sum), or repeated
+    (every term twice: the content 2), or nothing more."""
+    L = draw(st.sampled_from(MONOMIAL_CONDUCTORS))
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    products = [
+        (draw(st.sampled_from((1, -1))), draw(monomial_operands(L, n, k)), draw(monomial_operands(L, k, m)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    then = draw(st.sampled_from(("cancel", "repeat", None)))
+    if then == "cancel":
+        products += [(-sign, a, b) for sign, a, b in products]
+    elif then == "repeat":
+        products += products
+    return L, products, then == "cancel"
+
+
+def reference_product_sum(L, products):
+    """sum sign A B over (sign, A, B) of monomial operands, each output entry one long division."""
+    den = lcm(*(a[1] * b[1] for _, a, b in products))
+    sums = {}
+    for sign, (_, da, ea), (_, db, eb) in products:
+        f = sign * (den // (da * db))
+        for (i, j), (c, p) in ea.items():
+            for (j2, k), (d, q) in eb.items():
+                if j2 == j:
+                    powers = sums.setdefault((i, k), {})
+                    powers[p + q] = powers.get(p + q, 0) + f * c * d
+    shape = (products[0][1][0][0], products[0][2][0][1])
+    rows = [{} for _ in range(shape[0])]
+    for (i, k), powers in sorted(sums.items()):
+        rows[i][k] = poly_mod(L, powers)
+    return ModeMatrix(L, shape[1], den, rows)
+
+
+def assert_canonical(out):
+    """out is what the canonicalizing constructor makes of its own rows, each in column order."""
+    assert out == ModeMatrix(out.L, out.ncols, out.den, [dict(r) for r in out.rows])
+    assert all(list(r) == sorted(r) for r in out.rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_product_sums())
+def test_near_monomial_matrix_kernels_build_canonical_outputs(case):
+    L, products, cancel = case
+    got = mat_product_sum((sign, monomial_matrix(L, *a), monomial_matrix(L, *b)) for sign, a, b in products)
+    assert_canonical(got)
+    assert got == reference_product_sum(L, products)
+    if cancel:
+        assert not got and got.den == 1
+    shape, den, entries = products[0][1]
+    a = monomial_matrix(L, shape, den, entries)
+    for out, want in (
+        (a.conj(), monomial_matrix(L, shape, den, {ij: (c, -k) for ij, (c, k) in entries.items()})),
+        (a.conj_transpose(),
+         monomial_matrix(L, shape[::-1], den, {(j, i): (c, -k) for (i, j), (c, k) in entries.items()})),
+        (a.lift(2 * L), monomial_matrix(2 * L, shape, den, {ij: (c, 2 * k) for ij, (c, k) in entries.items()})),
+    ):
+        assert_canonical(out)
+        assert out == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(MONOMIAL_CONDUCTORS), st.data())
+def test_near_monomial_scalar_kernels_match_the_long_division(L, data):
+    phi = conductor_degree(L)
+    monomials = st.tuples(st.sampled_from(MONOMIAL_COEFFICIENTS), st.integers(0, phi - 1), st.sampled_from((1, 2, 3)))
+    (cx, kx, dx), (cy, ky, dy) = data.draw(monomials), data.draw(monomials)
+    x, y = Cyc(L, poly_mod(L, {kx: cx}), dx), Cyc(L, poly_mod(L, {ky: cy}), dy)
+    assert x * y == Cyc(L, poly_mod(L, {kx + ky: cx * cy}), dx * dy)
+    assert x * y - y * x == Cyc.zero(L)
+    a = data.draw(st.sampled_from([u for u in range(1, L) if gcd(u, L) == 1]))
+    assert x.galois(a) == Cyc(L, poly_mod(L, {a * kx: cx}), dx)
+    k = data.draw(st.integers(-L, 2 * L))
+    assert Cyc.zeta(L, k) == Cyc(L, poly_mod(L, {k: 1}), 1)
+    us, vs = (data.draw(st.lists(monomials, min_size=1, max_size=3)) for _ in range(2))
+    n = min(len(us), len(vs))
+    u, v = (monomial_matrix(L, (n, 1), 6, {(i, 0): (c * 6 // d, k) for i, (c, k, d) in enumerate(w[:n])})
+            for w in (us, vs))
+    powers = {}
+    for (c, k, d), (c2, k2, d2) in zip(us, vs):  # u_i conj(v_i) over 36
+        powers[k - k2] = powers.get(k - k2, 0) + (c * 6 // d) * (c2 * 6 // d2)
+    assert _hdot(u, v) == Cyc(L, poly_mod(L, powers), 36)
+    pair = monomial_matrix(L, (2, 1), 1, {(0, 0): (cx, kx), (1, 0): (cx, kx)})
+    opposite = monomial_matrix(L, (2, 1), 1, {(0, 0): (cy, ky), (1, 0): (-cy, ky)})
+    assert _hdot(pair, opposite) == Cyc.zero(L) and _hdot(pair, pair) == Cyc(L, poly_mod(L, {0: 2 * cx * cx}), 1)
 
 
 def plain_loop_element(draw, spec, L):
