@@ -13,12 +13,14 @@ The R, H and antiunitary families share one normal-form walk,
 ``_antilinear_blocks``: an antilinear J = u o conj (``_antilinear(u)``: the
 identity's for R, the quaternionic structure for H, the operator itself for
 the antiunitary form) pairs the eigenspaces of a finite-order linear map,
-and each self-paired eigenspace splits by the sign of J^2 into conjugation
-blocks or J-stable planes.  No eigenprojector P_k = (1/n) sum_j zeta^(-jk)
-a^j is built: each power of the lift a is a root of unity times a power of
-the walk, so an eigenspace (``_Powers.eigenspaces``) is its rank tr(P_k) and
-the columns of P_k, summed by index arithmetic when first read; every walk
-stops once its vectors number that rank.  Every field comes from
+and every self-paired eigenspace takes one conjugation block walk, whatever
+the sign of J^2 = +-1 there: J is antiunitary, so <v, Jv> = conj <Jv, J^2 v>,
+which is -<v, Jv> when J^2 = -1, and the walk's first stage then makes each
+reduced vector v the block (v, Jv).  No eigenprojector P_k = (1/n) sum_j
+zeta^(-jk) a^j is built: each power of the lift a is a root of unity times a
+power of the walk, so an eigenspace (``_Powers.eigenspaces``) is its rank
+tr(P_k) and the columns of P_k, summed by index arithmetic when first read;
+every walk stops once its vectors number that rank.  Every field comes from
 ``cyclo``: the lift and the walks run at a ``working_conductor``, which
 refuses one above ``MAX_CONDUCTOR``, and a conjugation block that needs the
 square root of a rational q missing from the field raises ``_Enlarge``
@@ -109,29 +111,20 @@ def _orth_reduce(v: ModeMatrix, basis, norms) -> ModeMatrix:
     return v
 
 
-def _gram_schmidt(vectors, rank: int, sigma=None):
+def _gram_schmidt(vectors, rank: int):
     """Exact orthogonalization without normalization; returns (basis, norms).
 
-    With an antiunitary sigma that maps each kept w to a vector orthogonal to
-    it, later vectors are also reduced against sigma(w): the kept vectors and
-    their sigma-images are then mutually orthogonal (greedy sigma-stable planes).
-    The vectors lie in a space of dimension rank: once the kept vectors and their
-    sigma-images number rank, they span it and the walk stops.
+    It serves the eigenspaces that J does not map to themselves (every self-paired
+    one takes ``_conjugation_block_decomposition``) and the C_unitary ones.  The
+    vectors lie in a space of dimension rank: once the kept vectors number rank,
+    they span it and the walk stops.
     """
     basis, norms = [], []
-    span, span_norms = [], []  # the kept vectors and their sigma-images
-    for v in takewhile(lambda _: len(span) < rank, vectors):
-        w = _orth_reduce(v, span, span_norms)
-        if not w:
-            continue
-        q = _hdot(w, w)
-        basis.append(w)
-        norms.append(q)
-        span.append(w)
-        span_norms.append(q)
-        if sigma is not None:
-            span.append(sigma(w))
-            span_norms.append(q)
+    for v in takewhile(lambda _: len(basis) < rank, vectors):
+        w = _orth_reduce(v, basis, norms)
+        if w:
+            basis.append(w)
+            norms.append(_hdot(w, w))
     return basis, norms
 
 
@@ -416,13 +409,13 @@ def _sqrt(q):
 
 
 def _conjugation_block_decomposition(u: ModeMatrix, rank: int, columns):
-    """Exact block structure of the antilinear involution theta: v -> u conj(v) on
-    the span of the columns, of dimension rank.
+    """Exact block structure of the antiunitary theta: v -> u conj(v), theta^2 = +-1,
+    on the span of the columns, of dimension rank.
 
     Emits pairs (plus, minus = theta(plus)) that are orthogonal with equal
     norms, all blocks mutually orthogonal, plus at most one leftover
     theta-fixed vector.  A pair is valid exactly when plus is isotropic for the
-    symmetric bilinear form B(v, w) = <v, theta w>; valid blocks keep later
+    bilinear form B(v, w) = <v, theta w>; valid blocks keep later
     hermitian reductions B-orthogonal, so the search is a sequence of in-field
     square-root problems (``_sqrt``, which raises ``_Enlarge`` for a rational
     root outside the field).  Each stage applies one rule: ``isotropic`` while
@@ -430,7 +423,9 @@ def _conjugation_block_decomposition(u: ModeMatrix, rank: int, columns):
     block built isotropic is not re-tested: the caller's exact checks of the
     assembled basis catch a fault.  Every stage stops once the block vectors and
     theta-fixed vectors number rank: they then span the space, and every later
-    reduction is zero.  Returns (blocks, fixed vector or None).
+    reduction is zero.  When theta^2 = -1, B(v, v) = conj <theta v, theta^2 v> = -B(v, v):
+    each reduced column is its own block, and no later stage runs.  Returns
+    (plus vectors, minus vectors, their norms, fixed vector or None).
     """
     theta = _antilinear(u)
     spanned, spanned_norms = [], []  # plus and minus of each block so far, with their norms
@@ -539,8 +534,7 @@ def _conjugation_block_decomposition(u: ModeMatrix, rank: int, columns):
             pool.pop(k)
             pool_norms.pop(k)
         add(paired[0])  # its minus is theta(plus)
-    blocks = list(zip(spanned[::2], spanned[1::2]))
-    return blocks, pool[0] if pool else None
+    return spanned[::2], spanned[1::2], spanned_norms[::2], pool[0] if pool else None
 
 
 def _pair_conjugation_fixed(g1, q1, g2, q2):
@@ -563,32 +557,24 @@ def _antilinear_blocks(powers: _Powers, m: int, u: ModeMatrix):
 
     J maps the zeta^k-eigenspace of a onto the zeta^-k one, and every pair has
     minus = J(plus), which callers rescale as their form needs.  A paired
-    eigenspace (0 < 2k < m) gets an orthogonal basis.  On a self-paired one (k = 0
-    or 2k = m) J^2 = +-1, read off one vector: J^2 = 1 gives conjugation blocks
-    and at most one J-fixed vector, J^2 = -1 gives J-stable planes.  The
-    walk takes k = 0 and m/2 first, at the conductor L of u; when a
-    conjugation block decomposition needs a rational square root outside
-    Q(zeta_L) (``_Enlarge``), the walk restarts on u lifted to the enlarged
-    conductor, with the eigenspaces rebuilt there from the same powers.  Returns
-    (plus, minus, exponents, norms, fixed, L), fixed mapping exponents to J-fixed vectors.
+    eigenspace (0 < 2k < m) gets an orthogonal basis, and every self-paired one (k = 0
+    or 2k = m) one conjugation block decomposition: blocks and at most one J-fixed
+    vector, none where J^2 = -1, as every vector is isotropic there.  The walk takes
+    k = 0 and m/2 first, at the conductor L of u; when a conjugation block
+    decomposition needs a rational square root outside Q(zeta_L) (``_Enlarge``), the
+    walk restarts on u lifted to the enlarged conductor, with the eigenspaces rebuilt
+    there from the same powers.  Returns (plus, minus, exponents, norms, fixed, L),
+    fixed mapping the self-paired exponents to their J-fixed vectors or None.
     """
     L, J = u.L, _antilinear(u)
     spaces = powers.eigenspaces(L, m, range(m // 2 + 1))  # m - k mirrors k
     plus, minus, exps, norms, fixed = [], [], [], [], {}
     try:
         for space in sorted(spaces, key=lambda s: (0 < 2 * s.k < m, s.k)):
-            sign = 0  # J^2 on a self-paired eigenspace, read off one nonzero column
             if 2 * space.k in (0, m):
-                v = next(c for c in space if c)
-                sign = 1 if J(J(v)) == v else -1
-            if sign == 1:
-                blocks, fixed_vec = _conjugation_block_decomposition(u, space.rank, space)
-                if fixed_vec is not None:
-                    fixed[space.k] = fixed_vec
-                basis, images = [b[0] for b in blocks], [b[1] for b in blocks]
-                qs = [_hdot(w, w) for w in basis]
+                basis, images, qs, fixed[space.k] = _conjugation_block_decomposition(u, space.rank, space)
             else:
-                basis, qs = _gram_schmidt(space, space.rank, J if sign else None)
+                basis, qs = _gram_schmidt(space, space.rank)
                 images = [J(w) for w in basis]
             plus += basis
             minus += images
@@ -664,10 +650,9 @@ def _antiunitary_blocks(spec: OperatorSpec, powers: _Powers, m_op: int):
     L = working_conductor(spec.conductor, 8, 2 * m_op)
     u = spec.matrix.lift(L)
     plus, minus, exps, norms, fixed, L = _antilinear_blocks(powers, half, u)
-    # minus = c(n) J(plus) at the final conductor: c = i on the J^2 = -1 eigenspace (2n = N),
-    # zeta^n on a pair, zeta the primitive 2N-th root, and c(0) = 1
-    scales = {n: Cyc.i(L) if 2 * n == half else Cyc.zeta(L, n * (L // (2 * half)) % L) for n in exps if n}
-    minus = [w.scale(scales[n]) if n else w for w, n in zip(minus, exps)]
+    # minus = zeta^n J(plus) at the final conductor, zeta the primitive 2N-th root
+    # (zeta^(N/2) = i on the J^2 = -1 eigenspace 2n = N)
+    minus = [w.scale(Cyc.zeta(L, n * (L // (2 * half)) % L)) if n else w for w, n in zip(minus, exps)]
     return plus, minus, exps, norms, fixed.get(0), L
 
 

@@ -108,13 +108,8 @@ def _reduce(L: int, terms) -> tuple[int, ...]:
 
 
 def _galois(L: int, num: tuple, a: int) -> tuple[int, ...]:
-    """The coefficients of the image of num under zeta -> zeta**a (a coprime to L); ``_reduce``'s loop, inline."""
-    table, out = _power_table(L), [0] * len(num)
-    for k, c in enumerate(num):
-        if c:
-            for j, r in table[a * k % L]:
-                out[j] += c * r
-    return tuple(out)
+    """The coefficients of the image of num under zeta -> zeta**a (a coprime to L)."""
+    return _reduce(L, [(a * k % L, c) for k, c in enumerate(num) if c])
 
 
 def _lift(L: int, num: tuple, L2: int) -> tuple[int, ...]:

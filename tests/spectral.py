@@ -7,12 +7,15 @@ a^1, ..., a^m multiplied out again.  The normalization reads its eigenspaces
 off one power walk instead (``autnorm._Powers``); both references share none
 of that index arithmetic.  ``powers_of`` hands a matrix's own power walk to
 the eigenspace builder, and ``projector`` lays an eigenspace's columns out as
-its matrix.
+its matrix.  ``sigma_stable_gram_schmidt`` is the greedy sigma-stable
+orthogonalization that the normal form once ran on an eigenspace where its
+antilinear map squares to -1, kept as the reference for the block walk there.
 """
 
 from fractions import Fraction
+from itertools import takewhile
 
-from twistaff.autnorm import _power_walk, _Powers
+from twistaff.autnorm import _hdot, _orth_reduce, _power_walk, _Powers
 from twistaff.cyclo import Cyc, ModeMatrix, mat_product_sum
 
 
@@ -53,3 +56,23 @@ def powers_of(a):
 def projector(space):
     """The eigenprojector whose columns the eigenspace yields."""
     return ModeMatrix.from_columns(list(space))
+
+
+def sigma_stable_gram_schmidt(vectors, rank, sigma):
+    """(basis, sigma-images, norms): each vector reduced against the kept ones and their
+    sigma-images, and kept with its sigma-image when nonzero, until they number rank.
+
+    For an antiunitary sigma with sigma^2 = -1, every w is orthogonal to sigma(w), so the
+    kept vectors and their images are mutually orthogonal (greedy sigma-stable planes).
+    """
+    basis, norms = [], []
+    span, span_norms = [], []  # the kept vectors and their sigma-images
+    for v in takewhile(lambda _: len(span) < rank, vectors):
+        w = _orth_reduce(v, span, span_norms)
+        if w:
+            q = _hdot(w, w)
+            basis.append(w)
+            norms.append(q)
+            span += [w, sigma(w)]
+            span_norms += [q, q]
+    return basis, span[1::2], norms

@@ -27,6 +27,7 @@ from twistaff.cyclo import Cyc, ModeMatrix
 from twistaff.rootdata import Functional, Root
 from twistaff.sampling import random_operator
 
+import conjugation
 import elimination
 import spectral
 
@@ -487,8 +488,8 @@ def test_conductor_enlargement_bound_is_named():
         _conjugation_block_decomposition(identity(L, 4), 2, rows(L, span).columns())
     L = enlarged.value.conductor
     assert L == 40
-    blocks, fixed = _conjugation_block_decomposition(identity(L, 4), 2, rows(L, span).columns())
-    assert (len(blocks), fixed) == (1, None)
+    plus, minus, norms, fixed = _conjugation_block_decomposition(identity(L, 4), 2, rows(L, span).columns())
+    assert (len(plus), len(minus), len(norms), fixed) == (1, 1, 1, None)
 
 
 def test_square_root_factor_bound_is_named(time_limit):
@@ -686,26 +687,29 @@ def test_certificates_of_one_kind_share_the_weight_space_bases(monkeypatch):
 #: seeded probe-grid operators (family, seed, dim, order hint) whose conjugation block
 #: decompositions reach, between them, every branch: a B-plane (the R one), a stage-1
 #: isotropic vector (14, 4, 2), a B-plane with cw = 0 (4, 5, 2), a B-plane with a
-#: leftover (2, 5, 2) and a fixed-vector pairing (28, 5, 2)
+#: leftover (2, 5, 2) and a fixed-vector pairing (28, 5, 2); the H ones walk only
+#: J^2 = -1 eigenspaces, where every vector is isotropic
 BLOCK_OPERATORS = [
     ("R", 1, 5, 2),
     ("C_antiunitary", 14, 4, 2),
     ("C_antiunitary", 4, 5, 2),
     ("C_antiunitary", 2, 5, 2),
     ("C_antiunitary", 28, 5, 2),
+    ("H", 0, 4, 4),
+    ("H", 0, 6, 3),
 ]
 
 
 @pytest.mark.parametrize("family, seed, dim, hint", BLOCK_OPERATORS)
 def test_block_decomposition_gives_isotropic_orthogonal_blocks(monkeypatch, family, seed, dim, hint):
     """What the walk no longer re-tests: each plus is B-isotropic with minus = theta(plus) of
-    equal norm, all block vectors and the fixed vector are orthogonal, the fixed vector is
-    theta-fixed, and the blocks and the fixed vector fill the projector's rank."""
+    equal norm, the returned norm, all block vectors and the fixed vector are orthogonal, the
+    fixed vector is theta-fixed, and the blocks and the fixed vector fill the projector's rank."""
     from itertools import combinations
 
     from twistaff import autnorm
 
-    decompositions = []  # (u, eigenspace, output) of every J^2 = 1 eigenspace the walk splits
+    decompositions = []  # (u, eigenspace, output) of every self-paired eigenspace the walk splits
     real = autnorm._conjugation_block_decomposition
 
     def recording(u, rank, space):
@@ -717,18 +721,62 @@ def test_block_decomposition_gives_isotropic_orthogonal_blocks(monkeypatch, fami
     standardize(random_operator(random.Random(seed), family, dim, order_hint=hint))
     assert decompositions
     hdot = autnorm._hdot
-    for u, space, (blocks, fixed) in decompositions:
+    for u, space, (pluses, minuses, norms, fixed) in decompositions:
         theta = autnorm._antilinear(u)
-        for plus, minus in blocks:
+        assert len(pluses) == len(minuses) == len(norms)
+        for plus, minus, q in zip(pluses, minuses, norms):
             assert not hdot(plus, theta(plus))
             assert minus == theta(plus)
-            assert hdot(plus, plus) == hdot(minus, minus)
-        vectors = [v for block in blocks for v in block] + ([fixed] if fixed is not None else [])
+            assert hdot(plus, plus) == hdot(minus, minus) == q
+        vectors = [v for block in zip(pluses, minuses) for v in block] + ([fixed] if fixed is not None else [])
         for x, y in combinations(vectors, 2):
             assert not hdot(x, y)
         if fixed is not None:
             assert theta(fixed) == fixed
         assert len(vectors) == space.rank == elimination.rank(spectral.projector(space).to_rows())
+
+
+#: seeded operators (family, seed, dim, order hint) with J^2 = -1 eigenspaces of ranks 2 and 4:
+#: every self-paired one for H, and the 2k = N one of u conj(u) for an antiunitary operator
+MINUS_ONE_OPERATORS = [
+    ("H", 0, 4, 4),
+    ("H", 1, 6, 3),
+    ("H", 2, 6, 2),
+    ("C_antiunitary", 0, 4, 2),
+    ("C_antiunitary", 1, 5, 4),
+    ("C_antiunitary", 3, 7, 4),
+]
+
+
+@pytest.mark.parametrize("family, seed, dim, hint", MINUS_ONE_OPERATORS)
+def test_the_block_walk_where_j_squares_to_minus_one_is_the_sigma_stable_gram_schmidt(
+    monkeypatch, family, seed, dim, hint
+):
+    """Where J^2 = -1, B(v, v) = <v, Jv> = 0 for every v, so the walk's first stage adds each
+    reduced column as its block, against the same ordered span and with the same stop at the
+    rank: its plus and minus vectors and norms are the sigma-stable Gram-Schmidt's, and no
+    fixed vector comes out."""
+    from twistaff import autnorm
+
+    signs, real = [], autnorm._conjugation_block_decomposition
+
+    def comparing(u, rank, space):
+        out = real(u, rank, space)
+        theta = autnorm._antilinear(u)
+        v = next(c for c in space if c)
+        signs.append(1 if theta(theta(v)) == v else -1)
+        if signs[-1] == -1:
+            assert theta(theta(v)) == -v
+            assert out[:3] == spectral.sigma_stable_gram_schmidt(space, rank, theta)
+            assert out[3] is None
+        return out
+
+    monkeypatch.setattr(autnorm, "_conjugation_block_decomposition", comparing)
+    spec = random_operator(random.Random(seed), family, dim, order_hint=hint)
+    assert verify_certificate(spec, standardize(spec)).all_passed
+    assert -1 in signs
+    if family == "H":
+        assert set(signs) == {-1}
 
 
 def test_an_isotropic_refusal_keeps_its_message():
@@ -754,13 +802,8 @@ def test_padded_isotropic_refusals_keep_their_message(seed, hint, pad):
     """Padding does not help: the walk still builds an isotropic vector whose root
     (such as sqrt(1 + sqrt 2)) no cyclotomic field holds."""
     spec = random_operator(random.Random(seed), "C_antiunitary", 3, order_hint=hint)
-    L, n = spec.matrix.L, spec.dim + len(pad)
-    entries = {(i, j): c for i, row in enumerate(spec.matrix.to_rows()) for j, c in enumerate(row)}
-    entries |= {(spec.dim + k, spec.dim + k): s for k, s in enumerate(pad)}
-    padded = OperatorSpec("C", True, n, ModeMatrix.from_entries(L, (n, n), entries), 1)
-    padded = dataclasses.replace(padded, declared_order=automorphism_order(padded))
     with pytest.raises(StandardizeError, match="no reachable isotropic vectors or fixed-vector pairings"):
-        standardize(padded)
+        standardize(conjugation.padded(spec, pad))
 
 
 @pytest.mark.parametrize("L", [8, 12, 24])
@@ -869,15 +912,14 @@ def test_walks_read_kernel_projectors_and_stop_at_their_rank(monkeypatch, operat
         readings.append((powers, L, m, exponents, out))
         return out
 
-    def gram_schmidt(vectors, rank, sigma=None):
-        basis, norms = real_gs(vectors, rank, sigma)
-        spanned = len(basis) * (1 if sigma is None else 2)
-        walks.append((rank, spanned, elimination.rank(ModeMatrix.from_columns(list(vectors)).to_rows())))
+    def gram_schmidt(vectors, rank):
+        basis, norms = real_gs(vectors, rank)
+        walks.append((rank, len(basis), elimination.rank(ModeMatrix.from_columns(list(vectors)).to_rows())))
         return basis, norms
 
     def blocks(u, rank, space):
         out = real_blocks(u, rank, space)
-        walks.append((rank, 2 * len(out[0]) + (out[1] is not None), elimination.rank(spectral.projector(space).to_rows())))
+        walks.append((rank, 2 * len(out[0]) + (out[3] is not None), elimination.rank(spectral.projector(space).to_rows())))
         return out
 
     monkeypatch.setattr(autnorm._Powers, "eigenspaces", eigenspaces)
